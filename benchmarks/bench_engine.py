@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Engine microbenchmark baseline — thin wrapper over :mod:`repro.bench`.
 
-Measures raw timeout churn through the event kernel plus the
-request-path comparison (per-request generator processes vs the batched
-callback chain) and writes ``BENCH_engine.json``. Equivalent to
+Measures raw timeout churn through the event kernel and writes
+``BENCH_engine.json``. Equivalent to
 ``python -m repro bench engine``.
 
 Usage::

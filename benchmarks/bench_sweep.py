@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """End-to-end sweep baseline — thin wrapper over :mod:`repro.bench`.
 
-Runs the benchmark grid serial with the event backend (the pre-batch
-baseline), serial with ``--sim-backend batch``, then cold and warm
-through the parallel executor; asserts all four window banks are
-bit-identical and writes ``BENCH_sweep.json``. Equivalent to
+Runs the benchmark grid serially, then cold and warm through the
+parallel executor; asserts all three window banks are bit-identical and
+writes ``BENCH_sweep.json``. Equivalent to
 ``python -m repro bench sweep``.
 
 Usage::

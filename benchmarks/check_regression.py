@@ -38,12 +38,6 @@ import sys
 #: count and any growth is a real protocol regression.
 METRICS = (
     ("BENCH_engine.json", ("timeouts_per_second",), "rate"),
-    ("BENCH_engine.json",
-     ("request_path", "process_requests_per_second"), "rate"),
-    ("BENCH_engine.json",
-     ("request_path", "batch_requests_per_second"), "rate"),
-    ("BENCH_engine.json", ("request_path", "batch_speedup"), "rate"),
-    ("BENCH_sweep.json", ("serial_event_seconds",), "wall"),
     ("BENCH_sweep.json", ("serial_batch_seconds",), "wall"),
     ("BENCH_sweep.json", ("cold_batch_seconds",), "wall"),
     ("BENCH_sweep.json", ("warm_seconds",), "wall"),

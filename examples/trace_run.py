@@ -3,9 +3,9 @@
 
 Installs the span tracer, executes a baseline + interfered pair of a
 small IOR-style read job, then exports the trace as JSONL and prints the
-per-tier span summary — the flame-graph view of the simulator: how much
-simulated time the run spent in client RPC windows, on the wire, inside
-the OSTs and down at the disks, and how interference shifts that split.
+span summary — the simulator's view of the run: how much simulated time
+the client operations took end to end, how much of it the disks were
+busy, and how interference shifts that split.
 
 Run:  python examples/trace_run.py
 """
@@ -41,12 +41,13 @@ def main() -> None:
     print(obs.render_span_summary(tracer.spans))
 
     slow = pair.interfered.duration / max(pair.baseline.duration, 1e-9)
-    ost_total = sum(s.duration for s in tracer.spans
-                    if s.name.startswith("ost.") and s.end is not None)
+    op_total = sum(s.duration for s in tracer.spans
+                   if s.name in ("client.read", "client.write")
+                   and s.end is not None)
     disk_total = sum(s.duration for s in tracer.spans
                      if s.name == "disk.io" and s.end is not None)
     print(f"\ntarget slowdown under interference: {slow:.2f}x")
-    print(f"simulated time inside OSTs: {ost_total:.3f}s, "
+    print(f"simulated time in client data ops: {op_total:.3f}s, "
           f"at the disks: {disk_total:.3f}s")
 
 

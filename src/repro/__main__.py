@@ -18,13 +18,6 @@ Usage::
     python -m repro serve --tenants 256 --chaos 'flood=0.1,stall=0.05'
                                          # multi-tenant service chaos soak
 
-Simulator backend: ``--sim-backend batch`` routes every client burst
-through the vectorised :mod:`repro.sim.batch` request path (one engine
-event per batch instead of one process per striped RPC) with bit-
-identical window vectors and labels; ``event`` (default) is the
-per-request generator path. The backend is part of the run-cache key,
-so the two never share cache entries.
-
 Fault injection and resilience: ``--faults 'drop=0.2,kill=0.1,seed=1'``
 attaches a deterministic :class:`repro.faults.FaultPlan` to the sweep
 executor (worker/simulation faults; telemetry faults drive the
@@ -81,7 +74,6 @@ OUT.json`` producing a Perfetto-loadable timeline.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 import time
@@ -99,20 +91,8 @@ EXTENSIONS = ("devices", "crosscluster", "robustness")
 _REPORTS: dict[str, dict] = {}
 
 
-#: Simulator request path for every experiment this invocation runs;
-#: set once from ``--sim-backend`` before any runner is called.
-_SIM_BACKEND = "event"
-
-
-def _cluster():
-    cluster = experiment_cluster()
-    if _SIM_BACKEND != "event":
-        cluster = dataclasses.replace(cluster, sim_backend=_SIM_BACKEND)
-    return cluster
-
-
 def _config(fast: bool) -> ExperimentConfig:
-    return ExperimentConfig(cluster=_cluster(), window_size=0.25,
+    return ExperimentConfig(cluster=experiment_cluster(), window_size=0.25,
                             sample_interval=0.125,
                             warmup=0.5 if fast else 1.0, seed=0)
 
@@ -172,7 +152,7 @@ def run_fig3(fast: bool, executor, trainer=None, store=None) -> str:
                                max_level=2 if fast else 3,
                                noise_scale=s["noise_scale"],
                                executor=executor, store=store)
-    dlio_cfg = ExperimentConfig(cluster=_cluster(), window_size=0.5,
+    dlio_cfg = ExperimentConfig(cluster=experiment_cluster(), window_size=0.5,
                                 sample_interval=0.125, warmup=1.0, seed=0)
     dlio = collect_dlio_bank(dlio_cfg, max_level=2 if fast else 3,
                              noise_scale=s["noise_scale"],
@@ -672,12 +652,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="shrink workloads for a quick smoke pass")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="also write one text file per experiment here")
-    parser.add_argument("--sim-backend", choices=("event", "batch"),
-                        default="event",
-                        help="simulator request path: per-request generator "
-                             "processes (event, default) or the vectorised "
-                             "batched fast path (batch); results are "
-                             "bit-identical (default: %(default)s)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulation sweeps "
                              "(default: 1 = in-process)")
@@ -729,9 +703,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.verbose:
         obs.configure_logging("DEBUG" if args.verbose > 1 else "INFO")
 
-    global _SIM_BACKEND
-    _SIM_BACKEND = args.sim_backend
-
     known = ("list", "all", *EXPERIMENTS, *EXTENSIONS)
     if args.experiment not in known:
         return _fail(f"unknown experiment {args.experiment!r} "
@@ -746,7 +717,7 @@ def main(argv: list[str] | None = None) -> int:
         # domain count would just be idle processes blocking on every
         # window barrier.  Clamp (with a note) rather than reject: the
         # request is over-provisioned, not wrong.
-        n_domains = _cluster().n_domains
+        n_domains = experiment_cluster().n_domains
         if args.shards > n_domains:
             print(f"note: --shards {args.shards} exceeds the cluster's "
                   f"{n_domains} OSS domain(s); clamping to {n_domains} "
@@ -826,7 +797,7 @@ def main(argv: list[str] | None = None) -> int:
         import hashlib
 
         material = (f"{args.experiment}:{_config(args.fast).seed}:"
-                    f"{args.sim_backend}:{int(args.fast)}")
+                    f"{int(args.fast)}")
         trace_id = hashlib.sha256(material.encode()).hexdigest()[:16]
         tracer = obs.install_tracer(obs.Tracer(trace_id=trace_id))
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)

@@ -6,21 +6,13 @@ and compared non-gatingly in CI against the checked-in
 ``BENCH_engine.json`` / ``BENCH_sweep.json`` / ``BENCH_train.json`` /
 ``BENCH_shard.json`` / ``BENCH_serve.json`` / ``BENCH_dataset.json``):
 
-* **engine** — microbenchmarks of the discrete-event kernel: raw timeout
-  churn through ``Environment.run()``, plus a request-path comparison
-  driving the same windowed RPC pattern once through per-request
-  generator ``Process``es (the event backend's shape, one process per
-  striped RPC) and once through the batched callback chain
-  (``after``/``try_acquire``/``CountEvent`` — the batch backend's
-  shape). The ratio isolates the per-request machinery the batch
-  backend eliminates, free of the shared network/disk model.
+* **engine** — a microbenchmark of the discrete-event kernel: raw
+  timeout churn through ``Environment.run()``, run twice to check the
+  event order is deterministic.
 
-* **sweep** — the end-to-end dataset-generation grid, run serial with
-  the event backend (the pre-batch baseline), serial with
-  ``--sim-backend batch``, then cold (fresh run cache) and warm through
-  the parallel executor with the batch backend. All four passes must
-  produce bit-identical window banks; the cross-backend identity is the
-  equivalence contract of ``repro.sim.batch`` holding on the full grid.
+* **sweep** — the end-to-end dataset-generation grid, run serially, then
+  cold (fresh run cache) and warm through the parallel executor. All
+  three passes must produce bit-identical window banks.
 
 * **train** — the training stack: a seeds x restarts grid trained by
   the serial restart loop, then cold (fresh model cache) and warm
@@ -51,12 +43,6 @@ and compared non-gatingly in CI against the checked-in
   appends into stores of different ingested sizes (walls must match),
   and a >=100k-window training run memmap-backed vs fully in memory,
   recording the peak-RSS contrast with bit-identical parameters.
-
-The end-to-end speedup is Amdahl-bounded: the fluid network, block
-device and page cache perform identical work at identical simulated
-instants on both backends (that *is* the equivalence contract), so only
-the per-request client machinery — measured in isolation by the engine
-request-path bench — shrinks. See DESIGN.md §9.
 
 Every result embeds an ``environment`` block (numpy/python versions,
 platform, cpu_count); ``benchmarks/check_regression.py`` warns — without
@@ -145,90 +131,12 @@ def _churn(n_processes: int, hops: int):
     return n_processes * hops, wall, order
 
 
-_RPC_LATENCY = 200e-6
-_SERVICE = 1e-3
-_WINDOW = 8
-_BURST = 64
-
-
-def _requests_via_processes(n_requests: int) -> float:
-    """The event backend's request shape: each op spawns one generator
-    Process per piece (credit window, RPC latency, service), joined by an
-    AllOf — the structure of ``ClientSession._data_op``."""
-    from repro.sim.engine import AllOf, Environment
-    from repro.sim.resources import Semaphore
-
-    env = Environment()
-    window = Semaphore(env, _WINDOW)
-
-    def rpc():
-        yield window.acquire()
-        yield env.timeout(_RPC_LATENCY)
-        yield env.timeout(_SERVICE)
-        window.release()
-
-    def op():
-        yield AllOf(env, [env.process(rpc()) for _ in range(_BURST)])
-
-    ops = [env.process(op()) for _ in range(n_requests // _BURST)]
-    t0 = time.perf_counter()
-    env.run(until=AllOf(env, ops))
-    return time.perf_counter() - t0
-
-
-def _requests_via_batch(n_requests: int) -> float:
-    """The batch backend's request shape: ``try_acquire`` takes window
-    credits inline, every immediately-granted piece of a burst shares a
-    single RPC-latency timeout, queued pieces chain solo off their FIFO
-    grant, and one CountEvent completes the lot — the structure of
-    ``repro.sim.batch._DataBatch``."""
-    from repro.sim.engine import CountEvent, Environment
-    from repro.sim.resources import Semaphore
-
-    env = Environment()
-    window = Semaphore(env, _WINDOW)
-    done = CountEvent(env, n_requests)
-
-    def finish(_ev=None) -> None:
-        window.release()
-        done.complete()
-
-    def serve_group(_ev, k: int) -> None:
-        for _ in range(k):
-            env.after(_SERVICE, finish)
-
-    def solo_serve(_ev) -> None:
-        env.after(_SERVICE, finish)
-
-    def solo(_ev) -> None:
-        env.after(_RPC_LATENCY, solo_serve)
-
-    for _ in range(n_requests // _BURST):
-        immediate = 0
-        for _ in range(_BURST):
-            if window.try_acquire():
-                immediate += 1
-            else:
-                window.acquire().callbacks.append(solo)
-        if immediate:
-            env.after(_RPC_LATENCY,
-                      lambda _ev, k=immediate: serve_group(_ev, k))
-    t0 = time.perf_counter()
-    env.run(until=done)
-    return time.perf_counter() - t0
-
-
-def bench_engine(processes: int = 2000, hops: int = 100,
-                 requests: int = 100_096) -> dict[str, Any]:
-    """Engine kernel + request-path microbenchmarks (see module doc)."""
+def bench_engine(processes: int = 2000, hops: int = 100) -> dict[str, Any]:
+    """Engine kernel microbenchmark (see module doc)."""
     n1, wall1, order1 = _churn(processes, hops)
     n2, wall2, order2 = _churn(processes, hops)
     assert order1 == order2, "engine event order is not deterministic"
     wall = min(wall1, wall2)
-
-    requests = (requests // _BURST) * _BURST  # whole bursts only
-    proc_wall = min(_requests_via_processes(requests) for _ in range(2))
-    batch_wall = min(_requests_via_batch(requests) for _ in range(2))
 
     return {
         "environment": bench_environment(),
@@ -238,31 +146,20 @@ def bench_engine(processes: int = 2000, hops: int = 100,
         "wall_seconds": wall,
         "timeouts_per_second": n1 / wall,
         "deterministic": True,
-        "request_path": {
-            "requests": requests,
-            "burst": _BURST,
-            "window": _WINDOW,
-            "process_seconds": proc_wall,
-            "batch_seconds": batch_wall,
-            "process_requests_per_second": requests / proc_wall,
-            "batch_requests_per_second": requests / batch_wall,
-            "batch_speedup": proc_wall / batch_wall,
-        },
     }
 
 
 # -- end-to-end sweep benchmark -----------------------------------------------
 
 
-def bench_grid(sim_backend: str = "event"):
+def bench_grid():
     """The benchmark's (target, scenario) grid and experiment config."""
     from repro.experiments.datagen import Scenario
     from repro.experiments.runner import (ExperimentConfig, InterferenceSpec,
                                           experiment_cluster)
     from repro.workloads.io500 import make_io500_task
 
-    cluster = dataclasses.replace(experiment_cluster(), sim_backend=sim_backend)
-    config = ExperimentConfig(cluster=cluster, window_size=0.25,
+    config = ExperimentConfig(cluster=experiment_cluster(), window_size=0.25,
                               sample_interval=0.125, warmup=1.0, seed=0)
     targets = [
         make_io500_task("ior-easy-write", ranks=4, scale=2.5),
@@ -282,58 +179,49 @@ def bench_grid(sim_backend: str = "event"):
 
 
 def bench_sweep(jobs: int | None = None) -> dict[str, Any]:
-    """Serial event vs serial batch vs cold/warm parallel batch grid."""
+    """Serial vs cold/warm parallel grid."""
     from repro.experiments.datagen import collect_windows
     from repro.parallel import RunCache, SweepExecutor
 
     jobs = jobs or min(4, os.cpu_count() or 1)
-    targets_e, scenarios_e, config_e = bench_grid("event")
-    n_pairs = len(targets_e) * len(scenarios_e)
+    targets, scenarios, config = bench_grid()
+    n_pairs = len(targets) * len(scenarios)
 
     t0 = time.perf_counter()
-    event_bank = collect_windows(targets_e, scenarios_e, config_e, n_jobs=1)
-    serial_event_s = time.perf_counter() - t0
-
-    targets_b, scenarios_b, config_b = bench_grid("batch")
-    t0 = time.perf_counter()
-    batch_bank = collect_windows(targets_b, scenarios_b, config_b, n_jobs=1)
-    serial_batch_s = time.perf_counter() - t0
+    serial_bank = collect_windows(targets, scenarios, config, n_jobs=1)
+    serial_s = time.perf_counter() - t0
 
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
         cold = SweepExecutor(n_jobs=jobs, cache=RunCache(tmp))
         t0 = time.perf_counter()
-        cold_bank = collect_windows(targets_b, scenarios_b, config_b,
+        cold_bank = collect_windows(targets, scenarios, config,
                                     executor=cold)
         cold_s = time.perf_counter() - t0
 
         warm = SweepExecutor(n_jobs=jobs, cache=RunCache(tmp))
         t0 = time.perf_counter()
-        warm_bank = collect_windows(targets_b, scenarios_b, config_b,
+        warm_bank = collect_windows(targets, scenarios, config,
                                     executor=warm)
         warm_s = time.perf_counter() - t0
 
         identical = (
-            np.array_equal(event_bank.X, batch_bank.X)
-            and np.array_equal(event_bank.levels, batch_bank.levels)
-            and np.array_equal(batch_bank.X, cold_bank.X)
-            and np.array_equal(batch_bank.levels, cold_bank.levels)
-            and np.array_equal(batch_bank.X, warm_bank.X)
-            and np.array_equal(batch_bank.levels, warm_bank.levels)
+            np.array_equal(serial_bank.X, cold_bank.X)
+            and np.array_equal(serial_bank.levels, cold_bank.levels)
+            and np.array_equal(serial_bank.X, warm_bank.X)
+            and np.array_equal(serial_bank.levels, warm_bank.levels)
         )
-        assert identical, "event/batch/parallel/warm banks differ"
+        assert identical, "serial/parallel/warm banks differ"
         assert warm.runs_executed == 0, "warm cache still executed runs"
 
         return {
             "environment": bench_environment(),
-            "grid": {"targets": len(targets_e), "scenarios": len(scenarios_e),
-                     "pairs": n_pairs, "windows": len(event_bank)},
-            "serial_event_seconds": serial_event_s,
-            "serial_batch_seconds": serial_batch_s,
-            "backend_speedup_serial": serial_event_s / serial_batch_s,
+            "grid": {"targets": len(targets), "scenarios": len(scenarios),
+                     "pairs": n_pairs, "windows": len(serial_bank)},
+            "serial_batch_seconds": serial_s,
             "cold_batch_seconds": cold_s,
-            "cold_improvement_vs_serial_event": serial_event_s / cold_s,
+            "cold_improvement_vs_serial": serial_s / cold_s,
             "warm_seconds": warm_s,
-            "speedup_warm": serial_event_s / warm_s if warm_s else None,
+            "speedup_warm": serial_s / warm_s if warm_s else None,
             "n_jobs": cold.n_jobs,
             "cpu_count": os.cpu_count(),
             "bit_identical": identical,
@@ -483,8 +371,7 @@ def _shard_config(n_oss: int, osts_per_oss: int = 2):
     from repro.experiments.runner import ExperimentConfig, experiment_cluster
 
     cluster = dataclasses.replace(experiment_cluster(), n_oss=n_oss,
-                                  osts_per_oss=osts_per_oss,
-                                  sim_backend="batch")
+                                  osts_per_oss=osts_per_oss)
     return ExperimentConfig(cluster=cluster, window_size=0.25,
                             sample_interval=0.125, warmup=0.5, seed=0)
 
@@ -607,8 +494,7 @@ def bench_shard(shard_counts: tuple[int, ...] = (1, 2, 4),
         "environment": bench_environment(),
         "workload": {"target": "ior-easy-write", "ranks": 4, "scale": scale,
                      "noise": ["ior-hard-write x2", "ior-easy-read x1"]},
-        "cluster": {"n_oss": 4, "osts_per_oss": 2,
-                    "sim_backend": "batch"},
+        "cluster": {"n_oss": 4, "osts_per_oss": 2},
         "shard_counts": list(shard_counts),
         "scaling": scaling,
         "window_reduction": (scaling["fixed"][0]["windows"]
@@ -828,7 +714,7 @@ def bench_dataset(jobs: int | None = None,
     from repro.parallel import RunCache, SweepExecutor
 
     jobs = jobs or min(4, os.cpu_count() or 1)
-    targets, scenarios, config = bench_grid("batch")
+    targets, scenarios, config = bench_grid()
     extra = Scenario(
         "io500-x3",
         (InterferenceSpec("ior-easy-write", instances=3, ranks=2, scale=0.2),
@@ -995,19 +881,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if "engine" in selected:
         result = bench_engine()
-        rp = result["request_path"]
-        print(f"engine: {result['timeouts_per_second']:,.0f} timeouts/s; "
-              f"request path: process {rp['process_requests_per_second']:,.0f}"
-              f" req/s vs batch {rp['batch_requests_per_second']:,.0f} req/s "
-              f"({rp['batch_speedup']:.2f}x)")
+        print(f"engine: {result['timeouts_per_second']:,.0f} timeouts/s")
         _write(result, args.out_dir / "BENCH_engine.json")
     if "sweep" in selected:
         result = bench_sweep(jobs=args.jobs)
-        print(f"sweep: serial event {result['serial_event_seconds']:.2f}s, "
-              f"serial batch {result['serial_batch_seconds']:.2f}s "
-              f"({result['backend_speedup_serial']:.2f}x), cold parallel "
-              f"batch {result['cold_batch_seconds']:.2f}s "
-              f"({result['cold_improvement_vs_serial_event']:.2f}x), warm "
+        print(f"sweep: serial {result['serial_batch_seconds']:.2f}s, cold "
+              f"parallel {result['cold_batch_seconds']:.2f}s "
+              f"({result['cold_improvement_vs_serial']:.2f}x), warm "
               f"{result['warm_seconds']:.2f}s")
         _write(result, args.out_dir / "BENCH_sweep.json")
     if "train" in selected:

@@ -45,10 +45,13 @@ __all__ = [
 ]
 
 #: Bumped whenever the persisted run layout or key material changes.
-#: 2: the cluster config grew ``sim_backend`` (event vs batch request
-#: path) — it participates in the key via ``config_to_dict``, and the
-#: bump retires entries written before the batched fast path existed.
-CACHE_FORMAT = 2
+#: 2: the cluster config grew a request-backend field (event vs batch
+#: request path) — it participated in the key via ``config_to_dict``,
+#: and the bump retired entries written before the batch path existed.
+#: 3: the backend field is gone (the simulator has one request path),
+#: so it is no longer part of the run key; the bump retires keys that
+#: carried it.
+CACHE_FORMAT = 3
 
 #: Bumped whenever the columnar window-shard layout
 #: (:mod:`repro.data.shard`) or its key material changes.  Separate from

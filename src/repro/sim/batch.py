@@ -1,35 +1,26 @@
-"""Batched request fast path: the ``batch`` sim backend.
+"""The simulator's request path for data operations.
 
-The event backend drives every striped RPC through its own generator
-``Process`` — roughly a dozen engine events and generator resumptions per
-1 MiB write. Profiling shows this Python machinery, not the model
-arithmetic, dominates sweep wall-clock. This module replaces it for whole
-client operations: a :class:`BatchRequest` carries the op's striped
-pieces as parallel numpy arrays, and a :class:`_DataOpDriver` walks them
-through flat callback chains — RPC-window grant, one shared RPC-latency
-timeout per granted group, batched network flows
-(:meth:`FlowNetwork.transfer_batch`), inline OST service
-(:meth:`OST.service_batch` / ``serve_fast``) and MDS service
-(:meth:`MDS.handle_fast`) — firing one completion event per *operation*
-instead of one per request.
+A client data op (one ``write``/``read`` call) becomes a
+:class:`BatchRequest`: its striped pieces, split at ``max_rpc_bytes``, as
+parallel columns. A :class:`_DataOpDriver` walks them through flat
+callback chains — RPC-window grant, one shared RPC-latency timeout per
+granted group, batched network flows (:meth:`FlowNetwork.transfer_batch`)
+and OST service (:meth:`OST.service_batch` / :meth:`OST.serve`) — and
+fires one completion event per *operation*. Metadata ops take the
+generator path in :meth:`ClientSession._meta_op` and the MDS callback
+chain in :meth:`MDS.handle`.
 
-Equivalence contract (validated in ``tests/sim/test_batch_backend.py``
-and ``tests/experiments``): every **primitive timing event** — RPC
-latency timeouts, network flow completions, block-device service
-timeouts, cache memcpy timeouts, QoS grants — is issued at the identical
-simulated instant as on the event path; only the same-timestamp
-bookkeeping ticks between them (process inits, semaphore grant events,
-AllOf conjunctions) disappear. State mutations therefore happen at the
-same timestamps in the same relative order, and per-window vectors,
-labels and server samples match the event backend to float precision.
-There is no per-request service noise to draw — the simulator's only RNG
-sits in workload op generation (``derive_rng``), which is backend
-independent; if service noise is ever added it must be drawn in array
-order from a ``derive_rng`` stream to keep this contract (DESIGN.md §9).
-
-The event backend remains authoritative for anything that needs
-per-request observability: per-RPC trace spans, and future fault hooks
-that drop or delay individual requests.
+Ordering rule: at every resource where two requests can meet at the
+same simulated instant — RPC-window credits, QoS buckets, cache dirty
+throttling, the flow network, the block scheduler, MDS dir locks and
+service threads — this path grants them in the order the per-request
+generator processes it replaced did. That is checked, not given by
+construction: the golden run digests in
+``tests/sim/test_golden_digests.py`` were taken on the generator path
+and guard it (an MDS that took its lock and thread inline once let a
+later same-instant request overtake an earlier one; DESIGN.md §9). The
+simulator draws no per-request service noise; its only RNG sits in
+workload op generation (``derive_rng``).
 """
 
 from __future__ import annotations
@@ -38,17 +29,15 @@ import numpy as np
 
 from repro.common.records import OpType, ServerId
 from repro.obs import trace as _trace
-from repro.sim.client import ClientSession
 from repro.sim.engine import Event
 
-__all__ = ["BatchRequest", "BatchSession"]
+__all__ = ["BatchRequest"]
 
 
 class BatchRequest:
     """One homogeneous burst of striped RPC pieces from a single client op.
 
-    Pieces appear in the same order the event backend spawns its per-RPC
-    processes (``map_extent`` order, then ``max_rpc_bytes`` splits) as
+    Pieces appear in ``map_extent`` order, then ``max_rpc_bytes`` splits, as
     four parallel columns; the public ``ost_idx``/``object_id``/
     ``obj_off``/``nbytes`` numpy views are materialised on first access
     (the driver's hot loops walk the raw int columns instead, because the
@@ -134,7 +123,7 @@ class _DataOpDriver:
     __slots__ = ("session", "req", "file", "start", "done", "span",
                  "is_write", "remaining", "touched", "keep_record")
 
-    def __init__(self, session: "BatchSession", req: BatchRequest, f,
+    def __init__(self, session, req: BatchRequest, f,
                  start: float, done: Event, span) -> None:
         self.session = session
         self.req = req
@@ -163,8 +152,7 @@ class _DataOpDriver:
         nbytes = req._nb
         # Group pieces whose RPC-window credit is available right now;
         # they share one rpc_latency timeout. Queued pieces proceed solo
-        # when their FIFO grant fires (the same instants the event
-        # backend's per-piece acquire events would fire).
+        # when their FIFO grant fires.
         immediate: list[int] = []
         for i in range(n):
             oi = ost_idx[i]
@@ -236,7 +224,7 @@ class _DataOpDriver:
         req = self.req
         cluster = self.session.node.cluster
         ost = cluster.osts[req._ost[i]]
-        ost.serve_fast(
+        ost.serve(
             req._oid[i], req._ooff[i], req._nb[i],
             self.session.job, True, lambda: self._piece_done(i),
         )
@@ -279,82 +267,3 @@ class _DataOpDriver:
         else:
             session._op_id += 1
         self.done.succeed()
-
-
-class BatchSession(ClientSession):
-    """A :class:`ClientSession` whose ops run on the batched fast path.
-
-    The public generator API is inherited unchanged (rank bodies are
-    backend-agnostic); only the internal op drivers differ — each yields
-    a single completion event fed by callback chains instead of an
-    ``AllOf`` over per-RPC processes.
-    """
-
-    #: Driver walking one data op's pieces; the sharded root cluster
-    #: substitutes a router-posting driver (repro.sim.shard) here.
-    driver_class = _DataOpDriver
-
-    #: Extra attributes stamped onto every op span; the sharded session
-    #: marks its spans ``sharded=True`` so a merged multi-domain trace
-    #: distinguishes root-posted ops from legacy in-process ones.
-    span_attrs: dict = {}
-
-    def _data_op(self, op: OpType, path: str, offset: int, size: int):
-        yield self._data_fast(op, path, offset, size)
-
-    def _data_fast(self, op: OpType, path: str, offset: int, size: int) -> Event:
-        cluster = self.node.cluster
-        f = cluster.fs.lookup(path)
-        start = self.env.now
-        tracer = _trace.TRACER
-        span = tracer.start(
-            f"client.{op.value}", start, job=self.job, rank=self.rank,
-            path=path, offset=offset, size=size, batched=True,
-            **self.span_attrs,
-        ) if tracer is not None else None
-        req = BatchRequest.from_extent(f, op, path, offset, size,
-                                       self.node.params.max_rpc_bytes)
-        done = Event(self.env)
-        self.driver_class(self, req, f, start, done, span).begin()
-        return done
-
-    def _meta_op(self, op: OpType, path: str, parent: str):
-        yield self._meta_fast(op, path, parent)
-
-    def _meta_fast(self, op: OpType, path: str, parent: str) -> Event:
-        node = self.node
-        cluster = node.cluster
-        env = self.env
-        start = env.now
-        tracer = _trace.TRACER
-        span = tracer.start(
-            f"client.{op.value}", start, job=self.job, rank=self.rank,
-            path=path, batched=True, **self.span_attrs,
-        ) if tracer is not None else None
-        done = Event(env)
-
-        keep = self.collector.keeps_records or span is not None
-
-        def _served() -> None:
-            node._mds_slots.release()
-            if keep:
-                rec = self._record(op, path, 0, 0, start, (cluster.mds.server_id,))
-                if span is not None:
-                    t = _trace.TRACER
-                    if t is not None:
-                        t.finish(span, env.now, op_id=rec.op_id)
-            else:
-                self._op_id += 1
-            done.succeed()
-
-        def _granted() -> None:
-            env.after(
-                node.params.rpc_latency,
-                lambda _ev: cluster.mds.handle_fast(op, parent, _served),
-            )
-
-        if node._mds_slots.try_acquire():
-            _granted()
-        else:
-            node._mds_slots.acquire().callbacks.append(lambda _ev: _granted())
-        return done

@@ -154,9 +154,8 @@ class BurstBufferedSession:
         """Wrap ``session`` with a node-local burst buffer.
 
         The hidden drain session comes from the cluster's session
-        factory, so drain traffic follows the active request path
-        (event, batch or sharded) instead of always taking the
-        per-request event path.
+        factory, so drain traffic takes the cluster's own request path
+        (unsharded or sharded).
         """
         node = session.node
         drain = node.cluster.session(f"{session.job}-bbdrain",

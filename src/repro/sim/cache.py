@@ -175,8 +175,9 @@ class PageCache:
 
     # -- write path ------------------------------------------------------------
 
-    def write(self, object_id: int, offset: int, size: int):
-        """Process generator: complete a write into the cache.
+    def write(self, object_id: int, offset: int, size: int, on_done) -> None:
+        """Complete a write into the cache; ``on_done()`` runs at the tick
+        the payload copy completes.
 
         Blocks while the cache is over its dirty limit (dirty throttling),
         then copies the payload and queues it for background flush.
@@ -194,35 +195,6 @@ class PageCache:
         # writer above the dirty limit regardless of write size — and it
         # is what lets bulk write noise crush small writers (the paper's
         # 26x/41x mdt-hard-write cells in Table I).
-        if self._throttled or self.dirty_bytes + size > self.params.dirty_limit_bytes:
-            self.throttle_events += 1
-            gate = Event(self.env)
-            self._throttled.append((gate, size))
-            self._kick_flusher()
-            yield gate  # the releaser reserves our dirty pages for us
-        else:
-            self.dirty_bytes += size
-        yield self.env.timeout(self._memcpy_delay(size))
-        self._dirty_extents.append((object_id, offset, size))
-        self._touch_chunks(object_id, offset, size, dirty=True)
-        self._kick_flusher()
-
-    def write_fast(self, object_id: int, offset: int, size: int, on_done) -> None:
-        """Callback-chain twin of :meth:`write` for the batch backend.
-
-        Performs the identical admission/throttle/commit mutations at the
-        identical simulated instants — the only difference is that the
-        chain runs through plain callbacks instead of a generator
-        Process, so the intermediate events disappear. ``on_done()`` runs
-        at the tick the payload copy completes.
-        """
-        if size <= 0:
-            raise ValueError(f"write size must be positive, got {size}")
-        if size > self.params.dirty_limit_bytes:
-            raise ValueError(
-                f"single write of {size} B exceeds the dirty limit "
-                f"({self.params.dirty_limit_bytes} B); split at the RPC layer"
-            )
         if self._throttled or self.dirty_bytes + size > self.params.dirty_limit_bytes:
             self.throttle_events += 1
             gate = Event(self.env)
@@ -265,38 +237,9 @@ class PageCache:
         hi = expected + 2 * self.params.readahead_bytes
         return lo <= offset <= hi
 
-    def read(self, object_id: int, offset: int, size: int):
-        """Process generator: complete a read, from cache or disk."""
-        if size <= 0:
-            raise ValueError(f"read size must be positive, got {size}")
-        sequential = self._sequential(object_id, offset)
-        self._next_offset[object_id] = offset + size
-        if self._cached(object_id, offset, size):
-            self.read_hits += 1
-            self._touch_chunks(object_id, offset, size, dirty=False)
-            yield self.env.timeout(self._memcpy_delay(size))
-            return
-        self.read_misses += 1
-        readahead = self.params.readahead_bytes if sequential else 0
-        fetch_size = size + readahead
-        segments = self.resolve(object_id, offset, fetch_size)
-        done = [
-            self.device.submit_bytes(dev_off, nbytes, is_write=False)
-            for dev_off, nbytes in segments
-        ]
-        from repro.sim.engine import AllOf
-
-        yield AllOf(self.env, done)
-        self._touch_chunks(object_id, offset, fetch_size, dirty=False)
-        yield self.env.timeout(self._memcpy_delay(size))
-
-    def read_fast(self, object_id: int, offset: int, size: int, on_done) -> None:
-        """Callback-chain twin of :meth:`read` for the batch backend.
-
-        Hit/miss/readahead decisions and all chunk mutations happen at
-        the same simulated instants as the generator path; ``on_done()``
-        runs at the tick the payload copy completes.
-        """
+    def read(self, object_id: int, offset: int, size: int, on_done) -> None:
+        """Complete a read, from cache or disk; ``on_done()`` runs at the
+        tick the payload copy completes."""
         if size <= 0:
             raise ValueError(f"read size must be positive, got {size}")
         sequential = self._sequential(object_id, offset)

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.common.records import IORecord, OpType, ServerId, ServerKind
+from repro.common.records import IORecord, OpType, ServerId
 from repro.common.units import MIB
 from repro.obs import trace as _trace
-from repro.sim.engine import AllOf
+from repro.sim.batch import BatchRequest, _DataOpDriver
+from repro.sim.engine import Event
 from repro.sim.netmodel import Link
 from repro.sim.resources import Semaphore
 
@@ -49,8 +50,8 @@ class ClientParams:
 class TraceCollector:
     """Accumulates the DXT-style records of one simulated run."""
 
-    #: Whether added records are retained. The batch backend skips
-    #: building IORecords entirely for collectors that discard them.
+    #: Whether added records are retained. Sessions skip building
+    #: IORecords entirely for collectors that discard them.
     keeps_records = True
 
     def __init__(self) -> None:
@@ -101,6 +102,14 @@ class ClientNode:
 class ClientSession:
     """Per-(job, rank) handle issuing I/O and recording its trace."""
 
+    #: Driver walking one data op's pieces; the sharded root cluster
+    #: substitutes a router-posting driver (repro.sim.shard) here.
+    driver_class = _DataOpDriver
+
+    #: Extra attributes stamped onto every op span; the sharded session
+    #: marks its spans ``sharded=True``.
+    span_attrs: dict = {}
+
     def __init__(self, node: ClientNode, job: str, rank: int,
                  collector: TraceCollector) -> None:
         self.node = node
@@ -136,91 +145,44 @@ class ClientSession:
         self.collector.add(rec)
         return rec
 
-    def _data_rpc(self, ost_index: int, object_id: int, obj_offset: int,
-                  nbytes: int, is_write: bool, parent_span=None):
-        """One bulk RPC to one OST, gated by the RPC window."""
-        cluster = self.node.cluster
-        ost = cluster.osts[ost_index]
-        window = self.node.rpc_window(ost_index)
-        tracer = _trace.TRACER
-        span = tracer.start(
-            "client.rpc", self.env.now, parent=parent_span,
-            ost=ost_index, nbytes=nbytes, write=is_write,
-        ) if tracer is not None else None
-        yield window.acquire()
-        try:
-            yield self.env.timeout(self.node.params.rpc_latency)
-            path = cluster.route(self.node.link, ost.oss_link)
-            if is_write:
-                yield cluster.net.transfer(nbytes, path, parent_span=span)
-                yield ost.write(object_id, obj_offset, nbytes, job=self.job,
-                                parent_span=span)
-            else:
-                yield ost.read(object_id, obj_offset, nbytes, job=self.job,
-                               parent_span=span)
-                yield cluster.net.transfer(nbytes, path, parent_span=span)
-        finally:
-            window.release()
-        # Normal completion only — a ``finally`` would also run when an
-        # abandoned noise generator is garbage-collected after its run,
-        # closing spans at GC time and breaking trace determinism.
-        if span is not None:
-            tracer.finish(span, self.env.now)
-
     def _data_op(self, op: OpType, path: str, offset: int, size: int):
-        cluster = self.node.cluster
-        f = cluster.fs.lookup(path)
+        """Run one data op through the callback chain (repro.sim.batch);
+        resumes the rank when its last piece completes."""
+        f = self.node.cluster.fs.lookup(path)
         start = self.env.now
         tracer = _trace.TRACER
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
-            path=path, offset=offset, size=size,
+            path=path, offset=offset, size=size, **self.span_attrs,
         ) if tracer is not None else None
-        rpcs = []
-        touched: dict[ServerId, int] = {}
-        max_rpc = self.node.params.max_rpc_bytes
-        for ost_idx, object_id, obj_off, nbytes in f.layout.map_extent(offset, size):
-            sid = ServerId(ServerKind.OST, ost_idx)
-            touched[sid] = touched.get(sid, 0) + nbytes
-            sent = 0
-            while sent < nbytes:
-                piece = min(max_rpc, nbytes - sent)
-                rpcs.append(
-                    self.env.process(
-                        self._data_rpc(
-                            ost_idx, object_id, obj_off + sent, piece,
-                            is_write=(op is OpType.WRITE), parent_span=span,
-                        )
-                    )
-                )
-                sent += piece
-        yield AllOf(self.env, rpcs)
-        if op is OpType.WRITE:
-            f.size = max(f.size, offset + size)
-        rec = self._record(op, path, offset, size, start, tuple(sorted(touched)))
-        if span is not None:
-            tracer.finish(span, self.env.now, op_id=rec.op_id)
+        req = BatchRequest.from_extent(f, op, path, offset, size,
+                                       self.node.params.max_rpc_bytes)
+        done = Event(self.env)
+        self.driver_class(self, req, f, start, done, span).begin()
+        yield done
 
     def _meta_op(self, op: OpType, path: str, parent: str):
-        cluster = self.node.cluster
+        """One metadata RPC: the node's MDS slot, the RPC latency, then
+        MDS service. Each step waits on its own event, so ops meeting at
+        the same instant reach the MDS in the order they were issued."""
+        node = self.node
+        mds = node.cluster.mds
         start = self.env.now
         tracer = _trace.TRACER
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
-            path=path,
+            path=path, **self.span_attrs,
         ) if tracer is not None else None
-        yield self._mds_gate_acquire()
-        try:
-            yield self.env.timeout(self.node.params.rpc_latency)
-            yield cluster.mds.handle(op, parent, parent_span=span)
-        finally:
-            self.node._mds_slots.release()
-        rec = self._record(op, path, 0, 0, start, (cluster.mds.server_id,))
-        if span is not None:
-            tracer.finish(span, self.env.now, op_id=rec.op_id)
-
-    def _mds_gate_acquire(self):
-        return self.node._mds_slots.acquire()
+        yield node._mds_slots.acquire()
+        yield self.env.timeout(node.params.rpc_latency)
+        yield mds.handle(op, parent, parent_span=span)
+        node._mds_slots.release()
+        if self.collector.keeps_records or span is not None:
+            rec = self._record(op, path, 0, 0, start, (mds.server_id,))
+            if span is not None:
+                tracer.finish(span, self.env.now, op_id=rec.op_id)
+        else:
+            self._op_id += 1
 
     # -- public generator API ---------------------------------------------------
 

@@ -45,12 +45,6 @@ class ClusterConfig:
     mds: MDSParams = field(default_factory=MDSParams)
     client: ClientParams = field(default_factory=ClientParams)
     default_stripe_size: int = 1 * MIB
-    #: Request-path implementation: ``"event"`` drives every striped RPC
-    #: through its own generator process; ``"batch"`` drives whole client
-    #: ops through vectorised callback chains (repro.sim.batch) with
-    #: identical timing. Part of the config, so it lands in run manifests
-    #: and the parallel run-cache key.
-    sim_backend: str = "event"
 
     def __post_init__(self) -> None:
         if self.n_client_nodes < 1 or self.n_oss < 1 or self.osts_per_oss < 1:
@@ -59,10 +53,6 @@ class ClusterConfig:
             raise ValueError("net_bandwidth must be positive")
         if self.core_bandwidth is not None and self.core_bandwidth <= 0:
             raise ValueError("core_bandwidth must be positive (or None)")
-        if self.sim_backend not in ("event", "batch"):
-            raise ValueError(
-                f"sim_backend must be 'event' or 'batch', got {self.sim_backend!r}"
-            )
 
     @property
     def n_osts(self) -> int:
@@ -140,10 +130,6 @@ class Cluster:
     def session(self, job: str, rank: int, node_index: int) -> ClientSession:
         """Open a session for one workload rank on one compute node."""
         node = self.nodes[node_index % len(self.nodes)]
-        if self.config.sim_backend == "batch":
-            from repro.sim.batch import BatchSession
-
-            return BatchSession(node, job, rank, self.collector)
         return ClientSession(node, job, rank, self.collector)
 
     def route(self, client_link: Link, server_link: Link) -> tuple[Link, ...]:

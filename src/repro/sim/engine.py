@@ -216,9 +216,8 @@ class AllOf(Event):
 class CountEvent(Event):
     """Fires once ``expected`` completions have been reported.
 
-    The batch backend's replacement for :class:`AllOf`: a burst of N
-    striped RPCs needs one completion event, not N child Events plus a
-    conjunction. A zero-length batch succeeds immediately (still via the
+    A lighter :class:`AllOf` for callback code: N completions need one
+    event, not N child Events plus a conjunction. A zero-length batch succeeds immediately (still via the
     event loop, so waiters resume on the next tick like any other event).
     """
 
@@ -267,7 +266,7 @@ class Environment:
 
     def after(self, delay: float, fn: Callable[[Event], None]) -> Timeout:
         """Schedule ``fn(event)`` after ``delay`` — a callback hop without
-        the generator/Process machinery (the batch backend's chain link)."""
+        the generator/Process machinery (the request path's chain link)."""
         t = Timeout(self, delay)
         t.callbacks.append(fn)
         return t

@@ -17,7 +17,7 @@ from repro.common.records import OpType, ServerId, ServerKind
 from repro.common.units import KIB
 from repro.obs import trace as _trace
 from repro.sim.disk import DiskParams, FlashParams, make_disk_model
-from repro.sim.engine import Environment, Process
+from repro.sim.engine import Environment, Event
 from repro.sim.netmodel import Link
 from repro.sim.resources import Semaphore
 from repro.sim.scheduler import BlockDevice
@@ -99,94 +99,64 @@ class MDS:
             self._journal_offset = 0
         return off
 
-    def handle(self, op: OpType, parent_dir: str, parent_span=None) -> Process:
-        """Serve one metadata op; the returned process ends at completion."""
-        return self.env.process(self._handle(op, parent_dir, parent_span))
+    def handle(self, op: OpType, parent_dir: str, parent_span=None) -> Event:
+        """Serve one metadata op; the returned event fires at completion.
 
-    def _handle(self, op: OpType, parent_dir: str, parent_span=None):
+        A callback chain whose ticks match the order in which concurrent
+        requests are granted: the op starts one tick after the call, and
+        the parent-dir lock and the service thread are each taken through
+        their own :meth:`Semaphore.acquire` grant event. A request that
+        arrived first therefore reaches the thread pool first, even when
+        a later one at the same instant would find a thread free.
+        """
+        env = self.env
         service = self.params.service_time(op)
         mutating = op in _MUTATING
-        tracer = _trace.TRACER
-        span = tracer.start(
-            "mds.op", self.env.now, parent=parent_span,
-            server=str(self.server_id), op=op.value, dir=parent_dir,
-        ) if tracer is not None else None
-        lock = self._dir_lock(parent_dir) if mutating else None
-        if lock is not None:
-            yield lock.acquire()
-        try:
-            yield self._threads.acquire()
-            try:
-                yield self.env.timeout(service)
+        done = Event(env)
+
+        def start(_ev) -> None:
+            tracer = _trace.TRACER
+            span = tracer.start(
+                "mds.op", env.now, parent=parent_span,
+                server=str(self.server_id), op=op.value, dir=parent_dir,
+            ) if tracer is not None else None
+            lock = self._dir_lock(parent_dir) if mutating else None
+
+            def locked(_ev=None) -> None:
+                self._threads.acquire().callbacks.append(
+                    lambda _ev: env.after(service, serviced)
+                )
+
+            def serviced(_ev) -> None:
                 if mutating:
-                    yield self.device.submit_bytes(
+                    self.device.submit_bytes(
                         self._journal_extent(),
                         self.params.journal_write_bytes,
                         is_write=True,
+                    ).callbacks.append(
+                        lambda _ev: env.after(
+                            self.params.journal_commit_time, finish
+                        )
                     )
-                    yield self.env.timeout(self.params.journal_commit_time)
-            finally:
+                else:
+                    finish(None)
+
+            def finish(_ev) -> None:
                 self._threads.release()
-        finally:
-            if lock is not None:
-                lock.release()
-        self.ops_completed += 1
-        if span is not None:
-            tracer.finish(span, self.env.now)
+                if lock is not None:
+                    lock.release()
+                self.ops_completed += 1
+                if span is not None:
+                    tracer.finish(span, env.now)
+                done.succeed()
 
-    def handle_fast(self, op: OpType, parent_dir: str, on_done) -> None:
-        """Callback-chain twin of :meth:`handle` for the batch backend.
-
-        Lock/thread acquisition, service, journal write and commit run at
-        the same simulated instants as the generator path; ``on_done()``
-        runs at the completion tick.
-        """
-        service = self.params.service_time(op)
-        mutating = op in _MUTATING
-        tracer = _trace.TRACER
-        span = tracer.start(
-            "mds.op", self.env.now, server=str(self.server_id),
-            op=op.value, dir=parent_dir,
-        ) if tracer is not None else None
-        lock = self._dir_lock(parent_dir) if mutating else None
-
-        def _locked() -> None:
-            if self._threads.try_acquire():
-                self.env.after(service, _serviced)
+            if lock is None:
+                locked()
             else:
-                self._threads.acquire().callbacks.append(
-                    lambda _ev: self.env.after(service, _serviced)
-                )
+                lock.acquire().callbacks.append(locked)
 
-        def _serviced(_ev) -> None:
-            if mutating:
-                self.device.submit_bytes(
-                    self._journal_extent(),
-                    self.params.journal_write_bytes,
-                    is_write=True,
-                ).callbacks.append(
-                    lambda _ev: self.env.after(
-                        self.params.journal_commit_time, lambda _ev: _finish()
-                    )
-                )
-            else:
-                _finish()
-
-        def _finish() -> None:
-            self._threads.release()
-            if lock is not None:
-                lock.release()
-            self.ops_completed += 1
-            if span is not None:
-                t = _trace.TRACER
-                if t is not None:
-                    t.finish(span, self.env.now)
-            on_done()
-
-        if lock is None or lock.try_acquire():
-            _locked()
-        else:
-            lock.acquire().callbacks.append(lambda _ev: _locked())
+        env.defer(start)
+        return done
 
     def queue_depth(self) -> int:
         return self._threads.queued + (self._threads.capacity - self._threads.available)

@@ -20,8 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from repro.obs import trace as _trace
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 
 __all__ = ["Link", "Flow", "FlowNetwork"]
 
@@ -64,9 +63,8 @@ class Link:
 class Flow:
     """One in-progress bulk transfer across a path of links.
 
-    ``done`` is either an :class:`Event` (succeeded at completion — the
-    event backend) or a plain callable invoked directly at the completion
-    timer's fire time (the batch backend; same timestamp, one event less).
+    ``done`` is a no-argument callable invoked directly at the completion
+    timer's fire time.
     """
 
     __slots__ = ("fid", "links", "remaining", "rate", "done", "_fgen")
@@ -99,48 +97,15 @@ class FlowNetwork:
 
     # -- public API --------------------------------------------------------
 
-    def transfer(self, size: float, links: tuple[Link, ...],
-                 parent_span=None) -> Event:
-        """Start a transfer of ``size`` bytes over ``links``.
-
-        Returns an event that fires when the last byte is delivered. A
-        zero-size transfer completes immediately (still via the event
-        loop, so ordering stays deterministic).
-        """
-        done = Event(self.env)
-        if size < 0:
-            raise ValueError(f"negative transfer size: {size}")
-        if size == 0 or not links:
-            done.succeed()
-            return done
-        tracer = _trace.TRACER
-        if tracer is not None:
-            span = tracer.start(
-                "net.transfer", self.env.now, parent=parent_span,
-                bytes=size, route="+".join(link.name for link in links),
-            )
-            # Spans close when the last byte lands: callbacks run at the
-            # completion event's fire time, so env.now is the finish time.
-            done.callbacks.append(
-                lambda _ev: tracer.finish(span, self.env.now)
-            )
-        self._advance()
-        flow = Flow(next(self._fid), tuple(links), size, done)
-        self._flows[flow] = None
-        for link in flow.links:
-            link.flows[flow] = None
-        self._reschedule()
-        return done
-
     def transfer_batch(self, requests) -> None:
-        """Start many transfers arriving at the current instant at once.
+        """Start transfers arriving at the current instant.
 
         ``requests`` is a sequence of ``(size, links, on_done)`` where
         ``on_done`` is a no-argument callable invoked when the last byte
-        lands. Equivalent to N :meth:`transfer` calls at the same
-        timestamp — rates are recomputed from scratch on every arrival,
-        so only the final recomputation matters — but performs a single
-        advance + progressive-filling pass + timer rearm for the batch.
+        lands. Rates are recomputed from scratch on every arrival, so a
+        batch of N arrivals at one timestamp needs a single advance +
+        progressive-filling pass + timer rearm. A zero-size transfer (or
+        one with no links) completes on the next tick at the current time.
         """
         self._advance()
         added = False
@@ -148,8 +113,7 @@ class FlowNetwork:
             if size < 0:
                 raise ValueError(f"negative transfer size: {size}")
             if size == 0 or not links:
-                # Completes immediately; deliver on the next tick like the
-                # event path's immediately-succeeded Event.
+                # Completes immediately, delivered on the next tick.
                 self.env.defer(lambda _ev, cb=on_done: cb())
                 continue
             flow = Flow(next(self._fid), tuple(links), size, on_done)
@@ -274,9 +238,5 @@ class FlowNetwork:
         # Deliver completions only after every finished flow is detached,
         # so a callback that starts new transfers sees consistent state.
         for flow in finished:
-            done = flow.done
-            if type(done) is Event:
-                done.succeed()
-            else:
-                done()
+            flow.done()
         self._reschedule()

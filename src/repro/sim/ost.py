@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from repro.common.records import ServerId, ServerKind
 from repro.common.units import MIB
-from repro.obs import trace as _trace
 from repro.sim.cache import CacheParams, PageCache
 from repro.sim.disk import DiskParams, FlashParams, make_disk_model
-from repro.sim.engine import Environment, Process
+from repro.sim.engine import Environment
 from repro.sim.netmodel import Link
 from repro.sim.scheduler import BlockDevice
 
@@ -95,52 +94,20 @@ class OST:
         #: Per-job token-bucket admission (Lustre-TBF-style NRS policy).
         self.qos = QoSPolicy(env)
 
-    def write(self, object_id: int, offset: int, size: int,
-              job: str | None = None, parent_span=None) -> Process:
-        """Server-side handling of a write RPC payload already received."""
-        return self.env.process(
-            self._serve(object_id, offset, size, job, parent_span,
-                        is_write=True)
-        )
-
-    def read(self, object_id: int, offset: int, size: int,
-             job: str | None = None, parent_span=None) -> Process:
-        """Server-side handling of a read RPC (data ready to send back)."""
-        return self.env.process(
-            self._serve(object_id, offset, size, job, parent_span,
-                        is_write=False)
-        )
-
-    def _serve(self, object_id: int, offset: int, size: int, job: str | None,
-               parent_span, is_write: bool):
-        tracer = _trace.TRACER
-        span = tracer.start(
-            "ost.write" if is_write else "ost.read", self.env.now,
-            parent=parent_span, server=str(self.server_id),
-            object=object_id, offset=offset, size=size, job=job,
-        ) if tracer is not None else None
-        yield self.qos.admit(job, size)
+    def serve(self, object_id: int, offset: int, size: int,
+              job: str | None, is_write: bool, on_done) -> None:
+        """Serve one RPC: QoS admission, then the cache write (payload
+        already received) or read (data ready to send back).
+        ``on_done()`` runs at completion."""
         if is_write:
-            yield self.env.process(self.cache.write(object_id, offset, size))
-        else:
-            yield self.env.process(self.cache.read(object_id, offset, size))
-        if span is not None:
-            tracer.finish(span, self.env.now)
-
-    def serve_fast(self, object_id: int, offset: int, size: int,
-                   job: str | None, is_write: bool, on_done) -> None:
-        """Inline service for the batch backend: the same admission →
-        cache mutations at the same instants as :meth:`_serve`, minus the
-        Process/Event machinery. ``on_done()`` runs at completion."""
-        if is_write:
-            self.qos.admit_fast(
+            self.qos.admit_one(
                 job, size,
-                lambda: self.cache.write_fast(object_id, offset, size, on_done),
+                lambda: self.cache.write(object_id, offset, size, on_done),
             )
         else:
-            self.qos.admit_fast(
+            self.qos.admit_one(
                 job, size,
-                lambda: self.cache.read_fast(object_id, offset, size, on_done),
+                lambda: self.cache.read(object_id, offset, size, on_done),
             )
 
     def service_batch(self, object_ids, offsets, sizes, job: str | None,
@@ -154,11 +121,11 @@ class OST:
         cache = self.cache
         if is_write:
             def _admit(i: int) -> None:
-                cache.write_fast(object_ids[i], offsets[i], sizes[i],
+                cache.write(object_ids[i], offsets[i], sizes[i],
                                  lambda: on_done(i))
         else:
             def _admit(i: int) -> None:
-                cache.read_fast(object_ids[i], offsets[i], sizes[i],
+                cache.read(object_ids[i], offsets[i], sizes[i],
                                 lambda: on_done(i))
         self.qos.admit_batch(job, sizes, _admit)
 

@@ -128,18 +128,9 @@ class QoSPolicy:
     def is_limited(self, job: str) -> bool:
         return job in self._buckets
 
-    def admit(self, job: str | None, nbytes: int) -> Event:
-        """Admission gate for one RPC: immediate unless ``job`` is limited."""
-        if job is not None:
-            bucket = self._buckets.get(job)
-            if bucket is not None:
-                return bucket.consume(nbytes)
-        gate = Event(self.env)
-        return gate.succeed()
-
-    def admit_fast(self, job: str | None, nbytes: int, proceed) -> None:
-        """Single-request admission without an Event for unlimited jobs:
-        ``proceed()`` runs inline now, or at the bucket grant otherwise."""
+    def admit_one(self, job: str | None, nbytes: int, proceed) -> None:
+        """Admission gate for one RPC: ``proceed()`` runs inline now when
+        ``job`` is unlimited, or at the bucket grant otherwise."""
         bucket = self._buckets.get(job) if job is not None else None
         if bucket is None:
             proceed()
@@ -149,9 +140,7 @@ class QoSPolicy:
     def admit_batch(self, job: str | None, sizes, on_admit) -> None:
         """Batched admission: ``on_admit(i)`` runs at request *i*'s grant.
 
-        Unlimited jobs are admitted inline at the current instant — the
-        event path's immediately-succeeded gate fires on the next tick at
-        the same timestamp, so this is observationally identical. Limited
+        Unlimited jobs are admitted inline at the current instant. Limited
         jobs get closed-form cumulative-sum grant times when the bucket
         queue is idle, or fall back to FIFO ``consume`` events otherwise.
         """

@@ -49,10 +49,13 @@ class Semaphore:
     def try_acquire(self) -> bool:
         """Take a free slot inline, without creating an Event.
 
-        The batch backend's fast path: a granted ``acquire()`` would fire
-        on the next tick at the same timestamp, so taking the slot here
-        and now is observationally identical while skipping the event.
-        Returns False when the caller must queue via :meth:`acquire`.
+        Not interchangeable with :meth:`acquire`: a granted ``acquire()``
+        hands the slot over one tick later, and a same-instant request
+        that arrived first may take it in between. Inline grants can
+        therefore reorder same-instant requests. Use this only where the
+        grant order it produces is the one the golden run digests
+        (``tests/sim/test_golden_digests.py``) pin. Returns False when
+        the caller must queue via :meth:`acquire`.
         """
         if self._available > 0 and not self._waiters:
             self._available -= 1

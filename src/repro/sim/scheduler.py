@@ -25,9 +25,9 @@ __all__ = ["BlockRequest", "BlockDevice"]
 class BlockRequest:
     """One request queued at the block layer.
 
-    ``done`` is an :class:`Event` succeeded at completion, or (batch
-    backend) a no-argument callable invoked directly at the completion
-    tick — same timestamp, no Event allocation.
+    ``done`` is an :class:`Event` succeeded at completion
+    (:meth:`BlockDevice.submit`) or a no-argument callable invoked
+    directly at the completion tick (:meth:`BlockDevice.submit_batch`).
     """
 
     lba: int
@@ -95,8 +95,8 @@ class BlockDevice:
         """Queue many same-direction requests arriving at one instant.
 
         ``extents`` is an iterable of ``(lba, sectors)``;
-        ``on_all_done()`` runs at the tick the last one completes (the
-        batch backend's replacement for per-request Events + AllOf).
+        ``on_all_done()`` runs at the tick the last one completes, with
+        no per-request Event.
         Returns the number of requests queued.
         """
         now = self.env.now

@@ -98,9 +98,9 @@ The coordinator's decisions (window boundaries, delivery order, merge
 order) are functions of simulation state only — never of how domains
 are mapped onto processes.  ``shards=N`` therefore produces bit-identical
 traces, server samples, window vectors and labels to ``shards=1``;
-``tests/sim/test_shard_equivalence.py`` enforces it for both sim
-backends, and the run-cache key marks *sharded* execution without
-recording N (see :func:`repro.parallel.cachekey.run_key_material`).
+``tests/sim/test_shard_equivalence.py`` enforces it, and the run-cache
+key marks *sharded* execution without recording N (see
+:func:`repro.parallel.cachekey.run_key_material`).
 
 Sharded execution is a distinct execution model from the legacy
 single-environment path (each server domain sees replica client links,
@@ -129,7 +129,7 @@ from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.sim.batch import BatchSession, _DataOpDriver
+from repro.sim.batch import _DataOpDriver
 from repro.sim.client import ClientSession
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.engine import Event, SimulationError
@@ -141,8 +141,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "CrossShardBatch",
     "ShardRouter",
-    "ShardClientSession",
-    "ShardBatchSession",
+    "ShardSession",
     "ShardedRootCluster",
     "DomainHost",
     "LocalDomainGroup",
@@ -333,8 +332,8 @@ class ShardRouter:
         self.osts_per_oss = cluster.config.osts_per_oss
         self.outbox = [CrossShardBatch()
                        for _ in range(cluster.config.n_domains)]
-        #: token -> Event (event backend) or 0-arg callable (batch backend)
-        self._waiters: dict[int, Event | Callable[[], None]] = {}
+        #: token -> 0-arg callable run at the completion time
+        self._waiters: dict[int, Callable[[], None]] = {}
         self._next_token = 0
         self._job_ids: dict[str, int] = {}
         self._new_jobs: list[tuple[int, str]] = []
@@ -354,7 +353,7 @@ class ShardRouter:
 
     def post(self, is_write: bool, ost_index: int, object_id: int,
              obj_offset: int, nbytes: int, node_index: int, job: str,
-             waiter: "Event | Callable[[], None]") -> int:
+             waiter: Callable[[], None]) -> int:
         """Queue one data RPC taking effect at ``now + latency``."""
         token = self._next_token
         self._next_token += 1
@@ -369,9 +368,9 @@ class ShardRouter:
 
     def post_many(self, is_write: bool, req, idxs, node_index: int,
                   job: str, piece_done: Callable[[int], None]) -> None:
-        """Queue a granted group of batch-backend pieces in piece order.
+        """Queue a granted group of one op's pieces in piece order.
 
-        The columnar counterpart of the event backend's shared
+        The columnar counterpart of the unsharded driver's shared
         ``rpc_latency`` timeout: every piece in the group stamps the one
         ``now + latency`` effect time, and rows land in their domains'
         outboxes in piece order with consecutive tokens — exactly the
@@ -400,16 +399,6 @@ class ShardRouter:
         self._next_token = token
         self.messages_posted += n
         self.pending += n
-
-    def send(self, is_write: bool, ost_index: int, object_id: int,
-             obj_offset: int, nbytes: int, node_index: int,
-             job: str) -> Event:
-        """Event-backend post: returns the root event the RPC's waiter
-        yields on; it fires at the remote service-completion time."""
-        ev = Event(self.env)
-        self.post(is_write, ost_index, object_id, obj_offset, nbytes,
-                  node_index, job, ev)
-        return ev
 
     def take_outbox(self, end: float, inclusive: bool
                     ) -> tuple[dict[int, CrossShardBatch],
@@ -447,62 +436,29 @@ class ShardRouter:
     def deliver(self, token: int, when: float) -> None:
         """Schedule one completion into the root environment at ``when``.
 
-        The waiter event is armed and pushed directly onto the heap at
-        its absolute completion time (``Event.succeed`` would fire it at
-        the *current* root time instead).
+        An armed event carrying the waiter is pushed directly onto the
+        heap at its absolute completion time (``Event.succeed`` would
+        fire it at the *current* root time instead).
         """
         waiter = self._waiters.pop(token)
         env = self.env
-        if isinstance(waiter, Event):
-            waiter._ok = True
-            env._schedule(waiter, when - env.now)
-            return
         ev = Event(env)
         ev._ok = True
         ev.callbacks.append(lambda _ev, fn=waiter: fn())
         env._schedule(ev, when - env.now)
 
 
-class ShardClientSession(ClientSession):
-    """Event-backend session whose data RPCs cross the shard boundary.
-
-    The RPC-window credit discipline stays client-side (root domain);
-    only the post-grant leg — latency, network transfer, OST service —
-    runs in the server domain.  The yielded router event fires at the
-    identical instant the legacy path's last leg would complete, so the
-    credit release times match.
-    """
-
-    def _data_rpc(self, ost_index: int, object_id: int, obj_offset: int,
-                  nbytes: int, is_write: bool, parent_span=None):
-        cluster = self.node.cluster
-        window = self.node.rpc_window(ost_index)
-        tracer = _trace.TRACER
-        span = tracer.start(
-            "client.rpc", self.env.now, parent=parent_span,
-            ost=ost_index, nbytes=nbytes, write=is_write, sharded=True,
-        ) if tracer is not None else None
-        yield window.acquire()
-        try:
-            yield cluster.router.send(is_write, ost_index, object_id,
-                                      obj_offset, nbytes, self.node.index,
-                                      self.job)
-        finally:
-            window.release()
-        if span is not None:
-            tracer.finish(span, self.env.now)
-
-
 class _ShardDataOpDriver(_DataOpDriver):
-    """Batch-backend driver that posts granted pieces to the router.
+    """Data-op driver that posts granted pieces to the router.
 
     Inherits :meth:`_DataOpDriver.begin`'s grant discipline verbatim and
     overrides only the grant hooks: the begin-time group posts as one
     columnar :meth:`ShardRouter.post_many` sharing a single ``grant + λ``
     effect stamp, queued pieces post solo when their FIFO grant fires.
     The post replaces the local ``rpc_latency`` timer — the router
-    stamps the identical effect time the legacy path's shared timeout
-    would fire at, so credit-release instants match across executors.
+    stamps the identical effect time the unsharded driver's shared
+    timeout would fire at, so credit-release instants match across
+    executors.
     """
 
     __slots__ = ()
@@ -524,8 +480,8 @@ class _ShardDataOpDriver(_DataOpDriver):
         )
 
 
-class ShardBatchSession(BatchSession):
-    """Batch-backend session for the root domain of a sharded run."""
+class ShardSession(ClientSession):
+    """Client session for the root domain of a sharded run."""
 
     driver_class = _ShardDataOpDriver
     span_attrs = {"sharded": True}
@@ -547,9 +503,7 @@ class ShardedRootCluster(Cluster):
 
     def session(self, job: str, rank: int, node_index: int) -> ClientSession:
         node = self.nodes[node_index % len(self.nodes)]
-        if self.config.sim_backend == "batch":
-            return ShardBatchSession(node, job, rank, self.collector)
-        return ShardClientSession(node, job, rank, self.collector)
+        return ShardSession(node, job, rank, self.collector)
 
 
 class _DomainView:
@@ -573,7 +527,7 @@ class DomainHost:
     the replica client links are exercised; a :class:`ServerMonitor`
     over just those OSTs samples on the same tick schedule as the root.
     Messages are injected at their effect times and walked through the
-    same network-transfer + ``serve_fast`` chain as the batch backend.
+    same network-transfer + :meth:`OST.serve` chain as the unsharded path.
 
     When tracing is on the host owns a **per-domain tracer** (installed
     as the module-global tracer while the domain simulates, here and in
@@ -641,11 +595,11 @@ class DomainHost:
         if kind:  # write: payload crosses the fabric, then OST service
             cluster.net.transfer_batch([(
                 nb, links,
-                lambda: ost.serve_fast(oid, ooff, nb, job, True,
-                                       lambda: self._complete(token)),
+                lambda: ost.serve(oid, ooff, nb, job, True,
+                                  lambda: self._complete(token)),
             )])
         else:  # read: OST service first, then the payload crosses back
-            ost.serve_fast(
+            ost.serve(
                 oid, ooff, nb, job, False,
                 lambda: cluster.net.transfer_batch(
                     [(nb, links, lambda: self._complete(token))]

@@ -155,8 +155,14 @@ def test_sim_run_produces_expected_span_kinds():
     with trace.tracing() as tr:
         run_small_workload()
     names = {s.name for s in tr.spans}
-    assert {"client.write", "client.rpc", "net.transfer", "ost.write",
-            "mds.op", "disk.io"} <= names
+    assert {"client.write", "mds.op", "disk.io"} <= names
+    # Every metadata op span has its MDS service span as a child.
+    mds_parents = {s.parent_id for s in tr.spans if s.name == "mds.op"}
+    meta = [s for s in tr.spans if s.name in
+            ("client.create", "client.open", "client.close", "client.stat",
+             "client.mkdir", "client.unlink")]
+    assert meta
+    assert all(s.span_id in mds_parents for s in meta)
     assert tr.events_fired > 0
     assert tr.processes_spawned > 0
 

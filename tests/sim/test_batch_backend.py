@@ -1,103 +1,14 @@
-"""Cross-backend equivalence of the batched request fast path.
+"""Edge cases of the data-op request path (:mod:`repro.sim.batch`).
 
-The contract of ``--sim-backend batch`` (:mod:`repro.sim.batch`) is that
-it issues the identical primitive timing events at identical simulated
-instants as the per-request event path — so traces, server samples,
-window vectors and labels all agree. These tests pin that contract on
-the seed scenarios: the acceptance bound is 1e-9, but the construction
-gives bit-identical results, which is what the assertions check.
+Its timing contract is pinned by the golden run digests in
+``tests/sim/test_golden_digests.py``.
 """
 
-import dataclasses
-
 import numpy as np
-import pytest
 
 from repro.common.records import OpType
-from repro.common.units import MIB
-from repro.experiments.datagen import Scenario, collect_windows
-from repro.experiments.runner import (
-    ExperimentConfig,
-    InterferenceSpec,
-    execute_run,
-    experiment_cluster,
-)
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
 from repro.sim.engine import AllOf
-from repro.workloads.io500 import make_io500_task
-
-
-def config_for(backend: str) -> ExperimentConfig:
-    cluster = dataclasses.replace(experiment_cluster(), sim_backend=backend)
-    return ExperimentConfig(cluster=cluster, window_size=0.25,
-                            sample_interval=0.125, warmup=0.5, seed=0)
-
-
-def seed_scenarios():
-    return [
-        Scenario("quiet"),
-        Scenario("noise", (InterferenceSpec("ior-easy-write", instances=2,
-                                            ranks=2, scale=0.2),)),
-    ]
-
-
-def seed_targets():
-    return [
-        make_io500_task("ior-easy-write", ranks=2, scale=0.1),
-        make_io500_task("ior-easy-read", ranks=2, scale=0.1),
-        make_io500_task("mdt-hard-write", ranks=2, scale=0.1),
-    ]
-
-
-def test_window_banks_identical_across_backends():
-    """Vectors and labels of the full seed grid agree between backends."""
-    event = collect_windows(seed_targets(), seed_scenarios(),
-                            config_for("event"), n_jobs=1)
-    batch = collect_windows(seed_targets(), seed_scenarios(),
-                            config_for("batch"), n_jobs=1)
-    assert event.X.shape == batch.X.shape
-    np.testing.assert_allclose(event.X, batch.X, atol=1e-9, rtol=0)
-    assert np.array_equal(event.X, batch.X)  # exact, not just close
-    assert np.array_equal(event.levels, batch.levels)
-
-
-def test_run_traces_and_server_samples_identical():
-    """Record-by-record and sample-by-sample run-level equivalence."""
-    target = make_io500_task("ior-easy-write", ranks=2, scale=0.1)
-    noise = [InterferenceSpec("ior-easy-read", instances=1, ranks=2,
-                              scale=0.1)]
-    runs = {
-        backend: execute_run(target, noise, config_for(backend))
-        for backend in ("event", "batch")
-    }
-    ev, ba = runs["event"], runs["batch"]
-    assert ev.servers == ba.servers
-    assert ev.duration == pytest.approx(ba.duration, abs=1e-9)
-    assert len(ev.records) == len(ba.records)
-    for re_, rb in zip(ev.records, ba.records):
-        assert (re_.job, re_.rank, re_.op_id, re_.op, re_.path,
-                re_.offset, re_.size, re_.servers) == \
-               (rb.job, rb.rank, rb.op_id, rb.op, rb.path,
-                rb.offset, rb.size, rb.servers)
-        assert re_.start == pytest.approx(rb.start, abs=1e-9)
-        assert re_.end == pytest.approx(rb.end, abs=1e-9)
-    assert len(ev.server_samples) == len(ba.server_samples)
-    for (te, se, me), (tb, sb, mb) in zip(ev.server_samples,
-                                          ba.server_samples):
-        assert te == pytest.approx(tb, abs=1e-9)
-        assert se == sb
-        assert me.keys() == mb.keys()
-        for key in me:
-            assert me[key] == pytest.approx(mb[key], abs=1e-9)
-
-
-def test_backend_is_part_of_run_cache_key():
-    """Event and batch runs must never share a cache entry."""
-    from repro.parallel.cachekey import run_key
-
-    target = seed_targets()[0]
-    assert (run_key(target, [], config_for("event"))
-            != run_key(target, [], config_for("batch")))
 
 
 def test_zero_length_batch_finishes_immediately():
@@ -106,7 +17,7 @@ def test_zero_length_batch_finishes_immediately():
     from repro.sim.batch import BatchRequest, _DataOpDriver
     from repro.sim.engine import Event
 
-    cluster = Cluster(ClusterConfig(sim_backend="batch"))
+    cluster = Cluster()
     sess = cluster.session("job", 0, 0)
     env = cluster.env
     env.run(until=AllOf(env, [env.process(sess.create("/zero"))]))
@@ -125,8 +36,3 @@ def test_zero_length_batch_finishes_immediately():
     rec = cluster.collector.records[-1]
     assert rec.op is OpType.WRITE and rec.size == 0
     assert rec.start == rec.end == before
-
-
-def test_invalid_backend_rejected():
-    with pytest.raises(ValueError, match="sim_backend"):
-        ClusterConfig(sim_backend="vectorised")

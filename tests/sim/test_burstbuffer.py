@@ -9,7 +9,7 @@ from repro.sim.burstbuffer import (
     BurstBufferedSession,
     BurstBufferParams,
 )
-from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.cluster import Cluster
 from repro.sim.engine import AllOf
 from repro.workloads.base import launch_interference
 from repro.workloads.io500 import make_io500_task
@@ -130,48 +130,6 @@ def test_metadata_ops_pass_through():
     env.run(until=env.process(body()))
     ops = [r.op.value for r in cluster.collector.for_job("app")]
     assert ops == ["mkdir", "create", "stat", "close"]
-
-
-def test_burst_buffer_equivalent_across_backends():
-    """Burst-buffered runs agree between the event and batch backends.
-
-    Mirrors the batch-equivalence style of tests/sim/test_batch_backend:
-    the wrapped session, the hidden drain session and the interference
-    all route through the active backend, and the batch contract says
-    every primitive timing event lands at the identical simulated
-    instant — so records, drain totals and server counters must be
-    byte-identical across backends.
-    """
-
-    def run(backend: str):
-        cluster = Cluster(ClusterConfig(sim_backend=backend))
-        env = cluster.env
-        noise = make_io500_task("ior-easy-write", name="noise", ranks=2,
-                                scale=0.1)
-        launch_interference(cluster, noise, [4, 5], seed=1, record=False)
-        sess = make_bb_session(cluster, capacity_bytes=8 * MIB)
-
-        def body():
-            yield from sess.create("/f")
-            for i in range(16):  # 16 MiB through an 8 MiB buffer:
-                yield from sess.write("/f", i * MIB, MIB)  # backpressure
-            for i in range(4):
-                yield from sess.read("/f", i * MIB, MIB)
-            yield from sess.stat("/f")
-
-        env.run(until=env.process(body()))
-        env.run(until=env.now + 0.5)  # drain finishes under live noise
-        assert sess.buffer.level == 0
-        records = [
-            (r.job, r.rank, r.op_id, r.op, r.path, r.offset, r.size,
-             r.servers, r.start, r.end)
-            for r in cluster.collector.for_job("app")
-        ]
-        counters = [(server, sorted(cluster.server_counters(server).items()))
-                    for server in cluster.servers]
-        return records, sess.buffer.drained_bytes, counters
-
-    assert run("event") == run("batch")
 
 
 def test_burst_buffer_shields_writes_from_interference():

@@ -18,11 +18,25 @@ def make_cache(env=None, **params):
     return env, cache, device
 
 
+def write(cache, object_id, offset, size):
+    """Event firing when the cache's callback write completes."""
+    done = cache.env.event()
+    cache.write(object_id, offset, size, done.succeed)
+    return done
+
+
+def read(cache, object_id, offset, size):
+    """Event firing when the cache's callback read completes."""
+    done = cache.env.event()
+    cache.read(object_id, offset, size, done.succeed)
+    return done
+
+
 def test_write_completes_at_memory_speed_when_cache_empty():
     env, cache, _ = make_cache()
 
     def proc():
-        yield env.process(cache.write(1, 0, MIB))
+        yield write(cache, 1, 0, MIB)
         return env.now
 
     t = env.run(until=env.process(proc()))
@@ -33,7 +47,7 @@ def test_dirty_data_is_flushed_to_disk():
     env, cache, device = make_cache()
 
     def proc():
-        yield env.process(cache.write(1, 0, MIB))
+        yield write(cache, 1, 0, MIB)
 
     env.run(until=env.process(proc()))
     env.run()  # let the flusher drain
@@ -47,7 +61,7 @@ def test_writers_throttled_when_over_dirty_limit():
     finish = {}
 
     def writer(i):
-        yield env.process(cache.write(1, i * MIB, MIB))
+        yield write(cache, 1, i * MIB, MIB)
         finish[i] = env.now
 
     procs = [env.process(writer(i)) for i in range(8)]
@@ -62,8 +76,8 @@ def test_read_after_write_hits_cache():
     env, cache, device = make_cache()
 
     def proc():
-        yield env.process(cache.write(1, 0, MIB))
-        yield env.process(cache.read(1, 0, MIB))
+        yield write(cache, 1, 0, MIB)
+        yield read(cache, 1, 0, MIB)
 
     env.run(until=env.process(proc()))
     assert cache.read_hits == 1
@@ -75,7 +89,7 @@ def test_cold_read_misses_and_reads_disk():
     env, cache, device = make_cache()
 
     def proc():
-        yield env.process(cache.read(1, 0, MIB))
+        yield read(cache, 1, 0, MIB)
 
     env.run(until=env.process(proc()))
     assert cache.read_misses == 1
@@ -87,7 +101,7 @@ def test_readahead_turns_sequential_reads_into_hits():
 
     def proc():
         for i in range(8):
-            yield env.process(cache.read(1, i * 256 * KIB, 256 * KIB))
+            yield read(cache, 1, i * 256 * KIB, 256 * KIB)
 
     env.run(until=env.process(proc()))
     # First read establishes the stream (no readahead yet); the second
@@ -102,7 +116,7 @@ def test_random_reads_get_no_readahead():
     def proc():
         # Single-shot reads of distinct objects (mdtest-hard style).
         for obj in range(1, 5):
-            yield env.process(cache.read(obj, 0, 4 * KIB))
+            yield read(cache, obj, 0, 4 * KIB)
 
     env.run(until=env.process(proc()))
     assert cache.read_misses == 4
@@ -116,9 +130,9 @@ def test_lru_eviction_bounds_cached_chunks():
 
     def proc():
         for i in range(16):
-            yield env.process(cache.read(1, i * 256 * KIB, 256 * KIB))
+            yield read(cache, 1, i * 256 * KIB, 256 * KIB)
         # Re-reading the first chunk must miss: it was evicted.
-        yield env.process(cache.read(1, 0, 256 * KIB))
+        yield read(cache, 1, 0, 256 * KIB)
 
     env.run(until=env.process(proc()))
     assert cache.read_misses == 17
@@ -129,7 +143,7 @@ def test_oversized_single_write_rejected():
     env, cache, _ = make_cache(capacity_bytes=4 * MIB, dirty_limit_fraction=0.25)
 
     def proc():
-        yield env.process(cache.write(1, 0, 2 * MIB))
+        yield write(cache, 1, 0, 2 * MIB)
 
     with pytest.raises(ValueError, match="dirty limit"):
         env.run(until=env.process(proc()))
@@ -138,16 +152,16 @@ def test_oversized_single_write_rejected():
 def test_zero_size_operations_rejected():
     env, cache, _ = make_cache()
     with pytest.raises(ValueError):
-        next(cache.write(1, 0, 0))
+        cache.write(1, 0, 0, lambda: None)
     with pytest.raises(ValueError):
-        next(cache.read(1, 0, 0))
+        cache.read(1, 0, 0, lambda: None)
 
 
 def test_flush_marks_chunks_clean_but_cached():
     env, cache, device = make_cache()
 
     def proc():
-        yield env.process(cache.write(1, 0, MIB))
+        yield write(cache, 1, 0, MIB)
 
     env.run(until=env.process(proc()))
     env.run()
@@ -156,7 +170,7 @@ def test_flush_marks_chunks_clean_but_cached():
     assert cache.cached_chunk_count > 0
 
     def reader():
-        yield env.process(cache.read(1, 0, MIB))
+        yield read(cache, 1, 0, MIB)
 
     env.run(until=env.process(reader()))
     assert cache.read_hits == 1

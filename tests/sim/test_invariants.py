@@ -75,11 +75,12 @@ def test_cache_write_conservation(writes):
     alloc = ExtentAllocator()
     cache = PageCache(env, dev, CacheParams(capacity_bytes=8 * MIB), alloc.resolve)
 
-    def writer(obj, off_mib, size_kib):
-        yield env.process(cache.write(obj, off_mib * MIB, size_kib * KIB))
-
-    procs = [env.process(writer(*w)) for w in writes]
-    env.run(until=AllOf(env, procs))
+    done = []
+    for obj, off_mib, size_kib in writes:
+        ev = env.event()
+        cache.write(obj, off_mib * MIB, size_kib * KIB, ev.succeed)
+        done.append(ev)
+    env.run(until=AllOf(env, done))
     env.run()  # drain the flusher completely
     assert cache.dirty_bytes == 0
     assert not cache._throttled

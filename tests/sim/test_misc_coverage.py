@@ -20,7 +20,7 @@ class TestLinkUtilization:
         env = Environment()
         net = FlowNetwork(env)
         link = Link("l", 100.0)
-        net.transfer(1000.0, (link,))
+        net.transfer_batch([(1000.0, (link,), lambda: None)])
         env.run(until=1.0)
         assert link.utilization == pytest.approx(1.0)
 
@@ -29,7 +29,7 @@ class TestLinkUtilization:
         net = FlowNetwork(env)
         link = Link("l", 100.0)
         for _ in range(4):
-            net.transfer(10_000.0, (link,))
+            net.transfer_batch([(10_000.0, (link,), lambda: None)])
         env.run(until=1.0)
         assert link.utilization == pytest.approx(1.0)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import AllOf, Environment
+from repro.sim.engine import Environment
 from repro.sim.netmodel import FlowNetwork, Link
 
 
@@ -15,13 +15,15 @@ def run_transfers(specs, capacities):
     links = [Link(f"l{i}", c) for i, c in enumerate(capacities)]
     finishes = {}
 
-    def one(i, size, link_idx, delay):
-        yield env.timeout(delay)
-        yield net.transfer(size, tuple(links[j] for j in link_idx))
-        finishes[i] = env.now
+    def start(i, size, link_idx):
+        net.transfer_batch([(size, tuple(links[j] for j in link_idx),
+                             lambda: finishes.__setitem__(i, env.now))])
 
-    procs = [env.process(one(i, *spec)) for i, spec in enumerate(specs)]
-    env.run(until=AllOf(env, procs))
+    for i, (size, link_idx, delay) in enumerate(specs):
+        env.after(delay, lambda _ev, i=i, size=size, link_idx=link_idx:
+                  start(i, size, link_idx))
+    env.run()
+    assert len(finishes) == len(specs)
     return finishes, net
 
 
@@ -94,7 +96,7 @@ def test_negative_size_rejected():
     net = FlowNetwork(env)
     link = Link("l", 100.0)
     with pytest.raises(ValueError):
-        net.transfer(-1.0, (link,))
+        net.transfer_batch([(-1.0, (link,), lambda: None)])
 
 
 def test_link_requires_positive_capacity():

@@ -82,6 +82,13 @@ class TestExtentAllocator:
             assert b - a >= MIB
 
 
+def serve(ost, object_id, offset, size, is_write):
+    """Event firing when the OST's callback service of one RPC completes."""
+    done = ost.env.event()
+    ost.serve(object_id, offset, size, None, is_write, done.succeed)
+    return done
+
+
 class TestOST:
     def test_write_then_read_round_trip(self):
         cluster = Cluster()
@@ -89,9 +96,9 @@ class TestOST:
         ost = cluster.osts[0]
 
         def proc():
-            yield ost.write(1, 0, MIB)
+            yield serve(ost, 1, 0, MIB, is_write=True)
             t0 = env.now
-            yield ost.read(1, 0, MIB)
+            yield serve(ost, 1, 0, MIB, is_write=False)
             return env.now - t0
 
         dt = env.run(until=env.process(proc()))
@@ -105,7 +112,7 @@ class TestOST:
 
         def proc():
             t0 = env.now
-            yield ost.read(1, 0, MIB)
+            yield serve(ost, 1, 0, MIB, is_write=False)
             return env.now - t0
 
         dt = env.run(until=env.process(proc()))

@@ -69,14 +69,21 @@ class TestTokenBucket:
             bucket.consume(-1.0)
 
 
+def gate(policy, job, nbytes):
+    """Event firing when ``policy`` admits one RPC of ``job``."""
+    done = policy.env.event()
+    policy.admit_one(job, nbytes, done.succeed)
+    return done
+
+
 class TestQoSPolicy:
     def test_unlimited_jobs_pass_through(self):
         env = Environment()
         policy = QoSPolicy(env)
 
         def proc():
-            yield policy.admit("anyjob", 10**9)
-            yield policy.admit(None, 10**9)
+            yield gate(policy, "anyjob", 10**9)
+            yield gate(policy, None, 10**9)
             return env.now
 
         assert env.run(until=env.process(proc())) == 0.0
@@ -88,11 +95,11 @@ class TestQoSPolicy:
         assert policy.is_limited("noise")
 
         def proc():
-            yield policy.admit("noise", 100.0)  # burst
-            yield policy.admit("noise", 100.0)  # +1 s
+            yield gate(policy, "noise", 100.0)  # burst
+            yield gate(policy, "noise", 100.0)  # +1 s
             t_limited = env.now
             policy.clear("noise")
-            yield policy.admit("noise", 10**6)  # unlimited again
+            yield gate(policy, "noise", 10**6)  # unlimited again
             return (t_limited, env.now)
 
         t_limited, t_final = env.run(until=env.process(proc()))
