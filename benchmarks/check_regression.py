@@ -33,9 +33,6 @@ import pathlib
 import sys
 
 #: (file, path-into-json, kind): "rate" regresses down, "wall" up.
-#: "count" regresses up like "wall" but is deterministic (simulation
-#: structure, not timing) — it is never skipped on a foreign core
-#: count and any growth is a real protocol regression.
 METRICS = (
     ("BENCH_engine.json", ("timeouts_per_second",), "rate"),
     ("BENCH_sweep.json", ("serial_batch_seconds",), "wall"),
@@ -56,12 +53,6 @@ METRICS = (
     ("BENCH_dataset.json", ("append", "ratio_large_vs_small"), "wall"),
     ("BENCH_dataset.json",
      ("memmap_training", "memmap_peak_rss_bytes"), "wall"),
-    # Coordinator window counts are deterministic functions of the
-    # committed workload: fixed must stay put and adaptive must not
-    # creep back toward it (the barrier-elision contract in numbers).
-    ("BENCH_shard.json", ("scaling", "fixed", 0, "windows"), "count"),
-    ("BENCH_shard.json", ("scaling", "adaptive", 0, "windows"), "count"),
-    ("BENCH_shard.json", ("window_reduction",), "rate"),
 )
 
 #: Environment keys excluded from the mismatch warning: they differ on

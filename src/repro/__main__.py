@@ -30,18 +30,6 @@ instead of crashing.
 the benchmark suite. Results print to stdout; pass ``--out DIR`` to also
 write one text file per experiment.
 
-Sharded simulation: ``--shards N`` partitions each run's *server
-domains* (one per OSS) over N resident worker processes synchronised by
-a deterministic conservative time-window protocol (:mod:`repro.sim.
-shard`) — one simulation scales across cores instead of only the sweep.
-Output is bit-identical across shard counts (``--shards 4`` ==
-``--shards 1``), so the run-cache key records only *that* sharding was
-used, never the count.  ``--window-policy fixed|adaptive[:cap=S]``
-tunes how the coordinator sizes sync windows (adaptive, the default,
-elides barriers via root-quiet spans and guarded domain-ahead rounds);
-it changes only the barrier count, never the output, and stays out of
-cache keys for the same reason.
-
 Sweep execution: ``--jobs N`` fans independent simulation runs over N
 worker processes (``--jobs 0`` = all cores) with bit-identical results;
 runs persist in a content-addressed cache (``--cache-dir``, default
@@ -655,17 +643,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulation sweeps "
                              "(default: 1 = in-process)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard each simulation's server domains over "
-                             "N processes (conservative-sync protocol; "
-                             "output bit-identical across shard counts; "
-                             "default: unsharded legacy path)")
-    parser.add_argument("--window-policy", metavar="SPEC", default=None,
-                        help="sharded sync-window sizing: 'fixed', "
-                             "'adaptive' (default) or "
-                             "'adaptive:cap=SECONDS'; output is "
-                             "bit-identical across policies — only the "
-                             "barrier count changes (requires --shards)")
     parser.add_argument("--cache-dir", type=pathlib.Path,
                         default=pathlib.Path("results/.runcache"),
                         help="content-addressed run cache directory "
@@ -709,40 +686,6 @@ def main(argv: list[str] | None = None) -> int:
                      f"(choose from: {', '.join(known)})")
     if args.jobs <= 0:
         return _fail(f"--jobs must be a positive integer, got {args.jobs}")
-    if args.shards is not None:
-        if args.shards <= 0:
-            return _fail(f"--shards must be a positive integer, "
-                         f"got {args.shards}")
-        # A shard worker hosts whole OSS domains, so shards beyond the
-        # domain count would just be idle processes blocking on every
-        # window barrier.  Clamp (with a note) rather than reject: the
-        # request is over-provisioned, not wrong.
-        n_domains = experiment_cluster().n_domains
-        if args.shards > n_domains:
-            print(f"note: --shards {args.shards} exceeds the cluster's "
-                  f"{n_domains} OSS domain(s); clamping to {n_domains} "
-                  f"(one worker per domain is the maximum useful "
-                  f"sharding)", file=sys.stderr)
-            args.shards = n_domains
-    window_policy = None
-    if args.window_policy is not None:
-        if args.shards is None:
-            return _fail("--window-policy requires --shards (it tunes the "
-                         "sharded executor's sync windows)")
-        from repro.sim.shard import WindowPolicy
-
-        try:
-            window_policy = WindowPolicy.parse(args.window_policy)
-        except ValueError as exc:
-            return _fail(f"bad --window-policy spec: {exc}")
-        sample_interval = _config(args.fast).sample_interval
-        if (window_policy.cap is not None
-                and window_policy.cap >= sample_interval):
-            return _fail(
-                f"--window-policy adaptive cap must be < the experiment "
-                f"sample_interval ({window_policy.cap} >= "
-                f"{sample_interval}): domain monitors tick every "
-                f"sample_interval, so wider spans are never provable")
     if args.run_timeout is not None and args.run_timeout <= 0:
         return _fail(f"--run-timeout must be positive, got {args.run_timeout}")
     if args.retries < 0:
@@ -775,9 +718,7 @@ def main(argv: list[str] | None = None) -> int:
                          f"({exc}); pass --cache-dir or --no-cache")
     executor = SweepExecutor(n_jobs=args.jobs, cache=cache,
                              run_timeout=args.run_timeout,
-                             retries=args.retries, fault_plan=fault_plan,
-                             shards=args.shards,
-                             window_policy=window_policy)
+                             retries=args.retries, fault_plan=fault_plan)
 
     from repro.parallel import TrainExecutor
 

@@ -1,10 +1,10 @@
 """Performance baselines: the ``repro bench`` subcommand.
 
-Six committed baselines (regenerated with ``python -m repro bench``,
+Five committed baselines (regenerated with ``python -m repro bench``,
 selectable via ``--only SUITE`` (repeatable) or the positional name,
 and compared non-gatingly in CI against the checked-in
 ``BENCH_engine.json`` / ``BENCH_sweep.json`` / ``BENCH_train.json`` /
-``BENCH_shard.json`` / ``BENCH_serve.json`` / ``BENCH_dataset.json``):
+``BENCH_serve.json`` / ``BENCH_dataset.json``):
 
 * **engine** — a microbenchmark of the discrete-event kernel: raw
   timeout churn through ``Environment.run()``, run twice to check the
@@ -22,17 +22,8 @@ and compared non-gatingly in CI against the checked-in
   unfused predictor. Serial, parallel and cached models must be
   bit-identical; fused predictions class-identical.
 
-* **shard** — the sharded executor (:mod:`repro.sim.shard`): one run's
-  events/sec at shard counts 1/2/4 under both window policies
-  (byte-identical output asserted at every count and policy, digests
-  recorded per row), the fixed→adaptive coordinator-window reduction
-  (deterministic; gated by ``check_regression.py``), plus a
-  cluster-size curve from 4 to 64 OSTs at one shard. Wall-clock
-  scaling needs physical cores; the committed baseline embeds
-  ``environment.cpu_count`` so those numbers are read in context.
-
 * **serve** — the multi-tenant prediction service (:mod:`repro.serve`):
-  windows/sec and p50/p99 request latency against growing concurrent
+  windows/sec and exact p50/p99 request latency against growing concurrent
   stream counts, clean and under a fixed chaos plan (with shed/degraded
   tenant rates). Demonstrates micro-batching amortising the fused
   forward pass across tenants.
@@ -53,7 +44,6 @@ machines.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -64,8 +54,7 @@ from typing import Any
 import numpy as np
 
 __all__ = ["bench_dataset", "bench_engine", "bench_environment",
-           "bench_serve", "bench_shard", "bench_sweep", "bench_train",
-           "main"]
+           "bench_serve", "bench_sweep", "bench_train", "main"]
 
 
 def _peak_rss_bytes() -> int:
@@ -348,163 +337,6 @@ def bench_train(jobs: int | None = None) -> dict[str, Any]:
     }
 
 
-# -- sharded-simulation benchmark ---------------------------------------------
-
-
-def bench_shard_workload(scale: float = 0.5):
-    """Target + noise mix driving every OSS domain of the cluster."""
-    from repro.experiments.runner import InterferenceSpec
-    from repro.workloads.io500 import make_io500_task
-
-    target = make_io500_task("ior-easy-write", ranks=4, scale=scale)
-    noise = [
-        InterferenceSpec("ior-hard-write", instances=2, ranks=2,
-                         scale=scale / 2),
-        InterferenceSpec("ior-easy-read", instances=1, ranks=2,
-                         scale=scale / 2),
-    ]
-    return target, noise
-
-
-def _shard_config(n_oss: int, osts_per_oss: int = 2):
-    """The shard benchmark's experiment config at a given cluster size."""
-    from repro.experiments.runner import ExperimentConfig, experiment_cluster
-
-    cluster = dataclasses.replace(experiment_cluster(), n_oss=n_oss,
-                                  osts_per_oss=osts_per_oss)
-    return ExperimentConfig(cluster=cluster, window_size=0.25,
-                            sample_interval=0.125, warmup=0.5, seed=0)
-
-
-def _run_digest(run) -> str:
-    """Content digest of a run's protocol-visible output.
-
-    Records, server samples and duration are byte-identical across shard
-    counts and window policies; the digest lets the committed baseline
-    (and CI's fixed-vs-adaptive gate) assert that without shipping the
-    runs themselves.
-    """
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(repr(run.records).encode())
-    h.update(repr(run.server_samples).encode())
-    h.update(repr(run.duration).encode())
-    return h.hexdigest()
-
-
-def _shard_run(config, target, noise, shards: int,
-               window_policy: str = "adaptive") -> dict[str, Any]:
-    """One sharded execution; returns wall/events plus the run itself."""
-    from repro.obs.metrics import REGISTRY
-    from repro.sim.shard import execute_run_sharded
-
-    REGISTRY.reset()
-    t0 = time.perf_counter()
-    run = execute_run_sharded(target, noise, config, shards=shards,
-                              window_policy=window_policy)
-    wall = time.perf_counter() - t0
-    events = REGISTRY.gauge("shard.events_scheduled").value
-    windows = REGISTRY.counter("shard.windows").value
-    barrier = REGISTRY.histogram("shard.barrier_wait_seconds")
-    return {
-        "run": run,
-        "stats": {
-            "shards": shards,
-            "policy": window_policy,
-            "wall_seconds": wall,
-            "events": int(events),
-            "events_per_second": events / wall,
-            "windows": int(windows),
-            "windows_elided": int(
-                REGISTRY.counter("shard.windows_elided").value),
-            "messages": int(REGISTRY.counter("shard.messages").value),
-            "ipc_roundtrips": int(
-                REGISTRY.counter("shard.ipc_roundtrips").value),
-            "barrier_wait_seconds_total": barrier.total,
-            "barrier_wait_seconds_mean": (barrier.total / barrier.count
-                                          if barrier.count else 0.0),
-            "run_digest": _run_digest(run),
-        },
-    }
-
-
-def bench_shard(shard_counts: tuple[int, ...] = (1, 2, 4),
-                cluster_sizes: tuple[int, ...] = (2, 4, 8, 16, 32),
-                scale: float = 0.5) -> dict[str, Any]:
-    """Sharded-executor scaling: events/sec vs shard count + cluster size.
-
-    Three curves (see DESIGN.md §12):
-
-    * **scaling.fixed / scaling.adaptive** — one fixed cluster
-      (4 OSS x 2 OST) run at each shard count under both window
-      policies; every pass must produce byte-identical records/samples
-      (the conservative protocol's N- and policy-invariance contract,
-      asserted here and recorded as ``run_digest`` per row).  Adaptive
-      must pay strictly fewer coordinator windows; ``window_reduction``
-      records the shards=1 ratio — a deterministic, cpu-count-
-      independent number that ``check_regression.py`` gates on.
-      Wall-clock speedup only materialises with >= ``shards`` physical
-      cores — the committed baseline records ``environment.cpu_count``
-      so CI can judge those numbers in context.
-    * **cluster_size_curve** — domains grow from 4 to 64 OSTs at
-      ``shards=1`` (adaptive): how the per-window coordination cost
-      amortises as the per-domain work grows.
-    """
-    target, noise = bench_shard_workload(scale)
-    config = _shard_config(n_oss=4)
-
-    scaling: dict[str, list[dict[str, Any]]] = {}
-    reference = None
-    for policy in ("fixed", "adaptive"):
-        rows = []
-        for shards in shard_counts:
-            result = _shard_run(config, target, noise, shards,
-                                window_policy=policy)
-            run = result.pop("run")
-            if reference is None:
-                reference = run
-            else:
-                assert (run.records == reference.records
-                        and run.server_samples == reference.server_samples
-                        and run.duration == reference.duration), \
-                    (f"policy={policy} shards={shards} diverged from "
-                     f"policy=fixed shards={shard_counts[0]}")
-            rows.append(result["stats"])
-        base = rows[0]["wall_seconds"]
-        for row in rows:
-            row["speedup_vs_1"] = base / row["wall_seconds"]
-        scaling[policy] = rows
-
-    for fixed_row, adaptive_row in zip(scaling["fixed"],
-                                       scaling["adaptive"]):
-        assert adaptive_row["windows"] < fixed_row["windows"], \
-            (f"adaptive paid {adaptive_row['windows']} windows vs fixed "
-             f"{fixed_row['windows']} at shards={fixed_row['shards']}")
-
-    curve = []
-    for n_oss in cluster_sizes:
-        cfg = _shard_config(n_oss=n_oss)
-        result = _shard_run(cfg, target, noise, shards=1)
-        stats = result["stats"]
-        stats.pop("shards")
-        curve.append({"n_oss": n_oss, "n_osts": cfg.cluster.n_osts, **stats})
-
-    return {
-        "environment": bench_environment(),
-        "workload": {"target": "ior-easy-write", "ranks": 4, "scale": scale,
-                     "noise": ["ior-hard-write x2", "ior-easy-read x1"]},
-        "cluster": {"n_oss": 4, "osts_per_oss": 2},
-        "shard_counts": list(shard_counts),
-        "scaling": scaling,
-        "window_reduction": (scaling["fixed"][0]["windows"]
-                             / scaling["adaptive"][0]["windows"]),
-        "speedup_at_max_shards": scaling["adaptive"][-1]["speedup_vs_1"],
-        "bit_identical": True,
-        "cluster_size_curve": curve,
-    }
-
-
 # -- prediction-service benchmark ---------------------------------------------
 
 
@@ -561,7 +393,7 @@ def bench_serve(stream_counts: tuple[int, ...] = (16, 64, 256),
                           plan=plan if with_chaos else None, seed=7)
         assert not report.errors, \
             f"soak raised unhandled exceptions: {report.errors}"
-        latency = REGISTRY.histogram("serve.latency_seconds")
+        doc = report.to_dict()
         sizes = REGISTRY.histogram("serve.batch_size",
                                    boundaries=BATCH_SIZE_BUCKETS)
         terminal = report.terminal_counts
@@ -570,8 +402,8 @@ def bench_serve(stream_counts: tuple[int, ...] = (16, 64, 256),
             "windows_resolved": report.windows_served,
             "wall_seconds": report.elapsed,
             "windows_per_second": report.throughput,
-            "latency_p50_ms": 1e3 * latency.quantile(0.5),
-            "latency_p99_ms": 1e3 * latency.quantile(0.99),
+            "latency_p50_ms": 1e3 * doc["latency_p50_seconds"],
+            "latency_p99_ms": 1e3 * doc["latency_p99_seconds"],
             "mean_batch_size": (sizes.total / sizes.count
                                 if sizes.count else 0.0),
         }
@@ -845,22 +677,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description="Regenerate BENCH_engine.json / BENCH_sweep.json / "
-                    "BENCH_train.json / BENCH_shard.json.",
+                    "BENCH_train.json / BENCH_serve.json / "
+                    "BENCH_dataset.json.",
     )
     parser.add_argument("which", nargs="?", default="all",
-                        choices=("engine", "sweep", "train", "shard",
-                                 "serve", "dataset", "all"))
+                        choices=("engine", "sweep", "train", "serve",
+                                 "dataset", "all"))
     parser.add_argument("--only", action="append", default=None,
                         metavar="SUITE",
-                        choices=("engine", "sweep", "train", "shard",
-                                 "serve", "dataset"),
+                        choices=("engine", "sweep", "train", "serve",
+                                 "dataset"),
                         help="run only this suite; repeatable "
-                             "(--only engine --only shard). Overrides the "
+                             "(--only engine --only serve). Overrides the "
                              "positional selection")
-    parser.add_argument("--shards", type=int, nargs="+", default=(1, 2, 4),
-                        metavar="N",
-                        help="shard counts for the shard suite's scaling "
-                             "curve (default: 1 2 4)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="workers for the parallel passes "
                              "(default: min(4, cores) for sweep, "
@@ -875,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.only:
         selected = tuple(dict.fromkeys(args.only))  # de-dup, keep order
     elif args.which == "all":
-        selected = ("engine", "sweep", "train", "shard", "serve", "dataset")
+        selected = ("engine", "sweep", "train", "serve", "dataset")
     else:
         selected = (args.which,)
 
@@ -902,19 +731,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{fi['fused_us_per_window']:.0f}us/window "
               f"({fi['fused_speedup']:.2f}x fused)")
         _write(result, args.out_dir / "BENCH_train.json")
-    if "shard" in selected:
-        result = bench_shard(shard_counts=tuple(args.shards))
-        rows = ", ".join(
-            f"{a['shards']}: {f['windows']}w -> {a['windows']}w, "
-            f"{a['events_per_second']:,.0f} ev/s "
-            f"({a['speedup_vs_1']:.2f}x)"
-            for f, a in zip(result["scaling"]["fixed"],
-                            result["scaling"]["adaptive"]))
-        top = result["cluster_size_curve"][-1]
-        print(f"shard: fixed->adaptive {rows}; window reduction "
-              f"{result['window_reduction']:.2f}x; {top['n_osts']} OSTs "
-              f"at shards=1: {top['events_per_second']:,.0f} ev/s")
-        _write(result, args.out_dir / "BENCH_shard.json")
     if "serve" in selected:
         result = bench_serve()
         rows = ", ".join(

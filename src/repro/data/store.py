@@ -416,8 +416,7 @@ class DatasetStore:
                         dataset_shard_key_material(
                             target, tuple(scenario.interference), config,
                             seed_salt=scenario.name, salt=executor.salt,
-                            faults=executor._fault_material(),
-                            sharded=executor.shards is not None),
+                            faults=executor._fault_material()),
                         target, scenario, part,
                         baseline_key=executor.key_for(
                             RunJob(target, (), config, seed_salt="")),

@@ -129,8 +129,6 @@ def execute_run(
     config: ExperimentConfig,
     seed_salt: str = "",
     abort_at: float | None = None,
-    shards: int | None = None,
-    window_policy=None,
 ) -> MonitoredRun:
     """One monitored execution of ``target`` under the given noise.
 
@@ -138,23 +136,7 @@ def execute_run(
     injection: a run that died mid-flight).  The truncated run is still
     a valid :class:`MonitoredRun` — whatever was traced and sampled up
     to the abort — with ``metadata["aborted"]`` recording the cut.
-
-    ``shards`` selects the sharded executor (:mod:`repro.sim.shard`):
-    the cluster's server domains run on that many concurrent processes
-    (``1`` = sharded protocol, all in-process).  Output is bit-identical
-    across shard counts; ``None`` keeps the legacy single-environment
-    path.  ``window_policy`` (a :class:`repro.sim.shard.WindowPolicy`,
-    its string spec, or ``None`` for the adaptive default) tunes the
-    sharded executor's sync-window sizing; it never changes output and
-    is ignored on the legacy path.
     """
-    if shards is not None:
-        from repro.sim.shard import execute_run_sharded
-
-        return execute_run_sharded(target, interference, config,
-                                   seed_salt=seed_salt, abort_at=abort_at,
-                                   shards=shards,
-                                   window_policy=window_policy)
     wall_start = time.perf_counter()
     if abort_at is not None and abort_at <= 0:
         raise ValueError(f"abort_at must be positive, got {abort_at}")

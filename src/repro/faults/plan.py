@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,12 @@ class FaultPlan:
     worker_stall_seconds: float = 0.5
 
     def __post_init__(self) -> None:
+        # nan and inf slip through the ordered comparisons below (an
+        # infinite run_abort_after never aborts and never returns).
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from repro.common.rng import derive_rng
@@ -98,6 +99,11 @@ class ServiceFaultPlan:
     slow_batch_seconds: float = 0.05
 
     def __post_init__(self) -> None:
+        # nan and inf slip through the ordered comparisons below.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

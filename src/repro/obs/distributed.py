@@ -39,18 +39,11 @@ from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "TraceContext", "current_context", "attach", "ship", "merge_shipment",
-    "SPILL_THRESHOLD", "spill_spans", "load_spilled", "merge_spilled",
     "wall_now", "monotonic_to_wall",
 ]
 
 #: attrs key marking a span as wall-clocked rather than simulated-time.
 WALL_CLOCK = "wall"
-
-#: Spans buffered before :func:`spill_spans` moves them to the on-disk
-#: spool.  One shared constant so every hosting mode (in-process domain
-#: groups, shard workers) spills at the same point — the spill pattern
-#: is part of the deterministic merge order.
-SPILL_THRESHOLD = 20_000
 
 
 @dataclass(frozen=True)
@@ -160,60 +153,6 @@ def merge_shipment(parent: Tracer, shipment: dict[str, Any] | None,
     parent.events_fired += int(shipment.get("events_fired", 0))
     parent.processes_spawned += int(shipment.get("processes_spawned", 0))
     return merged
-
-
-def spill_spans(tracer: Tracer, path: str) -> int:
-    """Append the tracer's *finished* spans to a JSONL spool and drop them.
-
-    Long-lived shard workers call this between sync windows so tracing a
-    million-event run keeps memory bounded: spans accumulate on disk in
-    recording order and :func:`merge_spilled` folds the spool back into
-    the parent at the end of the run.  Open spans stay buffered (their
-    ``finish`` must still mutate the live object); a spilled span whose
-    parent is still open therefore re-parents to the merge root, which
-    is deterministic — the spill pattern depends only on the seed.
-
-    Returns the number of spans spilled.
-    """
-    import json
-
-    finished = [span for span in tracer.spans if span.end is not None]
-    if not finished:
-        return 0
-    with open(path, "a", encoding="utf-8") as fh:
-        for span in finished:
-            fh.write(json.dumps(span.to_dict()) + "\n")
-    tracer.spans = [span for span in tracer.spans if span.end is None]
-    return len(finished)
-
-
-def load_spilled(path: str) -> list[dict[str, Any]]:
-    """Read a span spool written by :func:`spill_spans`, in spill order."""
-    import json
-    import os
-
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def merge_spilled(parent: Tracer, shipment: dict[str, Any] | None,
-                  parent_span: Span | int | None = None,
-                  worker: str = "") -> list[Span]:
-    """:func:`merge_shipment`, honouring a shipment's on-disk span spool.
-
-    A shipment carrying ``spill_path`` merges the spooled spans first
-    (they were recorded first), then the in-memory remainder, in one id
-    remap so cross-references between the two resolve.
-    """
-    if shipment is not None and shipment.get("spill_path"):
-        shipment = {
-            **shipment,
-            "spans": load_spilled(shipment["spill_path"]) + shipment["spans"],
-        }
-    return merge_shipment(parent, shipment, parent_span=parent_span,
-                          worker=worker)
 
 
 def wall_now(tracer: Tracer) -> float:

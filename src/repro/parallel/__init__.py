@@ -21,12 +21,8 @@ package removes both without touching determinism:
 * :mod:`repro.parallel.trainer` — :class:`TrainExecutor`, the same
   layering for trainings, parallel at restart granularity and
   bit-identical to the serial restart loop;
-* :mod:`repro.parallel.workerinit` — the shared pool-worker initializer
-  (one-time imports and telemetry attach) used by sweep and shard
-  workers alike;
-* :mod:`repro.parallel.shardpool` — :class:`ProcessDomainGroup`,
-  resident shard worker processes hosting server domains for
-  :mod:`repro.sim.shard`.
+* :mod:`repro.parallel.workerinit` — the sweep pool's worker
+  initializer (one-time imports and telemetry attach).
 
 Quick use::
 
@@ -64,7 +60,6 @@ from repro.parallel.executor import (
     resolve_n_jobs,
 )
 from repro.parallel.modelcache import ModelCache
-from repro.parallel.shardpool import ProcessDomainGroup, ShardWorkerError
 from repro.parallel.supervise import (
     SupervisionStats,
     backoff_delay,
@@ -79,10 +74,8 @@ __all__ = [
     "InjectedWorkerFault",
     "ModelCache",
     "PairJob",
-    "ProcessDomainGroup",
     "RunCache",
     "RunJob",
-    "ShardWorkerError",
     "SupervisionStats",
     "SweepExecutor",
     "TrainExecutor",

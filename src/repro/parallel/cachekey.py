@@ -96,7 +96,6 @@ def run_key_material(
     seed_salt: str = "",
     salt: str = "",
     faults: dict[str, Any] | None = None,
-    sharded: bool = False,
 ) -> dict[str, Any]:
     """The key's raw material (also persisted next to cache entries).
 
@@ -105,14 +104,6 @@ def run_key_material(
     aborted mid-flight has different content than a clean run and must
     never collide with it in the cache.  Worker- and telemetry-level
     faults don't change run content and stay out of the key.
-
-    ``sharded`` marks runs produced by the sharded executor
-    (:mod:`repro.sim.shard`).  It is a *boolean*, never the shard
-    count: ``--shards N`` is bit-identical to ``--shards 1`` by
-    contract, so keys stay shard-count-invariant and warm caches keep
-    hitting whatever parallelism the machine offers.  Sharded execution
-    is a distinct execution model from the legacy single-environment
-    path (per-domain client-link replicas), hence the key separation.
     """
     interference = tuple(interference)
     cfg = config_to_dict(config)
@@ -130,8 +121,6 @@ def run_key_material(
     }
     if faults:
         material["faults"] = dict(faults)
-    if sharded:
-        material["sharded"] = True
     return material
 
 
@@ -142,12 +131,11 @@ def run_key(
     seed_salt: str = "",
     salt: str = "",
     faults: dict[str, Any] | None = None,
-    sharded: bool = False,
 ) -> str:
     """Content-addressed key of one monitored run."""
     return stable_hash(run_key_material(target, interference, config,
                                         seed_salt=seed_salt, salt=salt,
-                                        faults=faults, sharded=sharded))
+                                        faults=faults))
 
 
 def dataset_shard_key_material(
@@ -157,7 +145,6 @@ def dataset_shard_key_material(
     seed_salt: str = "",
     salt: str = "",
     faults: dict[str, Any] | None = None,
-    sharded: bool = False,
 ) -> dict[str, Any]:
     """Key material of one (target, scenario) pair's labelled windows.
 
@@ -175,10 +162,10 @@ def dataset_shard_key_material(
         "salt": _code_salt(salt),
         "format": DATASET_FORMAT,
         "baseline": run_key_material(target, (), config, salt=salt,
-                                     faults=faults, sharded=sharded),
+                                     faults=faults),
         "interfered": run_key_material(target, tuple(interference), config,
                                        seed_salt=seed_salt, salt=salt,
-                                       faults=faults, sharded=sharded),
+                                       faults=faults),
         "window_size": config.window_size,
         "sample_interval": config.sample_interval,
     }
@@ -191,12 +178,11 @@ def dataset_shard_key(
     seed_salt: str = "",
     salt: str = "",
     faults: dict[str, Any] | None = None,
-    sharded: bool = False,
 ) -> str:
     """Content-addressed key of one pair's labelled window shards."""
     return stable_hash(dataset_shard_key_material(
         target, interference, config, seed_salt=seed_salt, salt=salt,
-        faults=faults, sharded=sharded))
+        faults=faults))
 
 
 def train_key_material(

@@ -117,9 +117,7 @@ class PairJob:
 
 def _execute_job(item: tuple[str, RunJob, int],
                  plan: FaultPlan | None = None,
-                 trace_ctx: TraceContext | None = None,
-                 shards: int | None = None,
-                 window_policy=None):
+                 trace_ctx: TraceContext | None = None):
     """Worker body: run one job and return (key, run, wall, metrics, aux).
 
     Runs in a separate process (pool worker or supervised child).  The
@@ -156,8 +154,7 @@ def _execute_job(item: tuple[str, RunJob, int],
     started = time.monotonic()
     start = time.perf_counter()
     run = execute_run(job.target, list(job.interference), job.config,
-                      seed_salt=job.seed_salt, abort_at=abort_at,
-                      shards=shards, window_policy=window_policy)
+                      seed_salt=job.seed_salt, abort_at=abort_at)
     wall = time.perf_counter() - start
     aux = {"pid": os.getpid(), "started": started,
            "trace": _dist.ship(worker_tracer)}
@@ -284,23 +281,6 @@ class SweepExecutor:
         Telemetry faults are *not* applied here (apply
         :func:`repro.faults.apply_faults` to the returned runs), so
         cached runs stay clean.
-    shards:
-        Route every run through the sharded executor
-        (:mod:`repro.sim.shard`) with this many shard processes.
-        ``None`` (default) keeps the legacy single-environment path.
-        Cache keys gain a ``sharded`` marker but never the count —
-        sharded output is bit-identical across shard counts, so warm
-        caches hit whatever parallelism the machine offers.  Inside
-        pool workers (daemonic) shards fall back in-process, so
-        combining ``n_jobs > 1`` with ``shards > 1`` parallelises
-        across runs, not within them.
-    window_policy:
-        Sync-window sizing for the sharded executor — a
-        :class:`repro.sim.shard.WindowPolicy`, its string spec
-        (``fixed``, ``adaptive``, ``adaptive:cap=SECONDS``) or ``None``
-        for the adaptive default.  Like ``shards`` it never changes run
-        output, so it stays out of cache keys; ignored when ``shards``
-        is ``None``.
     """
 
     def __init__(self, n_jobs: int = 1,
@@ -309,9 +289,7 @@ class SweepExecutor:
                  run_timeout: float | None = None,
                  retries: int = 0,
                  retry_backoff: float = 0.05,
-                 fault_plan: FaultPlan | None = None,
-                 shards: int | None = None,
-                 window_policy=None) -> None:
+                 fault_plan: FaultPlan | None = None) -> None:
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be positive, got {run_timeout}")
         if retries < 0:
@@ -328,10 +306,6 @@ class SweepExecutor:
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.fault_plan = fault_plan
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.window_policy = window_policy
         self.runs_executed = 0
         self.runs_deduplicated = 0
         self.retries_used = 0
@@ -345,21 +319,18 @@ class SweepExecutor:
     def key_for(self, job: RunJob) -> str:
         return run_key(job.target, job.interference, job.config,
                        seed_salt=job.seed_salt, salt=self.salt,
-                       faults=self._fault_material(),
-                       sharded=self.shards is not None)
+                       faults=self._fault_material())
 
     def shard_key_for(self, pair: PairJob) -> str:
         """Content-addressed key of the pair's labelled window shards.
 
-        Mirrors :meth:`key_for` — same salt, fault material and
-        sharded-execution marker — so a :class:`repro.data.DatasetStore`
-        keyed through one executor agrees with the run cache about what
-        counts as "the same" sweep.
+        Mirrors :meth:`key_for` — same salt and fault material — so a
+        :class:`repro.data.DatasetStore` keyed through one executor
+        agrees with the run cache about what counts as "the same" sweep.
         """
         return dataset_shard_key(pair.target, pair.interference, pair.config,
                                  seed_salt=pair.seed_salt, salt=self.salt,
-                                 faults=self._fault_material(),
-                                 sharded=self.shards is not None)
+                                 faults=self._fault_material())
 
     def _fault_material(self) -> dict | None:
         if self.fault_plan is not None and self.fault_plan.affects_simulation:
@@ -444,8 +415,7 @@ class SweepExecutor:
                     workers = min(self.n_jobs, len(items))
                     worker_fn = functools.partial(
                         _execute_job, plan=self.fault_plan,
-                        trace_ctx=trace_ctx, shards=self.shards,
-                        window_policy=self.window_policy)
+                        trace_ctx=trace_ctx)
                     submit = time.monotonic()
                     # One-time per-worker setup (heavy imports, base
                     # tracer/registry state) runs in the pool
@@ -480,9 +450,7 @@ class SweepExecutor:
                                               list(job.interference),
                                               job.config,
                                               seed_salt=job.seed_salt,
-                                              abort_at=abort_at,
-                                              shards=self.shards,
-                                              window_policy=self.window_policy)
+                                              abort_at=abort_at)
                         wall_hist.observe(time.perf_counter() - start)
                         self._store(key, job, run)
                         results[key] = run
@@ -519,8 +487,7 @@ class SweepExecutor:
         stats = run_supervised(
             items,
             functools.partial(_execute_job, plan=self.fault_plan,
-                              trace_ctx=trace_ctx, shards=self.shards,
-                              window_policy=self.window_policy),
+                              trace_ctx=trace_ctx),
             ctx=multiprocessing.get_context(self.start_method),
             workers=self.n_jobs,
             on_success=on_success,
@@ -572,8 +539,7 @@ class SweepExecutor:
                                                  job.config,
                                                  seed_salt=job.seed_salt,
                                                  salt=self.salt,
-                                                 faults=self._fault_material(),
-                                                 sharded=self.shards is not None))
+                                                 faults=self._fault_material()))
 
     # -- reporting --------------------------------------------------------
 

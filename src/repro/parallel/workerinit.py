@@ -1,12 +1,11 @@
-"""One-time worker-process initialisation shared by sweep and shard pools.
+"""One-time worker-process initialisation for the sweep pool.
 
 Sweep pool workers used to do their whole setup inside every task body:
 ``_execute_job`` imported the simulation stack on first use (expensive
 under the ``spawn`` start method), detached or attached the tracer, and
 reset the metrics registry per task.  The genuinely one-time parts now
 live here as a ``multiprocessing.Pool`` *initializer* — run once per
-worker process, not once per task — and the long-lived shard workers
-(:mod:`repro.parallel.shardpool`) call the same function at startup.
+worker process, not once per task.
 
 What stays per-task on purpose: ``_execute_job`` still calls
 ``attach(trace_ctx)`` and ``REGISTRY.reset()`` for every job, because a

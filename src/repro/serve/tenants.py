@@ -36,7 +36,6 @@ import numpy as np
 from repro.common.rng import derive_rng
 from repro.faults.service import ServiceFaultPlan, TenantProfile
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
 from repro.parallel.supervise import backoff_delay
 from repro.serve.service import (
     Backpressure,
@@ -143,7 +142,11 @@ class SoakReport:
         return self.windows_served / self.elapsed if self.elapsed else 0.0
 
     def to_dict(self) -> dict:
-        latency = REGISTRY.histogram("serve.latency_seconds")
+        # Exact quantiles of the measured latencies; the registry's
+        # histogram would only give its bucket upper edges.
+        latencies = [r.latency for o in self.outcomes for r in o.results]
+        p50, p99 = (np.percentile(latencies, [50, 99]).tolist()
+                    if latencies else (0.0, 0.0))
         return {
             "n_tenants": self.n_tenants,
             "n_windows": self.n_windows,
@@ -151,8 +154,8 @@ class SoakReport:
             "elapsed_seconds": self.elapsed,
             "windows_resolved": self.windows_served,
             "windows_per_second": self.throughput,
-            "latency_p50_seconds": latency.quantile(0.5),
-            "latency_p99_seconds": latency.quantile(0.99),
+            "latency_p50_seconds": p50,
+            "latency_p99_seconds": p99,
             "terminal": self.terminal_counts,
             "statuses": self.status_totals,
             "drain": self.drain,

@@ -18,10 +18,10 @@ This subpackage is the substrate substitute for the paper's 11-node Lustre
 * :mod:`repro.sim.filesystem` — namespace and striping;
 * :mod:`repro.sim.client` — the Lustre-like client (striped RPCs, RPC
   windows, metadata calls);
-* :mod:`repro.sim.cluster` — configuration and wiring of a full cluster;
-* :mod:`repro.sim.shard` — the sharded executor: server domains
-  partitioned across worker processes under a deterministic
-  conservative sync protocol.
+* :mod:`repro.sim.cluster` — configuration and wiring of a full cluster.
+
+One run is one :class:`Environment`: every client NIC, server and the
+fabric share a single event queue and one global max-min network.
 """
 
 from repro.sim.engine import Environment, Event, Process, Timeout, AllOf
@@ -35,15 +35,4 @@ __all__ = [
     "AllOf",
     "Cluster",
     "ClusterConfig",
-    "execute_run_sharded",
 ]
-
-
-def __getattr__(name):
-    # Lazy: repro.sim.shard imports the experiments layer, which imports
-    # repro.sim — eager re-export here would be a cycle.
-    if name == "execute_run_sharded":
-        from repro.sim.shard import execute_run_sharded
-
-        return execute_run_sharded
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -164,21 +164,15 @@ class _DataOpDriver:
                 immediate.append(i)
             else:
                 window.acquire().callbacks.append(
-                    lambda _ev, i=i: self._granted_one(i)
+                    lambda _ev, i=i: self._granted((i,))
                 )
         if immediate:
-            self._granted_group(tuple(immediate))
+            self._granted(tuple(immediate))
 
-    def _granted_one(self, i: int) -> None:
-        """A queued piece's FIFO grant fired: pay the RPC latency and
-        dispatch solo (the sharded driver posts to the router instead)."""
-        self.session.env.after(
-            self.session.node.params.rpc_latency,
-            lambda _ev: self._dispatch((i,)),
-        )
-
-    def _granted_group(self, group: tuple[int, ...]) -> None:
-        """Pieces granted at begin-time share one rpc_latency timeout."""
+    def _granted(self, group: tuple[int, ...]) -> None:
+        """Granted pieces share one rpc_latency timeout, then dispatch:
+        the begin-time group together, a queued piece alone when its
+        FIFO grant fires."""
         self.session.env.after(
             self.session.node.params.rpc_latency,
             lambda _ev: self._dispatch(group),

@@ -154,8 +154,8 @@ class BurstBufferedSession:
         """Wrap ``session`` with a node-local burst buffer.
 
         The hidden drain session comes from the cluster's session
-        factory, so drain traffic takes the cluster's own request path
-        (unsharded or sharded).
+        factory, so drain traffic takes the same request path and
+        contends for the same NIC as the node's other sessions.
         """
         node = session.node
         drain = node.cluster.session(f"{session.job}-bbdrain",

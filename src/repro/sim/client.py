@@ -102,14 +102,6 @@ class ClientNode:
 class ClientSession:
     """Per-(job, rank) handle issuing I/O and recording its trace."""
 
-    #: Driver walking one data op's pieces; the sharded root cluster
-    #: substitutes a router-posting driver (repro.sim.shard) here.
-    driver_class = _DataOpDriver
-
-    #: Extra attributes stamped onto every op span; the sharded session
-    #: marks its spans ``sharded=True``.
-    span_attrs: dict = {}
-
     def __init__(self, node: ClientNode, job: str, rank: int,
                  collector: TraceCollector) -> None:
         self.node = node
@@ -153,12 +145,12 @@ class ClientSession:
         tracer = _trace.TRACER
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
-            path=path, offset=offset, size=size, **self.span_attrs,
+            path=path, offset=offset, size=size,
         ) if tracer is not None else None
         req = BatchRequest.from_extent(f, op, path, offset, size,
                                        self.node.params.max_rpc_bytes)
         done = Event(self.env)
-        self.driver_class(self, req, f, start, done, span).begin()
+        _DataOpDriver(self, req, f, start, done, span).begin()
         yield done
 
     def _meta_op(self, op: OpType, path: str, parent: str):
@@ -171,7 +163,7 @@ class ClientSession:
         tracer = _trace.TRACER
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
-            path=path, **self.span_attrs,
+            path=path,
         ) if tracer is not None else None
         yield node._mds_slots.acquire()
         yield self.env.timeout(node.params.rpc_latency)

@@ -58,27 +58,6 @@ class ClusterConfig:
     def n_osts(self) -> int:
         return self.n_oss * self.osts_per_oss
 
-    # -- shard domains -----------------------------------------------------
-
-    @property
-    def n_domains(self) -> int:
-        """Server domains a sharded run partitions into: one per OSS.
-
-        The MDS (and every client) stays in the root domain — metadata
-        service is latency-coupled to the clients with no lookahead, so
-        it never crosses a shard boundary (DESIGN.md §12).
-        """
-        return self.n_oss
-
-    def oss_of_ost(self, ost_index: int) -> int:
-        """The OSS (= shard domain) hosting ``ost_index``."""
-        return ost_index // self.osts_per_oss
-
-    def domain_ost_indices(self, oss_index: int) -> range:
-        """OST indices belonging to one OSS's shard domain."""
-        lo = oss_index * self.osts_per_oss
-        return range(lo, lo + self.osts_per_oss)
-
 
 class Cluster:
     """A fully wired simulated PFS deployment."""

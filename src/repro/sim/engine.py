@@ -30,7 +30,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "CountEvent",
     "SimulationError",
 ]
 
@@ -213,37 +212,6 @@ class AllOf(Event):
         self.succeed([ev._value for ev in self._children])
 
 
-class CountEvent(Event):
-    """Fires once ``expected`` completions have been reported.
-
-    A lighter :class:`AllOf` for callback code: N completions need one
-    event, not N child Events plus a conjunction. A zero-length batch succeeds immediately (still via the
-    event loop, so waiters resume on the next tick like any other event).
-    """
-
-    __slots__ = ("_expected",)
-
-    def __init__(self, env: "Environment", expected: int) -> None:
-        super().__init__(env)
-        if expected < 0:
-            raise ValueError(f"negative completion count: {expected}")
-        self._expected = expected
-        if expected == 0:
-            self.succeed([])
-
-    @property
-    def remaining(self) -> int:
-        return self._expected
-
-    def complete(self) -> None:
-        """Report one completion; the event succeeds on the last one."""
-        if self._expected <= 0:
-            raise SimulationError("CountEvent completed more times than expected")
-        self._expected -= 1
-        if self._expected == 0:
-            self.succeed()
-
-
 class Environment:
     """The event loop: a priority queue of (time, sequence, event)."""
 
@@ -285,51 +253,6 @@ class Environment:
         return Process(self, gen)
 
     # -- execution --------------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``+inf`` when idle.
-
-        The sharded executor's barrier computation: a conservative window
-        may only extend to the minimum ``peek()`` across every shard
-        environment (plus lookahead), so the queue head must be readable
-        without firing anything.  It is also the adaptive window policy's
-        safety proof: a queue whose head clears a span cannot schedule
-        anything *into* that span (events never schedule into the past),
-        so ``peek() >= end`` proves the environment quiet through ``end``.
-        """
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def quiet_until(self, end: float, inclusive: bool = False) -> bool:
-        """True when nothing can fire inside ``[now, end)`` (``[now, end]``
-        when ``inclusive``) — the peek-ahead query behind barrier elision:
-        a quiet environment needs no window run at all."""
-        if not self._queue:
-            return True
-        head = self._queue[0][0]
-        return head > end if inclusive else head >= end
-
-    def run_to(self, end: float, tracer=None, inclusive: bool = False) -> int:
-        """Fire every event scheduled before ``end`` (through ``end`` when
-        ``inclusive``) and return how many fired.
-
-        The sharded executor's window primitive: unlike :meth:`run` it
-        never advances ``now`` past the last fired event, so a domain can
-        be driven through a window without its clock jumping to the
-        window end (injections after the window compute their delays from
-        the true last-event time).
-        """
-        queue = self._queue
-        step = self._step
-        fired = 0
-        if inclusive:
-            while queue and queue[0][0] <= end:
-                step(queue, tracer)
-                fired += 1
-        else:
-            while queue and queue[0][0] < end:
-                step(queue, tracer)
-                fired += 1
-        return fired
 
     def step(self) -> None:
         """Fire the next scheduled event and run its callbacks."""

@@ -2,9 +2,8 @@
 
 The load-bearing contract: a store-built dataset is bit-identical —
 ``content_digest()`` equal — to the in-memory ``collect_windows`` path,
-on data and metadata workloads and at every shard count, and a warm
-rebuild performs
-zero simulations and zero re-aggregations.
+on data and metadata workloads, and a warm rebuild performs zero
+simulations and zero re-aggregations.
 """
 
 import json
@@ -13,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetStore
-from repro.experiments.datagen import (Scenario, bank_to_dataset,
-                                       collect_windows, generate_dataset)
+from repro.experiments.datagen import (Scenario, collect_windows,
+                                       generate_dataset)
 from repro.experiments.runner import (ExperimentConfig, InterferenceSpec,
                                       experiment_cluster)
 from repro.parallel import SweepExecutor
@@ -68,27 +67,6 @@ def test_cold_build_digest_matches_in_memory(tmp_path, path):
     assert built.content_digest() == in_memory.content_digest()
     assert np.array_equal(built.X, in_memory.X)
     assert np.array_equal(built.y, in_memory.y)
-
-
-def test_sharded_builds_digest_matches_in_memory(tmp_path):
-    """Store equivalence holds on the sharded executor too.
-
-    The sharded protocol is bit-identical across shard *counts* (not
-    necessarily to the unsharded legacy path, which is why the shard
-    keys embed the ``sharded`` flag), so the reference here is the
-    in-memory path run through a sharded executor.
-    """
-    config = small_config()
-    in_memory = bank_to_dataset(
-        collect_windows(small_targets(), small_scenarios(), config,
-                        executor=SweepExecutor(shards=1)))
-    digests = set()
-    for shards in (1, 2):
-        store = DatasetStore(tmp_path / f"store-{shards}")
-        built = store.build(small_targets(), small_scenarios(), config,
-                            executor=SweepExecutor(shards=shards))
-        digests.add(built.content_digest())
-    assert digests == {in_memory.content_digest()}
 
 
 def test_warm_rebuild_zero_simulations_zero_reaggregations(tmp_path):

@@ -137,5 +137,14 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="sample_drop_rate"):
             parse_fault_spec("drop=2.0")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", sorted(FAULT_SPEC_FIELDS))
+    def test_non_finite_value_rejected(self, key, value):
+        field = FAULT_SPEC_FIELDS[key]
+        with pytest.raises(ValueError, match=field):
+            FaultPlan(**{field: float(value)})
+        with pytest.raises(ValueError):
+            parse_fault_spec(f"{key}={value}")
+
     def test_empty_spec_is_fault_free(self):
         assert parse_fault_spec("") == FaultPlan()

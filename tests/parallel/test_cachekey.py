@@ -4,7 +4,9 @@ from dataclasses import replace
 
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.parallel.cachekey import (
+    CACHE_FORMAT,
     canonical_json,
+    dataset_shard_key,
     run_key,
     run_key_material,
     stable_hash,
@@ -93,6 +95,19 @@ def test_extra_salt_changes_key():
     k1 = run_key(target(), NOISE, small_config(), seed_salt="s", salt="")
     k2 = run_key(target(), NOISE, small_config(), seed_salt="s", salt="v2")
     assert k1 != k2
+
+
+def test_keys_are_pinned():
+    """Warm run caches and dataset stores stay valid only while these
+    keys hold.  They change on purpose with ``CACHE_FORMAT``, the
+    package version or the key material, never by accident."""
+    assert CACHE_FORMAT == 3
+    assert (run_key(target(), NOISE, small_config(), seed_salt="s")
+            == "e00914925fa4253d1473baea0fe063c43f1e8a13")
+    assert (run_key(target(), (), small_config())
+            == "8852a241e2d46239a9ec9debacf8c63d9cb6f7e6")
+    assert (dataset_shard_key(target(), NOISE, small_config(), seed_salt="s")
+            == "a6d188cfd3424013e164c509cc33677cc47bfa5c")
 
 
 def test_material_is_json_serialisable():

@@ -1,7 +1,6 @@
 """Tests for the sweep executor: dedup, caching, parallel determinism."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.datagen import Scenario, collect_windows
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
@@ -158,13 +157,6 @@ def test_pool_initializer_keeps_parallel_results_identical():
                              small_config(), n_jobs=2)
     assert np.array_equal(serial.X, pooled.X)
     assert np.array_equal(serial.levels, pooled.levels)
-
-
-def test_executor_shards_validation():
-    with pytest.raises(ValueError, match="shards"):
-        SweepExecutor(shards=0)
-    assert SweepExecutor(shards=2).shards == 2
-    assert SweepExecutor().shards is None
 
 
 def test_parallel_merges_worker_metrics(tmp_path):

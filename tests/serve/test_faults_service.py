@@ -26,6 +26,16 @@ def test_plan_validation(kw):
         ServiceFaultPlan(**kw)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(SERVICE_FAULT_SPEC_FIELDS))
+def test_non_finite_value_rejected(key, value):
+    field = SERVICE_FAULT_SPEC_FIELDS[key]
+    with pytest.raises(ValueError, match=field):
+        ServiceFaultPlan(**{field: float(value)})
+    with pytest.raises(ValueError):
+        parse_service_fault_spec(f"{key}={value}")
+
+
 def test_profiles_and_orders_replay_bit_identically():
     tenants = [f"tenant{i:04d}" for i in range(64)]
     a = [CHAOS.tenant_profile(t, 8) for t in tenants]

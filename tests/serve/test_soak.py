@@ -10,11 +10,11 @@ have produced.
 import numpy as np
 import pytest
 
-from repro.faults import ServiceFaultPlan
+from repro.faults import ServiceFaultPlan, TenantProfile
 from repro.obs.metrics import REGISTRY
 from repro.obs.report import service_health
-from repro.serve import ServeConfig, run_soak, tenant_windows
-from repro.serve.tenants import TERMINAL_STATES
+from repro.serve import ServeConfig, WindowResult, run_soak, tenant_windows
+from repro.serve.tenants import TERMINAL_STATES, SoakReport, TenantOutcome
 
 CHAOS = ServiceFaultPlan(seed=3, flood_rate=0.2, stall_rate=0.1,
                          disconnect_rate=0.1, reorder_rate=0.2,
@@ -150,6 +150,22 @@ def test_soak_report_to_dict_and_service_health(scorer):
     assert "tenants:" in text and "admitted" in text
     assert "batches:" in text
     assert "latency:" in text
+
+
+def test_soak_report_percentiles_are_exact():
+    """p50/p99 are quantiles of the measured per-window latencies, not
+    latency-histogram bucket edges."""
+    REGISTRY.reset()
+    latencies = [0.001 * (i + 1) for i in range(100)]  # 1..100 ms
+    outcome = TenantOutcome(
+        tenant="t0", profile=TenantProfile(tenant="t0"), admitted=True,
+        results=[WindowResult(window=i, status="fresh", severity=0,
+                              probabilities=(1.0, 0.0), latency=latency)
+                 for i, latency in enumerate(latencies)])
+    doc = SoakReport(n_tenants=1, n_windows=100, plan_digest=None,
+                     elapsed=1.0, outcomes=[outcome]).to_dict()
+    assert doc["latency_p50_seconds"] == np.percentile(latencies, 50)
+    assert doc["latency_p99_seconds"] == np.percentile(latencies, 99)
 
 
 def test_service_health_silent_without_serve_metrics():

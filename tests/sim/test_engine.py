@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.engine import (
     AllOf,
-    CountEvent,
     Environment,
     Event,
     SimulationError,
@@ -269,44 +268,6 @@ def test_allof_failed_child_among_pending():
     conj = AllOf(env, [env.process(failer()), slow])
     with pytest.raises(RuntimeError, match="mid-flight failure"):
         env.run(until=conj)
-
-
-def test_count_event_zero_fires_immediately():
-    """A zero-length batch's completion event succeeds on the next tick."""
-    env = Environment()
-    done = CountEvent(env, 0)
-    assert done.remaining == 0
-    assert env.run(until=done) == []
-    assert env.now == 0.0
-
-
-def test_count_event_fires_on_last_completion():
-    env = Environment()
-    done = CountEvent(env, 3)
-
-    def worker(delay):
-        yield env.timeout(delay)
-        done.complete()
-
-    for delay in (1.0, 3.0, 2.0):
-        env.process(worker(delay))
-    env.run(until=done)
-    assert env.now == pytest.approx(3.0)
-    assert done.remaining == 0
-
-
-def test_count_event_over_completion_raises():
-    env = Environment()
-    done = CountEvent(env, 1)
-    done.complete()
-    with pytest.raises(SimulationError):
-        done.complete()
-
-
-def test_count_event_negative_expected_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        CountEvent(env, -1)
 
 
 def test_after_runs_callback_at_delay():

@@ -107,7 +107,6 @@ GOLDEN = {
     "enzo": "1e2fdaa30bb61799581b8c45",
     "openpmd": "142b5985a3fc3aa4767eed8f",
     "abort": "d1122f35bd1e9f701ab4bf36",
-    "shards-2": "87b85045231f28982f1c8058",
     "grid-meta:mdt-easy-write/mdt-hard-write-x1": "e08b606c0ca5e29cd120fb65",
     "burst-buffer": "280b2127300bbbd675e446a3",
     "qos-limited": "7201d656890391fbaeac3b7f",
@@ -129,11 +128,6 @@ def test_fault_plan_abort_digest():
                       abort_at=abort_at)
     assert run.metadata["aborted"] is True
     assert run_digest(run.records, run.server_samples) == GOLDEN["abort"]
-
-
-def test_two_shard_digest():
-    target = make_io500_task("ior-easy-write", ranks=2, scale=0.1)
-    assert digest_of(target, BULK, shards=2) == GOLDEN["shards-2"]
 
 
 def test_grid_meta_tie_order_pair_digest():

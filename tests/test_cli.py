@@ -353,45 +353,32 @@ def test_serve_end_to_end_with_saved_model(tmp_path, capsys):
 
 
 def test_shards_zero_rejected(capsys):
-    assert main(["table2", "--shards", "0"]) == 2
-    assert "--shards must be a positive integer" in capsys.readouterr().err
-
-
-def test_shards_clamped_to_domain_count(capsys):
-    """--shards beyond the OSS domain count prints the clamp note (and
-    here stops at the next validation error, so nothing actually runs)."""
-    assert main(["table2", "--shards", "999", "--run-timeout", "0"]) == 2
-    err = capsys.readouterr().err
-    assert "clamping" in err
-    assert "--shards 999 exceeds" in err
+    """Runs are never split across processes: the old flag is an
+    unknown argument, not a silently ignored one."""
+    with pytest.raises(SystemExit) as exc:
+        main(["table2", "--shards", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --shards 0" in capsys.readouterr().err
 
 
 def test_window_policy_requires_shards(capsys):
-    assert main(["table2", "--window-policy", "adaptive"]) == 2
-    assert "--window-policy requires --shards" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["table2", "--window-policy", "fixed"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --window-policy fixed"
+            in capsys.readouterr().err)
 
 
-def test_window_policy_bad_spec_rejected(capsys):
-    assert main(["table2", "--shards", "2",
-                 "--window-policy", "eager"]) == 2
-    assert "bad --window-policy spec" in capsys.readouterr().err
-
-
-def test_window_policy_cap_vs_sample_interval(capsys):
-    """A cap at or above the experiment sample_interval can never be
-    proven safe, so it fails at arg-parse time with the reason."""
-    assert main(["table2", "--fast", "--shards", "2",
-                 "--window-policy", "adaptive:cap=0.125"]) == 2
+def test_non_finite_fault_value_rejected(capsys):
+    """An infinite abort time would never abort and never return."""
+    assert main(["table2", "--faults", "abort=1,abort_after=inf"]) == 2
     err = capsys.readouterr().err
-    assert "cap must be < the experiment sample_interval" in err
+    assert "bad --faults spec" in err
+    assert "run_abort_after must be finite" in err
 
 
-def test_window_policy_valid_specs_pass_parsing(capsys):
-    """Valid specs get past --window-policy validation (and stop at the
-    next validation error, so nothing actually runs)."""
-    for spec in ("fixed", "adaptive", "adaptive:cap=0.01"):
-        assert main(["table2", "--shards", "2", "--window-policy", spec,
-                     "--run-timeout", "-1"]) == 2
-        err = capsys.readouterr().err
-        assert "window-policy" not in err
-        assert "--run-timeout" in err
+def test_serve_non_finite_chaos_value_rejected(capsys):
+    assert main(["serve", "--chaos", "slow_s=nan"]) == 2
+    err = capsys.readouterr().err
+    assert "bad --chaos spec" in err
+    assert "slow_batch_seconds must be finite" in err
