@@ -10,7 +10,7 @@ bit-identical, and writes ``BENCH_train.json``. Equivalent to
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_train.py [--jobs N] [--out-dir DIR]
+    PYTHONPATH=src python benchmarks/bench_train.py [--out-dir DIR]
 """
 
 from __future__ import annotations

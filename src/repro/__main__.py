@@ -37,13 +37,12 @@ runs persist in a content-addressed cache (``--cache-dir``, default
 sweep and a re-run after a training-side change simulates nothing.
 ``--no-cache`` disables persistence.
 
-Training execution mirrors it: the same ``--jobs`` fans independent
-training restarts and grid cells over worker processes (bit-identical to
-the serial restart loop), and trained models persist in a
-content-addressed model cache (``--model-cache-dir``, default
-``results/.modelcache``) keyed by dataset digest + training recipe, so a
-warm re-run of a model experiment trains nothing. ``--no-model-cache``
-disables it.
+Training runs in-process (``--jobs``, ``--run-timeout`` and
+``--retries`` apply to simulation runs only), and trained models
+persist in a content-addressed model cache (``--model-cache-dir``,
+default ``results/.modelcache``) keyed by dataset digest + training
+recipe, so a warm re-run of a model experiment trains nothing.
+``--no-model-cache`` disables it.
 
 Observability: every experiment writes a JSON run manifest (seed, config,
 git SHA, timings, sweep/cache statistics, a wall-clock phase profile and
@@ -184,8 +183,8 @@ def run_crosscluster(fast: bool, executor, trainer=None, store=None) -> str:
     if fast:
         kwargs = dict(target_tasks=("ior-easy-write", "ior-easy-read"),
                       target_scale=0.4, max_level=2)
-    return run_cross_cluster(_config(fast), trainer=trainer,
-                             store=store, **kwargs).render()
+    return run_cross_cluster(_config(fast), executor=executor,
+                             trainer=trainer, store=store, **kwargs).render()
 
 
 def run_robustness(fast: bool, executor, trainer=None, store=None) -> str:
@@ -343,8 +342,8 @@ def main_train(argv: list[str]) -> int:
                         help="train the 3-class (<2x, 2-5x, >=5x) model "
                              "instead of the binary one")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for simulation and "
-                             "training restarts (default: 1)")
+                        help="worker processes for simulation runs "
+                             "(default: 1 = in-process)")
     parser.add_argument("--cache-dir", type=pathlib.Path,
                         default=pathlib.Path("results/.runcache"),
                         help="run cache directory (default: %(default)s)")
@@ -371,9 +370,7 @@ def main_train(argv: list[str]) -> int:
     cache = None if args.no_cache else RunCache(args.cache_dir)
     executor = SweepExecutor(n_jobs=args.jobs, cache=cache)
     trainer = TrainExecutor(
-        n_jobs=args.jobs,
-        cache=None if args.no_model_cache else args.model_cache_dir,
-    )
+        cache=None if args.no_model_cache else args.model_cache_dir)
     store = _open_store(args)
     thresholds = (MULTICLASS_THRESHOLDS if args.multiclass
                   else BINARY_THRESHOLDS)
@@ -641,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="also write one text file per experiment here")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for simulation sweeps "
+                        help="worker processes for simulation runs "
                              "(default: 1 = in-process)")
     parser.add_argument("--cache-dir", type=pathlib.Path,
                         default=pathlib.Path("results/.runcache"),
@@ -665,8 +662,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="watchdog: kill and retry any single "
                              "simulation run exceeding this wall time")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retries per failed/timed-out run before it "
-                             "is quarantined (default: 0)")
+                        help="retries per failed/timed-out simulation run "
+                             "before it is quarantined (default: 0)")
     parser.add_argument("--trace", type=pathlib.Path, default=None,
                         help="record a span trace of all simulated I/O "
                              "to this JSONL file")
@@ -723,11 +720,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.parallel import TrainExecutor
 
     trainer = TrainExecutor(
-        n_jobs=args.jobs,
-        cache=None if args.no_model_cache else args.model_cache_dir,
-        run_timeout=args.run_timeout,
-        retries=args.retries,
-    )
+        cache=None if args.no_model_cache else args.model_cache_dir)
 
     store = _open_store(args)
 
@@ -789,9 +782,6 @@ def main(argv: list[str] | None = None) -> int:
         if executor.quarantined:
             print(f"WARNING: {len(executor.quarantined)} run(s) quarantined; "
                   "see the manifest's sweep.faults section")
-        if trainer.quarantined:
-            print(f"WARNING: {len(trainer.quarantined)} training(s) "
-                  "quarantined; see the manifest's training section")
     finally:
         if tracer is not None:
             obs.uninstall_tracer()

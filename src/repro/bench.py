@@ -19,7 +19,7 @@ and compared non-gatingly in CI against the checked-in
   through :class:`repro.parallel.TrainExecutor` — the warm pass must
   execute zero trainings — plus the per-window inference latency of the
   deployed (normalizer-fused, buffer-reusing) fast path against the
-  unfused predictor. Serial, parallel and cached models must be
+  unfused predictor. Serial, cold and cached models must be
   bit-identical; fused predictions class-identical.
 
 * **serve** — the multi-tenant prediction service (:mod:`repro.serve`):
@@ -242,14 +242,13 @@ def bench_train_dataset(n: int = 240, n_servers: int = 7,
     return Dataset(X, y, feature_names=names)
 
 
-def bench_train(jobs: int | None = None) -> dict[str, Any]:
+def bench_train() -> dict[str, Any]:
     """Serial restart loop vs cold/warm TrainExecutor + fused inference."""
     from repro.core.labeling import BINARY_THRESHOLDS
     from repro.core.nn.train import TrainConfig
     from repro.core.predictor import InterferencePredictor
     from repro.parallel import ModelCache, TrainExecutor, TrainJob
 
-    jobs = jobs or min(2, os.cpu_count() or 1)
     seeds = (0, 1, 2, 3)
     restarts = 3
     dataset = bench_train_dataset()
@@ -269,12 +268,12 @@ def bench_train(jobs: int | None = None) -> dict[str, Any]:
                          config=configs[s], seed=s, restarts=restarts)
                 for s in seeds]
     with tempfile.TemporaryDirectory(prefix="bench-train-") as tmp:
-        cold = TrainExecutor(n_jobs=jobs, cache=ModelCache(tmp))
+        cold_ex = TrainExecutor(cache=ModelCache(tmp))
         t0 = time.perf_counter()
-        parallel = cold.train_predictors(job_list)
+        cold = cold_ex.train_predictors(job_list)
         cold_s = time.perf_counter() - t0
 
-        warm_ex = TrainExecutor(n_jobs=jobs, cache=ModelCache(tmp))
+        warm_ex = TrainExecutor(cache=ModelCache(tmp))
         t0 = time.perf_counter()
         warm = warm_ex.train_predictors(job_list)
         warm_s = time.perf_counter() - t0
@@ -287,9 +286,9 @@ def bench_train(jobs: int | None = None) -> dict[str, Any]:
                     and np.array_equal(p.predict_proba(dataset.X),
                                        q.predict_proba(dataset.X)))
 
-        identical = (all(_same(p, q) for p, q in zip(serial, parallel))
+        identical = (all(_same(p, q) for p, q in zip(serial, cold))
                      and all(_same(p, q) for p, q in zip(serial, warm)))
-        assert identical, "serial/parallel/cached models differ"
+        assert identical, "serial/cold/cached models differ"
 
     # Inference fast path: per-window (batch of 1) latency, the online
     # monitor's request shape, unfused vs deployed (fused + buffers).
@@ -318,8 +317,7 @@ def bench_train(jobs: int | None = None) -> dict[str, Any]:
                  "trainings": len(seeds) * restarts,
                  "windows": len(dataset), "epochs": configs[0].epochs},
         "serial_seconds": serial_s,
-        "parallel_cold_seconds": cold_s,
-        "speedup_parallel_cold": serial_s / cold_s,
+        "cold_seconds": cold_s,
         "warm_seconds": warm_s,
         "speedup_warm": serial_s / warm_s if warm_s else None,
         "fused_inference": {
@@ -330,9 +328,8 @@ def bench_train(jobs: int | None = None) -> dict[str, Any]:
             "fused_us_per_window": 1e6 * fused_s / n_windows,
             "fused_speedup": unfused_s / fused_s,
         },
-        "n_jobs": cold.n_jobs,
         "bit_identical": identical,
-        "cold": cold.stats(),
+        "cold": cold_ex.stats(),
         "warm": warm_ex.stats(),
     }
 
@@ -691,9 +688,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(--only engine --only serve). Overrides the "
                              "positional selection")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="workers for the parallel passes "
-                             "(default: min(4, cores) for sweep, "
-                             "min(2, cores) for train)")
+                        help="simulation workers for the sweep and "
+                             "dataset suites (default: min(4, cores))")
     parser.add_argument("--out-dir", type=pathlib.Path,
                         default=pathlib.Path("."),
                         help="directory for the BENCH_*.json files "
@@ -720,11 +716,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{result['warm_seconds']:.2f}s")
         _write(result, args.out_dir / "BENCH_sweep.json")
     if "train" in selected:
-        result = bench_train(jobs=args.jobs)
+        result = bench_train()
         fi = result["fused_inference"]
         print(f"train: serial {result['serial_seconds']:.2f}s, cold "
-              f"parallel {result['parallel_cold_seconds']:.2f}s "
-              f"({result['speedup_parallel_cold']:.2f}x), warm "
+              f"{result['cold_seconds']:.2f}s, warm "
               f"{result['warm_seconds']:.2f}s "
               f"({result['speedup_warm']:.0f}x); inference "
               f"{fi['unfused_us_per_window']:.0f}us -> "

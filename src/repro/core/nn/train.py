@@ -19,16 +19,16 @@ __all__ = ["TrainConfig", "TrainHistory", "restart_seed", "train_classifier",
 
 logger = get_logger("core.nn.train")
 
-#: Seed stride between independent training restarts.  Shared by the
-#: serial restart loop (``InterferencePredictor.train``) and the parallel
-#: ``repro.parallel.TrainExecutor`` so both initialise restart ``r`` of a
-#: run seeded ``s`` identically — the bit-identity contract between them.
+#: Seed stride between independent training restarts of
+#: ``InterferencePredictor.train``.  Trained parameters, cached models and
+#: the pipeline benchmark's pinned parameter digests all follow from it.
 RESTART_SEED_STRIDE = 7919
 
 
 def restart_seed(seed: int, restart: int) -> int:
     """Model-init seed of independent restart ``restart`` of a training
-    run seeded ``seed``."""
+    run seeded ``seed`` (how ``InterferencePredictor.train`` seeds each
+    restart)."""
     return seed + RESTART_SEED_STRIDE * restart
 
 

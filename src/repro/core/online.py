@@ -73,14 +73,6 @@ class StreamingPredictor:
     #: its vector is trusted; below it, fall back to the last good
     #: prediction with ``stale=True``.  0 disables the fallback.
     min_completeness: float = 0.0
-    #: Score windows through the fused deployment path
-    #: (:meth:`InterferencePredictor.deploy`): the normaliser is folded
-    #: into the first kernel layer and every forward pass runs in
-    #: preallocated buffers, so the per-window hot path does no
-    #: normalisation pass and no allocation.  Equal to the unfused path
-    #: up to float rounding; disable to score through the predictor
-    #: directly.
-    fused: bool = True
 
     predictions: list[WindowPrediction] = field(default_factory=list)
     _record_cursor: int = field(default=0, repr=False)
@@ -105,8 +97,12 @@ class StreamingPredictor:
         if not 0.0 <= self.min_completeness <= 1.0:
             raise ValueError("min_completeness must be in [0, 1]")
         self._started = True
-        self._scorer = (self.predictor.deploy() if self.fused
-                        else self.predictor)
+        # Score through the fused deployment path: the normaliser is
+        # folded into the first kernel layer and every forward pass runs
+        # in preallocated buffers, so the per-window hot path does no
+        # normalisation pass and no allocation.  Equal to the unfused
+        # path up to float rounding.
+        self._scorer = self.predictor.deploy()
         self.cluster.env.process(self._loop())
 
     # -- incremental ingestion --------------------------------------------------

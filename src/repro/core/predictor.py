@@ -5,7 +5,7 @@ the feature normaliser, the kernel-based model and the severity
 thresholds. At runtime it consumes the same per-server vectors the
 monitors emit and predicts each window's interference severity class.
 
-Three deployment-side capabilities live here alongside training:
+Two deployment-side capabilities live here alongside training:
 
 * **Persistence** — :meth:`InterferencePredictor.save` /
   :meth:`InterferencePredictor.load` round-trip the trained parameters,
@@ -14,10 +14,6 @@ Three deployment-side capabilities live here alongside training:
   (``allow_pickle=False``), which is what the content-addressed model
   cache (:mod:`repro.parallel.modelcache`) and the ``repro train
   --model-out`` / ``repro predict --model`` CLI build on.
-* **Restart decomposition** — :meth:`InterferencePredictor.train_restart`
-  is one independent initialisation of the restart loop; the serial
-  :meth:`train` iterates it, and :class:`repro.parallel.TrainExecutor`
-  fans the same calls over worker processes with bit-identical results.
 * **Fused inference** — :meth:`InterferencePredictor.deploy` folds the
   normaliser's z-score affine into the first kernel layer and returns a
   :class:`DeployedPredictor` whose forward pass runs entirely in
@@ -79,9 +75,9 @@ class InterferencePredictor:
                            restarts: int) -> int:
         """Validate a training request; returns the class count.
 
-        Shared between the serial :meth:`train` loop and the parallel
-        :class:`repro.parallel.TrainExecutor`, so both reject exactly the
-        same inputs."""
+        :meth:`train` calls it, and so does
+        :class:`repro.parallel.TrainExecutor` while planning a batch, so
+        a bad job fails before any job in its batch trains."""
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
         n_classes = len(thresholds) + 1
@@ -91,46 +87,6 @@ class InterferencePredictor:
                 f"define {n_classes}"
             )
         return n_classes
-
-    @classmethod
-    def train_restart(
-        cls,
-        X: np.ndarray,
-        y: np.ndarray,
-        n_servers: int,
-        n_features: int,
-        n_classes: int,
-        config: TrainConfig,
-        kernel_hidden: tuple[int, ...] = (64, 32),
-        head_hidden: tuple[int, ...] = (32,),
-        seed: int = 0,
-        restart: int = 0,
-        normalizer: Normalizer | None = None,
-    ) -> tuple[float, KernelInterferenceNet, TrainHistory]:
-        """One independent initialisation of the restart loop.
-
-        ``X`` is the raw training tensor with a fitted ``normalizer`` to
-        apply per batch (or an already-normalised tensor and ``None`` —
-        the two are bit-identical; the lazy form never densifies a
-        memmap-backed ``X``).  Returns the restart's ``(validation
-        score, trained model, history)``; the caller keeps the restart
-        with the lowest score, ties broken by the lowest restart index.
-        Every stochastic choice derives from ``(seed, restart)`` alone,
-        so running restarts serially, out of order, or in worker
-        processes yields bit-identical models.
-        """
-        model = KernelInterferenceNet(
-            n_servers=n_servers,
-            n_features=n_features,
-            n_classes=n_classes,
-            kernel_hidden=kernel_hidden,
-            head_hidden=head_hidden,
-            seed=restart_seed(seed, restart),
-        )
-        history = train_classifier(model, X, y, config,
-                                   normalizer=normalizer)
-        score = min(history.val_loss) if history.val_loss else float("inf")
-        return score, model, history
 
     @classmethod
     def train(
@@ -149,7 +105,8 @@ class InterferencePredictor:
         scalar, which makes optimisation sensitive to an unlucky
         initialisation; training therefore runs ``restarts`` independent
         initialisations and keeps the model with the best validation
-        loss (deterministic given ``seed``).
+        loss.  Restart ``r`` initialises from ``restart_seed(seed, r)``,
+        so the result is deterministic given ``seed``.
         """
         n_classes = cls.check_train_inputs(train_set, thresholds, restarts)
         # Fit streams over X; the transform is applied lazily per batch
@@ -160,12 +117,19 @@ class InterferencePredictor:
         config = config or TrainConfig(seed=seed)
         best: tuple[float, KernelInterferenceNet, TrainHistory] | None = None
         for restart in range(restarts):
-            score, model, history = cls.train_restart(
-                train_set.X, train_set.y, train_set.n_servers,
-                train_set.n_features, n_classes, config,
-                kernel_hidden=kernel_hidden, head_hidden=head_hidden,
-                seed=seed, restart=restart, normalizer=normalizer,
+            model = KernelInterferenceNet(
+                n_servers=train_set.n_servers,
+                n_features=train_set.n_features,
+                n_classes=n_classes,
+                kernel_hidden=kernel_hidden,
+                head_hidden=head_hidden,
+                seed=restart_seed(seed, restart),
             )
+            history = train_classifier(model, train_set.X, train_set.y,
+                                       config, normalizer=normalizer)
+            score = (min(history.val_loss) if history.val_loss
+                     else float("inf"))
+            # Strictly lower wins, so ties keep the lowest restart index.
             if best is None or score < best[0]:
                 best = (score, model, history)
         assert best is not None

@@ -76,17 +76,19 @@ def _permute_servers(X: np.ndarray, seed: int) -> np.ndarray:
     return out
 
 
-def _train_kernel(train_set: Dataset, thresholds: tuple[float, ...],
-                  seed: int, trainer: "TrainExecutor | None",
-                  restarts: int = 3) -> InterferencePredictor:
-    """The kernel-net arm: through the training executor when given."""
-    if trainer is not None:
-        return trainer.train_predictor(train_set, thresholds=thresholds,
-                                       config=TrainConfig(seed=seed),
-                                       seed=seed, restarts=restarts)
-    return InterferencePredictor.train(train_set, thresholds,
-                                       config=TrainConfig(seed=seed),
-                                       seed=seed, restarts=restarts)
+def _train_kernels(train_sets: list[Dataset],
+                   thresholds: tuple[float, ...], seed: int,
+                   trainer: "TrainExecutor | None"
+                   ) -> list[InterferencePredictor]:
+    """Kernel-net arms, trained as one batch through ``trainer`` (a fresh
+    uncached :class:`~repro.parallel.TrainExecutor` when omitted)."""
+    from repro.parallel import TrainExecutor, TrainJob
+
+    return (trainer or TrainExecutor()).train_predictors([
+        TrainJob(train_set, thresholds=thresholds,
+                 config=TrainConfig(seed=seed), seed=seed)
+        for train_set in train_sets
+    ])
 
 
 def run_model_ablation(
@@ -96,7 +98,12 @@ def run_model_ablation(
     trainer: "TrainExecutor | None" = None,
 ) -> AblationResult:
     """A1: kernel net vs flat MLP vs logistic regression vs random forest,
-    each also scored on server-permuted test data."""
+    each also scored on server-permuted test data.
+
+    The kernel net trains through ``trainer`` (a fresh uncached
+    :class:`~repro.parallel.TrainExecutor` when omitted); the other arms
+    train in place.
+    """
     dataset = bank_to_dataset(bank, thresholds)
     train_set, test_set = train_test_split(dataset, 0.2, seed=seed)
     n_classes = len(thresholds) + 1
@@ -106,7 +113,7 @@ def run_model_ablation(
     Xte_perm = _permute_servers(Xte, seed)
     result = AblationResult(name="model-architecture")
 
-    predictor = _train_kernel(train_set, thresholds, seed, trainer)
+    [predictor] = _train_kernels([train_set], thresholds, seed, trainer)
     kernel_model = predictor.model
 
     flat = MLPClassifier(train_set.n_servers * train_set.n_features,
@@ -150,7 +157,7 @@ def run_feature_ablation(
     """A2: client-only vs server-only vs full per-server vectors.
 
     The three arms are independent trainings on different feature
-    slices; with a ``trainer`` they submit as one grid batch.
+    slices, submitted to ``trainer`` as one batch.
     """
     n_client = len(CLIENT_FEATURES)
     masks = {
@@ -166,23 +173,8 @@ def run_feature_ablation(
                           feature_names=tuple(
                               f"f{i}" for i in range(X.shape[2])))
         splits[arm] = train_test_split(dataset, 0.2, seed=seed)
-    if trainer is not None:
-        from repro.parallel import TrainJob
-
-        predictors = trainer.train_predictors([
-            TrainJob(train_set, thresholds=thresholds,
-                     config=TrainConfig(seed=seed), seed=seed)
-            for train_set, _ in splits.values()
-        ])
-        if any(p is None for p in predictors):
-            raise RuntimeError("feature-ablation training quarantined")
-    else:
-        predictors = [
-            InterferencePredictor.train(train_set, thresholds,
-                                        config=TrainConfig(seed=seed),
-                                        seed=seed)
-            for train_set, _ in splits.values()
-        ]
+    predictors = _train_kernels([train_set for train_set, _ in
+                                 splits.values()], thresholds, seed, trainer)
     for (arm, (_, test_set)), predictor in zip(splits.items(), predictors):
         report = predictor.evaluate(test_set)
         result.scores[arm] = report.macro_f1
@@ -201,7 +193,8 @@ def run_regression_extension(
     Trains :class:`~repro.core.regression.LevelRegressor` on raw
     degradation levels and reports (a) its regression metrics and (b) the
     classification F1 obtained by thresholding its predicted levels,
-    against the kernel classifier trained on the binned labels.
+    against the kernel classifier trained on the binned labels through
+    ``trainer``.
     """
     from repro.core.regression import LevelRegressor
 
@@ -221,7 +214,7 @@ def run_regression_extension(
     reg_report = evaluate(dataset.y[test_idx], reg_classes,
                           n_classes=len(thresholds) + 1)
 
-    classifier = _train_kernel(train_set, thresholds, seed, trainer)
+    [classifier] = _train_kernels([train_set], thresholds, seed, trainer)
     cls_report = classifier.evaluate(test_set)
 
     result = AblationResult(name="regression-extension")
@@ -249,8 +242,8 @@ def run_window_size_ablation(
     ``window_size`` is excluded from the run-cache key (it only shapes
     post-processing), so with a cache attached every arm whose
     ``sample_interval`` is unchanged re-bins the first arm's simulation
-    sweep instead of re-running it.  All arms' models then train as one
-    batch: with a ``trainer`` the grid's restarts share the worker pool.
+    sweep instead of re-running it.  All arms' models then go to
+    ``trainer`` as one batch.
     """
     from dataclasses import replace
 
@@ -266,23 +259,8 @@ def run_window_size_ablation(
         dataset = bank_to_dataset(bank, thresholds)
         arm = f"window={ws:g}s (n={len(dataset)})"
         splits[arm] = train_test_split(dataset, 0.2, seed=seed)
-    if trainer is not None:
-        from repro.parallel import TrainJob
-
-        predictors = trainer.train_predictors([
-            TrainJob(train_set, thresholds=thresholds,
-                     config=TrainConfig(seed=seed), seed=seed)
-            for train_set, _ in splits.values()
-        ])
-        if any(p is None for p in predictors):
-            raise RuntimeError("window-size ablation training quarantined")
-    else:
-        predictors = [
-            InterferencePredictor.train(train_set, thresholds,
-                                        config=TrainConfig(seed=seed),
-                                        seed=seed)
-            for train_set, _ in splits.values()
-        ]
+    predictors = _train_kernels([train_set for train_set, _ in
+                                 splits.values()], thresholds, seed, trainer)
     for (arm, (_, test_set)), predictor in zip(splits.items(), predictors):
         report = predictor.evaluate(test_set)
         result.scores[arm] = report.macro_f1

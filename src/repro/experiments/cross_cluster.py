@@ -26,7 +26,6 @@ from repro.core.labeling import BINARY_THRESHOLDS
 from repro.core.metrics import ClassificationReport, evaluate
 from repro.core.nn.attention import SetTransformerClassifier
 from repro.core.nn.train import TrainConfig, train_classifier
-from repro.core.predictor import InterferencePredictor
 from repro.experiments.datagen import bank_to_dataset, collect_windows
 from repro.experiments.fig3 import DEFAULT_NOISE_TASKS
 from repro.experiments.datagen import standard_scenarios
@@ -35,7 +34,7 @@ from repro.sim.cluster import ClusterConfig
 from repro.workloads.io500 import make_io500_task
 
 if TYPE_CHECKING:
-    from repro.parallel import TrainExecutor
+    from repro.parallel import SweepExecutor, TrainExecutor
 
 __all__ = ["CrossClusterResult", "run_cross_cluster"]
 
@@ -85,14 +84,20 @@ def run_cross_cluster(
     max_level: int = 3,
     noise_scale: float = 0.25,
     seed: int = 0,
+    executor: "SweepExecutor | None" = None,
     trainer: "TrainExecutor | None" = None,
     store=None,
 ) -> CrossClusterResult:
     """Collect data on clusters A and B; score the three adaptation arms.
 
-    Both clusters' windows may share one ``store`` — their shard keys
-    embed the full cluster config, so A and B never collide in it.
+    Both clusters' sweeps run through ``executor`` and their windows may
+    share one ``store`` — run and shard keys embed the full cluster
+    config, so A and B never collide in either.  The kernel arm trains
+    through ``trainer``.  Each defaults to a fresh in-process, uncached
+    executor.
     """
+    from repro.parallel import TrainExecutor
+
     config = config or ExperimentConfig()
     cluster_b = replace(config.cluster, n_oss=4)
     config_b = replace(config, cluster=cluster_b)
@@ -102,8 +107,10 @@ def run_cross_cluster(
     scenarios = standard_scenarios(max_level=max_level,
                                    tasks=DEFAULT_NOISE_TASKS,
                                    ranks=3, scale=noise_scale)
-    bank_a = collect_windows(targets, scenarios, config, store=store)
-    bank_b = collect_windows(targets, scenarios, config_b, store=store)
+    bank_a = collect_windows(targets, scenarios, config, executor=executor,
+                             store=store)
+    bank_b = collect_windows(targets, scenarios, config_b, executor=executor,
+                             store=store)
     ds_a = bank_to_dataset(bank_a, BINARY_THRESHOLDS, source="clusterA")
     ds_b = bank_to_dataset(bank_b, BINARY_THRESHOLDS, source="clusterB")
     train_b, test_b = train_test_split(ds_b, 0.2, seed=seed)
@@ -112,13 +119,8 @@ def run_cross_cluster(
     train_cfg = TrainConfig(seed=seed)
 
     # Arm 1: the paper's adaptation path — retrain the kernel net on B.
-    if trainer is not None:
-        kernel_b = trainer.train_predictor(train_b,
-                                           thresholds=BINARY_THRESHOLDS,
-                                           config=train_cfg, seed=seed)
-    else:
-        kernel_b = InterferencePredictor.train(train_b, BINARY_THRESHOLDS,
-                                               config=train_cfg, seed=seed)
+    kernel_b = (trainer or TrainExecutor()).train_predictor(
+        train_b, thresholds=BINARY_THRESHOLDS, config=train_cfg, seed=seed)
     report = kernel_b.evaluate(test_b)
     result.scores["kernel-retrained-on-B"] = report.macro_f1
     result.reports["kernel-retrained-on-B"] = report

@@ -92,10 +92,9 @@ def evaluate_bank(
 ) -> ModelEvalResult:
     """The paper's per-benchmark protocol: 80/20 split, train, evaluate.
 
-    With a ``trainer`` attached, training goes through the
-    :class:`~repro.parallel.TrainExecutor` — restarts fan out over its
-    worker pool and the trained model lands in (or comes from) its model
-    cache — with results bit-identical to the serial loop.
+    Training goes through ``trainer`` (a fresh uncached
+    :class:`~repro.parallel.TrainExecutor` when omitted); pass one with a
+    model cache to recall the trained model instead of retraining it.
     """
     return evaluate_banks([(name, bank)], thresholds=thresholds,
                           test_fraction=test_fraction,
@@ -113,10 +112,11 @@ def evaluate_banks(
 ) -> list[ModelEvalResult]:
     """:func:`evaluate_bank` over a grid of banks, trained as one batch.
 
-    With a ``trainer``, all banks' models are submitted together, so the
-    worker pool sees every restart of every cell at once instead of
-    draining one training before starting the next.
+    All banks' models go to ``trainer`` together, so equal recipes train
+    once and every cell is probed in the model cache up front.
     """
+    from repro.parallel import TrainExecutor, TrainJob
+
     prepared = []
     for name, bank in named_banks:
         dataset = bank_to_dataset(bank, thresholds, source=name)
@@ -124,24 +124,10 @@ def evaluate_banks(
                                                seed=seed)
         prepared.append((name, dataset, train_set, test_set))
     config = train_config or TrainConfig(seed=seed)
-    if trainer is not None:
-        from repro.parallel import TrainJob
-
-        predictors = trainer.train_predictors([
-            TrainJob(train_set, thresholds=thresholds, config=config,
-                     seed=seed)
-            for _, _, train_set, _ in prepared
-        ])
-        missing = [prepared[i][0] for i, p in enumerate(predictors)
-                   if p is None]
-        if missing:
-            raise RuntimeError(f"training quarantined for bank(s) {missing}")
-    else:
-        predictors = [
-            InterferencePredictor.train(train_set, thresholds=thresholds,
-                                        config=config, seed=seed)
-            for _, _, train_set, _ in prepared
-        ]
+    predictors = (trainer or TrainExecutor()).train_predictors([
+        TrainJob(train_set, thresholds=thresholds, config=config, seed=seed)
+        for _, _, train_set, _ in prepared
+    ])
     return [
         _bank_result(name, predictor, dataset, train_set, test_set,
                      thresholds)

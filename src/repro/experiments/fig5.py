@@ -115,8 +115,8 @@ def run_fig5(
 
     One :class:`repro.parallel.SweepExecutor` is shared across the three
     applications so the worker pool and run cache see the whole grid;
-    the per-application models then train as one batch, so with a
-    ``trainer`` every restart of every application is in flight at once.
+    the per-application models then go to ``trainer`` as one batch (a
+    fresh uncached :class:`~repro.parallel.TrainExecutor` when omitted).
     """
     from repro.parallel import SweepExecutor
 

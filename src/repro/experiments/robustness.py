@@ -110,6 +110,8 @@ def _train_predictor(
     store=None,
 ) -> InterferencePredictor:
     """A small interference-trained binary predictor (the A7 recipe)."""
+    from repro.parallel import TrainExecutor
+
     target = make_io500_task("ior-easy-write", ranks=2, scale=target_scale)
     scenarios = standard_scenarios(
         max_level=max_level,
@@ -120,13 +122,8 @@ def _train_predictor(
                            store=store)
     dataset = bank_to_dataset(bank, BINARY_THRESHOLDS, source="robustness")
     train_cfg = TrainConfig(epochs=epochs, seed=config.seed)
-    if trainer is not None:
-        return trainer.train_predictor(dataset,
-                                       thresholds=BINARY_THRESHOLDS,
-                                       config=train_cfg, restarts=2)
-    return InterferencePredictor.train(
-        dataset, BINARY_THRESHOLDS, config=train_cfg, restarts=2,
-    )
+    return (trainer or TrainExecutor()).train_predictor(
+        dataset, thresholds=BINARY_THRESHOLDS, config=train_cfg, restarts=2)
 
 
 def _eval_faulted(
@@ -188,7 +185,10 @@ def run_robustness(
     ``blank_rates`` x ``gap_policies`` over *post-hoc* fault injections
     of those runs.  Ground-truth labels are computed from the clean
     client records before any fault is applied, so the curves isolate
-    the predictor's sensitivity to degraded inputs.
+    the predictor's sensitivity to degraded inputs.  The training sweep
+    runs through ``executor`` and the predictor trains through
+    ``trainer`` (a fresh uncached :class:`~repro.parallel.TrainExecutor`
+    when omitted).
     """
     config = config or ExperimentConfig()
     for policy in gap_policies:

@@ -1,8 +1,8 @@
 """Cross-process trace propagation and deterministic span merging.
 
 The span tracer (:mod:`repro.obs.trace`) records one process's view.
-Parallel sweeps and training batches execute in *worker* processes where
-that view used to be simply discarded — the worker detached the tracer
+Parallel sweeps execute their runs in *worker* processes where that
+view used to be simply discarded — the worker detached the tracer
 and only a flat metrics snapshot crossed the process boundary.  This
 module makes traces first-class across that boundary:
 
@@ -53,7 +53,7 @@ class TraceContext:
     ``parent_span_id`` is a span id *in the parent's tracer*; the worker
     never sees that tracer, it just carries the id back so the merge can
     re-parent its root spans.  ``worker`` is a stable label (the run key
-    prefix, a restart tag) — never a pid, which would vary run to run.
+    prefix) — never a pid, which would vary run to run.
     """
 
     trace_id: str

@@ -211,8 +211,8 @@ class MetricsRegistry:
           snapshots arrive in a meaningful order).  With a ``worker``
           label each origin keeps its own value as a labeled series
           ``name{worker=<label>}`` — nothing is silently clobbered, and
-          because executors label by stable work identity (run-key
-          prefix, restart tag — never a pid) the merged registry is
+          because the sweep executor labels by stable work identity (the
+          run-key prefix, never a pid) the merged registry is
           deterministic whatever order snapshots complete in.
         """
         for name in sorted(snapshot):

@@ -102,9 +102,7 @@ def executor_health(snapshot: dict[str, dict]) -> list[str]:
                      f"requested runs shared an execution ({saved:.0%} saved)")
     for name, label in (("parallel.retries", "run retries"),
                         ("parallel.timeouts", "run timeouts"),
-                        ("parallel.quarantined", "runs quarantined"),
-                        ("parallel.train.retries", "training retries"),
-                        ("parallel.train.quarantined", "trainings quarantined")):
+                        ("parallel.quarantined", "runs quarantined")):
         value = _metric_value(snapshot, name)
         if value:
             lines.append(f"{label}: {int(value)}")

@@ -1,37 +1,38 @@
-"""Parallel execution and content-addressed caching (runs and models).
+"""Parallel sweeps and content-addressed caching (runs and models).
 
-The experiment stack has two bottlenecks.  The first is the scenario
-sweep: every (target, scenario) pair costs two full discrete-event
-simulations.  The second is training: restarts, seed repetitions and
-ablation grid cells are independent trainings run back to back.  This
-package removes both without touching determinism:
+The experiment stack has two costs.  The first is the scenario sweep:
+every (target, scenario) pair costs two full discrete-event simulations.
+The second is training: one kernel network per recipe, seed repetition
+or ablation grid cell.  This package cuts both without touching
+determinism:
 
 * :mod:`repro.parallel.cachekey` — stable content-addressed keys over
   (workload spec, interference, config, seed, code-version salt) for
   runs, and (dataset digest, training recipe) for models;
 * :mod:`repro.parallel.cache` — :class:`RunCache`, an atomic on-disk
-  store of :class:`~repro.monitor.aggregator.MonitoredRun` records;
+  store of :class:`~repro.monitor.aggregator.MonitoredRun` records, on
+  the :class:`~repro.parallel.cache.ContentCache` base both caches share;
 * :mod:`repro.parallel.modelcache` — :class:`ModelCache`, its sibling
   for trained :class:`~repro.core.predictor.InterferencePredictor`s;
-* :mod:`repro.parallel.supervise` — the shared watchdog/retry/quarantine
-  machinery both executors run their children under;
 * :mod:`repro.parallel.executor` — :class:`SweepExecutor`, fanning
   deduplicated cache misses over a ``multiprocessing`` pool while
   keeping results bit-identical to serial execution;
-* :mod:`repro.parallel.trainer` — :class:`TrainExecutor`, the same
-  layering for trainings, parallel at restart granularity and
-  bit-identical to the serial restart loop;
+* :mod:`repro.parallel.supervise` — the sweep's watchdog/retry/quarantine
+  machinery (one supervised child per run);
+* :mod:`repro.parallel.trainer` — :class:`TrainExecutor`, deduplication
+  and the model cache in front of the in-process restart loop (training
+  is never spread over processes; DESIGN.md §10 says why);
 * :mod:`repro.parallel.workerinit` — the sweep pool's worker
   initializer (one-time imports and telemetry attach).
 
 Quick use::
 
-    from repro.parallel import SweepExecutor, TrainExecutor
+    from repro.parallel import TrainExecutor
     from repro.experiments.datagen import collect_windows
 
     bank = collect_windows(targets, scenarios, config,
                            n_jobs=4, cache="results/.runcache")
-    trainer = TrainExecutor(n_jobs=4, cache="results/.modelcache")
+    trainer = TrainExecutor(cache="results/.modelcache")
     predictor = trainer.train_predictor(bank.binary())
 
 DESIGN.md §7 documents the determinism contract and cache layout;

@@ -83,6 +83,11 @@ __all__ = ["RunJob", "PairJob", "SweepExecutor", "resolve_n_jobs",
 
 logger = get_logger("parallel.executor")
 
+#: ``multiprocessing`` start method of pool workers and supervised
+#: children: ``fork`` where available (cheap on Linux), else ``spawn``.
+_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                 else "spawn")
+
 
 class InjectedWorkerFault(RuntimeError):
     """A deliberate, plan-driven worker failure (crash injection)."""
@@ -161,15 +166,9 @@ def _execute_job(item: tuple[str, RunJob, int],
     return key, run, wall, REGISTRY.snapshot(), aux
 
 
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
-                   attempts: dict[str, list[dict]] | None = None,
-                   span_prefix: str = "job") -> None:
-    """Emit wall-clock job spans into ``tracer`` in submission order.
+                   attempts: dict[str, list[dict]] | None = None) -> None:
+    """Emit wall-clock ``job.*`` spans into ``tracer`` in submission order.
 
     ``traced`` maps job key -> {"submit", "started", "wall", "trace"}
     (monotonic stamps from the parent and the worker, the run's wall
@@ -183,7 +182,7 @@ def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
         info = traced.get(key)
         if info is None:
             continue
-        label = info.get("worker") or key[:12]
+        label = key[:12]
         submit = _dist.monotonic_to_wall(tracer, info["submit"])
         started = _dist.monotonic_to_wall(tracer, info["started"])
         end = started + info["wall"]
@@ -195,23 +194,23 @@ def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
         else:
             first = started
         first = max(first, submit)
-        job_span = tracer.start(f"{span_prefix}.run", submit,
+        job_span = tracer.start("job.run", submit,
                                 clock=WALL_CLOCK, worker=label)
-        wait = tracer.start(f"{span_prefix}.queue-wait", submit,
+        wait = tracer.start("job.queue-wait", submit,
                             parent=job_span, clock=WALL_CLOCK, worker=label)
         tracer.finish(wait, first)
         for t in tries:
             if t.get("outcome") == "ok":
                 continue
             t_start = max(submit, _dist.monotonic_to_wall(tracer, t["started"]))
-            retry = tracer.start(f"{span_prefix}.retry", t_start,
+            retry = tracer.start("job.retry", t_start,
                                  parent=job_span, clock=WALL_CLOCK,
                                  worker=label, attempt=t.get("attempt", 0),
                                  outcome=t.get("outcome", "err"))
             tracer.finish(retry,
                           max(t_start,
                               _dist.monotonic_to_wall(tracer, t["ended"])))
-        execute = tracer.start(f"{span_prefix}.execute", max(started, submit),
+        execute = tracer.start("job.execute", max(started, submit),
                                parent=job_span, clock=WALL_CLOCK, worker=label)
         _dist.merge_shipment(tracer, info.get("trace"), parent_span=execute,
                              worker=label)
@@ -219,22 +218,21 @@ def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
         tracer.finish(job_span, max(end, started, submit))
 
 
-def record_batch_telemetry(traced: dict[str, dict],
-                           prefix: str = "parallel") -> None:
+def record_batch_telemetry(traced: dict[str, dict]) -> None:
     """Publish batch-level executor health gauges from worker telemetry.
 
-    * ``{prefix}.workers_used`` — distinct worker processes that ran jobs;
-    * ``{prefix}.worker_busy_seconds{{worker=wN}}`` — busy wall seconds
+    * ``parallel.workers_used`` — distinct worker processes that ran jobs;
+    * ``parallel.worker_busy_seconds{worker=wN}`` — busy wall seconds
       per worker slot, indexed by pid order (slots, not pids: labels stay
       stable run to run even though pids do not);
-    * ``{prefix}.straggler_skew`` — slowest run / mean run wall time, the
+    * ``parallel.straggler_skew`` — slowest run / mean run wall time, the
       load-balance number an operator checks first.
     """
     walls = [info["wall"] for info in traced.values() if "wall" in info]
     if not walls:
         return
     mean = sum(walls) / len(walls)
-    REGISTRY.gauge(f"{prefix}.straggler_skew").set(
+    REGISTRY.gauge("parallel.straggler_skew").set(
         max(walls) / mean if mean > 0 else 1.0)
     busy: dict[int, float] = {}
     for info in traced.values():
@@ -242,10 +240,10 @@ def record_batch_telemetry(traced: dict[str, dict],
         if pid is not None:
             busy[pid] = busy.get(pid, 0.0) + info.get("wall", 0.0)
     if busy:
-        REGISTRY.gauge(f"{prefix}.workers_used").set(len(busy))
+        REGISTRY.gauge("parallel.workers_used").set(len(busy))
         for slot, pid in enumerate(sorted(busy)):
             REGISTRY.gauge(
-                f"{prefix}.worker_busy_seconds{{worker=w{slot}}}"
+                f"parallel.worker_busy_seconds{{worker=w{slot}}}"
             ).set(busy[pid])
 
 
@@ -262,9 +260,6 @@ class SweepExecutor:
         for no persistent cache (in-sweep deduplication still applies).
     salt:
         Extra cache-key salt, appended to the code-version salt.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap on Linux), else ``spawn``.
     run_timeout:
         Wall-clock seconds one run may take before the watchdog kills
         its worker (counts as a failed attempt).  ``None`` disables the
@@ -285,7 +280,7 @@ class SweepExecutor:
 
     def __init__(self, n_jobs: int = 1,
                  cache: RunCache | str | os.PathLike | None = None,
-                 salt: str = "", start_method: str | None = None,
+                 salt: str = "",
                  run_timeout: float | None = None,
                  retries: int = 0,
                  retry_backoff: float = 0.05,
@@ -301,7 +296,6 @@ class SweepExecutor:
             cache = RunCache(cache)
         self.cache = cache
         self.salt = salt
-        self.start_method = start_method or _default_start_method()
         self.run_timeout = run_timeout
         self.retries = retries
         self.retry_backoff = retry_backoff
@@ -364,10 +358,11 @@ class SweepExecutor:
                 keys = [self.key_for(job) for job in jobs]
             results: dict[str, MonitoredRun] = {}
             pending: dict[str, RunJob] = {}
+            deduplicated = 0
             with _profile.phase("cache-probe"):
                 for job, key in zip(jobs, keys):
                     if key in results or key in pending:
-                        self.runs_deduplicated += 1
+                        deduplicated += 1
                         dedup_counter.inc()
                         continue
                     cached = None
@@ -384,16 +379,17 @@ class SweepExecutor:
                         results[key] = cached
                     else:
                         pending[key] = job
+            self.runs_deduplicated += deduplicated
 
             items = list(pending.items())
             self.runs_executed += len(items)
             exec_counter.inc(len(items))
             REGISTRY.gauge("parallel.queue_depth").set(len(items))
+            unique = len(jobs) - deduplicated
             logger.info(
                 "sweep: %d jobs -> %d unique, %d cache hits, %d to run "
-                "(n_jobs=%d)", len(jobs), len(jobs) - self.runs_deduplicated,
-                len(jobs) - len(pending) - self.runs_deduplicated, len(items),
-                self.n_jobs,
+                "(n_jobs=%d)", len(jobs), unique, unique - len(items),
+                len(items), self.n_jobs,
             )
 
             trace_ctx = (_dist.current_context()
@@ -411,7 +407,7 @@ class SweepExecutor:
                 elif items and self.n_jobs > 1 and len(items) > 1:
                     from repro.parallel.workerinit import init_worker
 
-                    ctx = multiprocessing.get_context(self.start_method)
+                    ctx = multiprocessing.get_context(_START_METHOD)
                     workers = min(self.n_jobs, len(items))
                     worker_fn = functools.partial(
                         _execute_job, plan=self.fault_plan,
@@ -488,15 +484,12 @@ class SweepExecutor:
             items,
             functools.partial(_execute_job, plan=self.fault_plan,
                               trace_ctx=trace_ctx),
-            ctx=multiprocessing.get_context(self.start_method),
+            ctx=multiprocessing.get_context(_START_METHOD),
             workers=self.n_jobs,
             on_success=on_success,
             run_timeout=self.run_timeout,
             retries=self.retries,
             retry_backoff=self.retry_backoff,
-            describe=lambda key, job: {"target": job.target.name,
-                                       "seed_salt": job.seed_salt},
-            metric_prefix="parallel",
         )
         self.retries_used += stats.retries_used
         self.timeouts += stats.timeouts

@@ -1,19 +1,17 @@
-"""Generic supervised child-process execution.
+"""Supervised child-process execution for simulation sweeps.
 
-The resilience machinery that :class:`repro.parallel.SweepExecutor` grew
-for simulation sweeps — one watched child process per unit of work, a
-wall-clock watchdog, bounded retry with exponential backoff, quarantine
-of work that keeps failing — is not simulation-specific.  This module is
-that machinery extracted behind a payload-agnostic interface so the
-training executor (:class:`repro.parallel.TrainExecutor`) runs restarts
-under exactly the same supervision, not a reimplementation of it.
+The resilience layer of :class:`repro.parallel.SweepExecutor`: one
+watched child process per run, a wall-clock watchdog, bounded retry
+with exponential backoff, and quarantine of runs that keep failing.
 
-The contract: the caller supplies keyed payloads and a picklable
-``worker(item)`` callable; :func:`run_supervised` runs each payload in
-its own child process and reports every success through ``on_success``.
-Work that still fails after every retry is quarantined — recorded in the
-returned :class:`SupervisionStats` and *not* reported as a result, so a
-batch with poisoned items completes instead of crashing.
+The contract: the caller supplies keyed :class:`~repro.parallel.RunJob`
+payloads and a picklable ``worker(item)`` callable; :func:`run_supervised`
+runs each payload in its own child process and reports every success
+through ``on_success``.  A run that still fails after every retry is
+quarantined — recorded in the returned :class:`SupervisionStats` and
+*not* reported as a result, so a sweep with poisoned runs completes
+instead of crashing.  :func:`backoff_delay` is the retry policy, shared
+with the prediction service's tenants.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ def backoff_delay(base: float, attempt: int, *, cap: float = 30.0,
     chain never sleeps unboundedly.  ``jitter`` in ``[0, 1)`` spreads a
     retrying herd: the delay is stretched by up to that fraction — pass
     a deterministic draw (e.g. ``rng.random()``) so replays stay
-    reproducible.  The sweep/training executors retry with ``jitter=0``;
-    the prediction service's tenants retry with a ``derive_rng`` draw.
+    reproducible.  The sweep executor retries with ``jitter=0``; the
+    prediction service's tenants retry with a ``derive_rng`` draw.
     """
     if base < 0:
         raise ValueError(f"backoff base must be >= 0, got {base}")
@@ -75,7 +73,7 @@ class SupervisionStats:
 
     retries_used: int = 0
     timeouts: int = 0
-    #: key -> {**describe(key, payload), "attempts", "errors"}.
+    #: key -> {"target", "seed_salt", "attempts", "errors"}.
     quarantined: dict[str, dict] = field(default_factory=dict)
     #: key -> per-attempt records, in attempt order: {"attempt",
     #: "started", "ended" (``time.monotonic()`` stamps), "outcome"
@@ -102,29 +100,27 @@ def run_supervised(
     run_timeout: float | None = None,
     retries: int = 0,
     retry_backoff: float = 0.05,
-    describe: Callable[[str, Any], dict] | None = None,
-    metric_prefix: str = "parallel",
 ) -> SupervisionStats:
     """Watchdogged execution: child process per item, retry, quarantine.
 
-    Every item ``(key, payload)`` gets its own supervised child running
-    ``worker((key, payload, attempt))`` so a crash or a wedge never takes
-    the batch down: exceptions are reported over the result pipe, silent
+    Every item ``(key, job)`` gets its own supervised child running
+    ``worker((key, job, attempt))`` so a crash or a wedge never takes
+    the sweep down: exceptions are reported over the result pipe, silent
     deaths are detected by exit code, and children exceeding
     ``run_timeout`` are terminated.  Failed attempts are retried with
-    exponential backoff up to ``retries`` times, then the item is
-    quarantined (``describe`` contributes the quarantine record's
-    context fields) and the batch moves on.
+    exponential backoff up to ``retries`` times, then the run is
+    quarantined (its record names the job's target and seed salt) and
+    the sweep moves on.
 
     ``on_success(key, result)`` fires in the parent, in completion
     order.  ``worker`` must be picklable when ``ctx`` uses the spawn
-    start method.  Retry/timeout/quarantine counters are published under
-    ``{metric_prefix}.retries`` etc., so the sweep and training
-    executors keep distinguishable telemetry from shared machinery.
+    start method.  Retry/timeout/quarantine counters are published as
+    ``parallel.retries``, ``parallel.timeouts`` and
+    ``parallel.quarantined``.
     """
-    retry_counter = REGISTRY.counter(f"{metric_prefix}.retries")
-    timeout_counter = REGISTRY.counter(f"{metric_prefix}.timeouts")
-    quarantine_counter = REGISTRY.counter(f"{metric_prefix}.quarantined")
+    retry_counter = REGISTRY.counter("parallel.retries")
+    timeout_counter = REGISTRY.counter("parallel.timeouts")
+    quarantine_counter = REGISTRY.counter("parallel.quarantined")
     stats = SupervisionStats()
     payloads = dict(items)
     workers = max(1, min(workers, len(items))) if items else 0
@@ -147,9 +143,10 @@ def run_supervised(
             queue.append((key, attempt + 1, time.monotonic() + backoff))
         else:
             quarantine_counter.inc()
-            info = describe(key, payloads[key]) if describe else {}
+            job = payloads[key]
             stats.quarantined[key] = {
-                **info,
+                "target": job.target.name,
+                "seed_salt": job.seed_salt,
                 "attempts": attempt + 1,
                 "errors": list(errors[key]),
             }

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.cross_cluster import CrossClusterResult, run_cross_cluster
 from repro.experiments.devices import DeviceAblationResult, run_device_ablation
 from repro.experiments.runner import ExperimentConfig
+from repro.parallel import SweepExecutor
 from repro.sim.disk import DiskParams, FlashModel, FlashParams, make_disk_model
 
 
@@ -78,3 +79,20 @@ def test_cross_cluster_structure():
     # Cluster B really has a different topology: its confusion matrices
     # come from 9-server vectors, which the zero-shot transformer handled.
     assert "cluster B" in result.render()
+
+
+def test_cross_cluster_runs_through_passed_executor():
+    """Both clusters' sweeps execute on the caller's executor, so the
+    CLI's --jobs/--cache-dir/--faults reach them and the manifest's
+    sweep statistics count them."""
+    config = ExperimentConfig(window_size=0.25, sample_interval=0.125,
+                              warmup=0.5, seed=0)
+    executor = SweepExecutor(n_jobs=1)
+    result = run_cross_cluster(config, target_tasks=("ior-easy-write",),
+                               target_scale=0.5, max_level=1,
+                               noise_scale=0.25, executor=executor)
+    # Per cluster: 4 scenarios (one quiet) x 2 runs = 8 jobs, of which
+    # the shared baseline and the 3 noisy runs execute.
+    assert executor.runs_executed == 2 * 4
+    assert executor.runs_deduplicated == 2 * 4
+    assert result.n_windows_a > 0 and result.n_windows_b > 0

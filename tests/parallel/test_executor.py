@@ -1,5 +1,7 @@
 """Tests for the sweep executor: dedup, caching, parallel determinism."""
 
+import logging
+
 import numpy as np
 
 from repro.experiments.datagen import Scenario, collect_windows
@@ -47,6 +49,23 @@ def test_baseline_shared_across_scenarios():
     assert executor.runs_deduplicated == 2
     assert paired[0].baseline is paired[1].baseline
     assert paired[0].interfered is paired[0].baseline  # quiet == baseline
+
+
+def test_second_sweep_logs_per_call_counts(caplog):
+    """The sweep log line counts that call's jobs only: a second sweep
+    through one executor must not subtract the first sweep's dedups."""
+    executor = SweepExecutor(n_jobs=1)
+    target = small_targets()[0]
+    pairs = [PairJob(target, tuple(s.interference), small_config(),
+                     seed_salt=s.name) for s in small_scenarios()]
+    with caplog.at_level(logging.INFO, logger="repro.parallel.executor"):
+        executor.run_pairs(pairs)
+        executor.run_pairs(pairs)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("sweep:")]
+    assert lines == ["sweep: 4 jobs -> 2 unique, 0 cache hits, 2 to run "
+                     "(n_jobs=1)"] * 2
+    assert executor.runs_deduplicated == 4
 
 
 def test_run_one_matches_direct_execution():

@@ -1,9 +1,11 @@
-"""Tests for the parallel training executor.
+"""Tests for the training executor.
 
-The load-bearing contract: whatever mix of parallelism, caching,
-deduplication and supervision is in play, the returned predictors are
-bit-identical to the serial restart loop's.
+The load-bearing contract: whatever mix of caching and deduplication is
+in play, the returned predictors are bit-identical to the serial restart
+loop's.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -47,34 +49,17 @@ def serial_reference(dataset):
                                        config=CFG, restarts=3)
 
 
-def test_parallel_restarts_bit_identical_to_serial(dataset,
-                                                   serial_reference):
-    trainer = TrainExecutor(n_jobs=2)
-    predictor = trainer.train_predictor(dataset,
-                                        thresholds=BINARY_THRESHOLDS,
-                                        config=CFG, restarts=3)
+def test_serial_executor_path_bit_identical(dataset, serial_reference):
+    trainer = TrainExecutor()
+    predictor = trainer.train_predictor(
+        dataset, thresholds=BINARY_THRESHOLDS, config=CFG, restarts=3)
     assert trainer.trainings_executed == 3
     assert_same_predictor(serial_reference, predictor, dataset.X)
     assert predictor.history.val_loss == serial_reference.history.val_loss
 
 
-def test_supervised_path_bit_identical(dataset, serial_reference):
-    trainer = TrainExecutor(n_jobs=2, run_timeout=300.0, retries=1)
-    predictor = trainer.train_predictor(dataset,
-                                        thresholds=BINARY_THRESHOLDS,
-                                        config=CFG, restarts=3)
-    assert_same_predictor(serial_reference, predictor, dataset.X)
-    assert not trainer.quarantined
-
-
-def test_serial_executor_path_bit_identical(dataset, serial_reference):
-    predictor = TrainExecutor(n_jobs=1).train_predictor(
-        dataset, thresholds=BINARY_THRESHOLDS, config=CFG, restarts=3)
-    assert_same_predictor(serial_reference, predictor, dataset.X)
-
-
 def test_batch_deduplicates_equal_jobs(dataset):
-    trainer = TrainExecutor(n_jobs=2)
+    trainer = TrainExecutor()
     job = TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
                    restarts=2)
     out = trainer.train_predictors([job, job, job])
@@ -84,7 +69,7 @@ def test_batch_deduplicates_equal_jobs(dataset):
 
 
 def test_distinct_recipes_do_not_collide(dataset):
-    trainer = TrainExecutor(n_jobs=2)
+    trainer = TrainExecutor()
     ds3 = small_dataset(seed=5, n=120, n_classes=3)
     out = trainer.train_predictors([
         TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
@@ -100,12 +85,12 @@ def test_distinct_recipes_do_not_collide(dataset):
 
 def test_cold_then_warm_cache(tmp_path, dataset, serial_reference):
     cache_dir = tmp_path / "models"
-    cold = TrainExecutor(n_jobs=2, cache=ModelCache(cache_dir))
+    cold = TrainExecutor(cache=ModelCache(cache_dir))
     first = cold.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
                                  config=CFG, restarts=3)
     assert cold.trainings_executed == 3
 
-    warm = TrainExecutor(n_jobs=2, cache=ModelCache(cache_dir))
+    warm = TrainExecutor(cache=ModelCache(cache_dir))
     second = warm.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
                                   config=CFG, restarts=3)
     assert warm.trainings_executed == 0  # pure recall, zero training
@@ -116,14 +101,14 @@ def test_cold_then_warm_cache(tmp_path, dataset, serial_reference):
 
 def test_corrupt_cache_entry_retrains(tmp_path, dataset):
     cache_dir = tmp_path / "models"
-    cold = TrainExecutor(n_jobs=1, cache=ModelCache(cache_dir))
+    cold = TrainExecutor(cache=ModelCache(cache_dir))
     job = TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
                    restarts=2)
     first = cold.train_predictors([job])[0]
     key = cold.key_for(job)
     (cold.cache.path_for(key) / "model.npz").write_bytes(b"garbage")
 
-    again = TrainExecutor(n_jobs=1, cache=ModelCache(cache_dir))
+    again = TrainExecutor(cache=ModelCache(cache_dir))
     second = again.train_predictors([job])[0]
     assert again.cache.errors == 1
     assert again.trainings_executed == 2  # retrained after the drop
@@ -132,13 +117,13 @@ def test_corrupt_cache_entry_retrains(tmp_path, dataset):
 
 def test_salt_changes_key(dataset):
     job = TrainJob(dataset, config=CFG)
-    plain = TrainExecutor(n_jobs=1).key_for(job)
-    salted = TrainExecutor(n_jobs=1, salt="v2").key_for(job)
+    plain = TrainExecutor().key_for(job)
+    salted = TrainExecutor(salt="v2").key_for(job)
     assert plain != salted
 
 
 def test_invalid_inputs_rejected_before_any_work(dataset):
-    trainer = TrainExecutor(n_jobs=2)
+    trainer = TrainExecutor()
     with pytest.raises(ValueError):
         trainer.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
                                 config=CFG, restarts=0)
@@ -149,16 +134,16 @@ def test_invalid_inputs_rejected_before_any_work(dataset):
     assert trainer.trainings_executed == 0
 
 
-def test_quarantined_training_yields_none(dataset):
-    """A watchdog-killed restart quarantines its job instead of hanging
-    or crashing; single-job train_predictor surfaces it as an error."""
-    trainer = TrainExecutor(n_jobs=2, run_timeout=1e-4, retries=0)
-    out = trainer.train_predictors([
-        TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
-                 restarts=2)])
-    assert out == [None]
-    assert trainer.quarantined
-    assert trainer.timeouts >= 1
-    with pytest.raises(RuntimeError):
-        trainer.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
-                                config=CFG, restarts=2)
+def test_batch_log_counts_each_call(dataset, caplog):
+    """The batch log line counts that call's jobs only: a second batch
+    through one executor must not subtract the first batch's dedups."""
+    trainer = TrainExecutor()
+    job = TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
+                   restarts=1)
+    with caplog.at_level(logging.INFO, logger="repro.parallel.trainer"):
+        trainer.train_predictors([job, job])
+        trainer.train_predictors([job, job])
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("training batch:")]
+    assert lines == ["training batch: 2 jobs -> 1 unique, 0 cache hits, "
+                     "1 to train (1 restarts)"] * 2
