@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Compare fresh benchmark results against the committed baselines.
 
-Reads the committed ``BENCH_engine.json`` / ``BENCH_sweep.json`` /
-``BENCH_train.json`` from one directory and freshly generated ones from
+Reads the committed ``BENCH_*.json`` files (engine, sweep, train,
+dataset, serve) from one directory and freshly generated ones from
 another, and flags any tracked metric that regressed by more than the
 threshold (25% by default; throughput metrics must not drop, wall-clock
 metrics must not grow). Exits nonzero on regression — the CI job that
@@ -53,6 +53,9 @@ METRICS = (
     ("BENCH_dataset.json", ("append", "ratio_large_vs_small"), "wall"),
     ("BENCH_dataset.json",
      ("memmap_training", "memmap_peak_rss_bytes"), "wall"),
+    ("BENCH_serve.json", ("peak_windows_per_second",), "rate"),
+    # clean[2] is the 256-tenant closed-loop row.
+    ("BENCH_serve.json", ("clean", 2, "latency_p50_ms"), "wall"),
 )
 
 #: Environment keys excluded from the mismatch warning: they differ on

@@ -363,9 +363,7 @@ class DeployedPredictor:
         # batch-size-keyed set above.
         self._row_buf_n: int | None = None
         self._row_kernel_bufs: list[np.ndarray] = []
-        self._head1_bufs: list[np.ndarray] | None = None
-        self._max1_buf: np.ndarray | None = None
-        self._sum1_buf: np.ndarray | None = None
+        self._row_head_bufs: list[np.ndarray] = []
 
     def _ensure_buffers(self, n: int) -> None:
         if self._buf_n == n:
@@ -437,19 +435,22 @@ class DeployedPredictor:
         cannot be allowed to perturb anyone's prediction.  A plain
         batched :meth:`predict_proba` breaks that: the head's 2-D
         matmuls go through one BLAS gemm whose summation order depends
-        on the row count.  Two facts restore row-invariance:
+        on the row count.  Stacking restores row-invariance: numpy
+        evaluates a stacked matmul slice by slice, each slice at the
+        shapes of its own 2-D call.
 
-        * the **kernel stack is 3-D** — numpy evaluates
-          ``(n, s, f) @ (f, h)`` slice by slice, so each window's
+        * the **kernel stack is 3-D** — ``(n, s, f) @ (f, h)`` runs as
+          ``n`` slices of ``(s, f) @ (f, h)``, so each window's
           per-server pass is bitwise independent of ``n``.  This stage
-          carries essentially all the FLOPs and stays one fused matmul
-          call per layer for the whole batch;
-        * the **head is tiny** ``(1, servers)``-shaped work — running it
-          (and the softmax) per row at the exact n=1 shapes of the
-          standalone path reproduces the standalone bits at negligible
-          cost.
+          carries essentially all the FLOPs;
+        * the **head runs on stacked rows** — ``(n, 1, s) @ (s, h)``
+          runs as ``n`` slices of ``(1, s) @ (s, h)``, the exact n=1
+          shapes of the standalone path, and the softmax reduces over
+          the class axis only, so each row gets the standalone bits.
 
-        Returns a fresh ``(n, n_classes)`` array (safe to keep).
+        Every layer is one matmul call for the whole batch; no Python
+        code runs per row.  Returns a fresh ``(n, n_classes)`` array
+        (safe to keep).
         """
         X = np.asarray(X, dtype=self._dtype)
         if X.ndim != 3 or X.shape[1] != self.n_servers \
@@ -459,33 +460,25 @@ class DeployedPredictor:
                 f"got {X.shape}"
             )
         n = len(X)
-        out = np.empty((n, self.n_classes), dtype=self._dtype)
         if n == 0:
-            return out
+            return np.empty((0, self.n_classes), dtype=self._dtype)
         if self._row_buf_n != n:
             self._row_kernel_bufs = [
                 np.empty((n, self.n_servers, W.shape[1]), dtype=self._dtype)
                 for W, _, _ in self._kernel
             ]
-            self._row_buf_n = n
-        if self._head1_bufs is None:
-            self._head1_bufs = [
-                np.empty((1, W.shape[1]), dtype=self._dtype)
+            self._row_head_bufs = [
+                np.empty((n, 1, W.shape[1]), dtype=self._dtype)
                 for W, _, _ in self._head
             ]
-            self._max1_buf = np.empty((1, 1), dtype=self._dtype)
-            self._sum1_buf = np.empty((1, 1), dtype=self._dtype)
+            self._row_buf_n = n
         per_server = self._forward(X, self._kernel, self._row_kernel_bufs)
-        for i in range(n):
-            logits = self._forward(per_server[i:i + 1, ..., 0], self._head,
-                                   self._head1_bufs)
-            np.amax(logits, axis=-1, keepdims=True, out=self._max1_buf)
-            logits -= self._max1_buf
-            np.exp(logits, out=logits)
-            np.sum(logits, axis=-1, keepdims=True, out=self._sum1_buf)
-            logits /= self._sum1_buf
-            out[i] = logits[0]
-        return out
+        logits = self._forward(per_server[:, None, :, 0], self._head,
+                               self._row_head_bufs)[:, 0]
+        probs = logits - logits.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return probs
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Unfused reference probabilities (allocating; for verification)."""

@@ -2,8 +2,9 @@
 
 One asyncio event loop owns everything: tenants (coroutines, or anything
 that can await) connect, submit raw per-window vectors and await
-results; a single batcher task drains the per-tenant queues round-robin
-into micro-batches and scores each batch in one fused forward pass.
+results; a single batcher task takes one window from each tenant with
+queued work, round-robin, into micro-batches and scores each batch in
+one fused forward pass.
 Because scoring runs through
 :meth:`repro.core.predictor.DeployedPredictor.predict_proba_rows`, a
 tenant's bits never depend on who else landed in its batch — the service
@@ -238,14 +239,15 @@ class TenantSession:
     # -- resolution ---------------------------------------------------------
 
     def _resolve(self, req: _Request, status: str,
-                 probabilities: tuple[float, ...] | None) -> None:
+                 probabilities: tuple[float, ...] | None,
+                 severity: int | None = None) -> None:
         self._record(status)
         service = self.service
         service.metric_status[status].inc()
         latency = time.monotonic() - req.enqueued
         service.metric_latency.observe(latency)
-        severity = (int(np.argmax(probabilities))
-                    if probabilities is not None else None)
+        if severity is None and probabilities is not None:
+            severity = int(np.argmax(probabilities))
         if not req.future.done():
             req.future.set_result(WindowResult(
                 window=req.window, status=status, severity=severity,
@@ -287,12 +289,21 @@ class TenantSession:
         """Submit one window's raw per-server vector; await its result.
 
         ``vector`` is ``(n_servers, n_features)`` raw (unnormalised)
-        features, exactly what :class:`StreamingPredictor` assembles.
-        Raises :class:`Backpressure` (retryable) when this tenant's
-        queue is full; a global overload instead resolves immediately to
-        a ``shed`` result.
+        features, exactly what :class:`StreamingPredictor` assembles;
+        anything else raises ``ValueError`` before the window is
+        counted, so one malformed vector cannot reach (and kill) the
+        shared batcher.  Raises :class:`Backpressure` (retryable) when
+        this tenant's queue is full; a global overload instead resolves
+        immediately to a ``shed`` result.
         """
         service = self.service
+        vector = np.asarray(vector)
+        if vector.shape != service.vector_shape \
+                or vector.dtype.kind not in "iuf":
+            raise ValueError(
+                f"tenant {self.tenant}: window {window} vector must be a "
+                f"real-valued {service.vector_shape} array, got "
+                f"{vector.dtype} {vector.shape}")
         now = time.monotonic()
         service.metric_submitted.inc()
         loop = asyncio.get_running_loop()
@@ -366,6 +377,8 @@ class TenantSession:
         return await req.future
 
     def _accept(self, req: _Request) -> None:
+        if not self.pending:
+            self.service.ready.append(self)
         self.pending.append(req)
         self.next_window = req.window + 1
         self.service.backlog += 1
@@ -424,7 +437,11 @@ class PredictionService:
         self.batches = 0
         self.wake = asyncio.Event()
         self._task: asyncio.Task | None = None
-        self._rr: deque[str] = deque()  #: round-robin tenant order
+        #: Shape every submitted vector must have.
+        self.vector_shape = (scorer.n_servers, scorer.n_features)
+        #: Tenants with queued windows, in round-robin order; a session
+        #: is in here exactly while its ``pending`` queue is non-empty.
+        self.ready: deque[TenantSession] = deque()
         # Resolve metrics once; the batch loop is the hot path.
         self.metric_submitted = REGISTRY.counter("serve.submitted")
         self.metric_status = {s: REGISTRY.counter(f"serve.{s}")
@@ -482,6 +499,7 @@ class PredictionService:
                 pass
         self._task = None
         shed = 0
+        self.ready.clear()
         for session in self.tenants.values():
             leftovers = list(session.pending)
             session.pending.clear()
@@ -513,33 +531,30 @@ class PredictionService:
                 f"tenant cap reached ({self.config.max_tenants})")
         session = TenantSession(self, tenant)
         self.tenants[tenant] = session
-        self._rr.append(tenant)
         self.metric_admitted.inc()
         return session
 
     # -- the batcher --------------------------------------------------------
 
     def _assemble(self) -> list[tuple[TenantSession, _Request]]:
-        """Drain up to ``max_batch`` in-order windows, round-robin.
+        """Take up to ``max_batch`` in-order windows, round-robin.
 
-        Deadline-expired requests are resolved down the ladder here and
-        never reach the model; a whole sweep of the ring without
-        progress ends the batch.
+        Each turn takes one window from the tenant at the head of the
+        ready queue and sends the tenant to the back while it still has
+        work, so no tenant gets a second window into a batch while
+        another waits, and the cost is proportional to the windows
+        taken, not to the tenants connected.  Deadline-expired requests
+        are resolved down the ladder here and never reach the model.
         """
         batch: list[tuple[TenantSession, _Request]] = []
         now = time.monotonic()
         deadline = self.config.deadline
-        idle = 0
-        while self._rr and len(batch) < self.config.max_batch \
-                and idle < len(self._rr):
-            tenant = self._rr[0]
-            self._rr.rotate(-1)
-            session = self.tenants[tenant]
-            if not session.pending:
-                idle += 1
-                continue
-            idle = 0
+        ready = self.ready
+        while ready and len(batch) < self.config.max_batch:
+            session = ready.popleft()
             req = session.pending.popleft()
+            if session.pending:
+                ready.append(session)
             self.backlog -= 1
             if now - req.enqueued > deadline:
                 self.metric_deadline.inc()
@@ -573,10 +588,11 @@ class PredictionService:
                     await asyncio.sleep(stall)
             X = np.stack([req.vector for _, req in batch])
             probs = scorer.predict_proba_rows(X)
-            for (session, req), row in zip(batch, probs):
-                fresh = tuple(float(p) for p in row)
+            for (session, req), row, severity in zip(
+                    batch, probs.tolist(), probs.argmax(axis=1).tolist()):
+                fresh = tuple(row)
                 session.last_good = fresh
-                session._resolve(req, "fresh", fresh)
+                session._resolve(req, "fresh", fresh, severity)
             self.batches += 1
             self.metric_batches.inc()
             self.metric_batch_size.observe(len(batch))

@@ -121,15 +121,24 @@ def test_deployed_after_round_trip(tmp_path, trained):
 
 def test_predict_proba_rows_matches_batch_of_one(trained):
     """Every row of a fused micro-batch must be bit-identical to scoring
-    that window alone — batch composition cannot perturb anyone."""
-    predictor, ds = trained
-    deployed = predictor.deploy()
-    for n in (1, 3, 7, len(ds.X)):
-        rows = np.asarray(deployed.predict_proba_rows(ds.X[:n]))
-        assert rows.shape == (n, deployed.n_classes)
-        for i in range(n):
-            solo = np.asarray(deployed.predict_proba(ds.X[i:i + 1]))[0]
-            assert np.array_equal(rows[i], solo), f"row {i} of batch {n}"
+    that window alone — batch composition cannot perturb anyone.  Holds
+    on every path ``deploy()`` produces: the binary float64 model and a
+    3-class float32 one."""
+    ds32 = synthetic_dataset(n=150, n_classes=3, seed=3)
+    float32 = InterferencePredictor.train(
+        ds32, MULTICLASS_THRESHOLDS,
+        config=TrainConfig(epochs=6, seed=3, dtype="float32"), restarts=1)
+    for predictor, ds in (trained, (float32, ds32)):
+        deployed = predictor.deploy()
+        dtype = predictor.param_dtype
+        for n in (1, 2, 3, 7, 64, len(ds.X)):
+            rows = np.asarray(deployed.predict_proba_rows(ds.X[:n]))
+            assert rows.shape == (n, deployed.n_classes)
+            assert rows.dtype == dtype
+            for i in range(n):
+                solo = np.asarray(deployed.predict_proba(ds.X[i:i + 1]))[0]
+                assert np.array_equal(rows[i], solo), \
+                    f"{dtype} row {i} of batch {n}"
 
 
 def test_predict_proba_rows_validates_shape(trained):

@@ -364,3 +364,108 @@ def test_graceful_drain_scores_queued_work(scorer):
     assert [r.status for r in results] == ["fresh"] * 5
     for w, res in enumerate(results):
         assert res.probabilities == expected_bits(scorer, W[w])
+
+
+def test_malformed_vector_is_refused_without_wedging_the_service(scorer):
+    """A vector of the wrong shape or dtype is refused at submit: it is
+    never counted or queued, so it cannot reach (and kill) the shared
+    batcher, and every other tenant keeps being served."""
+    W = vectors(scorer, 2, seed=9)
+
+    async def run():
+        service = PredictionService(scorer, ServeConfig(batch_interval=0.01))
+        await service.start()
+        good = service.connect("good")
+        bad = service.connect("bad")
+        pending = asyncio.ensure_future(good.submit(0, W[0]))
+        await asyncio.sleep(0)  # the good window is queued first
+        submitted = REGISTRY.counter("serve.submitted").value
+        with pytest.raises(ValueError, match="vector"):
+            await bad.submit(0, np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="vector"):
+            await bad.submit(0, np.zeros((scorer.n_servers,
+                                          scorer.n_features),
+                                         dtype=complex))
+        counted = REGISTRY.counter("serve.submitted").value - submitted
+        first = await pending
+        second = await good.submit(1, W[1])
+        # The refusals left the bad tenant's cursor alone: a well-formed
+        # window 0 is still new, not a duplicate.
+        retry = await bad.submit(0, W[1])
+        drain = await service.stop()
+        return counted, first, second, retry, drain
+
+    counted, first, second, retry, drain = asyncio.run(
+        asyncio.wait_for(run(), timeout=10.0))
+    assert counted == 0
+    assert [first.status, second.status, retry.status] == ["fresh"] * 3
+    assert first.probabilities == expected_bits(scorer, W[0])
+    assert retry.probabilities == expected_bits(scorer, W[1])
+    assert drain == {"drained": 0, "shed": 0}
+
+
+class RecordingScorer:
+    """Wraps a scorer and keeps a copy of every fused batch it scores."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.n_servers = scorer.n_servers
+        self.n_features = scorer.n_features
+        self.batches = []
+
+    def predict_proba_rows(self, X):
+        self.batches.append(np.array(X))
+        return self.scorer.predict_proba_rows(X)
+
+
+def test_assembly_is_round_robin_over_busy_tenants(scorer):
+    """Each batch takes one window per tenant with queued work before it
+    takes anyone's second, and idle tenants never hold a batch back."""
+    busy = (1, 2, 4)
+    rows = vectors(scorer, 2 * len(busy), seed=10)
+    W = {(t, w): rows[2 * i + w] for i, t in enumerate(busy) for w in (0, 1)}
+
+    async def run():
+        recorder = RecordingScorer(scorer)
+        service = PredictionService(recorder, ServeConfig(
+            max_batch=2, batch_interval=0.05))
+        await service.start()
+        sessions = [service.connect(f"t{i}") for i in range(5)]
+        resolved = []
+        tasks = {}
+        for key in W:
+            tasks[key] = asyncio.ensure_future(sessions[key[0]].submit(
+                key[1], W[key]))
+            tasks[key].add_done_callback(
+                lambda _, key=key: resolved.append(key))
+        results = {key: await task for key, task in tasks.items()}
+        await service.stop()
+        return recorder.batches, results, resolved
+
+    batches, results, resolved = asyncio.run(
+        asyncio.wait_for(run(), timeout=10.0))
+
+    def owner(row):
+        return next(key for key, v in W.items() if np.array_equal(v, row))
+
+    batches = [[owner(row) for row in X] for X in batches]
+    assert [len(batch) for batch in batches] == [2, 2, 2]
+    order = [key for batch in batches for key in batch]
+    assert sorted(order) == sorted(W)  # every window scored exactly once
+    queued = set(W)
+    for batch in batches:
+        tenants = [t for t, _ in batch]
+        waiting = {t for t, _ in queued} - set(tenants)
+        assert len(set(tenants)) == len(tenants) or not waiting, \
+            f"batch {batch} took two windows of one tenant while " \
+            f"{sorted(waiting)} waited"
+        queued -= set(batch)
+    assert max(order.index((t, 0)) for t in busy) \
+        < min(order.index((t, 1)) for t in busy)
+    for t in busy:
+        assert [w for u, w in resolved if u == t] == [0, 1]
+        for w in (0, 1):
+            assert results[t, w].window == w
+            assert results[t, w].status == "fresh"
+            assert results[t, w].probabilities == expected_bits(scorer,
+                                                               W[t, w])
