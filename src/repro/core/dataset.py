@@ -252,7 +252,9 @@ class Normalizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         if self.mean is None or self.std is None:
             raise RuntimeError("Normalizer used before fit()")
-        return (X - self.mean) / self.std
+        out = X - self.mean
+        out /= self.std  # divide the fresh difference in place
+        return out
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -10,7 +10,7 @@ Gradients are verified against finite differences in the test suite.
 
 from repro.core.nn.layers import Dense, Dropout, ReLU, Sequential
 from repro.core.nn.losses import huber_loss, softmax_cross_entropy, softmax_probs
-from repro.core.nn.optim import Adam, SGD
+from repro.core.nn.optim import Adam
 from repro.core.nn.network import MLPClassifier
 from repro.core.nn.kernelnet import KernelInterferenceNet
 from repro.core.nn.attention import (
@@ -35,7 +35,6 @@ __all__ = [
     "softmax_probs",
     "huber_loss",
     "Adam",
-    "SGD",
     "MLPClassifier",
     "KernelInterferenceNet",
     "LayerNorm",

@@ -232,7 +232,8 @@ class SetTransformerClassifier:
         dh = np.repeat(dpooled[:, None, :], s, axis=1) / s
         for block in reversed(self.blocks):
             dh = block.backward(dh)
-        self.embed.backward(dh)
+        # The embedding's input is data: no input gradient is needed.
+        self.embed.backward_params(dh)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return softmax_probs(self.forward(X, training=False))

@@ -99,7 +99,8 @@ class KernelInterferenceNet:
 
     def backward(self, grad: np.ndarray) -> None:
         dscores = self.head.backward(grad)  # (n, s)
-        self.kernel.backward(dscores[..., None])
+        # The kernel's input is data: no input gradient is needed.
+        self.kernel.backward_params(dscores[..., None])
 
     # -- inference ----------------------------------------------------------------
 

@@ -88,22 +88,36 @@ class Dense(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward before forward")
-        x = self._x
-        self._x = None  # release the cached batch once consumed
+        shape = self._x.shape
+        self.backward_params(grad)
         W = self.W.value
-        xf = x.reshape(-1, x.shape[-1])
         gf = grad.reshape(-1, grad.shape[-1])
-        gw = self._gw_buf
-        if gw is None or gw.dtype != self.W.grad.dtype:
-            gw = self._gw_buf = np.empty_like(self.W.grad)
-        np.matmul(xf.T, gf, out=gw)
-        self.W.grad += gw
-        self.b.grad += gf.sum(axis=0)
         dx = self._dx_buf
         if dx is None or dx.shape != (gf.shape[0], W.shape[0]) or dx.dtype != W.dtype:
             dx = self._dx_buf = np.empty((gf.shape[0], W.shape[0]), dtype=W.dtype)
         np.matmul(gf, W.T, out=dx)
-        return dx.reshape(x.shape)
+        return dx.reshape(shape)
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        """The parameter half of :meth:`backward`: accumulate the W and b
+        gradients and skip the input-gradient GEMM, for a layer whose
+        input is data."""
+        if self._x is None:
+            raise RuntimeError("backward before forward")
+        x = self._x
+        self._x = None  # release the cached batch once consumed
+        xf = x.reshape(-1, x.shape[-1])
+        gf = grad.reshape(-1, grad.shape[-1])
+        # The weight gradient xf.T @ gf, computed as (gf.T @ xf).T: the
+        # same dot products (bit-equal on every layer shape of the
+        # bundled models), and the cheaper orientation for OpenBLAS.
+        gw = self._gw_buf
+        if gw is None or gw.dtype != self.W.grad.dtype:
+            gw = self._gw_buf = np.empty(self.W.grad.shape[::-1],
+                                         dtype=self.W.grad.dtype)
+        np.matmul(gf.T, xf, out=gw)
+        self.W.grad += gw.T
+        self.b.grad += gf.sum(axis=0)
 
 
 class ReLU(Layer):
@@ -145,7 +159,22 @@ class ReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout; identity at inference time."""
+    """Inverted dropout; identity at inference time.
+
+    Training masks in place: forward multiplies its input array by the
+    mask and returns it, and backward does the same to the incoming
+    gradient. Like ``ReLU(inplace=True)`` this is only safe when both
+    arrays are exclusively this layer's to mutate, e.g. a
+    ``ReLU(inplace=True)`` output on a :class:`Dense` scratch buffer and
+    the next :class:`Dense` layer's input-gradient scratch, as in the
+    bundled models.
+
+    The mask is drawn from float64 uniforms whatever the activation
+    dtype, so a float32 run drops the same units as a float64 one, and
+    is formed in the activation's dtype, so a float32 run stays float32.
+    Uniforms and mask live in buffers reused across steps: a step
+    allocates nothing once the largest batch has been seen.
+    """
 
     def __init__(self, p: float, rng: np.random.Generator | None = None) -> None:
         if not 0.0 <= p < 1.0:
@@ -153,21 +182,47 @@ class Dropout(Layer):
         self.p = p
         self.rng = rng or np.random.default_rng(0)
         self._mask: np.ndarray | None = None
+        # Flat buffers, grown to the largest batch seen; a step uses a
+        # prefix of them. ``_mask_buf`` serves non-float64 activations
+        # (a float64 mask is formed over the uniforms themselves).
+        self._uniform_buf: np.ndarray | None = None
+        self._mask_buf: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.p == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        n = x.size
+        self._uniform_buf = _grown(self._uniform_buf, n, np.float64)
+        uniform = self._uniform_buf[:n].reshape(x.shape)
+        self.rng.random(out=uniform)
+        mask = uniform
+        if x.dtype != np.float64:
+            self._mask_buf = _grown(self._mask_buf, n, x.dtype)
+            mask = self._mask_buf[:n].reshape(x.shape)
+        # Bit-equal to ``(uniform < keep) / keep`` in the mask's dtype.
+        np.less(uniform, keep, out=mask)
+        np.divide(mask, keep, out=mask)
+        self._mask = mask
+        np.multiply(x, mask, out=x)
+        return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad
         mask = self._mask
-        self._mask = None  # release the cached batch once consumed
-        return grad * mask
+        self._mask = None  # the buffer stays; only this step's view goes
+        np.multiply(grad, mask, out=grad)
+        return grad
+
+
+def _grown(buf: np.ndarray | None, size: int, dtype) -> np.ndarray:
+    """``buf`` if it holds ``size`` items of ``dtype``, else a new flat
+    buffer that does."""
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        return np.empty(size, dtype=dtype)
+    return buf
 
 
 class Sequential(Layer):
@@ -188,3 +243,12 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
+
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Backward for a stack whose input is data: every parameter
+        gradient, but no input gradient from the first layer (a
+        :class:`Dense`)."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
+            grad = layer.backward(grad)
+        first.backward_params(grad)

@@ -58,7 +58,8 @@ class MLPClassifier:
         return self.net.forward(X, training=training)
 
     def backward(self, grad: np.ndarray) -> None:
-        self.net.backward(grad)
+        # The first layer's input is data: no input gradient is needed.
+        self.net.backward_params(grad)
 
     # -- inference -------------------------------------------------------------
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.rng import derive_rng
+from repro.core.nn.blas import single_blas_thread
 from repro.core.nn.losses import huber_loss, softmax_cross_entropy
 from repro.core.nn.optim import Adam
 from repro.obs.log import get_logger
@@ -164,7 +165,7 @@ def _train(model, X: np.ndarray, y: np.ndarray, loss_fn,
     opt = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     history = TrainHistory()
     best_val = np.inf
-    best_state: list[np.ndarray] | None = None
+    best_state: np.ndarray | None = None
     since_best = 0
 
     logger.info(
@@ -177,64 +178,64 @@ def _train(model, X: np.ndarray, y: np.ndarray, loss_fn,
     grad_gauge = REGISTRY.gauge("train.grad_norm")
     val_gauge = REGISTRY.gauge("train.val_loss")
 
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(len(train_idx))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            opt.zero_grad()
-            out = model.forward(fetch(train_idx[idx]), training=True)
-            loss, dout = loss_fn(out, ytr[idx])
-            model.backward(dout)
-            opt.step()
-            epoch_loss += loss
-            n_batches += 1
-        history.train_loss.append(epoch_loss / max(1, n_batches))
-        # Global gradient norm of the epoch's final batch: a cheap
-        # divergence/vanishing indicator without touching the hot loop.
-        grad_norm = math.sqrt(
-            sum(float(np.sum(p.grad * p.grad)) for p in params)
-        )
+    # One BLAS thread for the loop: its GEMMs are too small to gain from
+    # a split, and one thread gives the same floats (see blas.py).
+    with single_blas_thread():
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(len(train_idx))
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start:start + config.batch_size]
+                opt.zero_grad()
+                out = model.forward(fetch(train_idx[idx]), training=True)
+                loss, dout = loss_fn(out, ytr[idx])
+                model.backward(dout)
+                opt.step()
+                epoch_loss += loss
+                n_batches += 1
+            history.train_loss.append(epoch_loss / max(1, n_batches))
+            # Global gradient norm of the epoch's final batch: a cheap
+            # divergence/vanishing indicator without touching the hot loop.
+            grad_norm = math.sqrt(
+                sum(float(np.sum(p.grad * p.grad)) for p in params)
+            )
 
-        if len(Xval):
-            out = model.forward(Xval, training=False)
-            val_loss, _ = loss_fn(out, yval)
-        else:
-            val_loss = history.train_loss[-1]
-        history.val_loss.append(val_loss)
-
-        epoch_timer.observe(time.perf_counter() - t0)
-        epoch_counter.inc()
-        grad_gauge.set(grad_norm)
-        val_gauge.set(float(val_loss))
-        logger.debug(
-            "epoch %d: train_loss=%.6f val_loss=%.6f grad_norm=%.4g",
-            epoch, history.train_loss[-1], val_loss, grad_norm,
-        )
-
-        if val_loss < best_val - 1e-6:
-            best_val = val_loss
-            # Snapshot into preallocated buffers: allocating a fresh copy
-            # of every parameter each improving epoch dominated small-run
-            # allocation churn.
-            if best_state is None:
-                best_state = [p.value.copy() for p in params]
+            if len(Xval):
+                out = model.forward(Xval, training=False)
+                val_loss, _ = loss_fn(out, yval)
             else:
-                for buf, p in zip(best_state, params):
-                    np.copyto(buf, p.value)
-            history.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                history.stopped_early = True
-                break
+                val_loss = history.train_loss[-1]
+            history.val_loss.append(val_loss)
+
+            epoch_timer.observe(time.perf_counter() - t0)
+            epoch_counter.inc()
+            grad_gauge.set(grad_norm)
+            val_gauge.set(float(val_loss))
+            logger.debug(
+                "epoch %d: train_loss=%.6f val_loss=%.6f grad_norm=%.4g",
+                epoch, history.train_loss[-1], val_loss, grad_norm,
+            )
+
+            if val_loss < best_val - 1e-6:
+                best_val = val_loss
+                # Adam holds every parameter in one flat buffer, so the
+                # snapshot is one copy into a preallocated array.
+                if best_state is None:
+                    best_state = opt.value.copy()
+                else:
+                    np.copyto(best_state, opt.value)
+                history.best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    history.stopped_early = True
+                    break
 
     if best_state is not None:
-        for p, v in zip(params, best_state):
-            p.value[...] = v
+        np.copyto(opt.value, best_state)
     logger.info(
         "training done: best epoch %d (val_loss=%.6f), %s",
         history.best_epoch, best_val,

@@ -197,50 +197,53 @@ class InterferencePredictor:
         """
         import zipfile
 
-        try:
-            data = np.load(pathlib.Path(path), allow_pickle=False)
-        except zipfile.BadZipFile as exc:
-            raise ValueError(f"{path}: not a valid npz archive "
-                             f"({exc})") from exc
-        with data:
-            if "meta" not in data:
-                raise ValueError(f"{path}: not a saved predictor (no meta)")
-            meta = json.loads(str(data["meta"][()]))
-            if meta.get("kind") != _PREDICTOR_KIND:
-                raise ValueError(
-                    f"{path}: unexpected kind {meta.get('kind')!r}")
-            if meta.get("format") != PREDICTOR_FORMAT:
-                raise ValueError(
-                    f"{path}: format {meta.get('format')!r} not supported "
-                    f"by this version (expects {PREDICTOR_FORMAT})")
-            arch = meta["arch"]
-            model = KernelInterferenceNet(
-                n_servers=int(arch["n_servers"]),
-                n_features=int(arch["n_features"]),
-                n_classes=int(arch["n_classes"]),
-                kernel_hidden=tuple(int(w) for w in arch["kernel_hidden"]),
-                head_hidden=tuple(int(w) for w in arch["head_hidden"]),
-                dropout=float(arch["dropout"]),
-                seed=0,
-            )
-            params = model.params()
-            if len(params) != int(meta["n_params"]):
-                raise ValueError(
-                    f"{path}: has {meta['n_params']} parameter tensors, "
-                    f"architecture defines {len(params)}")
-            for i, p in enumerate(params):
-                value = data[f"param_{i}"]
-                if value.shape != p.value.shape:
+        # np.load leaves a path it opened open when the archive is
+        # truncated; owning the handle closes it on every outcome.
+        with open(pathlib.Path(path), "rb") as fh:
+            try:
+                data = np.load(fh, allow_pickle=False)
+            except zipfile.BadZipFile as exc:
+                raise ValueError(f"{path}: not a valid npz archive "
+                                 f"({exc})") from exc
+            with data:
+                if "meta" not in data:
+                    raise ValueError(f"{path}: not a saved predictor (no meta)")
+                meta = json.loads(str(data["meta"][()]))
+                if meta.get("kind") != _PREDICTOR_KIND:
                     raise ValueError(
-                        f"{path}: param_{i} has shape {value.shape}, "
-                        f"architecture expects {p.value.shape}")
-                p.value = np.array(value)
-                p.grad = np.zeros_like(p.value)
-            normalizer = Normalizer(mean=np.array(data["norm_mean"]),
-                                    std=np.array(data["norm_std"]))
-            history = (TrainHistory(**meta["history"])
-                       if meta.get("history") else None)
-            thresholds = tuple(float(t) for t in meta["thresholds"])
+                        f"{path}: unexpected kind {meta.get('kind')!r}")
+                if meta.get("format") != PREDICTOR_FORMAT:
+                    raise ValueError(
+                        f"{path}: format {meta.get('format')!r} not supported "
+                        f"by this version (expects {PREDICTOR_FORMAT})")
+                arch = meta["arch"]
+                model = KernelInterferenceNet(
+                    n_servers=int(arch["n_servers"]),
+                    n_features=int(arch["n_features"]),
+                    n_classes=int(arch["n_classes"]),
+                    kernel_hidden=tuple(int(w) for w in arch["kernel_hidden"]),
+                    head_hidden=tuple(int(w) for w in arch["head_hidden"]),
+                    dropout=float(arch["dropout"]),
+                    seed=0,
+                )
+                params = model.params()
+                if len(params) != int(meta["n_params"]):
+                    raise ValueError(
+                        f"{path}: has {meta['n_params']} parameter tensors, "
+                        f"architecture defines {len(params)}")
+                for i, p in enumerate(params):
+                    value = data[f"param_{i}"]
+                    if value.shape != p.value.shape:
+                        raise ValueError(
+                            f"{path}: param_{i} has shape {value.shape}, "
+                            f"architecture expects {p.value.shape}")
+                    p.value = np.array(value)
+                    p.grad = np.zeros_like(p.value)
+                normalizer = Normalizer(mean=np.array(data["norm_mean"]),
+                                        std=np.array(data["norm_std"]))
+                history = (TrainHistory(**meta["history"])
+                           if meta.get("history") else None)
+                thresholds = tuple(float(t) for t in meta["thresholds"])
         return cls(model=model, normalizer=normalizer, thresholds=thresholds,
                    history=history)
 

@@ -33,6 +33,7 @@ from repro.workloads.base import Workload
 __all__ = [
     "CACHE_FORMAT",
     "DATASET_FORMAT",
+    "TRAINER_VERSION",
     "canonical_json",
     "stable_hash",
     "workload_spec",
@@ -57,6 +58,16 @@ CACHE_FORMAT = 3
 #: (:mod:`repro.data.shard`) or its key material changes.  Separate from
 #: ``CACHE_FORMAT`` so retiring shard files does not retire cached runs.
 DATASET_FORMAT = 1
+
+#: Bumped whenever the trainer maps the same inputs to different
+#: parameters, so :class:`~repro.parallel.modelcache.ModelCache` entries
+#: an older trainer wrote are not reused.  Separate from ``CACHE_FORMAT``
+#: so retiring trained models does not retire cached runs.  Keys before
+#: the field existed count as version 1.
+#: 2: ``TrainConfig(dtype="float32")`` forms its dropout masks in float32
+#: (they were float64, which promoted training to float64 after the
+#: first dropout layer).
+TRAINER_VERSION = 2
 
 
 def canonical_json(obj: Any) -> str:
@@ -203,11 +214,13 @@ def train_key_material(
     severity thresholds, the full :class:`~repro.core.nn.train.
     TrainConfig`, the architecture, and the seed/restart schedule.  The
     same code-version salt as the run cache invalidates entries across
-    behaviour-changing releases.
+    behaviour-changing releases, and :data:`TRAINER_VERSION` across
+    trainer changes.
     """
     return {
         "kind": "trained-predictor",
         "salt": _code_salt(salt),
+        "trainer": TRAINER_VERSION,
         "dataset": dataset_digest,
         "thresholds": list(thresholds),
         "config": config_to_dict(config),

@@ -121,6 +121,16 @@ class TestNormalizer:
             (10.0 - train.mean()) / train.std(), abs=0.05
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_transform_matches_plain_expression(self, dtype):
+        rng = np.random.default_rng(2)
+        norm = Normalizer().fit(rng.normal(3.0, 2.0, size=(50, 7, 5)))
+        X = rng.normal(3.0, 2.0, size=(20, 7, 5)).astype(dtype)
+        want = (X - norm.mean) / norm.std
+        got = norm.transform(X)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=4))
     def test_round_trip_property(self, n, feats):

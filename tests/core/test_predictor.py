@@ -64,3 +64,26 @@ def test_training_history_recorded():
         ds, BINARY_THRESHOLDS, config=TrainConfig(epochs=8, seed=0))
     assert predictor.history is not None
     assert len(predictor.history.train_loss) >= 1
+
+
+def test_training_is_bit_identical_without_the_blas_scope(monkeypatch):
+    """One BLAS thread changes no float: OpenBLAS never splits a GEMM
+    over K. Shapes match the kernel net's default, so the backward
+    GEMMs are large enough to be split when more threads are allowed."""
+    import contextlib
+
+    from repro.core.nn import train as train_mod
+
+    ds = synthetic_dataset(n=400, servers=7, feats=40, seed=4)
+    config = TrainConfig(epochs=3, seed=0)
+
+    def fit():
+        predictor = InterferencePredictor.train(ds, BINARY_THRESHOLDS,
+                                                config=config, restarts=2)
+        return ([p.value.tobytes() for p in predictor.model.params()],
+                predictor.history)
+
+    pinned = fit()
+    monkeypatch.setattr(train_mod, "single_blas_thread",
+                        contextlib.nullcontext)
+    assert fit() == pinned

@@ -70,7 +70,10 @@ def test_load_is_pickle_free(tmp_path, trained):
     assert "meta" in data.files
 
 
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
 def test_load_rejects_foreign_and_corrupt_files(tmp_path, trained):
+    """Rejected files raise cleanly and leave no open handle behind."""
     predictor, _ = trained
     with pytest.raises((OSError, ValueError)):
         InterferencePredictor.load(tmp_path / "missing.npz")
