@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Engine microbenchmark baseline — thin wrapper over :mod:`repro.bench`.
 
-Measures raw timeout churn through the event kernel and writes
-``BENCH_engine.json``. Equivalent to
+Measures raw timeout churn and callback-hop churn through the event
+kernel and writes ``BENCH_engine.json``. Equivalent to
 ``python -m repro bench engine``.
 
 Usage::

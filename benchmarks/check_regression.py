@@ -35,6 +35,7 @@ import sys
 #: (file, path-into-json, kind): "rate" regresses down, "wall" up.
 METRICS = (
     ("BENCH_engine.json", ("timeouts_per_second",), "rate"),
+    ("BENCH_engine.json", ("hops_per_second",), "rate"),
     ("BENCH_sweep.json", ("serial_batch_seconds",), "wall"),
     ("BENCH_sweep.json", ("cold_batch_seconds",), "wall"),
     ("BENCH_sweep.json", ("warm_seconds",), "wall"),

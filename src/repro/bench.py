@@ -7,8 +7,10 @@ and compared non-gatingly in CI against the checked-in
 ``BENCH_serve.json`` / ``BENCH_dataset.json``):
 
 * **engine** — a microbenchmark of the discrete-event kernel: raw
-  timeout churn through ``Environment.run()``, run twice to check the
-  event order is deterministic.
+  timeout churn (generator processes yielding timeouts) and callback-hop
+  churn (``after``/``defer`` chains, the request path's link) through
+  ``Environment.run()``, each run twice to check the event order is
+  deterministic.
 
 * **sweep** — the end-to-end dataset-generation grid, run serially, then
   cold (fresh run cache) and warm through the parallel executor. All
@@ -120,12 +122,44 @@ def _churn(n_processes: int, hops: int):
     return n_processes * hops, wall, order
 
 
+def _hop_churn(n_chains: int, hops: int):
+    """Callback-hop relay: each chain re-arms itself with ``after``, or
+    ``defer`` on a zero delay; returns (hops_fired, wall, order)."""
+    from repro.sim.engine import Environment
+
+    env = Environment()
+    order: list[tuple[str, float]] = []
+    rng = np.random.default_rng(11)
+    delays = (rng.integers(0, 7, size=(n_chains, hops)) * 0.125).tolist()
+
+    def link(cid: int, h: int) -> None:
+        if h == hops:
+            order.append((f"c{cid}", env.now))
+            return
+        delay = delays[cid][h]
+        if delay:
+            env.after(delay, lambda _ev: link(cid, h + 1))
+        else:
+            env.defer(lambda _ev: link(cid, h + 1))
+
+    for cid in range(n_chains):
+        link(cid, 0)
+    t0 = time.perf_counter()
+    env.run()
+    wall = time.perf_counter() - t0
+    return n_chains * hops, wall, order
+
+
 def bench_engine(processes: int = 2000, hops: int = 100) -> dict[str, Any]:
     """Engine kernel microbenchmark (see module doc)."""
     n1, wall1, order1 = _churn(processes, hops)
     n2, wall2, order2 = _churn(processes, hops)
     assert order1 == order2, "engine event order is not deterministic"
     wall = min(wall1, wall2)
+    h1, hop_wall1, hop_order1 = _hop_churn(processes, hops)
+    h2, hop_wall2, hop_order2 = _hop_churn(processes, hops)
+    assert hop_order1 == hop_order2, "engine hop order is not deterministic"
+    hop_wall = min(hop_wall1, hop_wall2)
 
     return {
         "environment": bench_environment(),
@@ -134,6 +168,9 @@ def bench_engine(processes: int = 2000, hops: int = 100) -> dict[str, Any]:
         "timeout_events": n1,
         "wall_seconds": wall,
         "timeouts_per_second": n1 / wall,
+        "hop_events": h1,
+        "hop_wall_seconds": hop_wall,
+        "hops_per_second": h1 / hop_wall,
         "deterministic": True,
     }
 
@@ -706,7 +743,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if "engine" in selected:
         result = bench_engine()
-        print(f"engine: {result['timeouts_per_second']:,.0f} timeouts/s")
+        print(f"engine: {result['timeouts_per_second']:,.0f} timeouts/s, "
+              f"{result['hops_per_second']:,.0f} hops/s")
         _write(result, args.out_dir / "BENCH_engine.json")
     if "sweep" in selected:
         result = bench_sweep(jobs=args.jobs)

@@ -29,6 +29,13 @@ class OpType(enum.Enum):
     UNLINK = "unlink"
     MKDIR = "mkdir"
 
+    # Members are singletons compared by identity, so hash them by
+    # identity too, at C speed: Enum.__hash__ is a Python-level call on
+    # every dict or set lookup in the request path. It hashed the member
+    # name, whose hash is salted per process, so sets of members had no
+    # stable order to lose.
+    __hash__ = object.__hash__
+
     @property
     def is_data(self) -> bool:
         return self in (OpType.READ, OpType.WRITE)

@@ -21,7 +21,7 @@ This subpackage is the substrate substitute for the paper's 11-node Lustre
 * :mod:`repro.sim.cluster` — configuration and wiring of a full cluster.
 
 One run is one :class:`Environment`: every client NIC, server and the
-fabric share a single event queue and one global max-min network.
+fabric share a single event schedule and one global max-min network.
 """
 
 from repro.sim.engine import Environment, Event, Process, Timeout, AllOf

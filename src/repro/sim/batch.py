@@ -1,21 +1,22 @@
-"""The simulator's request path for data operations.
+"""The simulator's request path.
 
 A client data op (one ``write``/``read`` call) becomes a
 :class:`BatchRequest`: its striped pieces, split at ``max_rpc_bytes``, as
 parallel columns. A :class:`_DataOpDriver` walks them through flat
-callback chains — RPC-window grant, one shared RPC-latency timeout per
+callback chains — RPC-window grant, one shared RPC-latency hop per
 granted group, batched network flows (:meth:`FlowNetwork.transfer_batch`)
 and OST service (:meth:`OST.service_batch` / :meth:`OST.serve`) — and
-fires one completion event per *operation*. Metadata ops take the
-generator path in :meth:`ClientSession._meta_op` and the MDS callback
-chain in :meth:`MDS.handle`.
+fires one completion event per *operation*. A metadata op takes the same
+kind of chain in a :class:`_MetaOpDriver`: the node's MDS slot grant, the
+RPC-latency hop, then :meth:`MDS.handle`. Either way the rank resumes
+once per operation, when its completion event fires.
 
 Ordering rule: at every resource where two requests can meet at the
 same simulated instant — RPC-window credits, QoS buckets, cache dirty
-throttling, the flow network, the block scheduler, MDS dir locks and
-service threads — this path grants them in the order the per-request
-generator processes it replaced did. That is checked, not given by
-construction: the golden run digests in
+throttling, the flow network, the block scheduler, MDS slots, dir locks
+and service threads — this path grants them in the order the
+per-request generator processes it replaced did. That is checked, not
+given by construction: the golden run digests in
 ``tests/sim/test_golden_digests.py`` were taken on the generator path
 and guard it (an MDS that took its lock and thread inline once let a
 later same-instant request overtake an earlier one; DESIGN.md §9). The
@@ -28,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.records import OpType, ServerId
-from repro.obs import trace as _trace
 from repro.sim.engine import Event
 
 __all__ = ["BatchRequest"]
@@ -249,15 +249,48 @@ class _DataOpDriver:
         if self.is_write:
             f = self.file
             f.size = max(f.size, req.offset + req.size)
-        if self.keep_record:
-            rec = session._record(
-                req.op, req.path, req.offset, req.size, self.start,
-                tuple(sorted(self.touched)),
-            )
-            if self.span is not None:
-                tracer = _trace.TRACER
-                if tracer is not None:
-                    tracer.finish(self.span, session.env.now, op_id=rec.op_id)
-        else:
-            session._op_id += 1
+        session._finish_op(req.op, req.path, req.offset, req.size,
+                           self.start, tuple(sorted(self.touched)), self.span)
         self.done.succeed()
+
+
+class _MetaOpDriver:
+    """Walks one metadata op through its callback chain: the node's MDS
+    slot, the RPC latency, then :meth:`MDS.handle`.
+
+    Each link is a tick of its own, as each ``yield`` of the generator it
+    replaced was, so ops meeting at the same instant reach the MDS in the
+    order they were issued. The slot release and the record are the
+    completion event's first callback; the rank's resume follows.
+    """
+
+    __slots__ = ("session", "op", "path", "parent", "start", "done", "span")
+
+    def __init__(self, session, op: OpType, path: str, parent: str,
+                 start: float, done: Event, span) -> None:
+        self.session = session
+        self.op = op
+        self.path = path
+        self.parent = parent
+        self.start = start
+        self.done = done
+        self.span = span
+
+    def begin(self) -> None:
+        self.done.callbacks.append(self._complete)
+        self.session.node._mds_slots.acquire().callbacks.append(self._granted)
+
+    def _granted(self, _ev) -> None:
+        session = self.session
+        session.env.after(session.node.params.rpc_latency, self._send)
+
+    def _send(self, _ev) -> None:
+        self.session.node.cluster.mds.handle(
+            self.op, self.parent, parent_span=self.span, done=self.done)
+
+    def _complete(self, _ev) -> None:
+        session = self.session
+        node = session.node
+        node._mds_slots.release()
+        session._finish_op(self.op, self.path, 0, 0, self.start,
+                           (node.cluster.mds.server_id,), self.span)

@@ -9,7 +9,8 @@ trace — this is the simulated counterpart of the paper's modified-Darshan
 client-side monitor.
 
 All session methods are generators meant to be driven with ``yield from``
-inside a rank process.
+inside a rank process. Each runs its operation on the callback chain in
+:mod:`repro.sim.batch` and resumes the rank once, when the op completes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.common.records import IORecord, OpType, ServerId
 from repro.common.units import MIB
 from repro.obs import trace as _trace
-from repro.sim.batch import BatchRequest, _DataOpDriver
+from repro.sim.batch import BatchRequest, _DataOpDriver, _MetaOpDriver
 from repro.sim.engine import Event
 from repro.sim.netmodel import Link
 from repro.sim.resources import Semaphore
@@ -105,6 +106,7 @@ class ClientSession:
     def __init__(self, node: ClientNode, job: str, rank: int,
                  collector: TraceCollector) -> None:
         self.node = node
+        self.env = node.cluster.env
         self.job = job
         self.rank = rank
         self.collector = collector
@@ -112,16 +114,18 @@ class ClientSession:
 
     # -- internal helpers ----------------------------------------------------
 
-    @property
-    def env(self):
-        return self.node.cluster.env
-
     def _next_op_id(self) -> int:
         self._op_id += 1
         return self._op_id
 
-    def _record(self, op: OpType, path: str, offset: int, size: int,
-                start: float, servers: tuple[ServerId, ...]) -> IORecord:
+    def _finish_op(self, op: OpType, path: str, offset: int, size: int,
+                   start: float, servers: tuple[ServerId, ...],
+                   span) -> None:
+        """Record one completed op and close its span. With a collector
+        that discards records and no span, only the op id advances."""
+        if not (self.collector.keeps_records or span is not None):
+            self._op_id += 1
+            return
         rec = IORecord(
             job=self.job,
             rank=self.rank,
@@ -135,11 +139,15 @@ class ClientSession:
             servers=servers,
         )
         self.collector.add(rec)
-        return rec
+        if span is not None:
+            tracer = _trace.TRACER
+            if tracer is not None:
+                tracer.finish(span, self.env.now, op_id=rec.op_id)
 
-    def _data_op(self, op: OpType, path: str, offset: int, size: int):
-        """Run one data op through the callback chain (repro.sim.batch);
-        resumes the rank when its last piece completes."""
+    def _data_op(self, op: OpType, path: str, offset: int,
+                 size: int) -> Event:
+        """Start one data op on the callback chain (repro.sim.batch);
+        returns the event that fires when its last piece completes."""
         f = self.node.cluster.fs.lookup(path)
         start = self.env.now
         tracer = _trace.TRACER
@@ -151,78 +159,61 @@ class ClientSession:
                                        self.node.params.max_rpc_bytes)
         done = Event(self.env)
         _DataOpDriver(self, req, f, start, done, span).begin()
-        yield done
+        return done
 
-    def _meta_op(self, op: OpType, path: str, parent: str):
-        """One metadata RPC: the node's MDS slot, the RPC latency, then
-        MDS service. Each step waits on its own event, so ops meeting at
-        the same instant reach the MDS in the order they were issued."""
-        node = self.node
-        mds = node.cluster.mds
+    def _meta_op(self, op: OpType, path: str, parent: str) -> Event:
+        """Start one metadata RPC on the callback chain (repro.sim.batch):
+        the node's MDS slot, the RPC latency, then MDS service. Returns
+        the event that fires when the MDS completes it."""
         start = self.env.now
         tracer = _trace.TRACER
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
             path=path,
         ) if tracer is not None else None
-        yield node._mds_slots.acquire()
-        yield self.env.timeout(node.params.rpc_latency)
-        yield mds.handle(op, parent, parent_span=span)
-        node._mds_slots.release()
-        if self.collector.keeps_records or span is not None:
-            rec = self._record(op, path, 0, 0, start, (mds.server_id,))
-            if span is not None:
-                tracer.finish(span, self.env.now, op_id=rec.op_id)
-        else:
-            self._op_id += 1
+        done = Event(self.env)
+        _MetaOpDriver(self, op, path, parent, start, done, span).begin()
+        return done
 
     # -- public generator API ---------------------------------------------------
 
     def create(self, path: str, stripe_count: int = 1,
                stripe_size: int | None = None):
         """Create a file: MDS transaction plus layout assignment."""
-        cluster = self.node.cluster
-        if path not in cluster.fs:
-            cluster.fs.create(path, stripe_count=stripe_count, stripe_size=stripe_size)
-        f = cluster.fs.lookup(path)
-        yield from self._meta_op(OpType.CREATE, path, f.parent)
-
-    def _parent_of(self, path: str) -> str:
-        """Parent directory; falls back to string parsing for paths not in
-        the namespace — a lookup of a missing or directory path is still a
-        real MDS round-trip (ENOENT costs the same trip as success)."""
-        import posixpath
-
-        cluster = self.node.cluster
-        if path in cluster.fs:
-            return cluster.fs.lookup(path).parent
-        return posixpath.dirname(path) or "/"
+        fs = self.node.cluster.fs
+        if path in fs:
+            f = fs.lookup(path)
+        else:
+            f = fs.create(path, stripe_count=stripe_count,
+                          stripe_size=stripe_size)
+        yield self._meta_op(OpType.CREATE, path, f.parent)
 
     def open(self, path: str):
-        yield from self._meta_op(OpType.OPEN, path, self._parent_of(path))
+        yield self._meta_op(OpType.OPEN, path,
+                            self.node.cluster.fs.parent_of(path))
 
     def close(self, path: str):
-        yield from self._meta_op(OpType.CLOSE, path, self._parent_of(path))
+        yield self._meta_op(OpType.CLOSE, path,
+                            self.node.cluster.fs.parent_of(path))
 
     def stat(self, path: str):
-        yield from self._meta_op(OpType.STAT, path, self._parent_of(path))
+        yield self._meta_op(OpType.STAT, path,
+                            self.node.cluster.fs.parent_of(path))
 
     def unlink(self, path: str):
-        cluster = self.node.cluster
-        yield from self._meta_op(OpType.UNLINK, path, self._parent_of(path))
-        if path in cluster.fs:
-            cluster.fs.unlink(path)
+        fs = self.node.cluster.fs
+        yield self._meta_op(OpType.UNLINK, path, fs.parent_of(path))
+        if path in fs:
+            fs.unlink(path)
 
     def mkdir(self, path: str):
-        import posixpath
-
-        parent = posixpath.dirname(path) or "/"
-        yield from self._meta_op(OpType.MKDIR, path, parent)
+        yield self._meta_op(OpType.MKDIR, path,
+                            self.node.cluster.fs.parent_of(path))
 
     def write(self, path: str, offset: int, size: int):
         """Write ``size`` bytes at ``offset``; striped, windowed RPCs."""
-        yield from self._data_op(OpType.WRITE, path, offset, size)
+        yield self._data_op(OpType.WRITE, path, offset, size)
 
     def read(self, path: str, offset: int, size: int):
         """Read ``size`` bytes at ``offset``; striped, windowed RPCs."""
-        yield from self._data_op(OpType.READ, path, offset, size)
+        yield self._data_op(OpType.READ, path, offset, size)

@@ -2,10 +2,17 @@
 
 A stripped-down SimPy-style engine: *processes* are Python generators that
 yield :class:`Event` objects and are resumed when those events trigger.
-Determinism is guaranteed by a monotonically increasing schedule sequence
-number used as the tie-breaker for simultaneous events — two runs with the
+Events fire in ``(time, schedule sequence)`` order — two runs with the
 same seed replay the identical event order, which the labelling pipeline
 relies on (DESIGN.md §5).
+
+The schedule is two queues with exactly that order. Entries due at the
+current instant go to a FIFO; later ones to a ``(time, seq, entry)``
+heap. Heap entries due now were scheduled before the clock reached now,
+so they precede every FIFO entry and drain first. A *hop*
+(:meth:`Environment.after`, :meth:`Environment.defer`) is a bare
+callback in either queue, called as ``fn(None)`` with no :class:`Event`
+behind it.
 
 Event lifecycle: an event is *armed* when its outcome is decided
 (:meth:`Event.succeed` / :meth:`Event.fail` / timeout creation) and
@@ -19,6 +26,7 @@ conjunction events. There is deliberately no interruption API.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable
 
@@ -36,6 +44,9 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double trigger, drained loop, bad yields)."""
+
+
+_INF = float("inf")
 
 
 class Event:
@@ -78,7 +89,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, 0.0)
+        self.env._fifo.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -89,7 +100,7 @@ class Event:
             raise TypeError(f"fail() needs an exception, got {exc!r}")
         self._ok = False
         self._value = exc
-        self.env._schedule(self, 0.0)
+        self.env._fifo.append(self)
         return self
 
 
@@ -99,17 +110,24 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Event.__init__ inlined: timeouts are the single most-allocated
-        # object in a run, and the extra frame showed up in sweep profiles.
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay}")
+        # Event.__init__ and Environment.after's routing inlined: timeouts
+        # are the single most-allocated object in a run, and the extra
+        # frames showed up in sweep profiles.
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self._fired = False
         self.delay = delay
-        env._schedule(self, delay)
+        now = env.now
+        when = now + delay
+        if when == now:
+            env._fifo.append(self)
+        else:
+            env._seq += 1
+            heappush(env._heap, (when, env._seq, self))
 
 
 class Process(Event):
@@ -120,16 +138,18 @@ class Process(Event):
     the generator).
     """
 
-    __slots__ = ("_gen",)
+    __slots__ = ("_gen", "_wake")
 
     def __init__(self, env: "Environment", gen: Generator[Event, Any, Any]) -> None:
         super().__init__(env)
         if not isinstance(gen, Generator):
             raise TypeError(f"process requires a generator, got {type(gen)!r}")
         self._gen = gen
+        # The bound _resume, made once: every yield registers it.
+        self._wake = self._resume
         # Kick off at the current time via an immediately-armed event.
         init = Event(env)
-        init.callbacks.append(self._resume)
+        init.callbacks.append(self._wake)
         init.succeed()
 
     @property
@@ -162,12 +182,12 @@ class Process(Event):
         if target._fired:
             # The event already fired in the past: resume on the next tick.
             bridge = Event(self.env)
-            bridge.callbacks.append(self._resume)
+            bridge.callbacks.append(self._wake)
             bridge._ok = target._ok
             bridge._value = target._value
-            self.env._schedule(bridge, 0.0)
+            self.env._fifo.append(bridge)
         else:
-            target.callbacks.append(self._resume)
+            target.callbacks.append(self._wake)
 
 
 class AllOf(Event):
@@ -213,18 +233,22 @@ class AllOf(Event):
 
 
 class Environment:
-    """The event loop: a priority queue of (time, sequence, event)."""
+    """The event loop: a FIFO of entries due now beside a heap of
+    ``(time, seq, entry)`` for later ones; an entry is an :class:`Event`
+    or a hop callback."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Any]] = []
+        self._fifo: deque = deque()
         self._seq = 0
 
-    # -- scheduling -------------------------------------------------------
+    @property
+    def pending(self) -> int:
+        """Scheduled entries (events and hops) not yet dispatched."""
+        return len(self._heap) + len(self._fifo)
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._seq += 1
-        heappush(self._queue, (self.now + delay, self._seq, event))
+    # -- scheduling -------------------------------------------------------
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -232,19 +256,27 @@ class Environment:
     def event(self) -> Event:
         return Event(self)
 
-    def after(self, delay: float, fn: Callable[[Event], None]) -> Timeout:
-        """Schedule ``fn(event)`` after ``delay`` — a callback hop without
-        the generator/Process machinery (the request path's chain link)."""
-        t = Timeout(self, delay)
-        t.callbacks.append(fn)
-        return t
+    def after(self, delay: float, fn: Callable[[None], None]) -> None:
+        """Call ``fn(None)`` after ``delay``: a callback hop with no
+        :class:`Event` behind it (the request path's chain link). It
+        fires in the same order a :class:`Timeout` scheduled here would."""
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"hop delay must be finite and >= 0: {delay}")
+        # Routing on ``when == now`` rather than ``delay == 0`` keeps a
+        # positive delay that the clock's precision absorbs in schedule
+        # order, as Timeout does.
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._fifo.append(fn)
+        else:
+            self._seq += 1
+            heappush(self._heap, (when, self._seq, fn))
 
-    def defer(self, fn: Callable[[Event], None]) -> Event:
-        """Run ``fn(event)`` on the next tick at the current time."""
-        ev = Event(self)
-        ev.callbacks.append(fn)
-        ev.succeed()
-        return ev
+    def defer(self, fn: Callable[[None], None]) -> None:
+        """Call ``fn(None)`` on the next tick at the current time, after
+        every entry already due now."""
+        self._fifo.append(fn)
 
     def process(self, gen: Generator[Event, Any, Any]) -> Process:
         tracer = _trace.TRACER
@@ -255,50 +287,63 @@ class Environment:
     # -- execution --------------------------------------------------------
 
     def step(self) -> None:
-        """Fire the next scheduled event and run its callbacks."""
-        self._step(self._queue, _trace.TRACER)
+        """Fire the next scheduled entry: run an event's callbacks, or
+        call a hop."""
+        self._step(self._heap, self._fifo, _trace.TRACER)
 
-    def _step(self, queue: list, tracer) -> None:
-        # Hot path: ``run()`` passes the queue and tracer in so the loop
-        # pays no attribute or module-global lookups per event.
-        when, _seq, event = heappop(queue)
-        if when < self.now:
-            raise SimulationError("event scheduled in the past")
-        self.now = when
-        event._fired = True
+    def _step(self, heap: list, fifo: deque, tracer) -> None:
+        # Hot path: ``run()`` passes the queues and tracer in so the loop
+        # pays no attribute or module-global lookups per entry. Heap
+        # entries due now were scheduled before any FIFO entry, so they
+        # go first.
+        if fifo and not (heap and heap[0][0] <= self.now):
+            entry = fifo.popleft()
+        else:
+            when, _seq, entry = heappop(heap)
+            if when < self.now:
+                raise SimulationError("event scheduled in the past")
+            self.now = when
         if tracer is not None:
             tracer.events_fired += 1
-        callbacks, event.callbacks = event.callbacks, []
-        for cb in callbacks:
-            cb(event)
+        if isinstance(entry, Event):
+            entry._fired = True
+            callbacks, entry.callbacks = entry.callbacks, []
+            for cb in callbacks:
+                cb(entry)
+        else:
+            entry(None)
 
     def run(self, until: float | Event | None = None) -> Any:
-        """Run until the queue drains, a deadline passes, or an event fires.
+        """Run until the queues drain, a deadline passes, or an event fires.
 
-        ``until`` may be ``None`` (drain the queue), a float deadline, or
+        ``until`` may be ``None`` (drain the queues), a float deadline, or
         an :class:`Event` whose firing stops the run (its value is
         returned; a failed event re-raises its exception).
 
         The tracer is resolved once per ``run()`` call; installing or
         removing one mid-run takes effect on the next call.
         """
-        queue = self._queue
+        heap = self._heap
+        fifo = self._fifo
         step = self._step
         tracer = _trace.TRACER
         if isinstance(until, Event):
             stop = until
             while not stop._fired:
-                if not queue:
+                if not fifo and not heap:
                     raise SimulationError(
                         "event loop drained before the awaited event fired"
                     )
-                step(queue, tracer)
+                step(heap, fifo, tracer)
             if not stop._ok:
                 raise stop._value
             return stop._value
-        deadline = float("inf") if until is None else float(until)
-        while queue and queue[0][0] <= deadline:
-            step(queue, tracer)
+        deadline = _INF if until is None else float(until)
+        # FIFO entries are due now: none is due by a deadline already
+        # past, and the clock never passes the deadline inside the loop.
+        if self.now <= deadline:
+            while fifo or (heap and heap[0][0] <= deadline):
+                step(heap, fifo, tracer)
         if until is not None:
             self.now = max(self.now, deadline)
         return None

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import posixpath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.common.units import MIB
 
 __all__ = ["StripeLayout", "FSFile", "FileSystem"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StripeLayout:
     """Striping of one file: stripe size plus the per-stripe object ids.
 
@@ -64,17 +64,20 @@ class StripeLayout:
         return pieces
 
 
-@dataclass
+@dataclass(slots=True)
 class FSFile:
-    """A file in the namespace: path, layout and current size."""
+    """A file in the namespace: path, layout, current size and parent
+    directory.
+
+    Slotted, because looping create-only noise keeps tens of thousands
+    of files alive; ``parent`` is one string shared by every file of a
+    directory (:meth:`FileSystem.create` interns it).
+    """
 
     path: str
     layout: StripeLayout
     size: int = 0
-
-    @property
-    def parent(self) -> str:
-        return posixpath.dirname(self.path) or "/"
+    parent: str = field(kw_only=True)
 
 
 class FileSystem:
@@ -92,6 +95,8 @@ class FileSystem:
         self.n_osts = n_osts
         self.default_stripe_size = default_stripe_size
         self._files: dict[str, FSFile] = {}
+        #: One shared string per parent directory, for FSFile.parent.
+        self._dirs: dict[str, str] = {}
         self._object_ids = itertools.count(1)
         self._rotor = 0
 
@@ -116,9 +121,22 @@ class FileSystem:
         osts = tuple((self._rotor + i) % self.n_osts for i in range(count))
         self._rotor = (self._rotor + count) % self.n_osts
         objects = tuple(next(self._object_ids) for _ in range(count))
-        f = FSFile(path, StripeLayout(stripe_size or self.default_stripe_size, osts, objects))
+        parent = posixpath.dirname(path) or "/"
+        f = FSFile(path,
+                   StripeLayout(stripe_size or self.default_stripe_size,
+                                osts, objects),
+                   parent=self._dirs.setdefault(parent, parent))
         self._files[path] = f
         return f
+
+    def parent_of(self, path: str) -> str:
+        """Parent directory of ``path``: a file's own, else parsed from
+        the string (a lookup of a missing or directory path is still a
+        real MDS round trip; ENOENT costs the same trip as success)."""
+        f = self._files.get(path)
+        if f is not None:
+            return f.parent
+        return posixpath.dirname(path) or "/"
 
     def lookup(self, path: str) -> FSFile:
         try:

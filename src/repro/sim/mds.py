@@ -81,6 +81,9 @@ class MDS:
         self._threads = Semaphore(env, self.params.service_threads)
         self._dir_locks: dict[str, Semaphore] = {}
         self._journal_offset = 0
+        #: ``op -> (service time, mutating)``, looked up once per request.
+        self._costs = {op: (self.params.service_time(op), op in _MUTATING)
+                       for op in self.params.service_times}
         #: Completed metadata ops, for monitors/tests.
         self.ops_completed = 0
 
@@ -99,8 +102,10 @@ class MDS:
             self._journal_offset = 0
         return off
 
-    def handle(self, op: OpType, parent_dir: str, parent_span=None) -> Event:
-        """Serve one metadata op; the returned event fires at completion.
+    def handle(self, op: OpType, parent_dir: str, parent_span=None,
+               done: Event | None = None) -> Event:
+        """Serve one metadata op; ``done`` (a fresh event by default) is
+        succeeded at completion and returned.
 
         A callback chain whose ticks match the order in which concurrent
         requests are granted: the op starts one tick after the call, and
@@ -109,54 +114,83 @@ class MDS:
         arrived first therefore reaches the thread pool first, even when
         a later one at the same instant would find a thread free.
         """
-        env = self.env
-        service = self.params.service_time(op)
-        mutating = op in _MUTATING
-        done = Event(env)
-
-        def start(_ev) -> None:
-            tracer = _trace.TRACER
-            span = tracer.start(
-                "mds.op", env.now, parent=parent_span,
-                server=str(self.server_id), op=op.value, dir=parent_dir,
-            ) if tracer is not None else None
-            lock = self._dir_lock(parent_dir) if mutating else None
-
-            def locked(_ev=None) -> None:
-                self._threads.acquire().callbacks.append(
-                    lambda _ev: env.after(service, serviced)
-                )
-
-            def serviced(_ev) -> None:
-                if mutating:
-                    self.device.submit_bytes(
-                        self._journal_extent(),
-                        self.params.journal_write_bytes,
-                        is_write=True,
-                    ).callbacks.append(
-                        lambda _ev: env.after(
-                            self.params.journal_commit_time, finish
-                        )
-                    )
-                else:
-                    finish(None)
-
-            def finish(_ev) -> None:
-                self._threads.release()
-                if lock is not None:
-                    lock.release()
-                self.ops_completed += 1
-                if span is not None:
-                    tracer.finish(span, env.now)
-                done.succeed()
-
-            if lock is None:
-                locked()
-            else:
-                lock.acquire().callbacks.append(locked)
-
-        env.defer(start)
+        try:
+            service, mutating = self._costs[op]
+        except KeyError:
+            raise ValueError(f"{op} is not a metadata operation") from None
+        if done is None:
+            done = Event(self.env)
+        self.env.defer(
+            _MDSRequest(self, op, parent_dir, service, mutating, parent_span,
+                        done)._start)
         return done
 
     def queue_depth(self) -> int:
         return self._threads.queued + (self._threads.capacity - self._threads.available)
+
+
+class _MDSRequest:
+    """One metadata op in service: the links of :meth:`MDS.handle`'s
+    chain (start, dir lock, service thread, service time, journal write
+    and commit) as methods of one object."""
+
+    __slots__ = ("mds", "op", "parent_dir", "service", "mutating",
+                 "parent_span", "done", "lock", "span")
+
+    def __init__(self, mds: MDS, op: OpType, parent_dir: str, service: float,
+                 mutating: bool, parent_span, done: Event) -> None:
+        self.mds = mds
+        self.op = op
+        self.parent_dir = parent_dir
+        self.service = service
+        self.mutating = mutating
+        self.parent_span = parent_span
+        self.done = done
+        self.lock = None
+        self.span = None
+
+    def _start(self, _ev) -> None:
+        mds = self.mds
+        tracer = _trace.TRACER
+        if tracer is not None:
+            self.span = tracer.start(
+                "mds.op", mds.env.now, parent=self.parent_span,
+                server=str(mds.server_id), op=self.op.value,
+                dir=self.parent_dir,
+            )
+        if self.mutating:
+            lock = self.lock = mds._dir_lock(self.parent_dir)
+            lock.acquire().callbacks.append(self._locked)
+        else:
+            self._locked(None)
+
+    def _locked(self, _ev) -> None:
+        self.mds._threads.acquire().callbacks.append(self._threaded)
+
+    def _threaded(self, _ev) -> None:
+        self.mds.env.after(self.service, self._serviced)
+
+    def _serviced(self, _ev) -> None:
+        if not self.mutating:
+            self._finish(None)
+            return
+        mds = self.mds
+        mds.device.submit_bytes(
+            mds._journal_extent(), mds.params.journal_write_bytes,
+            is_write=True,
+        ).callbacks.append(self._journaled)
+
+    def _journaled(self, _ev) -> None:
+        self.mds.env.after(self.mds.params.journal_commit_time, self._finish)
+
+    def _finish(self, _ev) -> None:
+        mds = self.mds
+        mds._threads.release()
+        if self.lock is not None:
+            self.lock.release()
+        mds.ops_completed += 1
+        if self.span is not None:
+            tracer = _trace.TRACER
+            if tracer is not None:
+                tracer.finish(self.span, mds.env.now)
+        self.done.succeed()

@@ -106,12 +106,16 @@ class FlowNetwork:
         batch of N arrivals at one timestamp needs a single advance +
         progressive-filling pass + timer rearm. A zero-size transfer (or
         one with no links) completes on the next tick at the current time.
+        Every size must be finite and non-negative; a bad one rejects the
+        whole batch before any of it starts.
         """
+        for size, _links, _on_done in requests:
+            if not 0 <= size < math.inf:
+                raise ValueError(
+                    f"transfer size must be finite and >= 0: {size}")
         self._advance()
         added = False
         for size, links, on_done in requests:
-            if size < 0:
-                raise ValueError(f"negative transfer size: {size}")
             if size == 0 or not links:
                 # Completes immediately, delivered on the next tick.
                 self.env.defer(lambda _ev, cb=on_done: cb())
@@ -218,8 +222,8 @@ class FlowNetwork:
                     next_done = t
         if next_done is math.inf:  # pragma: no cover - defensive; capacity > 0
             raise RuntimeError("active flows but no positive rates")
-        timer = self.env.timeout(max(0.0, next_done))
-        timer.callbacks.append(lambda _ev, g=generation: self._on_timer(g))
+        self.env.after(max(0.0, next_done),
+                       lambda _ev, g=generation: self._on_timer(g))
 
     def _on_timer(self, generation: int) -> None:
         if generation != self._timer_generation:

@@ -38,10 +38,14 @@ class Semaphore:
 
     def acquire(self) -> Event:
         """Returns an event that fires once a slot is held by the caller."""
-        ev = Event(self.env)
+        env = self.env
+        ev = Event(env)
         if self._available > 0 and not self._waiters:
             self._available -= 1
-            ev.succeed()
+            # ev.succeed() inlined: the grant is due now, so it joins the
+            # engine's FIFO of due entries.
+            ev._ok = True
+            env._fifo.append(ev)
         else:
             self._waiters.append(ev)
         return ev

@@ -21,7 +21,7 @@ from repro.sim.engine import Environment, Event
 __all__ = ["BlockRequest", "BlockDevice"]
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockRequest:
     """One request queued at the block layer.
 
@@ -35,10 +35,6 @@ class BlockRequest:
     is_write: bool
     done: "Event | object"
     enqueue_time: float = field(default=0.0)
-
-    @property
-    def end_lba(self) -> int:
-        return self.lba + self.sectors
 
 
 class BlockDevice:
@@ -150,48 +146,74 @@ class BlockDevice:
         Reads are dispatched ahead of writes (deadline-scheduler
         behaviour) unless writes have been starved ``WRITES_STARVED_LIMIT``
         times; within the chosen direction pool, pick the lowest LBA at or
-        beyond the head, wrapping to the lowest LBA overall.
+        beyond the head, wrapping to the lowest LBA overall. Ties go to
+        the earliest enqueue time, then to queue order.
         """
-        reads = [r for r in self._queue if not r.is_write]
-        writes = [r for r in self._queue if r.is_write]
-        if reads and (not writes or self._writes_starved < self.WRITES_STARVED_LIMIT):
-            pool = reads
-            if writes:
+        queue = self._queue
+        head = self.model.head_lba
+        # One pass; both lists are indexed by direction (is_write False/
+        # True as 0/1). Keys end in the queue index, so the first of equal
+        # (lba, enqueue_time) requests wins, as min() over the pool would.
+        lowest: list = [None, None]
+        ahead: list = [None, None]
+        for i, req in enumerate(queue):
+            key = (req.lba, req.enqueue_time, i)
+            direction = req.is_write
+            best = lowest[direction]
+            if best is None or key < best:
+                lowest[direction] = key
+            if req.lba >= head:
+                best = ahead[direction]
+                if best is None or key < best:
+                    ahead[direction] = key
+        has_reads = lowest[0] is not None
+        has_writes = lowest[1] is not None
+        if has_reads and (not has_writes
+                          or self._writes_starved < self.WRITES_STARVED_LIMIT):
+            direction = 0
+            if has_writes:
                 self._writes_starved += 1
         else:
-            pool = writes if writes else reads
+            direction = 1 if has_writes else 0
             self._writes_starved = 0
-        head = self.model.head_lba
-        ahead = [r for r in pool if r.lba >= head]
-        pool = ahead if ahead else pool
-        chosen = min(pool, key=lambda r: (r.lba, r.enqueue_time))
-        self._queue.remove(chosen)
-        return chosen
+        chosen = ahead[direction] or lowest[direction]
+        return queue.pop(chosen[2])
 
-    def _collect_merges(self, first: BlockRequest) -> list[BlockRequest]:
-        """Pull queued requests contiguous with ``first`` (front and back)."""
+    def _collect_merges(self, first: BlockRequest
+                        ) -> tuple[list[BlockRequest], int, int]:
+        """Pull queued requests contiguous with ``first`` (front and back).
+
+        Returns the batch and its extent ``[lo, hi)``: every merge
+        extends one end, so the batch covers exactly that range.
+        """
         batch = [first]
-        lo, hi = first.lba, first.end_lba
+        lo = first.lba
+        hi = lo + first.sectors
+        queue = self._queue
+        is_write = first.is_write
         budget = self.MAX_MERGED_SECTORS - first.sectors
-        progress = True
+        progress = bool(queue)
         while progress and budget > 0:
             progress = False
-            for req in list(self._queue):
-                if req.is_write != first.is_write or req.sectors > budget:
+            i = 0
+            while i < len(queue):
+                req = queue[i]
+                if req.is_write != is_write or req.sectors > budget:
+                    i += 1
                     continue
                 if req.lba == hi:
-                    batch.append(req)
-                    hi = req.end_lba
-                elif req.end_lba == lo:
-                    batch.append(req)
+                    hi = req.lba + req.sectors
+                elif req.lba + req.sectors == lo:
                     lo = req.lba
                 else:
+                    i += 1
                     continue
-                self._queue.remove(req)
-                self.stats.on_merge(req.is_write)
+                del queue[i]
+                batch.append(req)
+                self.stats.on_merge(is_write)
                 budget -= req.sectors
                 progress = True
-        return batch
+        return batch, lo, hi
 
     def _kick(self) -> None:
         """Start the dispatcher if idle.
@@ -210,9 +232,7 @@ class BlockDevice:
             self._busy = False
             return
         first = self._pick_next()
-        batch = self._collect_merges(first)
-        lo = min(r.lba for r in batch)
-        hi = max(r.end_lba for r in batch)
+        batch, lo, hi = self._collect_merges(first)
         sectors = hi - lo
         service = self.model.service_time(lo, sectors) * self.slowdown_factor
         tracer = _trace.TRACER

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.rng import derive_rng
+from repro.common.rng import LazyRng, derive_rng
 from repro.sim.cluster import Cluster
 from repro.sim.client import ClientSession
 from repro.sim.engine import AllOf, Process
@@ -98,8 +98,9 @@ def launch_interference(cluster: Cluster, workload: Workload, nodes: list[int],
     """Start ``workload`` restarting itself indefinitely on ``nodes``.
 
     Each rank loops its body forever with a fresh RNG stream per
-    iteration; the processes never terminate and are abandoned when the
-    measured run's ``env.run(until=...)`` returns. With ``record=False``
+    iteration, built only if the iteration draws from it; the processes
+    never terminate and are abandoned when the measured run's
+    ``env.run(until=...)`` returns. With ``record=False``
     the noise ops are not traced (their records are never consumed, and
     long noise loops otherwise dominate trace memory).
     """
@@ -115,7 +116,7 @@ def launch_interference(cluster: Cluster, workload: Workload, nodes: list[int],
         while True:
             session = cluster.session(workload.name, rank, node)
             session.collector = collector
-            rng = derive_rng(seed, workload.name, rank, iteration)
+            rng = LazyRng(seed, workload.name, rank, iteration)
             yield from workload.rank_body(session, rank, rng, instance=iteration)
             iteration += 1
 

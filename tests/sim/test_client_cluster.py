@@ -96,6 +96,26 @@ def test_metadata_ops_complete_and_record():
     assert "/d/f" not in cluster.fs
 
 
+@pytest.mark.parametrize("op", ["create", "open", "stat", "close",
+                                "unlink", "mkdir"])
+def test_metadata_op_resumes_the_rank_once(op):
+    """A metadata op runs on the callback chain: the rank waits on one
+    completion event, and the slot release and the record happen before
+    it resumes."""
+    cluster = Cluster()
+    env = cluster.env
+    sess = cluster.session("job", 0, 0)
+    cluster.fs.create("/d/f")
+    call = getattr(sess, op)("/d/f")
+    done = next(call)
+    env.run(until=done)
+    assert (sess.node._mds_slots.available
+            == sess.node.params.max_rpcs_in_flight)
+    assert [r.op.value for r in cluster.collector.records] == [op]
+    with pytest.raises(StopIteration):
+        call.send(None)
+
+
 def test_rpc_window_limits_inflight_rpcs():
     """A single large write is split into max_rpc_bytes RPCs gated by the
     per-OST window; the op must take at least ceil(n/window) network

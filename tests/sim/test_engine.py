@@ -40,6 +40,21 @@ def test_negative_timeout_rejected():
         env.timeout(-1)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("schedule", ["timeout", "after"])
+def test_non_finite_or_negative_delay_rejected_at_schedule_time(schedule,
+                                                                delay):
+    """A NaN delay used to be accepted and kill the run later with
+    "event scheduled in the past"; it is rejected where it enters."""
+    env = Environment()
+    with pytest.raises(ValueError, match="finite"):
+        if schedule == "timeout":
+            env.timeout(delay)
+        else:
+            env.after(delay, lambda _ev: None)
+    assert env.pending == 0
+
+
 def test_event_value_passed_to_waiter():
     env = Environment()
     ev = env.event()

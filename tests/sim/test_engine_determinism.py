@@ -37,7 +37,7 @@ def _run_once(chunked: bool = False) -> list:
     _busy_workload(env, log, np.random.default_rng(7))
     if chunked:
         t = 0.0
-        while env._queue:
+        while env.pending:
             t += 0.75
             env.run(until=t)
     else:
@@ -62,7 +62,7 @@ def test_step_api_matches_run():
     _busy_workload(env1, log1, np.random.default_rng(3))
     _busy_workload(env2, log2, np.random.default_rng(3))
     env1.run()
-    while env2._queue:
+    while env2.pending:
         env2.step()
     assert log1 == log2
     assert env1.now == env2.now

@@ -56,6 +56,28 @@ def test_ensure_is_idempotent():
     assert b.size == 10 * MIB
 
 
+def test_files_of_one_directory_share_one_parent_string():
+    """Records are slotted and keep one parent string per directory: a
+    looping create-only noise job keeps tens of thousands of them."""
+    fs = FileSystem(n_osts=2)
+    files = [fs.create(f"/job/it0/shared/f.{i}") for i in range(3)]
+    other = fs.create("/job/it1/shared/f.0")
+    assert {f.parent for f in files} == {"/job/it0/shared"}
+    assert files[0].parent is files[1].parent is files[2].parent
+    assert other.parent == "/job/it1/shared"
+    assert fs.create("/top").parent == "/"
+    for record in (files[0], files[0].layout):
+        assert not hasattr(record, "__dict__")
+
+
+def test_parent_of_missing_or_directory_path_is_parsed():
+    fs = FileSystem(n_osts=2)
+    f = fs.create("/d/f")
+    assert fs.parent_of("/d/f") is f.parent
+    assert fs.parent_of("/d/missing") == "/d"
+    assert fs.parent_of("/d") == "/"
+
+
 def test_object_ids_unique():
     fs = FileSystem(n_osts=3)
     f1 = fs.create("/a", stripe_count=3)

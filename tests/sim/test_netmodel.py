@@ -99,6 +99,21 @@ def test_negative_size_rejected():
         net.transfer_batch([(-1.0, (link,), lambda: None)])
 
 
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_bad_size_rejects_the_whole_batch(bad):
+    """A bad size anywhere in a batch starts none of it: an earlier good
+    flow used to stay attached at rate 0 with no timer, forever."""
+    env = Environment()
+    net = FlowNetwork(env)
+    link = Link("l", 100.0)
+    with pytest.raises(ValueError, match="finite"):
+        net.transfer_batch([(100.0, (link,), lambda: None),
+                            (bad, (link,), lambda: None)])
+    assert net.active_flows == 0
+    assert not link.flows
+    assert env.pending == 0
+
+
 def test_link_requires_positive_capacity():
     with pytest.raises(ValueError):
         Link("bad", 0.0)

@@ -1,11 +1,13 @@
 """Tests for the block-layer elevator/merging scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.units import SECTOR_SIZE
 from repro.sim.disk import DiskModel, DiskParams
 from repro.sim.engine import AllOf, Environment
-from repro.sim.scheduler import BlockDevice
+from repro.sim.scheduler import BlockDevice, BlockRequest
 
 
 def make_device(env=None):
@@ -142,3 +144,89 @@ def test_queue_depth_tracks_outstanding():
     env.run(until=env.process(proc()))
     assert depths[0] == 4
     assert depths[-1] == 0
+
+
+# -- the single-pass elevator against the list-pass version it replaced ----
+
+
+def reference_pick_next(dev):
+    """The list-pass elevator: split by direction, filter by head, min()."""
+    reads = [r for r in dev._queue if not r.is_write]
+    writes = [r for r in dev._queue if r.is_write]
+    if reads and (not writes or dev._writes_starved < dev.WRITES_STARVED_LIMIT):
+        pool = reads
+        if writes:
+            dev._writes_starved += 1
+    else:
+        pool = writes if writes else reads
+        dev._writes_starved = 0
+    head = dev.model.head_lba
+    ahead = [r for r in pool if r.lba >= head]
+    pool = ahead if ahead else pool
+    chosen = min(pool, key=lambda r: (r.lba, r.enqueue_time))
+    dev._queue.remove(chosen)
+    return chosen
+
+
+def reference_collect_merges(dev, first):
+    """The copy-per-pass merge loop, with the batch extent from min/max."""
+    batch = [first]
+    lo, hi = first.lba, first.lba + first.sectors
+    budget = dev.MAX_MERGED_SECTORS - first.sectors
+    progress = True
+    while progress and budget > 0:
+        progress = False
+        for req in list(dev._queue):
+            if req.is_write != first.is_write or req.sectors > budget:
+                continue
+            if req.lba == hi:
+                batch.append(req)
+                hi = req.lba + req.sectors
+            elif req.lba + req.sectors == lo:
+                batch.append(req)
+                lo = req.lba
+            else:
+                continue
+            dev._queue.remove(req)
+            dev.stats.on_merge(req.is_write)
+            budget -= req.sectors
+            progress = True
+    return (batch, min(r.lba for r in batch),
+            max(r.lba + r.sectors for r in batch))
+
+
+#: Small LBA/sector grids so contiguity, ties and equal requests (one
+#: shared completion, as submit_batch queues them) are common.
+QUEUES = st.lists(
+    st.tuples(st.integers(0, 12).map(lambda k: 64 * k),
+              st.sampled_from((64, 128, 1280, 2560)), st.booleans(),
+              st.sampled_from((0.0, 0.5, 1.0)), st.booleans()),
+    min_size=1, max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(queue=QUEUES, head=st.integers(0, 13).map(lambda k: 64 * k),
+       starved=st.integers(0, BlockDevice.WRITES_STARVED_LIMIT + 1))
+def test_single_pass_elevator_matches_list_passes(queue, head, starved):
+    shared = object()
+    requests = [BlockRequest(lba, sectors, is_write,
+                             shared if same_done else object(), enqueued)
+                for lba, sectors, is_write, enqueued, same_done in queue]
+    devices = []
+    for _ in range(2):
+        _, dev = make_device()
+        dev._queue = list(requests)
+        dev.model._head_lba = head
+        dev._writes_starved = starved
+        devices.append(dev)
+    new, ref = devices
+    while new._queue:
+        first = new._pick_next()
+        assert first == reference_pick_next(ref)
+        assert new._writes_starved == ref._writes_starved
+        assert new._collect_merges(first) == reference_collect_merges(
+            ref, first)
+        assert new._queue == ref._queue
+        assert new.stats.reads_merged == ref.stats.reads_merged
+        assert new.stats.writes_merged == ref.stats.writes_merged
+    assert not ref._queue

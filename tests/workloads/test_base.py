@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.common import rng as rng_module
+from repro.common.rng import derive_rng
 from repro.common.units import MIB
 from repro.sim.cluster import Cluster
+from repro.workloads import base
 from repro.workloads.base import launch, launch_interference
+from repro.workloads.dlio import DLIOConfig, DLIOWorkload
 from repro.workloads.ior import IorConfig, IorWorkload
 
 
@@ -58,3 +62,38 @@ def test_target_and_interference_coexist():
     cluster.env.run(until=target.done)
     jobs = {r.job for r in cluster.collector.records}
     assert jobs == {"noise", "target"}
+
+
+def test_looping_ior_builds_no_generator(monkeypatch):
+    """IOR draws no random numbers, so its noise iterations never build
+    the Generator they are handed."""
+    built = []
+    monkeypatch.setattr(rng_module, "derive_rng",
+                        lambda *key: built.append(key))
+    cluster = Cluster()
+    launch_interference(cluster, small_write(name="noise", ranks=2), [1, 2],
+                        7)
+    cluster.env.run(until=1.0)
+    assert len({r.path.split("/")[2] for r in cluster.collector.records}) >= 2
+    assert built == []
+
+
+def test_looping_dlio_draws_the_eager_streams(monkeypatch):
+    """A noise workload that draws sees the streams an eagerly built
+    Generator per iteration gives."""
+
+    def records(lazy: bool):
+        if not lazy:
+            monkeypatch.setattr(base, "LazyRng", derive_rng)
+        cluster = Cluster()
+        dlio = DLIOWorkload(DLIOConfig(
+            model="bert", ranks=2, epochs=1, steps_per_epoch=2,
+            sample_bytes=MIB, batch_read_bytes=256 * 1024,
+            checkpoint_bytes=MIB, compute_time=0.01))
+        launch_interference(cluster, dlio, [1, 2], 3)
+        cluster.env.run(until=0.5)
+        return [(r.rank, r.op_id, r.op, r.path, r.offset, r.size, r.start,
+                 r.end) for r in cluster.collector.records]
+
+    lazy = records(True)
+    assert lazy and lazy == records(False)
