@@ -30,11 +30,12 @@ instead of crashing.
 the benchmark suite. Results print to stdout; pass ``--out DIR`` to also
 write one text file per experiment.
 
-Sweep execution: ``--jobs N`` fans independent simulation runs over N
-worker processes (``--jobs 0`` = all cores) with bit-identical results;
-runs persist in a content-addressed cache (``--cache-dir``, default
-``results/.runcache``) so e.g. ``fig4`` re-bins ``fig3``'s cached IO500
-sweep and a re-run after a training-side change simulates nothing.
+Sweep execution: ``--jobs N`` (N >= 1; ``--jobs "$(nproc)"`` for every
+core) fans independent simulation runs over N worker processes with
+bit-identical results; runs persist in a content-addressed cache
+(``--cache-dir``, default ``results/.runcache``) so e.g. ``fig4``
+re-bins ``fig3``'s cached IO500 sweep and a re-run after a
+training-side change simulates nothing.
 ``--no-cache`` disables persistence.
 
 Training runs in-process (``--jobs``, ``--run-timeout`` and

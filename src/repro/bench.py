@@ -214,7 +214,7 @@ def bench_sweep(jobs: int | None = None) -> dict[str, Any]:
     n_pairs = len(targets) * len(scenarios)
 
     t0 = time.perf_counter()
-    serial_bank = collect_windows(targets, scenarios, config, n_jobs=1)
+    serial_bank = collect_windows(targets, scenarios, config)
     serial_s = time.perf_counter() - t0
 
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:

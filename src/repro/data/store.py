@@ -62,7 +62,7 @@ if TYPE_CHECKING:
     from repro.core.dataset import Dataset
     from repro.experiments.datagen import Scenario, WindowBank
     from repro.experiments.runner import ExperimentConfig
-    from repro.parallel import RunCache, SweepExecutor
+    from repro.parallel import SweepExecutor
     from repro.workloads.base import Workload
 
 __all__ = ["DatasetStore"]
@@ -350,8 +350,6 @@ class DatasetStore:
         scenarios: "list[Scenario]",
         config: "ExperimentConfig",
         include_quiet_windows: bool = True,
-        n_jobs: int = 1,
-        cache: "RunCache | str | None" = None,
         executor: "SweepExecutor | None" = None,
     ) -> "WindowBank":
         """Incrementally build the sweep's window bank, out-of-core.
@@ -369,7 +367,7 @@ class DatasetStore:
         )
         from repro.parallel import PairJob, RunJob, SweepExecutor
 
-        executor = executor or SweepExecutor(n_jobs=n_jobs, cache=cache)
+        executor = executor or SweepExecutor()
         manifest = self.load_manifest()
         sweep = sweep_pairs(targets, scenarios, include_quiet_windows)
         pair_jobs = [
@@ -448,8 +446,6 @@ class DatasetStore:
         thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
         include_quiet_windows: bool = True,
         source: str = "",
-        n_jobs: int = 1,
-        cache: "RunCache | str | None" = None,
         executor: "SweepExecutor | None" = None,
     ) -> "Dataset":
         """Build (incrementally) and bin the sweep's dataset.
@@ -463,7 +459,7 @@ class DatasetStore:
 
         bank = self.build_bank(targets, scenarios, config,
                                include_quiet_windows=include_quiet_windows,
-                               n_jobs=n_jobs, cache=cache, executor=executor)
+                               executor=executor)
         return bank_to_dataset(bank, thresholds, source=source)
 
     # -- stats ------------------------------------------------------------

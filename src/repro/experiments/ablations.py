@@ -232,8 +232,6 @@ def run_window_size_ablation(
     window_sizes: tuple[float, ...] = (0.25, 0.5, 1.0),
     thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
     seed: int = 0,
-    n_jobs: int = 1,
-    cache=None,
     executor=None,
     trainer: "TrainExecutor | None" = None,
 ) -> AblationResult:
@@ -249,7 +247,7 @@ def run_window_size_ablation(
 
     from repro.parallel import SweepExecutor
 
-    executor = executor or SweepExecutor(n_jobs=n_jobs, cache=cache)
+    executor = executor or SweepExecutor()
     result = AblationResult(name="window-size")
     splits = {}
     for ws in window_sizes:

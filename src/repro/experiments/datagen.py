@@ -10,10 +10,10 @@ degradation *levels*; binning into class labels happens afterwards
 (:func:`bank_to_dataset`), so the binary (Figure 3/5) and 3-class
 (Figure 4) datasets share one expensive simulation sweep.
 
-The sweep itself runs on :class:`repro.parallel.SweepExecutor`: pairs
-are independent, so ``n_jobs`` fans them over worker processes with
-bit-identical output, every scenario of a target reuses one baseline
-run, and a ``cache`` directory persists runs across invocations.
+The sweep itself runs on a :class:`repro.parallel.SweepExecutor`:
+pairs are independent, so its worker pool spreads them over processes
+with bit-identical output, every scenario of a target reuses one
+baseline run, and its run cache persists runs across invocations.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.experiments.runner import (
 
 if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
     from repro.data import DatasetStore
-    from repro.parallel import RunCache, SweepExecutor
+    from repro.parallel import SweepExecutor
 
 __all__ = [
     "Scenario",
@@ -178,18 +178,17 @@ def collect_windows(
     scenarios: list[Scenario],
     config: ExperimentConfig,
     include_quiet_windows: bool = True,
-    n_jobs: int = 1,
-    cache: "RunCache | str | None" = None,
     executor: "SweepExecutor | None" = None,
     store: "DatasetStore | None" = None,
 ) -> WindowBank:
     """Run every (target, scenario) pair and label windows with levels.
 
-    The sweep is delegated to a :class:`repro.parallel.SweepExecutor`
-    (pass ``executor`` to share one across experiments, or just
-    ``n_jobs``/``cache``).  Parallel execution is bit-identical to
-    serial: per-run seeds derive from the config seed and stable string
-    paths, and results are consumed in submission order.
+    The sweep is delegated to ``executor``, a
+    :class:`repro.parallel.SweepExecutor` that decides how runs execute
+    (workers, run cache, resilience; a serial uncached one when
+    omitted).  Parallel execution is bit-identical to serial: per-run
+    seeds derive from the config seed and stable string paths, and
+    results are consumed in submission order.
 
     With a ``store`` (:class:`repro.data.DatasetStore`) the collection
     goes out-of-core: only pairs whose labelled windows are not already
@@ -200,7 +199,7 @@ def collect_windows(
     from repro.obs import profile as _profile
     from repro.parallel import PairJob, SweepExecutor
 
-    executor = executor or SweepExecutor(n_jobs=n_jobs, cache=cache)
+    executor = executor or SweepExecutor()
     if store is not None:
         return store.build_bank(targets, scenarios, config,
                                 include_quiet_windows=include_quiet_windows,
@@ -249,13 +248,10 @@ def generate_dataset(
     thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
     include_quiet_windows: bool = True,
     source: str = "",
-    n_jobs: int = 1,
-    cache: "RunCache | str | None" = None,
     executor: "SweepExecutor | None" = None,
     store: "DatasetStore | None" = None,
 ) -> Dataset:
     """One-shot convenience: collect windows and bin them."""
     bank = collect_windows(targets, scenarios, config, include_quiet_windows,
-                           n_jobs=n_jobs, cache=cache, executor=executor,
-                           store=store)
+                           executor=executor, store=store)
     return bank_to_dataset(bank, thresholds, source=source)

@@ -153,8 +153,6 @@ def collect_io500_bank(
     noise_ranks: int = 3,
     noise_scale: float = 0.25,
     include_light: bool = True,
-    n_jobs: int = 1,
-    cache=None,
     executor=None,
     store=None,
 ) -> WindowBank:
@@ -189,8 +187,7 @@ def collect_io500_bank(
                 )
             )
     return collect_windows(targets, scenarios, config,
-                           n_jobs=n_jobs, cache=cache, executor=executor,
-                           store=store)
+                           executor=executor, store=store)
 
 
 def collect_dlio_bank(
@@ -204,8 +201,6 @@ def collect_dlio_bank(
     compute_time: float = 0.2,
     sample_bytes: int = 16 * 1024 * 1024,
     batch_read_bytes: int = 2 * 1024 * 1024,
-    n_jobs: int = 1,
-    cache=None,
     executor=None,
     store=None,
 ) -> WindowBank:
@@ -229,8 +224,7 @@ def collect_dlio_bank(
     scenarios = standard_scenarios(max_level=max_level, tasks=noise_tasks,
                                    ranks=noise_ranks, scale=noise_scale)
     return collect_windows(targets, scenarios, config,
-                           n_jobs=n_jobs, cache=cache, executor=executor,
-                           store=store)
+                           executor=executor, store=store)
 
 
 def run_fig3_io500(config: ExperimentConfig | None = None,

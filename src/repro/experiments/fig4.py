@@ -27,13 +27,12 @@ def run_fig4(config: ExperimentConfig | None = None,
     """3-class classification on the IO500 window bank.
 
     ``bank_kwargs`` pass through to :func:`collect_io500_bank`, including
-    the sweep knobs ``n_jobs``/``cache``/``executor`` — with the same
-    cache directory as Figure 3, the 3-class dataset re-bins Figure 3's
-    cached simulation sweep instead of re-running it.  The model trains
-    through ``trainer`` (a fresh uncached
-    :class:`~repro.parallel.TrainExecutor` when omitted); with Figure 3's
-    model cache the 3-class thresholds key a distinct model, so Figures
-    3 and 4 coexist in one cache.
+    its ``executor`` — with a run cache in the same directory as Figure
+    3's, the 3-class dataset re-bins Figure 3's cached simulation sweep
+    instead of re-running it.  The model trains through ``trainer`` (a
+    fresh uncached :class:`~repro.parallel.TrainExecutor` when omitted);
+    with Figure 3's model cache the 3-class thresholds key a distinct
+    model, so Figures 3 and 4 coexist in one cache.
     """
     bank = bank or collect_io500_bank(config, **bank_kwargs)
     return evaluate_bank(bank, "fig4-io500-3class", MULTICLASS_THRESHOLDS,

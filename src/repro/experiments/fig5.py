@@ -105,8 +105,6 @@ def run_fig5(
     targets: dict[str, Workload] | None = None,
     max_level: int = 3,
     noise_scale: float = 0.2,
-    n_jobs: int = 1,
-    cache=None,
     executor=None,
     trainer: "TrainExecutor | None" = None,
     store=None,
@@ -123,7 +121,7 @@ def run_fig5(
     config = config or ExperimentConfig()
     targets = targets or default_app_targets()
     scenarios = app_scenarios(max_level=max_level, noise_scale=noise_scale)
-    executor = executor or SweepExecutor(n_jobs=n_jobs, cache=cache)
+    executor = executor or SweepExecutor()
     banks = {
         app: collect_windows([workload], scenarios, config,
                              executor=executor, store=store)

@@ -59,8 +59,6 @@ def run_table1(
     noise_ranks: int = 2,
     noise_scale: float = 0.25,
     repetitions: int = 1,
-    n_jobs: int = 1,
-    cache=None,
     executor=None,
 ) -> Table1Result:
     """Compute the slowdown matrix.
@@ -70,14 +68,15 @@ def run_table1(
     repetitions vary the seed instead).
 
     All ``len(tasks) * (len(tasks) + 1) * repetitions`` runs of the grid
-    are submitted to one :class:`repro.parallel.SweepExecutor` sweep, so
-    they parallelise over ``n_jobs`` workers and persist in ``cache``;
-    the matrix itself is bit-identical to the serial computation.
+    are submitted to one sweep of ``executor`` (a
+    :class:`repro.parallel.SweepExecutor`; serial and uncached when
+    omitted), so they spread over its workers and persist in its run
+    cache; the matrix itself is bit-identical to the serial computation.
     """
     from repro.parallel import RunJob, SweepExecutor
 
     config = config or ExperimentConfig()
-    executor = executor or SweepExecutor(n_jobs=n_jobs, cache=cache)
+    executor = executor or SweepExecutor()
     n = len(tasks)
 
     jobs: list[RunJob] = []

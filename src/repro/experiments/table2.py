@@ -45,17 +45,17 @@ class Table2Result:
 
 def run_table2(config: ExperimentConfig | None = None,
                scale: float = 0.25,
-               cache=None,
                executor=None) -> Table2Result:
     """Collect every Table II metric under a mixed representative load.
 
-    The single run is routed through a :class:`repro.parallel.
-    SweepExecutor` so a warm ``cache`` replays it without simulating.
+    The single run is routed through ``executor`` (a
+    :class:`repro.parallel.SweepExecutor`) so a warm run cache replays
+    it without simulating.
     """
     from repro.parallel import RunJob, SweepExecutor
 
     config = config or ExperimentConfig()
-    executor = executor or SweepExecutor(cache=cache)
+    executor = executor or SweepExecutor()
     target = make_io500_task("ior-easy-write", ranks=4, scale=scale)
     noise = (
         InterferenceSpec("ior-easy-read", instances=1, ranks=2, scale=scale),

@@ -14,26 +14,24 @@ determinism:
   the :class:`~repro.parallel.cache.ContentCache` base both caches share;
 * :mod:`repro.parallel.modelcache` — :class:`ModelCache`, its sibling
   for trained :class:`~repro.core.predictor.InterferencePredictor`s;
-* :mod:`repro.parallel.executor` — :class:`SweepExecutor`, fanning
-  deduplicated cache misses over a ``multiprocessing`` pool while
+* :mod:`repro.parallel.executor` — :class:`SweepExecutor`, running
+  deduplicated cache misses in-process or on the worker pool while
   keeping results bit-identical to serial execution;
-* :mod:`repro.parallel.supervise` — the sweep's watchdog/retry/quarantine
-  machinery (one supervised child per run);
+* :mod:`repro.parallel.supervise` — that worker pool: one long-lived
+  child per slot, with a watchdog, retry and quarantine;
 * :mod:`repro.parallel.trainer` — :class:`TrainExecutor`, deduplication
   and the model cache in front of the in-process restart loop (training
-  is never spread over processes; DESIGN.md §10 says why);
-* :mod:`repro.parallel.workerinit` — the sweep pool's worker
-  initializer (one-time imports and telemetry attach).
+  is never spread over processes; DESIGN.md §10 says why).
 
 Quick use::
 
-    from repro.parallel import TrainExecutor
-    from repro.experiments.datagen import collect_windows
+    from repro.parallel import SweepExecutor, TrainExecutor
+    from repro.experiments.datagen import bank_to_dataset, collect_windows
 
-    bank = collect_windows(targets, scenarios, config,
-                           n_jobs=4, cache="results/.runcache")
+    sweep = SweepExecutor(n_jobs=4, cache="results/.runcache")
+    bank = collect_windows(targets, scenarios, config, executor=sweep)
     trainer = TrainExecutor(cache="results/.modelcache")
-    predictor = trainer.train_predictor(bank.binary())
+    predictor = trainer.train_predictor(bank_to_dataset(bank))
 
 DESIGN.md §7 documents the determinism contract and cache layout;
 §10 covers the training side.
@@ -58,7 +56,6 @@ from repro.parallel.executor import (
     PairJob,
     RunJob,
     SweepExecutor,
-    resolve_n_jobs,
 )
 from repro.parallel.modelcache import ModelCache
 from repro.parallel.supervise import (
@@ -67,7 +64,6 @@ from repro.parallel.supervise import (
     run_supervised,
 )
 from repro.parallel.trainer import TrainExecutor, TrainJob
-from repro.parallel.workerinit import init_worker
 
 __all__ = [
     "CACHE_FORMAT",
@@ -85,8 +81,6 @@ __all__ = [
     "canonical_json",
     "dataset_shard_key",
     "dataset_shard_key_material",
-    "init_worker",
-    "resolve_n_jobs",
     "run_key",
     "run_key_material",
     "run_supervised",

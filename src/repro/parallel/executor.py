@@ -1,4 +1,4 @@
-"""Process-pool sweep executor with run-level deduplication and caching.
+"""Sweep executor with run-level deduplication, caching and a worker pool.
 
 The experiment sweeps (Figures 3-5, Tables I/II, the ablations) are
 embarrassingly parallel: every (target, scenario) pair is an independent
@@ -13,25 +13,28 @@ in three stacked layers:
    finished runs persist on disk, so the binary and 3-class datasets
    share one simulation sweep across invocations and re-running an
    experiment after a training-side change costs zero simulation time.
-3. **Parallelism** — remaining misses fan out over a ``multiprocessing``
-   pool.  Determinism is free: every stochastic component derives its
-   generator via :func:`repro.common.rng.derive_seed` from the experiment
-   seed plus a stable string path, never from global or temporal state,
-   so a run's outcome depends only on its job spec — not on which worker
-   executes it or in what order jobs complete.  Results are returned in
+3. **Parallelism** — remaining misses fan out over the supervised
+   worker pool of :mod:`repro.parallel.supervise`: ``n_jobs`` slots,
+   each one long-lived child process.  Determinism is free: every
+   stochastic component derives its generator via
+   :func:`repro.common.rng.derive_seed` from the experiment seed plus a
+   stable string path, never from global or temporal state, so a run's
+   outcome depends only on its job spec — not on which worker executes
+   it or in what order jobs complete.  Results are returned in
    submission order, making parallel output **bit-identical** to serial.
 
-On top of that sits the **resilience layer**: with ``run_timeout``,
-``retries`` or a :class:`~repro.faults.FaultPlan` with worker faults
-configured, pending runs execute under supervision — one watched child
-process per run, a wall-clock watchdog that terminates overdue workers,
-bounded retry with exponential backoff, and quarantine of runs that keep
-failing.  A sweep with poisoned runs *completes*: ``run_many`` returns
-``None`` in the quarantined slots and :meth:`SweepExecutor.fault_report`
-says exactly what died, how often, and why.  Because every successful
-run lands in the cache the moment it finishes, an interrupted or
-fault-ridden sweep resumes from the cache: re-running it re-executes
-only the runs that never completed.
+A sweep takes one of two paths.  It runs in-process when no
+``run_timeout``, ``retries`` or worker fault is configured and either
+``n_jobs == 1`` or only one run is pending; every other sweep runs on
+the pool, whose **resilience layer** is always on: a wall-clock
+watchdog terminates overdue workers, a dead or hung child is replaced,
+failed attempts retry with exponential backoff, and runs that keep
+failing are quarantined.  A sweep with poisoned runs *completes*:
+``run_many`` returns ``None`` for the quarantined runs and
+:meth:`SweepExecutor.fault_report` says exactly what died, how often,
+and why.  Because every successful run lands in the cache the moment it
+finishes, an interrupted or fault-ridden sweep resumes from the cache:
+re-running it re-executes only the runs that never completed.
 
 Worker processes reset the metrics registry, execute, and ship their
 registry snapshot back with the run; the parent merges the snapshots
@@ -78,26 +81,18 @@ from repro.parallel.cachekey import dataset_shard_key, run_key, run_key_material
 from repro.parallel.supervise import run_supervised
 from repro.workloads.base import Workload
 
-__all__ = ["RunJob", "PairJob", "SweepExecutor", "resolve_n_jobs",
-           "InjectedWorkerFault"]
+__all__ = ["RunJob", "PairJob", "SweepExecutor", "InjectedWorkerFault"]
 
 logger = get_logger("parallel.executor")
 
-#: ``multiprocessing`` start method of pool workers and supervised
-#: children: ``fork`` where available (cheap on Linux), else ``spawn``.
+#: ``multiprocessing`` start method of the worker pool's children:
+#: ``fork`` where available (cheap on Linux), else ``spawn``.
 _START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                  else "spawn")
 
 
 class InjectedWorkerFault(RuntimeError):
     """A deliberate, plan-driven worker failure (crash injection)."""
-
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalise a worker-count request: ``None``/``0``/negative = all cores."""
-    if n_jobs is None or n_jobs <= 0:
-        return os.cpu_count() or 1
-    return int(n_jobs)
 
 
 @dataclass
@@ -123,20 +118,20 @@ class PairJob:
 def _execute_job(item: tuple[str, RunJob, int],
                  plan: FaultPlan | None = None,
                  trace_ctx: TraceContext | None = None):
-    """Worker body: run one job and return (key, run, wall, metrics, aux).
+    """Worker body: run one job and return (run, wall, metrics, aux).
 
-    Runs in a separate process (pool worker or supervised child).  The
-    metrics registry is reset first so the returned snapshot is exactly
-    this job's delta (fork-started workers inherit the parent's state).
+    Runs in a worker-pool child.  The metrics registry is reset first so
+    the returned snapshot is exactly this job's delta (fork-started
+    workers inherit the parent's state).
     When the parent is tracing it passes a ``trace_ctx``: the worker
     attaches a fresh tracer seeded with it and ships the finished spans
     back in ``aux["trace"]``; otherwise any inherited tracer is detached
     so fork-started workers never record into the parent's span list.
-    ``aux`` also carries the worker pid and its ``time.monotonic()``
-    start stamp, from which the parent derives queue-wait and execute
-    wall spans.  When a fault plan is supplied, injected worker faults
-    fire *before* the simulation (a killed worker never produces partial
-    results) and simulated-run aborts are threaded into ``execute_run``.
+    ``aux`` also carries the worker's ``time.monotonic()`` start stamp,
+    from which the parent derives queue-wait and execute wall spans.
+    When a fault plan is supplied, injected worker faults fire *before*
+    the simulation (a killed worker never produces partial results) and
+    simulated-run aborts are threaded into ``execute_run``.
     """
     key, job, attempt = item
     worker_tracer = _dist.attach(trace_ctx)
@@ -161,9 +156,8 @@ def _execute_job(item: tuple[str, RunJob, int],
     run = execute_run(job.target, list(job.interference), job.config,
                       seed_salt=job.seed_salt, abort_at=abort_at)
     wall = time.perf_counter() - start
-    aux = {"pid": os.getpid(), "started": started,
-           "trace": _dist.ship(worker_tracer)}
-    return key, run, wall, REGISTRY.snapshot(), aux
+    aux = {"started": started, "trace": _dist.ship(worker_tracer)}
+    return run, wall, REGISTRY.snapshot(), aux
 
 
 def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
@@ -221,14 +215,14 @@ def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
 def record_batch_telemetry(traced: dict[str, dict]) -> None:
     """Publish batch-level executor health gauges from worker telemetry.
 
-    * ``parallel.workers_used`` — distinct worker processes that ran jobs;
-    * ``parallel.worker_busy_seconds{worker=wN}`` — busy wall seconds
-      per worker slot, indexed by pid order (slots, not pids: labels stay
-      stable run to run even though pids do not);
+    * ``parallel.workers_used`` — distinct pool slots that ran jobs;
+    * ``parallel.worker_busy_seconds{worker=wN}`` — busy wall seconds of
+      slot ``N`` (slots, not pids: a replaced child keeps its slot, and
+      labels stay stable run to run even though pids do not);
     * ``parallel.straggler_skew`` — slowest run / mean run wall time, the
       load-balance number an operator checks first.
     """
-    walls = [info["wall"] for info in traced.values() if "wall" in info]
+    walls = [info["wall"] for info in traced.values()]
     if not walls:
         return
     mean = sum(walls) / len(walls)
@@ -236,15 +230,11 @@ def record_batch_telemetry(traced: dict[str, dict]) -> None:
         max(walls) / mean if mean > 0 else 1.0)
     busy: dict[int, float] = {}
     for info in traced.values():
-        pid = info.get("pid")
-        if pid is not None:
-            busy[pid] = busy.get(pid, 0.0) + info.get("wall", 0.0)
-    if busy:
-        REGISTRY.gauge("parallel.workers_used").set(len(busy))
-        for slot, pid in enumerate(sorted(busy)):
-            REGISTRY.gauge(
-                f"parallel.worker_busy_seconds{{worker=w{slot}}}"
-            ).set(busy[pid])
+        busy[info["slot"]] = busy.get(info["slot"], 0.0) + info["wall"]
+    REGISTRY.gauge("parallel.workers_used").set(len(busy))
+    for slot, seconds in sorted(busy.items()):
+        REGISTRY.gauge(
+            f"parallel.worker_busy_seconds{{worker=w{slot}}}").set(seconds)
 
 
 class SweepExecutor:
@@ -253,8 +243,8 @@ class SweepExecutor:
     Parameters
     ----------
     n_jobs:
-        Worker processes.  ``1`` (default) executes in-process;
-        ``0``/negative uses every core.
+        Worker slots of the pool, at least ``1``.  With ``1`` (default)
+        a sweep without resilience options executes in-process.
     cache:
         A :class:`RunCache`, a directory path to open one in, or ``None``
         for no persistent cache (in-sweep deduplication still applies).
@@ -266,10 +256,9 @@ class SweepExecutor:
         watchdog.
     retries:
         How many times a failed (crashed / timed-out) run is retried
-        before quarantine.  ``0`` quarantines on first failure.
-    retry_backoff:
-        Base of the exponential retry backoff in seconds (attempt ``k``
-        waits ``retry_backoff * 2**k``).
+        before quarantine, after an exponential backoff
+        (:data:`repro.parallel.supervise.RETRY_BACKOFF` ``* 2**k``).
+        ``0`` quarantines on first failure.
     fault_plan:
         A :class:`repro.faults.FaultPlan` whose worker- and
         simulation-level faults are injected into this sweep's runs.
@@ -283,22 +272,20 @@ class SweepExecutor:
                  salt: str = "",
                  run_timeout: float | None = None,
                  retries: int = 0,
-                 retry_backoff: float = 0.05,
                  fault_plan: FaultPlan | None = None) -> None:
+        if n_jobs < 1:
+            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError(f"run_timeout must be positive, got {run_timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
-        self.n_jobs = resolve_n_jobs(n_jobs)
+        self.n_jobs = n_jobs
         if cache is not None and not isinstance(cache, RunCache):
             cache = RunCache(cache)
         self.cache = cache
         self.salt = salt
         self.run_timeout = run_timeout
         self.retries = retries
-        self.retry_backoff = retry_backoff
         self.fault_plan = fault_plan
         self.runs_executed = 0
         self.runs_deduplicated = 0
@@ -331,10 +318,14 @@ class SweepExecutor:
             return self.fault_plan.sim_material()
         return None
 
-    def _needs_supervision(self) -> bool:
-        return (self.run_timeout is not None or self.retries > 0
-                or (self.fault_plan is not None
-                    and self.fault_plan.has_worker_faults))
+    def _runs_in_process(self, pending: int) -> bool:
+        """Whether ``pending`` runs execute in-process instead of on the
+        pool: no timeout, retries or worker faults to supervise, and
+        nothing to spread (one slot, or at most one run)."""
+        resilient = (self.run_timeout is not None or self.retries > 0
+                     or (self.fault_plan is not None
+                         and self.fault_plan.has_worker_faults))
+        return not resilient and (self.n_jobs == 1 or pending <= 1)
 
     # -- execution --------------------------------------------------------
 
@@ -342,11 +333,10 @@ class SweepExecutor:
         """Execute ``jobs`` and return their runs in submission order.
 
         Jobs with equal keys execute once and share one result object.
-        Slots whose run was quarantined (kept failing after every retry)
-        hold ``None``; without failures no slot is ever ``None``.
+        Positions whose run was quarantined (kept failing after every
+        retry) hold ``None``; without failures none is ever ``None``.
         """
         wall_hist = REGISTRY.histogram("parallel.run_seconds")
-        wait_hist = REGISTRY.histogram("parallel.queue_wait_seconds")
         total_counter = REGISTRY.counter("parallel.runs_requested")
         exec_counter = REGISTRY.counter("parallel.runs_executed")
         dedup_counter = REGISTRY.counter("parallel.runs_deduplicated")
@@ -392,49 +382,12 @@ class SweepExecutor:
                 len(items), self.n_jobs,
             )
 
-            trace_ctx = (_dist.current_context()
-                         if tracer is not None else None)
-            #: key -> {"submit", "started", "wall", "pid", "trace"} for
-            #: the post-execution span merge (submission-order pass).
+            #: key -> {"submit", "started", "wall", "slot", "trace"} for
+            #: the post-execution span merge (submission-order pass) and
+            #: the per-slot gauges.
             traced: dict[str, dict] = {}
             with _profile.phase("execute", runs=len(items)):
-                if items and self._needs_supervision():
-                    attempts = self._run_supervised(
-                        items, results, wall_hist, trace_ctx, traced)
-                    if tracer is not None:
-                        emit_job_spans(tracer, [k for k, _ in items],
-                                       traced, attempts)
-                elif items and self.n_jobs > 1 and len(items) > 1:
-                    from repro.parallel.workerinit import init_worker
-
-                    ctx = multiprocessing.get_context(_START_METHOD)
-                    workers = min(self.n_jobs, len(items))
-                    worker_fn = functools.partial(
-                        _execute_job, plan=self.fault_plan,
-                        trace_ctx=trace_ctx)
-                    submit = time.monotonic()
-                    # One-time per-worker setup (heavy imports, base
-                    # tracer/registry state) runs in the pool
-                    # initializer instead of on every task.
-                    with ctx.Pool(processes=workers,
-                                  initializer=init_worker,
-                                  initargs=(trace_ctx,)) as pool:
-                        for key, run, wall, snapshot, aux in \
-                                pool.imap_unordered(
-                                    worker_fn, [(k, j, 0) for k, j in items],
-                                    chunksize=1):
-                            REGISTRY.merge_snapshot(snapshot,
-                                                    worker=key[:12])
-                            wall_hist.observe(wall)
-                            wait_hist.observe(
-                                max(0.0, aux["started"] - submit))
-                            traced[key] = {"submit": submit, "wall": wall,
-                                           **aux}
-                            self._store(key, pending[key], run)
-                            results[key] = run
-                    if tracer is not None:
-                        emit_job_spans(tracer, [k for k, _ in items], traced)
-                else:
+                if self._runs_in_process(len(items)):
                     plan = self.fault_plan
                     for key, job in items:
                         abort_at = (plan.run_abort_time(job.target.name,
@@ -450,33 +403,40 @@ class SweepExecutor:
                         wall_hist.observe(time.perf_counter() - start)
                         self._store(key, job, run)
                         results[key] = run
+                else:
+                    trace_ctx = (_dist.current_context()
+                                 if tracer is not None else None)
+                    attempts = self._run_pool(items, results, wall_hist,
+                                              trace_ctx, traced)
+                    if tracer is not None:
+                        emit_job_spans(tracer, [k for k, _ in items],
+                                       traced, attempts)
             record_batch_telemetry(traced)
 
         return [results.get(key) for key in keys]
 
-    def _run_supervised(self, items: list[tuple[str, RunJob]],
-                        results: dict[str, MonitoredRun],
-                        wall_hist, trace_ctx=None,
-                        traced: dict[str, dict] | None = None
-                        ) -> dict[str, list[dict]]:
-        """Watchdogged execution via :func:`repro.parallel.supervise`.
+    def _run_pool(self, items: list[tuple[str, RunJob]],
+                  results: dict[str, MonitoredRun], wall_hist,
+                  trace_ctx: TraceContext | None,
+                  traced: dict[str, dict]) -> dict[str, list[dict]]:
+        """Execute pending runs on :func:`repro.parallel.supervise.
+        run_supervised`'s worker pool.
 
-        Every pending run gets its own supervised child so a crash or a
-        wedge never takes the sweep down; runs that keep failing land in
-        :attr:`quarantined` and the sweep moves on.  Returns the per-key
-        attempt records so the caller can render retry spans.
+        Runs that keep failing land in :attr:`quarantined` and the sweep
+        moves on.  Returns the per-key attempt records so the caller can
+        render retry spans.
         """
         jobs = dict(items)
         wait_hist = REGISTRY.histogram("parallel.queue_wait_seconds")
         submit = time.monotonic()
 
-        def on_success(key: str, payload) -> None:
-            _, run, wall, snapshot, aux = payload
+        def on_success(key: str, payload, slot: int) -> None:
+            run, wall, snapshot, aux = payload
             REGISTRY.merge_snapshot(snapshot, worker=key[:12])
             wall_hist.observe(wall)
             wait_hist.observe(max(0.0, aux["started"] - submit))
-            if traced is not None:
-                traced[key] = {"submit": submit, "wall": wall, **aux}
+            traced[key] = {"submit": submit, "wall": wall, "slot": slot,
+                           **aux}
             self._store(key, jobs[key], run)
             results[key] = run
 
@@ -489,7 +449,6 @@ class SweepExecutor:
             on_success=on_success,
             run_timeout=self.run_timeout,
             retries=self.retries,
-            retry_backoff=self.retry_backoff,
         )
         self.retries_used += stats.retries_used
         self.timeouts += stats.timeouts

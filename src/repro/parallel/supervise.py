@@ -1,17 +1,30 @@
-"""Supervised child-process execution for simulation sweeps.
+"""The supervised worker pool that runs every multi-process sweep.
 
-The resilience layer of :class:`repro.parallel.SweepExecutor`: one
-watched child process per run, a wall-clock watchdog, bounded retry
-with exponential backoff, and quarantine of runs that keep failing.
+:class:`repro.parallel.SweepExecutor` sends each multi-process sweep
+here: a fixed set of worker *slots*, one long-lived child process each,
+a wall-clock watchdog, bounded retry with exponential backoff, and
+quarantine of runs that keep failing.
 
 The contract: the caller supplies keyed :class:`~repro.parallel.RunJob`
 payloads and a picklable ``worker(item)`` callable; :func:`run_supervised`
-runs each payload in its own child process and reports every success
-through ``on_success``.  A run that still fails after every retry is
-quarantined — recorded in the returned :class:`SupervisionStats` and
-*not* reported as a result, so a sweep with poisoned runs completes
-instead of crashing.  :func:`backoff_delay` is the retry policy, shared
-with the prediction service's tenants.
+starts ``min(workers, len(items))`` slots, hands each idle slot one
+``(key, job, attempt)`` at a time over its pipe, and reports every
+success through ``on_success``.  A child whose worker raises reports the
+error and keeps its slot; a child that dies, sends a result the parent
+cannot read, or overruns ``run_timeout`` is terminated, and a fresh
+child takes over the slot for its next item.  A run that still fails
+after every retry is quarantined — recorded in the returned
+:class:`SupervisionStats` and *not* reported as a result, so a sweep
+with poisoned runs completes instead of crashing.  :func:`backoff_delay`
+is the retry policy, shared with the prediction service's tenants.
+
+The parent never polls: it blocks in
+:func:`multiprocessing.connection.wait` on the busy slots' result pipes
+and every child's sentinel until the next watchdog deadline or retry
+backoff falls due.  It hands a freed slot its next item before it
+handles the finished one, so the child computes while the parent merges
+and stores.  DESIGN.md §7 has the measurements that made this pool the
+only multi-process path.
 """
 
 from __future__ import annotations
@@ -23,13 +36,14 @@ from typing import Any, Callable
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 
-__all__ = ["SupervisionStats", "backoff_delay", "run_supervised",
-           "supervised_entry"]
+__all__ = ["RETRY_BACKOFF", "SupervisionStats", "backoff_delay",
+           "run_supervised"]
 
 logger = get_logger("parallel.supervise")
 
-#: Seconds between supervision polls (watchdog granularity).
-POLL_INTERVAL = 0.005
+#: Base of the sweep's exponential retry backoff in seconds (attempt
+#: ``k`` waits ``RETRY_BACKOFF * 2**k``).
+RETRY_BACKOFF = 0.05
 
 
 def backoff_delay(base: float, attempt: int, *, cap: float = 30.0,
@@ -52,19 +66,30 @@ def backoff_delay(base: float, attempt: int, *, cap: float = 30.0,
     return min(cap, base * (2 ** attempt)) * (1.0 + jitter)
 
 
-def supervised_entry(conn, worker, item) -> None:
-    """Child-process wrapper: ship the result or the failure over a pipe."""
-    try:
-        result = worker(item)
-    except BaseException as exc:  # noqa: BLE001 — everything must be reported
+def _slot_main(conn, worker) -> None:
+    """Child body: run items from ``conn`` until ``None`` (or EOF) arrives.
+
+    Every item's outcome goes back over the same pipe — ``("ok",
+    result)`` or ``("err", message)`` — so a raising worker keeps the
+    child alive for the slot's next item.  ``SystemExit`` and
+    ``KeyboardInterrupt`` end the child, which the parent sees as a death.
+    """
+    while True:
         try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    else:
-        conn.send(("ok", result))
-    finally:
-        conn.close()
+            item = conn.recv()
+        except EOFError:
+            return
+        if item is None:
+            return
+        try:
+            reply = ("ok", worker(item))
+        except Exception as exc:  # noqa: BLE001 — reported; the child lives on
+            reply = ("err", f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except Exception as exc:  # an unpicklable result fails before writing
+            conn.send(("err", f"unpicklable result: "
+                              f"{type(exc).__name__}: {exc}"))
 
 
 @dataclass
@@ -82,12 +107,51 @@ class SupervisionStats:
     attempts: dict[str, list[dict]] = field(default_factory=dict)
 
     def record_attempt(self, key: str, attempt: int, started: float,
-                       outcome: str, error: str | None = None) -> None:
+                       ended: float, outcome: str,
+                       error: str | None = None) -> None:
         record: dict = {"attempt": attempt, "started": started,
-                        "ended": time.monotonic(), "outcome": outcome}
+                        "ended": ended, "outcome": outcome}
         if error is not None:
             record["error"] = error
         self.attempts.setdefault(key, []).append(record)
+
+
+class _Slot:
+    """One worker slot: its current child, pipe and in-flight attempt."""
+
+    __slots__ = ("index", "proc", "conn", "key", "attempt", "started",
+                 "deadline")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.proc = None
+        self.conn = None
+        #: Key of the in-flight item; ``None`` while the slot is idle.
+        self.key: str | None = None
+        self.attempt = 0
+        self.started = 0.0
+        self.deadline: float | None = None
+
+    def spawn(self, ctx, worker) -> None:
+        parent_conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(target=_slot_main, args=(child_conn, worker),
+                                daemon=True)
+        self.proc.start()
+        child_conn.close()
+        self.conn = parent_conn
+
+    def reap(self) -> int:
+        """Wait for the child to exit, close its pipe; returns the exit code."""
+        proc = self.proc
+        proc.join()
+        self.conn.close()
+        self.proc = self.conn = None
+        return proc.exitcode
+
+    def kill(self) -> int:
+        """Terminate the child (harmless if it already exited) and reap it."""
+        self.proc.terminate()
+        return self.reap()
 
 
 def run_supervised(
@@ -96,38 +160,42 @@ def run_supervised(
     *,
     ctx,
     workers: int,
-    on_success: Callable[[str, Any], None],
+    on_success: Callable[[str, Any, int], None],
     run_timeout: float | None = None,
     retries: int = 0,
-    retry_backoff: float = 0.05,
 ) -> SupervisionStats:
-    """Watchdogged execution: child process per item, retry, quarantine.
+    """Run keyed items on a supervised pool: watchdog, retry, quarantine.
 
-    Every item ``(key, job)`` gets its own supervised child running
-    ``worker((key, job, attempt))`` so a crash or a wedge never takes
-    the sweep down: exceptions are reported over the result pipe, silent
-    deaths are detected by exit code, and children exceeding
-    ``run_timeout`` are terminated.  Failed attempts are retried with
-    exponential backoff up to ``retries`` times, then the run is
-    quarantined (its record names the job's target and seed salt) and
-    the sweep moves on.
+    ``min(workers, len(items))`` slots each keep one child running
+    ``worker((key, job, attempt))`` for one item at a time, so a crash
+    or a wedge never takes the sweep down: exceptions come back over the
+    slot's pipe (the child keeps its slot), silent deaths are detected
+    by exit code, unreadable results are rejected, and children
+    exceeding ``run_timeout`` are terminated; a dead or terminated
+    child is replaced when its slot gets its next item.  Failed attempts
+    are retried after :func:`backoff_delay` (base :data:`RETRY_BACKOFF`)
+    up to ``retries`` times, then the run is quarantined (its record
+    names the job's target and seed salt) and the sweep moves on.
 
-    ``on_success(key, result)`` fires in the parent, in completion
-    order.  ``worker`` must be picklable when ``ctx`` uses the spawn
-    start method.  Retry/timeout/quarantine counters are published as
-    ``parallel.retries``, ``parallel.timeouts`` and
+    ``on_success(key, result, slot)`` fires in the parent, in completion
+    order, with the index of the slot that ran the item.  ``worker``
+    must be picklable when ``ctx`` uses the spawn start method, and
+    items and results always cross a pipe.  Every child has exited when
+    this returns (or raises).  Retry/timeout/quarantine counters are
+    published as ``parallel.retries``, ``parallel.timeouts`` and
     ``parallel.quarantined``.
     """
+    # Imported here: in-process sweeps never load it (~0.6 MB of RSS).
+    from multiprocessing.connection import wait
+
     retry_counter = REGISTRY.counter("parallel.retries")
     timeout_counter = REGISTRY.counter("parallel.timeouts")
     quarantine_counter = REGISTRY.counter("parallel.quarantined")
     stats = SupervisionStats()
     payloads = dict(items)
-    workers = max(1, min(workers, len(items))) if items else 0
+    slots = [_Slot(i) for i in range(min(max(1, workers), len(items)))]
     #: (key, attempt, ready_at) — ready_at implements retry backoff.
     queue: list[tuple[str, int, float]] = [(key, 0, 0.0) for key, _ in items]
-    #: key -> (proc, conn, deadline, attempt, started_at)
-    active: dict[str, tuple] = {}
     errors: dict[str, list[str]] = {}
 
     def fail(key: str, attempt: int, message: str) -> None:
@@ -135,7 +203,7 @@ def run_supervised(
         if attempt < retries:
             stats.retries_used += 1
             retry_counter.inc()
-            backoff = backoff_delay(retry_backoff, attempt)
+            backoff = backoff_delay(RETRY_BACKOFF, attempt)
             logger.warning(
                 "%s attempt %d failed (%s); retrying in %.2fs",
                 key[:12], attempt, message, backoff,
@@ -155,70 +223,112 @@ def run_supervised(
                 key[:12], attempt + 1, message,
             )
 
-    while queue or active:
-        now = time.monotonic()
-        progressed = False
-        # Launch any ready item into a free slot.
-        while len(active) < workers:
-            ready_idx = next(
-                (i for i, (_, _, ready_at) in enumerate(queue)
-                 if ready_at <= now), None,
-            )
-            if ready_idx is None:
-                break
-            key, attempt, _ = queue.pop(ready_idx)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=supervised_entry,
-                args=(child_conn, worker, (key, payloads[key], attempt)),
-            )
-            proc.start()
-            child_conn.close()
-            deadline = now + run_timeout if run_timeout is not None else None
-            active[key] = (proc, parent_conn, deadline, attempt, now)
-            progressed = True
-        # Harvest finished / dead / overdue children.
-        for key in list(active):
-            proc, conn, deadline, attempt, started = active[key]
-            if conn.poll():
+    #: (slot index, key, attempt, started, ended, outcome, payload) of
+    #: attempts whose slot is free again but which are not handled yet;
+    #: ``payload`` is the result if ``outcome`` is "ok", else the error.
+    finished: list[tuple[int, str, int, float, float, str, Any]] = []
+
+    def release(slot: _Slot, outcome: str, payload: Any) -> None:
+        finished.append((slot.index, slot.key, slot.attempt, slot.started,
+                         time.monotonic(), outcome, payload))
+        slot.key = None
+
+    def collect(slot: _Slot) -> None:
+        """Take a busy slot's reply, or account for its dead child."""
+        try:
+            if not slot.conn.poll():  # only the sentinel fired
+                raise EOFError
+            kind, payload = slot.conn.recv()
+            if kind not in ("ok", "err"):
+                raise ValueError(f"unknown reply kind {kind!r}")
+        except EOFError:
+            release(slot, "err",
+                    f"worker died silently (exitcode {slot.kill()})")
+        except Exception as exc:  # noqa: BLE001 — a reply we cannot read
+            slot.kill()
+            release(slot, "err",
+                    f"broken result: {type(exc).__name__}: {exc}")
+        else:
+            release(slot, kind, payload)
+
+    def handle(index: int, key: str, attempt: int, started: float,
+               ended: float, outcome: str, payload: Any) -> None:
+        stats.record_attempt(key, attempt, started, ended, outcome,
+                             error=None if outcome == "ok" else payload)
+        if outcome == "ok":
+            on_success(key, payload, index)
+        else:
+            fail(key, attempt, payload)
+
+    try:
+        while True:
+            now = time.monotonic()
+            # Hand ready items to idle slots, respawning retired children.
+            for slot in slots:
+                if slot.key is not None:
+                    continue
+                ready = next((i for i, (_, _, ready_at) in enumerate(queue)
+                              if ready_at <= now), None)
+                if ready is None:
+                    break
+                key, attempt, _ = queue.pop(ready)
+                if slot.proc is None:
+                    slot.spawn(ctx, worker)
+                slot.key, slot.attempt, slot.started = key, attempt, now
+                slot.deadline = (now + run_timeout
+                                 if run_timeout is not None else None)
                 try:
-                    kind, payload = conn.recv()
-                except EOFError:
-                    kind, payload = "err", "worker died (pipe closed)"
-                proc.join()
-                conn.close()
-                del active[key]
-                progressed = True
-                if kind == "ok":
-                    stats.record_attempt(key, attempt, started, "ok")
-                    on_success(key, payload)
-                else:
-                    stats.record_attempt(key, attempt, started, "err",
-                                         error=str(payload))
-                    fail(key, attempt, str(payload))
-            elif not proc.is_alive():
-                proc.join()
-                conn.close()
-                del active[key]
-                progressed = True
-                message = f"worker died silently (exitcode {proc.exitcode})"
-                stats.record_attempt(key, attempt, started, "err",
-                                     error=message)
-                fail(key, attempt, message)
-            elif deadline is not None and now > deadline:
-                proc.terminate()
-                proc.join()
-                conn.close()
-                del active[key]
-                progressed = True
-                stats.timeouts += 1
-                timeout_counter.inc()
-                message = (f"timeout after {now - started:.2f}s "
-                           f"(limit {run_timeout}s)")
-                stats.record_attempt(key, attempt, started, "timeout",
-                                     error=message)
-                fail(key, attempt, message)
-        if not progressed:
-            time.sleep(POLL_INTERVAL)
+                    slot.conn.send((key, payloads[key], attempt))
+                except OSError as exc:  # the idle child died under us
+                    slot.kill()
+                    release(slot, "err", f"worker unreachable: {exc}")
+            # Finished attempts are handled once their slots have new
+            # work, so children compute while the parent merges and
+            # stores results.
+            for record in finished:
+                handle(*record)
+            finished.clear()
+            busy = [s for s in slots if s.key is not None]
+            if not queue and not busy:
+                break
+            # Block until a reply, a death, a deadline or a backoff expiry.
+            due = [s.deadline for s in busy if s.deadline is not None]
+            if queue and len(busy) < len(slots):
+                due.append(min(ready_at for _, _, ready_at in queue))
+            fired = set(wait(
+                [s.conn for s in busy]
+                + [s.proc.sentinel for s in slots if s.proc is not None],
+                max(0.0, min(due) - now) if due else None,
+            ))
+            now = time.monotonic()
+            for slot in slots:
+                if slot.proc is None:
+                    continue
+                if slot.key is None:
+                    if slot.proc.sentinel in fired:  # died while idle
+                        slot.reap()
+                elif slot.conn in fired or slot.proc.sentinel in fired:
+                    collect(slot)
+                elif slot.deadline is not None and now >= slot.deadline:
+                    slot.kill()
+                    stats.timeouts += 1
+                    timeout_counter.inc()
+                    release(slot, "timeout",
+                            f"timeout after {now - slot.started:.2f}s "
+                            f"(limit {run_timeout}s)")
+    finally:
+        # Ask idle children to exit and terminate busy ones (only left
+        # when the loop raised), then reap them all.
+        live = [s for s in slots if s.proc is not None]
+        for slot in live:
+            if slot.key is None:
+                try:
+                    slot.conn.send(None)
+                except OSError:
+                    pass
+            else:
+                slot.proc.terminate()
+        for slot in live:
+            slot.reap()
 
     return stats

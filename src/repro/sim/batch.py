@@ -26,8 +26,6 @@ workload op generation (``derive_rng``).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.records import OpType, ServerId
 from repro.sim.engine import Event
 
@@ -37,56 +35,15 @@ __all__ = ["BatchRequest"]
 class BatchRequest:
     """One homogeneous burst of striped RPC pieces from a single client op.
 
-    Pieces appear in ``map_extent`` order, then ``max_rpc_bytes`` splits, as
-    four parallel columns; the public ``ost_idx``/``object_id``/
-    ``obj_off``/``nbytes`` numpy views are materialised on first access
-    (the driver's hot loops walk the raw int columns instead, because the
-    common case is a one- or two-piece burst).
+    Built by :meth:`from_extent`: pieces appear in ``map_extent`` order,
+    then ``max_rpc_bytes`` splits, as four parallel plain-int columns
+    (``_ost``/``_oid``/``_ooff``/``_nb``) that the driver's hot loops walk
+    directly — most ops are a one- or two-piece burst, where building
+    arrays would cost more than it saves.
     """
 
     __slots__ = ("op", "path", "offset", "size", "_ost", "_oid", "_ooff",
-                 "_nb", "_arrays")
-
-    def __init__(self, op: OpType, path: str, offset: int, size: int,
-                 pieces: list[tuple[int, int, int, int]]) -> None:
-        self.op = op
-        self.path = path
-        self.offset = offset
-        self.size = size
-        # Columns are plain int lists for the driver's hot loops (most ops
-        # are a single ≤1 MiB piece, where per-op array construction costs
-        # more than it saves); the numpy views are materialised lazily.
-        self._ost = [p[0] for p in pieces]
-        self._oid = [p[1] for p in pieces]
-        self._ooff = [p[2] for p in pieces]
-        self._nb = [p[3] for p in pieces]
-        self._arrays = None
-
-    def _materialise(self):
-        n = len(self._ost)
-        self._arrays = (
-            np.fromiter(self._ost, dtype=np.int64, count=n),
-            np.fromiter(self._oid, dtype=np.int64, count=n),
-            np.fromiter(self._ooff, dtype=np.int64, count=n),
-            np.fromiter(self._nb, dtype=np.int64, count=n),
-        )
-        return self._arrays
-
-    @property
-    def ost_idx(self) -> np.ndarray:
-        return (self._arrays or self._materialise())[0]
-
-    @property
-    def object_id(self) -> np.ndarray:
-        return (self._arrays or self._materialise())[1]
-
-    @property
-    def obj_off(self) -> np.ndarray:
-        return (self._arrays or self._materialise())[2]
-
-    @property
-    def nbytes(self) -> np.ndarray:
-        return (self._arrays or self._materialise())[3]
+                 "_nb")
 
     def __len__(self) -> int:
         return len(self._ost)
@@ -94,7 +51,10 @@ class BatchRequest:
     @classmethod
     def from_extent(cls, f, op: OpType, path: str, offset: int, size: int,
                     max_rpc: int) -> "BatchRequest":
-        """Split a logical extent into ≤``max_rpc``-byte striped pieces."""
+        """Split a logical extent into ≤``max_rpc``-byte striped pieces.
+
+        A zero-size extent raises ``ValueError`` (from ``map_extent``).
+        """
         req = cls.__new__(cls)
         req.op = op
         req.path = path
@@ -104,7 +64,6 @@ class BatchRequest:
         oid = req._oid = []
         ooff = req._ooff = []
         nb = req._nb = []
-        req._arrays = None
         for ost_idx, object_id, obj_off, nbytes in f.layout.map_extent(offset, size):
             sent = 0
             while sent < nbytes:
@@ -145,9 +104,6 @@ class _DataOpDriver:
         touched = self.touched
         keep = self.keep_record
         n = len(req)
-        if n == 0:
-            self._finish()
-            return
         ost_idx = req._ost
         nbytes = req._nb
         # Group pieces whose RPC-window credit is available right now;

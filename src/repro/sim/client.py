@@ -149,14 +149,14 @@ class ClientSession:
         """Start one data op on the callback chain (repro.sim.batch);
         returns the event that fires when its last piece completes."""
         f = self.node.cluster.fs.lookup(path)
+        req = BatchRequest.from_extent(f, op, path, offset, size,
+                                       self.node.params.max_rpc_bytes)
         start = self.env.now
         tracer = _trace.TRACER
         span = tracer.start(
             f"client.{op.value}", start, job=self.job, rank=self.rank,
             path=path, offset=offset, size=size,
         ) if tracer is not None else None
-        req = BatchRequest.from_extent(f, op, path, offset, size,
-                                       self.node.params.max_rpc_bytes)
         done = Event(self.env)
         _DataOpDriver(self, req, f, start, done, span).begin()
         return done

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.common.units import MIB, SECTOR_SIZE
 
 __all__ = ["DiskParams", "DiskModel", "FlashParams", "FlashModel",
@@ -84,37 +82,6 @@ class DiskModel:
         self._head_lba = lba + sectors
         return positioning + transfer
 
-    def service_batch(self, lbas, sectors) -> np.ndarray:
-        """Vectorised service times for requests served back-to-back.
-
-        Element *i* is served with the head where request *i-1* left it,
-        exactly as ``len(lbas)`` sequential :meth:`service_time` calls
-        (same elementwise float operations, so results match bit for
-        bit). Moves the head to the end of the last request.
-        """
-        lbas = np.asarray(lbas, dtype=np.int64)
-        secs = np.asarray(sectors, dtype=np.int64)
-        if lbas.size == 0:
-            return np.zeros(0)
-        if (secs <= 0).any():
-            raise ValueError("batch request must cover >= 1 sector each")
-        if (lbas < 0).any():
-            raise ValueError("negative LBA in batch")
-        p = self.params
-        ends = lbas + secs
-        prev = np.concatenate(([self._head_lba], ends[:-1]))
-        distance = np.abs(lbas - prev)
-        frac = np.minimum(1.0, distance / max(1, p.total_sectors))
-        positioning = np.where(
-            distance > 0,
-            p.seek_min + frac * (2.0 * p.seek_avg - p.seek_min)
-            + p.rotational_latency_avg,
-            0.0,
-        )
-        transfer = secs * SECTOR_SIZE / p.sequential_bandwidth
-        self._head_lba = int(ends[-1])
-        return positioning + transfer
-
 
 @dataclass(frozen=True)
 class FlashParams:
@@ -162,20 +129,6 @@ class FlashModel:
         # the slower (write) bandwidth as the conservative bound.
         bandwidth = min(self.params.read_bandwidth, self.params.write_bandwidth)
         return self.params.command_latency + sectors * SECTOR_SIZE / bandwidth
-
-    def service_batch(self, lbas, sectors) -> np.ndarray:
-        """Vectorised counterpart of :meth:`service_time` (see DiskModel)."""
-        lbas = np.asarray(lbas, dtype=np.int64)
-        secs = np.asarray(sectors, dtype=np.int64)
-        if lbas.size == 0:
-            return np.zeros(0)
-        if (secs <= 0).any():
-            raise ValueError("batch request must cover >= 1 sector each")
-        if (lbas < 0).any():
-            raise ValueError("negative LBA in batch")
-        self._head_lba = int(lbas[-1] + secs[-1])
-        bandwidth = min(self.params.read_bandwidth, self.params.write_bandwidth)
-        return self.params.command_latency + secs * SECTOR_SIZE / bandwidth
 
 
 def make_disk_model(params: "DiskParams | FlashParams"):

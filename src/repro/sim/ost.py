@@ -32,10 +32,6 @@ class ExtentAllocator:
         self._map: dict[tuple[int, int], int] = {}
         self._next_offset = 0
 
-    @property
-    def allocated_bytes(self) -> int:
-        return self._next_offset
-
     def _chunk_offset(self, object_id: int, chunk: int) -> int:
         key = (object_id, chunk)
         dev = self._map.get(key)

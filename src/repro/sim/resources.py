@@ -1,20 +1,17 @@
 """Synchronisation primitives built on the event kernel.
 
-The PFS simulator needs three: a counting :class:`Semaphore` (Lustre's
-``max_rpcs_in_flight`` windows, MDS service threads), a :class:`Barrier`
-(MPI-style rank synchronisation inside workloads) and a FIFO
-:class:`Store` (producer/consumer queues such as the cache flusher).
-All wake-ups are FIFO, preserving engine determinism.
+The PFS simulator needs one: a counting :class:`Semaphore` with FIFO
+wake-ups (Lustre's ``max_rpcs_in_flight`` windows, MDS slots, directory
+locks and service threads), preserving engine determinism.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
 
 from repro.sim.engine import Environment, Event
 
-__all__ = ["Semaphore", "Barrier", "Store"]
+__all__ = ["Semaphore"]
 
 
 class Semaphore:
@@ -73,53 +70,3 @@ class Semaphore:
             if self._available >= self.capacity:
                 raise RuntimeError("semaphore released more times than acquired")
             self._available += 1
-
-
-class Barrier:
-    """A reusable barrier for ``parties`` processes.
-
-    Each call to :meth:`wait` returns an event that fires when all
-    parties of the current generation have arrived.
-    """
-
-    def __init__(self, env: Environment, parties: int) -> None:
-        if parties < 1:
-            raise ValueError(f"barrier needs >= 1 parties, got {parties}")
-        self.env = env
-        self.parties = parties
-        self._arrived: list[Event] = []
-
-    def wait(self) -> Event:
-        ev = Event(self.env)
-        self._arrived.append(ev)
-        if len(self._arrived) == self.parties:
-            batch, self._arrived = self._arrived, []
-            for waiter in batch:
-                waiter.succeed()
-        return ev
-
-
-class Store:
-    """Unbounded FIFO queue of items with blocking ``get``."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev

@@ -173,6 +173,22 @@ class TestMetricsMerge:
         assert len(busy) == int(snapshot["parallel.workers_used"]["value"])
         assert snapshot["parallel.queue_wait_seconds"]["count"] == 4
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_workers_are_counted_by_slot(self, retries):
+        """Four distinct runs on two slots report at most two workers and
+        one busy series per used slot, with or without retries."""
+        runs = SweepExecutor(n_jobs=2, retries=retries).run_many(
+            four_distinct_jobs())
+        assert all(run is not None for run in runs)
+        snapshot = obs_metrics.REGISTRY.snapshot()
+        used = int(snapshot["parallel.workers_used"]["value"])
+        busy = {name for name in snapshot
+                if name.startswith("parallel.worker_busy_seconds{")}
+        assert 1 <= used <= 2
+        assert len(busy) == used
+        assert busy <= {"parallel.worker_busy_seconds{worker=w0}",
+                        "parallel.worker_busy_seconds{worker=w1}"}
+
     def test_untraced_parallel_sweep_needs_no_tracer(self):
         obs_metrics.REGISTRY.reset()
         runs = SweepExecutor(n_jobs=4).run_many(four_distinct_jobs())

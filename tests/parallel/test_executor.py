@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.experiments.datagen import Scenario, collect_windows
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
-from repro.parallel import PairJob, RunCache, RunJob, SweepExecutor, resolve_n_jobs
+from repro.parallel import PairJob, RunCache, RunJob, SweepExecutor
 from repro.workloads.io500 import make_io500_task
 
 
@@ -25,14 +25,6 @@ def small_scenarios():
         Scenario("noise", (InterferenceSpec("ior-easy-write", instances=2,
                                             ranks=2, scale=0.2),)),
     ]
-
-
-def test_resolve_n_jobs():
-    assert resolve_n_jobs(3) == 3
-    assert resolve_n_jobs(1) == 1
-    assert resolve_n_jobs(None) >= 1
-    assert resolve_n_jobs(0) >= 1
-    assert resolve_n_jobs(-2) >= 1
 
 
 def test_baseline_shared_across_scenarios():
@@ -84,9 +76,11 @@ def test_parallel_bit_identical_to_serial():
     """The acceptance criterion: n_jobs=4 must produce the exact same
     WindowBank as n_jobs=1, bit for bit."""
     serial = collect_windows(small_targets(), small_scenarios(),
-                             small_config(), n_jobs=1)
+                             small_config(),
+                             executor=SweepExecutor(n_jobs=1))
     parallel = collect_windows(small_targets(), small_scenarios(),
-                               small_config(), n_jobs=4)
+                               small_config(),
+                               executor=SweepExecutor(n_jobs=4))
     assert np.array_equal(serial.X, parallel.X)
     assert np.array_equal(serial.levels, parallel.levels)
     assert serial.sources == parallel.sources
@@ -141,39 +135,16 @@ def test_stats_shape(tmp_path):
     assert SweepExecutor().stats()["cache"] is None
 
 
-def test_init_worker_attach_and_detach():
-    """The pool initializer installs exactly the tracer state a worker
-    needs: a fresh tracer under the parent's trace id when traced, no
-    tracer at all (even a fork-inherited one) when untraced — and the
-    heavy simulation modules are hot either way."""
-    import sys
-
-    from repro.obs import trace as _trace
-    from repro.obs.distributed import TraceContext
-    from repro.parallel import init_worker
-
-    saved = _trace.get()
-    try:
-        tracer = init_worker(TraceContext(trace_id="t-init",
-                                          worker="w0").to_dict())
-        assert tracer is not None and tracer.trace_id == "t-init"
-        assert _trace.get() is tracer
-        assert "repro.experiments.runner" in sys.modules
-        assert "repro.sim.batch" in sys.modules
-
-        assert init_worker(None) is None
-        assert _trace.get() is None  # inherited tracer detached
-    finally:
-        _trace.TRACER = saved
-
-
 def test_pool_initializer_keeps_parallel_results_identical():
-    """Moving one-time setup into the initializer must not change what
-    the pool produces: same banks as serial, still bit for bit."""
+    """Two pool slots with no per-worker initializer (each job attaches
+    its own tracer and resets its registry) produce the same banks as
+    serial, bit for bit."""
     serial = collect_windows(small_targets(), small_scenarios(),
-                             small_config(), n_jobs=1)
+                             small_config(),
+                             executor=SweepExecutor(n_jobs=1))
     pooled = collect_windows(small_targets(), small_scenarios(),
-                             small_config(), n_jobs=2)
+                             small_config(),
+                             executor=SweepExecutor(n_jobs=2))
     assert np.array_equal(serial.X, pooled.X)
     assert np.array_equal(serial.levels, pooled.levels)
 

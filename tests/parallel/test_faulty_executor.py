@@ -45,8 +45,8 @@ class TestValidation:
             SweepExecutor(run_timeout=0)
         with pytest.raises(ValueError, match="retries"):
             SweepExecutor(retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            SweepExecutor(retry_backoff=-0.1)
+        with pytest.raises(ValueError, match="n_jobs"):
+            SweepExecutor(n_jobs=0)
 
 
 class TestWorkerCrashes:
@@ -63,8 +63,7 @@ class TestWorkerCrashes:
         killed = {k for k in keys if plan.kills_worker(k)}
         assert len(killed) / len(keys) >= 0.2
 
-        faulty = SweepExecutor(n_jobs=2, fault_plan=plan, retries=1,
-                               retry_backoff=0.01)
+        faulty = SweepExecutor(n_jobs=2, fault_plan=plan, retries=1)
         runs = faulty.run_many(jobs)
         assert len(runs) == len(jobs)
         for key, clean_run, run in zip(keys, clean_runs, runs):
@@ -98,8 +97,7 @@ class TestWorkerCrashes:
         run completes and nothing is quarantined."""
         jobs = make_jobs(3)
         plan = FaultPlan(seed=2, worker_flaky_rate=0.5)
-        executor = SweepExecutor(n_jobs=2, fault_plan=plan, retries=5,
-                                 retry_backoff=0.0)
+        executor = SweepExecutor(n_jobs=2, fault_plan=plan, retries=5)
         runs = executor.run_many(jobs)
         assert all(run is not None for run in runs)
         assert not executor.quarantined
@@ -108,8 +106,7 @@ class TestWorkerCrashes:
         jobs = make_jobs(3)
         probe = SweepExecutor()
         plan = find_kill_plan([probe.key_for(j) for j in jobs])
-        executor = SweepExecutor(fault_plan=plan, retries=1,
-                                 retry_backoff=0.0)
+        executor = SweepExecutor(fault_plan=plan, retries=1)
         executor.run_many(jobs)
         report = executor.fault_report()
         assert report["plan"]["worker_kill_rate"] == 0.4

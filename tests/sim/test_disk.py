@@ -128,30 +128,3 @@ class TestDiskStats:
         }
         assert set(snap) == expected
 
-
-class TestServiceBatch:
-    def test_matches_sequential_service_times_bitwise(self):
-        """One vectorised call must equal N sequential calls bit for bit
-        (the batch backend's equivalence contract at the device layer)."""
-        lbas = [0, 2048, 10_000_000, 10_002_048, 512]
-        secs = [2048, 2048, 2048, 64, 128]
-        a = DiskModel(DiskParams())
-        sequential = [a.service_time(l, s) for l, s in zip(lbas, secs)]
-        b = DiskModel(DiskParams())
-        batch = b.service_batch(lbas, secs)
-        assert batch.tolist() == sequential
-        assert a._head_lba == b._head_lba
-
-    def test_empty_batch_is_noop(self):
-        model = DiskModel(DiskParams())
-        model.service_time(4096, 64)
-        head = model._head_lba
-        assert model.service_batch([], []).size == 0
-        assert model._head_lba == head
-
-    def test_rejects_bad_batches(self):
-        model = DiskModel(DiskParams())
-        with pytest.raises(ValueError):
-            model.service_batch([0], [0])
-        with pytest.raises(ValueError):
-            model.service_batch([-1], [8])

@@ -1,9 +1,9 @@
-"""Tests for semaphores, barriers and stores."""
+"""Tests for the FIFO counting semaphore."""
 
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Barrier, Semaphore, Store
+from repro.sim.resources import Semaphore
 
 
 def test_semaphore_limits_concurrency():
@@ -54,74 +54,3 @@ def test_semaphore_over_release_raises():
 def test_semaphore_rejects_zero_capacity():
     with pytest.raises(ValueError):
         Semaphore(Environment(), 0)
-
-
-def test_barrier_releases_all_parties_together():
-    env = Environment()
-    bar = Barrier(env, 3)
-    released = []
-
-    def party(i, delay):
-        yield env.timeout(delay)
-        yield bar.wait()
-        released.append((i, env.now))
-
-    for i, d in enumerate((0.1, 0.5, 0.3)):
-        env.process(party(i, d))
-    env.run()
-    assert [t for _, t in released] == pytest.approx([0.5, 0.5, 0.5])
-
-
-def test_barrier_is_reusable():
-    env = Environment()
-    bar = Barrier(env, 2)
-    times = []
-
-    def party(delay):
-        for _ in range(2):
-            yield env.timeout(delay)
-            yield bar.wait()
-            times.append(env.now)
-
-    env.process(party(1.0))
-    env.process(party(2.0))
-    env.run()
-    assert times == pytest.approx([2.0, 2.0, 4.0, 4.0])
-
-
-def test_store_fifo_and_blocking_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((item, env.now))
-
-    def producer():
-        yield env.timeout(1.0)
-        store.put("a")
-        store.put("b")
-        yield env.timeout(1.0)
-        store.put("c")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert [i for i, _ in got] == ["a", "b", "c"]
-    assert got[0][1] == pytest.approx(1.0)
-    assert got[2][1] == pytest.approx(2.0)
-
-
-def test_store_get_after_put_returns_immediately():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    assert len(store) == 1
-
-    def consumer():
-        item = yield store.get()
-        return item
-
-    assert env.run(until=env.process(consumer())) == 1
