@@ -221,30 +221,52 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.dataset"),
-                        help="columnar dataset store directory: labelled "
-                             "windows persist as content-addressed shards "
-                             "and rebuilds simulate only missing pairs "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-dataset-cache", action="store_true",
-                        help="collect windows in memory instead of through "
-                             "the on-disk dataset store")
+#: (directory flag, default, off flag, contents) of the run, window and
+#: model caches, in the order :func:`_open_caches` returns them.
+_CACHE_FLAGS = (
+    ("--cache-dir", "results/.runcache", "--no-cache", "simulation runs"),
+    ("--dataset-dir", "results/.dataset", "--no-dataset-cache",
+     "labelled windows, so a rebuild simulates only pairs it has not seen"),
+    ("--model-cache-dir", "results/.modelcache", "--no-model-cache",
+     "trained models"),
+)
 
 
-def _open_store(args):
-    """The CLI's DatasetStore (or ``None`` with ``--no-dataset-cache``)."""
-    if args.no_dataset_cache:
-        return None
-    from repro.data import DatasetStore
+def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    for flag, default, off, contents in _CACHE_FLAGS:
+        parser.add_argument(flag, type=pathlib.Path,
+                            default=pathlib.Path(default),
+                            help=f"content-addressed cache of {contents} "
+                                 f"(default: %(default)s)")
+        parser.add_argument(off, action="store_true",
+                            help=f"do not read or write the {flag} cache")
 
-    try:
-        return DatasetStore(args.dataset_dir)
-    except OSError as exc:
-        raise SystemExit(_fail(
-            f"dataset dir {args.dataset_dir} is not usable ({exc}); "
-            f"pass --dataset-dir or --no-dataset-cache"))
+
+def _open_caches(args) -> tuple:
+    """The (run, window, model) caches the flags ask for; ``None`` = off.
+
+    Each directory is created and write-probed here, so an unusable one
+    fails before any work, with a ``ValueError`` naming its flag.
+    """
+    from repro.parallel import ModelCache, RunCache, WindowCache
+
+    caches = []
+    for cls, (flag, _, off, _) in zip((RunCache, WindowCache, ModelCache),
+                                      _CACHE_FLAGS):
+        directory = getattr(args, flag[2:].replace("-", "_"))
+        if getattr(args, off[2:].replace("-", "_")):
+            caches.append(None)
+            continue
+        try:
+            cache = cls(directory)
+            probe = cache.directory / ".write-probe"
+            probe.write_bytes(b"")
+            probe.unlink()
+        except OSError as exc:
+            raise ValueError(f"{flag} {directory} is not writable ({exc}); "
+                             f"pass another {flag} or {off}") from exc
+        caches.append(cache)
+    return tuple(caches)
 
 
 def main_obs_report(argv: list[str]) -> int:
@@ -345,17 +367,7 @@ def main_train(argv: list[str]) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulation runs "
                              "(default: 1 = in-process)")
-    parser.add_argument("--cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.runcache"),
-                        help="run cache directory (default: %(default)s)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the run cache")
-    parser.add_argument("--model-cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.modelcache"),
-                        help="model cache directory (default: %(default)s)")
-    parser.add_argument("--no-model-cache", action="store_true",
-                        help="do not read or write the model cache")
-    _add_dataset_flags(parser)
+    _add_cache_flags(parser)
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v: INFO logs, -vv: DEBUG logs")
     args = parser.parse_args(argv)
@@ -364,15 +376,17 @@ def main_train(argv: list[str]) -> int:
     if args.jobs <= 0:
         return _fail(f"--jobs must be a positive integer, got {args.jobs}")
 
+    try:
+        run_cache, store, model_cache = _open_caches(args)
+    except ValueError as exc:
+        return _fail(str(exc))
+
     from repro.core.labeling import BINARY_THRESHOLDS, MULTICLASS_THRESHOLDS
     from repro.experiments.fig3 import collect_io500_bank, evaluate_bank
-    from repro.parallel import RunCache, SweepExecutor, TrainExecutor
+    from repro.parallel import SweepExecutor, TrainExecutor
 
-    cache = None if args.no_cache else RunCache(args.cache_dir)
-    executor = SweepExecutor(n_jobs=args.jobs, cache=cache)
-    trainer = TrainExecutor(
-        cache=None if args.no_model_cache else args.model_cache_dir)
-    store = _open_store(args)
+    executor = SweepExecutor(n_jobs=args.jobs, cache=run_cache)
+    trainer = TrainExecutor(cache=model_cache)
     thresholds = (MULTICLASS_THRESHOLDS if args.multiclass
                   else BINARY_THRESHOLDS)
     s = _scales(args.fast)
@@ -394,11 +408,10 @@ def main_train(argv: list[str]) -> int:
     print(f"\ntrained {stats['trainings_executed']} restart(s) "
           f"in {elapsed:.0f}s ({cache_note})")
     if store is not None:
-        # One parseable line: the CI warm-append smoke greps it to prove
-        # a second build simulates and re-aggregates nothing.
-        print(f"dataset: appended={store.pairs_appended} "
-              f"reused={store.pairs_reused} "
-              f"shards_scanned={store.shards_scanned} "
+        # One parseable line: the CI warm-rebuild smoke greps it to prove
+        # a second build reads one entry and simulates nothing.
+        print(f"dataset: stored={store.stores} hits={store.hits} "
+              f"misses={store.misses} "
               f"runs_executed={executor.runs_executed}")
     print(f"wrote {args.model_out}")
     return 0
@@ -641,19 +654,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for simulation runs "
                              "(default: 1 = in-process)")
-    parser.add_argument("--cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.runcache"),
-                        help="content-addressed run cache directory "
-                             "(default: %(default)s)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the run cache")
-    parser.add_argument("--model-cache-dir", type=pathlib.Path,
-                        default=pathlib.Path("results/.modelcache"),
-                        help="content-addressed trained-model cache "
-                             "directory (default: %(default)s)")
-    parser.add_argument("--no-model-cache", action="store_true",
-                        help="do not read or write the model cache")
-    _add_dataset_flags(parser)
+    _add_cache_flags(parser)
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="deterministic fault injection spec, e.g. "
                              "'drop=0.2,blank=0.1,kill=0.05,seed=1' "
@@ -702,28 +703,17 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
-    from repro.parallel import RunCache, SweepExecutor
+    try:
+        run_cache, store, model_cache = _open_caches(args)
+    except ValueError as exc:
+        return _fail(str(exc))
 
-    cache = None
-    if not args.no_cache:
-        try:
-            cache = RunCache(args.cache_dir)
-            probe = cache.directory / ".write-probe"
-            probe.write_bytes(b"")
-            probe.unlink()
-        except OSError as exc:
-            return _fail(f"cache dir {args.cache_dir} is not writable "
-                         f"({exc}); pass --cache-dir or --no-cache")
-    executor = SweepExecutor(n_jobs=args.jobs, cache=cache,
+    from repro.parallel import SweepExecutor, TrainExecutor
+
+    executor = SweepExecutor(n_jobs=args.jobs, cache=run_cache,
                              run_timeout=args.run_timeout,
                              retries=args.retries, fault_plan=fault_plan)
-
-    from repro.parallel import TrainExecutor
-
-    trainer = TrainExecutor(
-        cache=None if args.no_model_cache else args.model_cache_dir)
-
-    store = _open_store(args)
+    trainer = TrainExecutor(cache=model_cache)
 
     tracer = None
     if args.trace:

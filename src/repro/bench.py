@@ -30,12 +30,13 @@ and compared non-gatingly in CI against the checked-in
   tenant rates). Demonstrates micro-batching amortising the fused
   forward pass across tenants.
 
-* **dataset** — the columnar :class:`repro.data.DatasetStore` against
-  the in-memory ETL path: cold build vs warm rebuild (zero simulations,
-  zero shard reads, bit-identical ``content_digest``), one-pair warm
-  appends into stores of different ingested sizes (walls must match),
-  and a >=100k-window training run memmap-backed vs fully in memory,
-  recording the peak-RSS contrast with bit-identical parameters.
+* **dataset** — ``collect_windows`` through a
+  :class:`repro.parallel.WindowCache` against the in-memory path: cold
+  build vs warm rebuild (zero simulations, one entry read, bit-identical
+  ``content_digest``), one-pair appends into caches of different sizes
+  (walls must match), and a >=100k-window training run memmap-backed vs
+  fully in memory, recording the peak-RSS contrast with bit-identical
+  parameters.
 
 Every result embeds an ``environment`` block (numpy/python versions,
 platform, cpu_count); ``benchmarks/check_regression.py`` warns — without
@@ -463,7 +464,7 @@ def bench_serve(stream_counts: tuple[int, ...] = (16, 64, 256),
     }
 
 
-# -- dataset-store benchmark --------------------------------------------------
+# -- dataset benchmark --------------------------------------------------------
 
 
 def _dataset_memmap_files(base: pathlib.Path, n: int = 120_000,
@@ -503,7 +504,7 @@ def _dataset_train_worker(x_path: str, y_path: str,
                           in_memory: bool) -> dict[str, Any]:
     """Train once and report wall/peak-RSS/params-digest (spawn child).
 
-    ``in_memory=True`` reproduces the pre-store footprint: the whole
+    ``in_memory=True`` reproduces the eager footprint: the whole
     tensor on the heap plus the eager normalised copy the lazy training
     path no longer makes.  ``in_memory=False`` opens the same file as a
     read-only memmap and trains through the lazy per-batch path.  The
@@ -537,7 +538,7 @@ def _dataset_train_worker(x_path: str, y_path: str,
         "peak_rss_bytes": _peak_rss_bytes(),
         "params_digest": h.hexdigest(),
         # eager_copy stays referenced to here so the legacy footprint is
-        # held through training, exactly as the pre-store path did.
+        # held through training, exactly as the eager path did.
         "eager_copies": 0 if eager_copy is None else 1,
     }
 
@@ -555,17 +556,17 @@ def _in_spawn_child(fn, *args):
 
 def bench_dataset(jobs: int | None = None,
                   memmap_windows: int = 120_000) -> dict[str, Any]:
-    """The columnar dataset store vs the in-memory ETL path.
+    """The window cache vs the in-memory ETL path.
 
-    Four store passes over the sweep grid (run cache pre-primed, so the
-    numbers measure ETL, not simulation): the in-memory
-    ``collect_windows`` baseline, a cold ``DatasetStore.build`` (shard
-    append + assembly), a warm rebuild (manifest + assembly-cache hit:
-    zero simulations, zero shard reads, asserted), and a one-pair
-    warm append into both a small and a 3x-larger store — the append
-    walls must match, demonstrating cost scales with *new* windows, not
-    ingested ones.  All store-built datasets must match the in-memory
-    ``content_digest()`` exactly.
+    Passes over the sweep grid, with the run cache pre-primed so the
+    numbers measure labelling and caching, not simulation: the in-memory
+    ``collect_windows`` baseline, a cold build into a fresh
+    :class:`~repro.parallel.WindowCache` (every pair labelled and
+    stored), a warm rebuild (one sweep-entry hit: zero simulations, no
+    pair entry read, asserted), and a one-pair append into both a small
+    and a 3x-larger cache — the append walls must match, showing that
+    cost scales with *new* windows, not stored ones.  Cache-built
+    datasets must match the in-memory ``content_digest()`` exactly.
 
     Separately, a ``memmap_windows``-window synthetic set is trained
     once fully in memory with the legacy eager-normalised copy and once
@@ -573,11 +574,10 @@ def bench_dataset(jobs: int | None = None,
     record the peak-RSS contrast; parameters must be bit-identical.
     """
     from repro.core.labeling import BINARY_THRESHOLDS
-    from repro.data import DatasetStore
     from repro.experiments.datagen import (Scenario, bank_to_dataset,
                                            collect_windows)
     from repro.experiments.runner import InterferenceSpec
-    from repro.parallel import RunCache, SweepExecutor
+    from repro.parallel import RunCache, SweepExecutor, WindowCache
 
     jobs = jobs or min(4, os.cpu_count() or 1)
     targets, scenarios, config = bench_grid()
@@ -594,6 +594,13 @@ def bench_dataset(jobs: int | None = None,
         def _executor() -> SweepExecutor:
             return SweepExecutor(n_jobs=jobs, cache=runcache)
 
+        def _build(windows: WindowCache, grid_targets, grid_scenarios,
+                   executor: SweepExecutor | None = None):
+            bank = collect_windows(grid_targets, grid_scenarios, config,
+                                   executor=executor or _executor(),
+                                   store=windows)
+            return bank_to_dataset(bank, BINARY_THRESHOLDS, source="bench")
+
         # Prime the run cache (untimed): every timed pass below measures
         # ETL cost, not simulator cost.
         collect_windows(targets, scenarios + [extra], config,
@@ -605,51 +612,38 @@ def bench_dataset(jobs: int | None = None,
         ds_mem = bank_to_dataset(bank_mem, BINARY_THRESHOLDS, source="bench")
         in_memory_s = time.perf_counter() - t0
 
-        cold_store = DatasetStore(tmp / "store")
+        cold_cache = WindowCache(tmp / "windows")
         t0 = time.perf_counter()
-        ds_cold = cold_store.build(targets, scenarios, config,
-                                   source="bench", executor=_executor())
+        ds_cold = _build(cold_cache, targets, scenarios)
         cold_s = time.perf_counter() - t0
 
-        warm_store = DatasetStore(tmp / "store")
+        warm_cache = WindowCache(tmp / "windows")
         warm_exec = _executor()
         t0 = time.perf_counter()
-        ds_warm = warm_store.build(targets, scenarios, config,
-                                   source="bench", executor=warm_exec)
+        ds_warm = _build(warm_cache, targets, scenarios, warm_exec)
         warm_s = time.perf_counter() - t0
 
         digest = ds_mem.content_digest()
         identical = (ds_cold.content_digest() == digest
                      and ds_warm.content_digest() == digest)
-        assert identical, "store-built dataset digests diverge from in-memory"
-        assert warm_store.last_build["missing_pairs"] == 0, \
-            "warm rebuild re-appended pairs"
+        assert identical, "cache-built dataset digests diverge from in-memory"
         assert warm_exec.runs_executed == 0, "warm rebuild still simulated"
-        assert warm_store.shards_scanned == 0, "warm rebuild re-read shards"
-        assert warm_store.assembly_hits == 1, \
-            "warm rebuild missed the assembly cache"
+        assert (warm_cache.hits, warm_cache.misses, warm_cache.stores) == \
+            (1, 0, 0), "warm rebuild did more than read the sweep entry"
 
-        # Warm append: the same single new pair into a 1-target store
-        # and into the full-grid store.  The walls must not scale with
-        # what is already ingested.
-        small_store = DatasetStore(tmp / "store-small")
-        small_store.build_bank(targets[:1], scenarios, config,
-                               executor=_executor())
-        t0 = time.perf_counter()
-        small_store.build_bank(targets[:1], [extra], config,
-                               executor=_executor())
-        append_small_s = time.perf_counter() - t0
-
-        large_store = DatasetStore(tmp / "store")
-        t0 = time.perf_counter()
-        large_store.build_bank(targets[:1], [extra], config,
-                               executor=_executor())
-        append_large_s = time.perf_counter() - t0
-        assert small_store.last_build["missing_pairs"] == 1
-        assert large_store.last_build["missing_pairs"] == 1
-
-        small_windows = small_store.stats()["windows"]
-        large_windows = large_store.stats()["windows"]
+        # Append: the same single new pair into a 1-target cache and
+        # into the full-grid cache.  The walls must not scale with what
+        # is already stored.
+        _build(WindowCache(tmp / "windows-small"), targets[:1], scenarios)
+        appends = []
+        for directory in ("windows-small", "windows"):
+            cache = WindowCache(tmp / directory)
+            t0 = time.perf_counter()
+            _build(cache, targets[:1], [extra])
+            appends.append(time.perf_counter() - t0)
+            # A sweep-entry miss, then one new pair: both get stored.
+            assert (cache.misses, cache.stores) == (2, 2), cache.stats()
+        append_small_s, append_large_s = appends
 
         memmap_x, memmap_y = _dataset_memmap_files(tmp, n=memmap_windows)
         lazy = _in_spawn_child(_dataset_train_worker, str(memmap_x),
@@ -671,13 +665,12 @@ def bench_dataset(jobs: int | None = None,
             else None,
             "bit_identical": identical,
             "content_digest": digest,
-            "warm": {"missing_pairs": 0,
-                     "runs_executed": warm_exec.runs_executed,
-                     "shards_scanned": warm_store.shards_scanned,
-                     "assembly_hits": warm_store.assembly_hits},
+            "warm": {"runs_executed": warm_exec.runs_executed,
+                     "hits": warm_cache.hits, "misses": warm_cache.misses,
+                     "stores": warm_cache.stores},
             "append": {
-                "small_store_windows": small_windows,
-                "large_store_windows": large_windows,
+                "small_store_entries": len(WindowCache(tmp / "windows-small")),
+                "large_store_entries": len(WindowCache(tmp / "windows")),
                 "append_small_seconds": append_small_s,
                 "append_large_seconds": append_large_s,
                 "ratio_large_vs_small": append_large_s / append_small_s,
@@ -692,7 +685,7 @@ def bench_dataset(jobs: int | None = None,
                     eager["peak_rss_bytes"] / lazy["peak_rss_bytes"],
                 "bit_identical": True,
             },
-            "cold": cold_store.stats(),
+            "cold": cold_cache.stats(),
         }
 
 

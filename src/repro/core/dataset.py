@@ -89,9 +89,8 @@ class Dataset:
                        self.feature_names)).encode())
         # Hash X in row slices: a contiguous row slice's bytes are the
         # same bytes `ascontiguousarray(X).tobytes()` would contribute,
-        # so the digest is unchanged — but a memmap-backed X (the
-        # out-of-core DatasetStore path) streams through a bounded
-        # buffer instead of densifying the whole array.
+        # so the digest is unchanged — but a memmap-backed X streams
+        # through a bounded buffer instead of densifying the whole array.
         step = max(1, _DIGEST_CHUNK_BYTES //
                    max(1, self.X[:1].nbytes)) if len(self.X) else 1
         for start in range(0, len(self.X), step):

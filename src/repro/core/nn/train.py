@@ -119,9 +119,8 @@ def _train(model, X: np.ndarray, y: np.ndarray, loss_fn,
            config: TrainConfig, normalizer=None) -> TrainHistory:
     """Shared minibatch loop: any model exposing params/forward/backward.
 
-    ``X`` is only ever read in row batches — it may be a memmap (the
-    out-of-core :class:`repro.data.DatasetStore` path) and is never
-    densified.  A fitted ``normalizer`` is applied per batch *after* the
+    ``X`` is only ever read in row batches — it may be a memmap and is
+    never densified.  A fitted ``normalizer`` is applied per batch *after* the
     row gather, and the optional float32 cast after that; both are
     elementwise, so they commute with row indexing and the resulting
     parameter trajectory is bit-identical to transforming and casting

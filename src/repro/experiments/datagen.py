@@ -13,7 +13,10 @@ degradation *levels*; binning into class labels happens afterwards
 The sweep itself runs on a :class:`repro.parallel.SweepExecutor`:
 pairs are independent, so its worker pool spreads them over processes
 with bit-identical output, every scenario of a target reuses one
-baseline run, and its run cache persists runs across invocations.
+baseline run, and its run cache persists runs across invocations.  A
+:class:`repro.parallel.WindowCache` passed as ``store`` persists the
+labelled windows themselves, so a rebuild simulates and labels only
+the pairs it has not seen.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from repro.experiments.runner import (
 )
 
 if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
-    from repro.data import DatasetStore
-    from repro.parallel import SweepExecutor
+    from repro.parallel import SweepExecutor, WindowCache
 
 __all__ = [
     "Scenario",
@@ -122,13 +124,11 @@ def label_pair(
 ) -> WindowBank | None:
     """Label one pair's windows against its baseline, or ``None`` if empty.
 
-    The single shared post-processing step of the in-memory dataset path
-    (:func:`collect_windows`) and the columnar on-disk path
-    (:class:`repro.data.DatasetStore`): both produce per-window vectors
-    and raw levels through exactly this code, which is what makes the
-    store's assembled dataset bit-identical to the in-memory one.
-    Windows without matched target operations carry no label and are
-    dropped (the paper's labelling is defined over windows with I/O).
+    The post-processing step of :func:`collect_windows`: per-window
+    vectors and raw levels of one pair, which is also what a
+    :class:`repro.parallel.WindowCache` entry stores.  Windows without
+    matched target operations carry no label and are dropped (the
+    paper's labelling is defined over windows with I/O).
     """
     run = pair.interfered
     levels = labeller.window_levels(
@@ -145,17 +145,6 @@ def label_pair(
         X[keep],
         np.array([levels[w] for w in keep]),
         sources=[f"{target.name}:{scenario.name}"] * len(keep),
-    )
-
-
-def _skip_pair(target: Workload, scenario: Scenario) -> None:
-    """Count and log one quarantined pair (sweeps degrade, never crash)."""
-    from repro.obs.log import get_logger
-    from repro.obs.metrics import REGISTRY
-
-    REGISTRY.counter("datagen.pairs_skipped").inc()
-    get_logger("experiments.datagen").warning(
-        "skipping pair %s:%s (run quarantined)", target.name, scenario.name,
     )
 
 
@@ -179,7 +168,7 @@ def collect_windows(
     config: ExperimentConfig,
     include_quiet_windows: bool = True,
     executor: "SweepExecutor | None" = None,
-    store: "DatasetStore | None" = None,
+    store: "WindowCache | None" = None,
 ) -> WindowBank:
     """Run every (target, scenario) pair and label windows with levels.
 
@@ -188,40 +177,58 @@ def collect_windows(
     (workers, run cache, resilience; a serial uncached one when
     omitted).  Parallel execution is bit-identical to serial: per-run
     seeds derive from the config seed and stable string paths, and
-    results are consumed in submission order.
+    results are consumed in submission order.  A pair whose runs were
+    quarantined is skipped with a warning.
 
-    With a ``store`` (:class:`repro.data.DatasetStore`) the collection
-    goes out-of-core: only pairs whose labelled windows are not already
-    on disk are simulated, new windows append as columnar shards, and
-    the returned bank's ``X`` is a read-only memmap — bit-identical
-    content, peak RSS bounded by shard size instead of dataset size.
+    With a ``store`` (:class:`repro.parallel.WindowCache`) the sweep's
+    bank, then each pair's windows, are looked up first; only the
+    missing pairs are simulated and labelled, and their windows are
+    stored.  The whole bank is stored too unless a pair was quarantined.
+    The result is bit-identical to the in-memory path either way.
     """
     from repro.obs import profile as _profile
-    from repro.parallel import PairJob, SweepExecutor
+    from repro.obs.log import get_logger
+    from repro.obs.metrics import REGISTRY
+    from repro.parallel import PairJob, SweepExecutor, dataset_sweep_key
 
     executor = executor or SweepExecutor()
-    if store is not None:
-        return store.build_bank(targets, scenarios, config,
-                                include_quiet_windows=include_quiet_windows,
-                                executor=executor)
-    labeller = DegradationLabeller(window_size=config.window_size)
     sweep = sweep_pairs(targets, scenarios, include_quiet_windows)
-    with _profile.phase("dataset-sweep", pairs=len(sweep)):
-        paired = executor.run_pairs([
-            PairJob(target, tuple(scenario.interference), config,
+    jobs = [PairJob(target, tuple(scenario.interference), config,
                     seed_salt=scenario.name)
-            for target, scenario in sweep
-        ])
+            for target, scenario in sweep]
+    parts: list[WindowBank | None] = [None] * len(sweep)
+    if store is not None:
+        keys = [executor.shard_key_for(job) for job in jobs]
+        sweep_key = dataset_sweep_key(keys)
+        bank = store.get(sweep_key)
+        if bank is not None:
+            return bank
+        parts = [store.get(key) for key in keys]
+    missing = [i for i, part in enumerate(parts) if part is None]
+    with _profile.phase("dataset-sweep", pairs=len(missing)):
+        paired = executor.run_pairs([jobs[i] for i in missing])
+    labeller = DegradationLabeller(window_size=config.window_size)
+    quarantined = False
     with _profile.phase("dataset-label"):
-        parts: list[WindowBank] = []
-        for (target, scenario), pair in zip(sweep, paired):
+        for i, pair in zip(missing, paired):
+            target, scenario = sweep[i]
             if pair is None:
-                _skip_pair(target, scenario)
+                quarantined = True
+                REGISTRY.counter("datagen.pairs_skipped").inc()
+                get_logger("experiments.datagen").warning(
+                    "skipping pair %s:%s (run quarantined)",
+                    target.name, scenario.name)
                 continue
-            part = label_pair(labeller, target, scenario, pair, config)
-            if part is not None:
-                parts.append(part)
-        return WindowBank.concatenate(parts)
+            parts[i] = (label_pair(labeller, target, scenario, pair, config)
+                        or WindowBank(np.empty((0, 0, 0)), np.empty(0)))
+            if store is not None:
+                store.put(keys[i], parts[i])
+        # Empty banks (pairs without labelled windows) and quarantined
+        # pairs contribute no rows.
+        bank = WindowBank.concatenate([part for part in parts if part])
+    if store is not None and not quarantined:
+        store.put(sweep_key, bank)
+    return bank
 
 
 def bank_to_dataset(
@@ -249,7 +256,7 @@ def generate_dataset(
     include_quiet_windows: bool = True,
     source: str = "",
     executor: "SweepExecutor | None" = None,
-    store: "DatasetStore | None" = None,
+    store: "WindowCache | None" = None,
 ) -> Dataset:
     """One-shot convenience: collect windows and bin them."""
     bank = collect_windows(targets, scenarios, config, include_quiet_windows,

@@ -77,9 +77,8 @@ class MonitoredRun:
 def select_labelled(window_ids: list[int], levels: dict[int, float]) -> list[int]:
     """Window ids (of :func:`assemble_vectors`) that carry a label.
 
-    Order-preserving and duplicate-keeping; shared by the in-memory
-    dataset path and the columnar :class:`repro.data.DatasetStore` so
-    both keep exactly the same rows of an assembled vector array.
+    Order-preserving and duplicate-keeping, so the labelled rows of an
+    assembled vector array keep their window order.
     """
     return [w for w in window_ids if w in levels]
 

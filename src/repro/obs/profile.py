@@ -33,8 +33,8 @@ from typing import Any, Iterator
 from repro.obs.trace import Span, Tracer
 
 __all__ = [
-    "PhaseRecord", "PhaseProfiler", "PROFILER",
-    "install", "uninstall", "get", "profiling", "phase",
+    "PhaseRecord", "PhaseProfiler", "PROFILER", "critical_path",
+    "render_summary", "install", "uninstall", "get", "profiling", "phase",
 ]
 
 _SEP = "/"
@@ -127,45 +127,62 @@ class PhaseProfiler:
         return {path: out[path] for path in sorted(out)}
 
     def critical_path(self) -> list[tuple[str, float]]:
-        """The chain of heaviest phases from the root down.
-
-        At each level the child with the largest total wall time wins;
-        the result is the sequence an optimiser should look at first.
-        """
-        summary = self.summary()
-        path: list[tuple[str, float]] = []
-        prefix = ""
-        while True:
-            candidates = {
-                p: row for p, row in summary.items()
-                if p.rpartition(_SEP)[0] == prefix
-            }
-            if not candidates:
-                break
-            # Deterministic tie-break: alphabetical on equal totals.
-            best = min(candidates.items(), key=lambda kv: (-kv[1]["total"], kv[0]))
-            path.append((best[0], best[1]["total"]))
-            prefix = best[0]
-        return path
+        """:func:`critical_path` of this profiler's :meth:`summary`."""
+        return critical_path(self.summary())
 
     def render(self) -> str:
-        """Indented per-phase table, nesting shown by path depth."""
-        summary = self.summary()
-        if not summary:
-            return "(no phases recorded)"
-        lines = [f"{'phase':<44}{'count':>6}{'total_s':>10}{'self_s':>10}"]
-        lines.append("-" * len(lines[0]))
-        for path, row in summary.items():
-            depth = path.count(_SEP)
-            label = "  " * depth + path.rpartition(_SEP)[2]
-            lines.append(f"{label:<44}{int(row['count']):>6}"
-                         f"{row['total']:>10.3f}{row['self']:>10.3f}")
-        crit = self.critical_path()
-        if crit:
-            chain = " > ".join(f"{p.rpartition(_SEP)[2]} {t:.3f}s"
-                               for p, t in crit)
-            lines.append(f"critical path: {chain}")
-        return "\n".join(lines)
+        """:func:`render_summary` of this profiler's :meth:`summary`."""
+        return render_summary(self.summary())
+
+
+def critical_path(summary: dict[str, dict[str, float]]
+                  ) -> list[tuple[str, float]]:
+    """The chain of heaviest phases of a :meth:`PhaseProfiler.summary`.
+
+    From the root down, at each level the child with the largest total
+    wall time wins; the result is the sequence an optimiser should look
+    at first.
+    """
+    path: list[tuple[str, float]] = []
+    prefix = ""
+    while True:
+        candidates = {
+            p: row for p, row in summary.items()
+            if p.rpartition(_SEP)[0] == prefix
+        }
+        if not candidates:
+            break
+        # Deterministic tie-break: alphabetical on equal totals.
+        best = min(candidates.items(),
+                   key=lambda kv: (-kv[1].get("total", 0.0), kv[0]))
+        path.append((best[0], best[1].get("total", 0.0)))
+        prefix = best[0]
+    return path
+
+
+def render_summary(summary: dict[str, dict[str, float]]) -> str:
+    """Indented per-phase table of a :meth:`PhaseProfiler.summary`.
+
+    Nesting shows by path depth, and the critical path closes the table.
+    Also renders the copy a run manifest stores, so missing fields read
+    as zero.
+    """
+    if not summary:
+        return "(no phases recorded)"
+    lines = [f"{'phase':<44}{'count':>6}{'total_s':>10}{'self_s':>10}"]
+    lines.append("-" * len(lines[0]))
+    for path in sorted(summary):
+        row = summary[path]
+        label = "  " * path.count(_SEP) + path.rpartition(_SEP)[2]
+        lines.append(f"{label:<44}{int(row.get('count', 0)):>6}"
+                     f"{row.get('total', 0.0):>10.3f}"
+                     f"{row.get('self', 0.0):>10.3f}")
+    crit = critical_path(summary)
+    if crit:
+        chain = " > ".join(f"{p.rpartition(_SEP)[2]} {t:.3f}s"
+                           for p, t in crit)
+        lines.append(f"critical path: {chain}")
+    return "\n".join(lines)
 
 
 #: The process-wide profiler; ``None`` (the default) disables profiling.

@@ -28,6 +28,7 @@ from typing import Any, Iterable
 
 from repro.obs.distributed import WALL_CLOCK
 from repro.obs.manifest import RunManifest
+from repro.obs.profile import render_summary
 from repro.obs.summary import render_metrics_table, render_span_summary
 from repro.obs.trace import Span
 
@@ -84,6 +85,7 @@ def executor_health(snapshot: dict[str, dict]) -> list[str]:
     """
     lines: list[str] = []
     for prefix, label in (("parallel.cache", "run cache"),
+                          ("parallel.windowcache", "window cache"),
                           ("parallel.modelcache", "model cache")):
         hits = _metric_value(snapshot, f"{prefix}.hits")
         misses = _metric_value(snapshot, f"{prefix}.misses")
@@ -238,34 +240,6 @@ def save_chrome_trace(spans: Iterable[Span], path: str | pathlib.Path,
 # -- terminal report ----------------------------------------------------------
 
 
-def _render_profile(profile: dict[str, dict]) -> list[str]:
-    """Phase table + critical path from a manifest's stored profile summary."""
-    lines = [f"{'phase':<44}{'count':>6}{'total_s':>10}{'self_s':>10}"]
-    lines.append("-" * len(lines[0]))
-    for path in sorted(profile):
-        row = profile[path]
-        depth = path.count("/")
-        label = "  " * depth + path.rpartition("/")[2]
-        lines.append(f"{label:<44}{int(row.get('count', 0)):>6}"
-                     f"{row.get('total', 0.0):>10.3f}"
-                     f"{row.get('self', 0.0):>10.3f}")
-    # Critical path: heaviest child at each level, from the stored totals.
-    crit: list[str] = []
-    prefix = ""
-    while True:
-        candidates = {p: r for p, r in profile.items()
-                      if p.rpartition("/")[0] == prefix}
-        if not candidates:
-            break
-        best = min(candidates.items(),
-                   key=lambda kv: (-kv[1].get("total", 0.0), kv[0]))
-        crit.append(f"{best[0].rpartition('/')[2]} {best[1].get('total', 0.0):.3f}s")
-        prefix = best[0]
-    if crit:
-        lines.append("critical path: " + " > ".join(crit))
-    return lines
-
-
 def render_report(manifest: RunManifest | None = None,
                   spans: list[Span] | None = None,
                   metrics: dict[str, dict] | None = None) -> str:
@@ -286,7 +260,7 @@ def render_report(manifest: RunManifest | None = None,
         profile = manifest.extra.get("profile")
         if profile:
             sections.append("-- wall-clock phases --\n"
-                            + "\n".join(_render_profile(profile)))
+                            + render_summary(profile))
         if metrics is None and manifest.metrics:
             metrics = manifest.metrics
     if spans is not None:

@@ -1,4 +1,4 @@
-"""Parallel sweeps and content-addressed caching (runs and models).
+"""Parallel sweeps and content-addressed caching (runs, windows, models).
 
 The experiment stack has two costs.  The first is the scenario sweep:
 every (target, scenario) pair costs two full discrete-event simulations.
@@ -8,10 +8,14 @@ determinism:
 
 * :mod:`repro.parallel.cachekey` — stable content-addressed keys over
   (workload spec, interference, config, seed, code-version salt) for
-  runs, and (dataset digest, training recipe) for models;
+  runs and labelled windows, and (dataset digest, training recipe) for
+  models;
 * :mod:`repro.parallel.cache` — :class:`RunCache`, an atomic on-disk
   store of :class:`~repro.monitor.aggregator.MonitoredRun` records, on
-  the :class:`~repro.parallel.cache.ContentCache` base both caches share;
+  the :class:`~repro.parallel.cache.ContentCache` base all three caches
+  share;
+* :mod:`repro.parallel.windowcache` — :class:`WindowCache`, its sibling
+  for the labelled window banks of dataset sweeps;
 * :mod:`repro.parallel.modelcache` — :class:`ModelCache`, its sibling
   for trained :class:`~repro.core.predictor.InterferencePredictor`s;
 * :mod:`repro.parallel.executor` — :class:`SweepExecutor`, running
@@ -25,16 +29,17 @@ determinism:
 
 Quick use::
 
-    from repro.parallel import SweepExecutor, TrainExecutor
+    from repro.parallel import SweepExecutor, TrainExecutor, WindowCache
     from repro.experiments.datagen import bank_to_dataset, collect_windows
 
     sweep = SweepExecutor(n_jobs=4, cache="results/.runcache")
-    bank = collect_windows(targets, scenarios, config, executor=sweep)
+    bank = collect_windows(targets, scenarios, config, executor=sweep,
+                           store=WindowCache("results/.dataset"))
     trainer = TrainExecutor(cache="results/.modelcache")
     predictor = trainer.train_predictor(bank_to_dataset(bank))
 
 DESIGN.md §7 documents the determinism contract and cache layout;
-§10 covers the training side.
+§10 covers the training side and §14 the window cache.
 """
 
 from repro.parallel.cache import RunCache
@@ -44,6 +49,7 @@ from repro.parallel.cachekey import (
     canonical_json,
     dataset_shard_key,
     dataset_shard_key_material,
+    dataset_sweep_key,
     run_key,
     run_key_material,
     stable_hash,
@@ -64,6 +70,7 @@ from repro.parallel.supervise import (
     run_supervised,
 )
 from repro.parallel.trainer import TrainExecutor, TrainJob
+from repro.parallel.windowcache import WindowCache
 
 __all__ = [
     "CACHE_FORMAT",
@@ -77,10 +84,12 @@ __all__ = [
     "SweepExecutor",
     "TrainExecutor",
     "TrainJob",
+    "WindowCache",
     "backoff_delay",
     "canonical_json",
     "dataset_shard_key",
     "dataset_shard_key_material",
+    "dataset_sweep_key",
     "run_key",
     "run_key_material",
     "run_supervised",

@@ -1,15 +1,16 @@
-"""Content-addressed on-disk caches of simulation runs and trained models.
+"""Content-addressed on-disk caches of runs, labelled windows and models.
 
 Layout (fan-out on the first two key hex digits keeps directories small
 even for very large sweeps)::
 
     <cache_dir>/
       <key[:2]>/<key>/
-        spec.json   # the key material, for humans and debugging
-        run/        # RunCache: repro.monitor.persist.save_run output
-        model.npz   # ModelCache: InterferencePredictor.save output
+        spec.json    # the key material, for humans and debugging
+        run/         # RunCache: repro.monitor.persist.save_run output
+        windows.npz  # WindowCache: one pair's or one sweep's WindowBank
+        model.npz    # ModelCache: InterferencePredictor.save output
 
-:class:`ContentCache` holds the mechanics both caches share.  Entries
+:class:`ContentCache` holds the mechanics all three caches share.  Entries
 are written atomically: a value is first persisted into a private
 temporary directory and then renamed into place, so concurrent sweeps
 (multiple processes, multiple invocations) can share one cache directory
@@ -20,8 +21,8 @@ never allowed to crash or poison a sweep.
 
 Hit/miss/store/error counts land both on the instance (:meth:`stats`)
 and in the process-wide metrics registry (``parallel.cache.*`` for runs,
-``parallel.modelcache.*`` for models), from where they flow into every
-run manifest.
+``parallel.windowcache.*`` for windows, ``parallel.modelcache.*`` for
+models), from where they flow into every run manifest.
 """
 
 from __future__ import annotations

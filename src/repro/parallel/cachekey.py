@@ -43,6 +43,7 @@ __all__ = [
     "train_key",
     "dataset_shard_key_material",
     "dataset_shard_key",
+    "dataset_sweep_key",
 ]
 
 #: Bumped whenever the persisted run layout or key material changes.
@@ -54,9 +55,10 @@ __all__ = [
 #: carried it.
 CACHE_FORMAT = 3
 
-#: Bumped whenever the columnar window-shard layout
-#: (:mod:`repro.data.shard`) or its key material changes.  Separate from
-#: ``CACHE_FORMAT`` so retiring shard files does not retire cached runs.
+#: Bumped whenever the layout of a
+#: :class:`~repro.parallel.windowcache.WindowCache` entry or its key
+#: material changes.  Separate from ``CACHE_FORMAT`` so retiring cached
+#: windows does not retire cached runs.
 DATASET_FORMAT = 1
 
 #: Bumped whenever the trainer maps the same inputs to different
@@ -159,13 +161,13 @@ def dataset_shard_key_material(
 ) -> dict[str, Any]:
     """Key material of one (target, scenario) pair's labelled windows.
 
-    A window shard holds the *post-processed* product of a baseline +
-    interfered run pair: per-window per-server vectors and degradation
-    levels.  Its content is therefore shaped by both runs' full key
+    A pair's window entry holds the *post-processed* product of a
+    baseline + interfered run pair: per-window per-server vectors and
+    degradation levels.  Its content is therefore shaped by both runs' full key
     material **plus** the post-processing knobs that ``run_key``
     deliberately drops — ``window_size`` (labelling and vector windows)
     and ``sample_interval`` (server-feature aggregation).  Re-binning at
-    a new window size keys new shards while reusing the same cached
+    a new window size keys new entries while reusing the same cached
     runs, exactly the split the run cache's normalisation was built for.
     """
     return {
@@ -190,10 +192,20 @@ def dataset_shard_key(
     salt: str = "",
     faults: dict[str, Any] | None = None,
 ) -> str:
-    """Content-addressed key of one pair's labelled window shards."""
+    """Content-addressed key of one pair's labelled windows."""
     return stable_hash(dataset_shard_key_material(
         target, interference, config, seed_salt=seed_salt, salt=salt,
         faults=faults))
+
+
+def dataset_sweep_key(shard_keys: Iterable[str]) -> str:
+    """Content-addressed key of a sweep's labelled windows.
+
+    The sweep's bank is its pairs' banks concatenated in sweep order, so
+    the ordered pair keys determine it completely.
+    """
+    return stable_hash({"kind": "window-sweep", "format": DATASET_FORMAT,
+                        "pairs": list(shard_keys)})
 
 
 def train_key_material(

@@ -303,11 +303,12 @@ class SweepExecutor:
                        faults=self._fault_material())
 
     def shard_key_for(self, pair: PairJob) -> str:
-        """Content-addressed key of the pair's labelled window shards.
+        """Content-addressed key of the pair's labelled windows.
 
         Mirrors :meth:`key_for` — same salt and fault material — so a
-        :class:`repro.data.DatasetStore` keyed through one executor
-        agrees with the run cache about what counts as "the same" sweep.
+        :class:`~repro.parallel.windowcache.WindowCache` keyed through
+        one executor agrees with the run cache about what counts as "the
+        same" sweep.
         """
         return dataset_shard_key(pair.target, pair.interference, pair.config,
                                  seed_salt=pair.seed_salt, salt=self.salt,

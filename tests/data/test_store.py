@@ -1,9 +1,10 @@
-"""Tests for the incremental content-addressed DatasetStore.
+"""Tests for collect_windows through a WindowCache.
 
-The load-bearing contract: a store-built dataset is bit-identical —
+The load-bearing contract: a cache-built bank is bit-identical —
 ``content_digest()`` equal — to the in-memory ``collect_windows`` path,
-on data and metadata workloads, and a warm rebuild performs zero
-simulations and zero re-aggregations.
+cold and warm, on data and metadata workloads; a warm rebuild performs
+zero simulations and reads one entry; and a corrupt, missing or
+quarantined pair is recomputed in the next build, alone.
 """
 
 import json
@@ -11,12 +12,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.data import DatasetStore
 from repro.experiments.datagen import (Scenario, collect_windows,
-                                       generate_dataset)
+                                       generate_dataset, sweep_pairs)
 from repro.experiments.runner import (ExperimentConfig, InterferenceSpec,
                                       experiment_cluster)
-from repro.parallel import SweepExecutor
+from repro.faults import FaultPlan
+from repro.parallel import (PairJob, RunJob, SweepExecutor, WindowCache,
+                            dataset_sweep_key)
 from repro.workloads.io500 import make_io500_task
 
 
@@ -42,6 +44,18 @@ def extra_scenario():
                                                 ranks=2, scale=0.2),))
 
 
+def pair_keys(targets, scenarios, config):
+    """The WindowCache keys of a sweep's pairs, in sweep order."""
+    executor = SweepExecutor()
+    return [executor.shard_key_for(PairJob(target, scenario.interference,
+                                           config, seed_salt=scenario.name))
+            for target, scenario in sweep_pairs(targets, scenarios)]
+
+
+def entry_file(cache, key):
+    return cache.path_for(key) / "windows.npz"
+
+
 #: (target, noise) IO500 tasks exercising each of the simulator's two
 #: request paths: data ops on the columnar callback chain of
 #: repro.sim.batch, metadata ops as generator steps on engine events.
@@ -62,33 +76,30 @@ def test_cold_build_digest_matches_in_memory(tmp_path, path):
                                             scale=0.2),)),
     ]
     in_memory = generate_dataset(targets, scenarios, config, source="t")
-    store = DatasetStore(tmp_path / "store")
-    built = store.build(targets, scenarios, config, source="t")
-    assert built.content_digest() == in_memory.content_digest()
-    assert np.array_equal(built.X, in_memory.X)
-    assert np.array_equal(built.y, in_memory.y)
+    for build in ("cold", "warm"):
+        built = generate_dataset(targets, scenarios, config, source="t",
+                                 store=WindowCache(tmp_path / "windows"))
+        assert built.content_digest() == in_memory.content_digest(), build
+        assert np.array_equal(built.X, in_memory.X)
+        assert np.array_equal(built.y, in_memory.y)
 
 
 def test_warm_rebuild_zero_simulations_zero_reaggregations(tmp_path):
     config = small_config()
-    cold = DatasetStore(tmp_path / "store")
-    bank_cold = cold.build_bank(small_targets(), small_scenarios(), config)
-    assert cold.pairs_appended == 2
-    assert cold.shards_written >= 2
+    cold = WindowCache(tmp_path / "windows")
+    bank_cold = collect_windows(small_targets(), small_scenarios(), config,
+                                store=cold)
+    # A sweep-entry miss, two pair misses; two pairs plus the sweep stored.
+    assert (cold.hits, cold.misses, cold.stores) == (0, 3, 3)
 
-    warm = DatasetStore(tmp_path / "store")
+    warm = WindowCache(tmp_path / "windows")
     executor = SweepExecutor()
-    bank_warm = warm.build_bank(small_targets(), small_scenarios(), config,
-                                executor=executor)
+    bank_warm = collect_windows(small_targets(), small_scenarios(), config,
+                                executor=executor, store=warm)
     # Zero simulations: the executor never ran a job.
     assert executor.runs_executed == 0
-    assert warm.last_build["missing_pairs"] == 0
-    assert warm.last_build["reused_pairs"] == 2
-    # Zero re-aggregations: no shard was even re-read — the assembled
-    # memmap itself is cache-hit by its ordered-shard key.
-    assert warm.shards_scanned == 0
-    assert warm.assembly_hits == 1
-    assert warm.pairs_appended == 0
+    # Zero re-aggregations: only the sweep's own entry was read.
+    assert (warm.hits, warm.misses, warm.stores) == (1, 0, 0)
     assert np.array_equal(bank_warm.X, bank_cold.X)
     assert np.array_equal(bank_warm.levels, bank_cold.levels)
     assert bank_warm.sources == bank_cold.sources
@@ -96,126 +107,72 @@ def test_warm_rebuild_zero_simulations_zero_reaggregations(tmp_path):
 
 def test_append_touches_only_new_pairs(tmp_path):
     config = small_config()
-    store = DatasetStore(tmp_path / "store")
-    store.build_bank(small_targets(), small_scenarios(), config)
+    collect_windows(small_targets(), small_scenarios(), config,
+                    store=WindowCache(tmp_path / "windows"))
 
-    grown = DatasetStore(tmp_path / "store")
+    grown = WindowCache(tmp_path / "windows")
     executor = SweepExecutor()
-    bank = grown.build_bank(small_targets(),
-                            small_scenarios() + [extra_scenario()], config,
-                            executor=executor)
-    assert grown.last_build["missing_pairs"] == 1
-    assert grown.last_build["reused_pairs"] == 2
-    assert grown.pairs_appended == 1
+    scenarios = small_scenarios() + [extra_scenario()]
+    bank = collect_windows(small_targets(), scenarios, config,
+                           executor=executor, store=grown)
+    # The grown sweep misses; its two old pairs hit; the new pair (its
+    # baseline and interfered run) is simulated and stored, then the sweep.
+    assert (grown.hits, grown.misses, grown.stores) == (2, 2, 2)
+    assert executor.runs_executed == 2
     # The appended grid equals a from-scratch in-memory collection.
-    in_memory = collect_windows(small_targets(),
-                                small_scenarios() + [extra_scenario()],
-                                config)
+    in_memory = collect_windows(small_targets(), scenarios, config)
     assert np.array_equal(bank.X, in_memory.X)
     assert bank.sources == in_memory.sources
 
 
-def test_assembled_x_is_readonly_memmap(tmp_path):
-    config = small_config()
-    store = DatasetStore(tmp_path / "store")
-    dataset = store.build(small_targets(), small_scenarios(), config)
-    assert isinstance(dataset.X.base, np.memmap)
-    with pytest.raises(ValueError):
-        dataset.X[0, 0, 0] = 1.0
-
-
-def test_small_shards_split_and_still_match(tmp_path):
-    config = small_config()
-    # A longer target: each pair yields several windows, so a one-window
-    # shard limit forces every pair to split across files.
-    targets = [make_io500_task("ior-easy-write", ranks=2, scale=2.0)]
-    in_memory = generate_dataset(targets, small_scenarios(), config)
-    store = DatasetStore(tmp_path / "store", max_windows_per_shard=1)
-    built = store.build(targets, small_scenarios(), config)
-    # One window per shard: the pairs really split into multiple files.
-    assert store.shards_written == store.windows_appended
-    assert store.shards_written > store.pairs_appended
-    assert built.content_digest() == in_memory.content_digest()
-
-
 def test_corrupt_shard_is_evicted_then_rebuilt(tmp_path):
     config = small_config()
-    store = DatasetStore(tmp_path / "store")
-    original = store.build(small_targets(), small_scenarios(), config)
+    cache = WindowCache(tmp_path / "windows")
+    original = generate_dataset(small_targets(), small_scenarios(), config,
+                                store=cache)
+    keys = pair_keys(small_targets(), small_scenarios(), config)
+    for key in (dataset_sweep_key(keys), keys[1]):
+        entry_file(cache, key).write_bytes(b"garbage")
 
-    shard_files = sorted((tmp_path / "store" / "shards").rglob("*-000.npz"))
-    assert shard_files
-    shard_files[0].write_bytes(b"garbage")
-    # Invalidate the cached assembly so the scan actually re-reads shards.
-    for f in (tmp_path / "store" / "assemblies").iterdir():
-        f.unlink()
-
-    broken = DatasetStore(tmp_path / "store")
-    with pytest.raises(RuntimeError, match="re-run the build"):
-        broken.build(small_targets(), small_scenarios(), config)
-    assert broken.errors >= 1
-
-    # The corrupt pair was evicted; the next build re-simulates just it.
-    repaired = DatasetStore(tmp_path / "store")
+    # One build: both corrupt entries read as misses and are deleted,
+    # and only the noise pair is simulated again.
+    repaired = WindowCache(tmp_path / "windows")
     executor = SweepExecutor()
-    rebuilt = repaired.build(small_targets(), small_scenarios(), config,
-                             executor=executor)
-    assert repaired.last_build["missing_pairs"] == 1
+    rebuilt = generate_dataset(small_targets(), small_scenarios(), config,
+                               executor=executor, store=repaired)
+    assert repaired.errors == 2
+    assert (repaired.hits, repaired.misses, repaired.stores) == (1, 2, 2)
+    assert executor.runs_executed == 2
     assert rebuilt.content_digest() == original.content_digest()
+    assert entry_file(repaired, keys[1]).exists()
 
 
 def test_missing_shard_file_evicts_entry(tmp_path):
     config = small_config()
-    store = DatasetStore(tmp_path / "store")
-    store.build(small_targets(), small_scenarios(), config)
-    shard_files = sorted((tmp_path / "store" / "shards").rglob("*-000.npz"))
-    shard_files[0].unlink()
+    cache = WindowCache(tmp_path / "windows")
+    original = collect_windows(small_targets(), small_scenarios(), config,
+                               store=cache)
+    keys = pair_keys(small_targets(), small_scenarios(), config)
+    for key in (dataset_sweep_key(keys), keys[1]):
+        entry_file(cache, key).unlink()
 
-    repaired = DatasetStore(tmp_path / "store")
-    repaired.build(small_targets(), small_scenarios(), config)
-    assert repaired.errors >= 1
-    assert repaired.last_build["missing_pairs"] == 1
-
-
-def test_wrong_manifest_kind_raises(tmp_path):
-    store = DatasetStore(tmp_path / "store")
-    store.manifest_path.write_text(json.dumps({"kind": "something-else"}))
-    with pytest.raises(ValueError, match="not a dataset-store manifest"):
-        store.load_manifest()
-
-
-def test_corrupt_manifest_starts_fresh(tmp_path):
-    store = DatasetStore(tmp_path / "store")
-    store.manifest_path.write_text("{not json")
-    manifest = store.load_manifest()
-    assert manifest["entries"] == {}
-    assert store.errors == 1
-
-
-def test_format_bump_starts_fresh(tmp_path):
-    store = DatasetStore(tmp_path / "store")
-    store.manifest_path.write_text(
-        json.dumps({"kind": "repro-dataset-store", "format": -1,
-                    "entries": {"k": {}}, "seq": 1}))
-    manifest = store.load_manifest()
-    assert manifest["entries"] == {}
-
-
-def test_store_rejects_bad_shard_size(tmp_path):
-    with pytest.raises(ValueError, match="max_windows_per_shard"):
-        DatasetStore(tmp_path / "store", max_windows_per_shard=0)
+    repaired = WindowCache(tmp_path / "windows")
+    bank = collect_windows(small_targets(), small_scenarios(), config,
+                           store=repaired)
+    assert repaired.errors == 0
+    assert (repaired.hits, repaired.misses, repaired.stores) == (1, 2, 2)
+    assert np.array_equal(bank.X, original.X)
+    assert entry_file(repaired, keys[1]).exists()
 
 
 def test_stats_shape(tmp_path):
     config = small_config()
-    store = DatasetStore(tmp_path / "store")
-    store.build(small_targets(), small_scenarios(), config)
-    stats = store.stats()
-    assert stats["entries"] == 2
-    assert stats["windows"] > 0
-    assert stats["bytes"] > 0
-    assert stats["pairs_appended"] == 2
-    assert stats["last_build"]["missing_pairs"] == 2
+    cache = WindowCache(tmp_path / "windows")
+    collect_windows(small_targets(), small_scenarios(), config, store=cache)
+    stats = cache.stats()
+    assert stats == {"directory": str(tmp_path / "windows"), "hits": 0,
+                     "misses": 3, "stores": 3, "errors": 0}
+    assert len(cache) == 3
     json.dumps(stats)  # manifest-ready
 
 
@@ -223,10 +180,50 @@ def test_collect_windows_store_roundtrip_bitwise(tmp_path):
     """The wire-through: collect_windows(store=...) equals store-less."""
     config = small_config()
     plain = collect_windows(small_targets(), small_scenarios(), config)
-    store = DatasetStore(tmp_path / "store")
-    via_store = collect_windows(small_targets(), small_scenarios(), config,
-                                store=store)
-    assert np.array_equal(plain.X, via_store.X)
-    assert np.array_equal(plain.levels, via_store.levels)
-    assert plain.sources == via_store.sources
-    assert store.pairs_appended == 2
+    cache = WindowCache(tmp_path / "windows")
+    via_cache = collect_windows(small_targets(), small_scenarios(), config,
+                                store=cache)
+    assert np.array_equal(plain.X, via_cache.X)
+    assert np.array_equal(plain.levels, via_cache.levels)
+    assert plain.sources == via_cache.sources
+    assert cache.stores == 3
+
+
+def test_quarantined_pair_is_recomputed_alone(tmp_path):
+    """A sweep with a quarantined pair stores its other pairs but no
+    sweep entry; re-run without faults, it simulates only that pair."""
+    config = small_config()
+    targets = small_targets()
+    scenarios = small_scenarios() + [extra_scenario()]
+    probe = SweepExecutor()
+    baseline = probe.key_for(RunJob(targets[0], (), config))
+    noisy = [probe.key_for(RunJob(targets[0], s.interference, config,
+                                  seed_salt=s.name))
+             for s in scenarios[1:]]
+    # A plan that kills the "noise" pair's interfered run and no other.
+    plan = next(plan for plan in (FaultPlan(seed=seed, worker_kill_rate=0.4)
+                                  for seed in range(200))
+                if plan.kills_worker(noisy[0])
+                and not plan.kills_worker(noisy[1])
+                and not plan.kills_worker(baseline))
+
+    faulty = SweepExecutor(fault_plan=plan, retries=0)
+    cache = WindowCache(tmp_path / "windows")
+    partial = collect_windows(targets, scenarios, config, executor=faulty,
+                              store=cache)
+    assert list(faulty.quarantined) == [noisy[0]]
+    keys = pair_keys(targets, scenarios, config)
+    assert dataset_sweep_key(keys) not in cache
+    assert [key in cache for key in keys] == [True, False, True]
+    assert "ior-easy-write:noise" not in partial.sources
+
+    clean = SweepExecutor()
+    rerun = WindowCache(tmp_path / "windows")
+    bank = collect_windows(targets, scenarios, config, executor=clean,
+                           store=rerun)
+    assert clean.runs_executed == 2  # the noise pair's baseline + its run
+    assert (rerun.hits, rerun.misses, rerun.stores) == (2, 2, 2)
+    in_memory = collect_windows(targets, scenarios, config)
+    assert np.array_equal(bank.X, in_memory.X)
+    assert np.array_equal(bank.levels, in_memory.levels)
+    assert bank.sources == in_memory.sources

@@ -81,6 +81,17 @@ class TestExecutorHealth:
         assert "workers used: 2" in text
         assert "0.75/0.25" in text  # busiest worker first
 
+    def test_window_cache_listed_between_run_and_model_caches(self):
+        snapshot = {
+            f"parallel.{ns}.{what}": {"kind": "counter", "value": value}
+            for ns in ("cache", "windowcache", "modelcache")
+            for what, value in (("hits", 1.0), ("misses", 3.0))
+        }
+        lines = executor_health(snapshot)
+        assert [line.split(":")[0] for line in lines] == [
+            "run cache", "window cache", "model cache"]
+        assert lines[1] == "window cache: 1 hit(s) / 3 miss(es) (25% hit rate)"
+
 
 class TestChromeTrace:
     def test_clock_domains_become_processes(self):
@@ -148,6 +159,31 @@ class TestRenderReport:
         assert "-- executor / cache health --" in text
         assert "run cache: 1 hit(s)" in text
         assert "-- metrics --" in text
+
+    def test_phase_section_equals_profiler_render(self, tmp_path):
+        """The report renders a manifest's stored profile exactly as the
+        profiler that recorded it does, critical path and ties included."""
+        from repro.obs.manifest import (build_manifest, load_manifest,
+                                        write_manifest)
+        from repro.obs.profile import PhaseProfiler, PhaseRecord
+
+        profiler = PhaseProfiler()
+        profiler.records = [
+            PhaseRecord("collect/sweep", 0.0, 1.25, {}),
+            PhaseRecord("collect/label", 1.25, 2.5, {}),  # ties sweep
+            PhaseRecord("collect", 0.0, 3.0, {}),
+            PhaseRecord("train/epoch", 3.0, 3.5, {}),
+            PhaseRecord("train/epoch", 3.5, 4.125, {}),
+            PhaseRecord("train", 3.0, 4.5, {}),
+        ]
+        path = write_manifest(
+            build_manifest("exp", 0, {}, extra={"profile": profiler.summary()}),
+            tmp_path / "exp.manifest.json")
+        text = render_report(manifest=load_manifest(path))
+        section = next(part for part in text.split("\n\n")
+                       if part.startswith("-- wall-clock phases --\n"))
+        assert section == "-- wall-clock phases --\n" + profiler.render()
+        assert "critical path: collect 3.000s > label 1.250s" in section
 
     def test_explicit_metrics_override_manifest_metrics(self):
         manifest = RunManifest(

@@ -46,11 +46,27 @@ def test_bad_fault_spec_rejected(capsys):
     assert "error: bad --faults spec" in err
 
 
-def test_unwritable_cache_dir_rejected(capsys):
-    """An uncreatable cache dir fails with a one-line error, not a
-    traceback.  /proc rejects mkdir for every uid, including root."""
-    assert main(["table2", "--fast", "--cache-dir", "/proc/nope/cache"]) == 2
-    assert "not writable" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--cache-dir", "--dataset-dir",
+                                  "--model-cache-dir"],
+                         ids=lambda flag: flag[2:])
+@pytest.mark.parametrize("command", ["table2", "train"])
+def test_unwritable_cache_dir_rejected(tmp_path, capsys, command, flag):
+    """A cache dir that cannot be created (here: below a regular file)
+    fails with one ``error:`` line and exit 2, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    dirs = {"--cache-dir": tmp_path / "runs",
+            "--dataset-dir": tmp_path / "windows",
+            "--model-cache-dir": tmp_path / "models",
+            flag: blocker / "sub"}
+    argv = [command, "--fast",
+            *(arg for item in dirs.items() for arg in map(str, item))]
+    if command == "train":
+        argv += ["--model-out", str(tmp_path / "m.npz")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {blocker / 'sub'} is not writable")
+    assert err.count("\n") == 1
 
 
 def test_table2_fast_runs_end_to_end(tmp_path, capsys):
@@ -270,6 +286,7 @@ def test_train_then_predict_end_to_end(tmp_path, capsys):
     model_a = tmp_path / "a.npz"
     model_b = tmp_path / "b.npz"
     common = ["--fast", "--cache-dir", str(tmp_path / "runs"),
+              "--dataset-dir", str(tmp_path / "windows"),
               "--model-cache-dir", str(tmp_path / "models")]
     assert main(["train", "--model-out", str(model_a), *common]) == 0
     cold_out = capsys.readouterr().out
@@ -279,6 +296,8 @@ def test_train_then_predict_end_to_end(tmp_path, capsys):
     assert main(["train", "--model-out", str(model_b), *common]) == 0
     warm_out = capsys.readouterr().out
     assert "trained 0 restart(s)" in warm_out  # pure cache recall
+    # Nothing simulated or labelled: one read of the sweep's window entry.
+    assert "dataset: stored=0 hits=1 misses=0 runs_executed=0" in warm_out
     with np.load(model_a) as a, np.load(model_b) as b:
         assert a.files == b.files
         assert all(np.array_equal(a[k], b[k]) for k in a.files)
