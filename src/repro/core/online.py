@@ -9,14 +9,21 @@ a window closes, assembles that window's per-server vector from the
 records and samples accumulated *so far* and emits a severity prediction
 — while the target application is still running.
 
-The streaming vector assembly is incremental (cursor over the trace and
-sample streams) and produces bit-identical vectors to the offline
-:func:`repro.monitor.aggregator.assemble_vectors`, which the integration
-tests assert.
+Ingestion is incremental (a cursor over the trace and sample streams
+buffers each row under its window), and a closed window's vector is
+built by the same code offline assembly uses —
+:class:`~repro.monitor.client_monitor.ClientWindowAggregator` and
+:func:`~repro.monitor.server_monitor.window_feature_arrays` — so it equals
+that window's row of :func:`repro.monitor.aggregator.assemble_vectors`
+bit for bit.  It is scored by
+:meth:`~repro.core.predictor.DeployedPredictor.predict_proba_rows`, the
+forward pass the prediction service batches, so a vector gets the same
+probabilities here as from ``repro serve``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +32,7 @@ import numpy as np
 from repro.common.records import IORecord, ServerId
 from repro.monitor.client_monitor import ClientWindowAggregator
 from repro.monitor.schema import CLIENT_FEATURES, SERVER_FEATURES
-from repro.monitor.server_monitor import ServerMonitor
+from repro.monitor.server_monitor import ServerMonitor, window_feature_arrays
 from repro.core.predictor import InterferencePredictor
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
@@ -79,7 +86,8 @@ class StreamingPredictor:
     _sample_cursor: int = field(default=0, repr=False)
     _window_records: dict[int, list[IORecord]] = field(default_factory=dict,
                                                        repr=False)
-    _window_samples: dict[tuple[int, ServerId], list[dict]] = field(
+    _window_samples: dict[
+        int, list[tuple[float, ServerId, dict[str, float]]]] = field(
         default_factory=dict, repr=False)
     _started: bool = field(default=False, repr=False)
     _scorer: object = field(default=None, repr=False)
@@ -98,10 +106,9 @@ class StreamingPredictor:
             raise ValueError("min_completeness must be in [0, 1]")
         self._started = True
         # Score through the fused deployment path: the normaliser is
-        # folded into the first kernel layer and every forward pass runs
-        # in preallocated buffers, so the per-window hot path does no
-        # normalisation pass and no allocation.  Equal to the unfused
-        # path up to float rounding.
+        # folded into the first kernel layer, so the per-window hot path
+        # does no normalisation pass.  Equal to the unfused path up to
+        # float rounding.
         self._scorer = self.predictor.deploy()
         self.cluster.env.process(self._loop())
 
@@ -124,9 +131,9 @@ class StreamingPredictor:
         half = self.monitor.sample_interval / 2
         late_counter = REGISTRY.counter("online.late_samples")
         while self._sample_cursor < len(samples):
-            t, server, metrics = samples[self._sample_cursor]
+            row = samples[self._sample_cursor]
             self._sample_cursor += 1
-            w = window_index(max(0.0, t - half), self.window_size)
+            w = window_index(max(0.0, row[0] - half), self.window_size)
             if w <= self._emitted_through:
                 # The sample arrived after its window was already
                 # predicted; it can no longer influence the output, so
@@ -136,7 +143,7 @@ class StreamingPredictor:
                 # still be emitted.
                 late_counter.inc()
                 continue
-            self._window_samples.setdefault((w, server), []).append(metrics)
+            self._window_samples.setdefault(w, []).append(row)
 
     def _evict(self, window: int) -> None:
         """Release the buffers of an emitted window.
@@ -146,8 +153,7 @@ class StreamingPredictor:
         per-window memory leak over an unbounded stream.
         """
         self._window_records.pop(window, None)
-        for sid in self.cluster.servers:
-            self._window_samples.pop((window, sid), None)
+        self._window_samples.pop(window, None)
 
     def _completeness(self, window: int) -> float:
         """Fraction of expected server samples present for ``window``."""
@@ -156,18 +162,21 @@ class StreamingPredictor:
         servers = self.cluster.servers
         if not servers:
             return 1.0
+        per_server = Counter(
+            server for _, server, _ in self._window_samples.get(window, ()))
         have = 0.0
         for sid in servers:
-            rows = self._window_samples.get((window, sid))
-            if rows:
-                have += min(1.0, len(rows) / expected)
+            have += min(1.0, per_server[sid] / expected)
         return have / len(servers)
 
     def _vector_for(self, window: int) -> np.ndarray:
-        """Per-server vector of one closed window (offline-identical)."""
-        aggregator = ClientWindowAggregator(self.window_size)
-        client = aggregator.aggregate(self._window_records.get(window, []),
-                                      self.job)
+        """Per-server vector of one closed window, aggregated by the
+        offline assembly's own functions."""
+        client = ClientWindowAggregator(self.window_size).aggregate(
+            self._window_records.get(window, []), self.job)
+        keys, features = window_feature_arrays(
+            self._window_samples.get(window, []), self.window_size,
+            self.monitor.sample_interval)
         servers = self.cluster.servers
         n_client = len(CLIENT_FEATURES)
         X = np.zeros((1, len(servers), n_client + len(SERVER_FEATURES)))
@@ -175,30 +184,12 @@ class StreamingPredictor:
             cf = client.get((window, sid))
             if cf is not None:
                 X[0, si, :n_client] = [cf[name] for name in CLIENT_FEATURES]
-            rows = self._window_samples.get((window, sid))
-            if rows:
-                X[0, si, n_client:] = self._aggregate_samples(rows)
+        position = {sid: si for si, sid in enumerate(servers)}
+        for (_, sid), row in zip(keys, features):
+            si = position.get(sid)
+            if si is not None:
+                X[0, si, n_client:] = row
         return X
-
-    @staticmethod
-    def _aggregate_samples(rows: list[dict]) -> np.ndarray:
-        """Flat server-feature row in ``SERVER_FEATURES`` order.
-
-        One (samples, metrics) matrix and three axis-0 reductions instead
-        of a python loop with a fresh array per metric. Window sample
-        counts are far below numpy's pairwise-summation block (128), so
-        the column statistics are bit-identical to the per-metric arrays
-        the offline aggregator builds.
-        """
-        from repro.monitor.schema import SERVER_METRICS
-
-        M = np.array([[row[m] for m in SERVER_METRICS] for row in rows],
-                     dtype=float)
-        out = np.empty(3 * M.shape[1])
-        out[0::3] = M.sum(axis=0)
-        out[1::3] = M.mean(axis=0)
-        out[2::3] = M.std(axis=0)
-        return out
 
     # -- the loop -----------------------------------------------------------------
 
@@ -228,11 +219,7 @@ class StreamingPredictor:
                 probs = self._last_good.probabilities
             else:
                 X = self._vector_for(window)
-                # The fused scorer returns a view into its own buffer;
-                # the tuple() copy below is the hand-off.
-                probs = tuple(
-                    float(p) for p in self._scorer.predict_proba(X)[0]
-                )
+                probs = tuple(self._scorer.predict_proba_rows(X)[0].tolist())
             latency_hist.observe(time.perf_counter() - t0)
             emit_counter.inc()
             if stale:

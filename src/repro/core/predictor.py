@@ -16,9 +16,9 @@ Two deployment-side capabilities live here alongside training:
   --model-out`` / ``repro predict --model`` CLI build on.
 * **Fused inference** — :meth:`InterferencePredictor.deploy` folds the
   normaliser's z-score affine into the first kernel layer and returns a
-  :class:`DeployedPredictor` whose forward pass runs entirely in
-  preallocated buffers: per-window online scoring does no normalisation
-  pass and no array allocation.
+  :class:`DeployedPredictor` with one row-invariant forward pass, which
+  the prediction service, the streaming predictor and batch scoring all
+  share: scoring does no normalisation pass.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.core.labeling import BINARY_THRESHOLDS
 from repro.core.metrics import ClassificationReport, evaluate
 from repro.core.nn.kernelnet import KernelInterferenceNet
 from repro.core.nn.layers import Dense, Dropout, ReLU, Sequential
-from repro.core.nn.losses import softmax_probs
 from repro.core.nn.train import (
     TrainConfig,
     TrainHistory,
@@ -275,7 +274,7 @@ class InterferencePredictor:
         return evaluate(test_set.y, preds, n_classes=self.n_classes)
 
     def deploy(self) -> "DeployedPredictor":
-        """An allocation-free fused-inference view of this predictor.
+        """A fused-inference view of this predictor.
 
         See :class:`DeployedPredictor`; the underlying parameters are
         copied, so later training of this predictor does not corrupt the
@@ -307,26 +306,20 @@ def _affine_stack(net: Sequential) -> list[list]:
 
 
 class DeployedPredictor:
-    """Fused, allocation-free inference for a trained predictor.
+    """Fused inference for a trained predictor: one forward pass.
 
-    Two transformations make the per-window hot path cheap:
+    **Normaliser fusion** — the z-score ``(x - mean) / std`` is an
+    affine map, and so is the first kernel layer ``x' @ W + b``.
+    Composing them gives ``x @ (W / std[:, None]) + (b - (mean / std)
+    @ W)``: one matmul replaces the normalisation pass entirely, with
+    results equal to the unfused path up to float rounding (the
+    reassociation of the same affine arithmetic).
 
-    * **Normaliser fusion** — the z-score ``(x - mean) / std`` is an
-      affine map, and so is the first kernel layer ``x' @ W + b``.
-      Composing them gives ``x @ (W / std[:, None]) + (b - (mean / std)
-      @ W)``: one matmul replaces the normalisation pass entirely, with
-      results equal to the unfused path up to float rounding (the
-      reassociation of the same affine arithmetic).
-    * **Buffer reuse** — every layer's output is written into a
-      preallocated scratch buffer via ``np.matmul(..., out=...)``; the
-      softmax runs in preallocated scratch as well.  Buffers are keyed
-      to the batch size, so steady-state online scoring (batch of one
-      window per prediction) allocates nothing.
-
-    Consequently the arrays returned by :meth:`predict_proba` and
-    :meth:`scores` are views into internal buffers, **valid only until
-    the next call**; copy them to keep them.  :meth:`predict` returns a
-    fresh (argmax) array and is always safe to hold.
+    :meth:`predict_proba_rows` is the only forward pass, and it is
+    row-invariant: every row of a batch is bit-identical to scoring that
+    window alone, so the prediction service's micro-batches, the
+    streaming predictor's batch of one and an offline batch all return
+    the same bits for the same vector.  :meth:`predict` is its argmax.
     """
 
     def __init__(self, predictor: InterferencePredictor) -> None:
@@ -356,32 +349,11 @@ class DeployedPredictor:
         self._head = [(W.astype(self._dtype, copy=False),
                        b.astype(self._dtype, copy=False), relu)
                       for W, b, relu in head]
+        # Layer outputs are written into scratch buffers sized for the
+        # last batch; the probabilities returned are always fresh.
         self._buf_n: int | None = None
         self._kernel_bufs: list[np.ndarray] = []
         self._head_bufs: list[np.ndarray] = []
-        self._max_buf: np.ndarray | None = None
-        self._sum_buf: np.ndarray | None = None
-        # predict_proba_rows keeps its own buffers so mixed batch/row
-        # scoring through one deployed instance never thrashes the
-        # batch-size-keyed set above.
-        self._row_buf_n: int | None = None
-        self._row_kernel_bufs: list[np.ndarray] = []
-        self._row_head_bufs: list[np.ndarray] = []
-
-    def _ensure_buffers(self, n: int) -> None:
-        if self._buf_n == n:
-            return
-        self._kernel_bufs = [
-            np.empty((n, self.n_servers, W.shape[1]), dtype=self._dtype)
-            for W, _, _ in self._kernel
-        ]
-        self._head_bufs = [
-            np.empty((n, W.shape[1]), dtype=self._dtype)
-            for W, _, _ in self._head
-        ]
-        self._max_buf = np.empty((n, 1), dtype=self._dtype)
-        self._sum_buf = np.empty((n, 1), dtype=self._dtype)
-        self._buf_n = n
 
     @staticmethod
     def _forward(x: np.ndarray, stack, bufs) -> np.ndarray:
@@ -393,63 +365,32 @@ class DeployedPredictor:
             x = out
         return x
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        """Head logits for a raw ``(n, servers, features)`` batch.
-
-        The returned array is an internal buffer, valid until the next
-        call.
-        """
-        X = np.asarray(X, dtype=self._dtype)
-        if X.ndim != 3 or X.shape[1] != self.n_servers \
-                or X.shape[2] != self.n_features:
-            raise ValueError(
-                f"expected (n, {self.n_servers}, {self.n_features}), "
-                f"got {X.shape}"
-            )
-        self._ensure_buffers(len(X))
-        per_server = self._forward(X, self._kernel, self._kernel_bufs)
-        return self._forward(per_server[..., 0], self._head, self._head_bufs)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class probabilities; returned array is an internal buffer."""
-        logits = self.logits(X)
-        np.amax(logits, axis=-1, keepdims=True, out=self._max_buf)
-        logits -= self._max_buf
-        np.exp(logits, out=logits)
-        np.sum(logits, axis=-1, keepdims=True, out=self._sum_buf)
-        logits /= self._sum_buf
-        return logits
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Severity classes (fresh array, safe to keep)."""
-        # argmax of the probabilities equals argmax of the logits, but
-        # running the softmax keeps the numerics identical to
-        # ``predict_proba(...).argmax`` for near-tied windows.
-        return self.predict_proba(X).argmax(axis=-1)
+        """Severity classes: the argmax of :meth:`predict_proba_rows`."""
+        return self.predict_proba_rows(X).argmax(axis=-1)
 
     def predict_proba_rows(self, X: np.ndarray) -> np.ndarray:
-        """Batch scoring whose every row is bit-identical to a
-        batch-of-one :meth:`predict_proba` call.
+        """Class probabilities for a raw ``(n, servers, features)`` batch;
+        every row is bit-identical to scoring that window alone.
 
         The prediction service micro-batches windows from many tenants
         into one forward pass, but must return each tenant the exact
         bits a standalone per-window scorer would have produced — the
         batch composition (who else happened to land in this tick)
-        cannot be allowed to perturb anyone's prediction.  A plain
-        batched :meth:`predict_proba` breaks that: the head's 2-D
-        matmuls go through one BLAS gemm whose summation order depends
-        on the row count.  Stacking restores row-invariance: numpy
-        evaluates a stacked matmul slice by slice, each slice at the
-        shapes of its own 2-D call.
+        cannot be allowed to perturb anyone's prediction.  A plain 2-D
+        head breaks that: its matmuls go through one BLAS gemm whose
+        summation order depends on the row count.  Stacking restores
+        row-invariance: numpy evaluates a stacked matmul slice by slice,
+        each slice at the shapes of its own 2-D call.
 
         * the **kernel stack is 3-D** — ``(n, s, f) @ (f, h)`` runs as
           ``n`` slices of ``(s, f) @ (f, h)``, so each window's
           per-server pass is bitwise independent of ``n``.  This stage
           carries essentially all the FLOPs;
         * the **head runs on stacked rows** — ``(n, 1, s) @ (s, h)``
-          runs as ``n`` slices of ``(1, s) @ (s, h)``, the exact n=1
-          shapes of the standalone path, and the softmax reduces over
-          the class axis only, so each row gets the standalone bits.
+          runs as ``n`` slices of ``(1, s) @ (s, h)``, the shapes of a
+          batch of one, and the softmax reduces over the class axis
+          only, so each row gets the batch-of-one bits.
 
         Every layer is one matmul call for the whole batch; no Python
         code runs per row.  Returns a fresh ``(n, n_classes)`` array
@@ -465,24 +406,20 @@ class DeployedPredictor:
         n = len(X)
         if n == 0:
             return np.empty((0, self.n_classes), dtype=self._dtype)
-        if self._row_buf_n != n:
-            self._row_kernel_bufs = [
+        if self._buf_n != n:
+            self._kernel_bufs = [
                 np.empty((n, self.n_servers, W.shape[1]), dtype=self._dtype)
                 for W, _, _ in self._kernel
             ]
-            self._row_head_bufs = [
+            self._head_bufs = [
                 np.empty((n, 1, W.shape[1]), dtype=self._dtype)
                 for W, _, _ in self._head
             ]
-            self._row_buf_n = n
-        per_server = self._forward(X, self._kernel, self._row_kernel_bufs)
+            self._buf_n = n
+        per_server = self._forward(X, self._kernel, self._kernel_bufs)
         logits = self._forward(per_server[:, None, :, 0], self._head,
-                               self._row_head_bufs)[:, 0]
+                               self._head_bufs)[:, 0]
         probs = logits - logits.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
         return probs
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        """Unfused reference probabilities (allocating; for verification)."""
-        return softmax_probs(np.array(self.logits(X)))

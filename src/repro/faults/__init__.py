@@ -17,11 +17,12 @@ can be exercised bit-reproducibly:
   duplicated windows, slow-model stalls) the prediction service's soak
   harness (:func:`repro.serve.run_soak`) injects.
 
-Live injection points live with their hosts: the
-:class:`~repro.monitor.server_monitor.ServerMonitor` accepts a plan and
-faults its sample stream as it collects, and the
-:class:`~repro.parallel.executor.SweepExecutor` consults the plan for
-worker kills/stalls and simulated-run aborts.
+Telemetry faults are applied only after collection, by
+:func:`apply_faults` on a :class:`~repro.monitor.aggregator.MonitoredRun`:
+lost and late samples are a property of the collected metric stream,
+not of the monitor that sampled it.  The live injection point is the
+:class:`~repro.parallel.executor.SweepExecutor`, which consults the plan
+for worker kills/stalls and simulated-run aborts.
 """
 
 from repro.faults.inject import (

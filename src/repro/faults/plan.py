@@ -14,8 +14,9 @@ Three fault domains, with deliberately different cache semantics:
 
 * **telemetry** (drop / delay / duplicate / clock-skew server samples,
   blank client windows) corrupts the *view* of a run, never the run
-  itself.  It is applied downstream of the simulator, so clean runs stay
-  cacheable and one cached sweep serves a whole fault grid.
+  itself.  It is applied to the collected stream, after the simulator
+  (:func:`repro.faults.apply_faults`), so clean runs stay cacheable and
+  one cached sweep serves a whole fault grid.
 * **simulation** (abort a run at a chosen simulated time) changes the
   run's content and therefore participates in the run-cache key
   (:meth:`FaultPlan.sim_material`).
@@ -36,7 +37,8 @@ import numpy as np
 
 from repro.common.rng import derive_rng
 
-__all__ = ["FaultPlan", "parse_fault_spec", "FAULT_SPEC_FIELDS"]
+__all__ = ["FaultPlan", "parse_fault_spec", "FAULT_SPEC_FIELDS",
+           "check_fields", "parse_spec"]
 
 _RATE_FIELDS = (
     "sample_drop_rate", "sample_delay_rate", "sample_duplicate_rate",
@@ -47,6 +49,39 @@ _NONNEG_FIELDS = (
     "sample_delay_max", "clock_skew_max", "run_abort_after",
     "worker_stall_seconds",
 )
+
+
+def check_fields(plan, rates: tuple[str, ...] = (),
+                 positive: tuple[str, ...] = (),
+                 nonnegative: tuple[str, ...] = ()) -> None:
+    """Validate a plan dataclass's fields, raising :class:`ValueError`.
+
+    Every field must be finite: nan and inf slip through the ordered
+    comparisons below (an infinite ``run_abort_after`` never aborts and
+    never returns), and an integer too large for a float is refused
+    too.  Then ``rates`` must lie in ``[0, 1]``, ``positive`` above 0
+    and ``nonnegative`` at or above 0.
+    """
+    for f in dataclasses.fields(plan):
+        value = getattr(plan, f.name)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{f.name} must be finite, got {value}")
+    for name in rates:
+        value = getattr(plan, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    for name in positive:
+        value = getattr(plan, name)
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    for name in nonnegative:
+        value = getattr(plan, name)
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,20 +121,7 @@ class FaultPlan:
     worker_stall_seconds: float = 0.5
 
     def __post_init__(self) -> None:
-        # nan and inf slip through the ordered comparisons below (an
-        # infinite run_abort_after never aborts and never returns).
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in _NONNEG_FIELDS:
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        check_fields(self, rates=_RATE_FIELDS, nonnegative=_NONNEG_FIELDS)
 
     # -- deterministic decisions ------------------------------------------
 
@@ -131,13 +153,6 @@ class FaultPlan:
         return 0.0
 
     # -- classification ----------------------------------------------------
-
-    @property
-    def has_telemetry_faults(self) -> bool:
-        return any(getattr(self, f) > 0 for f in (
-            "sample_drop_rate", "sample_delay_rate", "sample_duplicate_rate",
-            "clock_skew_max", "window_blank_rate",
-        ))
 
     @property
     def affects_simulation(self) -> bool:
@@ -187,6 +202,38 @@ FAULT_SPEC_FIELDS: dict[str, str] = {
 }
 
 
+def parse_spec(spec: str, plan_cls, fields: dict[str, str], label: str):
+    """Build a ``plan_cls`` from comma-separated ``key=value`` pairs.
+
+    ``fields`` maps each spec key to a dataclass field; a value is
+    parsed with the type of its field's default (``int`` or ``float``),
+    and ``label`` names the spec in error messages.  Raises
+    :class:`ValueError` on unknown keys, items that are not
+    ``key=value`` and unparseable values; range checks come from the
+    plan itself.
+    """
+    converters = {f.name: type(f.default)
+                  for f in dataclasses.fields(plan_cls)}
+    kwargs: dict[str, float | int] = {}
+    for part in filter(None, (p.strip() for p in spec.split(","))):
+        key, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"{label} spec item {part!r} is not key=value")
+        field = fields.get(key.strip())
+        if field is None:
+            raise ValueError(
+                f"unknown {label} spec key {key.strip()!r} "
+                f"(known: {', '.join(sorted(fields))})"
+            )
+        try:
+            kwargs[field] = converters[field](value)
+        except ValueError:
+            raise ValueError(
+                f"{label} spec {key.strip()}={value!r}: not a number"
+            ) from None
+    return plan_cls(**kwargs)
+
+
 def parse_fault_spec(spec: str) -> FaultPlan:
     """Parse ``key=value`` pairs (see :data:`FAULT_SPEC_FIELDS`).
 
@@ -194,21 +241,4 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     :class:`ValueError` on unknown keys or unparseable values; field
     range checks come from :class:`FaultPlan` itself.
     """
-    kwargs: dict[str, float | int] = {}
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"fault spec item {part!r} is not key=value")
-        field = FAULT_SPEC_FIELDS.get(key.strip())
-        if field is None:
-            raise ValueError(
-                f"unknown fault spec key {key.strip()!r} "
-                f"(known: {', '.join(sorted(FAULT_SPEC_FIELDS))})"
-            )
-        try:
-            kwargs[field] = int(value) if field == "seed" else float(value)
-        except ValueError:
-            raise ValueError(
-                f"fault spec {key.strip()}={value!r}: not a number"
-            ) from None
-    return FaultPlan(**kwargs)
+    return parse_spec(spec, FaultPlan, FAULT_SPEC_FIELDS, "fault")

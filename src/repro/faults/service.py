@@ -23,10 +23,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 from repro.common.rng import derive_rng
+from repro.faults.plan import check_fields, parse_spec
 
 __all__ = [
     "ServiceFaultPlan",
@@ -99,23 +99,8 @@ class ServiceFaultPlan:
     slow_batch_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        # nan and inf slip through the ordered comparisons below.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        for name in _NONNEG_FIELDS:
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        check_fields(self, rates=_RATE_FIELDS, positive=_POSITIVE_FIELDS,
+                     nonnegative=_NONNEG_FIELDS)
 
     # -- deterministic decisions ------------------------------------------
 
@@ -225,8 +210,6 @@ SERVICE_FAULT_SPEC_FIELDS: dict[str, str] = {
     "slow_s": "slow_batch_seconds",
 }
 
-_INT_FIELDS = {"seed", "stall_windows", "reorder_depth"}
-
 
 def parse_service_fault_spec(spec: str) -> ServiceFaultPlan:
     """Parse ``key=value`` pairs (see :data:`SERVICE_FAULT_SPEC_FIELDS`).
@@ -235,22 +218,5 @@ def parse_service_fault_spec(spec: str) -> ServiceFaultPlan:
     Raises :class:`ValueError` on unknown keys or unparseable values;
     range checks come from :class:`ServiceFaultPlan` itself.
     """
-    kwargs: dict[str, float | int] = {}
-    for part in filter(None, (p.strip() for p in spec.split(","))):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"chaos spec item {part!r} is not key=value")
-        field = SERVICE_FAULT_SPEC_FIELDS.get(key.strip())
-        if field is None:
-            raise ValueError(
-                f"unknown chaos spec key {key.strip()!r} "
-                f"(known: {', '.join(sorted(SERVICE_FAULT_SPEC_FIELDS))})"
-            )
-        try:
-            kwargs[field] = (int(value) if field in _INT_FIELDS
-                             else float(value))
-        except ValueError:
-            raise ValueError(
-                f"chaos spec {key.strip()}={value!r}: not a number"
-            ) from None
-    return ServiceFaultPlan(**kwargs)
+    return parse_spec(spec, ServiceFaultPlan, SERVICE_FAULT_SPEC_FIELDS,
+                      "chaos")

@@ -17,7 +17,7 @@ import numpy as np
 from repro.common.records import IORecord, ServerId
 from repro.monitor.client_monitor import ClientWindowAggregator
 from repro.monitor.schema import CLIENT_FEATURES, SERVER_FEATURES
-from repro.monitor.server_monitor import ServerMonitor
+from repro.monitor.server_monitor import window_feature_arrays
 from repro.obs.metrics import REGISTRY
 
 __all__ = ["MonitoredRun", "assemble_vectors", "select_labelled",
@@ -113,8 +113,7 @@ def assemble_vectors(
             f"unknown gap_policy {gap_policy!r} (choose from {GAP_POLICIES})"
         )
     client = ClientWindowAggregator(window_size).aggregate(run.records, run.job)
-    # Re-aggregate raw samples through a throwaway monitor-shaped object.
-    server_keys, server_feats = _server_features_from_samples(
+    server_keys, server_feats = window_feature_arrays(
         run.server_samples, window_size, sample_interval
     )
     n_windows = max(1, int(np.ceil(run.duration / window_size)))
@@ -174,14 +173,3 @@ def _impute_gaps(X: np.ndarray, mask: np.ndarray, base: int,
                 elif last is not None:
                     X[w, si, base:] = last
 
-
-def _server_features_from_samples(
-    samples: list[tuple[float, ServerId, dict[str, float]]],
-    window_size: float,
-    sample_interval: float,
-) -> tuple[list[tuple[int, ServerId]], np.ndarray]:
-    """Window-aggregate raw samples without needing a live cluster."""
-    monitor = ServerMonitor.__new__(ServerMonitor)
-    monitor.sample_interval = sample_interval
-    monitor.samples = samples
-    return ServerMonitor.window_feature_arrays(monitor, window_size)

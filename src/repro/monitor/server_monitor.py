@@ -4,28 +4,23 @@ The paper's server-side monitor runs as an independent process on every
 PFS server, pulling the Table II statistics once per second and shipping
 window aggregates (sum / mean / std over the seconds of each window) to
 the training server (§III-B). Here a simulator process samples every
-server's cumulative counters at a fixed interval, converts counters to
-per-interval deltas (gauges stay instantaneous) and offers the same
-window aggregation.
+server's cumulative counters at a fixed interval and converts counters to
+per-interval deltas (gauges stay instantaneous);
+:func:`window_feature_arrays` is the one window aggregation, shared by
+offline vector assembly and the streaming predictor.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.common.records import ServerId
 from repro.common.windows import window_indices
-from repro.monitor.schema import GAUGE_METRICS, SERVER_METRICS, SERVER_STATS
+from repro.monitor.schema import SERVER_METRICS, SERVER_STATS
 from repro.obs.metrics import REGISTRY
 from repro.sim.cluster import Cluster
 
-if TYPE_CHECKING:  # runtime import would cycle via repro.faults.inject
-    from repro.faults.plan import FaultPlan
-
-__all__ = ["ServerMonitor"]
+__all__ = ["ServerMonitor", "window_feature_arrays"]
 
 #: Maps schema metric names to the cluster counter keys they derive from.
 _COUNTER_SOURCES: dict[str, tuple[str, ...]] = {
@@ -49,21 +44,14 @@ class ServerMonitor:
     """Samples every server's counters at a fixed interval.
 
     Call :meth:`start` before running the simulation; samples accumulate
-    in :attr:`samples` as ``(time, server, metrics-dict)`` rows.
-
-    With a :class:`~repro.faults.plan.FaultPlan` attached, the monitor
-    injects telemetry faults *live* as it collects: samples are dropped,
-    delivered late (appended to :attr:`samples` only once simulated time
-    reaches their delivery time, i.e. out of sample-time order),
-    duplicated, and per-server clock skew shifts recorded sample times.
-    All decisions derive from the plan seed plus ``fault_scope``, so the
-    faulted stream replays bit-identically.  Injection counts appear in
-    the ``faults.monitor.*`` registry counters.
+    in :attr:`samples` as ``(time, server, metrics-dict)`` rows, in
+    sample-time order.  Telemetry faults (lost, late, duplicated and
+    skewed samples) are a property of the collected stream and are
+    applied after collection, by :func:`repro.faults.apply_faults`.
     """
 
-    def __init__(self, cluster: Cluster, sample_interval: float = 0.25,
-                 faults: "FaultPlan | None" = None,
-                 fault_scope: str = "") -> None:
+    def __init__(self, cluster: Cluster,
+                 sample_interval: float = 0.25) -> None:
         if sample_interval <= 0:
             raise ValueError(
                 f"sample_interval must be positive, got {sample_interval}"
@@ -73,17 +61,6 @@ class ServerMonitor:
         self.samples: list[tuple[float, ServerId, dict[str, float]]] = []
         self._last_counters: dict[ServerId, dict[str, float]] = {}
         self._started = False
-        self.faults = faults if faults is not None and \
-            faults.has_telemetry_faults else None
-        self.fault_scope = fault_scope
-        self._fault_rng = None
-        self._skews: dict[ServerId, float] = {}
-        #: Heap of (delivery_time, seq, sample_time, server, metrics).
-        self._delayed: list[tuple] = []
-        self._delay_seq = 0
-        self.samples_dropped = 0
-        self.samples_delayed = 0
-        self.samples_duplicated = 0
 
     def start(self) -> None:
         """Arm the sampling process on the cluster's environment."""
@@ -92,56 +69,7 @@ class ServerMonitor:
         self._started = True
         for server in self.cluster.servers:
             self._last_counters[server] = self.cluster.server_counters(server)
-        if self.faults is not None:
-            from repro.faults.inject import sample_clock_skews
-
-            self._fault_rng = self.faults.rng("monitor", self.fault_scope)
-            self._skews = sample_clock_skews(
-                self.faults, list(self.cluster.servers), self.fault_scope
-            )
         self.cluster.env.process(self._loop())
-
-    def _emit(self, t: float, server: ServerId,
-              metrics: dict[str, float]) -> bool:
-        """Record one sample row, applying live telemetry faults.
-
-        Returns ``False`` when the sample was dropped.  Delayed samples
-        are parked on a heap and released by :meth:`_flush_delayed` once
-        simulated time reaches their delivery time.
-        """
-        plan = self.faults
-        if plan is None:
-            self.samples.append((t, server, metrics))
-            return True
-        # Fixed-size draw block per sample: the stream stays aligned
-        # whatever subset of fault kinds is enabled.
-        u_drop, u_dup, u_delay, u_amount = self._fault_rng.random(4)
-        if plan.sample_drop_rate and u_drop < plan.sample_drop_rate:
-            self.samples_dropped += 1
-            REGISTRY.counter("faults.monitor.samples_dropped").inc()
-            return False
-        t_obs = max(0.0, t + self._skews.get(server, 0.0))
-        row = (t_obs, server, metrics)
-        if plan.sample_delay_rate and u_delay < plan.sample_delay_rate:
-            delivery = self.cluster.env.now + u_amount * plan.sample_delay_max
-            self.samples_delayed += 1
-            REGISTRY.counter("faults.monitor.samples_delayed").inc()
-            self._delay_seq += 1
-            heapq.heappush(self._delayed,
-                           (delivery, self._delay_seq, *row))
-        else:
-            self.samples.append(row)
-        if plan.sample_duplicate_rate and u_dup < plan.sample_duplicate_rate:
-            self.samples_duplicated += 1
-            REGISTRY.counter("faults.monitor.samples_duplicated").inc()
-            self.samples.append((t_obs, server, dict(metrics)))
-        return True
-
-    def _flush_delayed(self, now: float) -> None:
-        """Deliver parked samples whose delay has elapsed."""
-        while self._delayed and self._delayed[0][0] <= now:
-            _, _, t_obs, server, metrics = heapq.heappop(self._delayed)
-            self.samples.append((t_obs, server, metrics))
 
     def _loop(self):
         env = self.cluster.env
@@ -150,15 +78,12 @@ class ServerMonitor:
         sample_counter = REGISTRY.counter("monitor.server_samples")
         tick_counter = REGISTRY.counter("monitor.sample_ticks")
         last_sample = REGISTRY.gauge("monitor.last_sample_sim_time")
-        faulty = self.faults is not None
         while True:
             yield env.timeout(self.sample_interval)
             t = env.now
             tick_counter.inc()
             last_sample.set(t)
             sample_counter.inc(len(self.cluster.servers))
-            if faulty:
-                self._flush_delayed(t)
             for server in self.cluster.servers:
                 counters = self.cluster.server_counters(server)
                 prev = self._last_counters[server]
@@ -170,7 +95,7 @@ class ServerMonitor:
                 for name, source in _GAUGE_SOURCES.items():
                     metrics[name] = counters[source]
                 self._last_counters[server] = counters
-                self._emit(t, server, metrics)
+                self.samples.append((t, server, metrics))
 
     def expected_samples(self, duration: float) -> int:
         """Rows a gap-free collection over ``duration`` would hold."""
@@ -190,76 +115,68 @@ class ServerMonitor:
         REGISTRY.gauge("monitor.sample_coverage").set(cov)
         return cov
 
-    def window_feature_arrays(
-        self, window_size: float
-    ) -> tuple[list[tuple[int, ServerId]], np.ndarray]:
-        """Aggregate samples per (window, server) as sum/mean/std.
 
-        A sample taken at time ``t`` summarises the preceding interval, so
-        it belongs to the window containing ``t - interval/2``.
+def window_feature_arrays(
+    samples: list[tuple[float, ServerId, dict[str, float]]],
+    window_size: float,
+    sample_interval: float,
+) -> tuple[list[tuple[int, ServerId]], np.ndarray]:
+    """Aggregate ``(time, server, metrics)`` samples per (window, server)
+    as sum/mean/std.
 
-        Returns ``(keys, features)`` where row ``i`` of the
-        ``(n_groups, len(SERVER_FEATURES))`` array holds the aggregates
-        for ``keys[i]`` in :data:`~repro.monitor.schema.SERVER_FEATURES`
-        order. The group-by runs vectorised over all samples at once
-        (``np.bincount`` per metric column) instead of a Python loop per
-        (window, server, metric, stat) — the former hot path of vector
-        assembly.
-        """
-        if window_size <= 0:
-            raise ValueError(f"window_size must be positive, got {window_size}")
-        if not self.samples:
-            return [], np.zeros((0, len(SERVER_METRICS) * len(SERVER_STATS)))
-        n = len(self.samples)
-        times = np.fromiter((t for t, _, _ in self.samples),
-                            dtype=np.float64, count=n)
-        values = np.array(
-            [[row[m] for m in SERVER_METRICS] for _, _, row in self.samples],
-            dtype=np.float64,
-        )
-        wins = window_indices(
-            np.maximum(0.0, times - self.sample_interval / 2), window_size
-        )
-        # Dense server ids in first-seen order; group = (window, server).
-        server_ids: dict[ServerId, int] = {}
-        servers: list[ServerId] = []
-        sidx = np.empty(n, dtype=np.int64)
-        for i, (_, server, _) in enumerate(self.samples):
-            j = server_ids.get(server)
-            if j is None:
-                j = server_ids[server] = len(servers)
-                servers.append(server)
-            sidx[i] = j
-        codes = wins * len(servers) + sidx
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
-        n_metrics = len(SERVER_METRICS)
-        sums = np.empty((len(uniq), n_metrics))
-        for c in range(n_metrics):
-            sums[:, c] = np.bincount(inverse, weights=values[:, c],
-                                     minlength=len(uniq))
-        means = sums / counts[:, None]
-        sq_dev = (values - means[inverse]) ** 2
-        var = np.empty_like(sums)
-        for c in range(n_metrics):
-            var[:, c] = np.bincount(inverse, weights=sq_dev[:, c],
-                                    minlength=len(uniq))
-        stds = np.sqrt(var / counts[:, None])
-        stacked = np.stack([sums, means, stds], axis=2)  # (g, metric, stat)
-        features = stacked.reshape(len(uniq), n_metrics * len(SERVER_STATS))
-        keys = [(int(code // len(servers)), servers[int(code % len(servers))])
-                for code in uniq]
-        return keys, features
+    A sample taken at time ``t`` summarises the preceding interval, so
+    it belongs to the window containing ``t - sample_interval/2``.
 
-    def window_features(
-        self, window_size: float
-    ) -> dict[tuple[int, ServerId], dict[str, float]]:
-        """Dict view of :meth:`window_feature_arrays`, keyed by
-        ``(window, server)`` with ``{metric}_{stat}`` feature names."""
-        keys, features = self.window_feature_arrays(window_size)
-        names = [f"{metric}_{stat}" for metric in SERVER_METRICS
-                 for stat in SERVER_STATS]
-        return {
-            key: dict(zip(names, map(float, row)))
-            for key, row in zip(keys, features)
-        }
+    Returns ``(keys, features)`` where row ``i`` of the
+    ``(n_groups, len(SERVER_FEATURES))`` array holds the aggregates for
+    ``keys[i]`` in :data:`~repro.monitor.schema.SERVER_FEATURES` order,
+    keys sorted by window.  The group-by runs vectorised over all
+    samples at once (``np.bincount`` per metric column), and each
+    group's statistics depend only on its own samples in their arrival
+    order, so one window's rows aggregate to the same bits alone as
+    inside a whole run.
+    """
+    if window_size <= 0:
+        raise ValueError(f"window_size must be positive, got {window_size}")
+    if not samples:
+        return [], np.zeros((0, len(SERVER_METRICS) * len(SERVER_STATS)))
+    n = len(samples)
+    times = np.fromiter((t for t, _, _ in samples), dtype=np.float64,
+                        count=n)
+    values = np.array(
+        [[row[m] for m in SERVER_METRICS] for _, _, row in samples],
+        dtype=np.float64,
+    )
+    wins = window_indices(
+        np.maximum(0.0, times - sample_interval / 2), window_size
+    )
+    # Dense server ids in first-seen order; group = (window, server).
+    server_ids: dict[ServerId, int] = {}
+    servers: list[ServerId] = []
+    sidx = np.empty(n, dtype=np.int64)
+    for i, (_, server, _) in enumerate(samples):
+        j = server_ids.get(server)
+        if j is None:
+            j = server_ids[server] = len(servers)
+            servers.append(server)
+        sidx[i] = j
+    codes = wins * len(servers) + sidx
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+    n_metrics = len(SERVER_METRICS)
+    sums = np.empty((len(uniq), n_metrics))
+    for c in range(n_metrics):
+        sums[:, c] = np.bincount(inverse, weights=values[:, c],
+                                 minlength=len(uniq))
+    means = sums / counts[:, None]
+    sq_dev = (values - means[inverse]) ** 2
+    var = np.empty_like(sums)
+    for c in range(n_metrics):
+        var[:, c] = np.bincount(inverse, weights=sq_dev[:, c],
+                                minlength=len(uniq))
+    stds = np.sqrt(var / counts[:, None])
+    stacked = np.stack([sums, means, stds], axis=2)  # (g, metric, stat)
+    features = stacked.reshape(len(uniq), n_metrics * len(SERVER_STATS))
+    keys = [(int(code // len(servers)), servers[int(code % len(servers))])
+            for code in uniq]
+    return keys, features

@@ -289,12 +289,14 @@ class TenantSession:
         """Submit one window's raw per-server vector; await its result.
 
         ``vector`` is ``(n_servers, n_features)`` raw (unnormalised)
-        features, exactly what :class:`StreamingPredictor` assembles;
-        anything else raises ``ValueError`` before the window is
-        counted, so one malformed vector cannot reach (and kill) the
-        shared batcher.  Raises :class:`Backpressure` (retryable) when
-        this tenant's queue is full; a global overload instead resolves
-        immediately to a ``shed`` result.
+        finite features, exactly what :class:`StreamingPredictor`
+        assembles; anything else raises ``ValueError`` before the window
+        is counted, so one malformed vector cannot reach (and kill) the
+        shared batcher, and a NaN or inf is never answered ``fresh`` and
+        then repeated as the tenant's last good result.  Raises
+        :class:`Backpressure` (retryable) when this tenant's queue is
+        full; a global overload instead resolves immediately to a
+        ``shed`` result.
         """
         service = self.service
         vector = np.asarray(vector)
@@ -304,6 +306,10 @@ class TenantSession:
                 f"tenant {self.tenant}: window {window} vector must be a "
                 f"real-valued {service.vector_shape} array, got "
                 f"{vector.dtype} {vector.shape}")
+        if not np.isfinite(vector).all():
+            raise ValueError(
+                f"tenant {self.tenant}: window {window} vector holds "
+                f"non-finite values")
         now = time.monotonic()
         service.metric_submitted.inc()
         loop = asyncio.get_running_loop()

@@ -42,11 +42,9 @@ def trained_predictor():
 
 
 def run_streaming(predictor, window_size=0.5, with_noise=True,
-                  monitor_faults=None, reorder_windows=0,
-                  min_completeness=0.0):
+                  reorder_windows=0, min_completeness=0.0):
     cluster = Cluster(experiment_cluster())
-    monitor = ServerMonitor(cluster, sample_interval=0.125,
-                            faults=monitor_faults, fault_scope="online")
+    monitor = ServerMonitor(cluster, sample_interval=0.125)
     monitor.start()
     target = make_io500_task("ior-easy-write", ranks=4, scale=0.3)
     streaming = StreamingPredictor(
@@ -81,25 +79,38 @@ def test_predictions_emitted_during_run(trained_predictor):
         assert sum(pred.probabilities) == pytest.approx(1.0)
 
 
-def test_streaming_matches_offline_pipeline(trained_predictor):
-    """Per-window vectors assembled online must equal the offline ones."""
-    cluster, monitor, streaming, target = run_streaming(trained_predictor)
-    run = MonitoredRun(
-        job=target.name,
-        records=cluster.collector.records,
-        server_samples=monitor.samples,
-        servers=cluster.servers,
-        duration=cluster.env.now,
-    )
-    offline = trained_predictor.predict_run(run, window_size=0.5,
-                                            sample_interval=0.125)
-    online = {p.window: p.severity for p in streaming.predictions}
-    shared = sorted(set(offline) & set(online))
-    assert len(shared) >= 2
-    agree = sum(offline[w] == online[w] for w in shared)
-    assert agree == len(shared), (
-        f"online/offline disagree: {[(w, online[w], offline[w]) for w in shared]}"
-    )
+def test_streaming_matches_offline_pipeline(trained_predictor,
+                                            streamed_vectors):
+    """Every window's vector assembled online equals its row of the
+    offline assembly bit for bit, and its probabilities are the fused
+    forward pass's bits for that vector."""
+    deployed = trained_predictor.deploy()
+    for window_size in (0.5, 0.25):
+        streamed_vectors.clear()
+        cluster, monitor, streaming, target = run_streaming(
+            trained_predictor, window_size=window_size)
+        run = MonitoredRun(
+            job=target.name,
+            records=cluster.collector.records,
+            server_samples=monitor.samples,
+            servers=cluster.servers,
+            duration=cluster.env.now,
+        )
+        X, windows = assemble_vectors(run, window_size=window_size,
+                                      sample_interval=0.125)
+        preds = streaming.predictions
+        assert len(preds) >= 2
+        assert sorted(streamed_vectors) == [p.window for p in preds]
+        for pred in preds:
+            vector = streamed_vectors[pred.window]
+            assert np.array_equal(vector[0],
+                                  X[windows.index(pred.window)]), \
+                f"window {pred.window} at {window_size}: online != offline"
+            assert pred.probabilities == tuple(
+                deployed.predict_proba_rows(vector)[0].tolist())
+        offline = trained_predictor.predict_run(
+            run, window_size=window_size, sample_interval=0.125)
+        assert all(offline[p.window] == p.severity for p in preds)
 
 
 def test_callback_invoked(trained_predictor):
@@ -164,76 +175,9 @@ def test_defaults_report_full_completeness(trained_predictor):
 def test_complete_windows_unchanged_by_fallback_knobs(trained_predictor):
     """Enabling the resilience knobs on a healthy stream must not change
     a single prediction."""
-    from repro.faults import FaultPlan
-
     plain = run_streaming(trained_predictor)[2]
-    guarded = run_streaming(trained_predictor, monitor_faults=FaultPlan(),
-                            min_completeness=0.5)[2]
+    guarded = run_streaming(trained_predictor, min_completeness=0.5)[2]
     assert [(p.window, p.severity, p.probabilities)
             for p in plain.predictions] == \
            [(p.window, p.severity, p.probabilities)
             for p in guarded.predictions]
-
-
-def test_out_of_order_samples_recovered_by_reorder_buffer(trained_predictor):
-    """Delayed (out-of-order) samples land inside the reorder allowance:
-    the buffered predictor sees fuller windows than the eager one."""
-    from repro.faults import FaultPlan
-    from repro.obs.metrics import REGISTRY
-
-    plan = FaultPlan(seed=1, sample_delay_rate=0.6, sample_delay_max=0.4)
-    before_late = REGISTRY.counter("online.late_samples").value
-    eager = run_streaming(trained_predictor, monitor_faults=plan)[2]
-    assert REGISTRY.counter("online.late_samples").value > before_late
-
-    buffered = run_streaming(trained_predictor, monitor_faults=plan,
-                             reorder_windows=1)[2]
-    shared = sorted(
-        set(p.window for p in eager.predictions)
-        & set(p.window for p in buffered.predictions)
-    )
-    assert shared
-    eager_c = {p.window: p.completeness for p in eager.predictions}
-    buffered_c = {p.window: p.completeness for p in buffered.predictions}
-    assert all(buffered_c[w] >= eager_c[w] for w in shared)
-    assert sum(buffered_c[w] for w in shared) > sum(eager_c[w] for w in shared)
-    # The buffer delays emission by exactly reorder_windows windows.
-    for pred in buffered.predictions:
-        assert pred.emitted_at == pytest.approx(
-            (pred.window + 2) * 0.5, abs=0.05)
-
-
-def test_stale_fallback_on_gapped_windows(trained_predictor):
-    """Windows below min_completeness are flagged stale and repeat the
-    last good prediction instead of classifying a half-blind vector."""
-    from repro.faults import FaultPlan
-
-    plan = FaultPlan(seed=3, sample_drop_rate=0.85)
-    streaming = run_streaming(trained_predictor, monitor_faults=plan,
-                              min_completeness=0.6)[2]
-    preds = streaming.predictions
-    assert len(preds) >= 2
-    stale = [p for p in preds if p.stale]
-    assert stale, "85% sample loss must push some window below 0.6"
-    for p in stale:
-        assert p.completeness < 0.6
-    # A stale window following a good one repeats its probabilities.
-    last_good = None
-    for p in preds:
-        if p.stale and last_good is not None:
-            assert p.probabilities == last_good.probabilities
-        if not p.stale:
-            last_good = p
-
-
-def test_missing_samples_lower_completeness_not_crash(trained_predictor):
-    """Total telemetry loss still emits a prediction per window, flagged
-    with completeness 0 (the stream degrades, it never NaNs)."""
-    from repro.faults import FaultPlan
-
-    plan = FaultPlan(seed=0, sample_drop_rate=1.0)
-    streaming = run_streaming(trained_predictor, monitor_faults=plan)[2]
-    assert streaming.predictions
-    for pred in streaming.predictions:
-        assert pred.completeness == 0.0
-        assert np.isfinite(pred.probabilities).all()

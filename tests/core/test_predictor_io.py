@@ -94,24 +94,11 @@ def test_deployed_matches_unfused(trained):
     predictor, ds = trained
     deployed = predictor.deploy()
     probs = predictor.predict_proba(ds.X)
-    fused = deployed.predict_proba(ds.X)
+    fused = deployed.predict_proba_rows(ds.X)
     # Folding the normalizer reassociates the first matmul, so the
     # contract is numerical equivalence, not bit identity.
-    assert np.allclose(probs, np.asarray(fused), rtol=1e-9, atol=1e-12)
+    assert np.allclose(probs, fused, rtol=1e-9, atol=1e-12)
     assert np.array_equal(predictor.predict(ds.X), deployed.predict(ds.X))
-
-
-def test_deployed_reuses_buffers(trained):
-    predictor, ds = trained
-    deployed = predictor.deploy()
-    one = ds.X[:1]
-    first = deployed.predict_proba(one)
-    again = deployed.predict_proba(one)
-    assert again is first  # same preallocated output buffer
-    # A different batch size gets its own buffers without corruption.
-    batch = np.asarray(deployed.predict_proba(ds.X[:7])).copy()
-    assert np.allclose(batch, predictor.predict_proba(ds.X[:7]),
-                       rtol=1e-9, atol=1e-12)
 
 
 def test_deployed_after_round_trip(tmp_path, trained):
@@ -124,9 +111,10 @@ def test_deployed_after_round_trip(tmp_path, trained):
 
 def test_predict_proba_rows_matches_batch_of_one(trained):
     """Every row of a fused micro-batch must be bit-identical to scoring
-    that window alone — batch composition cannot perturb anyone.  Holds
-    on every path ``deploy()`` produces: the binary float64 model and a
-    3-class float32 one."""
+    that window alone — batch composition cannot perturb anyone — and
+    every returned array is fresh, whatever batch sizes came before.
+    Holds on every path ``deploy()`` produces: the binary float64 model
+    and a 3-class float32 one."""
     ds32 = synthetic_dataset(n=150, n_classes=3, seed=3)
     float32 = InterferencePredictor.train(
         ds32, MULTICLASS_THRESHOLDS,
@@ -135,13 +123,15 @@ def test_predict_proba_rows_matches_batch_of_one(trained):
         deployed = predictor.deploy()
         dtype = predictor.param_dtype
         for n in (1, 2, 3, 7, 64, len(ds.X)):
-            rows = np.asarray(deployed.predict_proba_rows(ds.X[:n]))
+            rows = deployed.predict_proba_rows(ds.X[:n])
             assert rows.shape == (n, deployed.n_classes)
             assert rows.dtype == dtype
+            kept = rows.copy()
             for i in range(n):
-                solo = np.asarray(deployed.predict_proba(ds.X[i:i + 1]))[0]
+                solo = deployed.predict_proba_rows(ds.X[i:i + 1])[0]
                 assert np.array_equal(rows[i], solo), \
                     f"{dtype} row {i} of batch {n}"
+            assert np.array_equal(rows, kept)  # later calls left it alone
 
 
 def test_predict_proba_rows_validates_shape(trained):

@@ -1,16 +1,25 @@
-"""Tests for FaultPlan: validation, determinism, serialisation."""
+"""Tests for FaultPlan: validation, determinism, serialisation, and the
+``key=value`` spec parser shared with ServiceFaultPlan."""
 
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.faults import FAULT_SPEC_FIELDS, FaultPlan, parse_fault_spec
+from repro.faults import (
+    FAULT_SPEC_FIELDS,
+    SERVICE_FAULT_SPEC_FIELDS,
+    FaultPlan,
+    ServiceFaultPlan,
+    parse_fault_spec,
+    parse_service_fault_spec,
+)
 
 
 class TestValidation:
     def test_defaults_are_fault_free(self):
         plan = FaultPlan()
-        assert not plan.has_telemetry_faults
         assert not plan.affects_simulation
         assert not plan.has_worker_faults
 
@@ -35,12 +44,10 @@ class TestValidation:
             FaultPlan(**{field: -1.0})
 
     def test_domain_classification(self):
-        assert FaultPlan(sample_drop_rate=0.1).has_telemetry_faults
-        assert FaultPlan(clock_skew_max=0.1).has_telemetry_faults
         assert FaultPlan(run_abort_rate=0.1).affects_simulation
         assert FaultPlan(worker_kill_rate=0.1).has_worker_faults
-        assert not FaultPlan(worker_kill_rate=0.1).has_telemetry_faults
         assert not FaultPlan(sample_drop_rate=0.1).affects_simulation
+        assert not FaultPlan(sample_drop_rate=0.1).has_worker_faults
 
 
 class TestDeterminism:
@@ -148,3 +155,78 @@ class TestSpecParsing:
 
     def test_empty_spec_is_fault_free(self):
         assert parse_fault_spec("") == FaultPlan()
+
+    @pytest.mark.parametrize("parse", [parse_fault_spec,
+                                       parse_service_fault_spec])
+    def test_seed_beyond_float_range_rejected(self, parse):
+        """An integer too large for a float used to escape the finite
+        check as OverflowError."""
+        with pytest.raises(ValueError, match="seed"):
+            parse("seed=1" + "0" * 400)
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan(seed=10 ** 400)
+        with pytest.raises(ValueError, match="seed"):
+            ServiceFaultPlan(seed=10 ** 400)
+
+
+# -- properties of the key=value spec, for both plan kinds --------------------
+
+_rate = st.floats(min_value=0.0, max_value=1.0)
+_nonneg = st.floats(min_value=0.0, max_value=1e300)
+_seed = st.integers(min_value=-2 ** 64, max_value=2 ** 64)
+
+_FAULT_PLANS = st.builds(
+    FaultPlan, seed=_seed,
+    **{field: _rate if field.endswith("_rate") else _nonneg
+       for field in FAULT_SPEC_FIELDS.values() if field != "seed"})
+_SERVICE_PLANS = st.builds(
+    ServiceFaultPlan, seed=_seed,
+    flood_factor=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+    stall_windows=st.integers(min_value=0, max_value=10 ** 6),
+    reorder_depth=st.integers(min_value=0, max_value=10 ** 6),
+    slow_batch_seconds=_nonneg,
+    **{field: _rate for field in SERVICE_FAULT_SPEC_FIELDS.values()
+       if field.endswith("_rate")})
+
+_KINDS = {
+    "fault": (_FAULT_PLANS, FAULT_SPEC_FIELDS, parse_fault_spec),
+    "chaos": (_SERVICE_PLANS, SERVICE_FAULT_SPEC_FIELDS,
+              parse_service_fault_spec),
+}
+
+
+def render(plan, fields, keys):
+    """The plan as a ``key=value`` spec, fields in ``keys`` order."""
+    return ", ".join(f"{key}={getattr(plan, fields[key])!r}" for key in keys)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@given(data=st.data())
+def test_valid_plans_round_trip_through_their_spec(kind, data):
+    plans, fields, parse = _KINDS[kind]
+    plan = data.draw(plans)
+    keys = data.draw(st.permutations(sorted(fields)))
+    assert parse(render(plan, fields, keys)) == plan
+
+
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400).map(str))
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@given(data=st.data())
+def test_any_text_parses_or_raises_value_error(kind, data):
+    """Arbitrary text is either a plan or a ValueError — never another
+    exception (such as the OverflowError an integer beyond the float
+    range used to raise)."""
+    _, fields, parse = _KINDS[kind]
+    items = data.draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(sorted(fields)), st.text(max_size=8)),
+        st.one_of(_NUMBERS, st.text(max_size=12))), max_size=4))
+    spec = ",".join(f"{key}={value}" for key, value in items)
+    for text in (spec, data.draw(st.text())):
+        try:
+            parse(text)
+        except ValueError:
+            pass

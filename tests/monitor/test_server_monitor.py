@@ -13,7 +13,7 @@ from repro.monitor.schema import (
     VECTOR_FEATURES,
     vector_dim,
 )
-from repro.monitor.server_monitor import ServerMonitor
+from repro.monitor.server_monitor import ServerMonitor, window_feature_arrays
 from repro.sim.cluster import Cluster
 from repro.workloads.base import launch
 from repro.workloads.ior import IorConfig, IorWorkload
@@ -73,13 +73,20 @@ def test_window_features_have_sum_mean_std():
     w = IorWorkload(IorConfig(mode="easy", access="write", ranks=1,
                               bytes_per_rank=2 * MIB))
     _, monitor = run_monitored(w)
-    feats = monitor.window_features(window_size=1.0)
-    assert feats
-    row = next(iter(feats.values()))
-    assert set(row) == set(SERVER_FEATURES)
-    # sum >= mean for non-negative series with >= 1 sample.
+    keys, features = window_feature_arrays(monitor.samples, 1.0,
+                                           monitor.sample_interval)
+    assert keys
+    assert features.shape == (len(keys), len(SERVER_FEATURES))
+    # Each (window, server) row holds sum, mean and std of its samples.
+    (window, server), row = keys[0], dict(zip(SERVER_FEATURES, features[0]))
+    half = monitor.sample_interval / 2
+    mine = [m for t, s, m in monitor.samples
+            if s == server and int((t - half) // 1.0) == window]
     for metric in SERVER_METRICS:
-        assert row[f"{metric}_sum"] >= row[f"{metric}_mean"] - 1e-9
+        values = np.array([m[metric] for m in mine])
+        assert row[f"{metric}_sum"] == pytest.approx(values.sum())
+        assert row[f"{metric}_mean"] == pytest.approx(values.mean())
+        assert row[f"{metric}_std"] == pytest.approx(values.std())
 
 
 def test_monitor_cannot_start_twice():

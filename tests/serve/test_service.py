@@ -22,7 +22,7 @@ def vectors(scorer, n, seed=1):
 
 def expected_bits(scorer, vector):
     """What a private (batch-of-one) scorer would answer, exactly."""
-    return tuple(float(p) for p in scorer.predict_proba(vector[None])[0])
+    return tuple(scorer.predict_proba_rows(vector[None])[0].tolist())
 
 
 class StallFirst:
@@ -367,10 +367,16 @@ def test_graceful_drain_scores_queued_work(scorer):
 
 
 def test_malformed_vector_is_refused_without_wedging_the_service(scorer):
-    """A vector of the wrong shape or dtype is refused at submit: it is
-    never counted or queued, so it cannot reach (and kill) the shared
-    batcher, and every other tenant keeps being served."""
+    """A vector of the wrong shape or dtype, or holding a NaN or inf, is
+    refused at submit: it is never counted or queued, so it cannot
+    reach (and kill) the shared batcher or become the tenant's last good
+    answer, and every other tenant keeps being served."""
     W = vectors(scorer, 2, seed=9)
+    non_finite = []
+    for value in (np.nan, np.inf, -np.inf):
+        bad_vector = W[1].copy()
+        bad_vector[0, 0] = value
+        non_finite.append(bad_vector)
 
     async def run():
         service = PredictionService(scorer, ServeConfig(batch_interval=0.01))
@@ -386,6 +392,9 @@ def test_malformed_vector_is_refused_without_wedging_the_service(scorer):
             await bad.submit(0, np.zeros((scorer.n_servers,
                                           scorer.n_features),
                                          dtype=complex))
+        for bad_vector in non_finite:
+            with pytest.raises(ValueError, match="non-finite"):
+                await bad.submit(0, bad_vector)
         counted = REGISTRY.counter("serve.submitted").value - submitted
         first = await pending
         second = await good.submit(1, W[1])

@@ -51,8 +51,7 @@ def test_clean_soak_all_served_and_bit_identical(scorer):
                            scorer.n_features)
         assert [r.window for r in outcome.results] == list(range(5))
         for w, res in enumerate(outcome.results):
-            want = tuple(float(p)
-                         for p in scorer.predict_proba(W[w:w + 1])[0])
+            want = tuple(scorer.predict_proba_rows(W[w:w + 1])[0].tolist())
             assert res.probabilities == want
 
 
@@ -89,8 +88,7 @@ def test_chaos_soak_256_tenants_fully_accounted(scorer):
         W = tenant_windows(7, outcome.tenant, windows, scorer.n_servers,
                            scorer.n_features)
         for w, res in enumerate(outcome.results):
-            want = tuple(float(p)
-                         for p in scorer.predict_proba(W[w:w + 1])[0])
+            want = tuple(scorer.predict_proba_rows(W[w:w + 1])[0].tolist())
             assert res.probabilities == want
 
     # Bounded-memory invariant: after the drain nothing is left queued.

@@ -389,11 +389,15 @@ def test_window_policy_requires_shards(capsys):
 
 
 def test_non_finite_fault_value_rejected(capsys):
-    """An infinite abort time would never abort and never return."""
+    """An infinite abort time would never abort and never return; a seed
+    beyond the float range used to escape as OverflowError."""
     assert main(["table2", "--faults", "abort=1,abort_after=inf"]) == 2
     err = capsys.readouterr().err
     assert "bad --faults spec" in err
     assert "run_abort_after must be finite" in err
+    assert main(["table2", "--faults", "seed=1" + "0" * 400]) == 2
+    assert "bad --faults spec: seed must be finite" in \
+        capsys.readouterr().err
 
 
 def test_serve_non_finite_chaos_value_rejected(capsys):
@@ -401,3 +405,6 @@ def test_serve_non_finite_chaos_value_rejected(capsys):
     err = capsys.readouterr().err
     assert "bad --chaos spec" in err
     assert "slow_batch_seconds must be finite" in err
+    assert main(["serve", "--chaos", "seed=1" + "0" * 400]) == 2
+    assert "bad --chaos spec: seed must be finite" in \
+        capsys.readouterr().err
