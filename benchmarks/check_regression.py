@@ -50,10 +50,8 @@ METRICS = (
     ("BENCH_dataset.json", ("append", "append_large_seconds"), "wall"),
     # Append cost must stay flat as the store grows: the ratio between
     # appending one pair into the large vs the small store is the
-    # out-of-core contract in one number.
+    # window cache's scaling contract in one number.
     ("BENCH_dataset.json", ("append", "ratio_large_vs_small"), "wall"),
-    ("BENCH_dataset.json",
-     ("memmap_training", "memmap_peak_rss_bytes"), "wall"),
     ("BENCH_serve.json", ("peak_windows_per_second",), "rate"),
     # clean[2] is the 256-tenant closed-loop row.
     ("BENCH_serve.json", ("clean", 2, "latency_p50_ms"), "wall"),

@@ -62,6 +62,7 @@ OUT.json`` producing a Perfetto-loadable timeline.
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 import time
@@ -442,11 +443,11 @@ def main_predict(argv: list[str]) -> int:
     parser.add_argument("--fast", action="store_true",
                         help="shrink the demo simulation")
     args = parser.parse_args(argv)
-    if args.window_size <= 0:
-        return _fail(f"--window-size must be positive, got "
+    if not 0 < args.window_size < math.inf:
+        return _fail(f"--window-size must be positive and finite, got "
                      f"{args.window_size}")
-    if args.sample_interval <= 0:
-        return _fail(f"--sample-interval must be positive, got "
+    if not 0 < args.sample_interval < math.inf:
+        return _fail(f"--sample-interval must be positive and finite, got "
                      f"{args.sample_interval}")
 
     from repro.core.predictor import InterferencePredictor
@@ -481,8 +482,7 @@ def main_predict(argv: list[str]) -> int:
                                        args.sample_interval)
     names = (["<2x", ">=2x"] if predictor.n_classes == 2
              else ["<2x", "2-5x", ">=5x"])
-    print(f"model: {args.model} ({predictor.n_classes} classes, "
-          f"dtype {predictor.param_dtype})")
+    print(f"model: {args.model} ({predictor.n_classes} classes)")
     for window, severity in sorted(severities.items()):
         t0 = window * args.window_size
         print(f"  window {window:>4d} [{t0:7.2f}s, "
@@ -556,8 +556,8 @@ def main_serve(argv: list[str]) -> int:
     if args.windows <= 0:
         return _fail(f"--windows must be a positive integer, "
                      f"got {args.windows}")
-    if args.think < 0:
-        return _fail(f"--think must be >= 0, got {args.think}")
+    if not 0 <= args.think < math.inf:
+        return _fail(f"--think must be finite and >= 0, got {args.think}")
     plan = None
     if args.chaos:
         from repro.faults import parse_service_fault_spec
@@ -685,8 +685,9 @@ def main(argv: list[str] | None = None) -> int:
                      f"(choose from: {', '.join(known)})")
     if args.jobs <= 0:
         return _fail(f"--jobs must be a positive integer, got {args.jobs}")
-    if args.run_timeout is not None and args.run_timeout <= 0:
-        return _fail(f"--run-timeout must be positive, got {args.run_timeout}")
+    if args.run_timeout is not None and not 0 < args.run_timeout < math.inf:
+        return _fail(f"--run-timeout must be positive and finite, "
+                     f"got {args.run_timeout}")
     if args.retries < 0:
         return _fail(f"--retries must be >= 0, got {args.retries}")
     fault_plan = None

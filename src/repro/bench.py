@@ -20,9 +20,9 @@ and compared non-gatingly in CI against the checked-in
   the serial restart loop, then cold (fresh model cache) and warm
   through :class:`repro.parallel.TrainExecutor` — the warm pass must
   execute zero trainings — plus the per-window inference latency of the
-  deployed (normalizer-fused, buffer-reusing) fast path against the
-  unfused predictor. Serial, cold and cached models must be
-  bit-identical; fused predictions class-identical.
+  deployed (normalizer-fused) fast path against the unfused predictor.
+  Serial, cold and cached models must be bit-identical; fused
+  predictions class-identical.
 
 * **serve** — the multi-tenant prediction service (:mod:`repro.serve`):
   windows/sec and exact p50/p99 request latency against growing concurrent
@@ -33,10 +33,8 @@ and compared non-gatingly in CI against the checked-in
 * **dataset** — ``collect_windows`` through a
   :class:`repro.parallel.WindowCache` against the in-memory path: cold
   build vs warm rebuild (zero simulations, one entry read, bit-identical
-  ``content_digest``), one-pair appends into caches of different sizes
-  (walls must match), and a >=100k-window training run memmap-backed vs
-  fully in memory, recording the peak-RSS contrast with bit-identical
-  parameters.
+  ``content_digest``), and one-pair appends into caches of different
+  sizes (walls must match).
 
 Every result embeds an ``environment`` block (numpy/python versions,
 platform, cpu_count); ``benchmarks/check_regression.py`` warns — without
@@ -63,9 +61,7 @@ __all__ = ["bench_dataset", "bench_engine", "bench_environment",
 def _peak_rss_bytes() -> int:
     """This process's lifetime peak resident set size, in bytes.
 
-    ``ru_maxrss`` is kilobytes on Linux; the benchmark workers run in
-    fresh spawn children, so the number is the worker's own peak, not
-    the parent's.
+    ``ru_maxrss`` is kilobytes on Linux.
     """
     import resource
 
@@ -469,95 +465,7 @@ def bench_serve(stream_counts: tuple[int, ...] = (16, 64, 256),
 # -- dataset benchmark --------------------------------------------------------
 
 
-def _dataset_memmap_files(base: pathlib.Path, n: int = 120_000,
-                          n_servers: int = 7,
-                          n_features: int = 10) -> tuple[pathlib.Path,
-                                                         pathlib.Path]:
-    """A deterministic >=100k-window training set, written out-of-core.
-
-    Same learnable structure as :func:`bench_train_dataset`, but filled
-    chunk-by-chunk straight into an ``open_memmap`` so generating the
-    file never holds the tensor in memory either.
-    """
-    from repro.common.rng import derive_rng
-
-    x_path = base / "bench-windows.npy"
-    y_path = base / "bench-labels.npy"
-    X = np.lib.format.open_memmap(x_path, mode="w+", dtype=np.float64,
-                                  shape=(n, n_servers, n_features))
-    y = np.empty(n, dtype=np.int64)
-    rng = derive_rng(0, "bench-dataset-memmap")
-    step = 8192
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        chunk = rng.normal(size=(stop - start, n_servers, n_features))
-        labels = (chunk[:, :, :3].mean(axis=(1, 2))
-                  + 0.3 * rng.normal(size=stop - start) > 0).astype(np.int64)
-        chunk[labels == 1, :, :3] += 0.5
-        X[start:stop] = chunk
-        y[start:stop] = labels
-    X.flush()
-    del X
-    np.save(y_path, y)
-    return x_path, y_path
-
-
-def _dataset_train_worker(x_path: str, y_path: str,
-                          in_memory: bool) -> dict[str, Any]:
-    """Train once and report wall/peak-RSS/params-digest (spawn child).
-
-    ``in_memory=True`` reproduces the eager footprint: the whole
-    tensor on the heap plus the eager normalised copy the lazy training
-    path no longer makes.  ``in_memory=False`` opens the same file as a
-    read-only memmap and trains through the lazy per-batch path.  The
-    two must produce bit-identical parameters.
-    """
-    import hashlib
-
-    from repro.core.dataset import Dataset, Normalizer
-    from repro.core.nn.train import TrainConfig
-    from repro.core.predictor import InterferencePredictor
-
-    y = np.load(y_path)
-    eager_copy = None
-    if in_memory:
-        X = np.load(x_path)
-        eager_copy = Normalizer().fit(X).transform(X)
-    else:
-        X = np.lib.format.open_memmap(x_path, mode="r")
-    names = tuple(f"f{i}" for i in range(X.shape[2]))
-    dataset = Dataset(X, y, feature_names=names)
-    config = TrainConfig(epochs=2, patience=2, batch_size=256, seed=0)
-    t0 = time.perf_counter()
-    predictor = InterferencePredictor.train(dataset, config=config,
-                                            restarts=1)
-    wall = time.perf_counter() - t0
-    h = hashlib.blake2b(digest_size=16)
-    for param in predictor.model.params():
-        h.update(np.ascontiguousarray(param.value).tobytes())
-    return {
-        "seconds": wall,
-        "peak_rss_bytes": _peak_rss_bytes(),
-        "params_digest": h.hexdigest(),
-        # eager_copy stays referenced to here so the legacy footprint is
-        # held through training, exactly as the eager path did.
-        "eager_copies": 0 if eager_copy is None else 1,
-    }
-
-
-def _in_spawn_child(fn, *args):
-    """Run ``fn(*args)`` in a fresh spawn child (its own peak RSS)."""
-    import concurrent.futures
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=1,
-                                                mp_context=ctx) as pool:
-        return pool.submit(fn, *args).result()
-
-
-def bench_dataset(jobs: int | None = None,
-                  memmap_windows: int = 120_000) -> dict[str, Any]:
+def bench_dataset(jobs: int | None = None) -> dict[str, Any]:
     """The window cache vs the in-memory ETL path.
 
     Passes over the sweep grid, with the run cache pre-primed so the
@@ -569,11 +477,6 @@ def bench_dataset(jobs: int | None = None,
     and a 3x-larger cache — the append walls must match, showing that
     cost scales with *new* windows, not stored ones.  Cache-built
     datasets must match the in-memory ``content_digest()`` exactly.
-
-    Separately, a ``memmap_windows``-window synthetic set is trained
-    once fully in memory with the legacy eager-normalised copy and once
-    memmap-backed through the lazy path, in fresh spawn children, to
-    record the peak-RSS contrast; parameters must be bit-identical.
     """
     from repro.core.labeling import BINARY_THRESHOLDS
     from repro.experiments.datagen import (Scenario, bank_to_dataset,
@@ -647,14 +550,6 @@ def bench_dataset(jobs: int | None = None,
             assert (cache.misses, cache.stores) == (2, 2), cache.stats()
         append_small_s, append_large_s = appends
 
-        memmap_x, memmap_y = _dataset_memmap_files(tmp, n=memmap_windows)
-        lazy = _in_spawn_child(_dataset_train_worker, str(memmap_x),
-                               str(memmap_y), False)
-        eager = _in_spawn_child(_dataset_train_worker, str(memmap_x),
-                                str(memmap_y), True)
-        assert lazy["params_digest"] == eager["params_digest"], \
-            "memmap-backed training diverged from in-memory training"
-
         return {
             "environment": bench_environment(),
             "grid": {"targets": len(targets), "scenarios": len(scenarios),
@@ -676,16 +571,6 @@ def bench_dataset(jobs: int | None = None,
                 "append_small_seconds": append_small_s,
                 "append_large_seconds": append_large_s,
                 "ratio_large_vs_small": append_large_s / append_small_s,
-            },
-            "memmap_training": {
-                "windows": memmap_windows,
-                "in_memory_seconds": eager["seconds"],
-                "memmap_seconds": lazy["seconds"],
-                "in_memory_peak_rss_bytes": eager["peak_rss_bytes"],
-                "memmap_peak_rss_bytes": lazy["peak_rss_bytes"],
-                "rss_ratio_in_memory_vs_memmap":
-                    eager["peak_rss_bytes"] / lazy["peak_rss_bytes"],
-                "bit_identical": True,
             },
             "cold": cold_cache.stats(),
         }
@@ -772,17 +657,13 @@ def main(argv: list[str] | None = None) -> int:
         _write(result, args.out_dir / "BENCH_serve.json")
     if "dataset" in selected:
         result = bench_dataset(jobs=args.jobs)
-        mm = result["memmap_training"]
         ap = result["append"]
         print(f"dataset: in-memory {result['in_memory_seconds']:.2f}s, cold "
               f"build {result['cold_build_seconds']:.2f}s, warm rebuild "
               f"{result['warm_rebuild_seconds']:.2f}s; append 1 pair: "
               f"{ap['append_small_seconds']:.2f}s small vs "
               f"{ap['append_large_seconds']:.2f}s large "
-              f"({ap['ratio_large_vs_small']:.2f}x); "
-              f"{mm['windows']:,} windows train: "
-              f"{mm['in_memory_peak_rss_bytes'] / 1e6:,.0f}MB in-memory vs "
-              f"{mm['memmap_peak_rss_bytes'] / 1e6:,.0f}MB memmap peak RSS")
+              f"({ap['ratio_large_vs_small']:.2f}x)")
         _write(result, args.out_dir / "BENCH_dataset.json")
     return 0
 

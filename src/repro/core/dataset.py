@@ -20,12 +20,6 @@ from repro.monitor.schema import VECTOR_FEATURES
 
 __all__ = ["Dataset", "Normalizer", "split_indices", "train_test_split"]
 
-#: Bounds on the streaming paths' working sets (digest hashing and
-#: normalizer fitting).  They bound peak memory only — results are
-#: bitwise-independent of these values.
-_DIGEST_CHUNK_BYTES = 16 << 20
-_STREAM_CHUNK_ROWS = 65536
-
 
 @dataclass
 class Dataset:
@@ -87,15 +81,7 @@ class Dataset:
         h = hashlib.blake2b(digest_size=20)
         h.update(repr((self.X.shape, str(self.X.dtype), str(self.y.dtype),
                        self.feature_names)).encode())
-        # Hash X in row slices: a contiguous row slice's bytes are the
-        # same bytes `ascontiguousarray(X).tobytes()` would contribute,
-        # so the digest is unchanged — but a memmap-backed X streams
-        # through a bounded buffer instead of densifying the whole array.
-        step = max(1, _DIGEST_CHUNK_BYTES //
-                   max(1, self.X[:1].nbytes)) if len(self.X) else 1
-        for start in range(0, len(self.X), step):
-            h.update(np.ascontiguousarray(
-                self.X[start:start + step]).tobytes())
+        h.update(np.ascontiguousarray(self.X))
         h.update(np.ascontiguousarray(self.y).tobytes())
         return h.hexdigest()
 
@@ -145,26 +131,12 @@ def train_test_split(
     return dataset.subset(train_idx, ":train"), dataset.subset(test_idx, ":test")
 
 
-def _flat_rows(chunk: np.ndarray) -> np.ndarray:
-    """A chunk as (rows, features) — 3-D window chunks flatten cells."""
-    c = np.asarray(chunk)
-    return c.reshape(-1, c.shape[-1])
-
-
 @dataclass
 class Normalizer:
     """Per-feature z-scoring with train-set statistics.
 
     Statistics are computed over all (window, server) cells so the kernel
     network sees every server's vector on the same scale.
-
-    Fitting streams over row slices (two passes: sum, then squared
-    deviations), so a memmap-backed ``X`` is never densified — and the
-    accumulation is **bitwise-identical** to the whole-array
-    ``flat.mean(axis=0)`` / ``flat.std(axis=0)``: each step re-reduces
-    the running total together with the next slice's rows, reproducing
-    numpy's pairwise summation exactly (property-tested across chunk
-    sizes and dtypes in ``tests/data``).
     """
 
     mean: np.ndarray | None = None
@@ -172,79 +144,10 @@ class Normalizer:
 
     def fit(self, X: np.ndarray) -> "Normalizer":
         flat = X.reshape(-1, X.shape[-1])
-        if not len(flat):
-            # Historical degenerate-input semantics (NaN statistics and
-            # numpy's empty-slice warnings) are part of the contract.
-            self.mean = flat.mean(axis=0)
-            std = flat.std(axis=0)
-            std[std < 1e-12] = 1.0
-            self.std = std
-            return self
-        return self.fit_chunks(
-            lambda: (flat[i:i + _STREAM_CHUNK_ROWS]
-                     for i in range(0, len(flat), _STREAM_CHUNK_ROWS)))
-
-    def fit_chunks(self, chunks) -> "Normalizer":
-        """Fit from a re-iterable stream of row chunks.
-
-        ``chunks`` is either a sequence of arrays or a zero-argument
-        callable returning a fresh iterator (the stream is consumed
-        twice).  Chunks may be 2-D ``(rows, features)`` or 3-D window
-        blocks ``(windows, servers, features)``; all must share the
-        feature width.  The fitted statistics equal ``fit`` over the
-        concatenated rows to the last bit, whatever the chunking.
-        """
-        import collections.abc
-
-        if callable(chunks):
-            get = chunks
-        elif isinstance(chunks, collections.abc.Sequence):
-            get = lambda: chunks  # noqa: E731
-        else:
-            raise TypeError(
-                "chunks must be re-iterable: pass a sequence of arrays or "
-                "a zero-arg callable returning a fresh iterator")
-        # Pass 1: running sum.  Seeding from the first slice (not a zero
-        # identity) and re-reducing [acc; slice] each step keeps the
-        # float operation tree identical to one whole-array reduce —
-        # including signed zeros.
-        n = 0
-        acc = None
-        for chunk in get():
-            c = _flat_rows(chunk)
-            if not len(c):
-                continue
-            if acc is None:
-                acc = np.add.reduce(c, axis=0)
-            else:
-                acc = np.add.reduce(np.concatenate([acc[None, :], c]),
-                                    axis=0)
-            n += len(c)
-        if acc is None:
-            raise ValueError("cannot fit a Normalizer on an empty stream")
-        mean = acc / n
-        # Pass 2: squared deviations from the mean, same accumulation.
-        acc2 = None
-        m = 0
-        for chunk in get():
-            c = _flat_rows(chunk)
-            if not len(c):
-                continue
-            d = c - mean
-            d = d * d
-            if acc2 is None:
-                acc2 = np.add.reduce(d, axis=0)
-            else:
-                acc2 = np.add.reduce(np.concatenate([acc2[None, :], d]),
-                                     axis=0)
-            m += len(c)
-        if m != n:
-            raise ValueError(
-                f"chunk stream changed between passes ({n} then {m} rows)")
-        std = np.sqrt(acc2 / n)
+        self.mean = flat.mean(axis=0)
+        std = flat.std(axis=0)
         # Constant features carry no signal; avoid dividing by zero.
         std[std < 1e-12] = 1.0
-        self.mean = mean
         self.std = std
         return self
 

@@ -208,13 +208,8 @@ class SetTransformerClassifier:
             out += block.params()
         return out + self.head.params()
 
-    @property
-    def param_dtype(self) -> np.dtype:
-        """Compute dtype of the trained parameters."""
-        return self.embed.W.value.dtype
-
     def forward(self, X: np.ndarray, training: bool = False) -> np.ndarray:
-        X = np.asarray(X, dtype=self.param_dtype)
+        X = np.asarray(X, dtype=float)
         if X.ndim != 3 or X.shape[2] != self.n_features:
             raise ValueError(
                 f"expected (n, servers, {self.n_features}), got {X.shape}"

@@ -72,21 +72,9 @@ class KernelInterferenceNet:
     def params(self):
         return self.kernel.params() + self.head.params()
 
-    @property
-    def param_dtype(self) -> np.dtype:
-        """Compute dtype of the trained parameters (float64, or float32
-        when trained with ``TrainConfig(dtype="float32")``)."""
-        return self.kernel.layers[0].W.value.dtype
-
     def forward(self, X: np.ndarray, training: bool = False) -> np.ndarray:
-        """Logits for a ``(n, servers, features)`` batch.
-
-        Inputs are cast to the *parameter* dtype, not hard-coded float64:
-        a float32-trained model must not silently promote every batch
-        back to float64 (which both doubles the matmul cost and produces
-        mixed-precision results).
-        """
-        X = np.asarray(X, dtype=self.param_dtype)
+        """Logits for a ``(n, servers, features)`` batch."""
+        X = np.asarray(X, dtype=float)
         if X.ndim != 3 or X.shape[1] != self.n_servers or X.shape[2] != self.n_features:
             raise ValueError(
                 f"expected (n, {self.n_servers}, {self.n_features}), got {X.shape}"
@@ -113,5 +101,5 @@ class KernelInterferenceNet:
     def server_scores(self, X: np.ndarray) -> np.ndarray:
         """The kernel's per-server scalar outputs — an interpretability
         hook: which server's state drives the prediction."""
-        return self.kernel.forward(np.asarray(X, dtype=self.param_dtype),
+        return self.kernel.forward(np.asarray(X, dtype=float),
                                    training=False)[..., 0]

@@ -169,11 +169,9 @@ class Dropout(Layer):
     the next :class:`Dense` layer's input-gradient scratch, as in the
     bundled models.
 
-    The mask is drawn from float64 uniforms whatever the activation
-    dtype, so a float32 run drops the same units as a float64 one, and
-    is formed in the activation's dtype, so a float32 run stays float32.
-    Uniforms and mask live in buffers reused across steps: a step
-    allocates nothing once the largest batch has been seen.
+    The mask is formed over the uniforms themselves, in one buffer
+    reused across steps: a step allocates nothing once the largest
+    batch has been seen.
     """
 
     def __init__(self, p: float, rng: np.random.Generator | None = None) -> None:
@@ -182,11 +180,9 @@ class Dropout(Layer):
         self.p = p
         self.rng = rng or np.random.default_rng(0)
         self._mask: np.ndarray | None = None
-        # Flat buffers, grown to the largest batch seen; a step uses a
-        # prefix of them. ``_mask_buf`` serves non-float64 activations
-        # (a float64 mask is formed over the uniforms themselves).
+        # Flat buffer, grown to the largest batch seen; a step uses a
+        # prefix of it.
         self._uniform_buf: np.ndarray | None = None
-        self._mask_buf: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.p == 0.0:
@@ -194,15 +190,12 @@ class Dropout(Layer):
             return x
         keep = 1.0 - self.p
         n = x.size
-        self._uniform_buf = _grown(self._uniform_buf, n, np.float64)
-        uniform = self._uniform_buf[:n].reshape(x.shape)
-        self.rng.random(out=uniform)
-        mask = uniform
-        if x.dtype != np.float64:
-            self._mask_buf = _grown(self._mask_buf, n, x.dtype)
-            mask = self._mask_buf[:n].reshape(x.shape)
-        # Bit-equal to ``(uniform < keep) / keep`` in the mask's dtype.
-        np.less(uniform, keep, out=mask)
+        if self._uniform_buf is None or self._uniform_buf.size < n:
+            self._uniform_buf = np.empty(n)
+        mask = self._uniform_buf[:n].reshape(x.shape)
+        self.rng.random(out=mask)
+        # Bit-equal to ``(uniform < keep) / keep``.
+        np.less(mask, keep, out=mask)
         np.divide(mask, keep, out=mask)
         self._mask = mask
         np.multiply(x, mask, out=x)
@@ -215,14 +208,6 @@ class Dropout(Layer):
         self._mask = None  # the buffer stays; only this step's view goes
         np.multiply(grad, mask, out=grad)
         return grad
-
-
-def _grown(buf: np.ndarray | None, size: int, dtype) -> np.ndarray:
-    """``buf`` if it holds ``size`` items of ``dtype``, else a new flat
-    buffer that does."""
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        return np.empty(size, dtype=dtype)
-    return buf
 
 
 class Sequential(Layer):

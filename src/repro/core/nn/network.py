@@ -41,18 +41,10 @@ class MLPClassifier:
     def params(self):
         return self.net.params()
 
-    @property
-    def param_dtype(self) -> np.dtype:
-        """Compute dtype of the trained parameters."""
-        return self.net.layers[0].W.value.dtype
-
     def forward(self, X: np.ndarray, training: bool = False) -> np.ndarray:
         """Logits for ``(n, in_dim)`` or ``(n, servers, features)`` input
-        (the latter is flattened, making this the non-kernel ablation).
-
-        Inputs follow the parameter dtype so float32-trained models stay
-        float32 end to end instead of re-promoting every batch."""
-        X = np.asarray(X, dtype=self.param_dtype)
+        (the latter is flattened, making this the non-kernel ablation)."""
+        X = np.asarray(X, dtype=float)
         if X.ndim == 3:
             X = X.reshape(len(X), -1)
         return self.net.forward(X, training=training)

@@ -48,24 +48,12 @@ class TrainConfig:
     patience: int = 25
     class_weighting: bool = True
     seed: int = 0
-    #: Compute dtype of the training loop. ``"float32"`` casts the model
-    #: parameters once up front (minibatches are cast as they are
-    #: gathered, so a memmap-backed ``X`` is never densified) and
-    #: roughly halves the
-    #: per-step matmul cost on these small models; opt-in because the
-    #: default float64 path is what the paper-reproduction figures (and
-    #: their bit-exactness tests) are pinned to.
-    dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"dtype must be 'float64' or 'float32', got {self.dtype!r}"
-            )
 
 
 @dataclass
@@ -119,12 +107,10 @@ def _train(model, X: np.ndarray, y: np.ndarray, loss_fn,
            config: TrainConfig, normalizer=None) -> TrainHistory:
     """Shared minibatch loop: any model exposing params/forward/backward.
 
-    ``X`` is only ever read in row batches — it may be a memmap and is
-    never densified.  A fitted ``normalizer`` is applied per batch *after* the
-    row gather, and the optional float32 cast after that; both are
-    elementwise, so they commute with row indexing and the resulting
-    parameter trajectory is bit-identical to transforming and casting
-    the whole array up front (pinned by tests/data).
+    A fitted ``normalizer`` is applied per batch *after* the row gather,
+    so training never holds a second, normalised copy of ``X``; the
+    transform is elementwise, so the parameters are bit-identical to
+    normalising the whole array up front.
     """
     X = np.asarray(X, dtype=float)
     if len(X) != len(y):
@@ -136,20 +122,11 @@ def _train(model, X: np.ndarray, y: np.ndarray, loss_fn,
     # model, and the optimiser, gradient-norm probe and best-state
     # snapshots all iterate it every epoch.
     params = model.params()
-    cast32 = config.dtype == "float32"
-    if cast32:
-        if y.dtype.kind == "f":
-            y = y.astype(np.float32)
-        for p in params:
-            p.value = p.value.astype(np.float32)
-            p.grad = np.zeros_like(p.value)
 
     def fetch(rows: np.ndarray) -> np.ndarray:
         batch = X[rows]
         if normalizer is not None:
             batch = normalizer.transform(batch)
-        if cast32:
-            batch = batch.astype(np.float32)
         return batch
 
     rng = derive_rng(config.seed, "train")

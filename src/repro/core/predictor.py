@@ -63,12 +63,6 @@ class InterferencePredictor:
     def n_classes(self) -> int:
         return self.model.n_classes
 
-    @property
-    def param_dtype(self) -> np.dtype:
-        """Inference dtype — follows the trained parameters, so a
-        float32-trained model scores windows in float32."""
-        return self.model.param_dtype
-
     @staticmethod
     def check_train_inputs(train_set: Dataset, thresholds: tuple[float, ...],
                            restarts: int) -> int:
@@ -108,10 +102,7 @@ class InterferencePredictor:
         so the result is deterministic given ``seed``.
         """
         n_classes = cls.check_train_inputs(train_set, thresholds, restarts)
-        # Fit streams over X; the transform is applied lazily per batch
-        # inside the training loop.  Neither densifies train_set.X, so a
-        # memmap-backed dataset trains with peak RSS bounded by batch
-        # and validation-slice size — bit-identical to the eager path.
+        # The training loop normalises each batch as it is gathered.
         normalizer = Normalizer().fit(train_set.X)
         config = config or TrainConfig(seed=seed)
         best: tuple[float, KernelInterferenceNet, TrainHistory] | None = None
@@ -162,7 +153,7 @@ class InterferencePredictor:
                 "dropout": model.dropout,
             },
             "thresholds": list(self.thresholds),
-            "dtype": str(np.dtype(model.param_dtype)),
+            "dtype": "float64",
             "n_params": len(params),
             "history": None if self.history is None else {
                 "train_loss": [float(v) for v in self.history.train_loss],
@@ -192,7 +183,8 @@ class InterferencePredictor:
 
         Raises ``ValueError`` for anything that is not a well-formed
         saved predictor (truncated archive, foreign npz, wrong format
-        version, mismatched shapes) and ``OSError`` for unreadable paths.
+        version, mismatched shapes, parameters that are not float64) and
+        ``OSError`` for unreadable paths.
         """
         import zipfile
 
@@ -236,6 +228,10 @@ class InterferencePredictor:
                         raise ValueError(
                             f"{path}: param_{i} has shape {value.shape}, "
                             f"architecture expects {p.value.shape}")
+                    if value.dtype != np.float64:
+                        raise ValueError(
+                            f"{path}: param_{i} is {value.dtype}; only "
+                            f"float64 models are supported")
                     p.value = np.array(value)
                     p.grad = np.zeros_like(p.value)
                 normalizer = Normalizer(mean=np.array(data["norm_mean"]),
@@ -249,10 +245,7 @@ class InterferencePredictor:
     # -- inference -----------------------------------------------------------
 
     def _normalized(self, X: np.ndarray) -> np.ndarray:
-        """Z-scored input in the model's parameter dtype."""
-        dtype = self.model.param_dtype
-        Xn = self.normalizer.transform(np.asarray(X, dtype=dtype))
-        return Xn if Xn.dtype == dtype else Xn.astype(dtype)
+        return self.normalizer.transform(np.asarray(X, dtype=float))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Severity classes for raw (unnormalised) per-server vectors."""
@@ -332,37 +325,23 @@ class DeployedPredictor:
         self.n_features = model.n_features
         self.n_classes = model.n_classes
         self.thresholds = predictor.thresholds
-        self._dtype = np.dtype(model.param_dtype)
 
         kernel = _affine_stack(model.kernel)
-        head = _affine_stack(model.head)
         # Fold the z-score affine into the first kernel layer.
         W0, b0, relu0 = kernel[0]
         inv_std = 1.0 / np.asarray(norm.std)
-        Wf = (W0 * inv_std[:, None]).astype(self._dtype, copy=False)
-        bf = (b0 - (np.asarray(norm.mean) * inv_std) @ W0).astype(
-            self._dtype, copy=False)
-        kernel[0] = [Wf, bf, relu0]
-        self._kernel = [(W.astype(self._dtype, copy=False),
-                         b.astype(self._dtype, copy=False), relu)
-                        for W, b, relu in kernel]
-        self._head = [(W.astype(self._dtype, copy=False),
-                       b.astype(self._dtype, copy=False), relu)
-                      for W, b, relu in head]
-        # Layer outputs are written into scratch buffers sized for the
-        # last batch; the probabilities returned are always fresh.
-        self._buf_n: int | None = None
-        self._kernel_bufs: list[np.ndarray] = []
-        self._head_bufs: list[np.ndarray] = []
+        kernel[0] = [W0 * inv_std[:, None],
+                     b0 - (np.asarray(norm.mean) * inv_std) @ W0, relu0]
+        self._kernel = kernel
+        self._head = _affine_stack(model.head)
 
     @staticmethod
-    def _forward(x: np.ndarray, stack, bufs) -> np.ndarray:
-        for (W, b, relu), out in zip(stack, bufs):
-            np.matmul(x, W, out=out)
-            out += b
+    def _forward(x: np.ndarray, stack) -> np.ndarray:
+        for W, b, relu in stack:
+            x = np.matmul(x, W)
+            x += b
             if relu:
-                np.maximum(out, 0.0, out=out)
-            x = out
+                np.maximum(x, 0.0, out=x)
         return x
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -396,29 +375,17 @@ class DeployedPredictor:
         code runs per row.  Returns a fresh ``(n, n_classes)`` array
         (safe to keep).
         """
-        X = np.asarray(X, dtype=self._dtype)
+        X = np.asarray(X, dtype=float)
         if X.ndim != 3 or X.shape[1] != self.n_servers \
                 or X.shape[2] != self.n_features:
             raise ValueError(
                 f"expected (n, {self.n_servers}, {self.n_features}), "
                 f"got {X.shape}"
             )
-        n = len(X)
-        if n == 0:
-            return np.empty((0, self.n_classes), dtype=self._dtype)
-        if self._buf_n != n:
-            self._kernel_bufs = [
-                np.empty((n, self.n_servers, W.shape[1]), dtype=self._dtype)
-                for W, _, _ in self._kernel
-            ]
-            self._head_bufs = [
-                np.empty((n, 1, W.shape[1]), dtype=self._dtype)
-                for W, _, _ in self._head
-            ]
-            self._buf_n = n
-        per_server = self._forward(X, self._kernel, self._kernel_bufs)
-        logits = self._forward(per_server[:, None, :, 0], self._head,
-                               self._head_bufs)[:, 0]
+        if len(X) == 0:
+            return np.empty((0, self.n_classes))
+        per_server = self._forward(X, self._kernel)
+        logits = self._forward(per_server[:, None, :, 0], self._head)[:, 0]
         probs = logits - logits.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)

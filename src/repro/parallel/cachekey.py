@@ -66,9 +66,9 @@ DATASET_FORMAT = 1
 #: an older trainer wrote are not reused.  Separate from ``CACHE_FORMAT``
 #: so retiring trained models does not retire cached runs.  Keys before
 #: the field existed count as version 1.
-#: 2: ``TrainConfig(dtype="float32")`` forms its dropout masks in float32
-#: (they were float64, which promoted training to float64 after the
-#: first dropout layer).
+#: 2: float32 training (an option since removed) formed its dropout
+#: masks in float32 (they were float64, which promoted training to
+#: float64 after the first dropout layer).
 TRAINER_VERSION = 2
 
 

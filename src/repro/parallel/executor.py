@@ -57,6 +57,7 @@ order workers finish in.
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import os
 import time
@@ -275,8 +276,9 @@ class SweepExecutor:
                  fault_plan: FaultPlan | None = None) -> None:
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if run_timeout is not None and run_timeout <= 0:
-            raise ValueError(f"run_timeout must be positive, got {run_timeout}")
+        if run_timeout is not None and not 0 < run_timeout < math.inf:
+            raise ValueError(f"run_timeout must be positive and finite, "
+                             f"got {run_timeout}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.n_jobs = n_jobs

@@ -46,6 +46,7 @@ seconds.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -138,8 +139,8 @@ class ServeConfig:
                                  f"got {getattr(self, name)}")
         for name in ("batch_interval", "deadline", "breaker_cooldown",
                      "drain_timeout"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, "
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
 
 

@@ -28,6 +28,7 @@ guarantee.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -306,7 +307,7 @@ def run_soak(scorer, *, n_tenants: int, n_windows: int = 8,
         raise ValueError(f"n_tenants must be >= 1, got {n_tenants}")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    if think < 0:
-        raise ValueError(f"think must be >= 0, got {think}")
+    if not 0 <= think < math.inf:
+        raise ValueError(f"think must be finite and >= 0, got {think}")
     return asyncio.run(_soak(scorer, n_tenants, n_windows,
                              config or ServeConfig(), plan, seed, think))

@@ -1,5 +1,7 @@
 """Tests for dataset handling and normalisation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,79 +143,23 @@ class TestNormalizer:
         back = Z * norm.std + norm.mean
         assert np.allclose(back, X)
 
+    def test_fit_bits_pinned(self):
+        """More rows than one 65,536-row block: the statistics' bytes are
+        pinned, so a change to how ``fit`` reduces (order, blocking,
+        precision) shows here before it moves a model-cache key or a
+        saved model."""
+        rng = np.random.default_rng(21)
+        X = rng.normal(3.0, 2.0, size=(10_000, 7, 10))
+        X *= np.logspace(-3, 6, 10)  # bytes-to-seconds feature scales
+        X[:, :, 4] = 2.5  # a constant feature takes the std guard
+        norm = Normalizer().fit(X)
 
-class TestStreamingNormalizer:
-    """fit_chunks must equal whole-array fit to the last bit."""
+        def digest(a):
+            return hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=1, max_value=333),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    def test_bitwise_equal_to_fit(self, dtype, chunk_rows, n, seed):
-        rng = np.random.default_rng(seed)
-        X = (rng.normal(size=(n, 5)) * rng.uniform(0.01, 1e4)).astype(dtype)
-        whole = Normalizer()
-        whole.mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std[std < 1e-12] = 1.0
-        whole.std = std
-        chunked = Normalizer().fit_chunks(
-            lambda: (X[i:i + chunk_rows] for i in range(0, n, chunk_rows)))
-        assert np.array_equal(whole.mean, chunked.mean)
-        assert np.array_equal(whole.std, chunked.std)
-
-    @pytest.mark.parametrize("chunk_rows", [1, 7, 64])
-    def test_3d_window_chunks(self, chunk_rows):
-        X = np.random.default_rng(3).normal(size=(100, 4, 6))
-        whole = Normalizer().fit(X)
-        chunked = Normalizer().fit_chunks(
-            lambda: (X[i:i + chunk_rows] for i in range(0, len(X),
-                                                        chunk_rows)))
-        assert np.array_equal(whole.mean, chunked.mean)
-        assert np.array_equal(whole.std, chunked.std)
-
-    def test_accepts_sequence(self):
-        X = np.random.default_rng(1).normal(size=(20, 3))
-        seq = [X[:9], X[9:]]
-        chunked = Normalizer().fit_chunks(seq)
-        whole = Normalizer().fit(X)
-        assert np.array_equal(whole.mean, chunked.mean)
-        assert np.array_equal(whole.std, chunked.std)
-
-    def test_empty_chunks_between_data_ignored(self):
-        X = np.random.default_rng(2).normal(size=(10, 3))
-        chunked = Normalizer().fit_chunks([X[:0], X[:4], X[4:4], X[4:]])
-        whole = Normalizer().fit(X)
-        assert np.array_equal(whole.mean, chunked.mean)
-
-    def test_empty_stream_raises(self):
-        with pytest.raises(ValueError, match="empty stream"):
-            Normalizer().fit_chunks([np.empty((0, 3))])
-
-    def test_non_reiterable_rejected(self):
-        with pytest.raises(TypeError, match="re-iterable"):
-            Normalizer().fit_chunks(iter([np.ones((2, 3))]))
-
-    def test_changing_stream_rejected(self):
-        grow = [np.ones((2, 3))]
-
-        def chunks():
-            yield from grow
-            grow.append(np.ones((1, 3)))  # mutate between passes
-
-        with pytest.raises(ValueError, match="changed between passes"):
-            Normalizer().fit_chunks(chunks)
-
-    def test_memmap_fit_never_densifies(self, tmp_path):
-        X = np.random.default_rng(4).normal(size=(500, 2, 3))
-        path = tmp_path / "X.npy"
-        np.save(path, X)
-        mapped = np.lib.format.open_memmap(path, mode="r")
-        whole = Normalizer().fit(X)
-        streamed = Normalizer().fit(mapped)
-        assert np.array_equal(whole.mean, streamed.mean)
-        assert np.array_equal(whole.std, streamed.std)
+        assert norm.std[4] == 1.0
+        assert digest(norm.mean) == "be5945aa970996d4cdc284ce98d6ddd9"
+        assert digest(norm.std) == "645b1aa0c987bd1c27102acdcabae9e3"
 
 
 class TestContentDigest:
@@ -248,15 +194,6 @@ class TestContentDigest:
                      feature_names=self.NAMES)
         assert (ds.content_digest()
                 == "fc9e53b035d9105d8700ee630613c4131cd16d23")
-
-    def test_memmap_digest_equals_in_memory(self, tmp_path):
-        X = np.random.default_rng(0).normal(size=(50, 3, 4))
-        y = np.zeros(50, dtype=int)
-        np.save(tmp_path / "X.npy", X)
-        mapped = np.lib.format.open_memmap(tmp_path / "X.npy", mode="r")
-        a = Dataset(X, y, feature_names=self.NAMES)
-        b = Dataset(mapped, y, feature_names=self.NAMES)
-        assert a.content_digest() == b.content_digest()
 
     def test_single_cell_changes_digest(self):
         X = np.arange(24, dtype=np.float64).reshape(2, 3, 4)

@@ -1,5 +1,7 @@
 """Model persistence and the deployed (fused) inference fast path."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -45,20 +47,39 @@ def test_save_load_round_trip_exact(tmp_path, trained):
     assert back.history.val_loss == predictor.history.val_loss
 
 
-def test_save_load_multiclass_float32(tmp_path):
+@pytest.fixture(scope="module")
+def trained_multiclass():
     ds = synthetic_dataset(n=150, n_classes=3, seed=3)
     predictor = InterferencePredictor.train(
-        ds, MULTICLASS_THRESHOLDS,
-        config=TrainConfig(epochs=6, seed=3, dtype="float32"), restarts=1)
-    assert predictor.param_dtype == np.float32
-    # Satellite fix: inference follows the trained dtype, not float64.
-    assert predictor.predict_proba(ds.X).dtype == np.float32
+        ds, MULTICLASS_THRESHOLDS, config=TrainConfig(epochs=6, seed=3),
+        restarts=1)
+    return predictor, ds
+
+
+def test_load_rejects_non_float64_parameters(tmp_path, trained_multiclass):
+    """A 3-class model round-trips exactly; the same archive with float32
+    parameters, as float32 training used to write it, is refused with an
+    error naming the dtype."""
+    predictor, ds = trained_multiclass
     path = tmp_path / "model.npz"
     predictor.save(path)
     back = InterferencePredictor.load(path)
-    assert back.param_dtype == np.float32
+    assert back.n_classes == 3
     assert np.array_equal(predictor.predict_proba(ds.X),
                           back.predict_proba(ds.X))
+
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta"][()]))
+    meta["dtype"] = "float32"
+    arrays["meta"] = np.array(json.dumps(meta))
+    for key in arrays:
+        if key.startswith("param_"):
+            arrays[key] = arrays[key].astype(np.float32)
+    float32 = tmp_path / "float32.npz"
+    np.savez_compressed(float32, **arrays)
+    with pytest.raises(ValueError, match="float32"):
+        InterferencePredictor.load(float32)
 
 
 def test_load_is_pickle_free(tmp_path, trained):
@@ -109,28 +130,23 @@ def test_deployed_after_round_trip(tmp_path, trained):
     assert np.array_equal(predictor.predict(ds.X), deployed.predict(ds.X))
 
 
-def test_predict_proba_rows_matches_batch_of_one(trained):
+def test_predict_proba_rows_matches_batch_of_one(trained,
+                                                 trained_multiclass):
     """Every row of a fused micro-batch must be bit-identical to scoring
     that window alone — batch composition cannot perturb anyone — and
     every returned array is fresh, whatever batch sizes came before.
-    Holds on every path ``deploy()`` produces: the binary float64 model
-    and a 3-class float32 one."""
-    ds32 = synthetic_dataset(n=150, n_classes=3, seed=3)
-    float32 = InterferencePredictor.train(
-        ds32, MULTICLASS_THRESHOLDS,
-        config=TrainConfig(epochs=6, seed=3, dtype="float32"), restarts=1)
-    for predictor, ds in (trained, (float32, ds32)):
+    Holds for the binary model and a 3-class one."""
+    for predictor, ds in (trained, trained_multiclass):
         deployed = predictor.deploy()
-        dtype = predictor.param_dtype
         for n in (1, 2, 3, 7, 64, len(ds.X)):
             rows = deployed.predict_proba_rows(ds.X[:n])
             assert rows.shape == (n, deployed.n_classes)
-            assert rows.dtype == dtype
+            assert rows.dtype == np.float64
             kept = rows.copy()
             for i in range(n):
                 solo = deployed.predict_proba_rows(ds.X[i:i + 1])[0]
                 assert np.array_equal(rows[i], solo), \
-                    f"{dtype} row {i} of batch {n}"
+                    f"{deployed.n_classes}-class row {i} of batch {n}"
             assert np.array_equal(rows, kept)  # later calls left it alone
 
 

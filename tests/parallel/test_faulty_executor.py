@@ -43,6 +43,11 @@ class TestValidation:
     def test_bad_resilience_params_rejected(self):
         with pytest.raises(ValueError, match="run_timeout"):
             SweepExecutor(run_timeout=0)
+        # inf overflowed the watchdog's wait; nan made it busy-poll.
+        for timeout in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="run_timeout must be "
+                                                 "positive and finite"):
+                SweepExecutor(run_timeout=timeout)
         with pytest.raises(ValueError, match="retries"):
             SweepExecutor(retries=-1)
         with pytest.raises(ValueError, match="n_jobs"):

@@ -41,6 +41,10 @@ class StallFirst:
     dict(max_batch=0), dict(batch_interval=0.0), dict(shed_backlog=0),
     dict(deadline=0.0), dict(breaker_threshold=0),
     dict(breaker_cooldown=0.0), dict(drain_timeout=-1.0),
+    # ``now - enqueued > nan`` never fires: a nan deadline never expires.
+    dict(deadline=float("nan")), dict(deadline=float("inf")),
+    dict(batch_interval=float("nan")), dict(breaker_cooldown=float("inf")),
+    dict(drain_timeout=float("nan")),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):

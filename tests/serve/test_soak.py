@@ -35,6 +35,10 @@ def test_run_soak_validates_arguments(scorer):
         run_soak(scorer, n_tenants=1, n_windows=0)
     with pytest.raises(ValueError):
         run_soak(scorer, n_tenants=1, think=-0.1)
+    # An infinite think time never submits again; nan slips past ``< 0``.
+    for think in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="think must be finite"):
+            run_soak(scorer, n_tenants=1, think=think)
 
 
 def test_clean_soak_all_served_and_bit_identical(scorer):

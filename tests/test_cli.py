@@ -400,6 +400,28 @@ def test_non_finite_fault_value_rejected(capsys):
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # inf overflowed the watchdog's wait; nan made the sweep busy-poll.
+    ["table2", "--run-timeout", "inf"],
+    ["table2", "--run-timeout", "nan"],
+    # A nan deadline never expires; an infinite think time hangs.
+    ["serve", "--deadline", "nan"],
+    ["serve", "--deadline", "inf"],
+    ["serve", "--think", "inf"],
+    ["serve", "--think", "nan"],
+    # nan raised a traceback; inf scored one window labelled [nans, nans).
+    ["predict", "--model", "m.npz", "--window-size", "nan"],
+    ["predict", "--model", "m.npz", "--window-size", "inf"],
+    ["predict", "--model", "m.npz", "--sample-interval", "nan"],
+    ["predict", "--model", "m.npz", "--sample-interval", "inf"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_non_finite_flag_rejected(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
 def test_serve_non_finite_chaos_value_rejected(capsys):
     assert main(["serve", "--chaos", "slow_s=nan"]) == 2
     err = capsys.readouterr().err
