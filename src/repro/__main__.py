@@ -12,19 +12,18 @@ Usage::
     python -m repro obs FILE [FILE ...]  # summarise traces/metrics/manifests
     python -m repro obs report FILE ... [--chrome-trace OUT.json]
                                          # merged report + Perfetto trace
-    python -m repro bench [--only SUITE ...]    # regenerate BENCH_*.json
     python -m repro train --model-out M.npz     # train once, save the model
     python -m repro predict --model M.npz       # predict anywhere
     python -m repro serve --tenants 256 --chaos 'flood=0.1,stall=0.05'
                                          # multi-tenant service chaos soak
 
-Fault injection and resilience: ``--faults 'drop=0.2,kill=0.1,seed=1'``
+Fault injection and resilience: ``--faults 'abort=0.2,kill=0.1,seed=1'``
 attaches a deterministic :class:`repro.faults.FaultPlan` to the sweep
-executor (worker/simulation faults; telemetry faults drive the
-``robustness`` experiment), ``--run-timeout`` arms a per-run watchdog
-and ``--retries`` bounds how often a failed run is retried before being
-quarantined — a sweep with poisoned runs completes and reports them
-instead of crashing.
+executor (worker and simulation faults only: a spec with telemetry
+faults is refused, since the ``robustness`` experiment sweeps its own),
+``--run-timeout`` arms a per-run watchdog and ``--retries`` bounds how
+often a failed run is retried before being quarantined — a sweep with
+poisoned runs completes and reports them instead of crashing.
 
 ``--fast`` shrinks workloads for a quick smoke pass; default sizes match
 the benchmark suite. Results print to stdout; pass ``--out DIR`` to also
@@ -114,9 +113,9 @@ def run_fig1(fast: bool, executor, trainer=None, store=None) -> str:
 
     enzo = EnzoConfig(ranks=4, cycles=3 if fast else 5)
     a = run_fig1a(_config(fast), enzo, max_level=2 if fast else 3,
-                  noise_scale=_scales(fast)["noise_scale"])
+                  noise_scale=_scales(fast)["noise_scale"], executor=executor)
     b = run_fig1b(_config(fast), enzo,
-                  noise_scale=_scales(fast)["noise_scale"])
+                  noise_scale=_scales(fast)["noise_scale"], executor=executor)
     return "Figure 1(a)\n" + a.render() + "\n\nFigure 1(b)\n" + b.render()
 
 
@@ -174,7 +173,8 @@ def run_devices(fast: bool, executor, trainer=None, store=None) -> str:
     from repro.experiments.devices import run_device_ablation
 
     return run_device_ablation(
-        _config(fast), target_scale=_scales(fast)["target_scale"]
+        _config(fast), target_scale=_scales(fast)["target_scale"],
+        executor=executor,
     ).render()
 
 
@@ -629,10 +629,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "obs":
         return main_obs(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench import main as main_bench
-
-        return main_bench(argv[1:])
     if argv and argv[0] == "train":
         return main_train(argv[1:])
     if argv and argv[0] == "predict":
@@ -656,9 +652,10 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: 1 = in-process)")
     _add_cache_flags(parser)
     parser.add_argument("--faults", metavar="SPEC", default=None,
-                        help="deterministic fault injection spec, e.g. "
-                             "'drop=0.2,blank=0.1,kill=0.05,seed=1' "
-                             "(see repro.faults.FAULT_SPEC_FIELDS)")
+                        help="deterministic worker/simulation fault spec, "
+                             "e.g. 'abort=0.1,kill=0.05,seed=1' (keys: "
+                             "abort, abort_after, kill, flaky, stall, "
+                             "stall_s, seed)")
     parser.add_argument("--run-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="watchdog: kill and retry any single "
@@ -698,6 +695,12 @@ def main(argv: list[str] | None = None) -> int:
             fault_plan = parse_fault_spec(args.faults)
         except ValueError as exc:
             return _fail(f"bad --faults spec: {exc}")
+        if fault_plan.has_telemetry_faults:
+            return _fail("bad --faults spec: sweeps apply only abort, kill, "
+                         "flaky and stall faults; telemetry faults (drop, "
+                         "delay, delay_max, dup, skew, blank) are not "
+                         "applied (the robustness experiment sweeps its "
+                         "own drop/blank grid)")
 
     if args.experiment == "list":
         for name in (*EXPERIMENTS, *EXTENSIONS):

@@ -83,7 +83,10 @@ class Dense(Layer):
             np.matmul(x, W, out=buf)
             buf += self.b.value
             return buf
-        return x @ W + self.b.value
+        # In place, so inference holds one output-sized array, not two.
+        out = np.matmul(x, W)
+        out += self.b.value
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:

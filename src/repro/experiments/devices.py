@@ -12,16 +12,18 @@ storage-technology-specific.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    InterferenceSpec,
-    execute_run,
-)
+from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.experiments.table1 import _target_runtime
+from repro.obs.log import get_logger
 from repro.sim.disk import FlashParams
 from repro.workloads.io500 import make_io500_task
+
+if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
+    from repro.parallel import SweepExecutor
 
 __all__ = ["DeviceAblationResult", "run_device_ablation"]
 
@@ -37,13 +39,13 @@ class DeviceAblationResult:
         return self.slowdowns[(device, cell)]
 
     def render(self) -> str:
+        """One row per cell; a quarantined cell reads ``nan``."""
         cells = sorted({c for _, c in self.slowdowns})
         lines = [f"{'cell':>16} {'hdd':>10} {'ssd':>10}"]
         for cell in cells:
-            lines.append(
-                f"{cell:>16} {self.slowdowns[('hdd', cell)]:>10.2f} "
-                f"{self.slowdowns[('ssd', cell)]:>10.2f}"
-            )
+            hdd, ssd = (self.slowdowns.get((device, cell), math.nan)
+                        for device in ("hdd", "ssd"))
+            lines.append(f"{cell:>16} {hdd:>10.2f} {ssd:>10.2f}")
         return "\n".join(lines)
 
 
@@ -61,28 +63,35 @@ def run_device_ablation(
     noise_instances: int = 3,
     noise_ranks: int = 3,
     noise_scale: float = 0.25,
+    executor: "SweepExecutor | None" = None,
 ) -> DeviceAblationResult:
-    """Measure the critical Table I cells on HDD- and flash-backed OSTs."""
+    """Measure the critical Table I cells on HDD- and flash-backed OSTs.
+
+    All cells' pairs go to ``executor`` in one call, so a target's
+    baseline shared by two cells runs once per device.  A cell whose
+    runs were quarantined is skipped with a warning.
+    """
+    from repro.parallel import PairJob, SweepExecutor
+
     config = config or ExperimentConfig()
-    slowdowns: dict[tuple[str, str], float] = {}
-    for device in ("hdd", "ssd"):
-        if device == "hdd":
-            dev_config = config
-        else:
-            dev_config = replace(
-                config, cluster=replace(config.cluster, disk=FlashParams())
-            )
+    executor = executor or SweepExecutor()
+    flash = replace(config, cluster=replace(config.cluster, disk=FlashParams()))
+    names: list[tuple[str, str]] = []
+    jobs: list[PairJob] = []
+    for device, dev_config in (("hdd", config), ("ssd", flash)):
         for cell, (target_task, noise_task) in _CELLS.items():
             target = make_io500_task(target_task, ranks=4, scale=target_scale)
-            base = _target_runtime(
-                execute_run(target, [], dev_config,
-                            seed_salt=f"dev-{device}-{cell}-base")
-            )
-            noise = [InterferenceSpec(noise_task, instances=noise_instances,
-                                      ranks=noise_ranks, scale=noise_scale)]
-            noisy = _target_runtime(
-                execute_run(target, noise, dev_config,
-                            seed_salt=f"dev-{device}-{cell}")
-            )
-            slowdowns[(device, cell)] = noisy / base
+            noise = (InterferenceSpec(noise_task, instances=noise_instances,
+                                      ranks=noise_ranks, scale=noise_scale),)
+            names.append((device, cell))
+            jobs.append(PairJob(target, noise, dev_config,
+                                seed_salt=f"dev-{device}-{cell}"))
+    slowdowns: dict[tuple[str, str], float] = {}
+    for name, pair in zip(names, executor.run_pairs(jobs)):
+        if pair is None:
+            get_logger("experiments.devices").warning(
+                "skipping cell %s/%s (run quarantined)", *name)
+            continue
+        slowdowns[name] = (_target_runtime(pair.interfered)
+                           / _target_runtime(pair.baseline))
     return DeviceAblationResult(slowdowns=slowdowns)

@@ -15,13 +15,18 @@ The series are per-op latencies of the target's first ``horizon`` seconds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.labeling import match_operations
 from repro.experiments.reporting import moving_average, render_series
-from repro.experiments.runner import ExperimentConfig, InterferenceSpec, run_pair
+from repro.experiments.runner import ExperimentConfig, InterferenceSpec
+from repro.obs.log import get_logger
 from repro.workloads.apps import EnzoConfig, EnzoWorkload
+
+if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
+    from repro.parallel import SweepExecutor
 
 __all__ = ["Fig1Result", "run_fig1a", "run_fig1b"]
 
@@ -39,6 +44,8 @@ class Fig1Result:
         return {k: moving_average(v, self.smoothing) for k, v in self.series.items()}
 
     def render(self) -> str:
+        if not self.series:
+            return "(no condition completed: every pair was quarantined)"
         return render_series(self.smoothed())
 
     def mean_slowdown(self, condition: str) -> float:
@@ -62,14 +69,30 @@ def _collect_series(
     conditions: dict[str, list[InterferenceSpec]],
     config: ExperimentConfig,
     horizon: float,
+    executor: "SweepExecutor | None",
 ) -> Fig1Result:
-    """Latency per baseline op (within ``horizon`` s) per condition."""
+    """Latency per baseline op (within ``horizon`` s) per condition.
+
+    All conditions' pairs go to ``executor`` in one call, so the
+    noise-free baseline they share runs once.  A condition whose runs
+    were quarantined is skipped with a warning.
+    """
+    from repro.parallel import PairJob, SweepExecutor
+
+    executor = executor or SweepExecutor()
     target = EnzoWorkload(enzo_cfg)
+    pairs = executor.run_pairs([
+        PairJob(target, tuple(noise), config, seed_salt=f"fig1-{name}")
+        for name, noise in conditions.items()
+    ])
     series: dict[str, np.ndarray] = {}
     op_labels: list[str] = []
     base_keys: list = []
-    for name, noise in conditions.items():
-        pair = run_pair(target, noise, config, seed_salt=f"fig1-{name}")
+    for name, pair in zip(conditions, pairs):
+        if pair is None:
+            get_logger("experiments.fig1").warning(
+                "skipping condition %s (run quarantined)", name)
+            continue
         base_records = [r for r in pair.baseline.records if r.job == target.name]
         t0 = min(r.start for r in base_records)
         if not base_keys:
@@ -97,6 +120,7 @@ def run_fig1a(
     max_level: int = 3,
     horizon: float = 50.0,
     noise_scale: float = 0.25,
+    executor: "SweepExecutor | None" = None,
 ) -> Fig1Result:
     """Figure 1(a): growing amounts of ior-easy-write interference."""
     config = config or ExperimentConfig()
@@ -108,7 +132,8 @@ def run_fig1a(
         ]
         for level in range(1, max_level + 1)
     }
-    return _collect_series(enzo_cfg, conditions, config, horizon)
+    return _collect_series(enzo_cfg, conditions, config, horizon,
+                           executor)
 
 
 def run_fig1b(
@@ -116,6 +141,7 @@ def run_fig1b(
     enzo_cfg: EnzoConfig | None = None,
     horizon: float = 50.0,
     noise_scale: float = 0.25,
+    executor: "SweepExecutor | None" = None,
 ) -> Fig1Result:
     """Figure 1(b): data-intensive vs metadata-intensive interference."""
     config = config or ExperimentConfig()
@@ -132,4 +158,5 @@ def run_fig1b(
                              scale=noise_scale),
         ],
     }
-    return _collect_series(enzo_cfg, conditions, config, horizon)
+    return _collect_series(enzo_cfg, conditions, config, horizon,
+                           executor)

@@ -159,6 +159,13 @@ class FaultPlan:
         return self.run_abort_rate > 0
 
     @property
+    def has_telemetry_faults(self) -> bool:
+        return any(getattr(self, f) > 0 for f in (
+            "sample_drop_rate", "sample_delay_rate", "sample_delay_max",
+            "sample_duplicate_rate", "clock_skew_max", "window_blank_rate",
+        ))
+
+    @property
     def has_worker_faults(self) -> bool:
         return any(getattr(self, f) > 0 for f in (
             "worker_kill_rate", "worker_flaky_rate", "worker_stall_rate",
@@ -184,7 +191,9 @@ class FaultPlan:
         return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 
-#: CLI spec shorthand → dataclass field (``--faults drop=0.2,kill=0.5``).
+#: Spec shorthand → dataclass field (``drop=0.2,kill=0.5``).  The CLI's
+#: ``--faults`` refuses a plan with telemetry faults
+#: (:attr:`FaultPlan.has_telemetry_faults`).
 FAULT_SPEC_FIELDS: dict[str, str] = {
     "seed": "seed",
     "drop": "sample_drop_rate",

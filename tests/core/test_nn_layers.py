@@ -68,6 +68,25 @@ class TestDense:
         num_x = numerical_grad(loss, x)
         assert np.allclose(dx, num_x, atol=1e-5)
 
+    def test_inference_peak_is_one_output(self):
+        """Inference adds the bias in place: the bits of ``x @ W + b``,
+        with one output-sized array alive instead of product and sum."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        layer = Dense(40, 64, rng=rng)
+        layer.b.value[:] = rng.normal(size=64)
+        x = rng.normal(size=(500, 7, 40))
+        expected = x @ layer.W.value + layer.b.value
+        tracemalloc.start()
+        try:
+            out = layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, expected)
+        assert peak < 1.5 * out.nbytes, (peak, out.nbytes)
+
 
 class TestReLUDropout:
     def test_relu_forward_backward(self):

@@ -6,7 +6,7 @@ import pytest
 from repro.experiments.cross_cluster import CrossClusterResult, run_cross_cluster
 from repro.experiments.devices import DeviceAblationResult, run_device_ablation
 from repro.experiments.runner import ExperimentConfig
-from repro.parallel import SweepExecutor
+from repro.parallel import RunCache, SweepExecutor
 from repro.sim.disk import DiskParams, FlashModel, FlashParams, make_disk_model
 
 
@@ -56,6 +56,45 @@ def test_device_ablation_structure():
             v = result.cell(device, cell)
             assert np.isfinite(v) and v > 0
     assert "hdd" in result.render()
+
+
+def test_device_ablation_runs_through_passed_executor(tmp_path):
+    """All cells go to the caller's executor in one call, so the CLI's
+    --jobs/--cache-dir/--faults reach them and a warm run cache replays
+    the ablation without simulating."""
+    config = ExperimentConfig(window_size=0.25, sample_interval=0.125,
+                              warmup=0.5, seed=0)
+    kwargs = dict(target_scale=0.1, noise_instances=1, noise_ranks=2,
+                  noise_scale=0.1)
+    cold = SweepExecutor(cache=RunCache(tmp_path))
+    result = run_device_ablation(config, executor=cold, **kwargs)
+    # Per device: 3 cells x 2 runs = 6 jobs, of which ior-easy-read's
+    # baseline (shared by read_read and read_vs_write) runs once.
+    assert cold.runs_executed == 2 * 5
+    assert cold.runs_deduplicated == 2 * 1
+    warm = SweepExecutor(cache=RunCache(tmp_path))
+    again = run_device_ablation(config, executor=warm, **kwargs)
+    assert warm.runs_executed == 0
+    assert again.slowdowns == result.slowdowns
+
+
+def test_device_ablation_skips_quarantined_cell():
+    class LoseSecondPair(SweepExecutor):
+        def run_pairs(self, pairs):
+            out = super().run_pairs(pairs)
+            out[1] = None
+            return out
+
+    config = ExperimentConfig(window_size=0.25, sample_interval=0.125,
+                              warmup=0.5, seed=0)
+    result = run_device_ablation(config, target_scale=0.1,
+                                 noise_instances=1, noise_ranks=2,
+                                 noise_scale=0.1, executor=LoseSecondPair())
+    assert ("hdd", "write_write") not in result.slowdowns
+    assert len(result.slowdowns) == 5
+    row = next(line for line in result.render().splitlines()
+               if line.split()[0] == "write_write")
+    assert row.split()[1] == "nan"
 
 
 def test_cross_cluster_structure():

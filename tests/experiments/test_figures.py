@@ -19,6 +19,7 @@ from repro.experiments.fig5 import app_scenarios, default_app_targets, run_fig5
 from repro.experiments.runner import ExperimentConfig
 from repro.experiments.table1 import Table1Result, run_table1, shape_checks
 from repro.experiments.table2 import run_table2
+from repro.parallel import RunCache, SweepExecutor
 from repro.workloads.apps import EnzoConfig
 
 
@@ -93,6 +94,44 @@ class TestFig1:
         assert set(result.series) == {"baseline", "data-intensive",
                                       "metadata-intensive"}
         assert result.render()  # smoothed chart renders
+
+    def test_fig1_runs_through_passed_executor(self, config, tmp_path):
+        """Each panel submits its conditions to the caller's executor in
+        one call, so the noise-free baseline they share runs once, the
+        CLI's --jobs/--cache-dir/--faults reach every run, and a warm
+        run cache replays the figure without simulating."""
+        enzo = EnzoConfig(ranks=2, cycles=2, grids_per_rank=2,
+                          compute_time=0.1)
+        cold = SweepExecutor(cache=RunCache(tmp_path))
+        a = run_fig1a(config, enzo, max_level=3, noise_scale=0.2,
+                      executor=cold)
+        # 3 conditions x 2 runs = 6 jobs: the shared baseline and the
+        # 3 noisy runs execute.
+        assert (cold.runs_executed, cold.runs_deduplicated) == (4, 2)
+        b = run_fig1b(config, enzo, noise_scale=0.2, executor=cold)
+        # 2 more conditions; their baseline is fig1a's, a cache hit.
+        assert (cold.runs_executed, cold.runs_deduplicated) == (6, 3)
+        assert cold.cache.hits == 1
+        warm = SweepExecutor(cache=RunCache(tmp_path))
+        assert run_fig1a(config, enzo, max_level=3, noise_scale=0.2,
+                         executor=warm).render() == a.render()
+        assert run_fig1b(config, enzo, noise_scale=0.2,
+                         executor=warm).render() == b.render()
+        assert warm.runs_executed == 0
+
+    def test_fig1_skips_quarantined_condition(self, config):
+        class LoseSecondPair(SweepExecutor):
+            def run_pairs(self, pairs):
+                out = super().run_pairs(pairs)
+                out[1] = None
+                return out
+
+        enzo = EnzoConfig(ranks=2, cycles=2, grids_per_rank=2,
+                          compute_time=0.1)
+        result = run_fig1b(config, enzo, noise_scale=0.2,
+                           executor=LoseSecondPair())
+        assert set(result.series) == {"baseline", "data-intensive"}
+        assert "metadata-intensive" not in result.render()
 
 
 class TestTable2:

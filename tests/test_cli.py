@@ -46,6 +46,36 @@ def test_bad_fault_spec_rejected(capsys):
     assert "error: bad --faults spec" in err
 
 
+@pytest.mark.parametrize("spec", ["drop=0.5", "delay=0.3", "delay_max=2",
+                                  "dup=0.1", "skew=0.5", "blank=0.9",
+                                  "kill=0.1,drop=0.9,blank=0.9,seed=1"])
+def test_telemetry_fault_spec_refused(capsys, spec):
+    """Sweeps apply only abort/kill/flaky/stall, so a telemetry fault
+    would be silently ignored (the tables come out clean); it is
+    refused with one error line, before any run."""
+    assert main(["table2", "--fast", "--no-cache", "--faults", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad --faults spec: ")
+    assert captured.err.count("\n") == 1
+    assert "telemetry faults" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec", ["kill=1", "abort=1,abort_after=2"])
+def test_sim_and_worker_fault_specs_still_run(tmp_path, capsys, spec):
+    """Worker and simulation faults reach fig1's runs: a killed run is
+    quarantined and its condition skipped, an aborted one still plots."""
+    assert main(["fig1", "--fast", "--no-cache", "--no-dataset-cache",
+                 "--no-model-cache", "--out", str(tmp_path),
+                 "--faults", spec]) == 0
+    out = capsys.readouterr().out
+    if spec.startswith("kill"):
+        assert "every pair was quarantined" in out
+        assert "run(s) quarantined" in out
+    else:
+        assert "o=ior-easy-write-x1  x=baseline" in out
+
+
 @pytest.mark.parametrize("flag", ["--cache-dir", "--dataset-dir",
                                   "--model-cache-dir"],
                          ids=lambda flag: flag[2:])
@@ -238,10 +268,14 @@ def test_bad_sim_backend_rejected(capsys):
     assert exc.value.code == 2
 
 
-def test_bench_subcommand_dispatches():
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--help"])
-    assert exc.value.code == 0
+def test_bench_subcommand_dispatches(capsys):
+    """``repro bench`` is gone: the pipeline benchmark
+    (``benchmarks/pipeline``) is the one performance record, so the name
+    is an unknown experiment like any other."""
+    assert main(["bench"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown experiment 'bench'")
+    assert err.count("\n") == 1
 
 
 def test_train_requires_model_out():
