@@ -37,12 +37,14 @@ re-bins ``fig3``'s cached IO500 sweep and a re-run after a
 training-side change simulates nothing.
 ``--no-cache`` disables persistence.
 
-Training runs in-process (``--jobs``, ``--run-timeout`` and
-``--retries`` apply to simulation runs only), and trained models
-persist in a content-addressed model cache (``--model-cache-dir``,
-default ``results/.modelcache``) keyed by dataset digest + training
-recipe, so a warm re-run of a model experiment trains nothing.
-``--no-model-cache`` disables it.
+Training runs a model's restarts side by side, one child process each,
+when the process may use more than one core, and in-process otherwise
+(``taskset -c 0`` forces that), with bit-identical models either way;
+``--jobs``, ``--run-timeout`` and ``--retries`` apply to simulation runs
+only. Trained models persist in a content-addressed model cache
+(``--model-cache-dir``, default ``results/.modelcache``) keyed by
+dataset digest + training recipe, so a warm re-run of a model experiment
+trains nothing. ``--no-model-cache`` disables it.
 
 Observability: every experiment writes a JSON run manifest (seed, config,
 git SHA, timings, sweep/cache statistics, a wall-clock phase profile and
@@ -108,14 +110,13 @@ def run_table1(fast: bool, executor, trainer=None, store=None) -> str:
 
 
 def run_fig1(fast: bool, executor, trainer=None, store=None) -> str:
-    from repro.experiments.fig1 import run_fig1a, run_fig1b
+    from repro.experiments.fig1 import run_fig1
     from repro.workloads.apps import EnzoConfig
 
     enzo = EnzoConfig(ranks=4, cycles=3 if fast else 5)
-    a = run_fig1a(_config(fast), enzo, max_level=2 if fast else 3,
-                  noise_scale=_scales(fast)["noise_scale"], executor=executor)
-    b = run_fig1b(_config(fast), enzo,
-                  noise_scale=_scales(fast)["noise_scale"], executor=executor)
+    a, b = run_fig1(_config(fast), enzo, max_level=2 if fast else 3,
+                    noise_scale=_scales(fast)["noise_scale"],
+                    executor=executor)
     return "Figure 1(a)\n" + a.render() + "\n\nFigure 1(b)\n" + b.render()
 
 

@@ -5,6 +5,12 @@ the feature normaliser, the kernel-based model and the severity
 thresholds. At runtime it consumes the same per-server vectors the
 monitors emit and predicts each window's interference severity class.
 
+Training runs ``restarts`` independent initialisations and keeps the
+best.  When the process may use a second core they train side by side,
+one supervised child process per restart (:mod:`repro.parallel.
+supervise`); otherwise, and always in a daemonic process, one after
+another in the caller.  Both placements produce the same bits.
+
 Two deployment-side capabilities live here alongside training:
 
 * **Persistence** — :meth:`InterferencePredictor.save` /
@@ -23,7 +29,9 @@ Two deployment-side capabilities live here alongside training:
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import pathlib
 from dataclasses import dataclass, field
 
@@ -32,6 +40,7 @@ import numpy as np
 from repro.core.dataset import Dataset, Normalizer
 from repro.core.labeling import BINARY_THRESHOLDS
 from repro.core.metrics import ClassificationReport, evaluate
+from repro.core.nn.blas import single_blas_thread
 from repro.core.nn.kernelnet import KernelInterferenceNet
 from repro.core.nn.layers import Dense, Dropout, ReLU, Sequential
 from repro.core.nn.train import (
@@ -41,6 +50,7 @@ from repro.core.nn.train import (
     train_classifier,
 )
 from repro.monitor.aggregator import MonitoredRun, assemble_vectors
+from repro.obs.metrics import REGISTRY
 
 __all__ = ["InterferencePredictor", "DeployedPredictor", "PREDICTOR_FORMAT"]
 
@@ -48,6 +58,83 @@ __all__ = ["InterferencePredictor", "DeployedPredictor", "PREDICTOR_FORMAT"]
 PREDICTOR_FORMAT = 1
 
 _PREDICTOR_KIND = "repro-interference-predictor"
+
+
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (so ``taskset -c 0`` counts 1), else the machine's
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _side_by_side(restarts: int) -> bool:
+    """Whether ``restarts`` train in child processes, one each: more
+    than one restart, more than one core, and a caller that may start
+    children (a daemonic process, such as a sweep worker, may not)."""
+    if restarts == 1 or _cores() < 2:
+        return False
+    import multiprocessing
+
+    return not multiprocessing.current_process().daemon
+
+
+def _train_restart(net, train_set: Dataset, config: TrainConfig,
+                   normalizer: Normalizer, seed: int, restart: int
+                   ) -> tuple[list[np.ndarray], TrainHistory]:
+    """Restart ``restart`` of a training: build ``net`` from
+    ``restart_seed(seed, restart)``, run the full loop, and return the
+    trained parameter values and the history."""
+    model = net(seed=restart_seed(seed, restart))
+    history = train_classifier(model, train_set.X, train_set.y, config,
+                               normalizer=normalizer)
+    return [p.value for p in model.params()], history
+
+
+def _restart_in_child(train_restart, item: tuple[str, int, int]):
+    """Pool worker: one restart on a clean metrics registry, shipping
+    the registry delta back with the result (fork-started children
+    inherit the parent's registry)."""
+    _, restart, _ = item
+    REGISTRY.reset()
+    values, history = train_restart(restart)
+    return values, history, REGISTRY.snapshot()
+
+
+def _train_side_by_side(train_restart, restarts: int
+                        ) -> list[tuple[list[np.ndarray], TrainHistory]]:
+    """Every restart on its own slot of the supervised pool.
+
+    OpenBLAS is pinned to one thread once, here, so the children inherit
+    the resolved library handle and the pin.  Each child's registry
+    delta is merged in restart order without a worker label, so the
+    ``train.*`` counters, histograms and final gauges equal the serial
+    loop's.  A restart that raises, or whose child dies, makes this
+    raise: no restart is dropped.
+    """
+    from repro.parallel.supervise import run_supervised
+
+    keys = [f"restart {r}" for r in range(restarts)]
+    shipped: dict[str, tuple] = {}
+    with single_blas_thread():
+        stats = run_supervised(
+            list(zip(keys, range(restarts))),
+            functools.partial(_restart_in_child, train_restart),
+            workers=restarts,
+            on_success=lambda key, result, slot: shipped.update({key: result}),
+        )
+    failed = [key for key in keys if key in stats.quarantined]
+    if failed:
+        raise RuntimeError("training " + "; ".join(
+            f"{key} failed: {stats.quarantined[key]['errors'][-1]}"
+            for key in failed))
+    outcomes = []
+    for key in keys:
+        values, history, delta = shipped[key]
+        REGISTRY.merge_snapshot(delta)
+        outcomes.append((values, history))
+    return outcomes
 
 
 @dataclass
@@ -100,31 +187,42 @@ class InterferencePredictor:
         initialisations and keeps the model with the best validation
         loss.  Restart ``r`` initialises from ``restart_seed(seed, r)``,
         so the result is deterministic given ``seed``.
+
+        With more than one restart and more than one usable core the
+        restarts train side by side, one supervised child process each;
+        otherwise they train one after another in this process.  The
+        trained parameters, the history and the ``train.*`` metrics are
+        the same either way.  Bad inputs raise ``ValueError`` before any
+        restart starts; a restart that fails makes this raise.
         """
         n_classes = cls.check_train_inputs(train_set, thresholds, restarts)
         # The training loop normalises each batch as it is gathered.
         normalizer = Normalizer().fit(train_set.X)
         config = config or TrainConfig(seed=seed)
-        best: tuple[float, KernelInterferenceNet, TrainHistory] | None = None
-        for restart in range(restarts):
-            model = KernelInterferenceNet(
-                n_servers=train_set.n_servers,
-                n_features=train_set.n_features,
-                n_classes=n_classes,
-                kernel_hidden=kernel_hidden,
-                head_hidden=head_hidden,
-                seed=restart_seed(seed, restart),
-            )
-            history = train_classifier(model, train_set.X, train_set.y,
-                                       config, normalizer=normalizer)
-            score = (min(history.val_loss) if history.val_loss
-                     else float("inf"))
-            # Strictly lower wins, so ties keep the lowest restart index.
-            if best is None or score < best[0]:
-                best = (score, model, history)
-        assert best is not None
-        return cls(model=best[1], normalizer=normalizer, thresholds=thresholds,
-                   history=best[2])
+        net = functools.partial(
+            KernelInterferenceNet, n_servers=train_set.n_servers,
+            n_features=train_set.n_features, n_classes=n_classes,
+            kernel_hidden=kernel_hidden, head_hidden=head_hidden)
+        train_restart = functools.partial(_train_restart, net, train_set,
+                                          config, normalizer, seed)
+        if _side_by_side(restarts):
+            outcomes = _train_side_by_side(train_restart, restarts)
+        else:
+            outcomes = [train_restart(r) for r in range(restarts)]
+
+        def score(restart: int) -> float:
+            val_loss = outcomes[restart][1].val_loss
+            return min(val_loss) if val_loss else float("inf")
+
+        # min() keeps the first of equal scores: strictly lower wins and
+        # ties go to the lowest restart index.
+        best = min(range(restarts), key=score)
+        values, history = outcomes[best]
+        model = net(seed=restart_seed(seed, best))
+        for param, value in zip(model.params(), values):
+            param.value = value
+        return cls(model=model, normalizer=normalizer, thresholds=thresholds,
+                   history=history)
 
     # -- persistence ---------------------------------------------------------
 

@@ -28,7 +28,7 @@ from repro.workloads.apps import EnzoConfig, EnzoWorkload
 if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
     from repro.parallel import SweepExecutor
 
-__all__ = ["Fig1Result", "run_fig1a", "run_fig1b"]
+__all__ = ["Fig1Result", "run_fig1", "run_fig1a", "run_fig1b"]
 
 
 @dataclass
@@ -64,31 +64,41 @@ class Fig1Result:
         return float(ratios.std() / max(1e-12, ratios.mean()))
 
 
-def _collect_series(
+def _collect_panels(
     enzo_cfg: EnzoConfig,
-    conditions: dict[str, list[InterferenceSpec]],
+    panels: list[dict[str, list[InterferenceSpec]]],
     config: ExperimentConfig,
     horizon: float,
     executor: "SweepExecutor | None",
-) -> Fig1Result:
-    """Latency per baseline op (within ``horizon`` s) per condition.
+) -> list[Fig1Result]:
+    """One :class:`Fig1Result` per panel of ``name -> noise`` conditions.
 
-    All conditions' pairs go to ``executor`` in one call, so the
-    noise-free baseline they share runs once.  A condition whose runs
-    were quarantined is skipped with a warning.
+    Every panel's pairs go to ``executor`` in one call, so the
+    noise-free baseline they all share runs once.
     """
     from repro.parallel import PairJob, SweepExecutor
 
     executor = executor or SweepExecutor()
     target = EnzoWorkload(enzo_cfg)
-    pairs = executor.run_pairs([
+    pairs = iter(executor.run_pairs([
         PairJob(target, tuple(noise), config, seed_salt=f"fig1-{name}")
-        for name, noise in conditions.items()
-    ])
+        for conditions in panels for name, noise in conditions.items()
+    ]))
+    return [_series(target, {name: next(pairs) for name in conditions},
+                    horizon)
+            for conditions in panels]
+
+
+def _series(target: EnzoWorkload, pairs: dict, horizon: float) -> Fig1Result:
+    """Latency per baseline op (within ``horizon`` s) per condition.
+
+    ``pairs`` maps each condition to its paired runs; a condition whose
+    runs were quarantined (``None``) is skipped with a warning.
+    """
     series: dict[str, np.ndarray] = {}
     op_labels: list[str] = []
     base_keys: list = []
-    for name, pair in zip(conditions, pairs):
+    for name, pair in pairs.items():
         if pair is None:
             get_logger("experiments.fig1").warning(
                 "skipping condition %s (run quarantined)", name)
@@ -114,39 +124,19 @@ def _collect_series(
     return Fig1Result(series=series, op_labels=op_labels)
 
 
-def run_fig1a(
-    config: ExperimentConfig | None = None,
-    enzo_cfg: EnzoConfig | None = None,
-    max_level: int = 3,
-    horizon: float = 50.0,
-    noise_scale: float = 0.25,
-    executor: "SweepExecutor | None" = None,
-) -> Fig1Result:
-    """Figure 1(a): growing amounts of ior-easy-write interference."""
-    config = config or ExperimentConfig()
-    enzo_cfg = enzo_cfg or EnzoConfig()
-    conditions = {
+def _fig1a_conditions(max_level: int, noise_scale: float
+                      ) -> dict[str, list[InterferenceSpec]]:
+    return {
         f"ior-easy-write-x{level}": [
             InterferenceSpec("ior-easy-write", instances=level, ranks=2,
                              scale=noise_scale)
         ]
         for level in range(1, max_level + 1)
     }
-    return _collect_series(enzo_cfg, conditions, config, horizon,
-                           executor)
 
 
-def run_fig1b(
-    config: ExperimentConfig | None = None,
-    enzo_cfg: EnzoConfig | None = None,
-    horizon: float = 50.0,
-    noise_scale: float = 0.25,
-    executor: "SweepExecutor | None" = None,
-) -> Fig1Result:
-    """Figure 1(b): data-intensive vs metadata-intensive interference."""
-    config = config or ExperimentConfig()
-    enzo_cfg = enzo_cfg or EnzoConfig()
-    conditions = {
+def _fig1b_conditions(noise_scale: float) -> dict[str, list[InterferenceSpec]]:
+    return {
         "data-intensive": [
             InterferenceSpec("ior-easy-write", instances=2, ranks=2,
                              scale=noise_scale)
@@ -158,5 +148,47 @@ def run_fig1b(
                              scale=noise_scale),
         ],
     }
-    return _collect_series(enzo_cfg, conditions, config, horizon,
-                           executor)
+
+
+def run_fig1a(
+    config: ExperimentConfig | None = None,
+    enzo_cfg: EnzoConfig | None = None,
+    max_level: int = 3,
+    horizon: float = 50.0,
+    noise_scale: float = 0.25,
+    executor: "SweepExecutor | None" = None,
+) -> Fig1Result:
+    """Figure 1(a): growing amounts of ior-easy-write interference."""
+    return _collect_panels(enzo_cfg or EnzoConfig(),
+                           [_fig1a_conditions(max_level, noise_scale)],
+                           config or ExperimentConfig(), horizon, executor)[0]
+
+
+def run_fig1b(
+    config: ExperimentConfig | None = None,
+    enzo_cfg: EnzoConfig | None = None,
+    horizon: float = 50.0,
+    noise_scale: float = 0.25,
+    executor: "SweepExecutor | None" = None,
+) -> Fig1Result:
+    """Figure 1(b): data-intensive vs metadata-intensive interference."""
+    return _collect_panels(enzo_cfg or EnzoConfig(),
+                           [_fig1b_conditions(noise_scale)],
+                           config or ExperimentConfig(), horizon, executor)[0]
+
+
+def run_fig1(
+    config: ExperimentConfig | None = None,
+    enzo_cfg: EnzoConfig | None = None,
+    max_level: int = 3,
+    horizon: float = 50.0,
+    noise_scale: float = 0.25,
+    executor: "SweepExecutor | None" = None,
+) -> tuple[Fig1Result, Fig1Result]:
+    """Figures 1(a) and 1(b) from one submission: the Enzo baseline both
+    panels share runs once, without a run cache too."""
+    a, b = _collect_panels(enzo_cfg or EnzoConfig(),
+                           [_fig1a_conditions(max_level, noise_scale),
+                            _fig1b_conditions(noise_scale)],
+                           config or ExperimentConfig(), horizon, executor)
+    return a, b

@@ -19,6 +19,7 @@ import numpy as np
 from repro.experiments.reporting import render_table
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.monitor.aggregator import MonitoredRun
+from repro.obs.log import get_logger
 from repro.workloads.io500 import IO500_TASKS, make_io500_task
 
 __all__ = ["Table1Result", "run_table1", "shape_checks"]
@@ -42,8 +43,11 @@ class Table1Result:
                                  self.tasks.index(col_task)])
 
 
-def _target_runtime(run: MonitoredRun) -> float:
-    """Wall time of the target task: first op start to last op end."""
+def _target_runtime(run: MonitoredRun | None) -> float:
+    """Wall time of the target task: first op start to last op end
+    (NaN for a quarantined run)."""
+    if run is None:
+        return float("nan")
     records = [r for r in run.records if r.job == run.job]
     if not records:
         raise RuntimeError(f"target {run.job} issued no operations")
@@ -72,6 +76,8 @@ def run_table1(
     :class:`repro.parallel.SweepExecutor`; serial and uncached when
     omitted), so they spread over its workers and persist in its run
     cache; the matrix itself is bit-identical to the serial computation.
+    A quarantined run makes its cell NaN, and a quarantined baseline its
+    whole row.
     """
     from repro.parallel import RunJob, SweepExecutor
 
@@ -94,7 +100,13 @@ def run_table1(
                 jobs.append(RunJob(target, noise, cfg,
                                    seed_salt=f"t1-{ci}-{rep}"))
 
-    runs = iter(executor.run_many(jobs))
+    finished = executor.run_many(jobs)
+    lost = sum(run is None for run in finished)
+    if lost:
+        get_logger("experiments.table1").warning(
+            "%d of %d runs quarantined; their cells read nan",
+            lost, len(finished))
+    runs = iter(finished)
     matrix = np.zeros((n, n))
     standalone: dict[str, float] = {}
     for ri, row_task in enumerate(tasks):

@@ -17,6 +17,7 @@ import numpy as np
 from repro.experiments.reporting import render_table
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.monitor.schema import SERVER_METRICS
+from repro.obs.log import get_logger
 from repro.workloads.io500 import make_io500_task
 
 __all__ = ["Table2Result", "run_table2"]
@@ -24,7 +25,8 @@ __all__ = ["Table2Result", "run_table2"]
 
 @dataclass
 class Table2Result:
-    """Per-metric activity summary across all servers."""
+    """Per-metric activity summary across all servers (empty when the
+    run was quarantined)."""
 
     #: metric -> (total across run, fraction of samples where non-zero)
     totals: dict[str, float]
@@ -32,6 +34,8 @@ class Table2Result:
     n_samples: int
 
     def render(self) -> str:
+        if not self.totals:
+            return "(no metrics collected: the run was quarantined)"
         metrics = list(self.totals)
         values = np.array(
             [[self.totals[m], self.nonzero_fraction[m]] for m in metrics]
@@ -40,7 +44,7 @@ class Table2Result:
                             corner="metric", fmt="{:.3g}")
 
     def moved(self, metric: str) -> bool:
-        return self.totals[metric] > 0
+        return self.totals.get(metric, 0.0) > 0
 
 
 def run_table2(config: ExperimentConfig | None = None,
@@ -50,7 +54,8 @@ def run_table2(config: ExperimentConfig | None = None,
 
     The single run is routed through ``executor`` (a
     :class:`repro.parallel.SweepExecutor`) so a warm run cache replays
-    it without simulating.
+    it without simulating.  If the executor quarantines the run, the
+    result is empty and says so.
     """
     from repro.parallel import RunJob, SweepExecutor
 
@@ -62,6 +67,10 @@ def run_table2(config: ExperimentConfig | None = None,
         InterferenceSpec("mdt-hard-write", instances=1, ranks=2, scale=scale),
     )
     run = executor.run_one(RunJob(target, noise, config, seed_salt="table2"))
+    if run is None:
+        get_logger("experiments.table2").warning(
+            "no server metrics to summarise (run quarantined)")
+        return Table2Result(totals={}, nonzero_fraction={}, n_samples=0)
     totals = {m: 0.0 for m in SERVER_METRICS}
     nonzero = {m: 0 for m in SERVER_METRICS}
     for _, _, metrics in run.server_samples:

@@ -22,10 +22,10 @@ determinism:
   deduplicated cache misses in-process or on the worker pool while
   keeping results bit-identical to serial execution;
 * :mod:`repro.parallel.supervise` — that worker pool: one long-lived
-  child per slot, with a watchdog, retry and quarantine;
+  child per slot, with a watchdog, retry and quarantine; it also runs a
+  training's restarts side by side when a second core is usable;
 * :mod:`repro.parallel.trainer` — :class:`TrainExecutor`, deduplication
-  and the model cache in front of the in-process restart loop (training
-  is never spread over processes; DESIGN.md §10 says why).
+  and the model cache in front of the restart loop (DESIGN.md §10).
 
 Quick use::
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -85,11 +84,6 @@ from repro.workloads.base import Workload
 __all__ = ["RunJob", "PairJob", "SweepExecutor", "InjectedWorkerFault"]
 
 logger = get_logger("parallel.executor")
-
-#: ``multiprocessing`` start method of the worker pool's children:
-#: ``fork`` where available (cheap on Linux), else ``spawn``.
-_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                 else "spawn")
 
 
 class InjectedWorkerFault(RuntimeError):
@@ -293,7 +287,8 @@ class SweepExecutor:
         self.runs_deduplicated = 0
         self.retries_used = 0
         self.timeouts = 0
-        #: key -> {"target", "attempts", "errors"} for runs that kept dying.
+        #: key -> {"target", "seed_salt", "attempts", "errors"} for runs
+        #: that kept dying.
         self.quarantined: dict[str, dict] = {}
         REGISTRY.gauge("parallel.n_jobs").set(self.n_jobs)
 
@@ -425,9 +420,12 @@ class SweepExecutor:
         """Execute pending runs on :func:`repro.parallel.supervise.
         run_supervised`'s worker pool.
 
-        Runs that keep failing land in :attr:`quarantined` and the sweep
-        moves on.  Returns the per-key attempt records so the caller can
-        render retry spans.
+        Runs that keep failing land in :attr:`quarantined`, named by
+        their job's target and seed salt, and the sweep moves on; the
+        pool's retry, timeout and quarantine counts are published as
+        ``parallel.retries``, ``parallel.timeouts`` and
+        ``parallel.quarantined``.  Returns the per-key attempt records so
+        the caller can render retry spans.
         """
         jobs = dict(items)
         wait_hist = REGISTRY.histogram("parallel.queue_wait_seconds")
@@ -447,7 +445,6 @@ class SweepExecutor:
             items,
             functools.partial(_execute_job, plan=self.fault_plan,
                               trace_ctx=trace_ctx),
-            ctx=multiprocessing.get_context(_START_METHOD),
             workers=self.n_jobs,
             on_success=on_success,
             run_timeout=self.run_timeout,
@@ -455,7 +452,13 @@ class SweepExecutor:
         )
         self.retries_used += stats.retries_used
         self.timeouts += stats.timeouts
-        self.quarantined.update(stats.quarantined)
+        for key, record in stats.quarantined.items():
+            job = jobs[key]
+            self.quarantined[key] = {"target": job.target.name,
+                                     "seed_salt": job.seed_salt, **record}
+        REGISTRY.counter("parallel.retries").inc(stats.retries_used)
+        REGISTRY.counter("parallel.timeouts").inc(stats.timeouts)
+        REGISTRY.counter("parallel.quarantined").inc(len(stats.quarantined))
         return stats.attempts
 
     def run_one(self, job: RunJob) -> MonitoredRun | None:

@@ -1,22 +1,24 @@
-"""The supervised worker pool that runs every multi-process sweep.
+"""The supervised worker pool that runs every multi-process batch.
 
 :class:`repro.parallel.SweepExecutor` sends each multi-process sweep
-here: a fixed set of worker *slots*, one long-lived child process each,
-a wall-clock watchdog, bounded retry with exponential backoff, and
-quarantine of runs that keep failing.
+here, and :meth:`repro.core.predictor.InterferencePredictor.train` its
+restarts when a second core is usable: a fixed set of worker *slots*, one
+long-lived child process each, a wall-clock watchdog, bounded retry with
+exponential backoff, and quarantine of items that keep failing.
 
-The contract: the caller supplies keyed :class:`~repro.parallel.RunJob`
-payloads and a picklable ``worker(item)`` callable; :func:`run_supervised`
-starts ``min(workers, len(items))`` slots, hands each idle slot one
-``(key, job, attempt)`` at a time over its pipe, and reports every
+The contract: the caller supplies keyed payloads and a picklable
+``worker(item)`` callable; :func:`run_supervised` starts
+``min(workers, len(items))`` slots, hands each idle slot one
+``(key, payload, attempt)`` at a time over its pipe, and reports every
 success through ``on_success``.  A child whose worker raises reports the
 error and keeps its slot; a child that dies, sends a result the parent
 cannot read, or overruns ``run_timeout`` is terminated, and a fresh
-child takes over the slot for its next item.  A run that still fails
+child takes over the slot for its next item.  An item that still fails
 after every retry is quarantined — recorded in the returned
 :class:`SupervisionStats` and *not* reported as a result, so a sweep
-with poisoned runs completes instead of crashing.  :func:`backoff_delay`
-is the retry policy, shared with the prediction service's tenants.
+with poisoned runs completes instead of crashing; the caller decides
+what a quarantined item means.  :func:`backoff_delay` is the retry
+policy, shared with the prediction service's tenants.
 
 The parent never polls: it blocks in
 :func:`multiprocessing.connection.wait` on the busy slots' result pipes
@@ -24,7 +26,8 @@ and every child's sentinel until the next watchdog deadline or retry
 backoff falls due.  It hands a freed slot its next item before it
 handles the finished one, so the child computes while the parent merges
 and stores.  DESIGN.md §7 has the measurements that made this pool the
-only multi-process path.
+only multi-process path, and §10 those that put the training restarts
+on it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
 
 __all__ = ["RETRY_BACKOFF", "SupervisionStats", "backoff_delay",
            "run_supervised"]
@@ -64,6 +66,18 @@ def backoff_delay(base: float, attempt: int, *, cap: float = 30.0,
     if not 0.0 <= jitter < 1.0:
         raise ValueError(f"jitter must be in [0, 1), got {jitter}")
     return min(cap, base * (2 ** attempt)) * (1.0 + jitter)
+
+
+def _start_context():
+    """The ``multiprocessing`` context every slot's child starts from:
+    ``fork`` where available (cheap on Linux, and the child inherits the
+    parent's imports and state), else ``spawn``.  Imported here, so a
+    process that never starts a pool never loads ``multiprocessing``."""
+    import multiprocessing
+
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else "spawn")
+    return multiprocessing.get_context(method)
 
 
 def _slot_main(conn, worker) -> None:
@@ -98,7 +112,7 @@ class SupervisionStats:
 
     retries_used: int = 0
     timeouts: int = 0
-    #: key -> {"target", "seed_salt", "attempts", "errors"}.
+    #: key -> {"attempts", "errors"}.
     quarantined: dict[str, dict] = field(default_factory=dict)
     #: key -> per-attempt records, in attempt order: {"attempt",
     #: "started", "ended" (``time.monotonic()`` stamps), "outcome"
@@ -158,39 +172,39 @@ def run_supervised(
     items: list[tuple[str, Any]],
     worker: Callable[[tuple[str, Any, int]], Any],
     *,
-    ctx,
     workers: int,
     on_success: Callable[[str, Any, int], None],
     run_timeout: float | None = None,
     retries: int = 0,
+    ctx=None,
 ) -> SupervisionStats:
     """Run keyed items on a supervised pool: watchdog, retry, quarantine.
 
     ``min(workers, len(items))`` slots each keep one child running
-    ``worker((key, job, attempt))`` for one item at a time, so a crash
-    or a wedge never takes the sweep down: exceptions come back over the
+    ``worker((key, payload, attempt))`` for one item at a time, so a
+    crash or a wedge never takes the batch down: exceptions come back over the
     slot's pipe (the child keeps its slot), silent deaths are detected
     by exit code, unreadable results are rejected, and children
     exceeding ``run_timeout`` are terminated; a dead or terminated
     child is replaced when its slot gets its next item.  Failed attempts
     are retried after :func:`backoff_delay` (base :data:`RETRY_BACKOFF`)
-    up to ``retries`` times, then the run is quarantined (its record
-    names the job's target and seed salt) and the sweep moves on.
+    up to ``retries`` times, then the item is quarantined and the batch
+    moves on.
 
     ``on_success(key, result, slot)`` fires in the parent, in completion
-    order, with the index of the slot that ran the item.  ``worker``
-    must be picklable when ``ctx`` uses the spawn start method, and
-    items and results always cross a pipe.  Every child has exited when
-    this returns (or raises).  Retry/timeout/quarantine counters are
-    published as ``parallel.retries``, ``parallel.timeouts`` and
-    ``parallel.quarantined``.
+    order, with the index of the slot that ran the item.  ``ctx`` is the
+    ``multiprocessing`` context children start from (default: ``fork``
+    where available, else ``spawn``); ``worker`` must be picklable under
+    ``spawn``.  Items and results always cross a pipe, so a payload the
+    children need in bulk is better bound into ``worker``, which a
+    ``fork`` child inherits without pickling.  Every child has exited
+    when this returns (or raises).  Nothing is published to the metrics
+    registry: the returned :class:`SupervisionStats` is the whole report.
     """
-    # Imported here: in-process sweeps never load it (~0.6 MB of RSS).
+    # Imported here: in-process batches never load it (~0.6 MB of RSS).
     from multiprocessing.connection import wait
 
-    retry_counter = REGISTRY.counter("parallel.retries")
-    timeout_counter = REGISTRY.counter("parallel.timeouts")
-    quarantine_counter = REGISTRY.counter("parallel.quarantined")
+    ctx = ctx if ctx is not None else _start_context()
     stats = SupervisionStats()
     payloads = dict(items)
     slots = [_Slot(i) for i in range(min(max(1, workers), len(items)))]
@@ -202,7 +216,6 @@ def run_supervised(
         errors.setdefault(key, []).append(message)
         if attempt < retries:
             stats.retries_used += 1
-            retry_counter.inc()
             backoff = backoff_delay(RETRY_BACKOFF, attempt)
             logger.warning(
                 "%s attempt %d failed (%s); retrying in %.2fs",
@@ -210,11 +223,7 @@ def run_supervised(
             )
             queue.append((key, attempt + 1, time.monotonic() + backoff))
         else:
-            quarantine_counter.inc()
-            job = payloads[key]
             stats.quarantined[key] = {
-                "target": job.target.name,
-                "seed_salt": job.seed_salt,
                 "attempts": attempt + 1,
                 "errors": list(errors[key]),
             }
@@ -312,7 +321,6 @@ def run_supervised(
                 elif slot.deadline is not None and now >= slot.deadline:
                     slot.kill()
                     stats.timeouts += 1
-                    timeout_counter.inc()
                     release(slot, "timeout",
                             f"timeout after {now - slot.started:.2f}s "
                             f"(limit {run_timeout}s)")

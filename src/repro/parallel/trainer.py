@@ -3,7 +3,7 @@
 The experiments train many independent models — one recipe per figure
 panel, seed repetitions, grid cells of an ablation.  :class:`TrainExecutor`
 is the one path they all train through.  It adds two layers in front of
-the serial restart loop in
+the restart loop in
 :meth:`repro.core.predictor.InterferencePredictor.train`:
 
 1. **Deduplication** — jobs are keyed by :func:`repro.parallel.cachekey.
@@ -13,10 +13,13 @@ the serial restart loop in
    attached, trained predictors persist on disk; a warm rerun of an
    experiment executes **zero** trainings.
 
-Training itself always runs in the calling process.  Worker-process
-restarts lost to the serial loop on every measured training set (the
-serial loop already keeps every core busy in BLAS); DESIGN.md §10 keeps
-the numbers.
+Jobs train one after another.  Inside a job,
+:meth:`~repro.core.predictor.InterferencePredictor.train` runs the
+restarts side by side, one supervised child process each, when a second
+core is free, and in the calling process otherwise; the models are the
+same bits either way.  Each restart's epoch loop runs on one OpenBLAS
+thread, so a lone serial loop leaves every other core idle; DESIGN.md
+§10 keeps the numbers.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class TrainExecutor:
 
     def _train(self, pending: dict[str, TrainJob],
                results: dict[str, InterferencePredictor]) -> None:
-        """The serial restart loop, once per pending job."""
+        """``InterferencePredictor.train`` once per pending job."""
         wall_hist = REGISTRY.histogram("parallel.train.seconds")
         for key, job in pending.items():
             start = time.perf_counter()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.labeling import MULTICLASS_THRESHOLDS
-from repro.experiments.fig1 import run_fig1a, run_fig1b
+from repro.experiments.fig1 import run_fig1, run_fig1a, run_fig1b
 from repro.experiments.fig3 import (
     collect_io500_bank,
     evaluate_bank,
@@ -114,6 +114,23 @@ class TestFig1:
         assert cold.cache.hits == 1
         warm = SweepExecutor(cache=RunCache(tmp_path))
         assert run_fig1a(config, enzo, max_level=3, noise_scale=0.2,
+                         executor=warm).render() == a.render()
+        assert run_fig1b(config, enzo, noise_scale=0.2,
+                         executor=warm).render() == b.render()
+        assert warm.runs_executed == 0
+
+    def test_fig1_runs_both_panels_in_one_submission(self, config, tmp_path):
+        """Without a warm cache the Enzo baseline both panels share still
+        runs once: 2 + 2 conditions and one baseline are 5 runs, and each
+        panel renders as it does alone."""
+        enzo = EnzoConfig(ranks=2, cycles=2, grids_per_rank=2,
+                          compute_time=0.1)
+        cold = SweepExecutor(cache=RunCache(tmp_path))
+        a, b = run_fig1(config, enzo, max_level=2, noise_scale=0.2,
+                        executor=cold)
+        assert (cold.runs_executed, cold.runs_deduplicated) == (5, 3)
+        warm = SweepExecutor(cache=RunCache(tmp_path))
+        assert run_fig1a(config, enzo, max_level=2, noise_scale=0.2,
                          executor=warm).render() == a.render()
         assert run_fig1b(config, enzo, noise_scale=0.2,
                          executor=warm).render() == b.render()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.faults import FaultPlan
+from repro.obs.metrics import REGISTRY
 from repro.parallel import PairJob, RunCache, RunJob, SweepExecutor
 
 from tests.parallel.test_executor import (  # noqa: F401 (shared fixtures)
@@ -121,6 +122,29 @@ class TestWorkerCrashes:
         stats = executor.stats()
         assert stats["retries"] == 1
         assert stats["faults"]["quarantined"] == report["quarantined"]
+
+    def test_quarantine_record_names_the_job_and_is_counted(self):
+        """The pool knows nothing of run jobs: the executor names each
+        quarantined run's target and seed salt, and publishes the pool's
+        retry and quarantine counts once per sweep."""
+        jobs = make_jobs(3)
+        probe = SweepExecutor()
+        plan = find_kill_plan([probe.key_for(j) for j in jobs])
+        before = {name: REGISTRY.counter(name).value
+                  for name in ("parallel.retries", "parallel.quarantined")}
+        executor = SweepExecutor(fault_plan=plan, retries=1)
+        executor.run_many(jobs)
+        by_key = {executor.key_for(job): job for job in jobs}
+        assert executor.quarantined
+        for key, record in executor.quarantined.items():
+            job = by_key[key]
+            assert record == {"target": job.target.name,
+                              "seed_salt": job.seed_salt, "attempts": 2,
+                              "errors": record["errors"]}
+        assert (REGISTRY.counter("parallel.retries").value
+                - before["parallel.retries"]) == executor.retries_used
+        assert (REGISTRY.counter("parallel.quarantined").value
+                - before["parallel.quarantined"]) == len(executor.quarantined)
 
 
 class TestTimeouts:

@@ -76,6 +76,24 @@ def test_sim_and_worker_fault_specs_still_run(tmp_path, capsys, spec):
         assert "o=ior-easy-write-x1  x=baseline" in out
 
 
+@pytest.mark.parametrize("command", ["table1", "table2"])
+def test_tables_survive_quarantined_runs(tmp_path, capsys, command):
+    """Every run killed: table1 prints a NaN in each lost cell, table2
+    one line saying its run was quarantined, and both exit 0 with the
+    quarantine warning instead of a traceback."""
+    assert main([command, "--fast", "--no-cache", "--no-dataset-cache",
+                 "--no-model-cache", "--out", str(tmp_path),
+                 "--faults", "kill=1.0,seed=1"]) == 0
+    out = capsys.readouterr().out
+    text = (tmp_path / f"{command}.txt").read_text()
+    if command == "table1":
+        assert text.count("nan") == 7 * 7
+        assert "WARNING: 56 run(s) quarantined" in out
+    else:
+        assert text == "(no metrics collected: the run was quarantined)\n"
+        assert "WARNING: 1 run(s) quarantined" in out
+
+
 @pytest.mark.parametrize("flag", ["--cache-dir", "--dataset-dir",
                                   "--model-cache-dir"],
                          ids=lambda flag: flag[2:])
