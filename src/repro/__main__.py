@@ -27,15 +27,21 @@ poisoned runs completes and reports them instead of crashing.
 
 ``--fast`` shrinks workloads for a quick smoke pass; default sizes match
 the benchmark suite. Results print to stdout; pass ``--out DIR`` to also
-write one text file per experiment.
+write one text file per experiment. Every output path (``--out``,
+``--trace``, ``--metrics-out``, ``--model-out``, ``--report-out``,
+``--chrome-trace``) is checked before any work: an unusable one is one
+``error:`` line and exit 2.
 
-Sweep execution: ``--jobs N`` (N >= 1; ``--jobs "$(nproc)"`` for every
-core) fans independent simulation runs over N worker processes with
-bit-identical results; runs persist in a content-addressed cache
-(``--cache-dir``, default ``results/.runcache``) so e.g. ``fig4``
-re-bins ``fig3``'s cached IO500 sweep and a re-run after a
-training-side change simulates nothing.
-``--no-cache`` disables persistence.
+Every command that simulates or trains builds one
+:class:`repro.parallel.SweepExecutor` from its flags and hands it to
+the experiment; it owns the run, window and model caches. ``--jobs N``
+(N >= 1; ``--jobs "$(nproc)"`` for every core) fans independent
+simulation runs over N worker processes with bit-identical results;
+runs persist in a content-addressed cache (``--cache-dir``, default
+``results/.runcache``) so e.g. ``fig4`` re-bins ``fig3``'s cached IO500
+sweep and a re-run after a training-side change simulates nothing.
+``--no-cache`` disables persistence. Labelled windows persist the same
+way (``--dataset-dir``, ``--no-dataset-cache``).
 
 Training runs a model's restarts side by side, one child process each,
 when the process may use more than one core, and in-process otherwise
@@ -50,8 +56,8 @@ Observability: every experiment writes a JSON run manifest (seed, config,
 git SHA, timings, sweep/cache statistics, a wall-clock phase profile and
 a metric snapshot) next to its results. ``--trace PATH`` records a span
 trace of all simulated I/O to a JSONL file — including runs executed in
-worker processes: workers attach a tracer seeded with the parent's trace
-context and ship their spans back, and the parent merges everything
+worker processes: workers attach a tracer under the parent's trace id
+and ship their spans back, and the parent merges everything
 (plus wall-clock queue-wait/execute/retry/cache-probe job spans) into
 one multi-process timeline. ``--metrics-out PATH`` dumps the metrics
 registry, ``-v``/``-vv`` turn on INFO/DEBUG logging, ``python -m repro
@@ -94,7 +100,7 @@ def _scales(fast: bool) -> dict[str, float]:
     }
 
 
-def run_table1(fast: bool, executor, trainer=None, store=None) -> str:
+def run_table1(fast: bool, executor) -> str:
     from repro.experiments.table1 import run_table1, shape_checks
 
     s = _scales(fast)
@@ -109,7 +115,7 @@ def run_table1(fast: bool, executor, trainer=None, store=None) -> str:
     return "\n".join(lines)
 
 
-def run_fig1(fast: bool, executor, trainer=None, store=None) -> str:
+def run_fig1(fast: bool, executor) -> str:
     from repro.experiments.fig1 import run_fig1
     from repro.workloads.apps import EnzoConfig
 
@@ -120,7 +126,7 @@ def run_fig1(fast: bool, executor, trainer=None, store=None) -> str:
     return "Figure 1(a)\n" + a.render() + "\n\nFigure 1(b)\n" + b.render()
 
 
-def run_table2(fast: bool, executor, trainer=None, store=None) -> str:
+def run_table2(fast: bool, executor) -> str:
     from repro.experiments.table2 import run_table2
 
     return run_table2(_config(fast),
@@ -128,7 +134,7 @@ def run_table2(fast: bool, executor, trainer=None, store=None) -> str:
                       executor=executor).render()
 
 
-def run_fig3(fast: bool, executor, trainer=None, store=None) -> str:
+def run_fig3(fast: bool, executor) -> str:
     from repro.experiments.fig3 import (
         collect_dlio_bank,
         collect_io500_bank,
@@ -140,37 +146,37 @@ def run_fig3(fast: bool, executor, trainer=None, store=None) -> str:
     io500 = collect_io500_bank(_config(fast), target_scale=s["target_scale"],
                                max_level=2 if fast else 3,
                                noise_scale=s["noise_scale"],
-                               executor=executor, store=store)
+                               executor=executor)
     dlio_cfg = ExperimentConfig(cluster=experiment_cluster(), window_size=0.5,
                                 sample_interval=0.125, warmup=1.0, seed=0)
     dlio = collect_dlio_bank(dlio_cfg, max_level=2 if fast else 3,
                              noise_scale=s["noise_scale"],
                              steps_per_epoch=8 if fast else 12,
-                             executor=executor, store=store)
-    a = run_fig3_io500(bank=io500, trainer=trainer)
-    b = run_fig3_dlio(bank=dlio, trainer=trainer)
+                             executor=executor)
+    a = run_fig3_io500(bank=io500, executor=executor)
+    b = run_fig3_dlio(bank=dlio, executor=executor)
     return a.render() + "\n\n" + b.render()
 
 
-def run_fig4(fast: bool, executor, trainer=None, store=None) -> str:
+def run_fig4(fast: bool, executor) -> str:
     from repro.experiments.fig4 import run_fig4 as _run
 
     s = _scales(fast)
     return _run(_config(fast), target_scale=s["target_scale"],
                 max_level=2 if fast else 3,
                 noise_scale=s["noise_scale"],
-                executor=executor, trainer=trainer, store=store).render()
+                executor=executor).render()
 
 
-def run_fig5(fast: bool, executor, trainer=None, store=None) -> str:
+def run_fig5(fast: bool, executor) -> str:
     from repro.experiments.fig5 import run_fig5 as _run
 
     return _run(_config(fast), max_level=2 if fast else 3,
                 noise_scale=_scales(fast)["noise_scale"],
-                executor=executor, trainer=trainer, store=store).render()
+                executor=executor).render()
 
 
-def run_devices(fast: bool, executor, trainer=None, store=None) -> str:
+def run_devices(fast: bool, executor) -> str:
     from repro.experiments.devices import run_device_ablation
 
     return run_device_ablation(
@@ -179,7 +185,7 @@ def run_devices(fast: bool, executor, trainer=None, store=None) -> str:
     ).render()
 
 
-def run_crosscluster(fast: bool, executor, trainer=None, store=None) -> str:
+def run_crosscluster(fast: bool, executor) -> str:
     from repro.experiments.cross_cluster import run_cross_cluster
 
     kwargs = {}
@@ -187,10 +193,10 @@ def run_crosscluster(fast: bool, executor, trainer=None, store=None) -> str:
         kwargs = dict(target_tasks=("ior-easy-write", "ior-easy-read"),
                       target_scale=0.4, max_level=2)
     return run_cross_cluster(_config(fast), executor=executor,
-                             trainer=trainer, store=store, **kwargs).render()
+                             **kwargs).render()
 
 
-def run_robustness(fast: bool, executor, trainer=None, store=None) -> str:
+def run_robustness(fast: bool, executor) -> str:
     from repro.experiments.robustness import run_robustness as _run
 
     kwargs = {}
@@ -198,8 +204,7 @@ def run_robustness(fast: bool, executor, trainer=None, store=None) -> str:
         kwargs = dict(max_level=1, drop_rates=(0.0, 0.4),
                       blank_rates=(0.0, 0.4), gap_policies=("zero", "mean"),
                       slow_factors=(8.0,), epochs=30)
-    result = _run(_config(fast), executor=executor, trainer=trainer,
-                  store=store, **kwargs)
+    result = _run(_config(fast), executor=executor, **kwargs)
     _REPORTS["robustness"] = result.to_report()
     return result.render()
 
@@ -224,7 +229,7 @@ def _fail(message: str) -> int:
 
 
 #: (directory flag, default, off flag, contents) of the run, window and
-#: model caches, in the order :func:`_open_caches` returns them.
+#: model caches.
 _CACHE_FLAGS = (
     ("--cache-dir", "results/.runcache", "--no-cache", "simulation runs"),
     ("--dataset-dir", "results/.dataset", "--no-dataset-cache",
@@ -244,31 +249,62 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"do not read or write the {flag} cache")
 
 
-def _open_caches(args) -> tuple:
-    """The (run, window, model) caches the flags ask for; ``None`` = off.
+def _probe_writable(directory: pathlib.Path) -> None:
+    """Create ``directory`` and write a probe file in it (``OSError``
+    where either fails)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    probe = directory / ".write-probe"
+    probe.write_bytes(b"")
+    probe.unlink()
 
-    Each directory is created and write-probed here, so an unusable one
-    fails before any work, with a ``ValueError`` naming its flag.
+
+def _check_outputs(args, *flags: str) -> None:
+    """Fail before any work when an output flag's path is unusable.
+
+    ``--out`` names a directory, which is created and write-probed;
+    every other flag names a file, whose directory is.  A failure raises
+    ``ValueError`` naming the flag.
     """
-    from repro.parallel import ModelCache, RunCache, WindowCache
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        try:
+            if flag == "--out":
+                _probe_writable(path)
+            elif path.is_dir():
+                raise IsADirectoryError(f"{path} is a directory")
+            else:
+                _probe_writable(path.parent)
+        except OSError as exc:
+            raise ValueError(f"{flag} {path} is not writable ({exc})") from exc
+
+
+def _open_executor(args, **options):
+    """A :class:`~repro.parallel.SweepExecutor` with the run, window and
+    model caches the flags ask for (``--no-*`` turns one off).
+
+    Each cache directory is created and write-probed here, so an
+    unusable one fails before any work, with a ``ValueError`` naming its
+    flag.
+    """
+    from repro.parallel import SweepExecutor
 
     caches = []
-    for cls, (flag, _, off, _) in zip((RunCache, WindowCache, ModelCache),
-                                      _CACHE_FLAGS):
+    for flag, _, off, _ in _CACHE_FLAGS:
         directory = getattr(args, flag[2:].replace("-", "_"))
         if getattr(args, off[2:].replace("-", "_")):
             caches.append(None)
             continue
         try:
-            cache = cls(directory)
-            probe = cache.directory / ".write-probe"
-            probe.write_bytes(b"")
-            probe.unlink()
+            _probe_writable(directory)
         except OSError as exc:
             raise ValueError(f"{flag} {directory} is not writable ({exc}); "
                              f"pass another {flag} or {off}") from exc
-        caches.append(cache)
-    return tuple(caches)
+        caches.append(directory)
+    run_cache, windows, models = caches
+    return SweepExecutor(n_jobs=args.jobs, cache=run_cache, windows=windows,
+                         models=models, **options)
 
 
 def main_obs_report(argv: list[str]) -> int:
@@ -292,6 +328,10 @@ def main_obs_report(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.verbose:
         obs.configure_logging("DEBUG" if args.verbose > 1 else "INFO")
+    try:
+        _check_outputs(args, "--chrome-trace")
+    except ValueError as exc:
+        return _fail(str(exc))
 
     from repro.obs.summary import sniff_kind
 
@@ -379,16 +419,14 @@ def main_train(argv: list[str]) -> int:
         return _fail(f"--jobs must be a positive integer, got {args.jobs}")
 
     try:
-        run_cache, store, model_cache = _open_caches(args)
+        _check_outputs(args, "--model-out")
+        executor = _open_executor(args)
     except ValueError as exc:
         return _fail(str(exc))
 
     from repro.core.labeling import BINARY_THRESHOLDS, MULTICLASS_THRESHOLDS
     from repro.experiments.fig3 import collect_io500_bank, evaluate_bank
-    from repro.parallel import SweepExecutor, TrainExecutor
 
-    executor = SweepExecutor(n_jobs=args.jobs, cache=run_cache)
-    trainer = TrainExecutor(cache=model_cache)
     thresholds = (MULTICLASS_THRESHOLDS if args.multiclass
                   else BINARY_THRESHOLDS)
     s = _scales(args.fast)
@@ -397,23 +435,24 @@ def main_train(argv: list[str]) -> int:
                               target_scale=s["target_scale"],
                               max_level=2 if args.fast else 3,
                               noise_scale=s["noise_scale"],
-                              executor=executor, store=store)
-    result = evaluate_bank(bank, "train-io500", thresholds, trainer=trainer)
+                              executor=executor)
+    result = evaluate_bank(bank, "train-io500", thresholds, executor=executor)
     elapsed = time.time() - start
     result.predictor.save(args.model_out)
     print(result.render())
-    stats = trainer.stats()
+    stats = executor.training_stats()
     cache_note = "model cache: off"
     if stats["cache"] is not None:
         cache_note = (f"model cache: {stats['cache']['hits']} hit(s), "
                       f"{stats['cache']['misses']} miss(es)")
     print(f"\ntrained {stats['trainings_executed']} restart(s) "
           f"in {elapsed:.0f}s ({cache_note})")
-    if store is not None:
+    windows = executor.windows
+    if windows is not None:
         # One parseable line: the CI warm-rebuild smoke greps it to prove
         # a second build reads one entry and simulates nothing.
-        print(f"dataset: stored={store.stores} hits={store.hits} "
-              f"misses={store.misses} "
+        print(f"dataset: stored={windows.stores} hits={windows.hits} "
+              f"misses={windows.misses} "
               f"runs_executed={executor.runs_executed}")
     print(f"wrote {args.model_out}")
     return 0
@@ -574,6 +613,7 @@ def main_serve(argv: list[str]) -> int:
                              queue_depth=args.queue_depth,
                              max_batch=args.max_batch,
                              deadline=args.deadline)
+        _check_outputs(args, "--report-out", "--metrics-out")
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -613,7 +653,6 @@ def main_serve(argv: list[str]) -> int:
     if args.report_out is not None:
         import json
 
-        args.report_out.parent.mkdir(parents=True, exist_ok=True)
         args.report_out.write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {args.report_out}")
     if args.metrics_out:
@@ -709,16 +748,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        run_cache, store, model_cache = _open_caches(args)
+        _check_outputs(args, "--out", "--trace", "--metrics-out")
+        executor = _open_executor(args, run_timeout=args.run_timeout,
+                                  retries=args.retries,
+                                  fault_plan=fault_plan)
     except ValueError as exc:
         return _fail(str(exc))
-
-    from repro.parallel import SweepExecutor, TrainExecutor
-
-    executor = SweepExecutor(n_jobs=args.jobs, cache=run_cache,
-                             run_timeout=args.run_timeout,
-                             retries=args.retries, fault_plan=fault_plan)
-    trainer = TrainExecutor(cache=model_cache)
 
     tracer = None
     if args.trace:
@@ -731,8 +766,6 @@ def main(argv: list[str] | None = None) -> int:
         trace_id = hashlib.sha256(material.encode()).hexdigest()[:16]
         tracer = obs.install_tracer(obs.Tracer(trace_id=trace_id))
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
     manifest_dir = args.out if args.out else pathlib.Path("results")
     try:
         for name in names:
@@ -742,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
             start = time.time()
             print(f"==== {name} ====")
             try:
-                text = _RUNNERS[name](args.fast, executor, trainer, store)
+                text = _RUNNERS[name](args.fast, executor)
             finally:
                 _profile.uninstall()
             elapsed = time.time() - start
@@ -761,8 +794,9 @@ def main(argv: list[str] | None = None) -> int:
                 timings={"run": elapsed},
                 extra={"scales": _scales(args.fast),
                        "sweep": executor.stats(),
-                       "training": trainer.stats(),
-                       "dataset": store.stats() if store is not None else None,
+                       "training": executor.training_stats(),
+                       "dataset": (executor.windows.stats()
+                                   if executor.windows is not None else None),
                        "profile": profiler.summary()},
             )
             obs.write_manifest(manifest,

@@ -18,7 +18,13 @@ from repro.common.rng import derive_rng
 from repro.core.nn.layers import Dense, Dropout, ReLU, Sequential
 from repro.core.nn.losses import softmax_probs
 
-__all__ = ["KernelInterferenceNet"]
+__all__ = ["KernelInterferenceNet", "KERNEL_HIDDEN", "HEAD_HIDDEN"]
+
+#: Hidden widths of the kernel and of the head: the architecture every
+#: :class:`~repro.core.predictor.InterferencePredictor` trains, and part
+#: of its model-cache key (:func:`repro.parallel.cachekey.train_key`).
+KERNEL_HIDDEN: tuple[int, ...] = (64, 32)
+HEAD_HIDDEN: tuple[int, ...] = (32,)
 
 
 class KernelInterferenceNet:
@@ -29,8 +35,8 @@ class KernelInterferenceNet:
         n_servers: int,
         n_features: int,
         n_classes: int,
-        kernel_hidden: tuple[int, ...] = (64, 32),
-        head_hidden: tuple[int, ...] = (32,),
+        kernel_hidden: tuple[int, ...] = KERNEL_HIDDEN,
+        head_hidden: tuple[int, ...] = HEAD_HIDDEN,
         dropout: float = 0.1,
         seed: int = 0,
     ) -> None:

@@ -156,8 +156,9 @@ class InterferencePredictor:
         """Validate a training request; returns the class count.
 
         :meth:`train` calls it, and so does
-        :class:`repro.parallel.TrainExecutor` while planning a batch, so
-        a bad job fails before any job in its batch trains."""
+        :meth:`repro.parallel.SweepExecutor.train_predictors` while
+        planning a batch, so a bad job fails before any job in its batch
+        trains."""
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
         n_classes = len(thresholds) + 1
@@ -174,8 +175,6 @@ class InterferencePredictor:
         train_set: Dataset,
         thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
         config: TrainConfig | None = None,
-        kernel_hidden: tuple[int, ...] = (64, 32),
-        head_hidden: tuple[int, ...] = (32,),
         seed: int = 0,
         restarts: int = 3,
     ) -> "InterferencePredictor":
@@ -201,8 +200,7 @@ class InterferencePredictor:
         config = config or TrainConfig(seed=seed)
         net = functools.partial(
             KernelInterferenceNet, n_servers=train_set.n_servers,
-            n_features=train_set.n_features, n_classes=n_classes,
-            kernel_hidden=kernel_hidden, head_hidden=head_hidden)
+            n_features=train_set.n_features, n_classes=n_classes)
         train_restart = functools.partial(_train_restart, net, train_set,
                                           config, normalizer, seed)
         if _side_by_side(restarts):

@@ -40,7 +40,7 @@ from repro.monitor.schema import CLIENT_FEATURES
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
-    from repro.parallel import TrainExecutor
+    from repro.parallel import SweepExecutor
 
 __all__ = [
     "AblationResult",
@@ -78,13 +78,13 @@ def _permute_servers(X: np.ndarray, seed: int) -> np.ndarray:
 
 def _train_kernels(train_sets: list[Dataset],
                    thresholds: tuple[float, ...], seed: int,
-                   trainer: "TrainExecutor | None"
+                   executor: "SweepExecutor | None"
                    ) -> list[InterferencePredictor]:
-    """Kernel-net arms, trained as one batch through ``trainer`` (a fresh
-    uncached :class:`~repro.parallel.TrainExecutor` when omitted)."""
-    from repro.parallel import TrainExecutor, TrainJob
+    """Kernel-net arms, trained as one batch through ``executor`` (a
+    fresh uncached :class:`~repro.parallel.SweepExecutor` when omitted)."""
+    from repro.parallel import SweepExecutor, TrainJob
 
-    return (trainer or TrainExecutor()).train_predictors([
+    return (executor or SweepExecutor()).train_predictors([
         TrainJob(train_set, thresholds=thresholds,
                  config=TrainConfig(seed=seed), seed=seed)
         for train_set in train_sets
@@ -95,13 +95,13 @@ def run_model_ablation(
     bank: WindowBank,
     thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
     seed: int = 0,
-    trainer: "TrainExecutor | None" = None,
+    executor: "SweepExecutor | None" = None,
 ) -> AblationResult:
     """A1: kernel net vs flat MLP vs logistic regression vs random forest,
     each also scored on server-permuted test data.
 
-    The kernel net trains through ``trainer`` (a fresh uncached
-    :class:`~repro.parallel.TrainExecutor` when omitted); the other arms
+    The kernel net trains through ``executor`` (a fresh uncached
+    :class:`~repro.parallel.SweepExecutor` when omitted); the other arms
     train in place.
     """
     dataset = bank_to_dataset(bank, thresholds)
@@ -113,7 +113,7 @@ def run_model_ablation(
     Xte_perm = _permute_servers(Xte, seed)
     result = AblationResult(name="model-architecture")
 
-    [predictor] = _train_kernels([train_set], thresholds, seed, trainer)
+    [predictor] = _train_kernels([train_set], thresholds, seed, executor)
     kernel_model = predictor.model
 
     flat = MLPClassifier(train_set.n_servers * train_set.n_features,
@@ -152,12 +152,12 @@ def run_feature_ablation(
     bank: WindowBank,
     thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
     seed: int = 0,
-    trainer: "TrainExecutor | None" = None,
+    executor: "SweepExecutor | None" = None,
 ) -> AblationResult:
     """A2: client-only vs server-only vs full per-server vectors.
 
     The three arms are independent trainings on different feature
-    slices, submitted to ``trainer`` as one batch.
+    slices, submitted to ``executor`` as one batch.
     """
     n_client = len(CLIENT_FEATURES)
     masks = {
@@ -174,7 +174,7 @@ def run_feature_ablation(
                               f"f{i}" for i in range(X.shape[2])))
         splits[arm] = train_test_split(dataset, 0.2, seed=seed)
     predictors = _train_kernels([train_set for train_set, _ in
-                                 splits.values()], thresholds, seed, trainer)
+                                 splits.values()], thresholds, seed, executor)
     for (arm, (_, test_set)), predictor in zip(splits.items(), predictors):
         report = predictor.evaluate(test_set)
         result.scores[arm] = report.macro_f1
@@ -186,7 +186,7 @@ def run_regression_extension(
     bank: WindowBank,
     thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
     seed: int = 0,
-    trainer: "TrainExecutor | None" = None,
+    executor: "SweepExecutor | None" = None,
 ):
     """A6: exact-level regression vs classification on the same windows.
 
@@ -194,7 +194,7 @@ def run_regression_extension(
     degradation levels and reports (a) its regression metrics and (b) the
     classification F1 obtained by thresholding its predicted levels,
     against the kernel classifier trained on the binned labels through
-    ``trainer``.
+    ``executor``.
     """
     from repro.core.regression import LevelRegressor
 
@@ -214,7 +214,7 @@ def run_regression_extension(
     reg_report = evaluate(dataset.y[test_idx], reg_classes,
                           n_classes=len(thresholds) + 1)
 
-    [classifier] = _train_kernels([train_set], thresholds, seed, trainer)
+    [classifier] = _train_kernels([train_set], thresholds, seed, executor)
     cls_report = classifier.evaluate(test_set)
 
     result = AblationResult(name="regression-extension")
@@ -232,16 +232,15 @@ def run_window_size_ablation(
     window_sizes: tuple[float, ...] = (0.25, 0.5, 1.0),
     thresholds: tuple[float, ...] = BINARY_THRESHOLDS,
     seed: int = 0,
-    executor=None,
-    trainer: "TrainExecutor | None" = None,
+    executor: "SweepExecutor | None" = None,
 ) -> AblationResult:
     """A3: re-collect and re-train at several aggregation window sizes.
 
     ``window_size`` is excluded from the run-cache key (it only shapes
-    post-processing), so with a cache attached every arm whose
+    post-processing), so with a run cache attached every arm whose
     ``sample_interval`` is unchanged re-bins the first arm's simulation
-    sweep instead of re-running it.  All arms' models then go to
-    ``trainer`` as one batch.
+    sweep instead of re-running it.  All arms' models then train through
+    ``executor`` as one batch.
     """
     from dataclasses import replace
 
@@ -258,7 +257,7 @@ def run_window_size_ablation(
         arm = f"window={ws:g}s (n={len(dataset)})"
         splits[arm] = train_test_split(dataset, 0.2, seed=seed)
     predictors = _train_kernels([train_set for train_set, _ in
-                                 splits.values()], thresholds, seed, trainer)
+                                 splits.values()], thresholds, seed, executor)
     for (arm, (_, test_set)), predictor in zip(splits.items(), predictors):
         report = predictor.evaluate(test_set)
         result.scores[arm] = report.macro_f1

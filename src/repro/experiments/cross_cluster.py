@@ -34,7 +34,7 @@ from repro.sim.cluster import ClusterConfig
 from repro.workloads.io500 import make_io500_task
 
 if TYPE_CHECKING:
-    from repro.parallel import SweepExecutor, TrainExecutor
+    from repro.parallel import SweepExecutor
 
 __all__ = ["CrossClusterResult", "run_cross_cluster"]
 
@@ -85,19 +85,17 @@ def run_cross_cluster(
     noise_scale: float = 0.25,
     seed: int = 0,
     executor: "SweepExecutor | None" = None,
-    trainer: "TrainExecutor | None" = None,
-    store=None,
 ) -> CrossClusterResult:
     """Collect data on clusters A and B; score the three adaptation arms.
 
-    Both clusters' sweeps run through ``executor`` and their windows may
-    share one ``store`` — run and shard keys embed the full cluster
-    config, so A and B never collide in either.  The kernel arm trains
-    through ``trainer``.  Each defaults to a fresh in-process, uncached
-    executor.
+    Both clusters' sweeps and the kernel arm's training run through
+    ``executor`` (a fresh in-process, uncached one when omitted); run
+    and window keys embed the full cluster config, so A and B never
+    collide in its caches.
     """
-    from repro.parallel import TrainExecutor
+    from repro.parallel import SweepExecutor
 
+    executor = executor or SweepExecutor()
     config = config or ExperimentConfig()
     cluster_b = replace(config.cluster, n_oss=4)
     config_b = replace(config, cluster=cluster_b)
@@ -107,10 +105,8 @@ def run_cross_cluster(
     scenarios = standard_scenarios(max_level=max_level,
                                    tasks=DEFAULT_NOISE_TASKS,
                                    ranks=3, scale=noise_scale)
-    bank_a = collect_windows(targets, scenarios, config, executor=executor,
-                             store=store)
-    bank_b = collect_windows(targets, scenarios, config_b, executor=executor,
-                             store=store)
+    bank_a = collect_windows(targets, scenarios, config, executor=executor)
+    bank_b = collect_windows(targets, scenarios, config_b, executor=executor)
     ds_a = bank_to_dataset(bank_a, BINARY_THRESHOLDS, source="clusterA")
     ds_b = bank_to_dataset(bank_b, BINARY_THRESHOLDS, source="clusterB")
     train_b, test_b = train_test_split(ds_b, 0.2, seed=seed)
@@ -119,7 +115,7 @@ def run_cross_cluster(
     train_cfg = TrainConfig(seed=seed)
 
     # Arm 1: the paper's adaptation path — retrain the kernel net on B.
-    kernel_b = (trainer or TrainExecutor()).train_predictor(
+    kernel_b = executor.train_predictor(
         train_b, thresholds=BINARY_THRESHOLDS, config=train_cfg, seed=seed)
     report = kernel_b.evaluate(test_b)
     result.scores["kernel-retrained-on-B"] = report.macro_f1

@@ -13,10 +13,9 @@ degradation *levels*; binning into class labels happens afterwards
 The sweep itself runs on a :class:`repro.parallel.SweepExecutor`:
 pairs are independent, so its worker pool spreads them over processes
 with bit-identical output, every scenario of a target reuses one
-baseline run, and its run cache persists runs across invocations.  A
-:class:`repro.parallel.WindowCache` passed as ``store`` persists the
-labelled windows themselves, so a rebuild simulates and labels only
-the pairs it has not seen.
+baseline run, and its run cache persists runs across invocations.  Its
+window cache persists the labelled windows themselves, so a rebuild
+simulates and labels only the pairs it has not seen.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ from repro.experiments.runner import (
     ExperimentConfig,
     InterferenceSpec,
     PairedRuns,
-    run_pair,
 )
 
 if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
-    from repro.parallel import SweepExecutor, WindowCache
+    from repro.parallel import SweepExecutor
 
 __all__ = [
     "Scenario",
@@ -168,23 +166,23 @@ def collect_windows(
     config: ExperimentConfig,
     include_quiet_windows: bool = True,
     executor: "SweepExecutor | None" = None,
-    store: "WindowCache | None" = None,
 ) -> WindowBank:
     """Run every (target, scenario) pair and label windows with levels.
 
     The sweep is delegated to ``executor``, a
     :class:`repro.parallel.SweepExecutor` that decides how runs execute
-    (workers, run cache, resilience; a serial uncached one when
-    omitted).  Parallel execution is bit-identical to serial: per-run
-    seeds derive from the config seed and stable string paths, and
-    results are consumed in submission order.  A pair whose runs were
-    quarantined is skipped with a warning.
+    (workers, caches, resilience; a serial uncached one when omitted).
+    Parallel execution is bit-identical to serial: per-run seeds derive
+    from the config seed and stable string paths, and results are
+    consumed in submission order.  A pair whose runs were quarantined is
+    skipped with a warning.
 
-    With a ``store`` (:class:`repro.parallel.WindowCache`) the sweep's
-    bank, then each pair's windows, are looked up first; only the
-    missing pairs are simulated and labelled, and their windows are
-    stored.  The whole bank is stored too unless a pair was quarantined.
-    The result is bit-identical to the in-memory path either way.
+    With a window cache on the executor (``SweepExecutor(windows=...)``)
+    the sweep's bank, then each pair's windows, are looked up first;
+    only the missing pairs are simulated and labelled, and their windows
+    are stored.  The whole bank is stored too unless a pair was
+    quarantined.  The result is bit-identical to the uncached path
+    either way.
     """
     from repro.obs import profile as _profile
     from repro.obs.log import get_logger
@@ -192,18 +190,19 @@ def collect_windows(
     from repro.parallel import PairJob, SweepExecutor, dataset_sweep_key
 
     executor = executor or SweepExecutor()
+    windows = executor.windows
     sweep = sweep_pairs(targets, scenarios, include_quiet_windows)
     jobs = [PairJob(target, tuple(scenario.interference), config,
                     seed_salt=scenario.name)
             for target, scenario in sweep]
     parts: list[WindowBank | None] = [None] * len(sweep)
-    if store is not None:
+    if windows is not None:
         keys = [executor.shard_key_for(job) for job in jobs]
         sweep_key = dataset_sweep_key(keys)
-        bank = store.get(sweep_key)
+        bank = windows.get(sweep_key)
         if bank is not None:
             return bank
-        parts = [store.get(key) for key in keys]
+        parts = [windows.get(key) for key in keys]
     missing = [i for i, part in enumerate(parts) if part is None]
     with _profile.phase("dataset-sweep", pairs=len(missing)):
         paired = executor.run_pairs([jobs[i] for i in missing])
@@ -221,13 +220,13 @@ def collect_windows(
                 continue
             parts[i] = (label_pair(labeller, target, scenario, pair, config)
                         or WindowBank(np.empty((0, 0, 0)), np.empty(0)))
-            if store is not None:
-                store.put(keys[i], parts[i])
+            if windows is not None:
+                windows.put(keys[i], parts[i])
         # Empty banks (pairs without labelled windows) and quarantined
         # pairs contribute no rows.
         bank = WindowBank.concatenate([part for part in parts if part])
-    if store is not None and not quarantined:
-        store.put(sweep_key, bank)
+    if windows is not None and not quarantined:
+        windows.put(sweep_key, bank)
     return bank
 
 
@@ -256,9 +255,8 @@ def generate_dataset(
     include_quiet_windows: bool = True,
     source: str = "",
     executor: "SweepExecutor | None" = None,
-    store: "WindowCache | None" = None,
 ) -> Dataset:
     """One-shot convenience: collect windows and bin them."""
     bank = collect_windows(targets, scenarios, config, include_quiet_windows,
-                           executor=executor, store=store)
+                           executor=executor)
     return bank_to_dataset(bank, thresholds, source=source)

@@ -30,7 +30,7 @@ from repro.workloads.dlio import DLIOConfig, DLIOWorkload
 from repro.workloads.io500 import IO500_TASKS, make_io500_task
 
 if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
-    from repro.parallel import TrainExecutor
+    from repro.parallel import SweepExecutor
 
 __all__ = ["ModelEvalResult", "evaluate_bank", "evaluate_banks",
            "run_fig3_io500", "run_fig3_dlio",
@@ -88,18 +88,18 @@ def evaluate_bank(
     test_fraction: float = 0.2,
     train_config: TrainConfig | None = None,
     seed: int = 0,
-    trainer: "TrainExecutor | None" = None,
+    executor: "SweepExecutor | None" = None,
 ) -> ModelEvalResult:
     """The paper's per-benchmark protocol: 80/20 split, train, evaluate.
 
-    Training goes through ``trainer`` (a fresh uncached
-    :class:`~repro.parallel.TrainExecutor` when omitted); pass one with a
+    Training goes through ``executor`` (a fresh uncached
+    :class:`~repro.parallel.SweepExecutor` when omitted); pass one with a
     model cache to recall the trained model instead of retraining it.
     """
     return evaluate_banks([(name, bank)], thresholds=thresholds,
                           test_fraction=test_fraction,
                           train_config=train_config, seed=seed,
-                          trainer=trainer)[0]
+                          executor=executor)[0]
 
 
 def evaluate_banks(
@@ -108,14 +108,14 @@ def evaluate_banks(
     test_fraction: float = 0.2,
     train_config: TrainConfig | None = None,
     seed: int = 0,
-    trainer: "TrainExecutor | None" = None,
+    executor: "SweepExecutor | None" = None,
 ) -> list[ModelEvalResult]:
     """:func:`evaluate_bank` over a grid of banks, trained as one batch.
 
-    All banks' models go to ``trainer`` together, so equal recipes train
-    once and every cell is probed in the model cache up front.
+    All banks' models go to ``executor`` together, so equal recipes
+    train once and every cell is probed in the model cache up front.
     """
-    from repro.parallel import TrainExecutor, TrainJob
+    from repro.parallel import SweepExecutor, TrainJob
 
     prepared = []
     for name, bank in named_banks:
@@ -124,7 +124,7 @@ def evaluate_banks(
                                                seed=seed)
         prepared.append((name, dataset, train_set, test_set))
     config = train_config or TrainConfig(seed=seed)
-    predictors = (trainer or TrainExecutor()).train_predictors([
+    predictors = (executor or SweepExecutor()).train_predictors([
         TrainJob(train_set, thresholds=thresholds, config=config, seed=seed)
         for _, _, train_set, _ in prepared
     ])
@@ -153,8 +153,7 @@ def collect_io500_bank(
     noise_ranks: int = 3,
     noise_scale: float = 0.25,
     include_light: bool = True,
-    executor=None,
-    store=None,
+    executor: "SweepExecutor | None" = None,
 ) -> WindowBank:
     """Windows from IO500 targets under the standard noise sweep.
 
@@ -186,8 +185,7 @@ def collect_io500_bank(
                                       scale=noise_scale * 0.8),),
                 )
             )
-    return collect_windows(targets, scenarios, config,
-                           executor=executor, store=store)
+    return collect_windows(targets, scenarios, config, executor=executor)
 
 
 def collect_dlio_bank(
@@ -201,8 +199,7 @@ def collect_dlio_bank(
     compute_time: float = 0.2,
     sample_bytes: int = 16 * 1024 * 1024,
     batch_read_bytes: int = 2 * 1024 * 1024,
-    executor=None,
-    store=None,
+    executor: "SweepExecutor | None" = None,
 ) -> WindowBank:
     """Windows from the two DLIO profiles (Unet3d, BERT).
 
@@ -223,25 +220,28 @@ def collect_dlio_bank(
     ]
     scenarios = standard_scenarios(max_level=max_level, tasks=noise_tasks,
                                    ranks=noise_ranks, scale=noise_scale)
-    return collect_windows(targets, scenarios, config,
-                           executor=executor, store=store)
+    return collect_windows(targets, scenarios, config, executor=executor)
 
 
 def run_fig3_io500(config: ExperimentConfig | None = None,
                    bank: WindowBank | None = None,
-                   trainer: "TrainExecutor | None" = None,
+                   executor: "SweepExecutor | None" = None,
                    **bank_kwargs) -> ModelEvalResult:
-    """Figure 3(a): binary classification on IO500 windows."""
-    bank = bank or collect_io500_bank(config, **bank_kwargs)
+    """Figure 3(a): binary classification on IO500 windows, collected
+    (unless ``bank`` is given) and trained through ``executor``."""
+    bank = bank or collect_io500_bank(config, executor=executor,
+                                      **bank_kwargs)
     return evaluate_bank(bank, "fig3a-io500", BINARY_THRESHOLDS,
-                         trainer=trainer)
+                         executor=executor)
 
 
 def run_fig3_dlio(config: ExperimentConfig | None = None,
                   bank: WindowBank | None = None,
-                  trainer: "TrainExecutor | None" = None,
+                  executor: "SweepExecutor | None" = None,
                   **bank_kwargs) -> ModelEvalResult:
-    """Figure 3(b): binary classification on DLIO windows."""
-    bank = bank or collect_dlio_bank(config, **bank_kwargs)
+    """Figure 3(b): binary classification on DLIO windows, collected
+    (unless ``bank`` is given) and trained through ``executor``."""
+    bank = bank or collect_dlio_bank(config, executor=executor,
+                                     **bank_kwargs)
     return evaluate_bank(bank, "fig3b-dlio", BINARY_THRESHOLDS,
-                         trainer=trainer)
+                         executor=executor)

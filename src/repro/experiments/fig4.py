@@ -15,25 +15,25 @@ from repro.experiments.fig3 import ModelEvalResult, collect_io500_bank, evaluate
 from repro.experiments.runner import ExperimentConfig
 
 if TYPE_CHECKING:
-    from repro.parallel import TrainExecutor
+    from repro.parallel import SweepExecutor
 
 __all__ = ["run_fig4"]
 
 
 def run_fig4(config: ExperimentConfig | None = None,
              bank: WindowBank | None = None,
-             trainer: "TrainExecutor | None" = None,
+             executor: "SweepExecutor | None" = None,
              **bank_kwargs) -> ModelEvalResult:
     """3-class classification on the IO500 window bank.
 
-    ``bank_kwargs`` pass through to :func:`collect_io500_bank`, including
-    its ``executor`` — with a run cache in the same directory as Figure
-    3's, the 3-class dataset re-bins Figure 3's cached simulation sweep
-    instead of re-running it.  The model trains through ``trainer`` (a
-    fresh uncached :class:`~repro.parallel.TrainExecutor` when omitted);
-    with Figure 3's model cache the 3-class thresholds key a distinct
-    model, so Figures 3 and 4 coexist in one cache.
+    ``bank_kwargs`` pass through to :func:`collect_io500_bank`.  The bank
+    is collected and the model trained through ``executor`` (a fresh
+    uncached :class:`~repro.parallel.SweepExecutor` when omitted): with
+    Figure 3's caches the 3-class dataset re-bins Figure 3's cached
+    sweep instead of re-running it, and the 3-class thresholds key a
+    distinct model, so Figures 3 and 4 coexist in one model cache.
     """
-    bank = bank or collect_io500_bank(config, **bank_kwargs)
+    bank = bank or collect_io500_bank(config, executor=executor,
+                                      **bank_kwargs)
     return evaluate_bank(bank, "fig4-io500-3class", MULTICLASS_THRESHOLDS,
-                         trainer=trainer)
+                         executor=executor)

@@ -29,7 +29,7 @@ from repro.workloads.apps import (
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:
-    from repro.parallel import TrainExecutor
+    from repro.parallel import SweepExecutor
 
 __all__ = ["Fig5Result", "run_fig5", "app_scenarios", "default_app_targets"]
 
@@ -105,16 +105,14 @@ def run_fig5(
     targets: dict[str, Workload] | None = None,
     max_level: int = 3,
     noise_scale: float = 0.2,
-    executor=None,
-    trainer: "TrainExecutor | None" = None,
-    store=None,
+    executor: "SweepExecutor | None" = None,
 ) -> Fig5Result:
     """Train and evaluate one model per application.
 
-    One :class:`repro.parallel.SweepExecutor` is shared across the three
-    applications so the worker pool and run cache see the whole grid;
-    the per-application models then go to ``trainer`` as one batch (a
-    fresh uncached :class:`~repro.parallel.TrainExecutor` when omitted).
+    One :class:`repro.parallel.SweepExecutor` (a fresh uncached one when
+    omitted) is shared across the three applications so the worker pool
+    and caches see the whole grid; the per-application models then train
+    through it as one batch.
     """
     from repro.parallel import SweepExecutor
 
@@ -124,9 +122,9 @@ def run_fig5(
     executor = executor or SweepExecutor()
     banks = {
         app: collect_windows([workload], scenarios, config,
-                             executor=executor, store=store)
+                             executor=executor)
         for app, workload in targets.items()
     }
     evals = evaluate_banks([(f"fig5-{app}", banks[app]) for app in targets],
-                           BINARY_THRESHOLDS, trainer=trainer)
+                           BINARY_THRESHOLDS, executor=executor)
     return Fig5Result(results=dict(zip(targets, evals)))

@@ -26,6 +26,7 @@ one simulation sweep serves the whole fault grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from repro.faults import FaultPlan, apply_faults
 from repro.monitor.aggregator import GAP_POLICIES, MonitoredRun, assemble_vectors
 from repro.obs.log import get_logger
 from repro.workloads.io500 import make_io500_task
+
+if TYPE_CHECKING:  # imported lazily at run time (circular with repro.parallel)
+    from repro.parallel import SweepExecutor
 
 __all__ = ["RobustnessResult", "run_robustness"]
 
@@ -106,23 +110,18 @@ def _train_predictor(
     max_level: int,
     executor,
     epochs: int,
-    trainer=None,
-    store=None,
 ) -> InterferencePredictor:
     """A small interference-trained binary predictor (the A7 recipe)."""
-    from repro.parallel import TrainExecutor
-
     target = make_io500_task("ior-easy-write", ranks=2, scale=target_scale)
     scenarios = standard_scenarios(
         max_level=max_level,
         tasks=("ior-easy-write", "mdt-hard-write"),
         ranks=2, scale=noise_scale,
     )
-    bank = collect_windows([target], scenarios, config, executor=executor,
-                           store=store)
+    bank = collect_windows([target], scenarios, config, executor=executor)
     dataset = bank_to_dataset(bank, BINARY_THRESHOLDS, source="robustness")
     train_cfg = TrainConfig(epochs=epochs, seed=config.seed)
-    return (trainer or TrainExecutor()).train_predictor(
+    return executor.train_predictor(
         dataset, thresholds=BINARY_THRESHOLDS, config=train_cfg, restarts=2)
 
 
@@ -174,9 +173,7 @@ def run_robustness(
     slow_factors: tuple[float, ...] = (4.0, 8.0),
     fault_seed: int = 1,
     epochs: int = 60,
-    executor=None,
-    trainer=None,
-    store=None,
+    executor: "SweepExecutor | None" = None,
 ) -> RobustnessResult:
     """Measure prediction F1 vs telemetry sample loss and window blanking.
 
@@ -186,17 +183,18 @@ def run_robustness(
     of those runs.  Ground-truth labels are computed from the clean
     client records before any fault is applied, so the curves isolate
     the predictor's sensitivity to degraded inputs.  The training sweep
-    runs through ``executor`` and the predictor trains through
-    ``trainer`` (a fresh uncached :class:`~repro.parallel.TrainExecutor`
-    when omitted).
+    and the predictor's training run through ``executor`` (a fresh
+    uncached :class:`~repro.parallel.SweepExecutor` when omitted).
     """
+    from repro.parallel import SweepExecutor
+
+    executor = executor or SweepExecutor()
     config = config or ExperimentConfig()
     for policy in gap_policies:
         if policy not in GAP_POLICIES:
             raise ValueError(f"unknown gap policy {policy!r}")
     predictor = _train_predictor(config, target_scale, noise_scale,
-                                 max_level, executor, epochs,
-                                 trainer=trainer, store=store)
+                                 max_level, executor, epochs)
 
     # Eval runs: the fail-slow harness (quiet cluster, sick OSTs), whose
     # labels come from client records and survive telemetry faults.

@@ -237,7 +237,6 @@ def run_pair(
     interference: list[InterferenceSpec],
     config: ExperimentConfig,
     seed_salt: str = "",
-    executor=None,
 ) -> PairedRuns:
     """Baseline + interfered execution with identical target op sequences.
 
@@ -245,17 +244,10 @@ def run_pair(
     needs no warm-up alignment: it simply provides the undisturbed
     duration of every operation.
 
-    Pass a :class:`repro.parallel.SweepExecutor` to route both runs
-    through its deduplication and run cache (sweeps should submit all
-    their pairs at once via ``executor.run_pairs`` instead, so the pool
-    sees the whole grid).
+    Both runs execute here, uncached; sweeps submit their pairs to
+    :meth:`repro.parallel.SweepExecutor.run_pairs` instead, for its
+    deduplication, run cache and worker pool.
     """
-    if executor is not None:
-        from repro.parallel import PairJob
-
-        return executor.run_pairs(
-            [PairJob(target, tuple(interference), config, seed_salt=seed_salt)]
-        )[0]
     from repro.obs import profile as _profile
 
     with _profile.phase("sim-run", target=target.name, kind="baseline"):

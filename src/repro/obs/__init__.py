@@ -12,8 +12,8 @@ The observability layer threaded through every tier of the stack:
 * :mod:`repro.obs.manifest` — JSON run manifests (seed, config, git SHA,
   timings, metric snapshot) stamped by every experiment entry point;
 * :mod:`repro.obs.distributed` — cross-process trace propagation: the
-  serializable :class:`TraceContext` handed to worker processes and the
-  deterministic merge of their span shipments into one timeline;
+  trace id handed to worker processes and the deterministic merge of
+  their span shipments into one timeline;
 * :mod:`repro.obs.profile` — lightweight wall-clock phase profiler with
   hierarchical attribution and a critical-path summary;
 * :mod:`repro.obs.export` / :mod:`repro.obs.summary` /
@@ -35,7 +35,6 @@ Quickstart::
 
 from repro.obs.distributed import (
     WALL_CLOCK,
-    TraceContext,
     attach,
     current_context,
     merge_shipment,
@@ -101,7 +100,7 @@ __all__ = [
     "RunManifest", "build_manifest", "config_to_dict", "git_revision",
     "load_manifest", "write_manifest",
     # distributed tracing
-    "TraceContext", "WALL_CLOCK", "current_context", "attach", "ship",
+    "WALL_CLOCK", "current_context", "attach", "ship",
     "merge_shipment",
     # profiling
     "PhaseProfiler", "PhaseRecord", "phase", "profiling",

@@ -6,10 +6,10 @@ view used to be simply discarded — the worker detached the tracer
 and only a flat metrics snapshot crossed the process boundary.  This
 module makes traces first-class across that boundary:
 
-* a :class:`TraceContext` is the serializable seed the parent hands a
-  worker: the ``trace_id`` of the distributed trace plus the parent span
-  the worker's spans logically nest under;
-* :func:`attach` installs a fresh worker tracer from a context,
+* :func:`current_context` is what the parent hands a worker: the
+  ``trace_id`` of the distributed trace, or ``None`` when it is not
+  tracing;
+* :func:`attach` installs a fresh worker tracer under that id,
   :func:`ship` packs the finished spans (plus the tracer's kernel
   counters) into a plain picklable document;
 * :func:`merge_shipment` folds a shipment back into the parent tracer —
@@ -32,72 +32,41 @@ comparable across the parent and its worker processes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.trace import Span, Tracer
 
-__all__ = [
-    "TraceContext", "current_context", "attach", "ship", "merge_shipment",
-    "wall_now", "monotonic_to_wall",
-]
+__all__ = ["current_context", "attach", "ship", "merge_shipment",
+           "wall_now", "monotonic_to_wall"]
 
 #: attrs key marking a span as wall-clocked rather than simulated-time.
 WALL_CLOCK = "wall"
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The serializable seed a worker tracer is attached from.
-
-    ``parent_span_id`` is a span id *in the parent's tracer*; the worker
-    never sees that tracer, it just carries the id back so the merge can
-    re-parent its root spans.  ``worker`` is a stable label (the run key
-    prefix) — never a pid, which would vary run to run.
-    """
-
-    trace_id: str
-    parent_span_id: int | None = None
-    worker: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"trace_id": self.trace_id,
-                "parent_span_id": self.parent_span_id,
-                "worker": self.worker}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "TraceContext":
-        return cls(trace_id=str(doc["trace_id"]),
-                   parent_span_id=(None if doc.get("parent_span_id") is None
-                                   else int(doc["parent_span_id"])),
-                   worker=str(doc.get("worker", "")))
-
-
-def current_context(worker: str = "") -> TraceContext | None:
-    """A context for the installed tracer, or ``None`` when tracing is off."""
+def current_context() -> str | None:
+    """The installed tracer's trace id (``""`` if it has none), or
+    ``None`` when tracing is off."""
     from repro.obs import trace
 
     tracer = trace.get()
     if tracer is None:
         return None
-    return TraceContext(trace_id=tracer.trace_id or "", worker=worker)
+    return tracer.trace_id or ""
 
 
-def attach(context: TraceContext | dict[str, Any] | None) -> Tracer | None:
-    """Install (and return) a fresh worker tracer seeded with ``context``.
+def attach(trace_id: str | None) -> Tracer | None:
+    """Install (and return) a fresh worker tracer under ``trace_id``.
 
-    ``None`` (tracing disabled in the parent) detaches any inherited
-    tracer instead — fork-started workers must not keep recording into
-    the parent's span list.
+    ``""`` is a tracer without a trace id.  ``None`` (tracing disabled
+    in the parent) detaches any inherited tracer instead — fork-started
+    workers must not keep recording into the parent's span list.
     """
     from repro.obs import trace
 
-    if context is None:
+    if trace_id is None:
         trace.TRACER = None
         return None
-    if isinstance(context, dict):
-        context = TraceContext.from_dict(context)
-    tracer = Tracer(trace_id=context.trace_id or None)
+    tracer = Tracer(trace_id=trace_id or None)
     trace.TRACER = tracer
     return tracer
 

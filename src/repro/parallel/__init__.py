@@ -7,8 +7,8 @@ or ablation grid cell.  This package cuts both without touching
 determinism:
 
 * :mod:`repro.parallel.cachekey` — stable content-addressed keys over
-  (workload spec, interference, config, seed, code-version salt) for
-  runs and labelled windows, and (dataset digest, training recipe) for
+  (workload spec, interference, config, seed, code version) for runs
+  and labelled windows, and (dataset digest, training recipe) for
   models;
 * :mod:`repro.parallel.cache` — :class:`RunCache`, an atomic on-disk
   store of :class:`~repro.monitor.aggregator.MonitoredRun` records, on
@@ -18,25 +18,24 @@ determinism:
   for the labelled window banks of dataset sweeps;
 * :mod:`repro.parallel.modelcache` — :class:`ModelCache`, its sibling
   for trained :class:`~repro.core.predictor.InterferencePredictor`s;
-* :mod:`repro.parallel.executor` — :class:`SweepExecutor`, running
-  deduplicated cache misses in-process or on the worker pool while
-  keeping results bit-identical to serial execution;
+* :mod:`repro.parallel.executor` — :class:`SweepExecutor`, the
+  pipeline's one handle: it owns the three caches, and runs deduplicated
+  cache misses (simulations in-process or on the worker pool, trainings
+  one after another) with results bit-identical to serial execution;
 * :mod:`repro.parallel.supervise` — that worker pool: one long-lived
   child per slot, with a watchdog, retry and quarantine; it also runs a
-  training's restarts side by side when a second core is usable;
-* :mod:`repro.parallel.trainer` — :class:`TrainExecutor`, deduplication
-  and the model cache in front of the restart loop (DESIGN.md §10).
+  training's restarts side by side when a second core is usable.
 
 Quick use::
 
-    from repro.parallel import SweepExecutor, TrainExecutor, WindowCache
+    from repro.parallel import SweepExecutor
     from repro.experiments.datagen import bank_to_dataset, collect_windows
 
-    sweep = SweepExecutor(n_jobs=4, cache="results/.runcache")
-    bank = collect_windows(targets, scenarios, config, executor=sweep,
-                           store=WindowCache("results/.dataset"))
-    trainer = TrainExecutor(cache="results/.modelcache")
-    predictor = trainer.train_predictor(bank_to_dataset(bank))
+    executor = SweepExecutor(n_jobs=4, cache="results/.runcache",
+                             windows="results/.dataset",
+                             models="results/.modelcache")
+    bank = collect_windows(targets, scenarios, config, executor=executor)
+    predictor = executor.train_predictor(bank_to_dataset(bank))
 
 DESIGN.md §7 documents the determinism contract and cache layout;
 §10 covers the training side and §14 the window cache.
@@ -62,6 +61,7 @@ from repro.parallel.executor import (
     PairJob,
     RunJob,
     SweepExecutor,
+    TrainJob,
 )
 from repro.parallel.modelcache import ModelCache
 from repro.parallel.supervise import (
@@ -69,7 +69,6 @@ from repro.parallel.supervise import (
     backoff_delay,
     run_supervised,
 )
-from repro.parallel.trainer import TrainExecutor, TrainJob
 from repro.parallel.windowcache import WindowCache
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "RunJob",
     "SupervisionStats",
     "SweepExecutor",
-    "TrainExecutor",
     "TrainJob",
     "WindowCache",
     "backoff_delay",

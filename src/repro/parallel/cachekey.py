@@ -26,6 +26,7 @@ import hashlib
 import json
 from typing import Any, Iterable
 
+from repro.core.nn.kernelnet import HEAD_HIDDEN, KERNEL_HIDDEN
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.obs.manifest import config_to_dict, jsonable
 from repro.workloads.base import Workload
@@ -96,10 +97,10 @@ def workload_spec(workload: Workload) -> dict[str, Any]:
     return spec
 
 
-def _code_salt(extra_salt: str) -> str:
+def _code_salt() -> str:
     from repro import __version__
 
-    return f"{__version__}/f{CACHE_FORMAT}/{extra_salt}"
+    return f"{__version__}/f{CACHE_FORMAT}/"
 
 
 def run_key_material(
@@ -107,7 +108,6 @@ def run_key_material(
     interference: Iterable[InterferenceSpec],
     config: ExperimentConfig,
     seed_salt: str = "",
-    salt: str = "",
     faults: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """The key's raw material (also persisted next to cache entries).
@@ -126,7 +126,7 @@ def run_key_material(
         cfg["warmup"] = 0.0
     material = {
         "kind": "monitored-run",
-        "salt": _code_salt(salt),
+        "salt": _code_salt(),
         "target": workload_spec(target),
         "interference": [config_to_dict(spec) for spec in interference],
         "config": cfg,
@@ -142,13 +142,11 @@ def run_key(
     interference: Iterable[InterferenceSpec],
     config: ExperimentConfig,
     seed_salt: str = "",
-    salt: str = "",
     faults: dict[str, Any] | None = None,
 ) -> str:
     """Content-addressed key of one monitored run."""
     return stable_hash(run_key_material(target, interference, config,
-                                        seed_salt=seed_salt, salt=salt,
-                                        faults=faults))
+                                        seed_salt=seed_salt, faults=faults))
 
 
 def dataset_shard_key_material(
@@ -156,7 +154,6 @@ def dataset_shard_key_material(
     interference: Iterable[InterferenceSpec],
     config: ExperimentConfig,
     seed_salt: str = "",
-    salt: str = "",
     faults: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Key material of one (target, scenario) pair's labelled windows.
@@ -172,13 +169,11 @@ def dataset_shard_key_material(
     """
     return {
         "kind": "window-shard",
-        "salt": _code_salt(salt),
+        "salt": _code_salt(),
         "format": DATASET_FORMAT,
-        "baseline": run_key_material(target, (), config, salt=salt,
-                                     faults=faults),
+        "baseline": run_key_material(target, (), config, faults=faults),
         "interfered": run_key_material(target, tuple(interference), config,
-                                       seed_salt=seed_salt, salt=salt,
-                                       faults=faults),
+                                       seed_salt=seed_salt, faults=faults),
         "window_size": config.window_size,
         "sample_interval": config.sample_interval,
     }
@@ -189,13 +184,11 @@ def dataset_shard_key(
     interference: Iterable[InterferenceSpec],
     config: ExperimentConfig,
     seed_salt: str = "",
-    salt: str = "",
     faults: dict[str, Any] | None = None,
 ) -> str:
     """Content-addressed key of one pair's labelled windows."""
     return stable_hash(dataset_shard_key_material(
-        target, interference, config, seed_salt=seed_salt, salt=salt,
-        faults=faults))
+        target, interference, config, seed_salt=seed_salt, faults=faults))
 
 
 def dataset_sweep_key(shard_keys: Iterable[str]) -> str:
@@ -212,11 +205,8 @@ def train_key_material(
     dataset_digest: str,
     thresholds: tuple[float, ...],
     config: Any,
-    kernel_hidden: tuple[int, ...],
-    head_hidden: tuple[int, ...],
     seed: int,
     restarts: int,
-    salt: str = "",
 ) -> dict[str, Any]:
     """The model-cache key's raw material (persisted next to entries).
 
@@ -224,20 +214,22 @@ def train_key_material(
     trained parameters is part of its key: the training data's content
     digest (:meth:`repro.core.dataset.Dataset.content_digest`), the
     severity thresholds, the full :class:`~repro.core.nn.train.
-    TrainConfig`, the architecture, and the seed/restart schedule.  The
-    same code-version salt as the run cache invalidates entries across
-    behaviour-changing releases, and :data:`TRAINER_VERSION` across
-    trainer changes.
+    TrainConfig`, the architecture (the kernel net's fixed widths,
+    :data:`~repro.core.nn.kernelnet.KERNEL_HIDDEN` and
+    :data:`~repro.core.nn.kernelnet.HEAD_HIDDEN`), and the seed/restart
+    schedule.  The same code-version salt as the run cache invalidates
+    entries across behaviour-changing releases, and
+    :data:`TRAINER_VERSION` across trainer changes.
     """
     return {
         "kind": "trained-predictor",
-        "salt": _code_salt(salt),
+        "salt": _code_salt(),
         "trainer": TRAINER_VERSION,
         "dataset": dataset_digest,
         "thresholds": list(thresholds),
         "config": config_to_dict(config),
-        "kernel_hidden": list(kernel_hidden),
-        "head_hidden": list(head_hidden),
+        "kernel_hidden": list(KERNEL_HIDDEN),
+        "head_hidden": list(HEAD_HIDDEN),
         "seed": seed,
         "restarts": restarts,
     }
@@ -247,13 +239,9 @@ def train_key(
     dataset_digest: str,
     thresholds: tuple[float, ...],
     config: Any,
-    kernel_hidden: tuple[int, ...],
-    head_hidden: tuple[int, ...],
     seed: int,
     restarts: int,
-    salt: str = "",
 ) -> str:
     """Content-addressed key of one training run (dataset + recipe)."""
-    return stable_hash(train_key_material(
-        dataset_digest, thresholds, config, kernel_hidden, head_hidden,
-        seed, restarts, salt=salt))
+    return stable_hash(train_key_material(dataset_digest, thresholds, config,
+                                          seed, restarts))

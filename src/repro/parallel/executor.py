@@ -1,19 +1,25 @@
-"""Sweep executor with run-level deduplication, caching and a worker pool.
+"""The pipeline's executor: deduplicated, cached, parallel runs and trainings.
 
-The experiment sweeps (Figures 3-5, Tables I/II, the ablations) are
-embarrassingly parallel: every (target, scenario) pair is an independent
-pair of discrete-event simulations.  :class:`SweepExecutor` exploits that
-in three stacked layers:
+The experiment pipeline is one offline chain: simulate every (target,
+scenario) pair, label its windows, train the kernel network.
+:class:`SweepExecutor` is its one handle.  It owns the three
+content-addressed caches (runs, labelled windows, trained models) and
+puts every simulation and every training through the same stacked
+layers:
 
 1. **Deduplication** — jobs are keyed by :func:`repro.parallel.cachekey.
-   run_key`; identical runs (most importantly the baseline run a target
-   shares across *all* its scenarios) execute once per sweep, whatever
-   the worker count.
-2. **Caching** — with a :class:`~repro.parallel.cache.RunCache` attached,
-   finished runs persist on disk, so the binary and 3-class datasets
-   share one simulation sweep across invocations and re-running an
-   experiment after a training-side change costs zero simulation time.
-3. **Parallelism** — remaining misses fan out over the supervised
+   run_key` or :func:`~repro.parallel.cachekey.train_key`; identical
+   jobs (most importantly the baseline run a target shares across *all*
+   its scenarios) execute once per batch, whatever the worker count.
+2. **Caching** — with a :class:`~repro.parallel.cache.RunCache` or a
+   :class:`~repro.parallel.modelcache.ModelCache` attached, finished
+   runs and trained models persist on disk, so the binary and 3-class
+   datasets share one simulation sweep across invocations and a warm
+   re-run of an experiment simulates and trains nothing.  The
+   :class:`~repro.parallel.windowcache.WindowCache` is read and filled
+   by :func:`repro.experiments.datagen.collect_windows`, under the
+   executor's :meth:`~SweepExecutor.shard_key_for` keys.
+3. **Parallelism** — remaining run misses fan out over the supervised
    worker pool of :mod:`repro.parallel.supervise`: ``n_jobs`` slots,
    each one long-lived child process.  Determinism is free: every
    stochastic component derives its generator via
@@ -22,6 +28,9 @@ in three stacked layers:
    outcome depends only on its job spec — not on which worker executes
    it or in what order jobs complete.  Results are returned in
    submission order, making parallel output **bit-identical** to serial.
+   Trainings execute one after another; inside one,
+   :meth:`~repro.core.predictor.InterferencePredictor.train` runs the
+   restarts side by side when a second core is free (DESIGN.md §10).
 
 A sweep takes one of two paths.  It runs in-process when no
 ``run_timeout``, ``retries`` or worker fault is configured and either
@@ -44,14 +53,13 @@ what a serial sweep would have recorded.  Per-run wall time lands in the
 ``parallel.run_seconds`` histogram either way.
 
 With a tracer installed, parallel workers additionally attach a fresh
-tracer seeded with the parent's :class:`~repro.obs.distributed.
-TraceContext`, ship their finished spans back with each result, and the
-parent merges every shipment into one coherent multi-process timeline:
-wall-clock ``job.*`` spans (queue-wait, execute, retry) and
-``cache.probe`` spans wrap each job, with the worker's simulated-time
-spans nested under its ``job.execute``.  Merged span ids are allocated
-in *submission* order, so the timeline's shape is deterministic whatever
-order workers finish in.
+tracer under the parent's trace id, ship their finished spans back with
+each result, and the parent merges every shipment into one coherent
+multi-process timeline: wall-clock ``job.*`` spans (queue-wait, execute,
+retry) and ``cache.probe`` spans wrap each job, with the worker's
+simulated-time spans nested under its ``job.execute``.  Merged span ids
+are allocated in *submission* order, so the timeline's shape is
+deterministic whatever order workers finish in.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.core.dataset import Dataset
+from repro.core.labeling import BINARY_THRESHOLDS
+from repro.core.nn.train import TrainConfig
+from repro.core.predictor import InterferencePredictor
 from repro.experiments.runner import (
     ExperimentConfig,
     InterferenceSpec,
@@ -73,15 +85,24 @@ from repro.monitor.aggregator import MonitoredRun
 from repro.obs import distributed as _dist
 from repro.obs import profile as _profile
 from repro.obs import trace as _trace
-from repro.obs.distributed import WALL_CLOCK, TraceContext
+from repro.obs.distributed import WALL_CLOCK
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.parallel.cache import RunCache
-from repro.parallel.cachekey import dataset_shard_key, run_key, run_key_material
+from repro.parallel.cache import ContentCache, RunCache
+from repro.parallel.cachekey import (
+    dataset_shard_key,
+    run_key,
+    run_key_material,
+    train_key,
+    train_key_material,
+)
+from repro.parallel.modelcache import ModelCache
 from repro.parallel.supervise import run_supervised
+from repro.parallel.windowcache import WindowCache
 from repro.workloads.base import Workload
 
-__all__ = ["RunJob", "PairJob", "SweepExecutor", "InjectedWorkerFault"]
+__all__ = ["RunJob", "PairJob", "TrainJob", "SweepExecutor",
+           "InjectedWorkerFault"]
 
 logger = get_logger("parallel.executor")
 
@@ -110,18 +131,35 @@ class PairJob:
     seed_salt: str = ""
 
 
+@dataclass
+class TrainJob:
+    """One model training (what the model experiments submit)."""
+
+    dataset: Dataset
+    thresholds: tuple[float, ...] = BINARY_THRESHOLDS
+    config: TrainConfig | None = None
+    seed: int = 0
+    restarts: int = 3
+
+    def effective_config(self) -> TrainConfig:
+        """The config training actually uses (mirrors the restart loop's
+        ``config or TrainConfig(seed=seed)`` default)."""
+        return self.config or TrainConfig(seed=self.seed)
+
+
 def _execute_job(item: tuple[str, RunJob, int],
                  plan: FaultPlan | None = None,
-                 trace_ctx: TraceContext | None = None):
+                 trace_id: str | None = None):
     """Worker body: run one job and return (run, wall, metrics, aux).
 
     Runs in a worker-pool child.  The metrics registry is reset first so
     the returned snapshot is exactly this job's delta (fork-started
     workers inherit the parent's state).
-    When the parent is tracing it passes a ``trace_ctx``: the worker
-    attaches a fresh tracer seeded with it and ships the finished spans
-    back in ``aux["trace"]``; otherwise any inherited tracer is detached
-    so fork-started workers never record into the parent's span list.
+    When the parent is tracing it passes its ``trace_id`` (``""`` for a
+    tracer without one): the worker attaches a fresh tracer under it and
+    ships the finished spans back in ``aux["trace"]``; ``None`` detaches
+    any inherited tracer instead, so fork-started workers never record
+    into the parent's span list.
     ``aux`` also carries the worker's ``time.monotonic()`` start stamp,
     from which the parent derives queue-wait and execute wall spans.
     When a fault plan is supplied, injected worker faults fire *before*
@@ -129,7 +167,7 @@ def _execute_job(item: tuple[str, RunJob, int],
     simulated-run aborts are threaded into ``execute_run``.
     """
     key, job, attempt = item
-    worker_tracer = _dist.attach(trace_ctx)
+    worker_tracer = _dist.attach(trace_id)
     REGISTRY.reset()
     abort_at = None
     if plan is not None:
@@ -232,8 +270,16 @@ def record_batch_telemetry(traced: dict[str, dict]) -> None:
             f"parallel.worker_busy_seconds{{worker=w{slot}}}").set(seconds)
 
 
+def _open(cache, cls: type[ContentCache]) -> ContentCache | None:
+    """``cache`` as a ``cls``: kept if it is one, opened if it is a
+    directory, ``None`` (no persistent cache) if ``None``."""
+    if cache is None or isinstance(cache, cls):
+        return cache
+    return cls(cache)
+
+
 class SweepExecutor:
-    """Runs sweeps of monitored executions: deduplicated, cached, parallel.
+    """Runs sweeps and trainings: deduplicated, cached, parallel.
 
     Parameters
     ----------
@@ -241,10 +287,15 @@ class SweepExecutor:
         Worker slots of the pool, at least ``1``.  With ``1`` (default)
         a sweep without resilience options executes in-process.
     cache:
-        A :class:`RunCache`, a directory path to open one in, or ``None``
-        for no persistent cache (in-sweep deduplication still applies).
-    salt:
-        Extra cache-key salt, appended to the code-version salt.
+        The run cache: a :class:`RunCache`, a directory path to open one
+        in, or ``None`` for none (in-batch deduplication still applies).
+    windows:
+        The labelled-window cache
+        :func:`~repro.experiments.datagen.collect_windows` reads and
+        fills: a :class:`WindowCache`, a directory, or ``None``.
+    models:
+        The trained-model cache: a :class:`ModelCache`, a directory, or
+        ``None``.
     run_timeout:
         Wall-clock seconds one run may take before the watchdog kills
         its worker (counts as a failed attempt).  ``None`` disables the
@@ -264,7 +315,8 @@ class SweepExecutor:
 
     def __init__(self, n_jobs: int = 1,
                  cache: RunCache | str | os.PathLike | None = None,
-                 salt: str = "",
+                 windows: WindowCache | str | os.PathLike | None = None,
+                 models: ModelCache | str | os.PathLike | None = None,
                  run_timeout: float | None = None,
                  retries: int = 0,
                  fault_plan: FaultPlan | None = None) -> None:
@@ -276,10 +328,9 @@ class SweepExecutor:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.n_jobs = n_jobs
-        if cache is not None and not isinstance(cache, RunCache):
-            cache = RunCache(cache)
-        self.cache = cache
-        self.salt = salt
+        self.cache = _open(cache, RunCache)
+        self.windows = _open(windows, WindowCache)
+        self.models = _open(models, ModelCache)
         self.run_timeout = run_timeout
         self.retries = retries
         self.fault_plan = fault_plan
@@ -290,26 +341,30 @@ class SweepExecutor:
         #: key -> {"target", "seed_salt", "attempts", "errors"} for runs
         #: that kept dying.
         self.quarantined: dict[str, dict] = {}
+        self.trainings_executed = 0
+        self.jobs_deduplicated = 0
         REGISTRY.gauge("parallel.n_jobs").set(self.n_jobs)
 
     # -- keys -------------------------------------------------------------
 
     def key_for(self, job: RunJob) -> str:
         return run_key(job.target, job.interference, job.config,
-                       seed_salt=job.seed_salt, salt=self.salt,
-                       faults=self._fault_material())
+                       seed_salt=job.seed_salt, faults=self._fault_material())
 
     def shard_key_for(self, pair: PairJob) -> str:
         """Content-addressed key of the pair's labelled windows.
 
-        Mirrors :meth:`key_for` — same salt and fault material — so a
-        :class:`~repro.parallel.windowcache.WindowCache` keyed through
-        one executor agrees with the run cache about what counts as "the
-        same" sweep.
+        Mirrors :meth:`key_for` — same fault material — so the window
+        cache agrees with the run cache about what counts as "the same"
+        sweep.
         """
         return dataset_shard_key(pair.target, pair.interference, pair.config,
-                                 seed_salt=pair.seed_salt, salt=self.salt,
+                                 seed_salt=pair.seed_salt,
                                  faults=self._fault_material())
+
+    def train_key_for(self, job: TrainJob) -> str:
+        return train_key(job.dataset.content_digest(), job.thresholds,
+                         job.effective_config(), job.seed, job.restarts)
 
     def _fault_material(self) -> dict | None:
         if self.fault_plan is not None and self.fault_plan.affects_simulation:
@@ -325,7 +380,46 @@ class SweepExecutor:
                          and self.fault_plan.has_worker_faults))
         return not resilient and (self.n_jobs == 1 or pending <= 1)
 
-    # -- execution --------------------------------------------------------
+    @staticmethod
+    def _probe(jobs: list, key_for, cache: ContentCache | None,
+               span_attrs: dict) -> tuple[list[str], dict, dict, int]:
+        """Key ``jobs``, drop in-batch repeats and look the rest up in
+        ``cache``.
+
+        Returns every job's key in submission order, the cache hits by
+        key, the jobs left to execute by key, and how many jobs repeated
+        an earlier key.  With a tracer installed each lookup is one
+        wall-clock ``cache.probe`` span, with ``span_attrs`` added.
+        """
+        tracer = _trace.get()
+        with _profile.phase("plan"):
+            keys = [key_for(job) for job in jobs]
+        results: dict = {}
+        pending: dict = {}
+        deduplicated = 0
+        with _profile.phase("cache-probe"):
+            for job, key in zip(jobs, keys):
+                if key in results or key in pending:
+                    deduplicated += 1
+                    continue
+                cached = None
+                if cache is not None:
+                    probe = (tracer.start("cache.probe",
+                                          _dist.wall_now(tracer),
+                                          clock=WALL_CLOCK, key=key[:12],
+                                          **span_attrs)
+                             if tracer is not None else None)
+                    cached = cache.get(key)
+                    if probe is not None:
+                        tracer.finish(probe, _dist.wall_now(tracer),
+                                      hit=cached is not None)
+                if cached is not None:
+                    results[key] = cached
+                else:
+                    pending[key] = job
+        return keys, results, pending, deduplicated
+
+    # -- simulation -------------------------------------------------------
 
     def run_many(self, jobs: list[RunJob]) -> list[MonitoredRun | None]:
         """Execute ``jobs`` and return their runs in submission order.
@@ -335,38 +429,15 @@ class SweepExecutor:
         retry) hold ``None``; without failures none is ever ``None``.
         """
         wall_hist = REGISTRY.histogram("parallel.run_seconds")
-        total_counter = REGISTRY.counter("parallel.runs_requested")
+        REGISTRY.counter("parallel.runs_requested").inc(len(jobs))
         exec_counter = REGISTRY.counter("parallel.runs_executed")
         dedup_counter = REGISTRY.counter("parallel.runs_deduplicated")
-        total_counter.inc(len(jobs))
         tracer = _trace.get()
 
         with _profile.phase("sweep", jobs=len(jobs)):
-            with _profile.phase("plan"):
-                keys = [self.key_for(job) for job in jobs]
-            results: dict[str, MonitoredRun] = {}
-            pending: dict[str, RunJob] = {}
-            deduplicated = 0
-            with _profile.phase("cache-probe"):
-                for job, key in zip(jobs, keys):
-                    if key in results or key in pending:
-                        deduplicated += 1
-                        dedup_counter.inc()
-                        continue
-                    cached = None
-                    if self.cache is not None:
-                        probe = (tracer.start("cache.probe",
-                                              _dist.wall_now(tracer),
-                                              clock=WALL_CLOCK, key=key[:12])
-                                 if tracer is not None else None)
-                        cached = self.cache.get(key)
-                        if probe is not None:
-                            tracer.finish(probe, _dist.wall_now(tracer),
-                                          hit=cached is not None)
-                    if cached is not None:
-                        results[key] = cached
-                    else:
-                        pending[key] = job
+            keys, results, pending, deduplicated = self._probe(
+                jobs, self.key_for, self.cache, {})
+            dedup_counter.inc(deduplicated)
             self.runs_deduplicated += deduplicated
 
             items = list(pending.items())
@@ -402,10 +473,8 @@ class SweepExecutor:
                         self._store(key, job, run)
                         results[key] = run
                 else:
-                    trace_ctx = (_dist.current_context()
-                                 if tracer is not None else None)
                     attempts = self._run_pool(items, results, wall_hist,
-                                              trace_ctx, traced)
+                                              _dist.current_context(), traced)
                     if tracer is not None:
                         emit_job_spans(tracer, [k for k, _ in items],
                                        traced, attempts)
@@ -415,7 +484,7 @@ class SweepExecutor:
 
     def _run_pool(self, items: list[tuple[str, RunJob]],
                   results: dict[str, MonitoredRun], wall_hist,
-                  trace_ctx: TraceContext | None,
+                  trace_id: str | None,
                   traced: dict[str, dict]) -> dict[str, list[dict]]:
         """Execute pending runs on :func:`repro.parallel.supervise.
         run_supervised`'s worker pool.
@@ -444,7 +513,7 @@ class SweepExecutor:
         stats = run_supervised(
             items,
             functools.partial(_execute_job, plan=self.fault_plan,
-                              trace_ctx=trace_ctx),
+                              trace_id=trace_id),
             workers=self.n_jobs,
             on_success=on_success,
             run_timeout=self.run_timeout,
@@ -496,8 +565,69 @@ class SweepExecutor:
                        material=run_key_material(job.target, job.interference,
                                                  job.config,
                                                  seed_salt=job.seed_salt,
-                                                 salt=self.salt,
                                                  faults=self._fault_material()))
+
+    # -- training ---------------------------------------------------------
+
+    def train_predictor(self, dataset: Dataset, **kwargs
+                        ) -> InterferencePredictor:
+        """Train (or recall) one predictor; kwargs mirror ``TrainJob``."""
+        return self.train_predictors([TrainJob(dataset, **kwargs)])[0]
+
+    def train_predictors(self, jobs: list[TrainJob]
+                         ) -> list[InterferencePredictor]:
+        """Train ``jobs`` and return predictors in submission order.
+
+        Jobs with equal keys train once and share one result object.
+        Every job's inputs are checked before any job trains.
+        """
+        REGISTRY.counter("parallel.train.requested").inc(len(jobs))
+        exec_counter = REGISTRY.counter("parallel.train.executed")
+        dedup_counter = REGISTRY.counter("parallel.train.deduplicated")
+
+        def checked_key(job: TrainJob) -> str:
+            InterferencePredictor.check_train_inputs(
+                job.dataset, job.thresholds, job.restarts)
+            return self.train_key_for(job)
+
+        with _profile.phase("train", jobs=len(jobs)):
+            keys, results, pending, deduplicated = self._probe(
+                jobs, checked_key, self.models, {"cache": "model"})
+            dedup_counter.inc(deduplicated)
+            self.jobs_deduplicated += deduplicated
+
+            n_restarts = sum(job.restarts for job in pending.values())
+            unique = len(jobs) - deduplicated
+            logger.info(
+                "training batch: %d jobs -> %d unique, %d cache hits, "
+                "%d to train (%d restarts)",
+                len(jobs), unique, unique - len(pending), len(pending),
+                n_restarts,
+            )
+            if pending:
+                self.trainings_executed += n_restarts
+                exec_counter.inc(n_restarts)
+                with _profile.phase("execute", restarts=n_restarts):
+                    self._train(pending, results)
+
+        return [results[key] for key in keys]
+
+    def _train(self, pending: dict[str, TrainJob],
+               results: dict[str, InterferencePredictor]) -> None:
+        """``InterferencePredictor.train`` once per pending job."""
+        wall_hist = REGISTRY.histogram("parallel.train.seconds")
+        for key, job in pending.items():
+            start = time.perf_counter()
+            predictor = InterferencePredictor.train(
+                job.dataset, job.thresholds, job.config,
+                seed=job.seed, restarts=job.restarts,
+            )
+            wall_hist.observe(time.perf_counter() - start)
+            if self.models is not None:
+                self.models.put(key, predictor, material=train_key_material(
+                    job.dataset.content_digest(), job.thresholds,
+                    job.effective_config(), job.seed, job.restarts))
+            results[key] = predictor
 
     # -- reporting --------------------------------------------------------
 
@@ -515,7 +645,7 @@ class SweepExecutor:
         }
 
     def stats(self) -> dict:
-        """Executor + cache counters, manifest-ready."""
+        """Sweep + run-cache counters, manifest-ready."""
         stats = {
             "n_jobs": self.n_jobs,
             "runs_executed": self.runs_executed,
@@ -528,3 +658,11 @@ class SweepExecutor:
             stats["retries"] = self.retries
             stats["faults"] = self.fault_report()
         return stats
+
+    def training_stats(self) -> dict:
+        """Training + model-cache counters, manifest-ready."""
+        return {
+            "trainings_executed": self.trainings_executed,
+            "jobs_deduplicated": self.jobs_deduplicated,
+            "cache": self.models.stats() if self.models is not None else None,
+        }

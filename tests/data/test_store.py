@@ -77,8 +77,9 @@ def test_cold_build_digest_matches_in_memory(tmp_path, path):
     ]
     in_memory = generate_dataset(targets, scenarios, config, source="t")
     for build in ("cold", "warm"):
-        built = generate_dataset(targets, scenarios, config, source="t",
-                                 store=WindowCache(tmp_path / "windows"))
+        built = generate_dataset(
+            targets, scenarios, config, source="t",
+            executor=SweepExecutor(windows=tmp_path / "windows"))
         assert built.content_digest() == in_memory.content_digest(), build
         assert np.array_equal(built.X, in_memory.X)
         assert np.array_equal(built.y, in_memory.y)
@@ -88,14 +89,14 @@ def test_warm_rebuild_zero_simulations_zero_reaggregations(tmp_path):
     config = small_config()
     cold = WindowCache(tmp_path / "windows")
     bank_cold = collect_windows(small_targets(), small_scenarios(), config,
-                                store=cold)
+                                executor=SweepExecutor(windows=cold))
     # A sweep-entry miss, two pair misses; two pairs plus the sweep stored.
     assert (cold.hits, cold.misses, cold.stores) == (0, 3, 3)
 
     warm = WindowCache(tmp_path / "windows")
-    executor = SweepExecutor()
+    executor = SweepExecutor(windows=warm)
     bank_warm = collect_windows(small_targets(), small_scenarios(), config,
-                                executor=executor, store=warm)
+                                executor=executor)
     # Zero simulations: the executor never ran a job.
     assert executor.runs_executed == 0
     # Zero re-aggregations: only the sweep's own entry was read.
@@ -108,13 +109,13 @@ def test_warm_rebuild_zero_simulations_zero_reaggregations(tmp_path):
 def test_append_touches_only_new_pairs(tmp_path):
     config = small_config()
     collect_windows(small_targets(), small_scenarios(), config,
-                    store=WindowCache(tmp_path / "windows"))
+                    executor=SweepExecutor(windows=tmp_path / "windows"))
 
     grown = WindowCache(tmp_path / "windows")
-    executor = SweepExecutor()
+    executor = SweepExecutor(windows=grown)
     scenarios = small_scenarios() + [extra_scenario()]
     bank = collect_windows(small_targets(), scenarios, config,
-                           executor=executor, store=grown)
+                           executor=executor)
     # The grown sweep misses; its two old pairs hit; the new pair (its
     # baseline and interfered run) is simulated and stored, then the sweep.
     assert (grown.hits, grown.misses, grown.stores) == (2, 2, 2)
@@ -129,7 +130,7 @@ def test_corrupt_shard_is_evicted_then_rebuilt(tmp_path):
     config = small_config()
     cache = WindowCache(tmp_path / "windows")
     original = generate_dataset(small_targets(), small_scenarios(), config,
-                                store=cache)
+                                executor=SweepExecutor(windows=cache))
     keys = pair_keys(small_targets(), small_scenarios(), config)
     for key in (dataset_sweep_key(keys), keys[1]):
         entry_file(cache, key).write_bytes(b"garbage")
@@ -137,9 +138,9 @@ def test_corrupt_shard_is_evicted_then_rebuilt(tmp_path):
     # One build: both corrupt entries read as misses and are deleted,
     # and only the noise pair is simulated again.
     repaired = WindowCache(tmp_path / "windows")
-    executor = SweepExecutor()
+    executor = SweepExecutor(windows=repaired)
     rebuilt = generate_dataset(small_targets(), small_scenarios(), config,
-                               executor=executor, store=repaired)
+                               executor=executor)
     assert repaired.errors == 2
     assert (repaired.hits, repaired.misses, repaired.stores) == (1, 2, 2)
     assert executor.runs_executed == 2
@@ -151,14 +152,14 @@ def test_missing_shard_file_evicts_entry(tmp_path):
     config = small_config()
     cache = WindowCache(tmp_path / "windows")
     original = collect_windows(small_targets(), small_scenarios(), config,
-                               store=cache)
+                               executor=SweepExecutor(windows=cache))
     keys = pair_keys(small_targets(), small_scenarios(), config)
     for key in (dataset_sweep_key(keys), keys[1]):
         entry_file(cache, key).unlink()
 
     repaired = WindowCache(tmp_path / "windows")
     bank = collect_windows(small_targets(), small_scenarios(), config,
-                           store=repaired)
+                           executor=SweepExecutor(windows=repaired))
     assert repaired.errors == 0
     assert (repaired.hits, repaired.misses, repaired.stores) == (1, 2, 2)
     assert np.array_equal(bank.X, original.X)
@@ -168,7 +169,8 @@ def test_missing_shard_file_evicts_entry(tmp_path):
 def test_stats_shape(tmp_path):
     config = small_config()
     cache = WindowCache(tmp_path / "windows")
-    collect_windows(small_targets(), small_scenarios(), config, store=cache)
+    collect_windows(small_targets(), small_scenarios(), config,
+                    executor=SweepExecutor(windows=cache))
     stats = cache.stats()
     assert stats == {"directory": str(tmp_path / "windows"), "hits": 0,
                      "misses": 3, "stores": 3, "errors": 0}
@@ -177,12 +179,13 @@ def test_stats_shape(tmp_path):
 
 
 def test_collect_windows_store_roundtrip_bitwise(tmp_path):
-    """The wire-through: collect_windows(store=...) equals store-less."""
+    """The wire-through: collect_windows through an executor's window
+    cache equals the uncached path."""
     config = small_config()
     plain = collect_windows(small_targets(), small_scenarios(), config)
     cache = WindowCache(tmp_path / "windows")
     via_cache = collect_windows(small_targets(), small_scenarios(), config,
-                                store=cache)
+                                executor=SweepExecutor(windows=cache))
     assert np.array_equal(plain.X, via_cache.X)
     assert np.array_equal(plain.levels, via_cache.levels)
     assert plain.sources == via_cache.sources
@@ -207,20 +210,18 @@ def test_quarantined_pair_is_recomputed_alone(tmp_path):
                 and not plan.kills_worker(noisy[1])
                 and not plan.kills_worker(baseline))
 
-    faulty = SweepExecutor(fault_plan=plan, retries=0)
     cache = WindowCache(tmp_path / "windows")
-    partial = collect_windows(targets, scenarios, config, executor=faulty,
-                              store=cache)
+    faulty = SweepExecutor(windows=cache, fault_plan=plan, retries=0)
+    partial = collect_windows(targets, scenarios, config, executor=faulty)
     assert list(faulty.quarantined) == [noisy[0]]
     keys = pair_keys(targets, scenarios, config)
     assert dataset_sweep_key(keys) not in cache
     assert [key in cache for key in keys] == [True, False, True]
     assert "ior-easy-write:noise" not in partial.sources
 
-    clean = SweepExecutor()
     rerun = WindowCache(tmp_path / "windows")
-    bank = collect_windows(targets, scenarios, config, executor=clean,
-                           store=rerun)
+    clean = SweepExecutor(windows=rerun)
+    bank = collect_windows(targets, scenarios, config, executor=clean)
     assert clean.runs_executed == 2  # the noise pair's baseline + its run
     assert (rerun.hits, rerun.misses, rerun.stores) == (2, 2, 2)
     in_memory = collect_windows(targets, scenarios, config)

@@ -91,10 +91,19 @@ def test_interference_mix_changes_key():
     assert k1 != k2
 
 
-def test_extra_salt_changes_key():
-    k1 = run_key(target(), NOISE, small_config(), seed_salt="s", salt="")
-    k2 = run_key(target(), NOISE, small_config(), seed_salt="s", salt="v2")
-    assert k1 != k2
+def test_code_version_changes_key(monkeypatch):
+    """Every key carries the code-version salt, so a release that
+    changes behaviour retires every cached run and window bank."""
+    import repro
+
+    k1 = run_key(target(), NOISE, small_config(), seed_salt="s")
+    s1 = dataset_shard_key(target(), NOISE, small_config(), seed_salt="s")
+    monkeypatch.setattr(repro, "__version__", repro.__version__ + "+next")
+    assert run_key(target(), NOISE, small_config(), seed_salt="s") != k1
+    assert dataset_shard_key(target(), NOISE, small_config(),
+                             seed_salt="s") != s1
+    material = run_key_material(target(), NOISE, small_config())
+    assert material["salt"] == f"{repro.__version__}/f{CACHE_FORMAT}/"
 
 
 def test_keys_are_pinned():
@@ -108,6 +117,31 @@ def test_keys_are_pinned():
             == "8852a241e2d46239a9ec9debacf8c63d9cb6f7e6")
     assert (dataset_shard_key(target(), NOISE, small_config(), seed_salt="s")
             == "a6d188cfd3424013e164c509cc33677cc47bfa5c")
+
+
+def test_model_key_is_pinned():
+    """Warm model caches stay valid only while these keys hold.  They
+    change on purpose with ``TRAINER_VERSION``, the package version or
+    the key material, never by accident."""
+    import numpy as np
+
+    from repro.core.dataset import Dataset
+    from repro.core.labeling import MULTICLASS_THRESHOLDS
+    from repro.core.nn.train import TrainConfig
+    from repro.parallel import SweepExecutor, TrainJob
+
+    X = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4) / 8
+    dataset = Dataset(X, [0, 1], feature_names=("a", "b", "c", "d"))
+    assert dataset.content_digest() == \
+        "f6f67d9107dcff41ed9fb5585a7fd55697947521"
+    executor = SweepExecutor()
+    assert (executor.train_key_for(TrainJob(dataset))
+            == "7cdd202115c07a466683aa4d9e22bced02a9eeda")
+    job = TrainJob(dataset, thresholds=MULTICLASS_THRESHOLDS,
+                   config=TrainConfig(epochs=5, patience=3, seed=1), seed=1,
+                   restarts=2)
+    assert (executor.train_key_for(job)
+            == "b2e5b4476a1390573817eb7b3764e63f721157bb")
 
 
 def test_material_is_json_serialisable():

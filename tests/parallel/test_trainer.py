@@ -1,8 +1,8 @@
-"""Tests for the training executor.
+"""Tests for training through the executor.
 
 The load-bearing contract: whatever mix of caching and deduplication is
-in play, the returned predictors are bit-identical to the serial restart
-loop's.
+in play, the predictors ``SweepExecutor.train_predictors`` returns are
+bit-identical to the serial restart loop's.
 """
 
 import logging
@@ -14,7 +14,7 @@ from repro.core.dataset import Dataset
 from repro.core.labeling import BINARY_THRESHOLDS, MULTICLASS_THRESHOLDS
 from repro.core.nn.train import TrainConfig
 from repro.core.predictor import InterferencePredictor
-from repro.parallel import ModelCache, TrainExecutor, TrainJob
+from repro.parallel import ModelCache, SweepExecutor, TrainJob
 
 CFG = TrainConfig(epochs=5, patience=3, seed=0)
 
@@ -50,7 +50,7 @@ def serial_reference(dataset):
 
 
 def test_serial_executor_path_bit_identical(dataset, serial_reference):
-    trainer = TrainExecutor()
+    trainer = SweepExecutor()
     predictor = trainer.train_predictor(
         dataset, thresholds=BINARY_THRESHOLDS, config=CFG, restarts=3)
     assert trainer.trainings_executed == 3
@@ -59,7 +59,7 @@ def test_serial_executor_path_bit_identical(dataset, serial_reference):
 
 
 def test_batch_deduplicates_equal_jobs(dataset):
-    trainer = TrainExecutor()
+    trainer = SweepExecutor()
     job = TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
                    restarts=2)
     out = trainer.train_predictors([job, job, job])
@@ -69,7 +69,7 @@ def test_batch_deduplicates_equal_jobs(dataset):
 
 
 def test_distinct_recipes_do_not_collide(dataset):
-    trainer = TrainExecutor()
+    trainer = SweepExecutor()
     ds3 = small_dataset(seed=5, n=120, n_classes=3)
     out = trainer.train_predictors([
         TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
@@ -85,45 +85,51 @@ def test_distinct_recipes_do_not_collide(dataset):
 
 def test_cold_then_warm_cache(tmp_path, dataset, serial_reference):
     cache_dir = tmp_path / "models"
-    cold = TrainExecutor(cache=ModelCache(cache_dir))
+    cold = SweepExecutor(models=ModelCache(cache_dir))
     first = cold.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
                                  config=CFG, restarts=3)
     assert cold.trainings_executed == 3
 
-    warm = TrainExecutor(cache=ModelCache(cache_dir))
+    warm = SweepExecutor(models=cache_dir)
+    assert isinstance(warm.models, ModelCache)
     second = warm.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
                                   config=CFG, restarts=3)
     assert warm.trainings_executed == 0  # pure recall, zero training
-    assert warm.cache.hits == 1
+    assert warm.models.hits == 1
+    assert warm.training_stats()["cache"]["hits"] == 1
     assert_same_predictor(serial_reference, first, dataset.X)
     assert_same_predictor(first, second, dataset.X)
 
 
 def test_corrupt_cache_entry_retrains(tmp_path, dataset):
     cache_dir = tmp_path / "models"
-    cold = TrainExecutor(cache=ModelCache(cache_dir))
+    cold = SweepExecutor(models=ModelCache(cache_dir))
     job = TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
                    restarts=2)
     first = cold.train_predictors([job])[0]
-    key = cold.key_for(job)
-    (cold.cache.path_for(key) / "model.npz").write_bytes(b"garbage")
+    key = cold.train_key_for(job)
+    (cold.models.path_for(key) / "model.npz").write_bytes(b"garbage")
 
-    again = TrainExecutor(cache=ModelCache(cache_dir))
+    again = SweepExecutor(models=ModelCache(cache_dir))
     second = again.train_predictors([job])[0]
-    assert again.cache.errors == 1
+    assert again.models.errors == 1
     assert again.trainings_executed == 2  # retrained after the drop
     assert_same_predictor(first, second, dataset.X)
 
 
-def test_salt_changes_key(dataset):
+def test_code_version_changes_key(dataset, monkeypatch):
+    """The model key carries the code-version salt, so a release that
+    changes behaviour retires every cached model."""
+    import repro
+
     job = TrainJob(dataset, config=CFG)
-    plain = TrainExecutor().key_for(job)
-    salted = TrainExecutor(salt="v2").key_for(job)
-    assert plain != salted
+    before = SweepExecutor().train_key_for(job)
+    monkeypatch.setattr(repro, "__version__", repro.__version__ + "+next")
+    assert SweepExecutor().train_key_for(job) != before
 
 
 def test_invalid_inputs_rejected_before_any_work(dataset):
-    trainer = TrainExecutor()
+    trainer = SweepExecutor()
     with pytest.raises(ValueError):
         trainer.train_predictor(dataset, thresholds=BINARY_THRESHOLDS,
                                 config=CFG, restarts=0)
@@ -137,10 +143,10 @@ def test_invalid_inputs_rejected_before_any_work(dataset):
 def test_batch_log_counts_each_call(dataset, caplog):
     """The batch log line counts that call's jobs only: a second batch
     through one executor must not subtract the first batch's dedups."""
-    trainer = TrainExecutor()
+    trainer = SweepExecutor()
     job = TrainJob(dataset, thresholds=BINARY_THRESHOLDS, config=CFG,
                    restarts=1)
-    with caplog.at_level(logging.INFO, logger="repro.parallel.trainer"):
+    with caplog.at_level(logging.INFO, logger="repro.parallel.executor"):
         trainer.train_predictors([job, job])
         trainer.train_predictors([job, job])
     lines = [r.getMessage() for r in caplog.records

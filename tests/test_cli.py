@@ -117,6 +117,55 @@ def test_unwritable_cache_dir_rejected(tmp_path, capsys, command, flag):
     assert err.count("\n") == 1
 
 
+def _trace_file(path):
+    """A one-span trace file, enough input for ``obs report``."""
+    from repro.obs.export import save_trace
+    from repro.obs.trace import Tracer
+
+    tracer = Tracer(trace_id="t")
+    tracer.finish(tracer.start("client.write", 0.0), 1.0)
+    return save_trace(tracer, path)
+
+
+_NO_CACHES = ["--no-cache", "--no-dataset-cache", "--no-model-cache"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["table2", "--fast", *_NO_CACHES, "--out"], "--out"),
+    (["table2", "--fast", *_NO_CACHES, "--trace"], "--trace"),
+    (["table2", "--fast", *_NO_CACHES, "--metrics-out"], "--metrics-out"),
+    (["train", "--fast", *_NO_CACHES, "--model-out"], "--model-out"),
+    (["serve", "--tenants", "2", "--windows", "2", "--report-out"],
+     "--report-out"),
+    (["serve", "--tenants", "2", "--windows", "2", "--metrics-out"],
+     "--metrics-out"),
+    (["obs", "report", "TRACE", "--chrome-trace"], "--chrome-trace"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_unwritable_output_rejected_before_any_work(tmp_path, capsys, argv,
+                                                    flag):
+    """An output path below a regular file used to fail only after the
+    work was done (or, for ``--out``, as a traceback); it is one
+    ``error:`` line naming the flag, exit 2, before anything runs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / "x"
+    argv = [str(_trace_file(tmp_path / "t.trace.jsonl")) if arg == "TRACE"
+            else arg for arg in argv]
+    assert main([*argv, str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} {target} is not writable")
+    assert captured.err.count("\n") == 1
+
+
+def test_output_path_that_is_a_directory_rejected(tmp_path, capsys):
+    assert main(["serve", "--report-out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --report-out {tmp_path} is not "
+                                   f"writable")
+
+
 def test_table2_fast_runs_end_to_end(tmp_path, capsys):
     """The cheapest experiment actually runs through the CLI."""
     cache_dir = tmp_path / "cache"
