@@ -32,29 +32,32 @@ write one text file per experiment. Every output path (``--out``,
 ``--chrome-trace``) is checked before any work: an unusable one is one
 ``error:`` line and exit 2.
 
-Every command that simulates or trains builds one
-:class:`repro.parallel.SweepExecutor` from its flags and hands it to
-the experiment; it owns the run, window and model caches. ``--jobs N``
-(N >= 1; ``--jobs "$(nproc)"`` for every core) fans independent
-simulation runs over N worker processes with bit-identical results;
-runs persist in a content-addressed cache (``--cache-dir``, default
+Every command that simulates or trains builds a
+:class:`repro.parallel.SweepExecutor` from its flags (one per experiment
+under ``all``) and hands it to the experiment; it owns the run, window
+and model caches. Independent simulation runs fan out over one worker
+process per CPU this process may use (``taskset -c 0`` makes that one),
+with bit-identical results; ``--jobs N`` (N >= 1) sets the count, and
+``--jobs 1`` runs sweeps in-process unless a resilience option is given.
+Runs persist in a content-addressed cache (``--cache-dir``, default
 ``results/.runcache``) so e.g. ``fig4`` re-bins ``fig3``'s cached IO500
 sweep and a re-run after a training-side change simulates nothing.
 ``--no-cache`` disables persistence. Labelled windows persist the same
 way (``--dataset-dir``, ``--no-dataset-cache``).
 
 Training runs a model's restarts side by side, one child process each,
-when the process may use more than one core, and in-process otherwise
-(``taskset -c 0`` forces that), with bit-identical models either way;
-``--jobs``, ``--run-timeout`` and ``--retries`` apply to simulation runs
-only. Trained models persist in a content-addressed model cache
-(``--model-cache-dir``, default ``results/.modelcache``) keyed by
-dataset digest + training recipe, so a warm re-run of a model experiment
-trains nothing. ``--no-model-cache`` disables it.
+by the same rule: when the process may use more than one core, and
+in-process otherwise (``taskset -c 0`` forces that), with bit-identical
+models either way; ``--jobs``, ``--run-timeout`` and ``--retries`` apply
+to simulation runs only. Trained models persist in a content-addressed
+model cache (``--model-cache-dir``, default ``results/.modelcache``)
+keyed by dataset digest + training recipe, so a warm re-run of a model
+experiment trains nothing. ``--no-model-cache`` disables it.
 
 Observability: every experiment writes a JSON run manifest (seed, config,
-git SHA, timings, sweep/cache statistics, a wall-clock phase profile and
-a metric snapshot) next to its results. ``--trace PATH`` records a span
+git SHA, timings, that experiment's own sweep/training/cache counters, a
+wall-clock phase profile and a metric snapshot, which is
+process-cumulative) next to its results. ``--trace PATH`` records a span
 trace of all simulated I/O to a JSONL file — including runs executed in
 worker processes: workers attach a tracer under the parent's trace id
 and ship their spans back, and the parent merges everything
@@ -406,16 +409,17 @@ def main_train(argv: list[str]) -> int:
     parser.add_argument("--multiclass", action="store_true",
                         help="train the 3-class (<2x, 2-5x, >=5x) model "
                              "instead of the binary one")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for simulation runs "
-                             "(default: 1 = in-process)")
+                             "(default: every CPU this process may use; "
+                             "1 = in-process)")
     _add_cache_flags(parser)
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v: INFO logs, -vv: DEBUG logs")
     args = parser.parse_args(argv)
     if args.verbose:
         obs.configure_logging("DEBUG" if args.verbose > 1 else "INFO")
-    if args.jobs <= 0:
+    if args.jobs is not None and args.jobs <= 0:
         return _fail(f"--jobs must be a positive integer, got {args.jobs}")
 
     try:
@@ -687,9 +691,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="shrink workloads for a quick smoke pass")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="also write one text file per experiment here")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for simulation runs "
-                             "(default: 1 = in-process)")
+                             "(default: every CPU this process may use; "
+                             "1 = in-process)")
     _add_cache_flags(parser)
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="deterministic worker/simulation fault spec, "
@@ -720,7 +725,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment not in known:
         return _fail(f"unknown experiment {args.experiment!r} "
                      f"(choose from: {', '.join(known)})")
-    if args.jobs <= 0:
+    if args.jobs is not None and args.jobs <= 0:
         return _fail(f"--jobs must be a positive integer, got {args.jobs}")
     if args.run_timeout is not None and not 0 < args.run_timeout < math.inf:
         return _fail(f"--run-timeout must be positive and finite, "
@@ -747,11 +752,13 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
 
+    def open_executor():
+        return _open_executor(args, run_timeout=args.run_timeout,
+                              retries=args.retries, fault_plan=fault_plan)
+
     try:
         _check_outputs(args, "--out", "--trace", "--metrics-out")
-        executor = _open_executor(args, run_timeout=args.run_timeout,
-                                  retries=args.retries,
-                                  fault_plan=fault_plan)
+        executor = open_executor()
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -767,9 +774,16 @@ def main(argv: list[str] | None = None) -> int:
         tracer = obs.install_tracer(obs.Tracer(trace_id=trace_id))
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     manifest_dir = args.out if args.out else pathlib.Path("results")
+    quarantined: dict[str, dict] = {}
     try:
-        for name in names:
+        for index, name in enumerate(names):
             from repro.obs import profile as _profile
+
+            if index:
+                # One executor per experiment, so each manifest counts
+                # that experiment's own work; runs, windows and models
+                # still pass between experiments through the caches.
+                executor = open_executor()
 
             profiler = _profile.install(tracer=tracer)
             start = time.time()
@@ -809,8 +823,9 @@ def main(argv: list[str] | None = None) -> int:
                 report_path.write_text(
                     json.dumps(_REPORTS.pop(name), indent=2) + "\n")
                 print(f"wrote {report_path}")
-        if executor.quarantined:
-            print(f"WARNING: {len(executor.quarantined)} run(s) quarantined; "
+            quarantined.update(executor.quarantined)
+        if quarantined:
+            print(f"WARNING: {len(quarantined)} run(s) quarantined; "
                   "see the manifest's sweep.faults section")
     finally:
         if tracer is not None:

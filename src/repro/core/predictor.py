@@ -8,8 +8,9 @@ monitors emit and predicts each window's interference severity class.
 Training runs ``restarts`` independent initialisations and keeps the
 best.  When the process may use a second core they train side by side,
 one supervised child process per restart (:mod:`repro.parallel.
-supervise`); otherwise, and always in a daemonic process, one after
-another in the caller.  Both placements produce the same bits.
+supervise`, whose ``usable_cores`` places sweeps too); otherwise, and
+always in a daemonic process, one after another in the caller.  Both
+placements produce the same bits.
 
 Two deployment-side capabilities live here alongside training:
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 
@@ -60,24 +60,15 @@ PREDICTOR_FORMAT = 1
 _PREDICTOR_KIND = "repro-interference-predictor"
 
 
-def _cores() -> int:
-    """CPUs this process may run on: its affinity mask where the
-    platform has one (so ``taskset -c 0`` counts 1), else the machine's
-    count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _side_by_side(restarts: int) -> bool:
     """Whether ``restarts`` train in child processes, one each: more
-    than one restart, more than one core, and a caller that may start
-    children (a daemonic process, such as a sweep worker, may not)."""
-    if restarts == 1 or _cores() < 2:
-        return False
-    import multiprocessing
+    than one restart, and the sweeps' placement rule
+    (:func:`repro.parallel.supervise.usable_cores`) allows more than one
+    slot — more than one core, and a caller that may start children."""
+    # Imported here: repro.parallel imports this module.
+    from repro.parallel.supervise import usable_cores
 
-    return not multiprocessing.current_process().daemon
+    return restarts > 1 and usable_cores() > 1
 
 
 def _train_restart(net, train_set: Dataset, config: TrainConfig,

@@ -86,7 +86,10 @@ class RunManifest:
     platform: str
     #: Wall-clock seconds per tier/phase (e.g. {"run": 12.3}).
     timings: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Metrics-registry snapshot taken when the manifest was built.
+    #: Metrics-registry snapshot taken when the manifest was built.  It
+    #: is process-cumulative: under ``repro all`` it includes every
+    #: earlier experiment, while ``extra``'s sweep, training and dataset
+    #: counters are the experiment's own.
     metrics: dict[str, dict] = dataclasses.field(default_factory=dict)
     extra: dict[str, Any] = dataclasses.field(default_factory=dict)
     #: Distributed trace id of the execution (when tracing was on).

@@ -20,18 +20,21 @@ determinism:
   for trained :class:`~repro.core.predictor.InterferencePredictor`s;
 * :mod:`repro.parallel.executor` — :class:`SweepExecutor`, the
   pipeline's one handle: it owns the three caches, and runs deduplicated
-  cache misses (simulations in-process or on the worker pool, trainings
-  one after another) with results bit-identical to serial execution;
+  cache misses (simulations on the worker pool, one slot per usable
+  core by default, or in-process; trainings one after another) with
+  results bit-identical to serial execution;
 * :mod:`repro.parallel.supervise` — that worker pool: one long-lived
   child per slot, with a watchdog, retry and quarantine; it also runs a
-  training's restarts side by side when a second core is usable.
+  training's restarts side by side when a second core is usable, and
+  its :func:`~repro.parallel.supervise.usable_cores` is the one rule
+  that sizes both.
 
 Quick use::
 
     from repro.parallel import SweepExecutor
     from repro.experiments.datagen import bank_to_dataset, collect_windows
 
-    executor = SweepExecutor(n_jobs=4, cache="results/.runcache",
+    executor = SweepExecutor(cache="results/.runcache",
                              windows="results/.dataset",
                              models="results/.modelcache")
     bank = collect_windows(targets, scenarios, config, executor=executor)

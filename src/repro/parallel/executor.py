@@ -21,7 +21,9 @@ layers:
    executor's :meth:`~SweepExecutor.shard_key_for` keys.
 3. **Parallelism** — remaining run misses fan out over the supervised
    worker pool of :mod:`repro.parallel.supervise`: ``n_jobs`` slots,
-   each one long-lived child process.  Determinism is free: every
+   each one long-lived child process, by default one per core the
+   process may use (:func:`~repro.parallel.supervise.usable_cores`, the
+   rule that places training restarts too).  Determinism is free: every
    stochastic component derives its generator via
    :func:`repro.common.rng.derive_seed` from the experiment seed plus a
    stable string path, never from global or temporal state, so a run's
@@ -34,12 +36,16 @@ layers:
 
 A sweep takes one of two paths.  It runs in-process when no
 ``run_timeout``, ``retries`` or worker fault is configured and either
-``n_jobs == 1`` or only one run is pending; every other sweep runs on
-the pool, whose **resilience layer** is always on: a wall-clock
-watchdog terminates overdue workers, a dead or hung child is replaced,
-failed attempts retry with exponential backoff, and runs that keep
-failing are quarantined.  A sweep with poisoned runs *completes*:
-``run_many`` returns ``None`` for the quarantined runs and
+``n_jobs == 1`` (one usable core, ``taskset -c 0``, a daemonic caller,
+or ``n_jobs=1`` given) or only one run is pending; every other sweep
+runs on the pool.  Where a run executes never changes what its failure
+does: without resilience options a run that raises, or whose child
+dies, makes the sweep raise, in-process or on the pool.  With them the
+pool's **resilience layer** is on: a wall-clock watchdog terminates
+overdue workers, a dead or hung child is replaced, failed attempts
+retry with exponential backoff, and runs that keep failing are
+quarantined.  Such a sweep with poisoned runs *completes*: ``run_many``
+returns ``None`` for the quarantined runs and
 :meth:`SweepExecutor.fault_report` says exactly what died, how often,
 and why.  Because every successful run lands in the cache the moment it
 finishes, an interrupted or fault-ridden sweep resumes from the cache:
@@ -88,6 +94,7 @@ from repro.obs import trace as _trace
 from repro.obs.distributed import WALL_CLOCK
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
+from repro.parallel import supervise
 from repro.parallel.cache import ContentCache, RunCache
 from repro.parallel.cachekey import (
     dataset_shard_key,
@@ -97,7 +104,6 @@ from repro.parallel.cachekey import (
     train_key_material,
 )
 from repro.parallel.modelcache import ModelCache
-from repro.parallel.supervise import run_supervised
 from repro.parallel.windowcache import WindowCache
 from repro.workloads.base import Workload
 
@@ -284,8 +290,12 @@ class SweepExecutor:
     Parameters
     ----------
     n_jobs:
-        Worker slots of the pool, at least ``1``.  With ``1`` (default)
-        a sweep without resilience options executes in-process.
+        Worker slots of the pool, at least ``1``.  ``None`` (default)
+        takes :func:`repro.parallel.supervise.usable_cores`: every CPU
+        this process may use, or 1 in a daemonic process.  With ``1`` a
+        sweep without resilience options executes in-process.  The
+        count is resolved here, so :meth:`stats` and the
+        ``parallel.n_jobs`` gauge report the one in use.
     cache:
         The run cache: a :class:`RunCache`, a directory path to open one
         in, or ``None`` for none (in-batch deduplication still applies).
@@ -313,14 +323,16 @@ class SweepExecutor:
         cached runs stay clean.
     """
 
-    def __init__(self, n_jobs: int = 1,
+    def __init__(self, n_jobs: int | None = None,
                  cache: RunCache | str | os.PathLike | None = None,
                  windows: WindowCache | str | os.PathLike | None = None,
                  models: ModelCache | str | os.PathLike | None = None,
                  run_timeout: float | None = None,
                  retries: int = 0,
                  fault_plan: FaultPlan | None = None) -> None:
-        if n_jobs < 1:
+        if n_jobs is None:
+            n_jobs = supervise.usable_cores()
+        elif n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         if run_timeout is not None and not 0 < run_timeout < math.inf:
             raise ValueError(f"run_timeout must be positive and finite, "
@@ -371,14 +383,18 @@ class SweepExecutor:
             return self.fault_plan.sim_material()
         return None
 
+    def _resilient(self) -> bool:
+        """Whether failing runs are retried and quarantined (a timeout,
+        retries or worker faults are set) rather than raised."""
+        return (self.run_timeout is not None or self.retries > 0
+                or (self.fault_plan is not None
+                    and self.fault_plan.has_worker_faults))
+
     def _runs_in_process(self, pending: int) -> bool:
         """Whether ``pending`` runs execute in-process instead of on the
-        pool: no timeout, retries or worker faults to supervise, and
-        nothing to spread (one slot, or at most one run)."""
-        resilient = (self.run_timeout is not None or self.retries > 0
-                     or (self.fault_plan is not None
-                         and self.fault_plan.has_worker_faults))
-        return not resilient and (self.n_jobs == 1 or pending <= 1)
+        pool: nothing to supervise, and nothing to spread (one slot, or
+        at most one run)."""
+        return not self._resilient() and (self.n_jobs == 1 or pending <= 1)
 
     @staticmethod
     def _probe(jobs: list, key_for, cache: ContentCache | None,
@@ -489,9 +505,13 @@ class SweepExecutor:
         """Execute pending runs on :func:`repro.parallel.supervise.
         run_supervised`'s worker pool.
 
-        Runs that keep failing land in :attr:`quarantined`, named by
-        their job's target and seed salt, and the sweep moves on; the
-        pool's retry, timeout and quarantine counts are published as
+        Without resilience options a run that raises or whose child dies
+        makes this raise ``RuntimeError`` once the batch has drained,
+        naming each failed run's target, seed salt and error, as the
+        in-process loop would have raised; the runs that finished are
+        cached.  Otherwise runs that keep failing land in
+        :attr:`quarantined`, named the same way, and the sweep moves on;
+        the pool's retry, timeout and quarantine counts are published as
         ``parallel.retries``, ``parallel.timeouts`` and
         ``parallel.quarantined``.  Returns the per-key attempt records so
         the caller can render retry spans.
@@ -510,7 +530,7 @@ class SweepExecutor:
             self._store(key, jobs[key], run)
             results[key] = run
 
-        stats = run_supervised(
+        stats = supervise.run_supervised(
             items,
             functools.partial(_execute_job, plan=self.fault_plan,
                               trace_id=trace_id),
@@ -519,6 +539,11 @@ class SweepExecutor:
             run_timeout=self.run_timeout,
             retries=self.retries,
         )
+        if stats.quarantined and not self._resilient():
+            raise RuntimeError("; ".join(
+                f"run {job.target.name} (seed salt {job.seed_salt!r}) "
+                f"failed: {stats.quarantined[key]['errors'][-1]}"
+                for key, job in jobs.items() if key in stats.quarantined))
         self.retries_used += stats.retries_used
         self.timeouts += stats.timeouts
         for key, record in stats.quarantined.items():

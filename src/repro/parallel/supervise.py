@@ -2,9 +2,16 @@
 
 :class:`repro.parallel.SweepExecutor` sends each multi-process sweep
 here, and :meth:`repro.core.predictor.InterferencePredictor.train` its
-restarts when a second core is usable: a fixed set of worker *slots*, one
-long-lived child process each, a wall-clock watchdog, bounded retry with
-exponential backoff, and quarantine of items that keep failing.
+restarts: a fixed set of worker *slots*, one long-lived child process
+each, a wall-clock watchdog, bounded retry with exponential backoff, and
+quarantine of items that keep failing.
+
+One rule places both callers' work: :func:`usable_cores` is how many
+CPUs the process may run on (its affinity mask, so ``taskset -c 0``
+counts one), or 1 in a daemonic process, which may not start children.
+A sweep takes that many slots unless the caller names a count
+(``n_jobs``/``--jobs``), and a training's restarts go side by side only
+when it reads 2 or more; at 1 both run in the calling process.
 
 The contract: the caller supplies keyed payloads and a picklable
 ``worker(item)`` callable; :func:`run_supervised` starts
@@ -15,10 +22,11 @@ error and keeps its slot; a child that dies, sends a result the parent
 cannot read, or overruns ``run_timeout`` is terminated, and a fresh
 child takes over the slot for its next item.  An item that still fails
 after every retry is quarantined — recorded in the returned
-:class:`SupervisionStats` and *not* reported as a result, so a sweep
-with poisoned runs completes instead of crashing; the caller decides
-what a quarantined item means.  :func:`backoff_delay` is the retry
-policy, shared with the prediction service's tenants.
+:class:`SupervisionStats` and *not* reported as a result, so a batch
+with poisoned items completes instead of crashing; the caller decides
+what a quarantined item means (a sweep without resilience options and a
+training both raise).  :func:`backoff_delay` is the retry policy, shared
+with the prediction service's tenants.
 
 The parent never polls: it blocks in
 :func:`multiprocessing.connection.wait` on the busy slots' result pipes
@@ -26,12 +34,13 @@ and every child's sentinel until the next watchdog deadline or retry
 backoff falls due.  It hands a freed slot its next item before it
 handles the finished one, so the child computes while the parent merges
 and stores.  DESIGN.md §7 has the measurements that made this pool the
-only multi-process path, and §10 those that put the training restarts
-on it.
+only multi-process path and the sweeps' default, and §10 those that put
+the training restarts on it.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -39,13 +48,35 @@ from typing import Any, Callable
 from repro.obs.log import get_logger
 
 __all__ = ["RETRY_BACKOFF", "SupervisionStats", "backoff_delay",
-           "run_supervised"]
+           "run_supervised", "usable_cores"]
 
 logger = get_logger("parallel.supervise")
 
 #: Base of the sweep's exponential retry backoff in seconds (attempt
 #: ``k`` waits ``RETRY_BACKOFF * 2**k``).
 RETRY_BACKOFF = 0.05
+
+
+def usable_cores() -> int:
+    """How many slots independent work takes: the placement rule.
+
+    The CPUs in this process's affinity mask (``os.sched_getaffinity``,
+    so ``taskset -c 0`` counts one; ``os.cpu_count()`` where the
+    platform has no mask), or 1 in a daemonic process — a pool child,
+    say — which may not start children of its own.  A sweep at the
+    default ``n_jobs`` takes this many slots, and a training's restarts
+    go side by side only when it is 2 or more.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    if cores < 2:
+        return 1
+    # Imported here, so a one-core process never loads it.
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else cores
 
 
 def backoff_delay(base: float, attempt: int, *, cap: float = 30.0,
@@ -227,8 +258,10 @@ def run_supervised(
                 "attempts": attempt + 1,
                 "errors": list(errors[key]),
             }
+            # The caller decides what giving up means: a resilient sweep
+            # quarantines the item, any other caller raises.
             logger.error(
-                "%s quarantined after %d attempt(s): %s",
+                "%s gave up after %d attempt(s): %s",
                 key[:12], attempt + 1, message,
             )
 

@@ -27,6 +27,13 @@ def synthetic_dataset(n=300, servers=4, feats=8, n_classes=2, seed=0):
     return Dataset(X, y, feature_names=tuple(f"f{i}" for i in range(feats)))
 
 
+def usable_cpus(monkeypatch, cores):
+    """Give the process an affinity mask of ``cores`` CPUs, which the
+    shared placement probe (``supervise.usable_cores``) reads."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+
+
 def test_train_and_evaluate_binary():
     ds = synthetic_dataset()
     train, test = train_test_split(ds, 0.2, seed=0)
@@ -93,7 +100,7 @@ def test_training_is_bit_identical_without_the_blas_scope(monkeypatch):
 
     # Side by side, the parent pins the children's BLAS before the
     # patched loop could leave it unpinned: train in-process.
-    monkeypatch.setattr(predictor_mod, "_cores", lambda: 1)
+    usable_cpus(monkeypatch, 1)
     pinned = fit()
     monkeypatch.setattr(train_mod, "single_blas_thread",
                         contextlib.nullcontext)
@@ -128,10 +135,11 @@ def bounded():
 
 
 def train_on(monkeypatch, train_set, cores, restarts=3):
-    """Train with the core probe reading ``cores``; returns the predictor
-    and the parent's ``train.*`` metrics: the epoch count and epoch-timer
-    count it gained, and the final validation-loss and gradient gauges."""
-    monkeypatch.setattr(predictor_mod, "_cores", lambda: cores)
+    """Train with the placement probe reading ``cores`` CPUs; returns the
+    predictor and the parent's ``train.*`` metrics: the epoch count and
+    epoch-timer count it gained, and the final validation-loss and
+    gradient gauges."""
+    usable_cpus(monkeypatch, cores)
     epochs = REGISTRY.counter("train.epochs").value
     timed = REGISTRY.histogram("train.epoch_seconds").count
     predictor = InterferencePredictor.train(train_set, config=FANOUT_CONFIG,
@@ -224,7 +232,7 @@ def test_restarts_stay_in_process(monkeypatch, fanout_set, restarts, cores,
 
 def test_bad_inputs_raise_before_any_child(monkeypatch, fanout_set):
     forbid_children(monkeypatch)
-    monkeypatch.setattr(predictor_mod, "_cores", lambda: 2)
+    usable_cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match="restarts must be >= 1"):
         InterferencePredictor.train(fanout_set, restarts=0)
     with pytest.raises(ValueError, match="classes but thresholds"):

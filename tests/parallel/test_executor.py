@@ -1,12 +1,18 @@
-"""Tests for the sweep executor: dedup, caching, parallel determinism."""
+"""Tests for the sweep executor: dedup, caching, parallel determinism,
+placement and failed runs."""
 
 import logging
+import multiprocessing
+import os
+import re
 
 import numpy as np
+import pytest
 
 from repro.experiments.datagen import Scenario, collect_windows
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
-from repro.parallel import PairJob, RunCache, RunJob, SweepExecutor
+from repro.parallel import PairJob, RunCache, RunJob, SweepExecutor, supervise
+from repro.workloads.base import Workload
 from repro.workloads.io500 import make_io500_task
 
 
@@ -73,17 +79,18 @@ def test_run_one_matches_direct_execution():
 
 
 def test_parallel_bit_identical_to_serial():
-    """The acceptance criterion: n_jobs=4 must produce the exact same
-    WindowBank as n_jobs=1, bit for bit."""
+    """The acceptance criterion: n_jobs=4, and the default slot count,
+    must produce the exact same WindowBank as n_jobs=1, bit for bit."""
     serial = collect_windows(small_targets(), small_scenarios(),
                              small_config(),
                              executor=SweepExecutor(n_jobs=1))
-    parallel = collect_windows(small_targets(), small_scenarios(),
-                               small_config(),
-                               executor=SweepExecutor(n_jobs=4))
-    assert np.array_equal(serial.X, parallel.X)
-    assert np.array_equal(serial.levels, parallel.levels)
-    assert serial.sources == parallel.sources
+    for n_jobs in (4, None):
+        parallel = collect_windows(small_targets(), small_scenarios(),
+                                   small_config(),
+                                   executor=SweepExecutor(n_jobs=n_jobs))
+        assert np.array_equal(serial.X, parallel.X)
+        assert np.array_equal(serial.levels, parallel.levels)
+        assert serial.sources == parallel.sources
 
 
 def test_warm_cache_executes_zero_runs(tmp_path):
@@ -166,3 +173,119 @@ def test_parallel_merges_worker_metrics(tmp_path):
     SweepExecutor(n_jobs=2).run_many(jobs)
     after = REGISTRY.counter("monitor.server_samples").value
     assert after > before
+
+
+# -- placement ----------------------------------------------------------------
+
+
+def two_pending_runs():
+    return [RunJob(small_targets()[0], (), small_config(), seed_salt=""),
+            RunJob(small_targets()[0],
+                   (InterferenceSpec("ior-easy-read", instances=1, ranks=2,
+                                     scale=0.1),),
+                   small_config(), seed_salt="noise")]
+
+
+def test_one_usable_core_keeps_the_default_sweep_in_process(monkeypatch):
+    def run_supervised(*args, **kwargs):
+        raise AssertionError("the sweep started child processes")
+
+    monkeypatch.setattr(supervise, "usable_cores", lambda: 1)
+    monkeypatch.setattr(supervise, "run_supervised", run_supervised)
+    executor = SweepExecutor()
+    assert executor.n_jobs == 1
+    assert all(run is not None for run in executor.run_many(two_pending_runs()))
+
+
+def test_two_usable_cores_put_the_default_sweep_on_the_pool(monkeypatch):
+    """The default takes one slot per usable core, resolved when the
+    executor is built, so its stats and gauge report the count used."""
+    from repro.obs.metrics import REGISTRY
+
+    slots = []
+    run_supervised = supervise.run_supervised
+
+    def spy(items, worker, *, workers, **kwargs):
+        slots.append(workers)
+        return run_supervised(items, worker, workers=workers, **kwargs)
+
+    monkeypatch.setattr(supervise, "usable_cores", lambda: 2)
+    monkeypatch.setattr(supervise, "run_supervised", spy)
+    executor = SweepExecutor()
+    assert executor.stats()["n_jobs"] == 2
+    assert REGISTRY.gauge("parallel.n_jobs").value == 2
+    assert all(run is not None for run in executor.run_many(two_pending_runs()))
+    assert slots == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_daemonic_caller_resolves_to_one_slot(monkeypatch):
+    """A daemonic process may not start children, whatever its mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert SweepExecutor().n_jobs == 2
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert SweepExecutor().n_jobs == 1
+
+
+# -- failed runs --------------------------------------------------------------
+
+
+class BrokenTarget(Workload):
+    """A target whose rank raises, or kills its process, when it starts."""
+
+    def __init__(self, failure: str) -> None:
+        self.name = f"broken-{failure}"
+        self.failure = failure
+
+    @property
+    def ranks(self) -> int:
+        return 1
+
+    def rank_body(self, session, rank, rng, instance=0):
+        if self.failure == "exit":
+            os._exit(3)
+        raise RuntimeError("simulator bug")
+        yield  # pragma: no cover — makes this a generator
+
+
+#: How a broken run fails, and the error the pool reports for it.
+FAILURES = [("raise", "RuntimeError: simulator bug"),
+            ("exit", "worker died silently (exitcode 3)")]
+
+
+@pytest.mark.parametrize("failure,error", FAILURES, ids=["raise", "exit"])
+def test_a_failing_run_fails_a_pooled_sweep(tmp_path, failure, error):
+    """Without resilience options a run that raises, or whose child
+    dies, makes a pooled sweep raise as the in-process loop does, naming
+    the run; the run that finished is cached."""
+    good = RunJob(small_targets()[0], (), small_config())
+    bad = RunJob(BrokenTarget(failure), (), small_config(), seed_salt="s1")
+    executor = SweepExecutor(n_jobs=2, cache=tmp_path / "c")
+    expected = f"run broken-{failure} (seed salt 's1') failed: {error}"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+        executor.run_many([good, bad])
+    assert multiprocessing.active_children() == []
+    assert not executor.quarantined
+    assert executor.key_for(good) in executor.cache
+    assert executor.key_for(bad) not in executor.cache
+
+
+def test_a_failing_run_fails_an_in_process_sweep():
+    good = RunJob(small_targets()[0], (), small_config())
+    bad = RunJob(BrokenTarget("raise"), (), small_config(), seed_salt="s1")
+    with pytest.raises(RuntimeError, match="^simulator bug$"):
+        SweepExecutor(n_jobs=1).run_many([good, bad])
+
+
+@pytest.mark.parametrize("failure,error", FAILURES, ids=["raise", "exit"])
+def test_a_resilient_sweep_quarantines_a_failing_run(failure, error):
+    good = RunJob(small_targets()[0], (), small_config())
+    bad = RunJob(BrokenTarget(failure), (), small_config(), seed_salt="s1")
+    executor = SweepExecutor(n_jobs=2, retries=1)
+    run, quarantined = executor.run_many([good, bad])
+    assert run is not None and quarantined is None
+    assert executor.quarantined == {executor.key_for(bad): {
+        "target": f"broken-{failure}", "seed_salt": "s1", "attempts": 2,
+        "errors": [error, error]}}
+    assert multiprocessing.active_children() == []

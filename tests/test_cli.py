@@ -1,5 +1,7 @@
 """Tests for the command-line entry point (parsing-level)."""
 
+import os
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, _RUNNERS, main
@@ -194,7 +196,33 @@ def test_cli_warm_cache_recorded_in_manifest(tmp_path, capsys):
     assert cold.extra["sweep"]["cache"]["stores"] == 1
     assert warm.extra["sweep"]["runs_executed"] == 0
     assert warm.extra["sweep"]["cache"]["hits"] == 1
-    assert warm.extra["sweep"]["n_jobs"] == 1
+    # The default slot count, resolved: every CPU this process may use.
+    assert warm.extra["sweep"]["n_jobs"] == len(os.sched_getaffinity(0))
+
+
+def test_all_manifests_count_each_experiments_own_work(tmp_path, capsys,
+                                                       monkeypatch):
+    """Under ``all`` each manifest's sweep and training counters are its
+    experiment's own, not running totals; the metric snapshot stays
+    process-cumulative."""
+    from repro.obs.manifest import load_manifest
+
+    monkeypatch.setattr("repro.__main__.EXPERIMENTS", ("fig1", "table2"))
+    assert main(["all", "--fast", "--no-cache", "--no-dataset-cache",
+                 "--no-model-cache", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    fig1 = load_manifest(tmp_path / "fig1.manifest.json")
+    table2 = load_manifest(tmp_path / "table2.manifest.json")
+    assert fig1.extra["sweep"]["runs_executed"] == 5
+    assert fig1.extra["sweep"]["runs_deduplicated"] == 3
+    assert table2.extra["sweep"]["runs_executed"] == 1
+    assert table2.extra["sweep"]["runs_deduplicated"] == 0
+    for manifest in (fig1, table2):
+        assert manifest.extra["training"]["trainings_executed"] == 0
+        assert manifest.extra["training"]["jobs_deduplicated"] == 0
+    executed = [manifest.metrics["parallel.runs_executed"]["value"]
+                for manifest in (fig1, table2)]
+    assert executed[1] - executed[0] == 1
 
 
 def test_observability_flags_and_obs_summary(tmp_path, capsys):
