@@ -25,9 +25,11 @@ faults is refused, since the ``robustness`` experiment sweeps its own),
 often a failed run is retried before being quarantined — a sweep with
 poisoned runs completes and reports them instead of crashing.
 
-``--fast`` shrinks workloads for a quick smoke pass; default sizes match
-the benchmark suite. Results print to stdout; pass ``--out DIR`` to also
-write one text file per experiment. Every output path (``--out``,
+``--fast`` shrinks workloads for a quick smoke pass (IO500 targets at
+``target_scale`` 0.15 instead of the default 0.4; the paper-shape
+benchmarks under ``benchmarks/`` set their own, larger sizes, e.g.
+0.8). Results print to stdout; pass ``--out DIR`` to also write one
+text file per experiment. Every output path (``--out``,
 ``--trace``, ``--metrics-out``, ``--model-out``, ``--report-out``,
 ``--chrome-trace``) is checked before any work: an unusable one is one
 ``error:`` line and exit 2.
@@ -38,7 +40,10 @@ under ``all``) and hands it to the experiment; it owns the run, window
 and model caches. Independent simulation runs fan out over one worker
 process per CPU this process may use (``taskset -c 0`` makes that one),
 with bit-identical results; ``--jobs N`` (N >= 1) sets the count, and
-``--jobs 1`` runs sweeps in-process unless a resilience option is given.
+``--jobs 1`` runs sweeps in-process unless ``--run-timeout`` or
+``--retries`` asks for a supervised child. Where a run executes shows
+in no output, trace or failure, and in the metrics only as the slot
+count and the number of per-slot busy series.
 Runs persist in a content-addressed cache (``--cache-dir``, default
 ``results/.runcache``) so e.g. ``fig4`` re-bins ``fig3``'s cached IO500
 sweep and a re-run after a training-side change simulates nothing.

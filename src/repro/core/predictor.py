@@ -6,11 +6,12 @@ thresholds. At runtime it consumes the same per-server vectors the
 monitors emit and predicts each window's interference severity class.
 
 Training runs ``restarts`` independent initialisations and keeps the
-best.  When the process may use a second core they train side by side,
-one supervised child process per restart (:mod:`repro.parallel.
-supervise`, whose ``usable_cores`` places sweeps too); otherwise, and
-always in a daemonic process, one after another in the caller.  Both
-placements produce the same bits.
+best, as one batch of :func:`repro.parallel.supervise.run_supervised`,
+the runner the sweeps use.  When the process may use a second core the
+batch takes one slot per restart, and they train side by side in child
+processes; otherwise, and always in a daemonic process, it takes one
+slot and they train one after another in the caller.  Both placements
+produce the same bits and the same ``train.*`` metrics.
 
 Two deployment-side capabilities live here alongside training:
 
@@ -50,7 +51,6 @@ from repro.core.nn.train import (
     train_classifier,
 )
 from repro.monitor.aggregator import MonitoredRun, assemble_vectors
-from repro.obs.metrics import REGISTRY
 
 __all__ = ["InterferencePredictor", "DeployedPredictor", "PREDICTOR_FORMAT"]
 
@@ -60,72 +60,19 @@ PREDICTOR_FORMAT = 1
 _PREDICTOR_KIND = "repro-interference-predictor"
 
 
-def _side_by_side(restarts: int) -> bool:
-    """Whether ``restarts`` train in child processes, one each: more
-    than one restart, and the sweeps' placement rule
-    (:func:`repro.parallel.supervise.usable_cores`) allows more than one
-    slot — more than one core, and a caller that may start children."""
-    # Imported here: repro.parallel imports this module.
-    from repro.parallel.supervise import usable_cores
-
-    return restarts > 1 and usable_cores() > 1
-
-
 def _train_restart(net, train_set: Dataset, config: TrainConfig,
-                   normalizer: Normalizer, seed: int, restart: int
+                   normalizer: Normalizer, seed: int,
+                   item: tuple[str, int, int]
                    ) -> tuple[list[np.ndarray], TrainHistory]:
-    """Restart ``restart`` of a training: build ``net`` from
-    ``restart_seed(seed, restart)``, run the full loop, and return the
-    trained parameter values and the history."""
+    """Batch body: train restart ``r`` of ``item = (key, r, attempt)``.
+
+    Builds ``net`` from ``restart_seed(seed, r)``, runs the full loop,
+    and returns the trained parameter values and the history."""
+    _, restart, _ = item
     model = net(seed=restart_seed(seed, restart))
     history = train_classifier(model, train_set.X, train_set.y, config,
                                normalizer=normalizer)
     return [p.value for p in model.params()], history
-
-
-def _restart_in_child(train_restart, item: tuple[str, int, int]):
-    """Pool worker: one restart on a clean metrics registry, shipping
-    the registry delta back with the result (fork-started children
-    inherit the parent's registry)."""
-    _, restart, _ = item
-    REGISTRY.reset()
-    values, history = train_restart(restart)
-    return values, history, REGISTRY.snapshot()
-
-
-def _train_side_by_side(train_restart, restarts: int
-                        ) -> list[tuple[list[np.ndarray], TrainHistory]]:
-    """Every restart on its own slot of the supervised pool.
-
-    OpenBLAS is pinned to one thread once, here, so the children inherit
-    the resolved library handle and the pin.  Each child's registry
-    delta is merged in restart order without a worker label, so the
-    ``train.*`` counters, histograms and final gauges equal the serial
-    loop's.  A restart that raises, or whose child dies, makes this
-    raise: no restart is dropped.
-    """
-    from repro.parallel.supervise import run_supervised
-
-    keys = [f"restart {r}" for r in range(restarts)]
-    shipped: dict[str, tuple] = {}
-    with single_blas_thread():
-        stats = run_supervised(
-            list(zip(keys, range(restarts))),
-            functools.partial(_restart_in_child, train_restart),
-            workers=restarts,
-            on_success=lambda key, result, slot: shipped.update({key: result}),
-        )
-    failed = [key for key in keys if key in stats.quarantined]
-    if failed:
-        raise RuntimeError("training " + "; ".join(
-            f"{key} failed: {stats.quarantined[key]['errors'][-1]}"
-            for key in failed))
-    outcomes = []
-    for key in keys:
-        values, history, delta = shipped[key]
-        REGISTRY.merge_snapshot(delta)
-        outcomes.append((values, history))
-    return outcomes
 
 
 @dataclass
@@ -178,13 +125,20 @@ class InterferencePredictor:
         loss.  Restart ``r`` initialises from ``restart_seed(seed, r)``,
         so the result is deterministic given ``seed``.
 
-        With more than one restart and more than one usable core the
-        restarts train side by side, one supervised child process each;
-        otherwise they train one after another in this process.  The
-        trained parameters, the history and the ``train.*`` metrics are
-        the same either way.  Bad inputs raise ``ValueError`` before any
-        restart starts; a restart that fails makes this raise.
+        The restarts are one batch of
+        :func:`repro.parallel.supervise.run_supervised`: one slot per
+        restart when more than one core is usable, so they train side by
+        side in child processes, else one slot, so they train one after
+        another in this process.  The trained parameters, the history
+        and the ``train.*`` metrics are the same either way.  OpenBLAS
+        is pinned to one thread around the batch, so children inherit
+        the resolved library handle and the pin.  Bad inputs raise
+        ``ValueError`` before any restart starts; a restart that fails
+        makes this raise once every restart has finished, naming it.
         """
+        # Imported here: repro.parallel imports this module.
+        from repro.parallel import supervise
+
         n_classes = cls.check_train_inputs(train_set, thresholds, restarts)
         # The training loop normalises each batch as it is gathered.
         normalizer = Normalizer().fit(train_set.X)
@@ -192,12 +146,22 @@ class InterferencePredictor:
         net = functools.partial(
             KernelInterferenceNet, n_servers=train_set.n_servers,
             n_features=train_set.n_features, n_classes=n_classes)
-        train_restart = functools.partial(_train_restart, net, train_set,
-                                          config, normalizer, seed)
-        if _side_by_side(restarts):
-            outcomes = _train_side_by_side(train_restart, restarts)
-        else:
-            outcomes = [train_restart(r) for r in range(restarts)]
+        keys = [f"restart {r}" for r in range(restarts)]
+        trained: dict[str, tuple[list[np.ndarray], TrainHistory]] = {}
+        with single_blas_thread():
+            stats = supervise.run_supervised(
+                list(zip(keys, range(restarts))),
+                functools.partial(_train_restart, net, train_set, config,
+                                  normalizer, seed),
+                workers=restarts if supervise.usable_cores() > 1 else 1,
+                on_success=lambda key, result, slot: trained.update(
+                    {key: result}),
+            )
+        if stats.quarantined:
+            raise RuntimeError("training " + "; ".join(
+                f"{key} failed: {stats.quarantined[key]['errors'][-1]}"
+                for key in keys if key in stats.quarantined))
+        outcomes = [trained[key] for key in keys]
 
         def score(restart: int) -> float:
             val_loss = outcomes[restart][1].val_loss

@@ -187,13 +187,13 @@ def collect_windows(
     from repro.obs import profile as _profile
     from repro.obs.log import get_logger
     from repro.obs.metrics import REGISTRY
-    from repro.parallel import PairJob, SweepExecutor, dataset_sweep_key
+    from repro.parallel import RunJob, SweepExecutor, dataset_sweep_key
 
     executor = executor or SweepExecutor()
     windows = executor.windows
     sweep = sweep_pairs(targets, scenarios, include_quiet_windows)
-    jobs = [PairJob(target, tuple(scenario.interference), config,
-                    seed_salt=scenario.name)
+    jobs = [RunJob(target, tuple(scenario.interference), config,
+                   seed_salt=scenario.name)
             for target, scenario in sweep]
     parts: list[WindowBank | None] = [None] * len(sweep)
     if windows is not None:

@@ -71,21 +71,21 @@ def run_device_ablation(
     baseline shared by two cells runs once per device.  A cell whose
     runs were quarantined is skipped with a warning.
     """
-    from repro.parallel import PairJob, SweepExecutor
+    from repro.parallel import RunJob, SweepExecutor
 
     config = config or ExperimentConfig()
     executor = executor or SweepExecutor()
     flash = replace(config, cluster=replace(config.cluster, disk=FlashParams()))
     names: list[tuple[str, str]] = []
-    jobs: list[PairJob] = []
+    jobs: list[RunJob] = []
     for device, dev_config in (("hdd", config), ("ssd", flash)):
         for cell, (target_task, noise_task) in _CELLS.items():
             target = make_io500_task(target_task, ranks=4, scale=target_scale)
             noise = (InterferenceSpec(noise_task, instances=noise_instances,
                                       ranks=noise_ranks, scale=noise_scale),)
             names.append((device, cell))
-            jobs.append(PairJob(target, noise, dev_config,
-                                seed_salt=f"dev-{device}-{cell}"))
+            jobs.append(RunJob(target, noise, dev_config,
+                               seed_salt=f"dev-{device}-{cell}"))
     slowdowns: dict[tuple[str, str], float] = {}
     for name, pair in zip(names, executor.run_pairs(jobs)):
         if pair is None:

@@ -76,12 +76,12 @@ def _collect_panels(
     Every panel's pairs go to ``executor`` in one call, so the
     noise-free baseline they all share runs once.
     """
-    from repro.parallel import PairJob, SweepExecutor
+    from repro.parallel import RunJob, SweepExecutor
 
     executor = executor or SweepExecutor()
     target = EnzoWorkload(enzo_cfg)
     pairs = iter(executor.run_pairs([
-        PairJob(target, tuple(noise), config, seed_salt=f"fig1-{name}")
+        RunJob(target, tuple(noise), config, seed_salt=f"fig1-{name}")
         for conditions in panels for name, noise in conditions.items()
     ]))
     return [_series(target, {name: next(pairs) for name in conditions},

@@ -194,26 +194,21 @@ class MetricsRegistry:
         return {name: self._metrics[name].to_dict()
                 for name in sorted(self._metrics)}
 
-    def merge_snapshot(self, snapshot: dict[str, dict],
-                       worker: str | None = None) -> None:
+    def merge_snapshot(self, snapshot: dict[str, dict]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        Used by the parallel executors: worker processes return their
-        registry snapshot with each finished unit of work, and merging
-        keeps the parent's counters equal to what a serial execution
-        would have recorded.  The merge is **type-aware**:
+        Used by :func:`repro.parallel.supervise.run_supervised`: a child
+        process ships its registry delta with each finished item, and the
+        parent merges the deltas in submission order, so its registry
+        ends as if it had run every item itself.  The merge is
+        **type-aware**:
 
         * **counters** sum;
         * **histograms** merge bucket-wise (plus sum/count/min/max);
-        * **gauges** are instantaneous, so there is no meaningful sum.
-          Without a ``worker`` label the merged value overwrites (last
-          delivery wins — an explicit, documented reduce, only safe when
-          snapshots arrive in a meaningful order).  With a ``worker``
-          label each origin keeps its own value as a labeled series
-          ``name{worker=<label>}`` — nothing is silently clobbered, and
-          because the sweep executor labels by stable work identity (the
-          run-key prefix, never a pid) the merged registry is
-          deterministic whatever order snapshots complete in.
+        * **gauges** are instantaneous, so there is no meaningful sum:
+          the merged value overwrites (last delivery wins — an explicit,
+          documented reduce, only safe when snapshots arrive in a
+          meaningful order, as submission order is).
         """
         for name in sorted(snapshot):
             doc = snapshot[name]
@@ -221,10 +216,7 @@ class MetricsRegistry:
             if kind == Counter.kind:
                 self.counter(name).inc(doc["value"])
             elif kind == Gauge.kind:
-                if worker is not None:
-                    self.gauge(f"{name}{{worker={worker}}}").set(doc["value"])
-                else:
-                    self.gauge(name).set(doc["value"])
+                self.gauge(name).set(doc["value"])
             elif kind == Histogram.kind:
                 hist = self.histogram(name, doc["boundaries"])
                 counts = doc["counts"]

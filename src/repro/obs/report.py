@@ -12,9 +12,10 @@ them two ways:
 * a **Chrome trace-event JSON** (``--chrome-trace out.json``) loadable
   in Perfetto / ``about:tracing``.  The two clock domains become two
   trace "processes" (simulated time vs wall clock); within each, spans
-  group into one track per worker label, so a ``--jobs 4`` sweep renders
-  as four parallel lanes of queue-wait/execute/cache activity above the
-  per-request simulated-time flame graphs they produced.
+  group into one track per worker label (one per run), so a sweep
+  renders as one lane of queue-wait/execute/retry activity per run
+  above the per-request simulated-time flame graphs they produced —
+  the same lanes whether the runs executed in-process or on the pool.
 
 Only file contents are consulted, never live process state — the same
 offline discipline as :mod:`repro.obs.summary`.
@@ -81,7 +82,10 @@ def executor_health(snapshot: dict[str, dict]) -> list[str]:
     """Health lines derived from the executor/cache metric namespaces.
 
     Reads the merged registry snapshot only; every line degrades to
-    absence when the underlying metrics were never recorded.
+    absence when the underlying metrics were never recorded.  The
+    workers line pairs ``parallel.workers_used`` with the per-slot
+    ``parallel.worker_busy_seconds{worker=wN}`` counters, both summed
+    over the process, so it names one busy value per used slot.
     """
     lines: list[str] = []
     for prefix, label in (("parallel.cache", "run cache"),

@@ -20,14 +20,17 @@ determinism:
   for trained :class:`~repro.core.predictor.InterferencePredictor`s;
 * :mod:`repro.parallel.executor` — :class:`SweepExecutor`, the
   pipeline's one handle: it owns the three caches, and runs deduplicated
-  cache misses (simulations on the worker pool, one slot per usable
-  core by default, or in-process; trainings one after another) with
-  results bit-identical to serial execution;
-* :mod:`repro.parallel.supervise` — that worker pool: one long-lived
-  child per slot, with a watchdog, retry and quarantine; it also runs a
-  training's restarts side by side when a second core is usable, and
-  its :func:`~repro.parallel.supervise.usable_cores` is the one rule
-  that sizes both.
+  cache misses (simulations through the batch runner, one slot per
+  usable core by default; trainings one after another) with results
+  bit-identical to serial execution;
+* :mod:`repro.parallel.supervise` — that batch runner,
+  :func:`~repro.parallel.supervise.run_supervised`: in-process when one
+  slot is enough and nothing needs supervising, else a worker pool with
+  one long-lived child per slot, a watchdog, retry and quarantine.  It
+  runs every sweep and every training's restarts, hands the children's
+  metrics back to the parent, and looks the same to its callers in both
+  placements; its :func:`~repro.parallel.supervise.usable_cores` is the
+  one rule that sizes both callers' batches.
 
 Quick use::
 
@@ -61,7 +64,6 @@ from repro.parallel.cachekey import (
 )
 from repro.parallel.executor import (
     InjectedWorkerFault,
-    PairJob,
     RunJob,
     SweepExecutor,
     TrainJob,
@@ -79,7 +81,6 @@ __all__ = [
     "DATASET_FORMAT",
     "InjectedWorkerFault",
     "ModelCache",
-    "PairJob",
     "RunCache",
     "RunJob",
     "SupervisionStats",

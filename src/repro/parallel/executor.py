@@ -19,11 +19,11 @@ layers:
    :class:`~repro.parallel.windowcache.WindowCache` is read and filled
    by :func:`repro.experiments.datagen.collect_windows`, under the
    executor's :meth:`~SweepExecutor.shard_key_for` keys.
-3. **Parallelism** — remaining run misses fan out over the supervised
-   worker pool of :mod:`repro.parallel.supervise`: ``n_jobs`` slots,
-   each one long-lived child process, by default one per core the
-   process may use (:func:`~repro.parallel.supervise.usable_cores`, the
-   rule that places training restarts too).  Determinism is free: every
+3. **Parallelism** — remaining run misses go to
+   :func:`repro.parallel.supervise.run_supervised`, the one batch
+   runner: ``n_jobs`` slots, by default one per core the process may use
+   (:func:`~repro.parallel.supervise.usable_cores`, the rule that sizes
+   training restarts too).  Determinism is free: every
    stochastic component derives its generator via
    :func:`repro.common.rng.derive_seed` from the experiment seed plus a
    stable string path, never from global or temporal state, so a run's
@@ -32,40 +32,44 @@ layers:
    submission order, making parallel output **bit-identical** to serial.
    Trainings execute one after another; inside one,
    :meth:`~repro.core.predictor.InterferencePredictor.train` runs the
-   restarts side by side when a second core is free (DESIGN.md §10).
+   restarts through the same runner (DESIGN.md §10).
 
-A sweep takes one of two paths.  It runs in-process when no
-``run_timeout``, ``retries`` or worker fault is configured and either
-``n_jobs == 1`` (one usable core, ``taskset -c 0``, a daemonic caller,
-or ``n_jobs=1`` given) or only one run is pending; every other sweep
-runs on the pool.  Where a run executes never changes what its failure
-does: without resilience options a run that raises, or whose child
-dies, makes the sweep raise, in-process or on the pool.  With them the
-pool's **resilience layer** is on: a wall-clock watchdog terminates
-overdue workers, a dead or hung child is replaced, failed attempts
-retry with exponential backoff, and runs that keep failing are
-quarantined.  Such a sweep with poisoned runs *completes*: ``run_many``
-returns ``None`` for the quarantined runs and
+Every sweep takes that one path; the runner alone decides where the runs
+execute.  With no ``run_timeout`` or ``retries`` and one slot to fill
+(``n_jobs == 1`` — one usable core, ``taskset -c 0``, a daemonic
+caller, or ``n_jobs=1`` given — or one pending run) they run in this
+process, otherwise in supervised child processes.  Where a run executes
+changes nothing the caller can see: the same results, the same metrics,
+the same trace and the same failures.  Without resilience options a run
+that raises, or whose child dies, makes the sweep raise once the batch
+has drained, naming the run; the runs that finished are cached.  With a
+``run_timeout``, ``retries`` or a worker fault the **resilience layer**
+is on: a wall-clock watchdog terminates overdue workers, a dead or hung
+child is replaced, failed attempts retry with exponential backoff, and
+runs that keep failing are quarantined.  Such a sweep with poisoned runs
+*completes*: ``run_many`` returns ``None`` for the quarantined runs and
 :meth:`SweepExecutor.fault_report` says exactly what died, how often,
 and why.  Because every successful run lands in the cache the moment it
 finishes, an interrupted or fault-ridden sweep resumes from the cache:
 re-running it re-executes only the runs that never completed.
 
-Worker processes reset the metrics registry, execute, and ship their
-registry snapshot back with the run; the parent merges the snapshots
-(type-aware: counters sum, histograms merge bucket-wise, gauges become
-per-worker labeled series) so ``monitor.*``/``sim.*`` counters match
-what a serial sweep would have recorded.  Per-run wall time lands in the
-``parallel.run_seconds`` histogram either way.
+The runner hands each run's metrics to the parent registry (a child
+ships its delta, merged without labels in submission order), so
+``monitor.*``/``sim.*`` counters, histograms and gauges end as a serial
+sweep leaves them.  Per-run wall time lands in the
+``parallel.run_seconds`` histogram, and per-slot busy time in the
+``parallel.worker_busy_seconds{worker=wN}`` counters.
 
-With a tracer installed, parallel workers additionally attach a fresh
-tracer under the parent's trace id, ship their finished spans back with
-each result, and the parent merges every shipment into one coherent
-multi-process timeline: wall-clock ``job.*`` spans (queue-wait, execute,
-retry) and ``cache.probe`` spans wrap each job, with the worker's
-simulated-time spans nested under its ``job.execute``.  Merged span ids
-are allocated in *submission* order, so the timeline's shape is
-deterministic whatever order workers finish in.
+With a tracer installed, every run attaches a fresh tracer under the
+parent's trace id and ships its finished spans back with the result
+(in-process too, restoring the caller's tracer after), and the parent
+merges every shipment into one timeline: wall-clock ``job.*`` spans
+(queue-wait, execute, retry) and ``cache.probe`` spans wrap each job,
+with the run's simulated-time spans nested under its ``job.execute``;
+a quarantined run keeps its ``job.run``, marked ``quarantined``, with
+its queue-wait and one ``job.retry`` per failed attempt.  Merged span
+ids are allocated in *submission* order, so the timeline's shape is
+deterministic whatever order or placement the runs finish in.
 """
 
 from __future__ import annotations
@@ -107,8 +111,7 @@ from repro.parallel.modelcache import ModelCache
 from repro.parallel.windowcache import WindowCache
 from repro.workloads.base import Workload
 
-__all__ = ["RunJob", "PairJob", "TrainJob", "SweepExecutor",
-           "InjectedWorkerFault"]
+__all__ = ["RunJob", "TrainJob", "SweepExecutor", "InjectedWorkerFault"]
 
 logger = get_logger("parallel.executor")
 
@@ -119,17 +122,8 @@ class InjectedWorkerFault(RuntimeError):
 
 @dataclass
 class RunJob:
-    """One monitored execution (the executor's unit of work)."""
-
-    target: Workload
-    interference: tuple[InterferenceSpec, ...] = ()
-    config: ExperimentConfig = field(default_factory=ExperimentConfig)
-    seed_salt: str = ""
-
-
-@dataclass
-class PairJob:
-    """One baseline + interfered pair (what the dataset sweeps submit)."""
+    """One monitored execution (the executor's unit of work), or, given
+    to :meth:`SweepExecutor.run_pairs`, one baseline + interfered pair."""
 
     target: Workload
     interference: tuple[InterferenceSpec, ...] = ()
@@ -156,124 +150,134 @@ class TrainJob:
 def _execute_job(item: tuple[str, RunJob, int],
                  plan: FaultPlan | None = None,
                  trace_id: str | None = None):
-    """Worker body: run one job and return (run, wall, metrics, aux).
+    """Batch body: run one job and return (run, wall, aux).
 
-    Runs in a worker-pool child.  The metrics registry is reset first so
-    the returned snapshot is exactly this job's delta (fork-started
-    workers inherit the parent's state).
-    When the parent is tracing it passes its ``trace_id`` (``""`` for a
-    tracer without one): the worker attaches a fresh tracer under it and
-    ships the finished spans back in ``aux["trace"]``; ``None`` detaches
-    any inherited tracer instead, so fork-started workers never record
-    into the parent's span list.
-    ``aux`` also carries the worker's ``time.monotonic()`` start stamp,
+    Runs wherever :func:`~repro.parallel.supervise.run_supervised` puts
+    it: in a pool child or in the calling process.  When the caller is
+    tracing it passes its ``trace_id`` (``""`` for a tracer without
+    one): the job attaches a fresh tracer under it and ships the
+    finished spans back in ``aux["trace"]``; ``None`` detaches any
+    inherited tracer instead, so a fork-started child never records into
+    the parent's span list.  The caller's tracer is restored on the way
+    out, which is what an in-process job needs.
+    ``aux`` also carries the job's ``time.monotonic()`` start stamp,
     from which the parent derives queue-wait and execute wall spans.
     When a fault plan is supplied, injected worker faults fire *before*
     the simulation (a killed worker never produces partial results) and
     simulated-run aborts are threaded into ``execute_run``.
     """
     key, job, attempt = item
+    caller_tracer = _trace.get()
     worker_tracer = _dist.attach(trace_id)
-    REGISTRY.reset()
-    abort_at = None
-    if plan is not None:
-        if plan.kills_worker(key):
-            raise InjectedWorkerFault(
-                f"injected persistent crash for run {key[:12]}"
-            )
-        if plan.worker_is_flaky(key, attempt):
-            raise InjectedWorkerFault(
-                f"injected transient crash for run {key[:12]} "
-                f"(attempt {attempt})"
-            )
-        stall = plan.worker_stall(key, attempt)
-        if stall > 0:
-            time.sleep(stall)
-        abort_at = plan.run_abort_time(job.target.name, job.seed_salt)
-    started = time.monotonic()
-    start = time.perf_counter()
-    run = execute_run(job.target, list(job.interference), job.config,
-                      seed_salt=job.seed_salt, abort_at=abort_at)
-    wall = time.perf_counter() - start
-    aux = {"started": started, "trace": _dist.ship(worker_tracer)}
-    return run, wall, REGISTRY.snapshot(), aux
+    try:
+        abort_at = None
+        if plan is not None:
+            if plan.kills_worker(key):
+                raise InjectedWorkerFault(
+                    f"injected persistent crash for run {key[:12]}"
+                )
+            if plan.worker_is_flaky(key, attempt):
+                raise InjectedWorkerFault(
+                    f"injected transient crash for run {key[:12]} "
+                    f"(attempt {attempt})"
+                )
+            stall = plan.worker_stall(key, attempt)
+            if stall > 0:
+                time.sleep(stall)
+            abort_at = plan.run_abort_time(job.target.name, job.seed_salt)
+        started = time.monotonic()
+        start = time.perf_counter()
+        run = execute_run(job.target, list(job.interference), job.config,
+                          seed_salt=job.seed_salt, abort_at=abort_at)
+        wall = time.perf_counter() - start
+        return run, wall, {"started": started,
+                           "trace": _dist.ship(worker_tracer)}
+    finally:
+        _trace.TRACER = caller_tracer
 
 
-def emit_job_spans(tracer, ordered_keys: list[str], traced: dict[str, dict],
-                   attempts: dict[str, list[dict]] | None = None) -> None:
+def emit_job_spans(tracer, keys: list[str], submit: float,
+                   done: dict[str, dict],
+                   attempts: dict[str, list[dict]]) -> None:
     """Emit wall-clock ``job.*`` spans into ``tracer`` in submission order.
 
-    ``traced`` maps job key -> {"submit", "started", "wall", "trace"}
-    (monotonic stamps from the parent and the worker, the run's wall
-    seconds, and the worker's span shipment).  Iterating ``ordered_keys``
+    ``submit`` is the batch's ``time.monotonic()`` submission stamp,
+    ``done`` maps each finished job's key to {"started", "wall",
+    "trace"} (the job's monotonic start stamp, its wall seconds and its
+    span shipment), and ``attempts`` is
+    :attr:`~repro.parallel.supervise.SupervisionStats.attempts`.  Every
+    job gets a ``job.run`` with its ``job.queue-wait`` and one
+    ``job.retry`` per failed attempt; a finished job adds its
+    ``job.execute`` with the shipped spans nested under it, and a job
+    that never finished is marked ``quarantined``.  Iterating ``keys``
     — submission order — rather than completion order is what keeps
-    merged span ids deterministic across runs.  ``attempts`` (from
-    :class:`~repro.parallel.supervise.SupervisionStats`) contributes
-    ``retry`` child spans for attempts that failed before the success.
+    merged span ids deterministic across runs.
     """
-    for key in ordered_keys:
-        info = traced.get(key)
-        if info is None:
-            continue
+    submitted = _dist.monotonic_to_wall(tracer, submit)
+    for key in keys:
+        tries = attempts[key]
+        info = done.get(key)
         label = key[:12]
-        submit = _dist.monotonic_to_wall(tracer, info["submit"])
-        started = _dist.monotonic_to_wall(tracer, info["started"])
-        end = started + info["wall"]
-        tries = (attempts or {}).get(key) or []
-        if tries:
-            first = _dist.monotonic_to_wall(tracer, tries[0]["started"])
-            started = max(started, first)
-            end = max(end, started + info["wall"])
-        else:
-            first = started
-        first = max(first, submit)
-        job_span = tracer.start("job.run", submit,
-                                clock=WALL_CLOCK, worker=label)
-        wait = tracer.start("job.queue-wait", submit,
-                            parent=job_span, clock=WALL_CLOCK, worker=label)
+        first = max(submitted,
+                    _dist.monotonic_to_wall(tracer, tries[0]["started"]))
+        job_span = tracer.start("job.run", submitted, clock=WALL_CLOCK,
+                                worker=label)
+        wait = tracer.start("job.queue-wait", submitted, parent=job_span,
+                            clock=WALL_CLOCK, worker=label)
         tracer.finish(wait, first)
+        end = first
         for t in tries:
-            if t.get("outcome") == "ok":
+            if t["outcome"] == "ok":
                 continue
-            t_start = max(submit, _dist.monotonic_to_wall(tracer, t["started"]))
-            retry = tracer.start("job.retry", t_start,
-                                 parent=job_span, clock=WALL_CLOCK,
-                                 worker=label, attempt=t.get("attempt", 0),
-                                 outcome=t.get("outcome", "err"))
-            tracer.finish(retry,
-                          max(t_start,
-                              _dist.monotonic_to_wall(tracer, t["ended"])))
-        execute = tracer.start("job.execute", max(started, submit),
-                               parent=job_span, clock=WALL_CLOCK, worker=label)
-        _dist.merge_shipment(tracer, info.get("trace"), parent_span=execute,
+            t_start = max(submitted,
+                          _dist.monotonic_to_wall(tracer, t["started"]))
+            retry = tracer.start("job.retry", t_start, parent=job_span,
+                                 clock=WALL_CLOCK, worker=label,
+                                 attempt=t["attempt"], outcome=t["outcome"])
+            end = max(t_start, _dist.monotonic_to_wall(tracer, t["ended"]))
+            tracer.finish(retry, end)
+        if info is None:
+            tracer.finish(job_span, end, quarantined=True)
+            continue
+        started = max(first,
+                      _dist.monotonic_to_wall(tracer, info["started"]))
+        end = max(end, started + info["wall"])
+        execute = tracer.start("job.execute", started, parent=job_span,
+                               clock=WALL_CLOCK, worker=label)
+        _dist.merge_shipment(tracer, info["trace"], parent_span=execute,
                              worker=label)
-        tracer.finish(execute, max(end, started, submit))
-        tracer.finish(job_span, max(end, started, submit))
+        tracer.finish(execute, end)
+        tracer.finish(job_span, end)
 
 
-def record_batch_telemetry(traced: dict[str, dict]) -> None:
-    """Publish batch-level executor health gauges from worker telemetry.
+#: Name of the per-slot busy-seconds counters, labelled ``{worker=wN}``.
+_BUSY = "parallel.worker_busy_seconds"
 
-    * ``parallel.workers_used`` — distinct pool slots that ran jobs;
-    * ``parallel.worker_busy_seconds{worker=wN}`` — busy wall seconds of
-      slot ``N`` (slots, not pids: a replaced child keeps its slot, and
-      labels stay stable run to run even though pids do not);
-    * ``parallel.straggler_skew`` — slowest run / mean run wall time, the
-      load-balance number an operator checks first.
+
+def record_batch_telemetry(done: dict[str, dict]) -> None:
+    """Publish executor health metrics for one batch's finished runs.
+
+    ``done`` maps each finished run's key to at least {"wall", "slot"}.
+
+    * ``parallel.worker_busy_seconds{worker=wN}`` — counter: busy wall
+      seconds of slot ``N`` over the whole process (slots, not pids: a
+      replaced child keeps its slot, and labels stay stable run to run);
+    * ``parallel.workers_used`` — how many slots have busy time, so it
+      always describes the same work as the busy series;
+    * ``parallel.straggler_skew`` — slowest run / mean run wall time in
+      this batch, the load-balance number an operator checks first.
     """
-    walls = [info["wall"] for info in traced.values()]
+    walls = [info["wall"] for info in done.values()]
     if not walls:
         return
     mean = sum(walls) / len(walls)
     REGISTRY.gauge("parallel.straggler_skew").set(
         max(walls) / mean if mean > 0 else 1.0)
-    busy: dict[int, float] = {}
-    for info in traced.values():
-        busy[info["slot"]] = busy.get(info["slot"], 0.0) + info["wall"]
-    REGISTRY.gauge("parallel.workers_used").set(len(busy))
-    for slot, seconds in sorted(busy.items()):
-        REGISTRY.gauge(
-            f"parallel.worker_busy_seconds{{worker=w{slot}}}").set(seconds)
+    for info in done.values():
+        REGISTRY.counter(f"{_BUSY}{{worker=w{info['slot']}}}").inc(
+            info["wall"])
+    REGISTRY.gauge("parallel.workers_used").set(
+        sum(name.startswith(_BUSY + "{") for name in REGISTRY.names()))
 
 
 def _open(cache, cls: type[ContentCache]) -> ContentCache | None:
@@ -290,12 +294,12 @@ class SweepExecutor:
     Parameters
     ----------
     n_jobs:
-        Worker slots of the pool, at least ``1``.  ``None`` (default)
+        Slots a sweep may fill, at least ``1``.  ``None`` (default)
         takes :func:`repro.parallel.supervise.usable_cores`: every CPU
         this process may use, or 1 in a daemonic process.  With ``1`` a
-        sweep without resilience options executes in-process.  The
-        count is resolved here, so :meth:`stats` and the
-        ``parallel.n_jobs`` gauge report the one in use.
+        sweep without ``run_timeout`` or ``retries`` executes
+        in-process.  The count is resolved here, so :meth:`stats` and
+        the ``parallel.n_jobs`` gauge report the one in use.
     cache:
         The run cache: a :class:`RunCache`, a directory path to open one
         in, or ``None`` for none (in-batch deduplication still applies).
@@ -363,7 +367,7 @@ class SweepExecutor:
         return run_key(job.target, job.interference, job.config,
                        seed_salt=job.seed_salt, faults=self._fault_material())
 
-    def shard_key_for(self, pair: PairJob) -> str:
+    def shard_key_for(self, pair: RunJob) -> str:
         """Content-addressed key of the pair's labelled windows.
 
         Mirrors :meth:`key_for` — same fault material — so the window
@@ -389,12 +393,6 @@ class SweepExecutor:
         return (self.run_timeout is not None or self.retries > 0
                 or (self.fault_plan is not None
                     and self.fault_plan.has_worker_faults))
-
-    def _runs_in_process(self, pending: int) -> bool:
-        """Whether ``pending`` runs execute in-process instead of on the
-        pool: nothing to supervise, and nothing to spread (one slot, or
-        at most one run)."""
-        return not self._resilient() and (self.n_jobs == 1 or pending <= 1)
 
     @staticmethod
     def _probe(jobs: list, key_for, cache: ContentCache | None,
@@ -444,21 +442,16 @@ class SweepExecutor:
         Positions whose run was quarantined (kept failing after every
         retry) hold ``None``; without failures none is ever ``None``.
         """
-        wall_hist = REGISTRY.histogram("parallel.run_seconds")
         REGISTRY.counter("parallel.runs_requested").inc(len(jobs))
-        exec_counter = REGISTRY.counter("parallel.runs_executed")
-        dedup_counter = REGISTRY.counter("parallel.runs_deduplicated")
-        tracer = _trace.get()
-
         with _profile.phase("sweep", jobs=len(jobs)):
             keys, results, pending, deduplicated = self._probe(
                 jobs, self.key_for, self.cache, {})
-            dedup_counter.inc(deduplicated)
+            REGISTRY.counter("parallel.runs_deduplicated").inc(deduplicated)
             self.runs_deduplicated += deduplicated
 
             items = list(pending.items())
             self.runs_executed += len(items)
-            exec_counter.inc(len(items))
+            REGISTRY.counter("parallel.runs_executed").inc(len(items))
             REGISTRY.gauge("parallel.queue_depth").set(len(items))
             unique = len(jobs) - deduplicated
             logger.info(
@@ -466,79 +459,54 @@ class SweepExecutor:
                 "(n_jobs=%d)", len(jobs), unique, unique - len(items),
                 len(items), self.n_jobs,
             )
-
-            #: key -> {"submit", "started", "wall", "slot", "trace"} for
-            #: the post-execution span merge (submission-order pass) and
-            #: the per-slot gauges.
-            traced: dict[str, dict] = {}
             with _profile.phase("execute", runs=len(items)):
-                if self._runs_in_process(len(items)):
-                    plan = self.fault_plan
-                    for key, job in items:
-                        abort_at = (plan.run_abort_time(job.target.name,
-                                                        job.seed_salt)
-                                    if plan is not None else None)
-                        start = time.perf_counter()
-                        with _profile.phase("run", target=job.target.name):
-                            run = execute_run(job.target,
-                                              list(job.interference),
-                                              job.config,
-                                              seed_salt=job.seed_salt,
-                                              abort_at=abort_at)
-                        wall_hist.observe(time.perf_counter() - start)
-                        self._store(key, job, run)
-                        results[key] = run
-                else:
-                    attempts = self._run_pool(items, results, wall_hist,
-                                              _dist.current_context(), traced)
-                    if tracer is not None:
-                        emit_job_spans(tracer, [k for k, _ in items],
-                                       traced, attempts)
-            record_batch_telemetry(traced)
+                self._execute(items, results)
 
         return [results.get(key) for key in keys]
 
-    def _run_pool(self, items: list[tuple[str, RunJob]],
-                  results: dict[str, MonitoredRun], wall_hist,
-                  trace_id: str | None,
-                  traced: dict[str, dict]) -> dict[str, list[dict]]:
-        """Execute pending runs on :func:`repro.parallel.supervise.
-        run_supervised`'s worker pool.
+    def _execute(self, items: list[tuple[str, RunJob]],
+                 results: dict[str, MonitoredRun]) -> None:
+        """Execute pending runs through :func:`repro.parallel.supervise.
+        run_supervised`, which places them in-process or on the pool.
 
         Without resilience options a run that raises or whose child dies
         makes this raise ``RuntimeError`` once the batch has drained,
-        naming each failed run's target, seed salt and error, as the
-        in-process loop would have raised; the runs that finished are
-        cached.  Otherwise runs that keep failing land in
-        :attr:`quarantined`, named the same way, and the sweep moves on;
-        the pool's retry, timeout and quarantine counts are published as
+        naming each failed run's target, seed salt and error; the runs
+        that finished are cached.  Otherwise runs that keep failing land
+        in :attr:`quarantined`, named the same way, and the sweep moves
+        on; the retry, timeout and quarantine counts are published as
         ``parallel.retries``, ``parallel.timeouts`` and
-        ``parallel.quarantined``.  Returns the per-key attempt records so
-        the caller can render retry spans.
+        ``parallel.quarantined``.  With a tracer installed the batch's
+        ``job.*`` spans are emitted before either.
         """
         jobs = dict(items)
+        wall_hist = REGISTRY.histogram("parallel.run_seconds")
         wait_hist = REGISTRY.histogram("parallel.queue_wait_seconds")
+        #: key -> {"started", "wall", "trace", "slot"} of finished runs.
+        done: dict[str, dict] = {}
         submit = time.monotonic()
 
         def on_success(key: str, payload, slot: int) -> None:
-            run, wall, snapshot, aux = payload
-            REGISTRY.merge_snapshot(snapshot, worker=key[:12])
+            run, wall, aux = payload
             wall_hist.observe(wall)
             wait_hist.observe(max(0.0, aux["started"] - submit))
-            traced[key] = {"submit": submit, "wall": wall, "slot": slot,
-                           **aux}
+            done[key] = {"wall": wall, "slot": slot, **aux}
             self._store(key, jobs[key], run)
             results[key] = run
 
         stats = supervise.run_supervised(
             items,
             functools.partial(_execute_job, plan=self.fault_plan,
-                              trace_id=trace_id),
+                              trace_id=_dist.current_context()),
             workers=self.n_jobs,
             on_success=on_success,
             run_timeout=self.run_timeout,
             retries=self.retries,
         )
+        tracer = _trace.get()
+        if tracer is not None:
+            emit_job_spans(tracer, list(jobs), submit, done, stats.attempts)
+        record_batch_telemetry(done)
         if stats.quarantined and not self._resilient():
             raise RuntimeError("; ".join(
                 f"run {job.target.name} (seed salt {job.seed_salt!r}) "
@@ -553,19 +521,20 @@ class SweepExecutor:
         REGISTRY.counter("parallel.retries").inc(stats.retries_used)
         REGISTRY.counter("parallel.timeouts").inc(stats.timeouts)
         REGISTRY.counter("parallel.quarantined").inc(len(stats.quarantined))
-        return stats.attempts
 
     def run_one(self, job: RunJob) -> MonitoredRun | None:
         """Convenience wrapper: a one-job sweep."""
         return self.run_many([job])[0]
 
-    def run_pairs(self, pairs: list[PairJob]) -> list[PairedRuns | None]:
+    def run_pairs(self, pairs: list[RunJob]) -> list[PairedRuns | None]:
         """Baseline + interfered execution for every pair, in order.
 
-        The baseline job drops the pair's ``seed_salt`` (it only seeds
-        noise launches), so all scenarios of a target key to — and reuse
-        — one baseline run.  A pair either of whose runs was quarantined
-        comes back as ``None`` (sweeps degrade, they don't crash).
+        Each pair is a :class:`RunJob` naming the interfered run.  Its
+        baseline runs the same target and config alone and drops the
+        ``seed_salt`` (it only seeds noise launches), so all scenarios of
+        a target key to — and reuse — one baseline run.  A pair either
+        of whose runs was quarantined comes back as ``None`` (sweeps
+        degrade, they don't crash).
         """
         jobs: list[RunJob] = []
         for pair in pairs:

@@ -1,24 +1,30 @@
-"""The supervised worker pool that runs every multi-process batch.
+"""The one batch runner: every batch of independent items runs here.
 
-:class:`repro.parallel.SweepExecutor` sends each multi-process sweep
-here, and :meth:`repro.core.predictor.InterferencePredictor.train` its
-restarts: a fixed set of worker *slots*, one long-lived child process
-each, a wall-clock watchdog, bounded retry with exponential backoff, and
-quarantine of items that keep failing.
+:class:`repro.parallel.SweepExecutor` sends every sweep here, and
+:meth:`repro.core.predictor.InterferencePredictor.train` its restarts.
+:func:`run_supervised` has two placements and one contract.  One
+predicate picks the placement: with no ``run_timeout``, no ``retries``
+and at most one slot to fill (``min(workers, len(items)) <= 1``) the
+items run one after another in the calling process; otherwise they run
+on a supervised pool — a fixed set of worker *slots*, one long-lived
+child process each, a wall-clock watchdog, bounded retry with
+exponential backoff, and quarantine of items that keep failing.  Where
+an item ran changes nothing the caller sees: the same attempt records,
+the same ``"Type: message"`` error strings, the same ``on_success``
+calls (slot 0 in-process) and the same metrics.
 
-One rule places both callers' work: :func:`usable_cores` is how many
-CPUs the process may run on (its affinity mask, so ``taskset -c 0``
-counts one), or 1 in a daemonic process, which may not start children.
-A sweep takes that many slots unless the caller names a count
-(``n_jobs``/``--jobs``), and a training's restarts go side by side only
-when it reads 2 or more; at 1 both run in the calling process.
+:func:`usable_cores` sizes both callers' batches: how many CPUs the
+process may run on (its affinity mask, so ``taskset -c 0`` counts one),
+or 1 in a daemonic process, which may not start children.  A sweep
+takes that many slots unless the caller names a count
+(``n_jobs``/``--jobs``), and a training takes one slot per restart when
+it reads 2 or more, else one.
 
 The contract: the caller supplies keyed payloads and a picklable
-``worker(item)`` callable; :func:`run_supervised` starts
-``min(workers, len(items))`` slots, hands each idle slot one
-``(key, payload, attempt)`` at a time over its pipe, and reports every
-success through ``on_success``.  A child whose worker raises reports the
-error and keeps its slot; a child that dies, sends a result the parent
+``worker(item)`` callable; each item runs as ``worker((key, payload,
+attempt))`` and every success is reported through ``on_success``.  A
+worker that raises is recorded as a failed attempt.  On the pool the
+child keeps its slot; a child that dies, sends a result the parent
 cannot read, or overruns ``run_timeout`` is terminated, and a fresh
 child takes over the slot for its next item.  An item that still fails
 after every retry is quarantined — recorded in the returned
@@ -28,7 +34,14 @@ what a quarantined item means (a sweep without resilience options and a
 training both raise).  :func:`backoff_delay` is the retry policy, shared
 with the prediction service's tenants.
 
-The parent never polls: it blocks in
+Metrics land in the parent's :data:`~repro.obs.metrics.REGISTRY` either
+way.  An in-process item records straight into it.  A child resets its
+registry before each item and ships the delta with its reply, and the
+parent merges the deltas without labels, in submission order, once the
+batch is done, so counters, histograms and gauges end as the in-process
+loop leaves them.
+
+The pool's parent never polls: it blocks in
 :func:`multiprocessing.connection.wait` on the busy slots' result pipes
 and every child's sentinel until the next watchdog deadline or retry
 backoff falls due.  It hands a freed slot its next item before it
@@ -46,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.obs.log import get_logger
+from repro.obs.metrics import REGISTRY
 
 __all__ = ["RETRY_BACKOFF", "SupervisionStats", "backoff_delay",
            "run_supervised", "usable_cores"]
@@ -111,12 +125,19 @@ def _start_context():
     return multiprocessing.get_context(method)
 
 
+def _describe(exc: Exception) -> str:
+    """How a failed attempt's exception reads in the attempt records."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _slot_main(conn, worker) -> None:
     """Child body: run items from ``conn`` until ``None`` (or EOF) arrives.
 
     Every item's outcome goes back over the same pipe — ``("ok",
-    result)`` or ``("err", message)`` — so a raising worker keeps the
-    child alive for the slot's next item.  ``SystemExit`` and
+    result, delta)`` or ``("err", message, delta)``, ``delta`` being the
+    registry snapshot of that item alone (the registry is reset first:
+    a fork-started child inherits the parent's) — so a raising worker
+    keeps the child alive for the slot's next item.  ``SystemExit`` and
     ``KeyboardInterrupt`` end the child, which the parent sees as a death.
     """
     while True:
@@ -126,15 +147,16 @@ def _slot_main(conn, worker) -> None:
             return
         if item is None:
             return
+        REGISTRY.reset()
         try:
-            reply = ("ok", worker(item))
+            kind, payload = "ok", worker(item)
         except Exception as exc:  # noqa: BLE001 — reported; the child lives on
-            reply = ("err", f"{type(exc).__name__}: {exc}")
+            kind, payload = "err", _describe(exc)
+        delta = REGISTRY.snapshot()
         try:
-            conn.send(reply)
+            conn.send((kind, payload, delta))
         except Exception as exc:  # an unpicklable result fails before writing
-            conn.send(("err", f"unpicklable result: "
-                              f"{type(exc).__name__}: {exc}"))
+            conn.send(("err", f"unpicklable result: {_describe(exc)}", delta))
 
 
 @dataclass
@@ -209,39 +231,42 @@ def run_supervised(
     retries: int = 0,
     ctx=None,
 ) -> SupervisionStats:
-    """Run keyed items on a supervised pool: watchdog, retry, quarantine.
+    """Run keyed items: in-process, or on a supervised pool.
 
-    ``min(workers, len(items))`` slots each keep one child running
-    ``worker((key, payload, attempt))`` for one item at a time, so a
-    crash or a wedge never takes the batch down: exceptions come back over the
-    slot's pipe (the child keeps its slot), silent deaths are detected
-    by exit code, unreadable results are rejected, and children
-    exceeding ``run_timeout`` are terminated; a dead or terminated
-    child is replaced when its slot gets its next item.  Failed attempts
-    are retried after :func:`backoff_delay` (base :data:`RETRY_BACKOFF`)
-    up to ``retries`` times, then the item is quarantined and the batch
-    moves on.
+    Each item runs as ``worker((key, payload, attempt))``.  With no
+    ``run_timeout``, no ``retries`` and at most one slot to fill
+    (``min(workers, len(items)) <= 1``) the items run one after another
+    in this process.  Otherwise ``min(workers, len(items))`` slots each
+    keep one child running one item at a time, so a crash or a wedge
+    never takes the batch down: exceptions come back over the slot's
+    pipe (the child keeps its slot), silent deaths are detected by exit
+    code, unreadable results are rejected, and children exceeding
+    ``run_timeout`` are terminated; a dead or terminated child is
+    replaced when its slot gets its next item.  Failed attempts are
+    retried after :func:`backoff_delay` (base :data:`RETRY_BACKOFF`) up
+    to ``retries`` times, then the item is quarantined and the batch
+    moves on.  An in-process item that raises is recorded and
+    quarantined the same way; it does not propagate.
 
-    ``on_success(key, result, slot)`` fires in the parent, in completion
-    order, with the index of the slot that ran the item.  ``ctx`` is the
-    ``multiprocessing`` context children start from (default: ``fork``
-    where available, else ``spawn``); ``worker`` must be picklable under
-    ``spawn``.  Items and results always cross a pipe, so a payload the
-    children need in bulk is better bound into ``worker``, which a
-    ``fork`` child inherits without pickling.  Every child has exited
-    when this returns (or raises).  Nothing is published to the metrics
-    registry: the returned :class:`SupervisionStats` is the whole report.
+    ``on_success(key, result, slot)`` fires in this process, in
+    completion order, with the index of the slot that ran the item (0
+    in-process).  ``ctx`` is the ``multiprocessing`` context children
+    start from (default: ``fork`` where available, else ``spawn``);
+    ``worker`` must be picklable under ``spawn``.  On the pool items and
+    results cross a pipe, so a payload the children need in bulk is
+    better bound into ``worker``, which a ``fork`` child inherits
+    without pickling.  Every child has exited when this returns (or
+    raises).  The children's metric deltas are merged into
+    :data:`~repro.obs.metrics.REGISTRY` before this returns, in
+    submission order; the returned :class:`SupervisionStats` is the rest
+    of the report.
     """
-    # Imported here: in-process batches never load it (~0.6 MB of RSS).
-    from multiprocessing.connection import wait
-
-    ctx = ctx if ctx is not None else _start_context()
     stats = SupervisionStats()
-    payloads = dict(items)
-    slots = [_Slot(i) for i in range(min(max(1, workers), len(items)))]
     #: (key, attempt, ready_at) — ready_at implements retry backoff.
     queue: list[tuple[str, int, float]] = [(key, 0, 0.0) for key, _ in items]
     errors: dict[str, list[str]] = {}
+    #: key -> the registry deltas its children shipped, in attempt order.
+    deltas: dict[str, list[dict]] = {}
 
     def fail(key: str, attempt: int, message: str) -> None:
         errors.setdefault(key, []).append(message)
@@ -265,14 +290,46 @@ def run_supervised(
                 key[:12], attempt + 1, message,
             )
 
-    #: (slot index, key, attempt, started, ended, outcome, payload) of
-    #: attempts whose slot is free again but which are not handled yet;
-    #: ``payload`` is the result if ``outcome`` is "ok", else the error.
-    finished: list[tuple[int, str, int, float, float, str, Any]] = []
+    def handle(index: int, key: str, attempt: int, started: float,
+               ended: float, outcome: str, payload: Any,
+               delta: dict | None = None) -> None:
+        if delta is not None:
+            deltas.setdefault(key, []).append(delta)
+        stats.record_attempt(key, attempt, started, ended, outcome,
+                             error=None if outcome == "ok" else payload)
+        if outcome == "ok":
+            on_success(key, payload, index)
+        else:
+            fail(key, attempt, payload)
 
-    def release(slot: _Slot, outcome: str, payload: Any) -> None:
+    if run_timeout is None and retries == 0 and min(workers, len(items)) <= 1:
+        for key, payload in items:
+            started = time.monotonic()
+            try:
+                outcome, result = "ok", worker((key, payload, 0))
+            except Exception as exc:  # noqa: BLE001 — recorded as a child's
+                outcome, result = "err", _describe(exc)
+            handle(0, key, 0, started, time.monotonic(), outcome, result)
+        return stats
+
+    # Imported here: in-process batches never load it (~0.6 MB of RSS).
+    from multiprocessing.connection import wait
+
+    ctx = ctx if ctx is not None else _start_context()
+    payloads = dict(items)
+    slots = [_Slot(i) for i in range(min(max(1, workers), len(items)))]
+
+    #: (slot index, key, attempt, started, ended, outcome, payload, delta)
+    #: of attempts whose slot is free again but which are not handled
+    #: yet; ``payload`` is the result if ``outcome`` is "ok", else the
+    #: error, and ``delta`` the child's registry delta, if it sent one.
+    finished: list[tuple[int, str, int, float, float, str, Any,
+                         dict | None]] = []
+
+    def release(slot: _Slot, outcome: str, payload: Any,
+                delta: dict | None = None) -> None:
         finished.append((slot.index, slot.key, slot.attempt, slot.started,
-                         time.monotonic(), outcome, payload))
+                         time.monotonic(), outcome, payload, delta))
         slot.key = None
 
     def collect(slot: _Slot) -> None:
@@ -280,7 +337,7 @@ def run_supervised(
         try:
             if not slot.conn.poll():  # only the sentinel fired
                 raise EOFError
-            kind, payload = slot.conn.recv()
+            kind, payload, delta = slot.conn.recv()
             if kind not in ("ok", "err"):
                 raise ValueError(f"unknown reply kind {kind!r}")
         except EOFError:
@@ -288,19 +345,9 @@ def run_supervised(
                     f"worker died silently (exitcode {slot.kill()})")
         except Exception as exc:  # noqa: BLE001 — a reply we cannot read
             slot.kill()
-            release(slot, "err",
-                    f"broken result: {type(exc).__name__}: {exc}")
+            release(slot, "err", f"broken result: {_describe(exc)}")
         else:
-            release(slot, kind, payload)
-
-    def handle(index: int, key: str, attempt: int, started: float,
-               ended: float, outcome: str, payload: Any) -> None:
-        stats.record_attempt(key, attempt, started, ended, outcome,
-                             error=None if outcome == "ok" else payload)
-        if outcome == "ok":
-            on_success(key, payload, index)
-        else:
-            fail(key, attempt, payload)
+            release(slot, kind, payload, delta)
 
     try:
         while True:
@@ -372,4 +419,7 @@ def run_supervised(
         for slot in live:
             slot.reap()
 
+    for key, _ in items:
+        for delta in deltas.get(key, ()):
+            REGISTRY.merge_snapshot(delta)
     return stats

@@ -98,12 +98,13 @@ def test_training_is_bit_identical_without_the_blas_scope(monkeypatch):
         return ([p.value.tobytes() for p in predictor.model.params()],
                 predictor.history)
 
-    # Side by side, the parent pins the children's BLAS before the
-    # patched loop could leave it unpinned: train in-process.
+    # ``train`` pins BLAS around the restarts' batch as well as the loop
+    # inside it: lift both, and train in-process, so nothing pins it.
     usable_cpus(monkeypatch, 1)
     pinned = fit()
-    monkeypatch.setattr(train_mod, "single_blas_thread",
-                        contextlib.nullcontext)
+    for module in (train_mod, predictor_mod):
+        monkeypatch.setattr(module, "single_blas_thread",
+                            contextlib.nullcontext)
     assert fit() == pinned
 
 
@@ -151,10 +152,10 @@ def train_on(monkeypatch, train_set, cores, restarts=3):
 
 
 def forbid_children(monkeypatch):
-    def run_supervised(*args, **kwargs):
+    def spawn(*args, **kwargs):
         raise AssertionError("training started child processes")
 
-    monkeypatch.setattr(supervise, "run_supervised", run_supervised)
+    monkeypatch.setattr(supervise._Slot, "spawn", spawn)
 
 
 @pytest.mark.usefixtures("bounded")

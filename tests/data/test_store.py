@@ -17,7 +17,7 @@ from repro.experiments.datagen import (Scenario, collect_windows,
 from repro.experiments.runner import (ExperimentConfig, InterferenceSpec,
                                       experiment_cluster)
 from repro.faults import FaultPlan
-from repro.parallel import (PairJob, RunJob, SweepExecutor, WindowCache,
+from repro.parallel import (RunJob, SweepExecutor, WindowCache,
                             dataset_sweep_key)
 from repro.workloads.io500 import make_io500_task
 
@@ -47,8 +47,8 @@ def extra_scenario():
 def pair_keys(targets, scenarios, config):
     """The WindowCache keys of a sweep's pairs, in sweep order."""
     executor = SweepExecutor()
-    return [executor.shard_key_for(PairJob(target, scenario.interference,
-                                           config, seed_salt=scenario.name))
+    return [executor.shard_key_for(RunJob(target, scenario.interference,
+                                          config, seed_salt=scenario.name))
             for target, scenario in sweep_pairs(targets, scenarios)]
 
 

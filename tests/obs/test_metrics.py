@@ -142,34 +142,3 @@ def test_merge_snapshot_unlabeled_gauge_is_last_write_wins():
     parent.merge_snapshot(w1.snapshot())
     parent.merge_snapshot(w2.snapshot())
     assert parent.snapshot()["depth"]["value"] == 7.0
-
-
-def test_merge_snapshot_worker_label_keeps_every_gauge():
-    """The satellite fix: labeled merges must not clobber gauges.
-
-    Each worker's gauge becomes its own ``name{worker=<label>}`` series,
-    so no value is lost whatever order snapshots arrive in."""
-    parent, w1, w2 = (MetricsRegistry() for _ in range(3))
-    w1.gauge("depth").set(3.0)
-    w1.counter("runs").inc()
-    w2.gauge("depth").set(7.0)
-    w2.counter("runs").inc()
-    parent.merge_snapshot(w1.snapshot(), worker="job-a")
-    parent.merge_snapshot(w2.snapshot(), worker="job-b")
-    snap = parent.snapshot()
-    assert "depth" not in snap  # nothing clobbered under the plain name
-    assert snap["depth{worker=job-a}"]["value"] == 3.0
-    assert snap["depth{worker=job-b}"]["value"] == 7.0
-    assert snap["runs"]["value"] == 2.0  # counters still sum, unlabeled
-
-
-def test_merge_snapshot_label_order_independent():
-    w1, w2 = MetricsRegistry(), MetricsRegistry()
-    w1.gauge("depth").set(3.0)
-    w2.gauge("depth").set(7.0)
-    forward, backward = MetricsRegistry(), MetricsRegistry()
-    forward.merge_snapshot(w1.snapshot(), worker="a")
-    forward.merge_snapshot(w2.snapshot(), worker="b")
-    backward.merge_snapshot(w2.snapshot(), worker="b")
-    backward.merge_snapshot(w1.snapshot(), worker="a")
-    assert forward.snapshot() == backward.snapshot()

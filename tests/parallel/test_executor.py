@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments.datagen import Scenario, collect_windows
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
-from repro.parallel import PairJob, RunCache, RunJob, SweepExecutor, supervise
+from repro.parallel import RunCache, RunJob, SweepExecutor, supervise
 from repro.workloads.base import Workload
 from repro.workloads.io500 import make_io500_task
 
@@ -39,8 +39,8 @@ def test_baseline_shared_across_scenarios():
     only 2 simulations execute."""
     executor = SweepExecutor(n_jobs=1)
     target = small_targets()[0]
-    pairs = [PairJob(target, tuple(s.interference), small_config(),
-                     seed_salt=s.name) for s in small_scenarios()]
+    pairs = [RunJob(target, tuple(s.interference), small_config(),
+                    seed_salt=s.name) for s in small_scenarios()]
     paired = executor.run_pairs(pairs)
     assert len(paired) == 2
     assert executor.runs_executed == 2
@@ -54,8 +54,8 @@ def test_second_sweep_logs_per_call_counts(caplog):
     through one executor must not subtract the first sweep's dedups."""
     executor = SweepExecutor(n_jobs=1)
     target = small_targets()[0]
-    pairs = [PairJob(target, tuple(s.interference), small_config(),
-                     seed_salt=s.name) for s in small_scenarios()]
+    pairs = [RunJob(target, tuple(s.interference), small_config(),
+                    seed_salt=s.name) for s in small_scenarios()]
     with caplog.at_level(logging.INFO, logger="repro.parallel.executor"):
         executor.run_pairs(pairs)
         executor.run_pairs(pairs)
@@ -186,12 +186,16 @@ def two_pending_runs():
                    small_config(), seed_salt="noise")]
 
 
-def test_one_usable_core_keeps_the_default_sweep_in_process(monkeypatch):
-    def run_supervised(*args, **kwargs):
+def forbid_children(monkeypatch):
+    def spawn(*args, **kwargs):
         raise AssertionError("the sweep started child processes")
 
+    monkeypatch.setattr(supervise._Slot, "spawn", spawn)
+
+
+def test_one_usable_core_keeps_the_default_sweep_in_process(monkeypatch):
     monkeypatch.setattr(supervise, "usable_cores", lambda: 1)
-    monkeypatch.setattr(supervise, "run_supervised", run_supervised)
+    forbid_children(monkeypatch)
     executor = SweepExecutor()
     assert executor.n_jobs == 1
     assert all(run is not None for run in executor.run_many(two_pending_runs()))
@@ -257,7 +261,7 @@ FAILURES = [("raise", "RuntimeError: simulator bug"),
 @pytest.mark.parametrize("failure,error", FAILURES, ids=["raise", "exit"])
 def test_a_failing_run_fails_a_pooled_sweep(tmp_path, failure, error):
     """Without resilience options a run that raises, or whose child
-    dies, makes a pooled sweep raise as the in-process loop does, naming
+    dies, makes a pooled sweep raise once the batch has drained, naming
     the run; the run that finished is cached."""
     good = RunJob(small_targets()[0], (), small_config())
     bad = RunJob(BrokenTarget(failure), (), small_config(), seed_salt="s1")
@@ -271,11 +275,20 @@ def test_a_failing_run_fails_a_pooled_sweep(tmp_path, failure, error):
     assert executor.key_for(bad) not in executor.cache
 
 
-def test_a_failing_run_fails_an_in_process_sweep():
+def test_a_failing_run_fails_an_in_process_sweep(monkeypatch, tmp_path):
+    """In-process, the failure reads as on the pool: the sweep finishes,
+    caches the good run, and raises naming the failed one."""
+    forbid_children(monkeypatch)
     good = RunJob(small_targets()[0], (), small_config())
     bad = RunJob(BrokenTarget("raise"), (), small_config(), seed_salt="s1")
-    with pytest.raises(RuntimeError, match="^simulator bug$"):
-        SweepExecutor(n_jobs=1).run_many([good, bad])
+    executor = SweepExecutor(n_jobs=1, cache=tmp_path / "c")
+    expected = ("run broken-raise (seed salt 's1') failed: "
+                "RuntimeError: simulator bug")
+    with pytest.raises(RuntimeError, match=f"^{re.escape(expected)}$"):
+        executor.run_many([bad, good])
+    assert not executor.quarantined
+    assert executor.key_for(good) in executor.cache
+    assert executor.key_for(bad) not in executor.cache
 
 
 @pytest.mark.parametrize("failure,error", FAILURES, ids=["raise", "exit"])

@@ -10,7 +10,7 @@ import pytest
 from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.faults import FaultPlan
 from repro.obs.metrics import REGISTRY
-from repro.parallel import PairJob, RunCache, RunJob, SweepExecutor
+from repro.parallel import RunCache, RunJob, SweepExecutor
 
 from tests.parallel.test_executor import (  # noqa: F401 (shared fixtures)
     small_config,
@@ -88,15 +88,19 @@ class TestWorkerCrashes:
             assert "injected" in info["errors"][0]
 
     def test_quarantine_is_deterministic_across_executors(self):
+        """Kills fire before the simulation, so one slot (in-process)
+        and two slots (children) quarantine the same runs, with the
+        same records."""
         jobs = make_jobs(5)
         probe = SweepExecutor()
         plan = find_kill_plan([probe.key_for(j) for j in jobs])
-        a = SweepExecutor(fault_plan=plan, retries=0)
-        b = SweepExecutor(n_jobs=2, fault_plan=plan, retries=0)
-        a.run_many(jobs)
-        b.run_many(jobs)
-        assert set(a.quarantined) == set(b.quarantined)
-        assert a.quarantined  # the plan poisoned something
+        executors = [SweepExecutor(n_jobs=n_jobs, fault_plan=plan, retries=0)
+                     for n_jobs in (None, 1, 2)]
+        for executor in executors:
+            executor.run_many(jobs)
+        a, one_slot, two_slots = (e.quarantined for e in executors)
+        assert a == one_slot == two_slots
+        assert a  # the plan poisoned something
 
     def test_flaky_workers_succeed_with_retries(self):
         """Transient (per-attempt) failures: with enough retries every
@@ -248,7 +252,7 @@ def test_pairs_with_quarantined_member_come_back_none():
                         executor=executor)
     assert executor.quarantined
     pairs = executor.run_pairs([
-        PairJob(targets[0], tuple(scenarios[1].interference), small_config(),
-                seed_salt="x")
+        RunJob(targets[0], tuple(scenarios[1].interference), small_config(),
+               seed_salt="x")
     ])
     assert pairs == [None]

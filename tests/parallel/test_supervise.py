@@ -1,9 +1,12 @@
-"""Tests for the supervised worker pool (:mod:`repro.parallel.supervise`).
+"""Tests for the batch runner (:mod:`repro.parallel.supervise`).
 
 The worker below misbehaves on request: it kills its own process with
 ``os._exit(3)``, raises, sleeps past the watchdog, or returns a result
 the parent cannot read or the child cannot send.  Every test also checks
-that the pool leaves no child process behind.
+that the runner leaves no child process behind.  A batch with one slot
+to fill and no ``run_timeout`` or ``retries`` runs in the calling
+process, so the tests of a one-slot *pool* pass a generous
+``run_timeout`` to keep it on a child.
 """
 
 import multiprocessing
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.parallel.supervise import run_supervised
 
 DIED = "worker died silently (exitcode 3)"
@@ -49,6 +53,11 @@ def worker(item):
         return lambda: None
     if job.action == "unreadable":
         return Unreadable()
+    if job.action == "record":
+        # The first item finishes last on a pool of two.
+        time.sleep(0.5 if key == "k0" else 0.0)
+        REGISTRY.counter("test.items").inc()
+        REGISTRY.gauge("test.last_item").set(int(key[1:]))
     return os.getpid()
 
 
@@ -97,15 +106,20 @@ def test_dead_worker_is_quarantined_and_the_rest_complete():
     assert stats.quarantined["k1"] == {"attempts": 2, "errors": [DIED, DIED]}
 
 
+#: A watchdog no test item gets near: it keeps a one-slot batch on a child.
+CHILD = {"run_timeout": 60.0}
+
+
 def test_dead_worker_is_replaced_in_its_slot():
-    done, _ = run(["ok", "exit", "ok"], workers=1)
+    done, _ = run(["ok", "exit", "ok"], workers=1, **CHILD)
     (pid_before, slot_before), (pid_after, slot_after) = done["k0"], done["k2"]
     assert slot_before == slot_after == 0
     assert pid_before != pid_after
 
 
 def test_raising_worker_keeps_its_child():
-    done, stats = run(["ok", "raise", "unsendable", "ok"], workers=1)
+    done, stats = run(["ok", "raise", "unsendable", "ok"], workers=1,
+                      **CHILD)
     assert done["k0"][0] == done["k3"][0]  # one child ran all four items
     assert stats.quarantined["k1"]["errors"] == ["RuntimeError: boom k1"]
     assert stats.quarantined["k2"]["errors"][0].startswith(
@@ -113,7 +127,7 @@ def test_raising_worker_keeps_its_child():
 
 
 def test_unreadable_result_replaces_the_child():
-    done, stats = run(["ok", "unreadable", "ok"], workers=1)
+    done, stats = run(["ok", "unreadable", "ok"], workers=1, **CHILD)
     assert done["k0"][0] != done["k2"][0]
     assert stats.quarantined["k1"]["errors"] == [
         "broken result: ValueError: cannot rebuild"]
@@ -156,3 +170,53 @@ def test_spawn_start_method_runs_a_small_batch():
                       ctx=multiprocessing.get_context("spawn"))
     assert sorted(done) == ["k0", "k2"]
     assert stats.quarantined["k1"]["errors"] == ["RuntimeError: boom k1"]
+
+
+# -- the one-slot mode --------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers,actions", [(1, ["ok"] * 3), (4, ["ok"])],
+                         ids=["one-slot", "one-item"])
+def test_one_slot_runs_in_the_calling_process(workers, actions):
+    done, stats = run(actions, workers=workers)
+    assert done == {f"k{i}": (os.getpid(), 0) for i in range(len(actions))}
+    assert [a["outcome"] for a in stats.attempts["k0"]] == ["ok"]
+
+
+def test_a_raising_item_is_recorded_as_on_the_pool():
+    """In-process, a raising item neither propagates nor stops the
+    batch: it is quarantined with the record a pool child gives it."""
+    in_process = run(["ok", "raise", "ok"], workers=1)
+    pooled = run(["ok", "raise", "ok"], workers=2)
+    for done, stats in (in_process, pooled):
+        assert sorted(done) == ["k0", "k2"]
+        assert stats.quarantined == {"k1": {
+            "attempts": 1, "errors": ["RuntimeError: boom k1"]}}
+        assert [(a["attempt"], a["outcome"], a.get("error"))
+                for a in stats.attempts["k1"]] == [
+            (0, "err", "RuntimeError: boom k1")]
+
+
+@pytest.mark.parametrize("option", [{"run_timeout": 60.0}, {"retries": 1}],
+                         ids=["run_timeout", "retries"])
+def test_supervision_options_start_a_child_at_one_slot(option):
+    done, _ = run(["ok", "ok"], workers=1, **option)
+    assert {pid for pid, _ in done.values()} != {os.getpid()}
+    assert {slot for _, slot in done.values()} == {0}
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pool"])
+def test_metrics_end_as_the_in_process_loop_leaves_them(workers):
+    """Children reset their registry and ship the delta; the parent
+    merges the deltas in submission order, so counters sum once and a
+    gauge holds the last submitted item's value, whichever item
+    finished last."""
+    REGISTRY.reset()
+    REGISTRY.counter("test.items").inc(5)
+    try:
+        run(["record"] * 3, workers=workers)
+        snapshot = REGISTRY.snapshot()
+    finally:
+        REGISTRY.reset()
+    assert snapshot["test.items"]["value"] == 8
+    assert snapshot["test.last_item"]["value"] == 2
