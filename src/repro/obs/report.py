@@ -82,8 +82,10 @@ def executor_health(snapshot: dict[str, dict]) -> list[str]:
     """Health lines derived from the executor/cache metric namespaces.
 
     Reads the merged registry snapshot only; every line degrades to
-    absence when the underlying metrics were never recorded.  The
-    workers line pairs ``parallel.workers_used`` with the per-slot
+    absence when the underlying metrics were never recorded.  Straggler
+    skew is the ``parallel.run_seconds`` histogram's max over its mean,
+    so it covers every run the snapshot covers.  The workers line pairs
+    ``parallel.workers_used`` with the per-slot
     ``parallel.worker_busy_seconds{worker=wN}`` counters, both summed
     over the process, so it names one busy value per used slot.
     """
@@ -112,9 +114,11 @@ def executor_health(snapshot: dict[str, dict]) -> list[str]:
         value = _metric_value(snapshot, name)
         if value:
             lines.append(f"{label}: {int(value)}")
-    skew = _metric_value(snapshot, "parallel.straggler_skew")
-    if skew is not None:
-        lines.append(f"straggler skew (slowest run / mean): {skew:.2f}x")
+    runs = snapshot.get("parallel.run_seconds")
+    if runs and runs.get("count") and runs.get("mean"):
+        lines.append(f"straggler skew (slowest run / mean): "
+                     f"{runs['max'] / runs['mean']:.2f}x over "
+                     f"{int(runs['count'])} run(s)")
     workers = _metric_value(snapshot, "parallel.workers_used")
     if workers:
         busy = sorted(

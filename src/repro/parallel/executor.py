@@ -263,16 +263,14 @@ def record_batch_telemetry(done: dict[str, dict]) -> None:
       seconds of slot ``N`` over the whole process (slots, not pids: a
       replaced child keeps its slot, and labels stay stable run to run);
     * ``parallel.workers_used`` — how many slots have busy time, so it
-      always describes the same work as the busy series;
-    * ``parallel.straggler_skew`` — slowest run / mean run wall time in
-      this batch, the load-balance number an operator checks first.
+      always describes the same work as the busy series.
+
+    Straggler skew is not a metric of its own: ``repro obs report``
+    derives it from the ``parallel.run_seconds`` histogram, which spans
+    every batch the registry saw.
     """
-    walls = [info["wall"] for info in done.values()]
-    if not walls:
+    if not done:
         return
-    mean = sum(walls) / len(walls)
-    REGISTRY.gauge("parallel.straggler_skew").set(
-        max(walls) / mean if mean > 0 else 1.0)
     for info in done.values():
         REGISTRY.counter(f"{_BUSY}{{worker=w{info['slot']}}}").inc(
             info["wall"])
@@ -452,7 +450,6 @@ class SweepExecutor:
             items = list(pending.items())
             self.runs_executed += len(items)
             REGISTRY.counter("parallel.runs_executed").inc(len(items))
-            REGISTRY.gauge("parallel.queue_depth").set(len(items))
             unique = len(jobs) - deduplicated
             logger.info(
                 "sweep: %d jobs -> %d unique, %d cache hits, %d to run "

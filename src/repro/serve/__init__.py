@@ -6,11 +6,13 @@ hundreds of applications worth watching at once, and the marginal cost
 of a prediction is a few tens of microseconds of matmul — the expensive
 part is keeping a model process alive per consumer.  This package runs
 **one** long-lived service instead: tenants stream their per-window
-vectors in, the service micro-batches windows that arrive close together
-across *all* tenants into a single fused forward pass
+vectors in, and whenever its batcher is free the service scores every
+window then queued across *all* tenants in a single fused forward pass
 (:meth:`repro.core.predictor.DeployedPredictor.predict_proba_rows`, one
-kernel matmul per layer for N tenants), and each tenant gets back
-exactly the bits a private scorer would have produced.
+kernel matmul per layer for N tenants).  Batching is continuous: no
+timer holds a window back, and a batch holds what arrived while the
+previous one was being scored.  Each tenant gets back exactly the bits
+a private scorer would have produced.
 
 The interesting part is the robustness envelope, because multi-tenant
 means mutually-untrusted load:
@@ -29,7 +31,7 @@ means mutually-untrusted load:
   churn the batcher;
 * **graceful drain** — shutdown stops admissions, scores what is
   queued within a drain budget, and accounts for every leftover
-  request;
+  request, the batch in flight included;
 * **deterministic chaos** — :class:`repro.faults.ServiceFaultPlan`
   drives the tenant harness (:func:`run_soak`) with floods, stalls,
   disconnects, reordered/duplicated windows and slow-model stalls, all

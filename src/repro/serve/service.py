@@ -4,7 +4,9 @@ One asyncio event loop owns everything: tenants (coroutines, or anything
 that can await) connect, submit raw per-window vectors and await
 results; a single batcher task takes one window from each tenant with
 queued work, round-robin, into micro-batches and scores each batch in
-one fused forward pass.
+one fused forward pass.  Batching is continuous: no timer paces the
+batcher, so each batch is whatever was queued when it came free (up to
+``max_batch``) and batch size follows the load.
 Because scoring runs through
 :meth:`repro.core.predictor.DeployedPredictor.predict_proba_rows`, a
 tenant's bits never depend on who else landed in its batch — the service
@@ -24,8 +26,8 @@ one status, ordered from best to worst:
     no usable answer: breaker open, no last-good to repeat, or the
     window arrived too late / out of reorder range;
 ``shed``
-    refused — global backlog past the shed bound, or still queued when
-    the drain budget expired;
+    refused — global backlog past the shed bound, or still queued or
+    in flight when the drain budget expired;
 ``duplicate``
     the tenant already submitted this window; the previous answer's
     probabilities are repeated without scoring.
@@ -75,9 +77,6 @@ STATUSES = ("fresh", "stale", "masked", "shed", "duplicate")
 #: Statuses that do not trip the circuit breaker.
 _HEALTHY = frozenset({"fresh", "duplicate"})
 
-#: Idle poll while the batcher waits for work (seconds).
-_IDLE_WAIT = 0.05
-
 #: Buckets for the ``serve.batch_size`` histogram — anything reading the
 #: histogram back must register with the same boundaries.
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -114,8 +113,6 @@ class ServeConfig:
     reorder_depth: int = 4
     #: Most windows scored per fused forward pass.
     max_batch: int = 256
-    #: Seconds the batcher accumulates arrivals before scoring.
-    batch_interval: float = 0.002
     #: Global queued-window bound past which new submissions are shed.
     shed_backlog: int = 4096
     #: Seconds a window may wait before it degrades instead of scoring.
@@ -137,8 +134,7 @@ class ServeConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, "
                                  f"got {getattr(self, name)}")
-        for name in ("batch_interval", "deadline", "breaker_cooldown",
-                     "drain_timeout"):
+        for name in ("deadline", "breaker_cooldown", "drain_timeout"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
@@ -380,16 +376,23 @@ class TenantSession:
                 self._abandon_gap()
             else:
                 self.reorder[window] = req
-        service.wake.set()
         return await req.future
 
     def _accept(self, req: _Request) -> None:
+        """Queue ``req`` for the batcher and wake it.
+
+        The one place ``backlog`` rises, so the one place the wake is
+        set: a window released from the reorder buffer by a fast-fail
+        or a shed must not wait for the next submission to be scored.
+        """
+        service = self.service
         if not self.pending:
-            self.service.ready.append(self)
+            service.ready.append(self)
         self.pending.append(req)
         self.next_window = req.window + 1
-        self.service.backlog += 1
-        self.service.metric_backlog.set(self.service.backlog)
+        service.backlog += 1
+        service.metric_backlog.set(service.backlog)
+        service.wake.set()
 
     def _flush_reorder(self) -> None:
         while self.next_window in self.reorder:
@@ -449,6 +452,9 @@ class PredictionService:
         #: Tenants with queued windows, in round-robin order; a session
         #: is in here exactly while its ``pending`` queue is non-empty.
         self.ready: deque[TenantSession] = deque()
+        #: The batch being scored: assembled off the queues (so no longer
+        #: in ``backlog``) and not yet resolved.
+        self.inflight: list[tuple[TenantSession, _Request]] = []
         # Resolve metrics once; the batch loop is the hot path.
         self.metric_submitted = REGISTRY.counter("serve.submitted")
         self.metric_status = {s: REGISTRY.counter(f"serve.{s}")
@@ -483,16 +489,17 @@ class PredictionService:
         """Graceful drain: stop admissions, score the queue, account.
 
         Queued work is scored for up to ``drain_timeout`` seconds; any
-        windows still queued or buffered after that resolve as ``shed``.
-        Returns ``{"drained": scored-or-degraded, "shed": leftovers}``.
+        windows still in flight, queued or buffered after that resolve
+        as ``shed``.  Returns ``{"drained": scored-or-degraded, "shed":
+        leftovers}``, counting the batch in flight when ``stop`` began.
         """
         if self._task is None:
             raise RuntimeError("service not started")
         self.accepting = False
-        # Everything resident right now: queued (backlog) plus windows
-        # parked in reorder buffers, which the batcher cannot reach and
-        # which therefore always end up shed.
-        drained_from = self.backlog + sum(
+        # Everything resident right now: the batch being scored, queued
+        # windows (backlog) and windows parked in reorder buffers, which
+        # the batcher cannot reach and which therefore always end up shed.
+        drained_from = len(self.inflight) + self.backlog + sum(
             len(s.reorder) for s in self.tenants.values())
         self.wake.set()
         try:
@@ -505,7 +512,12 @@ class PredictionService:
             except asyncio.CancelledError:
                 pass
         self._task = None
-        shed = 0
+        # A batcher cancelled mid-batch leaves that batch unresolved; its
+        # windows precede every queued window of their tenants.
+        shed = len(self.inflight)
+        for session, req in self.inflight:
+            session._resolve(req, "shed", None)
+        self.inflight = []
         self.ready.clear()
         for session in self.tenants.values():
             leftovers = list(session.pending)
@@ -572,20 +584,25 @@ class PredictionService:
         return batch
 
     async def _batch_loop(self) -> None:
+        """Continuous batching: score what is queued whenever free.
+
+        With nothing queued the batcher waits on ``wake`` alone (set
+        whenever a window is queued, and by ``stop``).  With work queued
+        it yields once, so submissions made in the same tick and tenants
+        the last batch answered can queue, then scores everything queued
+        up to ``max_batch``: under load a batch holds what arrived while
+        the previous one was being scored, and no answer waits on a timer.
+        """
         scorer = self.scorer
         while True:
             if self.backlog == 0:
                 if not self.accepting:
                     return
                 self.wake.clear()
-                try:
-                    await asyncio.wait_for(self.wake.wait(),
-                                           timeout=_IDLE_WAIT)
-                except asyncio.TimeoutError:
-                    continue
-            # Accumulate near-simultaneous arrivals into one batch.
-            await asyncio.sleep(self.config.batch_interval)
-            batch = self._assemble()
+                await self.wake.wait()
+                continue
+            await asyncio.sleep(0)
+            batch = self.inflight = self._assemble()
             if not batch:
                 continue
             if self.fault_plan is not None:
@@ -600,6 +617,7 @@ class PredictionService:
                 fresh = tuple(row)
                 session.last_good = fresh
                 session._resolve(req, "fresh", fresh, severity)
+            self.inflight = []
             self.batches += 1
             self.metric_batches.inc()
             self.metric_batch_size.observe(len(batch))

@@ -66,7 +66,10 @@ class TestExecutorHealth:
             "parallel.runs_requested": {"kind": "counter", "value": 8.0},
             "parallel.runs_deduplicated": {"kind": "counter", "value": 2.0},
             "parallel.retries": {"kind": "counter", "value": 1.0},
-            "parallel.straggler_skew": {"kind": "gauge", "value": 1.5},
+            # Four runs of 0.25-0.75 s: slowest 0.75 s over a 0.5 s mean.
+            "parallel.run_seconds": {"kind": "histogram", "count": 4,
+                                     "sum": 2.0, "min": 0.25, "max": 0.75,
+                                     "mean": 0.5},
             "parallel.workers_used": {"kind": "gauge", "value": 2.0},
             "parallel.worker_busy_seconds{worker=w0}":
                 {"kind": "gauge", "value": 0.25},
@@ -77,7 +80,8 @@ class TestExecutorHealth:
         assert "run cache: 3 hit(s) / 1 miss(es) (75% hit rate)" in text
         assert "dedup: 2 of 8" in text
         assert "run retries: 1" in text
-        assert "straggler skew (slowest run / mean): 1.50x" in text
+        assert "straggler skew (slowest run / mean): 1.50x over 4 run(s)" \
+            in text
         assert "workers used: 2" in text
         assert "0.75/0.25" in text  # busiest worker first
 

@@ -167,7 +167,14 @@ class TestMetricsMerge:
     def test_parallel_health_gauges_recorded(self):
         _, snapshot = traced_sweep(n_jobs=4)
         assert snapshot["parallel.workers_used"]["value"] >= 1
-        assert snapshot["parallel.straggler_skew"]["value"] >= 1.0
+        # Skew is derived from the run-time histogram, not kept per batch.
+        assert "parallel.straggler_skew" not in snapshot
+        assert "parallel.queue_depth" not in snapshot
+        (skew,) = [line for line in executor_health(snapshot)
+                   if line.startswith("straggler skew")]
+        assert skew.endswith("over 4 run(s)")
+        runs = snapshot["parallel.run_seconds"]
+        assert runs["max"] / runs["mean"] >= 1.0
         busy = [name for name in snapshot
                 if name.startswith("parallel.worker_busy_seconds{worker=")]
         assert len(busy) == int(snapshot["parallel.workers_used"]["value"])

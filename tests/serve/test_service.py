@@ -12,6 +12,7 @@ from repro.serve import (
     Rejected,
     ServeConfig,
 )
+from repro.serve.service import STATUSES
 
 
 def vectors(scorer, n, seed=1):
@@ -36,15 +37,21 @@ class StallFirst:
         return self.seconds if batch_index < self.n else 0.0
 
 
+async def until_in_flight(service):
+    """Yield until the batcher holds an assembled batch (one that a
+    :class:`StallFirst` plan then keeps in flight)."""
+    while not service.inflight:
+        await asyncio.sleep(0)
+
+
 @pytest.mark.parametrize("kw", [
     dict(max_tenants=0), dict(queue_depth=0), dict(reorder_depth=-1),
-    dict(max_batch=0), dict(batch_interval=0.0), dict(shed_backlog=0),
+    dict(max_batch=0), dict(shed_backlog=0),
     dict(deadline=0.0), dict(breaker_threshold=0),
     dict(breaker_cooldown=0.0), dict(drain_timeout=-1.0),
     # ``now - enqueued > nan`` never fires: a nan deadline never expires.
     dict(deadline=float("nan")), dict(deadline=float("inf")),
-    dict(batch_interval=float("nan")), dict(breaker_cooldown=float("inf")),
-    dict(drain_timeout=float("nan")),
+    dict(breaker_cooldown=float("inf")), dict(drain_timeout=float("nan")),
 ])
 def test_config_validation(kw):
     with pytest.raises(ValueError):
@@ -114,7 +121,7 @@ def test_cross_tenant_batch_bit_identity(scorer):
     W = vectors(scorer, n, seed=2)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(batch_interval=0.05))
+        service = PredictionService(scorer)
         await service.start()
         sessions = [service.connect(f"t{i}") for i in range(n)]
         tasks = [asyncio.ensure_future(s.submit(0, W[i]))
@@ -135,8 +142,10 @@ def test_backpressure_when_queue_full(scorer):
     vec = np.zeros((scorer.n_servers, scorer.n_features))
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(
-            queue_depth=2, batch_interval=5.0, drain_timeout=0.1))
+        # The accepted windows' batch stalls past the drain budget.
+        service = PredictionService(
+            scorer, ServeConfig(queue_depth=2, drain_timeout=0.1),
+            fault_plan=StallFirst(1, 5.0))
         await service.start()
         session = service.connect("t0")
         tasks = [asyncio.ensure_future(session.submit(w, vec))
@@ -147,9 +156,10 @@ def test_backpressure_when_queue_full(scorer):
         drain = await service.stop()
         return drain, await asyncio.gather(*tasks)
 
-    drain, queued = asyncio.run(run())
-    # The refused window was never accepted; the queued ones were shed
-    # when the (deliberately tiny) drain budget expired.
+    drain, queued = asyncio.run(asyncio.wait_for(run(), timeout=10.0))
+    # The refused window was never accepted; the accepted ones, stalled
+    # in flight, were shed when the (deliberately tiny) drain budget
+    # expired.
     assert [r.status for r in queued] == ["shed", "shed"]
     assert drain == {"drained": 0, "shed": 2}
 
@@ -159,7 +169,7 @@ def test_global_overload_sheds(scorer):
 
     async def run():
         service = PredictionService(scorer, ServeConfig(
-            shed_backlog=1, batch_interval=5.0, drain_timeout=0.1))
+            shed_backlog=1, drain_timeout=0.1))
         await service.start()
         a = service.connect("a")
         b = service.connect("b")
@@ -182,17 +192,23 @@ def test_deadline_miss_degrades_to_masked(scorer):
     vec = np.zeros((scorer.n_servers, scorer.n_features))
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(
-            deadline=0.01, batch_interval=0.05))
+        service = PredictionService(scorer, ServeConfig(deadline=0.01),
+                                    fault_plan=StallFirst(1, 0.05))
         await service.start()
+        hold = service.connect("hold")
         session = service.connect("t0")
+        held = asyncio.ensure_future(hold.submit(0, vec))
+        await until_in_flight(service)
         before = REGISTRY.counter("serve.deadline_misses").value
+        # Queued behind the stalled batch, this window outlives its
+        # deadline before the batcher is free.
         res = await session.submit(0, vec)
         delta = REGISTRY.counter("serve.deadline_misses").value - before
         await service.stop()
+        assert (await held).status == "fresh"
         return res, delta
 
-    res, misses = asyncio.run(run())
+    res, misses = asyncio.run(asyncio.wait_for(run(), timeout=10.0))
     # First window, so nothing good to repeat: masked, not stale.
     assert res.status == "masked"
     assert res.probabilities is None
@@ -203,9 +219,8 @@ def test_breaker_trips_then_probe_recovers(scorer):
     W = vectors(scorer, 7, seed=3)
 
     async def run():
-        config = ServeConfig(deadline=0.08, batch_interval=0.005,
-                             max_batch=1, breaker_threshold=2,
-                             breaker_cooldown=0.25)
+        config = ServeConfig(deadline=0.08, max_batch=1,
+                             breaker_threshold=2, breaker_cooldown=0.25)
         service = PredictionService(scorer, config,
                                     fault_plan=StallFirst(1, 0.3))
         await service.start()
@@ -242,18 +257,28 @@ def test_failed_probe_reopens_breaker(scorer):
 
     async def run():
         service = PredictionService(scorer, ServeConfig(
-            deadline=0.01, batch_interval=0.05, max_batch=1,
-            breaker_threshold=1, breaker_cooldown=0.1))
+            deadline=0.01, max_batch=1, breaker_threshold=1,
+            breaker_cooldown=0.1), fault_plan=StallFirst(2, 0.05))
         await service.start()
+        hold = service.connect("hold")
         session = service.connect("t0")
-        first = await session.submit(0, vec)   # deadline miss -> masked
-        await asyncio.sleep(0.15)              # past cooldown: half-open
-        probe = await session.submit(1, vec)   # probe also misses
-        during = await session.submit(2, vec)  # breaker re-opened
+
+        async def behind_a_stalled_batch(window):
+            held = asyncio.ensure_future(hold.submit(window, vec))
+            await until_in_flight(service)
+            result = await session.submit(window, vec)
+            assert (await held).status == "fresh"
+            return result
+
+        first = await behind_a_stalled_batch(0)  # deadline miss -> masked
+        await asyncio.sleep(0.15)                # past cooldown: half-open
+        probe = await behind_a_stalled_batch(1)  # probe also misses
+        during = await session.submit(2, vec)    # breaker re-opened
         await service.stop()
         return first, probe, during, session
 
-    first, probe, during, session = asyncio.run(run())
+    first, probe, during, session = asyncio.run(
+        asyncio.wait_for(run(), timeout=10.0))
     assert first.status == "masked"
     assert probe.status == "masked"
     assert during.status == "masked"
@@ -352,8 +377,7 @@ def test_graceful_drain_scores_queued_work(scorer):
     W = vectors(scorer, 5, seed=8)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(
-            batch_interval=0.01, drain_timeout=5.0))
+        service = PredictionService(scorer, ServeConfig(drain_timeout=5.0))
         await service.start()
         session = service.connect("t0")
         tasks = [asyncio.ensure_future(session.submit(w, W[w]))
@@ -370,6 +394,146 @@ def test_graceful_drain_scores_queued_work(scorer):
         assert res.probabilities == expected_bits(scorer, W[w])
 
 
+def resolutions():
+    """Windows resolved so far, over every status."""
+    return sum(REGISTRY.counter(f"serve.{status}").value
+               for status in STATUSES)
+
+
+def test_drain_sheds_the_batch_in_flight(scorer):
+    """A batch taken off the queues but still stalled when the drain
+    budget expires is counted in the drain report and resolved ``shed``,
+    before the tenant's windows still queued behind it: every submission
+    resolves, in window order, and none is left awaiting forever."""
+    vec = np.zeros((scorer.n_servers, scorer.n_features))
+
+    async def run():
+        service = PredictionService(scorer, ServeConfig(drain_timeout=0.1),
+                                    fault_plan=StallFirst(1, 5.0))
+        await service.start()
+        session = service.connect("t0")
+        submitted = REGISTRY.counter("serve.submitted").value
+        resolved = resolutions()
+        order = []
+        tasks = []
+
+        def submit(window):
+            task = asyncio.ensure_future(session.submit(window, vec))
+            task.add_done_callback(lambda _: order.append(window))
+            tasks.append(task)
+
+        submit(0)
+        await until_in_flight(service)  # window 0's batch is stalled
+        submit(1)                       # queued behind it
+        await asyncio.sleep(0)
+        assert service.backlog == 1
+        drain = await service.stop()
+        results = await asyncio.wait_for(asyncio.gather(*tasks),
+                                         timeout=2.0)
+        return (drain, results, order,
+                REGISTRY.counter("serve.submitted").value - submitted,
+                resolutions() - resolved)
+
+    drain, results, order, submitted, resolved = asyncio.run(
+        asyncio.wait_for(run(), timeout=10.0))
+    assert drain == {"drained": 0, "shed": 2}
+    assert [r.status for r in results] == ["shed", "shed"]
+    assert order == [0, 1]
+    assert submitted == resolved == 2
+
+
+def test_window_released_by_a_fast_fail_wakes_the_batcher(scorer):
+    """A breaker fast-fail that releases a parked out-of-order window
+    onto the queue wakes an idle batcher: the window resolves without
+    waiting for another submission or the drain."""
+    vec = np.zeros((scorer.n_servers, scorer.n_features))
+
+    async def run():
+        service = PredictionService(scorer, ServeConfig(
+            deadline=0.01, breaker_threshold=1, breaker_cooldown=5.0),
+            fault_plan=StallFirst(1, 0.05))
+        await service.start()
+        hold = service.connect("hold")
+        session = service.connect("t0")
+        held = asyncio.ensure_future(hold.submit(0, vec))
+        await until_in_flight(service)
+        # Window 0 queues behind the stalled batch; window 2 parks in
+        # the reorder buffer until window 1 arrives.
+        first = asyncio.ensure_future(session.submit(0, vec))
+        parked = asyncio.ensure_future(session.submit(2, vec))
+        assert (await held).status == "fresh"
+        assert (await first).status == "masked"  # missed; breaker opens
+        assert service.backlog == 0  # the batcher goes idle
+        # Window 1 fast-fails on the open breaker and releases window 2.
+        second = await session.submit(1, vec)
+        released = await asyncio.wait_for(parked, timeout=1.0)
+        await service.stop()
+        return second, released, session
+
+    second, released, session = asyncio.run(
+        asyncio.wait_for(run(), timeout=10.0))
+    assert second.status == "masked"
+    assert released.window == 2
+    assert released.status == "masked"  # it too aged past the deadline
+    assert session.breaker_trips == 1
+
+
+def test_batcher_waits_on_work_not_on_a_timer(scorer):
+    """Continuous batching.  Without a fault plan the batcher never
+    awaits a positive delay, busy or idle.  Windows submitted while a
+    batch is stalled are scored together as the next batch."""
+    W = vectors(scorer, 4, seed=11)
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        timers = []  # (task that armed the timer, its delay in seconds)
+
+        def recording_call_at(when, callback, *args, **kwargs):
+            timers.append((asyncio.current_task(), when - loop.time()))
+            return type(loop).call_at(loop, when, callback, *args,
+                                      **kwargs)
+
+        loop.call_at = recording_call_at
+        try:
+            service = PredictionService(scorer)
+            await service.start()
+            batcher = service._task
+            session = service.connect("t0")
+            for w in range(3):
+                assert (await session.submit(w, W[w])).status == "fresh"
+            await asyncio.sleep(0.1)  # idle: longer than any poll
+            await service.stop()
+            assert [delay for task, delay in timers if task is batcher] \
+                == []
+
+            recorder = RecordingScorer(scorer)
+            service = PredictionService(recorder,
+                                        fault_plan=StallFirst(1, 0.05))
+            await service.start()
+            batcher = service._task
+            sessions = [service.connect(f"t{i}") for i in range(4)]
+            first = asyncio.ensure_future(sessions[0].submit(0, W[0]))
+            await until_in_flight(service)
+            queued = [asyncio.ensure_future(s.submit(0, W[i]))
+                      for i, s in enumerate(sessions) if i > 0]
+            results = await asyncio.gather(first, *queued)
+            batches = service.batches
+            await service.stop()
+            stalls = [delay for task, delay in timers if task is batcher]
+        finally:
+            del loop.call_at
+        return results, batches, recorder.batches, stalls
+
+    results, batches, scored, stalls = asyncio.run(
+        asyncio.wait_for(run(), timeout=10.0))
+    assert batches == 2
+    assert [len(X) for X in scored] == [1, 3]
+    assert stalls == [pytest.approx(0.05, abs=0.01)]  # the injected one
+    for i, res in enumerate(results):
+        assert res.status == "fresh"
+        assert res.probabilities == expected_bits(scorer, W[i])
+
+
 def test_malformed_vector_is_refused_without_wedging_the_service(scorer):
     """A vector of the wrong shape or dtype, or holding a NaN or inf, is
     refused at submit: it is never counted or queued, so it cannot
@@ -383,7 +547,7 @@ def test_malformed_vector_is_refused_without_wedging_the_service(scorer):
         non_finite.append(bad_vector)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(batch_interval=0.01))
+        service = PredictionService(scorer)
         await service.start()
         good = service.connect("good")
         bad = service.connect("bad")
@@ -440,8 +604,7 @@ def test_assembly_is_round_robin_over_busy_tenants(scorer):
 
     async def run():
         recorder = RecordingScorer(scorer)
-        service = PredictionService(recorder, ServeConfig(
-            max_batch=2, batch_interval=0.05))
+        service = PredictionService(recorder, ServeConfig(max_batch=2))
         await service.start()
         sessions = [service.connect(f"t{i}") for i in range(5)]
         resolved = []
