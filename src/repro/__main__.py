@@ -748,9 +748,8 @@ def main(argv: list[str] | None = None) -> int:
         if fault_plan.has_telemetry_faults:
             return _fail("bad --faults spec: sweeps apply only abort, kill, "
                          "flaky and stall faults; telemetry faults (drop, "
-                         "delay, delay_max, dup, skew, blank) are not "
-                         "applied (the robustness experiment sweeps its "
-                         "own drop/blank grid)")
+                         "blank) are not applied (the robustness "
+                         "experiment sweeps its own drop/blank grid)")
 
     if args.experiment == "list":
         for name in (*EXPERIMENTS, *EXTENSIONS):

@@ -19,11 +19,20 @@ bit for bit.  It is scored by
 :meth:`~repro.core.predictor.DeployedPredictor.predict_proba_rows`, the
 forward pass the prediction service batches, so a vector gets the same
 probabilities here as from ``repro serve``.
+
+The stream it reads is the monitor's own, in sample order: telemetry
+faults are applied to collected runs only (:func:`repro.faults.
+apply_faults`), so the loop waits for nothing but a window's last
+sample.  A sample that still arrives after its window was emitted is
+counted in ``online.late_samples`` and dropped, and an emitted window's
+buffers are released, so a long-lived stream holds only the windows it
+can still emit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,20 +54,13 @@ __all__ = ["WindowPrediction", "StreamingPredictor"]
 
 @dataclass(frozen=True)
 class WindowPrediction:
-    """One runtime prediction: emitted as soon as the window closed.
-
-    ``completeness`` is the fraction of expected server samples that had
-    arrived when the prediction was made; ``stale`` marks a fallback
-    emission — the window's telemetry was too gappy, so the last good
-    prediction was repeated instead of trusting a half-blind vector.
-    """
+    """One runtime prediction: emitted as soon as the window's last
+    sample arrived."""
 
     window: int
     severity: int
     probabilities: tuple[float, ...]
     emitted_at: float  #: simulated time the prediction was produced
-    completeness: float = 1.0
-    stale: bool = False
 
 
 @dataclass
@@ -72,14 +74,6 @@ class StreamingPredictor:
     window_size: float = 0.5
     #: Called with each WindowPrediction as it is emitted (optional).
     on_prediction: Callable[[WindowPrediction], None] | None = None
-    #: Bounded reorder buffer: window ``w`` is predicted at
-    #: ``(w + 1 + reorder_windows) * window_size``, giving late /
-    #: out-of-order samples that many windows to arrive.
-    reorder_windows: int = 0
-    #: Minimum fraction of expected server samples a window needs before
-    #: its vector is trusted; below it, fall back to the last good
-    #: prediction with ``stale=True``.  0 disables the fallback.
-    min_completeness: float = 0.0
 
     predictions: list[WindowPrediction] = field(default_factory=list)
     _record_cursor: int = field(default=0, repr=False)
@@ -91,7 +85,6 @@ class StreamingPredictor:
         default_factory=dict, repr=False)
     _started: bool = field(default=False, repr=False)
     _scorer: object = field(default=None, repr=False)
-    _last_good: WindowPrediction | None = field(default=None, repr=False)
     _emitted_through: int = field(default=-1, repr=False)
 
     def start(self) -> None:
@@ -100,10 +93,6 @@ class StreamingPredictor:
             raise RuntimeError("streaming predictor already started")
         if self.window_size <= 0:
             raise ValueError("window_size must be positive")
-        if self.reorder_windows < 0:
-            raise ValueError("reorder_windows must be >= 0")
-        if not 0.0 <= self.min_completeness <= 1.0:
-            raise ValueError("min_completeness must be in [0, 1]")
         self._started = True
         # Score through the fused deployment path: the normaliser is
         # folded into the first kernel layer, so the per-window hot path
@@ -155,20 +144,6 @@ class StreamingPredictor:
         self._window_records.pop(window, None)
         self._window_samples.pop(window, None)
 
-    def _completeness(self, window: int) -> float:
-        """Fraction of expected server samples present for ``window``."""
-        expected = max(1, round(self.window_size /
-                                self.monitor.sample_interval))
-        servers = self.cluster.servers
-        if not servers:
-            return 1.0
-        per_server = Counter(
-            server for _, server, _ in self._window_samples.get(window, ()))
-        have = 0.0
-        for sid in servers:
-            have += min(1.0, per_server[sid] / expected)
-        return have / len(servers)
-
     def _vector_for(self, window: int) -> np.ndarray:
         """Per-server vector of one closed window, aggregated by the
         offline assembly's own functions."""
@@ -193,55 +168,50 @@ class StreamingPredictor:
 
     # -- the loop -----------------------------------------------------------------
 
-    def _loop(self):
-        import time
+    def _wake_time(self, window: int) -> float:
+        """Just after ``window`` closed and its last server sample arrived.
 
+        A sample taken at ``t`` belongs to the window holding
+        ``t - sample_interval/2``, so when the window is not a multiple
+        of the interval its last sample lands up to half an interval past
+        the boundary (0.25 s windows, 0.15 s samples: window 0's last
+        sample is taken at 0.30 s).  A multiple's last sample lands on
+        the boundary itself.
+        """
+        interval = self.monitor.sample_interval
+        boundary = (window + 1) * self.window_size
+        # The small slack rounds a sample that sits on the half-interval
+        # tie into this window's wait: waiting one sample longer is
+        # harmless, missing one is not.
+        last_sample = math.floor(boundary / interval + 0.5 + 1e-9) * interval
+        return max(boundary, last_sample) + 1e-9
+
+    def _loop(self):
         env = self.cluster.env
         window = 0
         emit_counter = REGISTRY.counter("online.predictions")
-        stale_counter = REGISTRY.counter("online.stale_predictions")
         latency_hist = REGISTRY.histogram("online.predict_latency_seconds")
         while True:
-            # Wake just after the window boundary (plus the reorder
-            # allowance) so the boundary sample — and any straggler the
-            # reorder buffer is willing to wait for — has been recorded.
-            target_time = ((window + 1 + self.reorder_windows)
-                           * self.window_size + 1e-9)
-            yield env.timeout(max(0.0, target_time - env.now))
+            yield env.timeout(max(0.0, self._wake_time(window) - env.now))
             self._ingest()
-            completeness = self._completeness(window)
-            stale = (self.min_completeness > 0
-                     and completeness < self.min_completeness)
             t0 = time.perf_counter()
-            if stale and self._last_good is not None:
-                # Too blind to trust the vector: repeat the last good
-                # prediction rather than classify mostly-zeros as idle.
-                probs = self._last_good.probabilities
-            else:
-                X = self._vector_for(window)
-                probs = tuple(self._scorer.predict_proba_rows(X)[0].tolist())
+            X = self._vector_for(window)
+            probs = tuple(self._scorer.predict_proba_rows(X)[0].tolist())
             latency_hist.observe(time.perf_counter() - t0)
             emit_counter.inc()
-            if stale:
-                stale_counter.inc()
             pred = WindowPrediction(
                 window=window,
                 severity=int(np.argmax(probs)),
-                probabilities=tuple(probs),
+                probabilities=probs,
                 emitted_at=env.now,
-                completeness=completeness,
-                stale=stale,
             )
             self.predictions.append(pred)
             self._emitted_through = window
             self._evict(window)
-            if not stale:
-                self._last_good = pred
             if self.on_prediction is not None:
                 self.on_prediction(pred)
             logger.debug(
-                "window %d: severity=%d (p=%.3f)%s emitted at t=%.3fs",
-                window, pred.severity, max(pred.probabilities),
-                " [stale]" if stale else "", env.now,
+                "window %d: severity=%d (p=%.3f) emitted at t=%.3fs",
+                window, pred.severity, max(pred.probabilities), env.now,
             )
             window += 1

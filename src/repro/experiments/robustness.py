@@ -1,4 +1,4 @@
-"""Robustness (A8): prediction quality under telemetry faults.
+"""Robustness (A10): prediction quality under telemetry faults.
 
 The paper's monitors are assumed healthy: every server sample arrives,
 every client window is populated.  Real deployments lose telemetry — a
@@ -6,8 +6,9 @@ monitor daemon restarts, a node's forwarder backs up, a collection
 window ships empty — and a predictor that falls apart the moment its
 inputs go gappy is not deployable.  This experiment measures that cliff:
 an interference-trained predictor is scored on the fail-slow harness
-(reused from A7, so the ground-truth labels come from *client-side
-records* and are untouched by server-telemetry faults) while
+(reused from A7, with A7's ``ior-easy-read`` target, so the ground-truth
+labels come from *client-side records* and are untouched by
+server-telemetry faults) while
 :func:`repro.faults.apply_faults` degrades the telemetry at increasing
 sample-drop and window-blanking rates, once per gap-imputation policy.
 
@@ -197,8 +198,11 @@ def run_robustness(
                                  max_level, executor, epochs)
 
     # Eval runs: the fail-slow harness (quiet cluster, sick OSTs), whose
-    # labels come from client records and survive telemetry faults.
-    target = make_io500_task("ior-easy-write", name="robust-eval", ranks=2,
+    # labels come from client records and survive telemetry faults.  The
+    # target reads, as A7's does: the OSS write-back cache absorbs a
+    # write target's I/O, so sick disks never slow it and every window
+    # would be labelled healthy.
+    target = make_io500_task("ior-easy-read", name="robust-eval", ranks=2,
                              scale=target_scale)
     labeller = DegradationLabeller(window_size=config.window_size,
                                    thresholds=predictor.thresholds)

@@ -1,17 +1,18 @@
 """``repro.faults`` — deterministic fault injection and its bookkeeping.
 
-Production telemetry pipelines drop, delay and duplicate samples; sweep
-workers crash and wedge.  This package makes those failure modes a
+Production telemetry pipelines lose samples and whole client windows;
+sweep workers crash and wedge.  This package makes those failure modes a
 first-class, *seeded* part of the reproduction so the degradation
-machinery (missing-data policies in the aggregator, the streaming
-predictor's staleness fallback, the executor's retry/quarantine loop)
-can be exercised bit-reproducibly:
+machinery (gap policies in the aggregator, the executor's
+retry/quarantine loop, the service's degradation ladder) can be
+exercised bit-reproducibly:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, the serialisable fault
   regime whose every decision derives from ``repro.common.rng``;
-* :mod:`repro.faults.inject` — pure post-hoc transforms that corrupt a
-  monitored run's telemetry (cache-friendly: clean simulations are
-  cached, faults are re-applied per grid point);
+* :mod:`repro.faults.inject` — pure post-hoc transforms that drop a
+  monitored run's server samples and blank its client windows
+  (cache-friendly: clean simulations are cached, faults are re-applied
+  per grid point);
 * :mod:`repro.faults.service` — :class:`ServiceFaultPlan`, the
   tenant-level chaos regime (floods, stalls, disconnects, reordered and
   duplicated windows, slow-model stalls) the prediction service's soak
@@ -19,8 +20,9 @@ can be exercised bit-reproducibly:
 
 Telemetry faults are applied only after collection, by
 :func:`apply_faults` on a :class:`~repro.monitor.aggregator.MonitoredRun`:
-lost and late samples are a property of the collected metric stream,
-not of the monitor that sampled it.  The live injection point is the
+lost samples and blanked windows are a property of the collected metric
+stream, not of the monitor that sampled it, and the ``robustness``
+experiment is the one caller.  The live injection point is the
 :class:`~repro.parallel.executor.SweepExecutor`, which consults the plan
 for worker kills/stalls and simulated-run aborts.
 """
@@ -30,7 +32,6 @@ from repro.faults.inject import (
     apply_faults,
     blank_client_windows,
     inject_sample_faults,
-    sample_clock_skews,
 )
 from repro.faults.plan import FAULT_SPEC_FIELDS, FaultPlan, parse_fault_spec
 from repro.faults.service import (
@@ -52,5 +53,4 @@ __all__ = [
     "apply_faults",
     "inject_sample_faults",
     "blank_client_windows",
-    "sample_clock_skews",
 ]

@@ -8,12 +8,17 @@ serves every point of a drop-rate × blank-rate grid, because faults are
 re-applied deterministically from the :class:`~repro.faults.plan.
 FaultPlan` at analysis time.
 
+Two faults are injected, the gaps LASSi-style monitoring leaves: lost
+server samples (:func:`inject_sample_faults`) and client windows whose
+records never reach aggregation (:func:`blank_client_windows`).  The
+stream keeps its sample order, since a dropped sample leaves no trace
+and the survivors arrive as they were taken.
+
 Every transform is pure (inputs are never mutated) and bit-reproducible:
 the random draws come from the plan's seed plus a caller-supplied scope
-string (normally the run's job name), one fixed-size draw block per
-sample, so the same plan applied to the same run twice yields identical
-output.  Injection counts land both on the returned
-:class:`FaultStats` and in the ``faults.*`` metrics of
+string (normally the run's job name), so the same plan applied to the
+same run twice yields identical output.  Injection counts land both on
+the returned :class:`FaultStats` and in the ``faults.*`` metrics of
 :data:`repro.obs.metrics.REGISTRY`.
 """
 
@@ -28,8 +33,8 @@ from repro.monitor.aggregator import MonitoredRun
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 
-__all__ = ["FaultStats", "sample_clock_skews", "inject_sample_faults",
-           "blank_client_windows", "apply_faults"]
+__all__ = ["FaultStats", "inject_sample_faults", "blank_client_windows",
+           "apply_faults"]
 
 logger = get_logger("faults.inject")
 
@@ -40,10 +45,6 @@ class FaultStats:
 
     samples_in: int = 0
     samples_dropped: int = 0
-    samples_delayed: int = 0
-    samples_lost_late: int = 0
-    samples_duplicated: int = 0
-    servers_skewed: int = 0
     windows_blanked: int = 0
     records_blanked: int = 0
 
@@ -56,66 +57,26 @@ class FaultStats:
         return self
 
 
-def sample_clock_skews(
-    plan: FaultPlan, servers: list[ServerId], scope: str
-) -> dict[ServerId, float]:
-    """Per-server clock skew, uniform in ``[-max, +max]``, deterministic.
-
-    Each server's skew derives from its own rng path, so the mapping is
-    independent of server-list order.
-    """
-    if plan.clock_skew_max <= 0:
-        return {server: 0.0 for server in servers}
-    return {
-        server: float(plan.rng("skew", scope, str(server)).uniform(
-            -plan.clock_skew_max, plan.clock_skew_max))
-        for server in servers
-    }
-
-
 def inject_sample_faults(
     samples: list[tuple[float, ServerId, dict[str, float]]],
     plan: FaultPlan,
     scope: str,
-    duration: float,
-    servers: list[ServerId] | None = None,
 ) -> tuple[list[tuple[float, ServerId, dict[str, float]]], FaultStats]:
-    """Drop / delay / duplicate / clock-skew a server sample stream.
+    """Drop server samples at ``plan.sample_drop_rate``.
 
-    Returns the faulted stream in *delivery* order (each row keeps its
-    possibly-skewed sample time) plus the injection stats.  A delayed
-    sample whose delivery would land past ``duration`` is lost — the
-    collection window closed before it arrived.
+    Returns the surviving samples in their original order plus the
+    injection stats.
     """
     stats = FaultStats(samples_in=len(samples))
-    if servers is None:
-        servers = sorted({server for _, server, _ in samples}, key=str)
-    skews = sample_clock_skews(plan, servers, scope)
-    stats.servers_skewed = sum(1 for s in skews.values() if s != 0.0)
-    rng = plan.rng("samples", scope)
-    delivered: list[tuple[float, float, ServerId, dict[str, float]]] = []
-    for t, server, metrics in samples:
-        # One fixed-size draw block per sample keeps the stream aligned
-        # whatever mix of faults is enabled.
-        u_drop, u_dup, u_delay, u_amount = rng.random(4)
-        if plan.sample_drop_rate and u_drop < plan.sample_drop_rate:
-            stats.samples_dropped += 1
-            continue
-        t_obs = max(0.0, t + skews.get(server, 0.0))
-        delivery = t_obs
-        if plan.sample_delay_rate and u_delay < plan.sample_delay_rate:
-            delivery = t_obs + u_amount * plan.sample_delay_max
-            stats.samples_delayed += 1
-            if delivery > duration:
-                stats.samples_lost_late += 1
-                continue
-        delivered.append((delivery, t_obs, server, metrics))
-        if plan.sample_duplicate_rate and u_dup < plan.sample_duplicate_rate:
-            stats.samples_duplicated += 1
-            delivered.append((delivery, t_obs, server, dict(metrics)))
-    delivered.sort(key=lambda row: row[0])
-    return [(t_obs, server, metrics)
-            for _, t_obs, server, metrics in delivered], stats
+    # The plan's stream is laid out four uniforms per sample and the
+    # first decides the drop.  The layout is pinned
+    # (tests/faults/test_inject.py): another would change which samples
+    # every existing seed drops.
+    u_drop = plan.rng("samples", scope).random((len(samples), 4))[:, 0]
+    kept = [row for row, u in zip(samples, u_drop)
+            if u >= plan.sample_drop_rate]
+    stats.samples_dropped = len(samples) - len(kept)
+    return kept, stats
 
 
 def blank_client_windows(
@@ -160,9 +121,7 @@ def apply_faults(
     ``metadata["faults"]`` and the originating plan's digest, and the
     pass increments the ``faults.*`` registry counters.
     """
-    samples, stats = inject_sample_faults(
-        run.server_samples, plan, run.job, run.duration, servers=run.servers
-    )
+    samples, stats = inject_sample_faults(run.server_samples, plan, run.job)
     records, blank_stats = blank_client_windows(
         run.records, plan, run.job, run.job, window_size, run.duration
     )

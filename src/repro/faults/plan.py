@@ -1,7 +1,7 @@
 """Deterministic fault plans.
 
-Production telemetry is gappy: LASSi-style monitor pipelines lose and
-delay samples, client monitors blank whole aggregation windows, and
+Production telemetry is gappy: LASSi-style monitor pipelines lose
+samples, client monitors blank whole aggregation windows, and
 shared-cluster sweep workers die or wedge.  A :class:`FaultPlan`
 describes one such fault regime as data — a frozen, serialisable
 dataclass whose every decision ("is this sample dropped?", "does this
@@ -12,11 +12,13 @@ sequence, in-process or across worker processes.
 
 Three fault domains, with deliberately different cache semantics:
 
-* **telemetry** (drop / delay / duplicate / clock-skew server samples,
-  blank client windows) corrupts the *view* of a run, never the run
-  itself.  It is applied to the collected stream, after the simulator
-  (:func:`repro.faults.apply_faults`), so clean runs stay cacheable and
-  one cached sweep serves a whole fault grid.
+* **telemetry** (drop server samples, blank client windows) corrupts
+  the *view* of a run, never the run itself.  It is applied to the
+  collected stream, after the simulator (:func:`repro.faults.
+  apply_faults`), so clean runs stay cacheable and one cached sweep
+  serves a whole fault grid.  These two kinds are the gaps the
+  ``robustness`` experiment sweeps; late, duplicated or clock-skewed
+  samples are not faults the program injects.
 * **simulation** (abort a run at a chosen simulated time) changes the
   run's content and therefore participates in the run-cache key
   (:meth:`FaultPlan.sim_material`).
@@ -41,14 +43,10 @@ __all__ = ["FaultPlan", "parse_fault_spec", "FAULT_SPEC_FIELDS",
            "check_fields", "parse_spec"]
 
 _RATE_FIELDS = (
-    "sample_drop_rate", "sample_delay_rate", "sample_duplicate_rate",
-    "window_blank_rate", "run_abort_rate", "worker_kill_rate",
-    "worker_flaky_rate", "worker_stall_rate",
+    "sample_drop_rate", "window_blank_rate", "run_abort_rate",
+    "worker_kill_rate", "worker_flaky_rate", "worker_stall_rate",
 )
-_NONNEG_FIELDS = (
-    "sample_delay_max", "clock_skew_max", "run_abort_after",
-    "worker_stall_seconds",
-)
+_NONNEG_FIELDS = ("run_abort_after", "worker_stall_seconds")
 
 
 def check_fields(plan, rates: tuple[str, ...] = (),
@@ -93,14 +91,6 @@ class FaultPlan:
     # -- telemetry faults (view-level; cache-neutral) ----------------------
     #: Fraction of server-monitor samples silently lost.
     sample_drop_rate: float = 0.0
-    #: Fraction of samples delivered late (by up to ``sample_delay_max``).
-    sample_delay_rate: float = 0.0
-    #: Maximum delivery delay in (simulated) seconds.
-    sample_delay_max: float = 0.0
-    #: Fraction of samples delivered twice.
-    sample_duplicate_rate: float = 0.0
-    #: Per-server sample-clock skew, uniform in ``[-max, +max]`` seconds.
-    clock_skew_max: float = 0.0
     #: Fraction of client windows whose records never reach aggregation.
     window_blank_rate: float = 0.0
 
@@ -160,10 +150,7 @@ class FaultPlan:
 
     @property
     def has_telemetry_faults(self) -> bool:
-        return any(getattr(self, f) > 0 for f in (
-            "sample_drop_rate", "sample_delay_rate", "sample_delay_max",
-            "sample_duplicate_rate", "clock_skew_max", "window_blank_rate",
-        ))
+        return self.sample_drop_rate > 0 or self.window_blank_rate > 0
 
     @property
     def has_worker_faults(self) -> bool:
@@ -197,10 +184,6 @@ class FaultPlan:
 FAULT_SPEC_FIELDS: dict[str, str] = {
     "seed": "seed",
     "drop": "sample_drop_rate",
-    "delay": "sample_delay_rate",
-    "delay_max": "sample_delay_max",
-    "dup": "sample_duplicate_rate",
-    "skew": "clock_skew_max",
     "blank": "window_blank_rate",
     "abort": "run_abort_rate",
     "abort_after": "run_abort_after",

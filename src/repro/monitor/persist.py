@@ -22,14 +22,11 @@ from repro.monitor.aggregator import MonitoredRun
 from repro.monitor.darshan import read_dxt, write_dxt
 from repro.monitor.schema import SERVER_METRICS
 
-__all__ = ["save_run", "load_run", "save_paired_runs", "load_paired_runs"]
+__all__ = ["save_run", "load_run"]
 
 _META_FILE = "meta.json"
 _RECORDS_FILE = "records.dxt"
 _SAMPLES_FILE = "samples.npz"
-
-_BASELINE_SUBDIR = "baseline"
-_INTERFERED_SUBDIR = "interfered"
 
 
 def _server_to_str(server: ServerId) -> str:
@@ -99,28 +96,4 @@ def load_run(directory: str | pathlib.Path) -> MonitoredRun:
         servers=[_server_from_str(s) for s in meta["servers"]],
         duration=float(meta["duration"]),
         metadata=meta.get("metadata", {}),
-    )
-
-
-def save_paired_runs(pair, directory: str | pathlib.Path) -> pathlib.Path:
-    """Write a :class:`~repro.experiments.runner.PairedRuns` to disk.
-
-    Layout: ``<directory>/baseline/`` and ``<directory>/interfered/``,
-    each a :func:`save_run` directory.  Used by the run cache and by
-    anyone archiving labelled-sweep raw material.
-    """
-    directory = pathlib.Path(directory)
-    save_run(pair.baseline, directory / _BASELINE_SUBDIR)
-    save_run(pair.interfered, directory / _INTERFERED_SUBDIR)
-    return directory
-
-
-def load_paired_runs(directory: str | pathlib.Path):
-    """Read a pair previously written by :func:`save_paired_runs`."""
-    from repro.experiments.runner import PairedRuns
-
-    directory = pathlib.Path(directory)
-    return PairedRuns(
-        baseline=load_run(directory / _BASELINE_SUBDIR),
-        interfered=load_run(directory / _INTERFERED_SUBDIR),
     )

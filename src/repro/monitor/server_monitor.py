@@ -45,9 +45,11 @@ class ServerMonitor:
 
     Call :meth:`start` before running the simulation; samples accumulate
     in :attr:`samples` as ``(time, server, metrics-dict)`` rows, in
-    sample-time order.  Telemetry faults (lost, late, duplicated and
-    skewed samples) are a property of the collected stream and are
-    applied after collection, by :func:`repro.faults.apply_faults`.
+    sample-time order, one row per server every ``sample_interval``.
+    The monitor never loses or reorders a sample: telemetry faults
+    (dropped samples, blanked client windows) are a property of the
+    collected stream and are applied after collection, by
+    :func:`repro.faults.apply_faults`.
     """
 
     def __init__(self, cluster: Cluster,
@@ -96,24 +98,6 @@ class ServerMonitor:
                     metrics[name] = counters[source]
                 self._last_counters[server] = counters
                 self.samples.append((t, server, metrics))
-
-    def expected_samples(self, duration: float) -> int:
-        """Rows a gap-free collection over ``duration`` would hold."""
-        if duration <= 0:
-            return 0
-        ticks = int(duration / self.sample_interval + 1e-9)
-        return ticks * len(self.cluster.servers)
-
-    def coverage(self, duration: float) -> float:
-        """Observed / expected sample fraction (capped at 1.0).
-
-        Also published as the ``monitor.sample_coverage`` gauge, the
-        monitors' headline gap signal.
-        """
-        expected = self.expected_samples(duration)
-        cov = min(1.0, len(self.samples) / expected) if expected else 1.0
-        REGISTRY.gauge("monitor.sample_coverage").set(cov)
-        return cov
 
 
 def window_feature_arrays(

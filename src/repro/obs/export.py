@@ -28,6 +28,7 @@ from repro.obs.trace import Span, Tracer
 __all__ = [
     "TRACE_KIND", "METRICS_KIND",
     "save_trace", "load_trace", "save_metrics", "load_metrics",
+    "read_json_object",
 ]
 
 TRACE_KIND = "repro-trace"
@@ -58,18 +59,54 @@ def save_trace(source: Tracer | Iterable[Span],
     return path
 
 
+def _parse_object(text: str, where: str) -> dict:
+    """``text`` as a JSON object, or :class:`ValueError` naming ``where``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    return doc
+
+
+def read_json_object(path: str | pathlib.Path) -> dict:
+    """The JSON object a whole-file artefact holds.
+
+    Raises :class:`ValueError` naming ``path`` when the file is empty,
+    is not JSON or holds something other than an object.
+    """
+    path = pathlib.Path(path)
+    text = path.read_text()
+    if not text.strip():
+        raise ValueError(f"{path}: empty file")
+    return _parse_object(text, str(path))
+
+
 def load_trace(path: str | pathlib.Path) -> list[Span]:
-    """Read spans written by :func:`save_trace`."""
+    """Read spans written by :func:`save_trace`.
+
+    A malformed file raises :class:`ValueError` naming ``path`` (and the
+    line at fault).
+    """
     path = pathlib.Path(path)
     with open(path) as fp:
         header_line = fp.readline()
         if not header_line.strip():
             raise ValueError(f"{path}: empty trace file")
-        header = json.loads(header_line)
+        header = _parse_object(header_line, f"{path}: line 1")
         if header.get("kind") != TRACE_KIND:
             raise ValueError(f"{path}: not a repro trace file")
-        spans = [Span.from_dict(json.loads(line))
-                 for line in fp if line.strip()]
+        spans = []
+        for n, line in enumerate(fp, start=2):
+            if not line.strip():
+                continue
+            where = f"{path}: line {n}"
+            doc = _parse_object(line, where)
+            try:
+                spans.append(Span.from_dict(doc))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: not a span ({exc!r})") from None
     declared = header.get("spans")
     if declared is not None and declared != len(spans):
         raise ValueError(
@@ -92,8 +129,15 @@ def save_metrics(source: MetricsRegistry | dict,
 
 
 def load_metrics(path: str | pathlib.Path) -> dict[str, dict]:
-    """Read a snapshot written by :func:`save_metrics`."""
-    doc = json.loads(pathlib.Path(path).read_text())
+    """Read a snapshot written by :func:`save_metrics`.
+
+    A malformed file raises :class:`ValueError` naming ``path``.
+    """
+    doc = read_json_object(path)
     if doc.get("kind") != METRICS_KIND:
         raise ValueError(f"{path}: not a repro metrics file")
-    return doc["metrics"]
+    metrics = doc.get("metrics")
+    if not (isinstance(metrics, dict)
+            and all(isinstance(m, dict) for m in metrics.values())):
+        raise ValueError(f"{path}: no 'metrics' object of metric entries")
+    return metrics

@@ -21,6 +21,7 @@ import subprocess
 import sys
 from typing import Any, Mapping
 
+from repro.obs.export import read_json_object
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 
 __all__ = [
@@ -108,7 +109,10 @@ class RunManifest:
         if doc.get("kind") not in (None, MANIFEST_KIND):
             raise ValueError(f"not a repro manifest: kind={doc.get('kind')!r}")
         fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in fields})
+        try:
+            return cls(**{k: v for k, v in doc.items() if k in fields})
+        except TypeError as exc:  # a required field is missing
+            raise ValueError(f"not a repro manifest: {exc}") from None
 
 
 def build_manifest(
@@ -159,5 +163,12 @@ def write_manifest(manifest: RunManifest,
 
 
 def load_manifest(path: str | pathlib.Path) -> RunManifest:
-    """Read a manifest written by :func:`write_manifest`."""
-    return RunManifest.from_dict(json.loads(pathlib.Path(path).read_text()))
+    """Read a manifest written by :func:`write_manifest`.
+
+    A malformed file raises :class:`ValueError` naming ``path``.
+    """
+    doc = read_json_object(path)
+    try:
+        return RunManifest.from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

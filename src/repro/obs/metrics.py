@@ -119,21 +119,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-upper-edge quantile estimate (Prometheus semantics)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= rank and c:
-                return (self.boundaries[i] if i < len(self.boundaries)
-                        else self.max)
-        return self.max
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

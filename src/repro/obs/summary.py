@@ -14,7 +14,7 @@ import pathlib
 from typing import Iterable
 
 from repro.obs.export import (
-    METRICS_KIND, TRACE_KIND, load_metrics, load_trace,
+    METRICS_KIND, TRACE_KIND, load_metrics, load_trace, read_json_object,
 )
 from repro.obs.manifest import MANIFEST_KIND, RunManifest, load_manifest
 from repro.obs.trace import Span, Tracer
@@ -114,7 +114,10 @@ def render_manifest(manifest: RunManifest) -> str:
 
 
 def sniff_kind(path: str | pathlib.Path) -> str:
-    """Identify an exported file: ``trace``, ``metrics`` or ``manifest``."""
+    """Identify an exported file: ``trace``, ``metrics`` or ``manifest``.
+
+    Anything else raises :class:`ValueError` naming ``path``.
+    """
     path = pathlib.Path(path)
     with open(path) as fp:
         first = fp.readline().strip()
@@ -127,8 +130,7 @@ def sniff_kind(path: str | pathlib.Path) -> str:
             kind = None
         if kind == TRACE_KIND:
             return "trace"
-    doc = json.loads(path.read_text())
-    kind = doc.get("kind")
+    kind = read_json_object(path).get("kind")
     if kind == METRICS_KIND:
         return "metrics"
     if kind == MANIFEST_KIND:

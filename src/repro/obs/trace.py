@@ -163,9 +163,6 @@ class Tracer:
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
 
-    def by_name(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
-
     def children_of(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 

@@ -19,9 +19,7 @@ one status, ordered from best to worst:
     scored this window's vector through the model;
 ``stale``
     missed its deadline (or arrived while the breaker probes) — the
-    tenant's last good probabilities are repeated, like
-    :class:`repro.core.online.StreamingPredictor`'s completeness
-    fallback;
+    tenant's last good probabilities are repeated;
 ``masked``
     no usable answer: breaker open, no last-good to repeat, or the
     window arrived too late / out of reorder range;

@@ -98,9 +98,6 @@ class TenantOutcome:
             return "served"
         return "degraded"
 
-    def results_for(self, window: int) -> list[WindowResult]:
-        return [r for r in self.results if r.window == window]
-
 
 @dataclass
 class SoakReport:

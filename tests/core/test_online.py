@@ -19,6 +19,7 @@ from repro.experiments.runner import (
 )
 from repro.monitor.aggregator import MonitoredRun, assemble_vectors
 from repro.monitor.server_monitor import ServerMonitor
+from repro.obs.metrics import REGISTRY
 from repro.sim.cluster import Cluster
 from repro.workloads.base import launch, launch_interference
 from repro.workloads.io500 import make_io500_task
@@ -41,10 +42,10 @@ def trained_predictor():
     )
 
 
-def run_streaming(predictor, window_size=0.5, with_noise=True,
-                  reorder_windows=0, min_completeness=0.0):
+def run_streaming(predictor, window_size=0.5, sample_interval=0.125,
+                  with_noise=True):
     cluster = Cluster(experiment_cluster())
-    monitor = ServerMonitor(cluster, sample_interval=0.125)
+    monitor = ServerMonitor(cluster, sample_interval=sample_interval)
     monitor.start()
     target = make_io500_task("ior-easy-write", ranks=4, scale=0.3)
     streaming = StreamingPredictor(
@@ -53,8 +54,6 @@ def run_streaming(predictor, window_size=0.5, with_noise=True,
         monitor=monitor,
         job=target.name,
         window_size=window_size,
-        reorder_windows=reorder_windows,
-        min_completeness=min_completeness,
     )
     streaming.start()
     if with_noise:
@@ -83,12 +82,18 @@ def test_streaming_matches_offline_pipeline(trained_predictor,
                                             streamed_vectors):
     """Every window's vector assembled online equals its row of the
     offline assembly bit for bit, and its probabilities are the fused
-    forward pass's bits for that vector."""
+    forward pass's bits for that vector.  That holds when the window is
+    not a multiple of the sample interval too (0.25 s windows, 0.15 s
+    samples): a window's last sample then lands after its boundary, and
+    the predictor waits for it instead of dropping it as late."""
     deployed = trained_predictor.deploy()
-    for window_size in (0.5, 0.25):
+    for window_size, interval in ((0.5, 0.125), (0.25, 0.125), (0.25, 0.15)):
         streamed_vectors.clear()
+        late = REGISTRY.counter("online.late_samples").value
         cluster, monitor, streaming, target = run_streaming(
-            trained_predictor, window_size=window_size)
+            trained_predictor, window_size=window_size,
+            sample_interval=interval)
+        assert REGISTRY.counter("online.late_samples").value == late
         run = MonitoredRun(
             job=target.name,
             records=cluster.collector.records,
@@ -97,7 +102,7 @@ def test_streaming_matches_offline_pipeline(trained_predictor,
             duration=cluster.env.now,
         )
         X, windows = assemble_vectors(run, window_size=window_size,
-                                      sample_interval=0.125)
+                                      sample_interval=interval)
         preds = streaming.predictions
         assert len(preds) >= 2
         assert sorted(streamed_vectors) == [p.window for p in preds]
@@ -105,11 +110,12 @@ def test_streaming_matches_offline_pipeline(trained_predictor,
             vector = streamed_vectors[pred.window]
             assert np.array_equal(vector[0],
                                   X[windows.index(pred.window)]), \
-                f"window {pred.window} at {window_size}: online != offline"
+                f"window {pred.window} at {window_size}/{interval}: " \
+                "online != offline"
             assert pred.probabilities == tuple(
                 deployed.predict_proba_rows(vector)[0].tolist())
         offline = trained_predictor.predict_run(
-            run, window_size=window_size, sample_interval=0.125)
+            run, window_size=window_size, sample_interval=interval)
         assert all(offline[p.window] == p.severity for p in preds)
 
 
@@ -143,41 +149,12 @@ def test_double_start_rejected(trained_predictor):
         streaming.start()
 
 
-# -- degraded telemetry -------------------------------------------------------
-
-
 def test_param_validation(trained_predictor):
     cluster = Cluster(experiment_cluster())
     monitor = ServerMonitor(cluster)
     monitor.start()
-
-    def build(**kwargs):
-        return StreamingPredictor(predictor=trained_predictor,
-                                  cluster=cluster, monitor=monitor, job="x",
-                                  **kwargs)
-
-    with pytest.raises(ValueError, match="reorder_windows"):
-        build(reorder_windows=-1).start()
-    with pytest.raises(ValueError, match="min_completeness"):
-        build(min_completeness=1.5).start()
-
-
-def test_defaults_report_full_completeness(trained_predictor):
-    """Without faults every emitted window is complete and fresh."""
-    _, _, streaming, _ = run_streaming(trained_predictor,
-                                       min_completeness=0.5)
-    assert len(streaming.predictions) >= 2
-    for pred in streaming.predictions:
-        assert pred.completeness == pytest.approx(1.0)
-        assert not pred.stale
-
-
-def test_complete_windows_unchanged_by_fallback_knobs(trained_predictor):
-    """Enabling the resilience knobs on a healthy stream must not change
-    a single prediction."""
-    plain = run_streaming(trained_predictor)[2]
-    guarded = run_streaming(trained_predictor, min_completeness=0.5)[2]
-    assert [(p.window, p.severity, p.probabilities)
-            for p in plain.predictions] == \
-           [(p.window, p.severity, p.probabilities)
-            for p in guarded.predictions]
+    streaming = StreamingPredictor(predictor=trained_predictor,
+                                   cluster=cluster, monitor=monitor, job="x",
+                                   window_size=0.0)
+    with pytest.raises(ValueError, match="window_size"):
+        streaming.start()

@@ -1,13 +1,13 @@
-"""StreamingPredictor under degraded telemetry: duplicated window
-delivery, late and out-of-order samples, gappy and lost telemetry,
-buffer eviction, a property-style check that shuffled delivery matches
-in-order delivery, and the online vectors against offline assembly.
+"""StreamingPredictor on hand-delivered streams: samples shuffled
+within their window, a window delivered twice, gapped and lost
+telemetry, samples that arrive after their window was emitted (the late
+guard), buffer eviction, and the online vectors against offline
+assembly.
 
 The harness bypasses the simulated monitor loop entirely: samples are
 appended straight to ``monitor.samples`` at chosen simulated times while
 the engine clock is stepped by hand, so delivery order is the *only*
-variable between two runs.  Telemetry faults are a property of the
-collected stream, so this is where they are exercised.
+variable between two runs.
 """
 
 import numpy as np
@@ -44,12 +44,12 @@ def predictor():
         restarts=1)
 
 
-def make_stream(predictor, **kwargs):
+def make_stream(predictor):
     cluster = Cluster(experiment_cluster())
     monitor = ServerMonitor(cluster, sample_interval=INTERVAL)
     streaming = StreamingPredictor(
         predictor=predictor, cluster=cluster, monitor=monitor, job="job",
-        window_size=WINDOW, **kwargs)
+        window_size=WINDOW)
     streaming.start()
     return cluster, monitor, streaming
 
@@ -72,69 +72,58 @@ def all_blocks(cluster, n_windows):
             for si in range(len(cluster.servers))]
 
 
-def delayed_phases(n_windows, seed):
-    """Every block delivered in its own window's phase or one later."""
-    cluster = Cluster(experiment_cluster())
-    rng = np.random.default_rng(seed)
-    phases = {}
-    for w, _, block in all_blocks(cluster, n_windows):
-        phases.setdefault(w + int(rng.integers(0, 2)), []).append(block)
-    return phases
+def late_samples():
+    return REGISTRY.counter("online.late_samples").value
 
 
-def run_in_order(predictor, n_windows, **kwargs):
-    cluster, monitor, streaming = make_stream(predictor, **kwargs)
+def run_in_order(predictor, n_windows):
+    cluster, monitor, streaming = make_stream(predictor)
     for _, _, block in all_blocks(cluster, n_windows):
         monitor.samples.extend(block)
-    reorder = kwargs.get("reorder_windows", 0)
-    cluster.env.run(until=(n_windows + reorder) * WINDOW + 0.1)
+    cluster.env.run(until=n_windows * WINDOW + 0.1)
     return cluster, monitor, streaming
 
 
-def run_phased(predictor, phases, n_windows, seed=0, **kwargs):
-    """Deliver ``phases[p]`` (a list of blocks) during window ``p``: the
-    blocks of one phase land in shuffled order just after the clock
-    passes ``p * WINDOW``, after the windows due by then were emitted."""
-    cluster, monitor, streaming = make_stream(predictor, **kwargs)
+def run_shuffled(predictor, n_windows, seed):
+    """Deliver each window's blocks during that window, in shuffled
+    order: they land just after the clock passes ``w * WINDOW``, after
+    the windows due by then were emitted and before window ``w``
+    closes."""
+    cluster, monitor, streaming = make_stream(predictor)
     rng = np.random.default_rng(seed)
-    last = max(phases, default=0)
-    for phase in range(last + 1):
-        arrivals = phases.get(phase, [])
+    for w in range(n_windows):
+        arrivals = [window_block(cluster, w, si)
+                    for si in range(len(cluster.servers))]
         for i in rng.permutation(len(arrivals)):
             monitor.samples.extend(arrivals[i])
-        cluster.env.run(until=(phase + 1) * WINDOW + 1e-6)
-    reorder = kwargs.get("reorder_windows", 0)
-    cluster.env.run(until=max(last + 1, n_windows + reorder) * WINDOW + 0.1)
+        cluster.env.run(until=(w + 1) * WINDOW + 1e-6)
+    cluster.env.run(until=n_windows * WINDOW + 0.1)
     return cluster, monitor, streaming
 
 
 def emitted(streaming, n_windows):
     preds = streaming.predictions[:n_windows]
-    return [(p.window, p.severity, p.probabilities, p.completeness,
-             p.stale) for p in preds]
+    return [(p.window, p.severity, p.probabilities) for p in preds]
 
 
 def test_harness_baseline_is_complete(predictor):
+    """In-order delivery reaches every window before it closes: nothing
+    is late, and each window is emitted just after its boundary."""
+    before = late_samples()
     _, _, streaming = run_in_order(predictor, 4)
+    assert late_samples() == before
     assert [p.window for p in streaming.predictions[:4]] == [0, 1, 2, 3]
     for p in streaming.predictions[:4]:
-        assert p.completeness == pytest.approx(1.0)
-        assert not p.stale
+        assert p.emitted_at == pytest.approx((p.window + 1) * WINDOW)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_shuffled_delivery_matches_in_order(predictor, seed):
-    """Any delivery order the reorder allowance can absorb must produce
+    """Blocks that arrive in any order before their window closes give
     bit-identical predictions to in-order delivery."""
     n_windows = 6
     baseline = emitted(run_in_order(predictor, n_windows)[2], n_windows)
-
-    # Each (window, server) block is delayed by up to one window — the
-    # exact slack reorder_windows=1 grants — and blocks landing in the
-    # same phase arrive in shuffled order.
-    streaming = run_phased(predictor, delayed_phases(n_windows, seed),
-                           n_windows, seed=seed, reorder_windows=1)[2]
-
+    streaming = run_shuffled(predictor, n_windows, seed)[2]
     assert emitted(streaming, n_windows) == baseline
 
 
@@ -156,33 +145,28 @@ def test_duplicate_window_delivery_is_contained(predictor):
         [b for b in baseline if b[0] != 1]
     dup = got[1]
     assert dup[0] == 1 and np.isfinite(dup[2]).all()
-    assert dup[3] == pytest.approx(1.0)  # completeness stays capped
 
 
 def test_samples_after_emission_are_counted_and_dropped(predictor):
-    """Once a window was emitted (here: as a stale fallback), straggler
-    samples for it are dropped and counted, never buffered."""
+    """Once a window was emitted (here: from a vector without server
+    features), straggler samples for it are dropped and counted, never
+    buffered."""
     n_windows = 4
-    cluster, monitor, streaming = make_stream(predictor,
-                                              min_completeness=0.6)
+    cluster, monitor, streaming = make_stream(predictor)
     for w, si, block in all_blocks(cluster, n_windows):
         if w != 2:  # window 2's telemetry is withheld entirely
             monitor.samples.extend(block)
     cluster.env.run(until=n_windows * WINDOW + 0.1)
-
     preds = streaming.predictions[:n_windows]
-    assert preds[2].stale
-    assert preds[2].completeness == 0.0
-    assert preds[2].probabilities == preds[1].probabilities  # last good
+    assert [p.window for p in preds] == list(range(n_windows))
 
     # The stragglers arrive long after window 2 was answered.
-    before = REGISTRY.counter("online.late_samples").value
+    before = late_samples()
     n_servers = len(cluster.servers)
     for si in range(n_servers):
         monitor.samples.extend(window_block(cluster, 2, si))
     cluster.env.run(until=(n_windows + 1) * WINDOW + 0.1)
-    assert REGISTRY.counter("online.late_samples").value - before == \
-        n_servers * PER_WINDOW
+    assert late_samples() - before == n_servers * PER_WINDOW
     assert 2 not in streaming._window_samples
     # The emitted prediction for window 2 is untouched.
     assert streaming.predictions[2] is preds[2]
@@ -190,71 +174,18 @@ def test_samples_after_emission_are_counted_and_dropped(predictor):
 
 def test_emitted_windows_are_evicted(predictor):
     """Emitted windows release their buffers — the stream holds only
-    windows that can still be predicted, whatever the delivery order."""
+    windows that can still be predicted."""
     n_windows = 5
-    _, _, streaming = run_in_order(predictor, n_windows,
-                                   reorder_windows=1)
+    _, _, streaming = run_in_order(predictor, n_windows)
     assert streaming._emitted_through >= n_windows - 1
     assert not streaming._window_records
     leftover = set(streaming._window_samples)
     assert all(w > streaming._emitted_through for w in leftover)
 
 
-def test_out_of_order_samples_recovered_by_reorder_buffer(predictor):
-    """Samples delivered a window late miss the eager predictor (counted
-    as late) but land inside a one-window reorder allowance: the
-    buffered predictor sees complete windows, emitted one window later,
-    with the in-order predictions."""
-    n_windows = 6
-    phases = delayed_phases(n_windows, seed=1)
-    before_late = REGISTRY.counter("online.late_samples").value
-    eager = run_phased(predictor, phases, n_windows, seed=1)[2]
-    assert REGISTRY.counter("online.late_samples").value > before_late
-
-    buffered = run_phased(predictor, phases, n_windows, seed=1,
-                          reorder_windows=1)[2]
-    eager_c = {p.window: p.completeness for p in eager.predictions}
-    buffered_c = {p.window: p.completeness for p in buffered.predictions}
-    shared = sorted(set(eager_c) & set(buffered_c) & set(range(n_windows)))
-    assert shared == list(range(n_windows))
-    assert all(buffered_c[w] >= eager_c[w] for w in shared)
-    assert sum(buffered_c[w] for w in shared) > \
-        sum(eager_c[w] for w in shared)
-    assert all(buffered_c[w] == pytest.approx(1.0) for w in shared)
-    # The buffer delays emission by exactly reorder_windows windows.
-    for pred in buffered.predictions:
-        assert pred.emitted_at == pytest.approx(
-            (pred.window + 2) * WINDOW, abs=0.05)
-    baseline = emitted(run_in_order(predictor, n_windows)[2], n_windows)
-    assert emitted(buffered, n_windows) == baseline
-
-
-def test_stale_fallback_on_gapped_windows(predictor):
-    """Windows below min_completeness are flagged stale and repeat the
-    last good prediction instead of classifying a half-blind vector."""
-    n_windows = 5
-    gapped = {1, 3, 4}  # these keep one sample in PER_WINDOW per server
-    cluster, monitor, streaming = make_stream(predictor,
-                                              min_completeness=0.6)
-    for w, _, block in all_blocks(cluster, n_windows):
-        monitor.samples.extend(block[:1] if w in gapped else block)
-    cluster.env.run(until=n_windows * WINDOW + 0.1)
-
-    preds = streaming.predictions[:n_windows]
-    assert [p.stale for p in preds] == [w in gapped for w in range(n_windows)]
-    last_good = None
-    for p in preds:
-        if p.stale:
-            assert p.completeness == pytest.approx(1 / PER_WINDOW)
-            assert p.probabilities == last_good.probabilities
-        else:
-            assert p.completeness == pytest.approx(1.0)
-            last_good = p
-
-
-def test_missing_samples_lower_completeness_not_crash(predictor):
-    """Total telemetry loss still emits a prediction per window, flagged
-    with completeness 0 (the stream degrades, it never NaNs)."""
+def test_missing_samples_do_not_crash(predictor):
+    """Total telemetry loss still emits a finite prediction per window
+    (the vector's server features are zero, never NaN)."""
     n_windows = 4
     cluster, _, streaming = make_stream(predictor)
     cluster.env.run(until=n_windows * WINDOW + 0.1)
@@ -262,26 +193,28 @@ def test_missing_samples_lower_completeness_not_crash(predictor):
     preds = streaming.predictions
     assert [p.window for p in preds] == list(range(n_windows))
     for pred in preds:
-        assert pred.completeness == 0.0
-        assert not pred.stale
         assert np.isfinite(pred.probabilities).all()
 
 
-@pytest.mark.parametrize("delivery", ["in-order", "duplicate", "shuffled"])
+@pytest.mark.parametrize("delivery", ["in-order", "duplicate", "shuffled",
+                                      "gapped"])
 def test_vectors_equal_offline_assembly(predictor, streamed_vectors,
                                         delivery):
-    """Whatever delivery the reorder allowance absorbs, each emitted
-    window's vector is bit-identical to its row of the offline assembly
-    of the same samples, and its probabilities are the fused forward
-    pass's bits for that vector."""
+    """Whatever arrives before a window closes, in whatever order, each
+    emitted window's vector is bit-identical to its row of the offline
+    assembly of the same samples, and its probabilities are the fused
+    forward pass's bits for that vector.  A gapped window (one sample in
+    PER_WINDOW per server, as a dropped-sample fault leaves it) is
+    scored as it arrived, as offline assembly scores it."""
     n_windows = 6
     if delivery == "shuffled":
-        cluster, monitor, streaming = run_phased(
-            predictor, delayed_phases(n_windows, seed=2), n_windows,
-            seed=2, reorder_windows=1)
+        cluster, monitor, streaming = run_shuffled(predictor, n_windows,
+                                                   seed=2)
     else:
         cluster, monitor, streaming = make_stream(predictor)
         for w, _, block in all_blocks(cluster, n_windows):
+            if delivery == "gapped" and w in (1, 3, 4):
+                block = block[:1]
             monitor.samples.extend(block)
             if delivery == "duplicate" and w == 1:
                 monitor.samples.extend(block)

@@ -33,7 +33,14 @@ def test_grid_is_fully_populated(result):
         assert 0.0 <= row["gap_fraction"] <= 1.0
         assert row["n_windows"] > 0
     assert result.n_eval_windows > 0
-    assert sum(result.class_counts) > 0
+
+
+def test_eval_windows_hold_every_class(result):
+    """Both classes occur among the labelled eval windows, so macro F1
+    scores the predictor on slowed windows too, not only healthy ones."""
+    assert len(result.class_counts) == 2
+    assert all(count > 0 for count in result.class_counts), \
+        result.class_counts
 
 
 def test_rate_zero_is_policy_invariant(result):

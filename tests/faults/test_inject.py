@@ -1,5 +1,7 @@
 """Tests for post-hoc telemetry fault injection."""
 
+import hashlib
+
 import pytest
 
 from repro.common.units import MIB
@@ -8,7 +10,6 @@ from repro.faults import (
     apply_faults,
     blank_client_windows,
     inject_sample_faults,
-    sample_clock_skews,
 )
 from repro.monitor.aggregator import MonitoredRun
 from repro.monitor.server_monitor import ServerMonitor
@@ -18,13 +19,12 @@ from repro.workloads.base import launch
 from repro.workloads.ior import IorConfig, IorWorkload
 
 
-@pytest.fixture(scope="module")
-def clean_run():
+def monitored_ior_write(bytes_per_rank):
     cluster = Cluster()
     monitor = ServerMonitor(cluster, sample_interval=0.05)
     monitor.start()
     workload = IorWorkload(IorConfig(mode="easy", access="write", ranks=4,
-                                     bytes_per_rank=256 * MIB))
+                                     bytes_per_rank=bytes_per_rank))
     handle = launch(cluster, workload, [0, 1], 1)
     cluster.env.run(until=handle.done)
     cluster.env.run(until=cluster.env.now + 0.05)
@@ -38,11 +38,28 @@ def clean_run():
     )
 
 
+@pytest.fixture(scope="module")
+def clean_run():
+    return monitored_ior_write(256 * MIB)
+
+
+def run_digest(run) -> str:
+    """Exact digest of a run's records and server samples, taken as
+    tests/sim/test_golden_digests.py takes it."""
+    h = hashlib.blake2b(digest_size=12)
+    for r in run.records:
+        h.update(repr((r.job, r.rank, r.op_id, r.op.value, r.path, r.offset,
+                       r.size, tuple(str(s) for s in r.servers),
+                       r.start, r.end)).encode())
+    for t, server, metrics in run.server_samples:
+        h.update(repr((t, str(server), sorted(metrics.items()))).encode())
+    return h.hexdigest()
+
+
 class TestSampleFaults:
     def test_zero_rates_are_identity(self, clean_run):
         samples, stats = inject_sample_faults(
-            clean_run.server_samples, FaultPlan(), clean_run.job,
-            clean_run.duration)
+            clean_run.server_samples, FaultPlan(), clean_run.job)
         assert samples == clean_run.server_samples
         assert stats.samples_dropped == 0
         assert stats.samples_in == len(clean_run.server_samples)
@@ -50,54 +67,22 @@ class TestSampleFaults:
     def test_drop_rate_one_loses_everything(self, clean_run):
         samples, stats = inject_sample_faults(
             clean_run.server_samples, FaultPlan(sample_drop_rate=1.0),
-            clean_run.job, clean_run.duration)
+            clean_run.job)
         assert samples == []
         assert stats.samples_dropped == len(clean_run.server_samples)
 
     def test_injection_replays_bit_identically(self, clean_run):
-        plan = FaultPlan(seed=11, sample_drop_rate=0.3,
-                         sample_delay_rate=0.3, sample_delay_max=1.0,
-                         sample_duplicate_rate=0.2, clock_skew_max=0.05)
+        plan = FaultPlan(seed=11, sample_drop_rate=0.3)
         first, s1 = inject_sample_faults(
-            clean_run.server_samples, plan, clean_run.job, clean_run.duration)
+            clean_run.server_samples, plan, clean_run.job)
         second, s2 = inject_sample_faults(
-            clean_run.server_samples, plan, clean_run.job, clean_run.duration)
+            clean_run.server_samples, plan, clean_run.job)
         assert first == second
         assert s1.to_dict() == s2.to_dict()
         assert s1.samples_dropped > 0
-        assert s1.samples_delayed > 0
-        assert s1.samples_duplicated > 0
-
-    def test_delay_reorders_but_keeps_sample_times(self, clean_run):
-        plan = FaultPlan(seed=1, sample_delay_rate=0.5, sample_delay_max=2.0)
-        samples, stats = inject_sample_faults(
-            clean_run.server_samples, plan, clean_run.job,
-            clean_run.duration)
-        assert stats.samples_delayed > 0
-        times = [t for t, _, _ in samples]
-        assert times != sorted(times)  # delivery order != sample-time order
-        # No sample time was invented: all come from the original stream.
-        original = {t for t, _, _ in clean_run.server_samples}
-        assert {t for t, _, _ in samples} <= original
-
-    def test_late_delivery_past_duration_is_lost(self, clean_run):
-        plan = FaultPlan(seed=2, sample_delay_rate=1.0,
-                         sample_delay_max=10 * clean_run.duration)
-        samples, stats = inject_sample_faults(
-            clean_run.server_samples, plan, clean_run.job,
-            clean_run.duration)
-        assert stats.samples_lost_late > 0
-        assert len(samples) == (len(clean_run.server_samples)
-                                - stats.samples_lost_late)
-
-    def test_clock_skew_is_per_server_and_order_independent(self, clean_run):
-        plan = FaultPlan(seed=4, clock_skew_max=0.1)
-        servers = list(clean_run.servers)
-        forward = sample_clock_skews(plan, servers, clean_run.job)
-        backward = sample_clock_skews(plan, servers[::-1], clean_run.job)
-        assert forward == backward
-        assert all(-0.1 <= s <= 0.1 for s in forward.values())
-        assert len(set(forward.values())) > 1  # servers skew differently
+        # Survivors keep their sample order.
+        kept = iter(clean_run.server_samples)
+        assert all(any(row is orig for orig in kept) for row in first)
 
 
 class TestWindowBlanking:
@@ -141,3 +126,17 @@ class TestApplyFaults:
         assert REGISTRY.counter("faults.samples_dropped").value > before
         assert faulted.duration == clean_run.duration
         assert faulted.servers == clean_run.servers
+
+    def test_faulted_run_is_pinned(self):
+        """The samples dropped and the windows blanked for a fixed plan
+        on a fixed run are pinned: a change to the draws or to the
+        decisions made from them shows up as a digest mismatch."""
+        run = monitored_ior_write(1024 * MIB)
+        assert run_digest(run) == "a3d4fd94bbee63d484e75db8"
+        plan = FaultPlan(seed=1, sample_drop_rate=0.3, window_blank_rate=0.3)
+        faulted = apply_faults(run, plan, window_size=0.25)
+        stats = faulted.metadata["faults"]
+        assert (stats["samples_in"], stats["samples_dropped"],
+                stats["windows_blanked"], stats["records_blanked"]) == \
+            (581, 184, 4, 899)
+        assert run_digest(faulted) == "a9886e46bebf7ff5205cd02b"

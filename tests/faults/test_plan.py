@@ -24,9 +24,8 @@ class TestValidation:
         assert not plan.has_worker_faults
 
     @pytest.mark.parametrize("field", [
-        "sample_drop_rate", "sample_delay_rate", "sample_duplicate_rate",
-        "window_blank_rate", "run_abort_rate", "worker_kill_rate",
-        "worker_flaky_rate", "worker_stall_rate",
+        "sample_drop_rate", "window_blank_rate", "run_abort_rate",
+        "worker_kill_rate", "worker_flaky_rate", "worker_stall_rate",
     ])
     def test_rates_bounded(self, field):
         with pytest.raises(ValueError, match=field):
@@ -36,8 +35,7 @@ class TestValidation:
         FaultPlan(**{field: 1.0})  # bounds themselves are legal
 
     @pytest.mark.parametrize("field", [
-        "sample_delay_max", "clock_skew_max", "run_abort_after",
-        "worker_stall_seconds",
+        "run_abort_after", "worker_stall_seconds",
     ])
     def test_nonnegatives(self, field):
         with pytest.raises(ValueError, match=field):

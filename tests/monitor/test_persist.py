@@ -117,17 +117,3 @@ def test_schema_mismatch_detected(tmp_path, sample_run):
     np.savez_compressed(tmp_path / "run4" / "samples.npz", **data)
     with pytest.raises(ValueError, match="schema"):
         load_run(tmp_path / "run4")
-
-
-def test_paired_runs_round_trip(tmp_path, sample_run):
-    from repro.experiments.runner import PairedRuns
-    from repro.monitor.persist import load_paired_runs, save_paired_runs
-
-    pair = PairedRuns(baseline=sample_run, interfered=sample_run)
-    save_paired_runs(pair, tmp_path / "pair")
-    assert (tmp_path / "pair" / "baseline" / "records.dxt").exists()
-    assert (tmp_path / "pair" / "interfered" / "records.dxt").exists()
-    back = load_paired_runs(tmp_path / "pair")
-    assert back.baseline.records == sample_run.records
-    assert back.interfered.job == sample_run.job
-    assert back.baseline.duration == pytest.approx(sample_run.duration)

@@ -60,19 +60,6 @@ def test_histogram_bucketing_matches_numpy_reference():
     assert hist.mean == pytest.approx(float(values.mean()))
 
 
-def test_histogram_quantile_estimates():
-    hist = Histogram("t", boundaries=[1.0, 2.0, 4.0])
-    for v in [0.5, 1.5, 1.6, 3.0, 100.0]:
-        hist.observe(v)
-    assert hist.quantile(0.0) == 0.0 or hist.quantile(0.0) <= 1.0
-    # median falls in the (1, 2] bucket -> upper edge 2.0
-    assert hist.quantile(0.5) == pytest.approx(2.0)
-    # the top observation lives in the overflow bucket -> observed max
-    assert hist.quantile(1.0) == pytest.approx(100.0)
-    with pytest.raises(ValueError):
-        hist.quantile(1.5)
-
-
 def test_registry_creates_once_and_type_checks():
     reg = MetricsRegistry()
     c1 = reg.counter("a")

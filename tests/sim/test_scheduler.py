@@ -1,7 +1,7 @@
 """Tests for the block-layer elevator/merging scheduler."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.units import SECTOR_SIZE
@@ -187,7 +187,11 @@ def reference_collect_merges(dev, first):
                 lo = req.lba
             else:
                 continue
-            dev._queue.remove(req)
+            # Delete this very request: list.remove() takes the first
+            # *equal* one, and for duplicates (one shared completion) that
+            # moves the survivor to the merged copy's place in the queue.
+            dev._queue.pop(next(i for i, queued in enumerate(dev._queue)
+                                if queued is req))
             dev.stats.on_merge(req.is_write)
             budget -= req.sectors
             progress = True
@@ -207,6 +211,12 @@ QUEUES = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(queue=QUEUES, head=st.integers(0, 13).map(lambda k: 64 * k),
        starved=st.integers(0, BlockDevice.WRITES_STARVED_LIMIT + 1))
+# Duplicates around a merge: the second copy of (448, 64) is merged behind
+# (320, 128), and the first copy must keep its place ahead of (0, 64).
+@example(queue=[(192, 128, True, 0.0, False), (448, 64, True, 0.5, True),
+                (0, 64, True, 0.0, False), (320, 128, True, 0.0, False),
+                (448, 64, True, 0.5, True)],
+         head=192, starved=0)
 def test_single_pass_elevator_matches_list_passes(queue, head, starved):
     shared = object()
     requests = [BlockRequest(lba, sectors, is_write,

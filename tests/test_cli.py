@@ -52,14 +52,20 @@ def test_bad_fault_spec_rejected(capsys):
                                   "dup=0.1", "skew=0.5", "blank=0.9",
                                   "kill=0.1,drop=0.9,blank=0.9,seed=1"])
 def test_telemetry_fault_spec_refused(capsys, spec):
-    """Sweeps apply only abort/kill/flaky/stall, so a telemetry fault
-    would be silently ignored (the tables come out clean); it is
-    refused with one error line, before any run."""
+    """Sweeps apply only abort/kill/flaky/stall, so a drop or blank
+    fault would be silently ignored (the tables come out clean); it is
+    refused with one error line, before any run.  Delayed, duplicated
+    and skewed samples are not faults the program injects, so their
+    keys are refused as unknown, also with one error line."""
     assert main(["table2", "--fast", "--no-cache", "--faults", spec]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: bad --faults spec: ")
     assert captured.err.count("\n") == 1
-    assert "telemetry faults" in captured.err
+    key = spec.partition("=")[0]
+    if key in ("delay", "delay_max", "dup", "skew"):
+        assert f"unknown fault spec key {key!r}" in captured.err
+    else:
+        assert "telemetry faults" in captured.err
     assert captured.out == ""
 
 
@@ -328,6 +334,37 @@ def test_obs_subcommand_reports_bad_files(tmp_path, capsys):
     bogus.write_text("{}")
     assert main(["obs", str(bogus)]) == 1
     assert "error:" in capsys.readouterr().out
+
+
+_MALFORMED_ARTEFACTS = {
+    "json-array": ("list.json", "[1, 2]\n"),
+    "metrics-without-snapshot": ("m.metrics.json",
+                                 '{"kind": "repro-metrics"}\n'),
+    "manifest-without-fields": ("m.manifest.json",
+                                '{"kind": "repro-manifest"}\n'),
+    "span-without-id": ("t.trace.jsonl",
+                        '{"kind": "repro-trace", "spans": 1}\n'
+                        '{"name": "x", "start": 0.0, "end": 1.0}\n'),
+    "empty-file": ("empty.json", ""),
+}
+
+
+@pytest.mark.parametrize("command", [["obs"], ["obs", "report"]],
+                         ids=["obs", "obs-report"])
+@pytest.mark.parametrize("artefact", sorted(_MALFORMED_ARTEFACTS))
+def test_obs_malformed_artefact_is_one_error_line(tmp_path, capsys, command,
+                                                  artefact):
+    """A malformed artefact is refused with one ``error:`` line naming
+    the file, never a traceback (an exception escaping ``main`` fails
+    this test)."""
+    name, text = _MALFORMED_ARTEFACTS[artefact]
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*command, str(path)]) != 0
+    captured = capsys.readouterr()
+    errors = [line for line in (captured.out + captured.err).splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and str(path) in errors[0], errors
 
 
 def test_sim_backend_flag_runs_batch_and_is_recorded(tmp_path, capsys,
