@@ -567,7 +567,7 @@ def main_serve(argv: list[str]) -> int:
     parser.add_argument("--chaos", metavar="SPEC", default=None,
                         help="deterministic tenant-chaos spec, e.g. "
                              "'flood=0.1,stall=0.05,disconnect=0.05,"
-                             "reorder=0.1,dup=0.1,slow=0.02,seed=3' (see "
+                             "slow=0.02,seed=3' (see "
                              "repro.faults.SERVICE_FAULT_SPEC_FIELDS)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the tenants' synthetic window "

@@ -14,9 +14,9 @@ exercised bit-reproducibly:
   (cache-friendly: clean simulations are cached, faults are re-applied
   per grid point);
 * :mod:`repro.faults.service` — :class:`ServiceFaultPlan`, the
-  tenant-level chaos regime (floods, stalls, disconnects, reordered and
-  duplicated windows, slow-model stalls) the prediction service's soak
-  harness (:func:`repro.serve.run_soak`) injects.
+  tenant-level chaos regime (floods, stalls, disconnects, slow-model
+  stalls) the prediction service's soak harness
+  (:func:`repro.serve.run_soak`) injects.
 
 Telemetry faults are applied only after collection, by
 :func:`apply_faults` on a :class:`~repro.monitor.aggregator.MonitoredRun`:

@@ -3,14 +3,15 @@
 :class:`repro.faults.FaultPlan` describes what goes wrong *inside* one
 run — lost samples, killed workers.  A long-lived multi-tenant service
 faces a different weather system: whole tenants misbehave.  They flood
-(burst far past their nominal window rate), stall mid-stream, disconnect
-and never come back, deliver windows out of order or twice — and the
-service itself can wedge (a slow model stalls the batcher while arrivals
-pile up).  :class:`ServiceFaultPlan` describes one such regime as data,
-with every decision derived from :func:`repro.common.rng.derive_rng`
-over the plan seed plus a stable path, exactly like its sibling: the
-same plan against the same tenant population injects the bit-identical
-chaos schedule on every soak.
+(burst far past their nominal window rate), stall mid-stream, or
+disconnect and never come back — and the service itself can wedge (a
+slow model stalls the batcher while arrivals pile up).  A tenant still
+sends each of its windows once, in order, as a monitor produces them.
+:class:`ServiceFaultPlan` describes one such regime as data, with every
+decision derived from :func:`repro.common.rng.derive_rng` over the plan
+seed plus a stable path, exactly like its sibling: the same plan
+against the same tenant population injects the bit-identical chaos
+schedule on every soak.
 
 Chaos is decided **per tenant** (:meth:`ServiceFaultPlan.tenant_profile`
 returns the full misbehaviour profile of one tenant id) and **per
@@ -35,22 +36,15 @@ __all__ = [
     "parse_service_fault_spec",
 ]
 
-_RATE_FIELDS = (
-    "flood_rate", "stall_rate", "disconnect_rate", "reorder_rate",
-    "duplicate_rate", "slow_batch_rate",
-)
+_RATE_FIELDS = ("flood_rate", "stall_rate", "disconnect_rate",
+                "slow_batch_rate")
 _POSITIVE_FIELDS = ("flood_factor",)
-_NONNEG_FIELDS = ("stall_windows", "reorder_depth", "slow_batch_seconds")
+_NONNEG_FIELDS = ("stall_windows", "slow_batch_seconds")
 
 
 @dataclass(frozen=True)
 class TenantProfile:
-    """One tenant's resolved misbehaviour (all decided at admission).
-
-    ``reorder_plan`` / ``duplicate_plan`` are decided lazily per window
-    via the plan's RNG; this frozen part is what shapes the tenant's
-    traffic envelope.
-    """
+    """One tenant's resolved misbehaviour (all decided at admission)."""
 
     tenant: str
     floods: bool = False
@@ -58,14 +52,11 @@ class TenantProfile:
     stalls_at: int | None = None  #: window index before which it stalls
     stall_windows: int = 0
     disconnects_at: int | None = None  #: window index at which it vanishes
-    reorders: bool = False
-    duplicates: bool = False
 
     @property
     def chaotic(self) -> bool:
         return (self.floods or self.stalls_at is not None
-                or self.disconnects_at is not None or self.reorders
-                or self.duplicates)
+                or self.disconnects_at is not None)
 
 
 @dataclass(frozen=True)
@@ -85,12 +76,6 @@ class ServiceFaultPlan:
     stall_windows: int = 4
     #: Fraction of tenants that disconnect mid-stream and never finish.
     disconnect_rate: float = 0.0
-    #: Fraction of tenants whose windows are delivered out of order
-    #: (shuffled within a bounded distance of ``reorder_depth``).
-    reorder_rate: float = 0.0
-    reorder_depth: int = 2
-    #: Fraction of a chaotic tenant's windows that are delivered twice.
-    duplicate_rate: float = 0.0
 
     # -- service-side chaos ------------------------------------------------
     #: Probability that one micro-batch's forward pass stalls.
@@ -135,36 +120,7 @@ class ServiceFaultPlan:
             stalls_at=stalls_at,
             stall_windows=self.stall_windows,
             disconnects_at=disconnects_at,
-            reorders=self._hit(self.reorder_rate, "reorder", tenant),
-            duplicates=self._hit(self.duplicate_rate, "dup-tenant", tenant),
         )
-
-    def delivery_order(self, profile: TenantProfile,
-                       n_windows: int) -> list[int]:
-        """The (possibly shuffled) order this tenant sends its windows.
-
-        A reordering tenant's stream is permuted so no window moves more
-        than ``reorder_depth`` positions from its in-order slot — the
-        bounded-displacement regime a reorder buffer of that depth can
-        fully absorb.  Each window draws a delay in
-        ``[0, reorder_depth]`` and the stream is stable-sorted by
-        ``window + delay``: any two windows more than ``reorder_depth``
-        apart keep their relative order, which bounds every window's
-        displacement (in both directions) by ``reorder_depth``.
-        """
-        order = list(range(n_windows))
-        if not profile.reorders or self.reorder_depth == 0:
-            return order
-        delays = self.rng("order", profile.tenant).integers(
-            0, self.reorder_depth + 1, size=n_windows)
-        order.sort(key=lambda w: (w + int(delays[w]), w))
-        return order
-
-    def duplicates_window(self, profile: TenantProfile, window: int) -> bool:
-        """Whether this tenant delivers ``window`` twice."""
-        return (profile.duplicates
-                and self._hit(self.duplicate_rate, "dup",
-                              profile.tenant, window))
 
     def batch_stall(self, batch_index: int) -> float:
         """Injected model-stall seconds before scoring batch N (0 = none)."""
@@ -172,18 +128,7 @@ class ServiceFaultPlan:
             return self.slow_batch_seconds
         return 0.0
 
-    # -- classification / serialisation -----------------------------------
-
-    @property
-    def has_tenant_faults(self) -> bool:
-        return any(getattr(self, f) > 0 for f in (
-            "flood_rate", "stall_rate", "disconnect_rate", "reorder_rate",
-            "duplicate_rate",
-        ))
-
-    @property
-    def has_service_faults(self) -> bool:
-        return self.slow_batch_rate > 0
+    # -- serialisation ----------------------------------------------------
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -203,9 +148,6 @@ SERVICE_FAULT_SPEC_FIELDS: dict[str, str] = {
     "stall": "stall_rate",
     "stall_w": "stall_windows",
     "disconnect": "disconnect_rate",
-    "reorder": "reorder_rate",
-    "reorder_depth": "reorder_depth",
-    "dup": "duplicate_rate",
     "slow": "slow_batch_rate",
     "slow_s": "slow_batch_seconds",
 }
@@ -214,7 +156,7 @@ SERVICE_FAULT_SPEC_FIELDS: dict[str, str] = {
 def parse_service_fault_spec(spec: str) -> ServiceFaultPlan:
     """Parse ``key=value`` pairs (see :data:`SERVICE_FAULT_SPEC_FIELDS`).
 
-    Example: ``"flood=0.1,stall=0.05,disconnect=0.05,dup=0.2,seed=3"``.
+    Example: ``"flood=0.1,stall=0.05,disconnect=0.05,slow=0.02,seed=3"``.
     Raises :class:`ValueError` on unknown keys or unparseable values;
     range checks come from :class:`ServiceFaultPlan` itself.
     """

@@ -28,7 +28,7 @@ from repro.obs.trace import Span, Tracer
 __all__ = [
     "TRACE_KIND", "METRICS_KIND",
     "save_trace", "load_trace", "save_metrics", "load_metrics",
-    "read_json_object",
+    "read_json_object", "is_number", "check_metric_entries",
 ]
 
 TRACE_KIND = "repro-trace"
@@ -128,6 +128,35 @@ def save_metrics(source: MetricsRegistry | dict,
     return path
 
 
+def is_number(value: Any) -> bool:
+    """Whether a loaded JSON value is a number (``true`` is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_metric_entries(metrics: dict) -> None:
+    """Check the numeric fields of a loaded snapshot's entries.
+
+    Every entry must be an object.  A histogram's ``count``, ``sum``
+    and ``mean`` must be numbers, and its ``min`` and ``max`` too once
+    it holds an observation; any other entry's ``value`` must be a
+    number.  These are the fields ``repro obs`` formats; a violation
+    raises :class:`ValueError` naming the metric.
+    """
+    for name, entry in metrics.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"metric {name!r} is not an object")
+        if entry.get("kind") == "histogram":
+            fields = ("count", "sum", "mean")
+            if entry.get("count"):
+                fields += ("min", "max")
+        else:
+            fields = ("value",)
+        for field in fields:
+            if not is_number(entry.get(field)):
+                raise ValueError(f"metric {name!r}: {field} is not a "
+                                 f"number: {entry.get(field)!r}")
+
+
 def load_metrics(path: str | pathlib.Path) -> dict[str, dict]:
     """Read a snapshot written by :func:`save_metrics`.
 
@@ -137,7 +166,10 @@ def load_metrics(path: str | pathlib.Path) -> dict[str, dict]:
     if doc.get("kind") != METRICS_KIND:
         raise ValueError(f"{path}: not a repro metrics file")
     metrics = doc.get("metrics")
-    if not (isinstance(metrics, dict)
-            and all(isinstance(m, dict) for m in metrics.values())):
+    if not isinstance(metrics, dict):
         raise ValueError(f"{path}: no 'metrics' object of metric entries")
+    try:
+        check_metric_entries(metrics)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return metrics

@@ -21,7 +21,9 @@ import subprocess
 import sys
 from typing import Any, Mapping
 
-from repro.obs.export import read_json_object
+from repro.obs.export import (
+    check_metric_entries, is_number, read_json_object,
+)
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 
 __all__ = [
@@ -106,8 +108,25 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "RunManifest":
+        """Build a manifest from its JSON form.
+
+        Raises :class:`ValueError` when the kind is wrong, a required
+        field is missing, ``config``, ``timings``, ``metrics`` or
+        ``extra`` is not an object, a timing is not a number, or a
+        metric entry's numeric field is not (see
+        :func:`~repro.obs.export.check_metric_entries`).
+        """
         if doc.get("kind") not in (None, MANIFEST_KIND):
             raise ValueError(f"not a repro manifest: kind={doc.get('kind')!r}")
+        for name in ("config", "timings", "metrics", "extra"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ValueError(f"{name} is not an object: "
+                                 f"{doc[name]!r}")
+        for phase, seconds in doc.get("timings", {}).items():
+            if not is_number(seconds):
+                raise ValueError(f"timing {phase!r} is not a number: "
+                                 f"{seconds!r}")
+        check_metric_entries(doc.get("metrics", {}))
         fields = {f.name for f in dataclasses.fields(cls)}
         try:
             return cls(**{k: v for k, v in doc.items() if k in fields})

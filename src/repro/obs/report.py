@@ -138,9 +138,9 @@ def executor_health(snapshot: dict[str, dict]) -> list[str]:
 def service_health(snapshot: dict[str, dict]) -> list[str]:
     """Health lines for the prediction service's ``serve.*`` namespace.
 
-    Renders the degradation ladder (fresh/stale/masked/shed/duplicate
-    resolution counts), the pressure-relief counters (backpressure,
-    load shed, breaker trips, deadline misses, abandoned windows) and
+    Renders the degradation ladder (fresh/stale/masked/shed resolution
+    counts), the pressure-relief counters (backpressure, load shed,
+    breaker trips, deadline misses, injected model stalls) and
     the batching economics (batches, mean batch size, latency
     percentiles).  Empty when the snapshot has no service metrics.
     """
@@ -149,7 +149,7 @@ def service_health(snapshot: dict[str, dict]) -> list[str]:
         return []
     lines = [f"windows submitted: {int(submitted)}"]
     ladder = []
-    for status in ("fresh", "stale", "masked", "shed", "duplicate"):
+    for status in ("fresh", "stale", "masked", "shed"):
         value = _metric_value(snapshot, f"serve.{status}") or 0.0
         ladder.append(f"{status} {int(value)} ({value / submitted:.0%})")
     lines.append("ladder: " + ", ".join(ladder))
@@ -162,7 +162,6 @@ def service_health(snapshot: dict[str, dict]) -> list[str]:
                         ("serve.load_shed", "load-shed submissions"),
                         ("serve.breaker_trips", "circuit-breaker trips"),
                         ("serve.deadline_misses", "deadline misses"),
-                        ("serve.abandoned_windows", "abandoned windows"),
                         ("serve.injected_stalls", "injected model stalls")):
         value = _metric_value(snapshot, name)
         if value:

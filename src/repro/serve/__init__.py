@@ -34,8 +34,12 @@ means mutually-untrusted load:
   request, the batch in flight included;
 * **deterministic chaos** — :class:`repro.faults.ServiceFaultPlan`
   drives the tenant harness (:func:`run_soak`) with floods, stalls,
-  disconnects, reordered/duplicated windows and slow-model stalls, all
-  derived from the plan seed.
+  disconnects and slow-model stalls, all derived from the plan seed.
+
+Each submission is handled on its own: it is queued, fast-failed, shed
+or refused with backpressure.  Its window number is a label the result
+echoes back, not a place in a sequence the service enforces; a tenant's
+queued windows leave its queue in the order it submitted them.
 
 DESIGN.md §13 documents the policies; ``repro serve`` is the CLI
 entry point.

@@ -21,22 +21,24 @@ one status, ordered from best to worst:
     missed its deadline (or arrived while the breaker probes) — the
     tenant's last good probabilities are repeated;
 ``masked``
-    no usable answer: breaker open, no last-good to repeat, or the
-    window arrived too late / out of reorder range;
+    no usable answer: breaker open, or no last-good to repeat;
 ``shed``
     refused — global backlog past the shed bound, or still queued or
-    in flight when the drain budget expired;
-``duplicate``
-    the tenant already submitted this window; the previous answer's
-    probabilities are repeated without scoring.
+    in flight when the drain budget expired.
 
-``fresh`` and ``duplicate`` are healthy; everything else marks the
-tenant degraded.  The per-tenant **circuit breaker** counts consecutive
-unhealthy resolutions: at ``breaker_threshold`` it opens and the tenant
+Only ``fresh`` is healthy; everything else marks the tenant degraded.
+The per-tenant **circuit breaker** counts consecutive unhealthy
+resolutions: at ``breaker_threshold`` it opens and the tenant
 fast-fails to ``masked`` (or ``stale``) for ``breaker_cooldown``
 seconds — protecting the batcher from a tenant whose traffic can no
 longer be served — then half-opens to let one probe window through; a
 fresh probe closes it.
+
+Each submission is handled on its own — queued, fast-failed, shed or
+refused with :class:`Backpressure` — and its ``window`` is a label the
+:class:`WindowResult` echoes back: the service keeps no per-tenant
+cursor, so a refused window holds back none after it.  A tenant's
+queued windows leave its queue in the order it submitted them.
 
 All waiting is wall-clock (``time.monotonic``): unlike the simulator's
 tracer this is a real service loop, so deadlines and cooldowns are real
@@ -49,7 +51,7 @@ import asyncio
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +72,10 @@ __all__ = [
 logger = get_logger("serve.service")
 
 #: Every status a submitted window can resolve to.
-STATUSES = ("fresh", "stale", "masked", "shed", "duplicate")
+STATUSES = ("fresh", "stale", "masked", "shed")
 
 #: Statuses that do not trip the circuit breaker.
-_HEALTHY = frozenset({"fresh", "duplicate"})
+_HEALTHY = frozenset({"fresh"})
 
 #: Buckets for the ``serve.batch_size`` histogram — anything reading the
 #: histogram back must register with the same boundaries.
@@ -106,9 +108,6 @@ class ServeConfig:
     max_tenants: int = 1024
     #: Per-tenant bound on queued-but-unscored windows (backpressure).
     queue_depth: int = 8
-    #: Per-tenant bound on out-of-order windows buffered while earlier
-    #: ones are awaited; past it the gap is abandoned (masked).
-    reorder_depth: int = 4
     #: Most windows scored per fused forward pass.
     max_batch: int = 256
     #: Global queued-window bound past which new submissions are shed.
@@ -128,10 +127,6 @@ class ServeConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, "
                                  f"got {getattr(self, name)}")
-        for name in ("reorder_depth",):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, "
-                                 f"got {getattr(self, name)}")
         for name in ("deadline", "breaker_cooldown", "drain_timeout"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
@@ -142,7 +137,7 @@ class ServeConfig:
 class WindowResult:
     """What one submitted window resolved to."""
 
-    window: int
+    window: int  #: the label the tenant submitted it under
     status: str  #: one of :data:`STATUSES`
     severity: int | None  #: argmax class; ``None`` when masked/shed
     probabilities: tuple[float, ...] | None
@@ -152,50 +147,34 @@ class WindowResult:
 class _Request:
     """One queued window awaiting resolution."""
 
-    __slots__ = ("window", "vector", "future", "enqueued", "probe")
+    __slots__ = ("window", "vector", "future", "enqueued")
 
     def __init__(self, window: int, vector: np.ndarray,
-                 future: asyncio.Future, enqueued: float,
-                 probe: bool = False) -> None:
+                 future: asyncio.Future, enqueued: float) -> None:
         self.window = window
         self.vector = vector
         self.future = future
         self.enqueued = enqueued
-        self.probe = probe  #: half-open breaker probe
 
 
 class TenantSession:
-    """One admitted tenant's ordered window stream.
+    """One admitted tenant's window stream.
 
     Created by :meth:`PredictionService.connect`; all state lives on the
-    service's event loop, so no locking.  Results are resolved in window
-    order per tenant: an out-of-order window waits in the bounded
-    reorder buffer until its predecessors arrive (or the gap is
-    abandoned).
+    service's event loop, so no locking.  Queued windows are taken in
+    the order the tenant submitted them.
     """
 
     def __init__(self, service: "PredictionService", tenant: str) -> None:
         self.service = service
         self.tenant = tenant
-        self.next_window = 0  #: lowest window not yet accepted in order
-        #: In-order windows ready for the batcher.
+        #: Windows queued for the batcher, in submission order.
         self.pending: deque[_Request] = deque()
-        #: Out-of-order windows waiting for their predecessors.
-        self.reorder: dict[int, _Request] = {}
-        #: Windows abandoned by a reorder-buffer overflow: if one
-        #: finally arrives it is masked (too late), not "duplicate".
-        self.skipped: set[int] = set()
-        #: Windows answered without ever entering the queue (breaker
-        #: fast-fail, shed) while the cursor was elsewhere; the cursor
-        #: skips over them when it catches up.
-        self.fastfailed: set[int] = set()
         self.last_good: tuple[float, ...] | None = None
-        self.counts: dict[str, int] = {status: 0 for status in STATUSES}
         # -- circuit breaker ------------------------------------------------
         self.failures = 0  #: consecutive unhealthy resolutions
         self.breaker_open_until: float | None = None
         self.probing = False  #: half-open: one window is in flight
-        self.breaker_trips = 0
 
     # -- breaker ------------------------------------------------------------
 
@@ -207,7 +186,6 @@ class TenantSession:
         return "half-open"
 
     def _record(self, status: str) -> None:
-        self.counts[status] += 1
         if status in _HEALTHY:
             self.failures = 0
             if self.probing:  # fresh probe closes the breaker
@@ -220,7 +198,6 @@ class TenantSession:
                                            + self.service.config
                                            .breaker_cooldown)
                 self.probing = False
-                self.breaker_trips += 1
                 self.service.metric_breaker.inc()
             elif (self.breaker_open_until is None
                   and self.failures
@@ -228,7 +205,6 @@ class TenantSession:
                 self.breaker_open_until = (time.monotonic()
                                            + self.service.config
                                            .breaker_cooldown)
-                self.breaker_trips += 1
                 self.service.metric_breaker.inc()
 
     # -- resolution ---------------------------------------------------------
@@ -249,34 +225,12 @@ class TenantSession:
                 probabilities=probabilities, latency=latency,
             ))
 
-    def _degraded(self, req: _Request, *, allow_stale: bool = True) -> None:
+    def _degraded(self, req: _Request) -> None:
         """Resolve ``req`` down the ladder: stale if possible, else masked."""
-        if allow_stale and self.last_good is not None:
+        if self.last_good is not None:
             self._resolve(req, "stale", self.last_good)
         else:
             self._resolve(req, "masked", None)
-
-    def _consume(self, window: int) -> None:
-        """A window answered outside the queue still consumes its
-        in-order slot.
-
-        Without this, a sequential tenant whose window ``w`` fast-failed
-        (breaker open, overload shed) would wedge: its next submission
-        ``w+1`` parks in the reorder buffer waiting for a ``w`` that was
-        already answered and will never be resent.
-        """
-        if window == self.next_window:
-            self.next_window += 1
-            while self.next_window in self.fastfailed:
-                self.fastfailed.discard(self.next_window)
-                self.next_window += 1
-            self._flush_reorder()
-        elif window > self.next_window:
-            self.fastfailed.add(window)
-            # Bounded like ``skipped``: a stale entry only costs a very
-            # late resubmission the "duplicate" label.
-            while len(self.fastfailed) > 256:
-                self.fastfailed.discard(min(self.fastfailed))
 
     # -- submission ---------------------------------------------------------
 
@@ -307,119 +261,44 @@ class TenantSession:
                 f"non-finite values")
         now = time.monotonic()
         service.metric_submitted.inc()
-        loop = asyncio.get_running_loop()
-
-        # Duplicate delivery: the window was already accepted (resolved,
-        # queued, or buffered) — repeat, never rescore.  A window the
-        # reorder buffer abandoned is not a duplicate: it was never
-        # served, and it is now too late to serve it in order.
-        if window < self.next_window or window in self.reorder \
-                or any(r.window == window for r in self.pending):
-            req = _Request(window, vector, loop.create_future(), now)
-            if window in self.skipped:
-                self.skipped.discard(window)
-                self._degraded(req, allow_stale=False)
-            else:
-                self._resolve(req, "duplicate", self.last_good)
-            return await req.future
-
+        req = _Request(window, vector,
+                       asyncio.get_running_loop().create_future(), now)
         # The breaker fast-fails without touching the queue; half-open
         # lets exactly one probe through to the batcher.
         state = self._breaker_state(now)
         if state == "open" or (state == "half-open" and self.probing):
-            req = _Request(window, vector, loop.create_future(), now)
             self._degraded(req)
-            self._consume(window)
-            return await req.future
-
-        if not service.accepting:
-            req = _Request(window, vector, loop.create_future(), now)
+        elif not service.accepting:
             self._resolve(req, "shed", None)
-            self._consume(window)
-            return await req.future
-
-        # Load shedding: protect the whole service before any queueing.
-        if service.backlog >= service.config.shed_backlog:
+        elif service.backlog >= service.config.shed_backlog:
+            # Load shedding: protect the whole service before queueing.
             service.metric_load_shed.inc()
-            req = _Request(window, vector, loop.create_future(), now)
             self._resolve(req, "shed", None)
-            self._consume(window)
-            return await req.future
-
-        # Backpressure: this tenant's own bound.  Count queued + buffered
-        # so a reordering flood cannot sidestep the bound via the buffer.
-        if len(self.pending) + len(self.reorder) \
-                >= service.config.queue_depth:
+        elif len(self.pending) >= service.config.queue_depth:
+            # Backpressure: this tenant's own bound.
             service.metric_backpressure.inc()
             raise Backpressure(
                 f"tenant {self.tenant}: queue full "
                 f"({service.config.queue_depth} windows)")
-
-        probe = state == "half-open"
-        if probe:
-            self.probing = True
-        req = _Request(window, vector, loop.create_future(), now,
-                       probe=probe)
-        if window == self.next_window:
+        else:
+            if state == "half-open":
+                self.probing = True
             self._accept(req)
-            self._flush_reorder()
-        else:  # window > self.next_window: out of order
-            if len(self.reorder) >= service.config.reorder_depth \
-                    or service.config.reorder_depth == 0:
-                # Buffer exhausted: abandon the gap.  Everything buffered
-                # (plus this window) is released in window order; the
-                # missing windows resolve as masked if they ever arrive
-                # (they will look like duplicates of the past).
-                self.reorder[window] = req
-                self._abandon_gap()
-            else:
-                self.reorder[window] = req
         return await req.future
 
     def _accept(self, req: _Request) -> None:
         """Queue ``req`` for the batcher and wake it.
 
         The one place ``backlog`` rises, so the one place the wake is
-        set: a window released from the reorder buffer by a fast-fail
-        or a shed must not wait for the next submission to be scored.
+        set.
         """
         service = self.service
         if not self.pending:
             service.ready.append(self)
         self.pending.append(req)
-        self.next_window = req.window + 1
         service.backlog += 1
         service.metric_backlog.set(service.backlog)
         service.wake.set()
-
-    def _flush_reorder(self) -> None:
-        while self.next_window in self.reorder:
-            self._accept(self.reorder.pop(self.next_window))
-
-    def _abandon_gap(self) -> None:
-        """Skip past missing windows to the oldest buffered one."""
-        oldest = min(self.reorder)
-        logger.warning("tenant %s: reorder buffer full; abandoning "
-                       "windows %d..%d", self.tenant, self.next_window,
-                       oldest - 1)
-        self.service.metric_gaps.inc(oldest - self.next_window)
-        self.skipped.update(range(self.next_window, oldest))
-        # The skipped set stays bounded even if abandoned windows never
-        # arrive: beyond a small cap, forget the oldest (a very late
-        # arrival then reads as "duplicate" — a harmless downgrade of
-        # the label, not of the behaviour).
-        while len(self.skipped) > 256:
-            self.skipped.discard(min(self.skipped))
-        self.next_window = oldest
-        self._flush_reorder()
-
-    # -- accounting ---------------------------------------------------------
-
-    @property
-    def healthy(self) -> bool:
-        """No unhealthy resolution ever (fresh/duplicate only)."""
-        return all(self.counts[s] == 0
-                   for s in STATUSES if s not in _HEALTHY)
 
 
 class PredictionService:
@@ -439,7 +318,6 @@ class PredictionService:
         self.config = config or ServeConfig()
         self.fault_plan = fault_plan
         self.tenants: dict[str, TenantSession] = {}
-        self.rejected_tenants = 0
         self.accepting = False
         self.backlog = 0
         self.batches = 0
@@ -460,7 +338,6 @@ class PredictionService:
         self.metric_backpressure = REGISTRY.counter("serve.backpressure")
         self.metric_load_shed = REGISTRY.counter("serve.load_shed")
         self.metric_breaker = REGISTRY.counter("serve.breaker_trips")
-        self.metric_gaps = REGISTRY.counter("serve.abandoned_windows")
         self.metric_deadline = REGISTRY.counter("serve.deadline_misses")
         self.metric_stalls = REGISTRY.counter("serve.injected_stalls")
         self.metric_admitted = REGISTRY.counter("serve.tenants_admitted")
@@ -487,18 +364,16 @@ class PredictionService:
         """Graceful drain: stop admissions, score the queue, account.
 
         Queued work is scored for up to ``drain_timeout`` seconds; any
-        windows still in flight, queued or buffered after that resolve
-        as ``shed``.  Returns ``{"drained": scored-or-degraded, "shed":
+        windows still in flight or queued after that resolve as
+        ``shed``.  Returns ``{"drained": scored-or-degraded, "shed":
         leftovers}``, counting the batch in flight when ``stop`` began.
         """
         if self._task is None:
             raise RuntimeError("service not started")
         self.accepting = False
-        # Everything resident right now: the batch being scored, queued
-        # windows (backlog) and windows parked in reorder buffers, which
-        # the batcher cannot reach and which therefore always end up shed.
-        drained_from = len(self.inflight) + self.backlog + sum(
-            len(s.reorder) for s in self.tenants.values())
+        # Everything resident right now: the batch being scored and the
+        # queued windows (backlog).
+        drained_from = len(self.inflight) + self.backlog
         self.wake.set()
         try:
             await asyncio.wait_for(self._task,
@@ -518,12 +393,8 @@ class PredictionService:
         self.inflight = []
         self.ready.clear()
         for session in self.tenants.values():
-            leftovers = list(session.pending)
-            session.pending.clear()
-            leftovers.extend(session.reorder.values())
-            session.reorder.clear()
-            for req in sorted(leftovers, key=lambda r: r.window):
-                session._resolve(req, "shed", None)
+            while session.pending:
+                session._resolve(session.pending.popleft(), "shed", None)
                 shed += 1
         self.backlog = 0
         self.metric_backlog.set(0)
@@ -536,13 +407,11 @@ class PredictionService:
     def connect(self, tenant: str) -> TenantSession:
         """Admit one tenant; raises :class:`Rejected` past the cap."""
         if not self.accepting:
-            self.rejected_tenants += 1
             self.metric_rejected.inc()
             raise Rejected("service is not accepting tenants")
         if tenant in self.tenants:
             raise ValueError(f"tenant {tenant!r} already connected")
         if len(self.tenants) >= self.config.max_tenants:
-            self.rejected_tenants += 1
             self.metric_rejected.inc()
             raise Rejected(
                 f"tenant cap reached ({self.config.max_tenants})")
@@ -554,7 +423,7 @@ class PredictionService:
     # -- the batcher --------------------------------------------------------
 
     def _assemble(self) -> list[tuple[TenantSession, _Request]]:
-        """Take up to ``max_batch`` in-order windows, round-robin.
+        """Take up to ``max_batch`` queued windows, round-robin.
 
         Each turn takes one window from the tenant at the head of the
         ready queue and sends the tenant to the back while it still has

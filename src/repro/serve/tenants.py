@@ -11,11 +11,12 @@ returned the exact bits a private scorer would have.
 
 Chaos comes from :class:`repro.faults.ServiceFaultPlan`: each tenant
 asks the plan for its profile and then *misbehaves accordingly* —
-floods (shrunk think time), stalls mid-stream, disconnects, delivers
-out of order or twice.  :class:`Backpressure` is handled the way a real
-client would: jittered exponential backoff
-(:func:`repro.parallel.backoff_delay`) with the jitter drawn from the
-tenant's own derived RNG, so the whole soak replays bit-identically.
+floods (shrunk think time, submissions outrunning answers), stalls
+mid-stream, disconnects.  Every tenant sends each window once, in
+order.  :class:`Backpressure` is handled the way a real client would:
+jittered exponential backoff (:func:`repro.parallel.backoff_delay`)
+with the jitter drawn from the tenant's own derived RNG, so the whole
+soak replays bit-identically.
 
 :func:`run_soak` drives N tenants concurrently, drains the service, and
 folds everything into a :class:`SoakReport` whose headline invariant is
@@ -79,9 +80,8 @@ class TenantOutcome:
     tenant: str
     profile: TenantProfile
     admitted: bool
-    #: Results in window order (duplicates carry their window id too).
+    #: Results in window order.
     results: list[WindowResult] = field(default_factory=list)
-    backpressure_retries: int = 0
     #: False when the tenant disconnected (by chaos) before finishing.
     completed: bool = True
     #: repr of an unhandled exception; must stay ``None`` in any soak.
@@ -94,7 +94,7 @@ class TenantOutcome:
             return "error"
         if not self.admitted:
             return "shed"
-        if all(r.status in ("fresh", "duplicate") for r in self.results):
+        if all(r.status == "fresh" for r in self.results):
             return "served"
         return "degraded"
 
@@ -162,14 +162,13 @@ class SoakReport:
 
 
 async def _submit_with_retry(session, window: int, vector: np.ndarray,
-                             rng, outcome: TenantOutcome) -> WindowResult:
+                             rng) -> WindowResult:
     """One delivery, retrying through backpressure like a real client."""
     attempt = 0
     while True:
         try:
             return await session.submit(window, vector)
         except Backpressure:
-            outcome.backpressure_retries += 1
             await asyncio.sleep(backoff_delay(
                 _RETRY_BASE, attempt, cap=_RETRY_CAP,
                 jitter=float(rng.random())))
@@ -193,39 +192,29 @@ async def _drive_tenant(service: PredictionService,
             return outcome
         outcome.admitted = True
         my_think = think / profile.flood_factor
-        order = (plan.delivery_order(profile, n_windows)
-                 if plan is not None else list(range(n_windows)))
-        # A reordering tenant must pipeline: awaiting an out-of-order
-        # window before sending its predecessors would deadlock against
-        # the service's own reorder buffer.  A flooding tenant pipelines
-        # because that is what a flood is — submissions outrunning
-        # responses (it is also the only way the per-tenant queue bound,
-        # hence backpressure, can ever be hit).  Well-behaved tenants
-        # submit strictly sequentially — the regime whose results a
-        # standalone scorer must match bit for bit.
-        pipelined = profile.reorders or profile.floods
+        # A flooding tenant pipelines because that is what a flood is —
+        # submissions outrunning responses (it is also the only way the
+        # per-tenant queue bound, hence backpressure, can ever be hit).
+        # Well-behaved tenants submit strictly sequentially — the regime
+        # whose results a standalone scorer must match bit for bit.
+        pipelined = profile.floods
         inflight: list[asyncio.Task] = []
         disconnected = False
-        for step, window in enumerate(order):
+        for window in range(n_windows):
             if profile.disconnects_at is not None \
-                    and step >= profile.disconnects_at:
+                    and window >= profile.disconnects_at:
                 disconnected = True
                 outcome.completed = False
                 break
-            if profile.stalls_at is not None and step == profile.stalls_at:
+            if profile.stalls_at is not None and window == profile.stalls_at:
                 await asyncio.sleep(max(think, 0.001)
                                     * profile.stall_windows)
-            deliveries = 1
-            if plan is not None and plan.duplicates_window(profile, window):
-                deliveries = 2
-            for _ in range(deliveries):
-                if pipelined:
-                    inflight.append(asyncio.ensure_future(
-                        _submit_with_retry(session, window,
-                                           windows[window], rng, outcome)))
-                else:
-                    outcome.results.append(await _submit_with_retry(
-                        session, window, windows[window], rng, outcome))
+            if pipelined:
+                inflight.append(asyncio.ensure_future(_submit_with_retry(
+                    session, window, windows[window], rng)))
+            else:
+                outcome.results.append(await _submit_with_retry(
+                    session, window, windows[window], rng))
             if my_think > 0:
                 await asyncio.sleep(my_think)
             elif pipelined:
@@ -235,10 +224,9 @@ async def _drive_tenant(service: PredictionService,
         if inflight:
             if disconnected:
                 # A vanished client does not wait for its pipeline: keep
-                # what already resolved, abandon the rest.  Undelivered
-                # predecessors mean some pipelined windows can never
-                # flush from the service's reorder buffer — the drain
-                # sheds them; awaiting them here would deadlock.
+                # what already resolved and abandon the rest, retries
+                # included.  The service still answers (or the drain
+                # sheds) whatever of it was queued.
                 await asyncio.sleep(0)
                 for task in inflight:
                     if task.done():
@@ -247,7 +235,6 @@ async def _drive_tenant(service: PredictionService,
                         task.cancel()
             else:
                 outcome.results.extend(await asyncio.gather(*inflight))
-            outcome.results.sort(key=lambda r: r.window)
     except Exception as exc:  # noqa: BLE001 — the soak must account, not raise
         outcome.error = f"{type(exc).__name__}: {exc}"
         logger.error("tenant %s crashed: %s", tenant, outcome.error)

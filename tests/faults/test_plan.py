@@ -181,7 +181,6 @@ _SERVICE_PLANS = st.builds(
     ServiceFaultPlan, seed=_seed,
     flood_factor=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
     stall_windows=st.integers(min_value=0, max_value=10 ** 6),
-    reorder_depth=st.integers(min_value=0, max_value=10 ** 6),
     slow_batch_seconds=_nonneg,
     **{field: _rate for field in SERVICE_FAULT_SPEC_FIELDS.values()
        if field.endswith("_rate")})

@@ -10,16 +10,13 @@ from repro.faults import (
 )
 
 CHAOS = ServiceFaultPlan(seed=3, flood_rate=0.3, stall_rate=0.2,
-                         disconnect_rate=0.2, reorder_rate=0.3,
-                         duplicate_rate=0.3, slow_batch_rate=0.1)
+                         disconnect_rate=0.2, slow_batch_rate=0.1)
 
 
 @pytest.mark.parametrize("kw", [
     dict(flood_rate=-0.1), dict(stall_rate=1.5), dict(disconnect_rate=2.0),
-    dict(reorder_rate=-1.0), dict(duplicate_rate=1.01),
     dict(slow_batch_rate=-0.5), dict(flood_factor=0.0),
-    dict(stall_windows=-1), dict(reorder_depth=-2),
-    dict(slow_batch_seconds=-0.1),
+    dict(stall_windows=-1), dict(slow_batch_seconds=-0.1),
 ])
 def test_plan_validation(kw):
     with pytest.raises(ValueError):
@@ -42,9 +39,6 @@ def test_profiles_and_orders_replay_bit_identically():
     b = [ServiceFaultPlan(**CHAOS.to_dict()).tenant_profile(t, 8)
          for t in tenants]
     assert a == b
-    for profile in a:
-        assert CHAOS.delivery_order(profile, 8) == \
-            CHAOS.delivery_order(profile, 8)
     assert [CHAOS.batch_stall(i) for i in range(50)] == \
         [CHAOS.batch_stall(i) for i in range(50)]
     # A different seed is a different regime.
@@ -60,8 +54,6 @@ def test_chaos_actually_fires():
     assert any(p.floods for p in profiles)
     assert any(p.stalls_at is not None for p in profiles)
     assert any(p.disconnects_at is not None for p in profiles)
-    assert any(p.reorders for p in profiles)
-    assert any(p.duplicates for p in profiles)
     assert any(not p.chaotic for p in profiles), \
         "some tenants must stay clean — they anchor the bit-identity check"
     # Interior-only fault points: window 0 always flows.
@@ -72,41 +64,55 @@ def test_chaos_actually_fires():
             assert 1 <= p.disconnects_at < 8
 
 
-def test_delivery_order_is_a_bounded_permutation():
-    n = 32
-    shuffled = 0
-    for i in range(64):
-        profile = CHAOS.tenant_profile(f"tenant{i:04d}", n)
-        order = CHAOS.delivery_order(profile, n)
-        assert sorted(order) == list(range(n))  # a permutation, always
-        if not profile.reorders:
-            assert order == list(range(n))
-            continue
-        if order != list(range(n)):
-            shuffled += 1
-        for pos, window in enumerate(order):
-            assert abs(pos - window) <= CHAOS.reorder_depth
-    assert shuffled, "reordering tenants must actually shuffle"
-
-
 def test_fault_classification():
-    assert not ServiceFaultPlan().has_tenant_faults
-    assert not ServiceFaultPlan().has_service_faults
-    assert ServiceFaultPlan(duplicate_rate=0.1).has_tenant_faults
-    assert ServiceFaultPlan(slow_batch_rate=0.1).has_service_faults
     assert TenantProfile(tenant="x").chaotic is False
-    assert TenantProfile(tenant="x", reorders=True).chaotic is True
+    assert TenantProfile(tenant="x", floods=True).chaotic is True
+    assert TenantProfile(tenant="x", stalls_at=3).chaotic is True
+    assert TenantProfile(tenant="x", disconnects_at=1).chaotic is True
+
+
+#: Every chaos decision draws from its own ``derive_rng`` path, so adding
+#: or deleting a kind must leave these draws of ``SCHEDULE_PLAN`` where
+#: they are.  Tenant index -> (floods, flood_factor, stalls_at,
+#: stall_windows, disconnects_at) for the chaotic tenants among 64 over
+#: 8 windows; every other tenant is clean.
+SCHEDULE_PLAN = ServiceFaultPlan(seed=3, flood_rate=0.2, stall_rate=0.1,
+                                 disconnect_rate=0.1, slow_batch_rate=0.05)
+PINNED_PROFILES = {
+    1: (True, 8.0, 7, 4, None), 3: (False, 1.0, 7, 4, None),
+    4: (True, 8.0, None, 4, 7), 6: (False, 1.0, None, 4, 6),
+    8: (True, 8.0, None, 4, None), 15: (True, 8.0, None, 4, 7),
+    18: (True, 8.0, None, 4, None), 19: (True, 8.0, None, 4, None),
+    22: (False, 1.0, 2, 4, None), 23: (True, 8.0, None, 4, 6),
+    27: (False, 1.0, None, 4, 2), 29: (True, 8.0, None, 4, None),
+    31: (False, 1.0, 3, 4, None), 32: (False, 1.0, None, 4, 3),
+    33: (False, 1.0, None, 4, 5), 40: (False, 1.0, None, 4, 1),
+    41: (False, 1.0, 6, 4, None), 49: (True, 8.0, 2, 4, None),
+    52: (True, 8.0, None, 4, None), 53: (True, 8.0, None, 4, None),
+    55: (False, 1.0, 4, 4, None), 56: (False, 1.0, None, 4, 1),
+    59: (False, 1.0, 3, 4, None), 62: (False, 1.0, None, 4, 7),
+}
+#: Batches among 0..49 that ``SCHEDULE_PLAN`` stalls.
+PINNED_STALLED_BATCHES = (2, 3, 24, 26, 27, 47, 48)
+
+
+def test_surviving_chaos_schedule_is_pinned():
+    for i in range(64):
+        p = SCHEDULE_PLAN.tenant_profile(f"tenant{i:04d}", 8)
+        got = (p.floods, p.flood_factor, p.stalls_at, p.stall_windows,
+               p.disconnects_at)
+        assert got == PINNED_PROFILES.get(i, (False, 1.0, None, 4, None)), i
+    assert [SCHEDULE_PLAN.batch_stall(i) for i in range(50)] == [
+        0.05 if i in PINNED_STALLED_BATCHES else 0.0 for i in range(50)]
 
 
 def test_parse_spec_round_trip():
     plan = parse_service_fault_spec(
-        "flood=0.2, stall=0.1, disconnect=0.05, reorder=0.2, "
-        "reorder_depth=3, dup=0.15, slow=0.02, slow_s=0.03, "
+        "flood=0.2, stall=0.1, disconnect=0.05, slow=0.02, slow_s=0.03, "
         "flood_x=4, stall_w=2, seed=9")
     assert plan == ServiceFaultPlan(
         seed=9, flood_rate=0.2, flood_factor=4.0, stall_rate=0.1,
-        stall_windows=2, disconnect_rate=0.05, reorder_rate=0.2,
-        reorder_depth=3, duplicate_rate=0.15, slow_batch_rate=0.02,
+        stall_windows=2, disconnect_rate=0.05, slow_batch_rate=0.02,
         slow_batch_seconds=0.03)
     assert parse_service_fault_spec("") == ServiceFaultPlan()
     # Every advertised spec key maps to a real dataclass field.
@@ -117,6 +123,11 @@ def test_parse_spec_round_trip():
 def test_parse_spec_errors():
     with pytest.raises(ValueError, match="unknown chaos spec key"):
         parse_service_fault_spec("floods=0.2")
+    # Windows arrive once and in order: there is no reorder or
+    # duplicate-delivery kind to ask for.
+    for spec in ("reorder=0.2", "reorder_depth=2", "dup=0.2"):
+        with pytest.raises(ValueError, match="unknown chaos spec key"):
+            parse_service_fault_spec(spec)
     with pytest.raises(ValueError, match="not a number"):
         parse_service_fault_spec("flood=lots")
     with pytest.raises(ValueError, match="key=value"):

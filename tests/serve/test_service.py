@@ -45,9 +45,8 @@ async def until_in_flight(service):
 
 
 @pytest.mark.parametrize("kw", [
-    dict(max_tenants=0), dict(queue_depth=0), dict(reorder_depth=-1),
-    dict(max_batch=0), dict(shed_backlog=0),
-    dict(deadline=0.0), dict(breaker_threshold=0),
+    dict(max_tenants=0), dict(queue_depth=0), dict(max_batch=0),
+    dict(shed_backlog=0), dict(deadline=0.0), dict(breaker_threshold=0),
     dict(breaker_cooldown=0.0), dict(drain_timeout=-1.0),
     # ``now - enqueued > nan`` never fires: a nan deadline never expires.
     dict(deadline=float("nan")), dict(deadline=float("inf")),
@@ -77,6 +76,7 @@ def test_lifecycle_guards(scorer):
 def test_admission_control(scorer):
     async def run():
         service = PredictionService(scorer, ServeConfig(max_tenants=1))
+        rejected = REGISTRY.counter("serve.tenants_rejected").value
         await service.start()
         service.connect("a")
         with pytest.raises(Rejected):
@@ -86,10 +86,9 @@ def test_admission_control(scorer):
         await service.stop()
         with pytest.raises(Rejected):
             service.connect("c")  # draining / stopped
-        return service
+        return REGISTRY.counter("serve.tenants_rejected").value - rejected
 
-    service = asyncio.run(run())
-    assert service.rejected_tenants == 2
+    assert asyncio.run(run()) == 2
 
 
 def test_sequential_stream_bit_identical(scorer):
@@ -225,6 +224,8 @@ def test_breaker_trips_then_probe_recovers(scorer):
                                     fault_plan=StallFirst(1, 0.3))
         await service.start()
         session = service.connect("t0")
+        trips = REGISTRY.counter("serve.breaker_trips").value
+        stales = REGISTRY.counter("serve.stale").value
         burst = [asyncio.ensure_future(session.submit(w, W[w]))
                  for w in range(4)]
         results = list(await asyncio.gather(*burst))
@@ -233,23 +234,26 @@ def test_breaker_trips_then_probe_recovers(scorer):
         probe = await session.submit(5, W[5])
         after = await session.submit(6, W[6])
         await service.stop()
-        return results, while_open, probe, after, session
+        return (results, while_open, probe, after, session,
+                REGISTRY.counter("serve.breaker_trips").value - trips,
+                REGISTRY.counter("serve.stale").value - stales)
 
-    results, while_open, probe, after, session = asyncio.run(run())
+    results, while_open, probe, after, session, trips, stales = \
+        asyncio.run(run())
     # w0 scored through the stalled batch; w1-w3 aged past the deadline
     # meanwhile and degraded to stale (repeating w0's probabilities).
     assert [r.status for r in results] == ["fresh", "stale", "stale",
                                            "stale"]
     assert results[1].probabilities == results[0].probabilities
     # Two consecutive stales tripped the breaker: w4 fast-failed.
-    assert session.breaker_trips == 1
+    assert trips == 1
     assert while_open.status == "stale"
     # After the cooldown the half-open probe scored fresh and closed it.
     assert probe.status == "fresh"
     assert probe.probabilities == expected_bits(scorer, W[5])
     assert after.status == "fresh"
     assert session.breaker_open_until is None
-    assert not session.healthy  # the stales are on its record
+    assert stales == 4  # the stales are on its record
 
 
 def test_failed_probe_reopens_breaker(scorer):
@@ -262,6 +266,7 @@ def test_failed_probe_reopens_breaker(scorer):
         await service.start()
         hold = service.connect("hold")
         session = service.connect("t0")
+        trips = REGISTRY.counter("serve.breaker_trips").value
 
         async def behind_a_stalled_batch(window):
             held = asyncio.ensure_future(hold.submit(window, vec))
@@ -275,102 +280,85 @@ def test_failed_probe_reopens_breaker(scorer):
         probe = await behind_a_stalled_batch(1)  # probe also misses
         during = await session.submit(2, vec)    # breaker re-opened
         await service.stop()
-        return first, probe, during, session
+        return (first, probe, during,
+                REGISTRY.counter("serve.breaker_trips").value - trips)
 
-    first, probe, during, session = asyncio.run(
+    first, probe, during, trips = asyncio.run(
         asyncio.wait_for(run(), timeout=10.0))
     assert first.status == "masked"
     assert probe.status == "masked"
     assert during.status == "masked"
-    assert session.breaker_trips == 2
+    assert trips == 2
 
 
-def test_duplicate_window_repeats_without_rescoring(scorer):
-    W = vectors(scorer, 1, seed=4)
+def test_window_labels_out_of_order_at_queue_depth_one(scorer):
+    """A window number is a label, not a place in a sequence.  At
+    ``queue_depth=1`` window 2 takes the one queue slot ahead of window
+    1; window 1 is refused only until the slot frees, and both score
+    ``fresh``: a flooding tenant whose retries reorder its own windows
+    cannot livelock."""
+    W = vectors(scorer, 3, seed=12)
 
     async def run():
-        service = PredictionService(scorer)
+        service = PredictionService(scorer, ServeConfig(queue_depth=1))
         await service.start()
         session = service.connect("t0")
         first = await session.submit(0, W[0])
-        batches = service.batches
-        # Same window, different payload: the first answer stands.
-        again = await session.submit(0, np.zeros_like(W[0]))
+        later = asyncio.ensure_future(session.submit(2, W[2]))
+        await asyncio.sleep(0)  # window 2 is queued
+        for _ in range(50):
+            try:
+                earlier = await session.submit(1, W[1])
+                break
+            except Backpressure:
+                await asyncio.sleep(0.01)
+        else:
+            pytest.fail("window 1 was refused 50 times in a row")
+        results = [first, earlier, await later]
         await service.stop()
-        return first, again, batches, service.batches
+        return results
 
-    first, again, batches_before, batches_after = asyncio.run(run())
-    assert first.status == "fresh"
-    assert again.status == "duplicate"
-    assert again.probabilities == first.probabilities
-    assert batches_after == batches_before  # nothing was rescored
-
-
-def test_out_of_order_windows_resolve_in_order(scorer):
-    W = vectors(scorer, 5, seed=5)
-    order = [1, 0, 3, 4, 2]
-
-    async def run():
-        service = PredictionService(scorer)
-        await service.start()
-        session = service.connect("t0")
-        tasks = [asyncio.ensure_future(session.submit(w, W[w]))
-                 for w in order]
-        results = await asyncio.gather(*tasks)
-        await service.stop()
-        return sorted(results, key=lambda r: r.window)
-
-    results = asyncio.run(run())
-    # The reorder buffer absorbed the shuffle: every window scored fresh
-    # with the bits an in-order stream would have produced.
+    results = asyncio.run(asyncio.wait_for(run(), timeout=10.0))
     for w, res in enumerate(results):
         assert res.window == w
         assert res.status == "fresh"
         assert res.probabilities == expected_bits(scorer, W[w])
 
 
-def test_reorder_overflow_abandons_gap(scorer):
-    W = vectors(scorer, 8, seed=6)
+def test_refused_window_holds_back_no_later_window(scorer):
+    """Backpressure leaves no trace.  Window 8, refused while windows
+    0-7 fill the queue and never resent (as an open-loop client does),
+    holds back nothing: each later window is answered before the next
+    is sent."""
+    W = vectors(scorer, 14, seed=13)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(reorder_depth=2))
+        service = PredictionService(scorer, fault_plan=StallFirst(1, 0.05))
         await service.start()
+        hold = service.connect("hold")
         session = service.connect("t0")
-        before = REGISTRY.counter("serve.abandoned_windows").value
-        # Windows 0-4 never arrive; buffering 5, 6, 7 overflows the
-        # depth-2 buffer and the gap is abandoned.
-        tasks = [asyncio.ensure_future(session.submit(w, W[w]))
-                 for w in (5, 6, 7)]
-        results = await asyncio.gather(*tasks)
-        gap = REGISTRY.counter("serve.abandoned_windows").value - before
-        late = await session.submit(2, W[2])   # skipped window: too late
-        dup = await session.submit(2, W[2])    # and now merely duplicate
+        held = asyncio.ensure_future(hold.submit(0, W[0]))
+        await until_in_flight(service)  # the batcher is stalled
+        queued = [asyncio.ensure_future(session.submit(w, W[w]))
+                  for w in range(8)]
+        await asyncio.sleep(0)  # windows 0-7 fill the default queue
+        with pytest.raises(Backpressure):
+            await session.submit(8, W[8])
+        results = list(await asyncio.gather(*queued))
+        for w in range(9, 14):
+            # One 0.1 s sending interval: window ``w`` must be answered
+            # before window ``w + 1`` would be sent.
+            results.append(await asyncio.wait_for(
+                session.submit(w, W[w]), timeout=0.1))
+        assert (await held).status == "fresh"
         await service.stop()
-        return results, gap, late, dup
+        return results
 
-    results, gap, late, dup = asyncio.run(run())
-    assert gap == 5  # windows 0..4
-    assert [r.status for r in results] == ["fresh"] * 3
-    assert late.status == "masked"
-    assert dup.status == "duplicate"
-
-
-def test_zero_reorder_depth_skips_straight_ahead(scorer):
-    W = vectors(scorer, 4, seed=7)
-
-    async def run():
-        service = PredictionService(scorer, ServeConfig(reorder_depth=0))
-        await service.start()
-        session = service.connect("t0")
-        res = await session.submit(3, W[3])
-        await service.stop()
-        return res
-
-    res = asyncio.run(run())
-    # No buffer to wait in: the gap (0..2) is abandoned immediately and
-    # window 3 scores fresh.
-    assert res.status == "fresh"
-    assert res.probabilities == expected_bits(scorer, W[3])
+    results = asyncio.run(asyncio.wait_for(run(), timeout=10.0))
+    assert [r.window for r in results] == [*range(8), *range(9, 14)]
+    for res in results:
+        assert res.status == "fresh"
+        assert res.probabilities == expected_bits(scorer, W[res.window])
 
 
 def test_graceful_drain_scores_queued_work(scorer):
@@ -440,42 +428,6 @@ def test_drain_sheds_the_batch_in_flight(scorer):
     assert [r.status for r in results] == ["shed", "shed"]
     assert order == [0, 1]
     assert submitted == resolved == 2
-
-
-def test_window_released_by_a_fast_fail_wakes_the_batcher(scorer):
-    """A breaker fast-fail that releases a parked out-of-order window
-    onto the queue wakes an idle batcher: the window resolves without
-    waiting for another submission or the drain."""
-    vec = np.zeros((scorer.n_servers, scorer.n_features))
-
-    async def run():
-        service = PredictionService(scorer, ServeConfig(
-            deadline=0.01, breaker_threshold=1, breaker_cooldown=5.0),
-            fault_plan=StallFirst(1, 0.05))
-        await service.start()
-        hold = service.connect("hold")
-        session = service.connect("t0")
-        held = asyncio.ensure_future(hold.submit(0, vec))
-        await until_in_flight(service)
-        # Window 0 queues behind the stalled batch; window 2 parks in
-        # the reorder buffer until window 1 arrives.
-        first = asyncio.ensure_future(session.submit(0, vec))
-        parked = asyncio.ensure_future(session.submit(2, vec))
-        assert (await held).status == "fresh"
-        assert (await first).status == "masked"  # missed; breaker opens
-        assert service.backlog == 0  # the batcher goes idle
-        # Window 1 fast-fails on the open breaker and releases window 2.
-        second = await session.submit(1, vec)
-        released = await asyncio.wait_for(parked, timeout=1.0)
-        await service.stop()
-        return second, released, session
-
-    second, released, session = asyncio.run(
-        asyncio.wait_for(run(), timeout=10.0))
-    assert second.status == "masked"
-    assert released.window == 2
-    assert released.status == "masked"  # it too aged past the deadline
-    assert session.breaker_trips == 1
 
 
 def test_batcher_waits_on_work_not_on_a_timer(scorer):
@@ -566,8 +518,8 @@ def test_malformed_vector_is_refused_without_wedging_the_service(scorer):
         counted = REGISTRY.counter("serve.submitted").value - submitted
         first = await pending
         second = await good.submit(1, W[1])
-        # The refusals left the bad tenant's cursor alone: a well-formed
-        # window 0 is still new, not a duplicate.
+        # The refusals left no trace: a well-formed window 0 from the
+        # same tenant is scored like any other.
         retry = await bad.submit(0, W[1])
         drain = await service.stop()
         return counted, first, second, retry, drain

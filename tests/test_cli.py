@@ -346,6 +346,15 @@ _MALFORMED_ARTEFACTS = {
                         '{"kind": "repro-trace", "spans": 1}\n'
                         '{"name": "x", "start": 0.0, "end": 1.0}\n'),
     "empty-file": ("empty.json", ""),
+    "manifest-with-number-timings": (
+        "m.manifest.json",
+        '{"kind": "repro-manifest", "name": "x", "seed": 0, "config": {}, '
+        '"created_at": "", "git_sha": null, "version": "", "python": "", '
+        '"platform": "", "timings": 5}\n'),
+    "metrics-with-string-value": (
+        "m.metrics.json",
+        '{"kind": "repro-metrics", '
+        '"metrics": {"c": {"kind": "counter", "value": "x"}}}\n'),
 }
 
 
@@ -490,6 +499,14 @@ def test_serve_bad_chaos_spec_rejected(capsys):
     assert "bad --chaos spec" in capsys.readouterr().err
     assert main(["serve", "--chaos", "flood=lots"]) == 2
     assert "not a number" in capsys.readouterr().err
+    # Tenants send each window once, in order: the reorder and
+    # duplicate-delivery kinds are unknown keys.
+    for spec in ("reorder=0.2", "dup=0.2", "reorder_depth=2"):
+        assert main(["serve", "--chaos", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --chaos spec: unknown chaos "
+                              "spec key"), err
+        assert err.count("\n") == 1
 
 
 def test_serve_rejects_bad_model(tmp_path, capsys):
@@ -523,7 +540,7 @@ def test_serve_end_to_end_with_saved_model(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     assert main(["serve", "--model", str(model), "--tenants", "6",
                  "--windows", "4",
-                 "--chaos", "flood=0.3,dup=0.3,reorder=0.3,seed=1",
+                 "--chaos", "flood=0.3,stall=0.3,disconnect=0.3,seed=1",
                  "--report-out", str(report),
                  "--metrics-out", str(metrics)]) == 0
     out = capsys.readouterr().out
