@@ -3,10 +3,14 @@
 The paper's data collection protocol (§III-D): run the *target workload*
 once alone and once per interference scenario, with interference always
 on *other* compute nodes, keeping a fixed number of concurrent
-interference instances active for the whole measurement. This module
-reproduces that: it wires a fresh cluster per run, attaches the server
-monitor, launches looping interference instances on the non-target nodes,
-optionally lets them warm up, then runs the target to completion.
+interference instances active for the whole measurement.  This module
+reproduces that in two phases.  :func:`warm_up` wires a fresh cluster,
+attaches the server monitor, launches looping interference instances on
+the non-target nodes and lets them warm up; :func:`run_target` then runs
+the target to completion on that cluster.  :func:`execute_run` is the
+two back to back.  The first phase never depends on the target, which
+is what lets a sweep simulate it once per noise scenario and fork every
+run of the scenario from it (:mod:`repro.parallel.warmstart`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ __all__ = [
     "InterferenceSpec",
     "ExperimentConfig",
     "PairedRuns",
+    "WarmUp",
+    "warm_up",
+    "run_target",
     "execute_run",
     "run_pair",
     "experiment_cluster",
@@ -123,28 +130,33 @@ class PairedRuns:
     interfered: MonitoredRun
 
 
-def execute_run(
-    target: Workload,
+@dataclass
+class WarmUp:
+    """A run's target-independent prefix, simulated: the cluster with its
+    monitor armed and its noise running ``config.warmup`` seconds, the
+    target not yet launched.  :func:`run_target` finishes it, once."""
+
+    cluster: Cluster
+    monitor: ServerMonitor
+    interference: tuple[InterferenceSpec, ...]
+    config: ExperimentConfig
+
+
+def warm_up(
     interference: list[InterferenceSpec],
     config: ExperimentConfig,
     seed_salt: str = "",
-    abort_at: float | None = None,
-) -> MonitoredRun:
-    """One monitored execution of ``target`` under the given noise.
+) -> WarmUp:
+    """A run's first phase: cluster, monitor, noise, and the warm-up.
 
-    ``abort_at`` kills the simulation at that simulated time (fault
-    injection: a run that died mid-flight).  The truncated run is still
-    a valid :class:`MonitoredRun` — whatever was traced and sampled up
-    to the abort — with ``metadata["aborted"]`` recording the cut.
+    Wires a fresh cluster, arms the server monitor, launches the looping
+    noise instances on the non-target nodes and, when there is noise,
+    runs it ``config.warmup`` seconds.  Nothing here depends on the
+    target, so every run of one noise scenario (same ``interference``,
+    ``config`` and ``seed_salt``) simulates the same prefix, bit for bit;
+    :mod:`repro.parallel.warmstart` simulates it once and forks each run
+    from it.
     """
-    wall_start = time.perf_counter()
-    if abort_at is not None and abort_at <= 0:
-        raise ValueError(f"abort_at must be positive, got {abort_at}")
-    logger.info(
-        "execute_run: target=%s noise=%s seed=%d",
-        target.name, [spec.task for spec in interference] or "none",
-        config.seed,
-    )
     cluster = Cluster(config.cluster)
     monitor = ServerMonitor(cluster, sample_interval=config.sample_interval)
     monitor.start()
@@ -161,6 +173,17 @@ def execute_run(
                                 record=False)
     if interference and config.warmup > 0:
         cluster.env.run(until=config.warmup)
+    return WarmUp(cluster, monitor, tuple(interference), config)
+
+
+def run_target(warm: WarmUp, target: Workload,
+               abort_at: float | None = None) -> MonitoredRun:
+    """A run's second phase: launch ``target`` on a warmed-up cluster,
+    run it to completion (or to ``abort_at``), then one trailing sample
+    period.  It advances ``warm``, which therefore serves one run."""
+    if abort_at is not None and abort_at <= 0:
+        raise ValueError(f"abort_at must be positive, got {abort_at}")
+    cluster, config = warm.cluster, warm.config
     target_seed = derive_seed(config.seed, "target", target.name)
     handle = launch(cluster, target, list(config.target_nodes), target_seed)
     aborted = False
@@ -174,10 +197,11 @@ def execute_run(
         cluster.env.run(until=handle.done)
     # One trailing sampling period so the last window has server samples.
     cluster.env.run(until=cluster.env.now + config.sample_interval)
-    run = MonitoredRun(
+    interference = warm.interference
+    return MonitoredRun(
         job=target.name,
         records=cluster.collector.records,
-        server_samples=monitor.samples,
+        server_samples=warm.monitor.samples,
         servers=cluster.servers,
         duration=cluster.env.now,
         metadata={
@@ -191,6 +215,31 @@ def execute_run(
             **({"aborted": True, "abort_at": abort_at} if aborted else {}),
         },
     )
+
+
+def execute_run(
+    target: Workload,
+    interference: list[InterferenceSpec],
+    config: ExperimentConfig,
+    seed_salt: str = "",
+    abort_at: float | None = None,
+) -> MonitoredRun:
+    """One monitored execution of ``target`` under the given noise:
+    :func:`warm_up`, then :func:`run_target`.
+
+    ``abort_at`` kills the simulation at that simulated time (fault
+    injection: a run that died mid-flight).  The truncated run is still
+    a valid :class:`MonitoredRun` — whatever was traced and sampled up
+    to the abort — with ``metadata["aborted"]`` recording the cut.
+    """
+    wall_start = time.perf_counter()
+    logger.info(
+        "execute_run: target=%s noise=%s seed=%d",
+        target.name, [spec.task for spec in interference] or "none",
+        config.seed,
+    )
+    run = run_target(warm_up(interference, config, seed_salt=seed_salt),
+                     target, abort_at=abort_at)
     logger.info(
         "execute_run done: %s finished at t=%.3fs sim (%d records, "
         "%d samples, %.2fs wall)",
@@ -244,9 +293,11 @@ def run_pair(
     needs no warm-up alignment: it simply provides the undisturbed
     duration of every operation.
 
-    Both runs execute here, uncached; sweeps submit their pairs to
+    Both runs execute here, uncached, each from its own
+    :func:`warm_up`; sweeps submit their pairs to
     :meth:`repro.parallel.SweepExecutor.run_pairs` instead, for its
-    deduplication, run cache and worker pool.
+    deduplication, run cache, worker pool and warm starts (a scenario's
+    warm-up simulated once and forked for each of its runs).
     """
     from repro.obs import profile as _profile
 

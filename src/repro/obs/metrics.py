@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
@@ -222,6 +223,27 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Forget every metric (used between runs and in tests)."""
         self._metrics.clear()
+
+    @contextmanager
+    def swapped(self, metrics: dict | None = None
+                ) -> Iterator[dict[str, Counter | Gauge | Histogram]]:
+        """Record a block into ``metrics`` instead of this registry's own.
+
+        ``metrics`` is what an earlier ``swapped()`` block yielded, or
+        ``None`` for an empty set.  The block's metrics — and every
+        handle resolved inside it — live in the yielded dict, and the
+        registry's own metrics, with every handle held on them, are back
+        when the block ends.  :mod:`repro.parallel.warmstart` records a
+        warm-up this way, so a run forked from it carries on counting
+        into the warm-up's metrics and ships exactly the delta a fresh
+        run would.
+        """
+        saved = self._metrics
+        self._metrics = {} if metrics is None else metrics
+        try:
+            yield self._metrics
+        finally:
+            self._metrics = saved
 
 
 #: The process-wide registry. Unlike tracing, always on: bumping a counter

@@ -139,7 +139,8 @@ def service_health(snapshot: dict[str, dict]) -> list[str]:
     """Health lines for the prediction service's ``serve.*`` namespace.
 
     Renders the degradation ladder (fresh/stale/masked/shed resolution
-    counts), the pressure-relief counters (backpressure, load shed,
+    counts, each with its share of the resolved windows), the
+    pressure-relief counters (backpressure, load shed,
     breaker trips, deadline misses, injected model stalls) and
     the batching economics (batches, mean batch size, latency
     percentiles).  Empty when the snapshot has no service metrics.
@@ -148,10 +149,15 @@ def service_health(snapshot: dict[str, dict]) -> list[str]:
     if not submitted:
         return []
     lines = [f"windows submitted: {int(submitted)}"]
+    # Shares of the resolved windows: a submission refused with
+    # backpressure counts as submitted but never resolves.
+    counts = {status: _metric_value(snapshot, f"serve.{status}") or 0.0
+              for status in ("fresh", "stale", "masked", "shed")}
+    resolved = sum(counts.values())
     ladder = []
-    for status in ("fresh", "stale", "masked", "shed"):
-        value = _metric_value(snapshot, f"serve.{status}") or 0.0
-        ladder.append(f"{status} {int(value)} ({value / submitted:.0%})")
+    for status, value in counts.items():
+        share = value / resolved if resolved else 0.0
+        ladder.append(f"{status} {int(value)} ({share:.0%})")
     lines.append("ladder: " + ", ".join(ladder))
     admitted = _metric_value(snapshot, "serve.tenants_admitted")
     rejected = _metric_value(snapshot, "serve.tenants_rejected")

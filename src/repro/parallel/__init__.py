@@ -30,7 +30,10 @@ determinism:
   runs every sweep and every training's restarts, hands the children's
   metrics back to the parent, and looks the same to its callers in both
   placements; its :func:`~repro.parallel.supervise.usable_cores` is the
-  one rule that sizes both callers' batches.
+  one rule that sizes both callers' batches;
+* :mod:`repro.parallel.warmstart` — warm starts: where it runs, a
+  sweep simulates the noise warm-up that two or more of its runs share
+  once and forks each of those runs from it, bit for bit the fresh run.
 
 Quick use::
 

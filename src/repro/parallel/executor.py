@@ -5,7 +5,7 @@ scenario) pair, label its windows, train the kernel network.
 :class:`SweepExecutor` is its one handle.  It owns the three
 content-addressed caches (runs, labelled windows, trained models) and
 puts every simulation and every training through the same stacked
-layers:
+layers (the fourth is the simulations' alone):
 
 1. **Deduplication** — jobs are keyed by :func:`repro.parallel.cachekey.
    run_key` or :func:`~repro.parallel.cachekey.train_key`; identical
@@ -33,6 +33,12 @@ layers:
    Trainings execute one after another; inside one,
    :meth:`~repro.core.predictor.InterferencePredictor.train` runs the
    restarts through the same runner (DESIGN.md §10).
+4. **Warm starts** — runs of one noise scenario share a target-free
+   warm-up (:func:`repro.experiments.runner.warm_up`).  When two or
+   more pending runs of a batch share one, each process that runs them
+   simulates it once and forks every such run from it
+   (:mod:`repro.parallel.warmstart`); a forked run is bit for bit the
+   fresh run, so this too changes nothing the caller can see.
 
 Every sweep takes that one path; the runner alone decides where the runs
 execute.  With no ``run_timeout`` or ``retries`` and one slot to fill
@@ -108,6 +114,7 @@ from repro.parallel.cachekey import (
     train_key_material,
 )
 from repro.parallel.modelcache import ModelCache
+from repro.parallel.warmstart import WarmStarts
 from repro.parallel.windowcache import WindowCache
 from repro.workloads.base import Workload
 
@@ -147,7 +154,7 @@ class TrainJob:
         return self.config or TrainConfig(seed=self.seed)
 
 
-def _execute_job(item: tuple[str, RunJob, int],
+def _execute_job(item: tuple[str, RunJob, int], warm: WarmStarts,
                  plan: FaultPlan | None = None,
                  trace_id: str | None = None):
     """Batch body: run one job and return (run, wall, aux).
@@ -162,9 +169,13 @@ def _execute_job(item: tuple[str, RunJob, int],
     out, which is what an in-process job needs.
     ``aux`` also carries the job's ``time.monotonic()`` start stamp,
     from which the parent derives queue-wait and execute wall spans.
-    When a fault plan is supplied, injected worker faults fire *before*
-    the simulation (a killed worker never produces partial results) and
-    simulated-run aborts are threaded into ``execute_run``.
+    A job whose warm-up another job of the batch shares runs forked
+    from ``warm``'s state for it (:mod:`repro.parallel.warmstart`), with
+    the same run, spans and metrics; any other job is a fresh
+    ``execute_run``.  When a fault plan is supplied, injected worker
+    faults fire *before* the simulation (a killed worker never produces
+    partial results) and simulated-run aborts are threaded into the
+    run's target phase.
     """
     key, job, attempt = item
     caller_tracer = _trace.get()
@@ -187,11 +198,16 @@ def _execute_job(item: tuple[str, RunJob, int],
             abort_at = plan.run_abort_time(job.target.name, job.seed_salt)
         started = time.monotonic()
         start = time.perf_counter()
-        run = execute_run(job.target, list(job.interference), job.config,
-                          seed_salt=job.seed_salt, abort_at=abort_at)
+        forked = warm.run(key, job, trace_id, abort_at)
+        if forked is not None:
+            run, shipment = forked
+        else:
+            run = execute_run(job.target, list(job.interference),
+                              job.config, seed_salt=job.seed_salt,
+                              abort_at=abort_at)
+            shipment = _dist.ship(worker_tracer)
         wall = time.perf_counter() - start
-        return run, wall, {"started": started,
-                           "trace": _dist.ship(worker_tracer)}
+        return run, wall, {"started": started, "trace": shipment}
     finally:
         _trace.TRACER = caller_tracer
 
@@ -493,7 +509,8 @@ class SweepExecutor:
 
         stats = supervise.run_supervised(
             items,
-            functools.partial(_execute_job, plan=self.fault_plan,
+            functools.partial(_execute_job, warm=WarmStarts(jobs),
+                              plan=self.fault_plan,
                               trace_id=_dist.current_context()),
             workers=self.n_jobs,
             on_success=on_success,

@@ -101,7 +101,14 @@ class TenantOutcome:
 
 @dataclass
 class SoakReport:
-    """What a whole soak did, in one JSON-ready record."""
+    """What a whole soak did, in one JSON-ready record.
+
+    ``statuses`` counts what the service resolved during the soak, by
+    status (its ``serve.<status>`` counter deltas): a disconnecting
+    tenant abandons its pending submissions, but the windows of them
+    already queued are still answered, and count.  ``outcomes`` hold
+    what each tenant received.
+    """
 
     n_tenants: int
     n_windows: int
@@ -109,6 +116,7 @@ class SoakReport:
     elapsed: float
     outcomes: list[TenantOutcome] = field(default_factory=list)
     drain: dict[str, int] = field(default_factory=dict)
+    statuses: dict[str, int] = field(default_factory=dict)
 
     @property
     def terminal_counts(self) -> dict[str, int]:
@@ -123,25 +131,17 @@ class SoakReport:
                 if o.error is not None]
 
     @property
-    def status_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for outcome in self.outcomes:
-            for result in outcome.results:
-                totals[result.status] = totals.get(result.status, 0) + 1
-        return totals
-
-    @property
-    def windows_served(self) -> int:
-        return sum(self.status_totals.values())
+    def windows_resolved(self) -> int:
+        return sum(self.statuses.values())
 
     @property
     def throughput(self) -> float:
         """Resolved windows per wall-clock second."""
-        return self.windows_served / self.elapsed if self.elapsed else 0.0
+        return self.windows_resolved / self.elapsed if self.elapsed else 0.0
 
     def to_dict(self) -> dict:
-        # Exact quantiles of the measured latencies; the registry's
-        # histogram would only give its bucket upper edges.
+        # Exact quantiles of the latencies tenants received; the
+        # registry's histogram would only give its bucket upper edges.
         latencies = [r.latency for o in self.outcomes for r in o.results]
         p50, p99 = (np.percentile(latencies, [50, 99]).tolist()
                     if latencies else (0.0, 0.0))
@@ -150,12 +150,12 @@ class SoakReport:
             "n_windows": self.n_windows,
             "plan_digest": self.plan_digest,
             "elapsed_seconds": self.elapsed,
-            "windows_resolved": self.windows_served,
+            "windows_resolved": self.windows_resolved,
             "windows_per_second": self.throughput,
             "latency_p50_seconds": p50,
             "latency_p99_seconds": p99,
             "terminal": self.terminal_counts,
-            "statuses": self.status_totals,
+            "statuses": self.statuses,
             "drain": self.drain,
             "errors": self.errors,
         }
@@ -245,6 +245,8 @@ async def _soak(scorer, n_tenants: int, n_windows: int,
                 config: ServeConfig, plan: ServiceFaultPlan | None,
                 seed: int, think: float) -> SoakReport:
     service = PredictionService(scorer, config, fault_plan=plan)
+    resolved_before = {status: counter.value
+                       for status, counter in service.metric_status.items()}
     await service.start()
     t0 = time.perf_counter()
     streams = {
@@ -265,6 +267,9 @@ async def _soak(scorer, n_tenants: int, n_windows: int,
         elapsed=time.perf_counter() - t0,
         outcomes=list(outcomes),
         drain=drain,
+        statuses={status: int(counter.value - resolved_before[status])
+                  for status, counter in service.metric_status.items()
+                  if counter.value > resolved_before[status]},
     )
     counts = report.terminal_counts
     logger.info(

@@ -10,7 +10,7 @@ same job set.
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
@@ -18,6 +18,7 @@ from repro.obs.distributed import WALL_CLOCK
 from repro.obs.report import executor_health
 from repro.obs.trace import Tracer
 from repro.parallel import RunCache, RunJob, SweepExecutor
+from repro.parallel.warmstart import shared_warmups
 from repro.workloads.io500 import make_io500_task
 
 from tests.parallel.test_faulty_executor import find_kill_plan
@@ -261,17 +262,30 @@ class TestQuarantinedRuns:
 # -- placement invariance -----------------------------------------------------
 
 
+def one_scenario_jobs():
+    """Two targets under one noise scenario: a sweep forks both runs from
+    one warm-up per process (``repro.parallel.warmstart``)."""
+    noise = (InterferenceSpec("ior-easy-write", instances=1, ranks=2,
+                              scale=0.1),)
+    return [RunJob(make_io500_task(task, ranks=2, scale=0.1), noise,
+                   small_config(), seed_salt="shared")
+            for task in ("ior-easy-read", "mdt-hard-write")]
+
+
 def placed_sweep(n_jobs: int):
-    """Three distinct runs, traced and profiled from a reset registry.
+    """Three distinct runs without noise and two that share a noise
+    scenario, traced and profiled from a reset registry.
 
     Returns the tracer, the metrics snapshot and the profile's phase
     paths."""
+    jobs = four_distinct_jobs()[:3] + one_scenario_jobs()
+    assert len(shared_warmups(
+        {f"run{i}": job for i, job in enumerate(jobs)})) == 2
     obs_metrics.REGISTRY.reset()
     tracer = obs_trace.install(Tracer(trace_id="placement"))
     profiler = obs_profile.install(tracer=tracer)
     try:
-        runs = SweepExecutor(n_jobs=n_jobs).run_many(
-            four_distinct_jobs()[:3])
+        runs = SweepExecutor(n_jobs=n_jobs).run_many(jobs)
     finally:
         obs_profile.uninstall()
         obs_trace.uninstall()
@@ -315,7 +329,7 @@ class TestPlacementInvariance:
 
         assert tree(one) == tree(two)
         executes = {s.span_id for s in one.spans if s.name == "job.execute"}
-        assert len(executes) == 3
+        assert len(executes) == 5
         sim_roots = [s for s in one.spans
                      if s.attrs.get("clock") != WALL_CLOCK
                      and s.parent_id not in {x.span_id for x in one.spans}]

@@ -46,8 +46,8 @@ def test_clean_soak_all_served_and_bit_identical(scorer):
     assert report.errors == []
     assert report.terminal_counts == {"served": 16, "degraded": 0,
                                       "shed": 0, "error": 0}
-    assert report.status_totals == {"fresh": 16 * 5}
-    assert report.windows_served == 80
+    assert report.statuses == {"fresh": 16 * 5}
+    assert report.windows_resolved == 80
     assert report.throughput > 0
     for outcome in report.outcomes:
         W = tenant_windows(11, outcome.tenant, 5, scorer.n_servers,
@@ -137,7 +137,7 @@ def test_soak_report_to_dict_and_service_health(scorer):
                       seed=2)
     doc = report.to_dict()
     assert doc["n_tenants"] == 12
-    assert doc["windows_resolved"] == report.windows_served
+    assert doc["windows_resolved"] == report.windows_resolved
     assert doc["errors"] == []
     assert set(doc["terminal"]) == set(TERMINAL_STATES)
     assert doc["latency_p50_seconds"] <= doc["latency_p99_seconds"]
@@ -150,6 +150,25 @@ def test_soak_report_to_dict_and_service_health(scorer):
     assert "tenants:" in text and "admitted" in text
     assert "batches:" in text
     assert "latency:" in text
+
+
+def test_soak_report_counts_what_the_service_answered(scorer):
+    """A flooding tenant that disconnects abandons its pending
+    submissions, but the windows of them already queued are still
+    scored: the report counts every window the service resolved, as its
+    ``serve.<status>`` counters do, not only those tenants received."""
+    REGISTRY.reset()
+    report = run_soak(scorer, n_tenants=12, n_windows=4, plan=CHAOS,
+                      seed=2)
+    doc = report.to_dict()
+    snapshot = REGISTRY.snapshot()
+    ladder = {s: int(snapshot[f"serve.{s}"]["value"])
+              for s in ("fresh", "stale", "masked", "shed")
+              if snapshot[f"serve.{s}"]["value"]}
+    received = sum(len(o.results) for o in report.outcomes)
+    assert received < sum(ladder.values())  # the abandoned, answered ones
+    assert doc["statuses"] == ladder
+    assert doc["windows_resolved"] == sum(ladder.values())
 
 
 def test_soak_report_percentiles_are_exact():
@@ -166,6 +185,22 @@ def test_soak_report_percentiles_are_exact():
                      elapsed=1.0, outcomes=[outcome]).to_dict()
     assert doc["latency_p50_seconds"] == np.percentile(latencies, 50)
     assert doc["latency_p99_seconds"] == np.percentile(latencies, 99)
+
+
+def test_service_health_ladder_shares_are_of_resolved_windows():
+    """A submission refused with backpressure is submitted but never
+    resolved: the queue-depth-1 flood soak resolved all 32 windows
+    fresh after 20 refusals, which is 100 % fresh, not 62 %."""
+    counter = lambda value: {"kind": "counter", "value": value}  # noqa: E731
+    snapshot = {"serve.submitted": counter(52), "serve.fresh": counter(32),
+                "serve.backpressure": counter(20)}
+    lines = service_health(snapshot)
+    assert "windows submitted: 52" in lines
+    assert ("ladder: fresh 32 (100%), stale 0 (0%), masked 0 (0%), "
+            "shed 0 (0%)") in lines
+    snapshot.update({"serve.stale": counter(8), "serve.shed": counter(8)})
+    assert ("ladder: fresh 32 (67%), stale 8 (17%), masked 0 (0%), "
+            "shed 8 (17%)") in service_health(snapshot)
 
 
 def test_service_health_silent_without_serve_metrics():

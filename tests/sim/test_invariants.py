@@ -2,7 +2,8 @@
 
 These go after conservation laws rather than specific values: nothing the
 workloads submit may be lost, duplicated or served out of thin air,
-regardless of arrival pattern.
+regardless of arrival pattern, and whether a run is forked from a shared
+warm-up or cut short by a fault plan.
 """
 
 import numpy as np
@@ -11,12 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.units import KIB, MIB
+from repro.experiments.runner import ExperimentConfig, InterferenceSpec
+from repro.faults.plan import FaultPlan
+from repro.parallel import RunJob
+from repro.parallel.warmstart import WarmState
 from repro.sim.cache import CacheParams, PageCache
 from repro.sim.cluster import Cluster
 from repro.sim.disk import DiskModel, DiskParams
 from repro.sim.engine import AllOf, Environment
 from repro.sim.ost import ExtentAllocator
 from repro.sim.scheduler import BlockDevice
+from repro.workloads.io500 import make_io500_task
+from repro.workloads.ior import IOR_HARD_XFER
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,3 +142,56 @@ def test_network_conservation_under_cluster_load():
 
     env.run(until=env.process(body()))
     assert cluster.net.bytes_delivered == pytest.approx(16 * MIB, rel=1e-9)
+
+
+#: Every IO500 noise family, and every IOR target shape.
+NOISE_TASKS = ("ior-easy-write", "ior-hard-write", "mdt-easy-write",
+               "mdt-hard-write")
+IOR_TARGETS = ("ior-easy-write", "ior-easy-read", "ior-hard-write",
+               "ior-hard-read")
+
+
+@settings(max_examples=8, deadline=None)
+@given(noise=st.sampled_from(NOISE_TASKS), task=st.sampled_from(IOR_TARGETS),
+       abort_after=st.one_of(st.none(),
+                             st.floats(min_value=0.05, max_value=0.5)))
+def test_forked_and_aborted_runs_conserve(noise, task, abort_after):
+    """A run forked from a shared warm-up, whole or cut short by a fault
+    plan's abort, loses, duplicates and invents nothing: the target moves
+    exactly its volume (no more when aborted), every op ends after it
+    starts, on the servers it names, within the run, and the monitor
+    samples every server once per tick, up to the run's end."""
+    config = ExperimentConfig(window_size=0.25, sample_interval=0.125,
+                              warmup=0.25, seed=0)
+    specs = (InterferenceSpec(noise, instances=1, ranks=2, scale=0.05),)
+    target = make_io500_task(task, ranks=2, scale=0.05)
+    state = WarmState(RunJob(target, specs, config, seed_salt=noise), None)
+    abort_at = None
+    if abort_after is not None:
+        plan = FaultPlan(run_abort_rate=1.0,
+                         run_abort_after=config.warmup + abort_after)
+        abort_at = plan.run_abort_time(target.name, noise)
+    run, _ = state.run(target, abort_at)
+
+    cfg = target.config
+    per_rank = (cfg.bytes_per_rank if cfg.mode == "easy"
+                else target._hard_ops_per_rank * IOR_HARD_XFER)
+    records = [r for r in run.records if r.job == target.name]
+    moved = sum(r.size for r in records if r.op.value == cfg.access)
+    if run.metadata.get("aborted"):
+        assert moved <= cfg.ranks * per_rank
+    else:
+        assert moved == cfg.ranks * per_rank
+    for r in records:
+        assert config.warmup <= r.start <= r.end <= run.duration
+        assert r.servers, f"op {r.key} touched no servers"
+
+    interval = config.sample_interval
+    ticks = sorted({t for t, _, _ in run.server_samples})
+    assert ticks == [interval * k for k in range(1, len(ticks) + 1)]
+    assert len(ticks) == int(run.duration // interval)
+    assert len(run.server_samples) == len(ticks) * len(run.servers)
+    assert len({(t, s) for t, s, _ in run.server_samples}) \
+        == len(run.server_samples)
+    for _, _, metrics in run.server_samples:
+        assert min(metrics.values()) >= 0
