@@ -138,3 +138,12 @@ class IORecord:
             )
         if self.size < 0 or self.offset < 0:
             raise ValueError(f"op {self.key} has negative extent")
+
+    def __reduce__(self):
+        # Records cross process pipes by the thousand.  As its ten
+        # fields a record pickles smaller and faster than as the default
+        # state dict keyed by field name, and loading it runs __init__,
+        # so __post_init__ checks every record a child sends.
+        return (type(self), (self.job, self.rank, self.op_id, self.op,
+                             self.path, self.offset, self.size, self.start,
+                             self.end, self.servers))

@@ -37,8 +37,11 @@ layers (the fourth is the simulations' alone):
    warm-up (:func:`repro.experiments.runner.warm_up`).  When two or
    more pending runs of a batch share one, each process that runs them
    simulates it once and forks every such run from it
-   (:mod:`repro.parallel.warmstart`); a forked run is bit for bit the
-   fresh run, so this too changes nothing the caller can see.
+   (:mod:`repro.parallel.warmstart`), and the runner groups the runs by
+   it: a free pool slot takes the runs whose warm-up its child already
+   holds first, so each scenario is warmed up about once per sweep.  A
+   forked run is bit for bit the fresh run, so this too changes nothing
+   the caller can see.
 
 Every sweep takes that one path; the runner alone decides where the runs
 execute.  With no ``run_timeout`` or ``retries`` and one slot to fill
@@ -507,15 +510,17 @@ class SweepExecutor:
             self._store(key, jobs[key], run)
             results[key] = run
 
+        warm = WarmStarts(jobs)
         stats = supervise.run_supervised(
             items,
-            functools.partial(_execute_job, warm=WarmStarts(jobs),
+            functools.partial(_execute_job, warm=warm,
                               plan=self.fault_plan,
                               trace_id=_dist.current_context()),
             workers=self.n_jobs,
             on_success=on_success,
             run_timeout=self.run_timeout,
             retries=self.retries,
+            groups=warm.shared,
         )
         tracer = _trace.get()
         if tracer is not None:

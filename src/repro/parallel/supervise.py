@@ -46,9 +46,18 @@ The pool's parent never polls: it blocks in
 and every child's sentinel until the next watchdog deadline or retry
 backoff falls due.  It hands a freed slot its next item before it
 handles the finished one, so the child computes while the parent merges
-and stores.  DESIGN.md §7 has the measurements that made this pool the
-only multi-process path and the sweeps' default, and §10 those that put
-the training restarts on it.
+and stores.  The next item is the first ready one in submission order
+(a retry queues behind, once its backoff has passed), unless the caller
+groups items: then a slot takes the first ready item of a group its
+current child has already run, and only failing that the first ready
+item.  A sweep groups runs by the noise warm-up they share
+(:mod:`repro.parallel.warmstart`), so the child that holds a scenario's
+warm state runs the rest of the scenario's runs, and each warm state is
+built about once per sweep rather than once per slot.  A replaced child
+holds nothing, so it starts with no groups; in-process the items always
+run in submission order.  DESIGN.md §7 has the measurements that made
+this pool the only multi-process path and the sweeps' default, and §10
+those that put the training restarts on it.
 """
 
 from __future__ import annotations
@@ -187,7 +196,7 @@ class _Slot:
     """One worker slot: its current child, pipe and in-flight attempt."""
 
     __slots__ = ("index", "proc", "conn", "key", "attempt", "started",
-                 "deadline")
+                 "deadline", "groups")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -198,6 +207,8 @@ class _Slot:
         self.attempt = 0
         self.started = 0.0
         self.deadline: float | None = None
+        #: Groups of the items handed to the current child.
+        self.groups: set[str] = set()
 
     def spawn(self, ctx, worker) -> None:
         parent_conn, child_conn = ctx.Pipe()
@@ -213,6 +224,7 @@ class _Slot:
         proc.join()
         self.conn.close()
         self.proc = self.conn = None
+        self.groups = set()  # whatever the child held went with it
         return proc.exitcode
 
     def kill(self) -> int:
@@ -230,6 +242,7 @@ def run_supervised(
     run_timeout: float | None = None,
     retries: int = 0,
     ctx=None,
+    groups: dict[str, str] | None = None,
 ) -> SupervisionStats:
     """Run keyed items: in-process, or on a supervised pool.
 
@@ -248,6 +261,12 @@ def run_supervised(
     moves on.  An in-process item that raises is recorded and
     quarantined the same way; it does not propagate.
 
+    ``groups`` maps item keys to a group (an item it does not name is in
+    none).  In-process the items run in submission order.  On the pool
+    a free slot takes the first ready item (submission order, retries
+    behind) of a group its current child has already run, else the
+    first ready item; a replaced child starts with no groups.
+
     ``on_success(key, result, slot)`` fires in this process, in
     completion order, with the index of the slot that ran the item (0
     in-process).  ``ctx`` is the ``multiprocessing`` context children
@@ -262,6 +281,7 @@ def run_supervised(
     of the report.
     """
     stats = SupervisionStats()
+    groups = groups or {}
     #: (key, attempt, ready_at) — ready_at implements retry backoff.
     queue: list[tuple[str, int, float]] = [(key, 0, 0.0) for key, _ in items]
     errors: dict[str, list[str]] = {}
@@ -326,6 +346,20 @@ def run_supervised(
     finished: list[tuple[int, str, int, float, float, str, Any,
                          dict | None]] = []
 
+    def pick(slot: _Slot, now: float) -> int | None:
+        """Index in ``queue`` of the item ``slot`` takes next: the first
+        ready one of a group its child has run, else the first ready
+        one; ``None`` while nothing is ready."""
+        first = None
+        for i, (key, _, ready_at) in enumerate(queue):
+            if ready_at > now:
+                continue
+            if groups.get(key) in slot.groups:
+                return i
+            if first is None:
+                first = i
+        return first
+
     def release(slot: _Slot, outcome: str, payload: Any,
                 delta: dict | None = None) -> None:
         finished.append((slot.index, slot.key, slot.attempt, slot.started,
@@ -356,13 +390,14 @@ def run_supervised(
             for slot in slots:
                 if slot.key is not None:
                     continue
-                ready = next((i for i, (_, _, ready_at) in enumerate(queue)
-                              if ready_at <= now), None)
+                ready = pick(slot, now)
                 if ready is None:
                     break
                 key, attempt, _ = queue.pop(ready)
                 if slot.proc is None:
                     slot.spawn(ctx, worker)
+                if key in groups:
+                    slot.groups.add(groups[key])
                 slot.key, slot.attempt, slot.started = key, attempt, now
                 slot.deadline = (now + run_timeout
                                  if run_timeout is not None else None)

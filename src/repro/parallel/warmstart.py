@@ -18,7 +18,11 @@ The rule (:func:`shared_warmups`): a run forks from a warm state only
 when its batch holds another pending run with the same warm-up
 (:func:`warm_key`: the run-key material without the target) and the
 platform has :func:`os.fork`; every other run is a fresh
-:func:`~repro.experiments.runner.execute_run`.  A forked run is that
+:func:`~repro.experiments.runner.execute_run`.  The same map groups the
+batch's items for :func:`repro.parallel.supervise.run_supervised`: a
+free pool slot takes the runs whose warm-up its child already holds
+before any other, so a sweep on two slots builds each scenario's state
+about once rather than once per slot.  A forked run is that
 run: the same records, samples, duration and metadata, the same
 sim-time spans and kernel counters, the same metrics.  That holds
 because the warm-up records into a tracer and a metric set of its own
@@ -198,9 +202,12 @@ class WarmState:
 class WarmStarts:
     """One batch's warm states, built where its items run.
 
-    ``jobs`` maps the batch's run keys to their jobs.  Bound into the
-    batch's worker, so every pool child starts with none built and
-    builds each scenario's at most once; in-process, the caller does.
+    ``jobs`` maps the batch's run keys to their jobs, and :attr:`shared`
+    each run key that shares a warm-up to its warm key; the executor
+    passes :attr:`shared` to the batch runner as the items' groups.
+    Bound into the batch's worker, so every pool child starts with none
+    built and builds each scenario's at most once; in-process, the
+    caller does.
     """
 
     def __init__(self, jobs: dict[str, Any]) -> None:

@@ -158,6 +158,37 @@ def test_dead_workers_are_reported_then_retried_on_more_slots_than_cores():
     assert stats.retries_used == 8 and not stats.quarantined
 
 
+#: k0, k2 and k4 share group "a", k1 is alone in "b", k3 is in none.
+GROUPS = {"k0": "a", "k1": "b", "k2": "a", "k4": "a"}
+
+
+def test_a_free_slot_takes_its_own_groups_items_first():
+    """Having run k0, the child takes the later items of k0's group
+    before the earlier k1 of another; an item in no group waits for the
+    first pick that finds none of the child's groups ready."""
+    done, _ = run(["ok"] * 5, workers=1, groups=GROUPS, **CHILD)
+    assert list(done) == ["k0", "k2", "k4", "k1", "k3"]
+    assert len({pid for pid, _ in done.values()}) == 1
+
+
+@pytest.mark.parametrize("action,options", [
+    ("exit", CHILD), ("unreadable", CHILD), ("sleep", {"run_timeout": 1.0}),
+], ids=["death", "unreadable-reply", "timeout"])
+def test_a_replaced_child_starts_with_no_groups(action, options):
+    """k2 (group "a") loses its child; the replacement has run nothing,
+    so it takes the first ready item, k1, not k4 of group "a"."""
+    done, stats = run(["ok", "ok", action, "ok", "ok"], workers=1,
+                      groups=GROUPS, **options)
+    assert list(stats.quarantined) == ["k2"]
+    assert list(done) == ["k0", "k1", "k3", "k4"]
+    assert done["k0"][0] != done["k1"][0] == done["k4"][0]
+
+
+def test_in_process_items_keep_submission_order_whatever_their_groups():
+    done, _ = run(["ok"] * 5, workers=1, groups=GROUPS)
+    assert list(done) == [f"k{i}" for i in range(5)]
+
+
 def test_empty_batch_starts_nothing():
     done, stats = run([], workers=4)
     assert done == {} and stats.attempts == {}

@@ -6,15 +6,21 @@ These tests pin that a forked run equals a fresh ``execute_run`` bit for
 bit — records, samples, duration, metadata, spans, kernel counters and
 metrics — under every noise family, traced or not, and when a fault plan
 aborts it after the fork; that the rule picks only warm-ups two pending
-runs share; and that no fork outlives its sweep.
+runs share; that a two-slot sweep, whose free slots take the runs whose
+warm-up they hold, builds each warm state once and returns what the
+in-process sweep does, also when a slot's child is killed; and that no
+fork outlives its sweep.
 """
 
+import itertools
 import os
 import pathlib
 import signal
 import sys
 import threading
 import time
+from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -241,60 +247,141 @@ def grid():
             for noise in ("ior-easy-write", "mdt-hard-write")]
 
 
-def sweep(n_jobs, monkeypatch, share=True, fault_plan=None):
-    """A traced sweep of :func:`grid`'s pairs; returns its runs, sim spans
-    and counters, and how many warm-ups this process simulated."""
-    calls = []
+def twin_grid():
+    """Three targets under two scenarios of the same noise that differ
+    in their seed salt alone, so the two scenarios cost alike: each
+    scenario's warm-up is shared by three interfered runs."""
+    config = small_config(warmup=0.25)
+    noise = (InterferenceSpec("ior-easy-write", instances=1, ranks=2,
+                              scale=0.1),)
+    return [RunJob(make_io500_task(task, ranks=2, scale=0.1), noise, config,
+                   seed_salt=salt)
+            for task in ("ior-easy-read", "mdt-hard-write", "ior-hard-write")
+            for salt in ("one", "two")]
+
+
+class Sweep(NamedTuple):
+    runs: list
+    #: Every span but the ``job.retry`` ones, as (parent's position,
+    #: name, attrs, sim-time interval or ``None`` on the wall clock).
+    tree: list
+    #: Counter values but the per-slot busy seconds.
+    counters: dict
+    #: Seed salt -> warm-ups built for it, in every process.
+    builds: Counter
+    #: ``(attempt, outcome)`` of each ``job.retry`` span.
+    retries: list
+
+
+_SWEEPS = itertools.count()
+
+
+def sweep(pairs, n_jobs, monkeypatch, tmp_path, share=True, kill=None,
+          **options) -> Sweep:
+    """A traced sweep of ``pairs`` on a fresh ``SweepExecutor(n_jobs,
+    **options)``.
+
+    Each warm-up built, in this process or a pool child, appends its
+    seed salt to a file.  ``kill`` names a target whose first warm-started
+    run kills the process running it (a pool child) instead.
+    """
+    log = tmp_path / f"builds{next(_SWEEPS)}"
+    log.touch()
     warm_up = warmstart.warm_up
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return warm_up(*args, **kwargs)
+        warm = warm_up(*args, **kwargs)
+        with open(log, "a") as fh:
+            fh.write(kwargs["seed_salt"] + "\n")
+        return warm
 
     monkeypatch.setattr(warmstart, "warm_up", counting)
     if not share:
         monkeypatch.setattr(warmstart, "shared_warmups", lambda jobs: {})
+    if kill is not None:
+        killed = log.with_suffix(".killed")
+        run = warmstart.WarmState.run
+
+        def killing(self, target, abort_at=None):
+            if target.name == kill and not killed.exists():
+                killed.touch()
+                os._exit(3)
+            return run(self, target, abort_at)
+
+        monkeypatch.setattr(warmstart.WarmState, "run", killing)
     REGISTRY.reset()
     tracer = obs_trace.install(obs_trace.Tracer(trace_id="grid"))
     try:
-        pairs = SweepExecutor(n_jobs=n_jobs,
-                              fault_plan=fault_plan).run_pairs(grid())
+        done = SweepExecutor(n_jobs=n_jobs, **options).run_pairs(pairs)
     finally:
         obs_trace.uninstall()
         monkeypatch.undo()
-    spans = [s.to_dict() for s in tracer.spans
-             if s.attrs.get("clock") != obs_dist.WALL_CLOCK]
+    spans = [s for s in tracer.spans if s.name != "job.retry"]
+    position = {s.span_id: i for i, s in enumerate(spans)}
+    tree = [(position.get(s.parent_id), s.name, s.attrs,
+             None if s.attrs.get("clock") == obs_dist.WALL_CLOCK
+             else (s.start, s.end)) for s in spans]
     counters = {name: doc["value"] for name, doc in REGISTRY.snapshot().items()
                 if doc["kind"] == "counter"
                 and not name.startswith("parallel.worker_busy")}
     runs = [(run_digest(r.records, r.server_samples), r.duration, r.metadata)
-            for p in pairs for r in (p.baseline, p.interfered)]
-    return runs, spans, counters, len(calls)
+            for p in done for r in (p.baseline, p.interfered)]
+    return Sweep(runs, tree, counters, Counter(log.read_text().split()),
+                 [(s.attrs["attempt"], s.attrs["outcome"])
+                  for s in tracer.spans if s.name == "job.retry"])
 
 
-def test_an_in_process_sweep_warms_each_scenario_up_once(monkeypatch):
-    shared = sweep(1, monkeypatch)
-    cold = sweep(1, monkeypatch, share=False)
-    assert shared[3] == 2  # one per scenario, not one per run
-    assert cold[3] == 0  # execute_run calls the runner's own warm_up
+def test_an_in_process_sweep_warms_each_scenario_up_once(monkeypatch,
+                                                         tmp_path):
+    shared = sweep(grid(), 1, monkeypatch, tmp_path)
+    cold = sweep(grid(), 1, monkeypatch, tmp_path, share=False)
+    # One per scenario, not one per run.
+    assert shared.builds == {"ior-easy-write": 1, "mdt-hard-write": 1}
+    assert cold.builds == {}  # execute_run calls the runner's own warm_up
     assert shared[:3] == cold[:3]
-    assert shared[2]["monitor.server_samples"] > 0
+    assert shared.counters["monitor.server_samples"] > 0
 
 
-def test_a_pooled_sweep_forks_the_same_runs(monkeypatch):
-    assert sweep(2, monkeypatch)[:3] == sweep(1, monkeypatch,
-                                               share=False)[:3]
+def test_a_pooled_sweep_forks_the_same_runs(monkeypatch, tmp_path):
+    assert sweep(grid(), 2, monkeypatch, tmp_path)[:3] \
+        == sweep(grid(), 1, monkeypatch, tmp_path, share=False)[:3]
 
 
-def test_an_aborting_fault_plan_sweep_forks_the_same_runs(monkeypatch):
+def test_an_aborting_fault_plan_sweep_forks_the_same_runs(monkeypatch,
+                                                          tmp_path):
     plan = FaultPlan(run_abort_rate=1.0, run_abort_after=0.3)
-    shared = sweep(1, monkeypatch, fault_plan=plan)
-    assert shared[:3] == sweep(1, monkeypatch, share=False,
-                               fault_plan=plan)[:3]
+    shared = sweep(grid(), 1, monkeypatch, tmp_path, fault_plan=plan)
+    assert shared[:3] == sweep(grid(), 1, monkeypatch, tmp_path,
+                               share=False, fault_plan=plan)[:3]
     # The plan cuts the ior-easy-read runs; the mdt-hard-write ones end
     # before 0.3 s.
-    assert [meta.get("aborted", False) for _, _, meta in shared[0][1::2]] \
+    assert [meta.get("aborted", False) for _, _, meta in shared.runs[1::2]] \
         == [True, True, False, False]
+
+
+def test_a_two_slot_sweep_builds_each_warm_state_once(monkeypatch, tmp_path):
+    """A free slot takes the runs whose warm-up its child holds, so the
+    two slots split the scenarios instead of both warming up each; the
+    sweep is the in-process one in runs, spans and counters."""
+    pooled = sweep(twin_grid(), 2, monkeypatch, tmp_path)
+    in_process = sweep(twin_grid(), 1, monkeypatch, tmp_path)
+    assert pooled.builds == in_process.builds == {"one": 1, "two": 1}
+    assert pooled[:3] == in_process[:3]
+    assert pooled.retries == in_process.retries == []
+
+
+def test_a_killed_slot_child_changes_nothing_the_sweep_returns(monkeypatch,
+                                                                tmp_path):
+    """A pool child dies in a warm-started run; the run is retried on
+    its replacement, and the sweep is the in-process one in runs, spans
+    and counters, save the retry itself."""
+    in_process = sweep(twin_grid(), 1, monkeypatch, tmp_path)
+    killed = sweep(twin_grid(), 2, monkeypatch, tmp_path, retries=1,
+                   kill="mdt-hard-write")
+    assert killed.retries == [(0, "err")]
+    assert killed.counters.pop("parallel.retries") == 1
+    assert in_process.counters.pop("parallel.retries") == 0
+    assert killed[:3] == in_process[:3]
 
 
 # -- no process outlives its sweep ----------------------------------------------------
@@ -349,7 +436,11 @@ class Sleeper(Workload):
         return 1
 
     def prepare(self, cluster, rng) -> None:
-        pathlib.Path(self.pid_file).write_text(str(os.getpid()))
+        # Written aside and renamed, so a pid file never appears empty
+        # to a test waiting for it.
+        part = pathlib.Path(self.pid_file + ".part")
+        part.write_text(str(os.getpid()))
+        part.replace(self.pid_file)
         time.sleep(60)
 
     def rank_body(self, session, rank, rng, instance=0):

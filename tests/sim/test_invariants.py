@@ -2,8 +2,9 @@
 
 These go after conservation laws rather than specific values: nothing the
 workloads submit may be lost, duplicated or served out of thin air,
-regardless of arrival pattern, and whether a run is forked from a shared
-warm-up or cut short by a fault plan.
+regardless of arrival pattern, whether a run is forked from a shared
+warm-up or cut short by a fault plan, and whether writes are absorbed by a
+burst buffer first.
 """
 
 import numpy as np
@@ -16,7 +17,13 @@ from repro.experiments.runner import ExperimentConfig, InterferenceSpec
 from repro.faults.plan import FaultPlan
 from repro.parallel import RunJob
 from repro.parallel.warmstart import WarmState
+from repro.sim.burstbuffer import (
+    BurstBuffer,
+    BurstBufferedSession,
+    BurstBufferParams,
+)
 from repro.sim.cache import CacheParams, PageCache
+from repro.sim.client import NullCollector
 from repro.sim.cluster import Cluster
 from repro.sim.disk import DiskModel, DiskParams
 from repro.sim.engine import AllOf, Environment
@@ -195,3 +202,67 @@ def test_forked_and_aborted_runs_conserve(noise, task, abort_after):
         == len(run.server_samples)
     for _, _, metrics in run.server_samples:
         assert min(metrics.values()) >= 0
+
+
+class WatchedBuffer(BurstBuffer):
+    """A burst buffer that records every level it takes."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.levels: list[int] = []
+        super().__init__(*args, **kwargs)
+
+    def __setattr__(self, name, value) -> None:
+        if name == "level":
+            self.levels.append(value)
+        super().__setattr__(name, value)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    capacity_mib=st.integers(min_value=1, max_value=4),
+    writes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),       # writer
+            st.integers(min_value=1, max_value=4096),    # KiB size
+            st.floats(min_value=0.0, max_value=0.01),    # delay before
+        ),
+        min_size=1, max_size=30,
+    ),
+)
+def test_burst_buffer_conserves_bytes(capacity_mib, writes):
+    """Up to three writers share one small burst buffer: its level stays
+    within [0, capacity] throughout, every write is absorbed and recorded
+    once, and once drained every absorbed byte has reached the PFS and
+    the buffer is empty, with no writer left waiting."""
+    cluster = Cluster()
+    env = cluster.env
+    capacity = capacity_mib * MIB
+    inner = cluster.session("app", 0, 0)
+    drain = cluster.session("app-bbdrain", 0, 0)
+    drain.collector = NullCollector()
+    buffer = WatchedBuffer(env, drain,
+                           BurstBufferParams(capacity_bytes=capacity))
+    sess = BurstBufferedSession(inner, buffer)
+    sizes = [min(size_kib * KIB, capacity) for _, size_kib, _ in writes]
+
+    def writer(w):
+        path = f"/w{w}"
+        yield from sess.create(path)
+        offset = 0
+        for (who, _, delay), size in zip(writes, sizes):
+            if who != w:
+                continue
+            yield env.timeout(delay)
+            yield from sess.write(path, offset, size)
+            offset += size
+
+    env.run(until=AllOf(env, [env.process(writer(w)) for w in range(3)]))
+    env.run()  # let the drainer finish
+    assert buffer.levels[0] == 0
+    assert all(0 <= level <= capacity for level in buffer.levels)
+    assert buffer.absorbed_bytes == buffer.drained_bytes == sum(sizes)
+    assert buffer.level == 0
+    assert not buffer._waiters and not buffer._pending
+    recorded = [r.size for r in cluster.collector.records
+                if r.op.value == "write"]
+    assert sorted(recorded) == sorted(sizes)
