@@ -23,7 +23,7 @@ See ``examples/`` for end-to-end training and runtime prediction, and
 ``benchmarks/`` for the paper's tables and figures.
 """
 
-from repro.common import IORecord, OpType, ServerId, ServerKind, TimeWindow
+from repro.common import IORecord, OpType, ServerId, ServerKind
 from repro.core import (
     BINARY_THRESHOLDS,
     MULTICLASS_THRESHOLDS,
@@ -75,7 +75,7 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # common
-    "IORecord", "OpType", "ServerId", "ServerKind", "TimeWindow",
+    "IORecord", "OpType", "ServerId", "ServerKind",
     # simulator
     "Cluster", "ClusterConfig",
     # workloads

@@ -19,8 +19,8 @@ Usage::
 
 Fault injection and resilience: ``--faults 'abort=0.2,kill=0.1,seed=1'``
 attaches a deterministic :class:`repro.faults.FaultPlan` to the sweep
-executor (worker and simulation faults only: a spec with telemetry
-faults is refused, since the ``robustness`` experiment sweeps its own),
+executor (worker and simulation faults only; the ``robustness``
+experiment sweeps its own telemetry faults),
 ``--run-timeout`` arms a per-run watchdog and ``--retries`` bounds how
 often a failed run is retried before being quarantined — a sweep with
 poisoned runs completes and reports them instead of crashing.
@@ -576,17 +576,8 @@ def main_serve(argv: list[str]) -> int:
                         metavar="SECONDS",
                         help="nominal seconds between one tenant's windows "
                              "(default: 0 = submit as fast as served)")
-    parser.add_argument("--max-tenants", type=int, default=1024,
-                        help="admission cap (default: %(default)s)")
     parser.add_argument("--queue-depth", type=int, default=8,
                         help="per-tenant ingest queue bound "
-                             "(default: %(default)s)")
-    parser.add_argument("--max-batch", type=int, default=256,
-                        help="largest fused micro-batch "
-                             "(default: %(default)s)")
-    parser.add_argument("--deadline", type=float, default=1.0,
-                        metavar="SECONDS",
-                        help="per-request deadline before degradation "
                              "(default: %(default)s)")
     parser.add_argument("--report-out", type=pathlib.Path, default=None,
                         metavar="REPORT.json",
@@ -618,10 +609,7 @@ def main_serve(argv: list[str]) -> int:
     from repro.serve import ServeConfig, run_soak
 
     try:
-        config = ServeConfig(max_tenants=args.max_tenants,
-                             queue_depth=args.queue_depth,
-                             max_batch=args.max_batch,
-                             deadline=args.deadline)
+        config = ServeConfig(queue_depth=args.queue_depth)
         _check_outputs(args, "--report-out", "--metrics-out")
     except ValueError as exc:
         return _fail(str(exc))
@@ -745,11 +733,6 @@ def main(argv: list[str] | None = None) -> int:
             fault_plan = parse_fault_spec(args.faults)
         except ValueError as exc:
             return _fail(f"bad --faults spec: {exc}")
-        if fault_plan.has_telemetry_faults:
-            return _fail("bad --faults spec: sweeps apply only abort, kill, "
-                         "flaky and stall faults; telemetry faults (drop, "
-                         "blank) are not applied (the robustness "
-                         "experiment sweeps its own drop/blank grid)")
 
     if args.experiment == "list":
         for name in (*EXPERIMENTS, *EXTENSIONS):

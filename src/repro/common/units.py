@@ -14,26 +14,3 @@ GIB: int = 1024 * MIB
 #: Disk sector size in bytes, matching the 512-byte sectors that
 #: ``/proc/diskstats`` counts (the paper's Table II "disk sectors" metrics).
 SECTOR_SIZE: int = 512
-
-
-def bytes_to_sectors(nbytes: int) -> int:
-    """Number of 512-byte sectors covering ``nbytes`` (rounded up).
-
-    ``/proc/diskstats`` accounts whole sectors, so a 1-byte request still
-    moves one sector.
-    """
-    if nbytes < 0:
-        raise ValueError(f"negative byte count: {nbytes}")
-    return -(-nbytes // SECTOR_SIZE)
-
-
-def format_bytes(nbytes: float) -> str:
-    """Human-readable byte count (``1.5 MiB``) for logs and reports."""
-    value = float(nbytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024.0 or unit == "TiB":
-            if unit == "B":
-                return f"{int(value)} B"
-            return f"{value:.2f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")

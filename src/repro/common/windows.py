@@ -8,26 +8,8 @@ window, labels are computed per window, and the model predicts per window
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TimeWindow:
-    """Half-open time interval ``[start, end)`` with its index."""
-
-    index: int
-    start: float
-    end: float
-
-    @property
-    def size(self) -> float:
-        return self.end - self.start
-
-    def contains(self, t: float) -> bool:
-        return self.start <= t < self.end
 
 
 def window_index(t: float, window_size: float) -> int:
@@ -66,14 +48,3 @@ def window_indices(times: np.ndarray, window_size: float) -> np.ndarray:
     # Same float-rounding guard as the scalar version.
     idx += times >= (idx + 1) * window_size
     return idx
-
-
-def iter_windows(horizon: float, window_size: float) -> Iterator[TimeWindow]:
-    """All windows needed to cover ``[0, horizon)``."""
-    if window_size <= 0:
-        raise ValueError(f"window_size must be positive, got {window_size}")
-    if not math.isfinite(horizon):
-        raise ValueError(f"non-finite horizon: {horizon}")
-    count = max(0, math.ceil(horizon / window_size))
-    for i in range(count):
-        yield TimeWindow(i, i * window_size, (i + 1) * window_size)

@@ -11,7 +11,7 @@ train on metrics whose scales span bytes to seconds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,6 +157,3 @@ class Normalizer:
         out = X - self.mean
         out /= self.std  # divide the fresh difference in place
         return out
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)

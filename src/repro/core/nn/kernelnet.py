@@ -103,9 +103,3 @@ class KernelInterferenceNet:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=-1)
-
-    def server_scores(self, X: np.ndarray) -> np.ndarray:
-        """The kernel's per-server scalar outputs — an interpretability
-        hook: which server's state drives the prediction."""
-        return self.kernel.forward(np.asarray(X, dtype=float),
-                                   training=False)[..., 0]

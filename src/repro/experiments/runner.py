@@ -15,7 +15,6 @@ run of the scenario from it (:mod:`repro.parallel.warmstart`).
 
 from __future__ import annotations
 
-import pathlib
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ from repro.common.units import MIB
 from repro.monitor.aggregator import MonitoredRun
 from repro.monitor.server_monitor import ServerMonitor
 from repro.obs.log import get_logger
-from repro.obs.manifest import build_manifest, config_to_dict, write_manifest
 from repro.sim.cache import CacheParams
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.workloads.base import Workload, launch, launch_interference
@@ -40,7 +38,6 @@ __all__ = [
     "execute_run",
     "run_pair",
     "experiment_cluster",
-    "save_run_with_manifest",
 ]
 
 logger = get_logger("experiments.runner")
@@ -247,38 +244,6 @@ def execute_run(
         len(run.server_samples), time.perf_counter() - wall_start,
     )
     return run
-
-
-def save_run_with_manifest(
-    run: MonitoredRun,
-    config: ExperimentConfig,
-    directory: str | pathlib.Path,
-    name: str | None = None,
-    timings: dict[str, float] | None = None,
-) -> pathlib.Path:
-    """Persist a run plus its provenance manifest to ``directory``.
-
-    Combines :func:`repro.monitor.persist.save_run` with a
-    ``manifest.json`` recording the seed, full experiment configuration
-    and the current metrics snapshot, so the directory alone identifies
-    what produced it (``python -m repro obs <dir>/manifest.json``).
-    """
-    from repro.monitor.persist import save_run
-
-    directory = pathlib.Path(directory)
-    save_run(run, directory)
-    manifest = build_manifest(
-        name=name or run.job,
-        seed=config.seed,
-        config=config_to_dict(config),
-        timings=timings,
-        extra={"job": run.job, "duration": run.duration,
-               "records": len(run.records),
-               "samples": len(run.server_samples)},
-    )
-    write_manifest(manifest, directory / "manifest.json")
-    logger.info("saved run %s with manifest to %s", run.job, directory)
-    return directory
 
 
 def run_pair(

@@ -149,10 +149,6 @@ class FaultPlan:
         return self.run_abort_rate > 0
 
     @property
-    def has_telemetry_faults(self) -> bool:
-        return self.sample_drop_rate > 0 or self.window_blank_rate > 0
-
-    @property
     def has_worker_faults(self) -> bool:
         return any(getattr(self, f) > 0 for f in (
             "worker_kill_rate", "worker_flaky_rate", "worker_stall_rate",
@@ -178,13 +174,12 @@ class FaultPlan:
         return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 
-#: Spec shorthand → dataclass field (``drop=0.2,kill=0.5``).  The CLI's
-#: ``--faults`` refuses a plan with telemetry faults
-#: (:attr:`FaultPlan.has_telemetry_faults`).
+#: Spec shorthand → dataclass field (``abort=0.2,kill=0.5``), for the
+#: faults a sweep applies: simulation and worker faults.  Telemetry
+#: faults have no keys; the ``robustness`` experiment builds its
+#: drop/blank plans in code.
 FAULT_SPEC_FIELDS: dict[str, str] = {
     "seed": "seed",
-    "drop": "sample_drop_rate",
-    "blank": "window_blank_rate",
     "abort": "run_abort_rate",
     "abort_after": "run_abort_after",
     "kill": "worker_kill_rate",
@@ -229,7 +224,7 @@ def parse_spec(spec: str, plan_cls, fields: dict[str, str], label: str):
 def parse_fault_spec(spec: str) -> FaultPlan:
     """Parse ``key=value`` pairs (see :data:`FAULT_SPEC_FIELDS`).
 
-    Example: ``"drop=0.2,blank=0.1,kill=0.5,seed=3"``.  Raises
+    Example: ``"abort=0.2,abort_after=0.5,kill=0.5,seed=3"``.  Raises
     :class:`ValueError` on unknown keys or unparseable values; field
     range checks come from :class:`FaultPlan` itself.
     """

@@ -69,13 +69,3 @@ class ClientWindowAggregator:
             feats["throughput"] = feats["bytes_total"] / self.window_size
             feats["iops"] = feats["n_total"] / self.window_size
         return dict(out)
-
-    def window_ops(
-        self, records: list[IORecord], job: str
-    ) -> dict[int, list[IORecord]]:
-        """Records of ``job`` grouped by completion window (for labelling)."""
-        out: dict[int, list[IORecord]] = defaultdict(list)
-        for rec in records:
-            if rec.job == job:
-                out[window_index(rec.end, self.window_size)].append(rec)
-        return dict(out)

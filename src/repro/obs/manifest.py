@@ -63,10 +63,6 @@ def jsonable(value: Any) -> Any:
     return repr(value)
 
 
-#: Backwards-compatible alias (pre-1.1 internal name).
-_jsonable = jsonable
-
-
 def config_to_dict(config: Any) -> dict[str, Any]:
     """Flatten any config (dataclass, mapping, object) to a JSON dict."""
     out = jsonable(config)

@@ -73,9 +73,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 

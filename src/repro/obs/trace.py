@@ -163,9 +163,6 @@ class Tracer:
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-name aggregates: count and total/mean/max simulated time."""
         out: dict[str, dict[str, float]] = {}

@@ -241,7 +241,6 @@ def run_supervised(
     on_success: Callable[[str, Any, int], None],
     run_timeout: float | None = None,
     retries: int = 0,
-    ctx=None,
     groups: dict[str, str] | None = None,
 ) -> SupervisionStats:
     """Run keyed items: in-process, or on a supervised pool.
@@ -269,16 +268,15 @@ def run_supervised(
 
     ``on_success(key, result, slot)`` fires in this process, in
     completion order, with the index of the slot that ran the item (0
-    in-process).  ``ctx`` is the ``multiprocessing`` context children
-    start from (default: ``fork`` where available, else ``spawn``);
-    ``worker`` must be picklable under ``spawn``.  On the pool items and
-    results cross a pipe, so a payload the children need in bulk is
-    better bound into ``worker``, which a ``fork`` child inherits
-    without pickling.  Every child has exited when this returns (or
-    raises).  The children's metric deltas are merged into
-    :data:`~repro.obs.metrics.REGISTRY` before this returns, in
-    submission order; the returned :class:`SupervisionStats` is the rest
-    of the report.
+    in-process).  Children start from :func:`_start_context` (``fork``
+    where available, else ``spawn``), so ``worker`` must be picklable
+    under ``spawn``.  On the pool items and results cross a pipe, so a
+    payload the children need in bulk is better bound into ``worker``,
+    which a ``fork`` child inherits without pickling.  Every child has
+    exited when this returns (or raises).  The children's metric deltas
+    are merged into :data:`~repro.obs.metrics.REGISTRY` before this
+    returns, in submission order; the returned :class:`SupervisionStats`
+    is the rest of the report.
     """
     stats = SupervisionStats()
     groups = groups or {}
@@ -335,7 +333,7 @@ def run_supervised(
     # Imported here: in-process batches never load it (~0.6 MB of RSS).
     from multiprocessing.connection import wait
 
-    ctx = ctx if ctx is not None else _start_context()
+    ctx = _start_context()
     payloads = dict(items)
     slots = [_Slot(i) for i in range(min(max(1, workers), len(items)))]
 

@@ -36,6 +36,12 @@ means mutually-untrusted load:
   drives the tenant harness (:func:`run_soak`) with floods, stalls,
   disconnects and slow-model stalls, all derived from the plan seed.
 
+The envelope's bounds are constants of :mod:`repro.serve.service`
+(``MAX_TENANTS``, ``MAX_BATCH``, ``SHED_BACKLOG``, ``DEADLINE``,
+``BREAKER_THRESHOLD``, ``BREAKER_COOLDOWN``, ``DRAIN_TIMEOUT``): every
+caller runs with the same values.  The per-tenant queue depth is the
+one setting (:class:`ServeConfig`, ``repro serve --queue-depth``).
+
 Each submission is handled on its own: it is queued, fast-failed, shed
 or refused with backpressure.  Its window number is a label the result
 echoes back, not a place in a sequence the service enforces; a tenant's

@@ -6,7 +6,7 @@ results; a single batcher task takes one window from each tenant with
 queued work, round-robin, into micro-batches and scores each batch in
 one fused forward pass.  Batching is continuous: no timer paces the
 batcher, so each batch is whatever was queued when it came free (up to
-``max_batch``) and batch size follows the load.
+:data:`MAX_BATCH`) and batch size follows the load.
 Because scoring runs through
 :meth:`repro.core.predictor.DeployedPredictor.predict_proba_rows`, a
 tenant's bits never depend on who else landed in its batch — the service
@@ -28,8 +28,8 @@ one status, ordered from best to worst:
 
 Only ``fresh`` is healthy; everything else marks the tenant degraded.
 The per-tenant **circuit breaker** counts consecutive unhealthy
-resolutions: at ``breaker_threshold`` it opens and the tenant
-fast-fails to ``masked`` (or ``stale``) for ``breaker_cooldown``
+resolutions: at :data:`BREAKER_THRESHOLD` it opens and the tenant
+fast-fails to ``masked`` (or ``stale``) for :data:`BREAKER_COOLDOWN`
 seconds — protecting the batcher from a tenant whose traffic can no
 longer be served — then half-opens to let one probe window through; a
 fresh probe closes it.
@@ -48,7 +48,6 @@ seconds.
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -100,37 +99,38 @@ class Rejected(RuntimeError):
     """
 
 
+# The robustness envelope.  Every caller runs with the same values, so
+# they are constants, read where they are used: patching the module
+# attribute changes a running service.  Only the per-tenant queue bound
+# is a setting (:class:`ServeConfig`).
+
+#: Admission control: connects past this count are rejected.
+MAX_TENANTS = 1024
+#: Most windows scored per fused forward pass.
+MAX_BATCH = 256
+#: Global queued-window bound past which new submissions are shed.
+SHED_BACKLOG = 4096
+#: Seconds a window may wait before it degrades instead of scoring.
+DEADLINE = 1.0
+#: Consecutive unhealthy resolutions that open a tenant's breaker.
+BREAKER_THRESHOLD = 3
+#: Seconds an open breaker masks the tenant before half-opening.
+BREAKER_COOLDOWN = 0.25
+#: Seconds ``stop()`` keeps scoring queued work before shedding it.
+DRAIN_TIMEOUT = 5.0
+
+
 @dataclass(frozen=True)
 class ServeConfig:
-    """The service's entire robustness envelope, as data."""
+    """The service's settable bound (``repro serve --queue-depth``)."""
 
-    #: Admission control: connects past this count are rejected.
-    max_tenants: int = 1024
     #: Per-tenant bound on queued-but-unscored windows (backpressure).
     queue_depth: int = 8
-    #: Most windows scored per fused forward pass.
-    max_batch: int = 256
-    #: Global queued-window bound past which new submissions are shed.
-    shed_backlog: int = 4096
-    #: Seconds a window may wait before it degrades instead of scoring.
-    deadline: float = 1.0
-    #: Consecutive unhealthy resolutions that open a tenant's breaker.
-    breaker_threshold: int = 3
-    #: Seconds an open breaker masks the tenant before half-opening.
-    breaker_cooldown: float = 0.25
-    #: Seconds ``stop()`` keeps scoring queued work before shedding it.
-    drain_timeout: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("max_tenants", "queue_depth", "max_batch",
-                     "shed_backlog", "breaker_threshold"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, "
-                                 f"got {getattr(self, name)}")
-        for name in ("deadline", "breaker_cooldown", "drain_timeout"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
+        if self.queue_depth < 1:
+            raise ValueError(f"queue_depth must be >= 1, "
+                             f"got {self.queue_depth}")
 
 
 @dataclass(frozen=True)
@@ -194,17 +194,12 @@ class TenantSession:
         else:
             self.failures += 1
             if self.probing:  # failed probe re-opens it
-                self.breaker_open_until = (time.monotonic()
-                                           + self.service.config
-                                           .breaker_cooldown)
+                self.breaker_open_until = time.monotonic() + BREAKER_COOLDOWN
                 self.probing = False
                 self.service.metric_breaker.inc()
             elif (self.breaker_open_until is None
-                  and self.failures
-                  >= self.service.config.breaker_threshold):
-                self.breaker_open_until = (time.monotonic()
-                                           + self.service.config
-                                           .breaker_cooldown)
+                  and self.failures >= BREAKER_THRESHOLD):
+                self.breaker_open_until = time.monotonic() + BREAKER_COOLDOWN
                 self.service.metric_breaker.inc()
 
     # -- resolution ---------------------------------------------------------
@@ -270,7 +265,7 @@ class TenantSession:
             self._degraded(req)
         elif not service.accepting:
             self._resolve(req, "shed", None)
-        elif service.backlog >= service.config.shed_backlog:
+        elif service.backlog >= SHED_BACKLOG:
             # Load shedding: protect the whole service before queueing.
             service.metric_load_shed.inc()
             self._resolve(req, "shed", None)
@@ -358,12 +353,12 @@ class PredictionService:
         self._task = asyncio.get_running_loop().create_task(
             self._batch_loop(), name="repro-serve-batcher")
         logger.info("prediction service up: max_tenants=%d max_batch=%d",
-                    self.config.max_tenants, self.config.max_batch)
+                    MAX_TENANTS, MAX_BATCH)
 
     async def stop(self) -> dict[str, int]:
         """Graceful drain: stop admissions, score the queue, account.
 
-        Queued work is scored for up to ``drain_timeout`` seconds; any
+        Queued work is scored for up to :data:`DRAIN_TIMEOUT` seconds; any
         windows still in flight or queued after that resolve as
         ``shed``.  Returns ``{"drained": scored-or-degraded, "shed":
         leftovers}``, counting the batch in flight when ``stop`` began.
@@ -376,8 +371,7 @@ class PredictionService:
         drained_from = len(self.inflight) + self.backlog
         self.wake.set()
         try:
-            await asyncio.wait_for(self._task,
-                                   timeout=self.config.drain_timeout)
+            await asyncio.wait_for(self._task, timeout=DRAIN_TIMEOUT)
         except asyncio.TimeoutError:
             self._task.cancel()
             try:
@@ -411,10 +405,9 @@ class PredictionService:
             raise Rejected("service is not accepting tenants")
         if tenant in self.tenants:
             raise ValueError(f"tenant {tenant!r} already connected")
-        if len(self.tenants) >= self.config.max_tenants:
+        if len(self.tenants) >= MAX_TENANTS:
             self.metric_rejected.inc()
-            raise Rejected(
-                f"tenant cap reached ({self.config.max_tenants})")
+            raise Rejected(f"tenant cap reached ({MAX_TENANTS})")
         session = TenantSession(self, tenant)
         self.tenants[tenant] = session
         self.metric_admitted.inc()
@@ -423,7 +416,7 @@ class PredictionService:
     # -- the batcher --------------------------------------------------------
 
     def _assemble(self) -> list[tuple[TenantSession, _Request]]:
-        """Take up to ``max_batch`` queued windows, round-robin.
+        """Take up to :data:`MAX_BATCH` queued windows, round-robin.
 
         Each turn takes one window from the tenant at the head of the
         ready queue and sends the tenant to the back while it still has
@@ -434,15 +427,14 @@ class PredictionService:
         """
         batch: list[tuple[TenantSession, _Request]] = []
         now = time.monotonic()
-        deadline = self.config.deadline
         ready = self.ready
-        while ready and len(batch) < self.config.max_batch:
+        while ready and len(batch) < MAX_BATCH:
             session = ready.popleft()
             req = session.pending.popleft()
             if session.pending:
                 ready.append(session)
             self.backlog -= 1
-            if now - req.enqueued > deadline:
+            if now - req.enqueued > DEADLINE:
                 self.metric_deadline.inc()
                 session._degraded(req)
                 continue
@@ -457,7 +449,7 @@ class PredictionService:
         whenever a window is queued, and by ``stop``).  With work queued
         it yields once, so submissions made in the same tick and tenants
         the last batch answered can queue, then scores everything queued
-        up to ``max_batch``: under load a batch holds what arrived while
+        up to :data:`MAX_BATCH`: under load a batch holds what arrived while
         the previous one was being scored, and no answer waits on a timer.
         """
         scorer = self.scorer

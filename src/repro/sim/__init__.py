@@ -5,8 +5,8 @@ This subpackage is the substrate substitute for the paper's 11-node Lustre
 
 * :mod:`repro.sim.engine` — a minimal SimPy-like coroutine event kernel
   with deterministic ordering;
-* :mod:`repro.sim.resources` — semaphores, barriers and stores built on
-  the kernel;
+* :mod:`repro.sim.resources` — a counting semaphore with FIFO wake-ups
+  built on the kernel;
 * :mod:`repro.sim.netmodel` — a max-min fair-share fluid-flow network;
 * :mod:`repro.sim.disk` — a rotational-disk service model plus
   ``/proc/diskstats``-style counters;
@@ -15,9 +15,13 @@ This subpackage is the substrate substitute for the paper's 11-node Lustre
   throttling;
 * :mod:`repro.sim.ost` / :mod:`repro.sim.mds` — object storage targets and
   the metadata server;
+* :mod:`repro.sim.qos` — per-job token-bucket rate limiting at the OSTs
+  (Lustre TBF);
 * :mod:`repro.sim.filesystem` — namespace and striping;
 * :mod:`repro.sim.client` — the Lustre-like client (striped RPCs, RPC
   windows, metadata calls);
+* :mod:`repro.sim.batch` — the request path: each client op's RPC-window
+  grants, network flows and OST or MDS service as one callback chain;
 * :mod:`repro.sim.cluster` — configuration and wiring of a full cluster.
 
 One run is one :class:`Environment`: every client NIC, server and the

@@ -67,11 +67,6 @@ class Event:
         return self._ok is not None
 
     @property
-    def triggered(self) -> bool:
-        """Delivered: callbacks have run (or are running) at fire time."""
-        return self._fired
-
-    @property
     def ok(self) -> bool:
         if not self._fired:
             raise SimulationError("event has not fired yet")

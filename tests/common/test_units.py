@@ -1,17 +1,6 @@
-"""Unit tests for byte/sector unit helpers."""
+"""Unit tests for the byte/sector unit constants."""
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.common.units import (
-    GIB,
-    KIB,
-    MIB,
-    SECTOR_SIZE,
-    bytes_to_sectors,
-    format_bytes,
-)
+from repro.common.units import GIB, KIB, MIB, SECTOR_SIZE
 
 
 def test_unit_constants_are_powers_of_1024():
@@ -19,30 +8,3 @@ def test_unit_constants_are_powers_of_1024():
     assert MIB == 1024**2
     assert GIB == 1024**3
     assert SECTOR_SIZE == 512
-
-
-def test_bytes_to_sectors_rounds_up():
-    assert bytes_to_sectors(0) == 0
-    assert bytes_to_sectors(1) == 1
-    assert bytes_to_sectors(512) == 1
-    assert bytes_to_sectors(513) == 2
-    assert bytes_to_sectors(4096) == 8
-
-
-def test_bytes_to_sectors_rejects_negative():
-    with pytest.raises(ValueError):
-        bytes_to_sectors(-1)
-
-
-@given(st.integers(min_value=0, max_value=10**15))
-def test_bytes_to_sectors_covers_extent(nbytes):
-    sectors = bytes_to_sectors(nbytes)
-    assert sectors * SECTOR_SIZE >= nbytes
-    assert (sectors - 1) * SECTOR_SIZE < nbytes or sectors == 0
-
-
-def test_format_bytes_scales():
-    assert format_bytes(512) == "512 B"
-    assert format_bytes(1536) == "1.50 KiB"
-    assert format_bytes(3 * MIB) == "3.00 MiB"
-    assert format_bytes(2 * GIB) == "2.00 GiB"

@@ -1,10 +1,10 @@
-"""Tests for time-window helpers."""
+"""Tests for window indexing."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.windows import TimeWindow, iter_windows, window_index
+from repro.common.windows import window_index
 
 
 def test_window_index_basic():
@@ -28,22 +28,3 @@ def test_window_index_is_consistent_with_bounds(t, size):
     # The chosen window must contain t up to one float ULP of slack.
     assert idx * size <= t * (1 + 1e-12) + 1e-12
     assert t < (idx + 1) * size * (1 + 1e-12) + 1e-12
-
-
-def test_iter_windows_covers_horizon():
-    windows = list(iter_windows(3.5, 1.0))
-    assert len(windows) == 4
-    assert windows[0] == TimeWindow(0, 0.0, 1.0)
-    assert windows[-1].end >= 3.5
-
-
-def test_iter_windows_empty_horizon():
-    assert list(iter_windows(0.0, 1.0)) == []
-
-
-def test_window_contains_half_open():
-    w = TimeWindow(0, 0.0, 1.0)
-    assert w.contains(0.0)
-    assert w.contains(0.999)
-    assert not w.contains(1.0)
-    assert w.size == pytest.approx(1.0)

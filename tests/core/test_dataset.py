@@ -99,14 +99,14 @@ class TestSplit:
 class TestNormalizer:
     def test_zero_mean_unit_std(self):
         X = np.random.default_rng(0).normal(5.0, 3.0, size=(200, 4, 6))
-        Z = Normalizer().fit_transform(X)
+        Z = Normalizer().fit(X).transform(X)
         flat = Z.reshape(-1, 6)
         assert np.allclose(flat.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(flat.std(axis=0), 1.0, atol=1e-9)
 
     def test_constant_features_safe(self):
         X = np.ones((10, 2, 3))
-        Z = Normalizer().fit_transform(X)
+        Z = Normalizer().fit(X).transform(X)
         assert np.isfinite(Z).all()
         assert np.allclose(Z, 0.0)
 

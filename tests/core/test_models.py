@@ -81,11 +81,6 @@ class TestKernelNet:
         acc = (net.predict(Xp) == yp).mean()
         assert acc > 0.85
 
-    def test_server_scores_shape(self):
-        net = KernelInterferenceNet(4, 6, 2)
-        scores = net.server_scores(np.zeros((10, 4, 6)))
-        assert scores.shape == (10, 4)
-
 
 class TestMLP:
     def test_flattens_3d_input(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.common.records import ServerId, ServerKind
-from repro.common.windows import iter_windows, window_index, window_indices
+from repro.common.windows import window_index, window_indices
 from repro.core.dataset import Dataset
 from repro.monitor.aggregator import (
     GAP_POLICIES,
@@ -135,5 +135,3 @@ class TestFiniteGuards:
             window_index(float("inf"), 1.0)
         with pytest.raises(ValueError):
             window_indices(np.array([0.5, np.nan]), 1.0)
-        with pytest.raises(ValueError):
-            list(iter_windows(float("inf"), 1.0))

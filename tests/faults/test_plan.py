@@ -32,6 +32,8 @@ class TestValidation:
             FaultPlan(**{field: 1.5})
         with pytest.raises(ValueError, match=field):
             FaultPlan(**{field: -0.1})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FaultPlan(**{field: float("nan")})
         FaultPlan(**{field: 1.0})  # bounds themselves are legal
 
     @pytest.mark.parametrize("field", [
@@ -117,8 +119,8 @@ class TestSerialisation:
 
 class TestSpecParsing:
     def test_parse_round_trip(self):
-        plan = parse_fault_spec("drop=0.2, kill=0.5, seed=3")
-        assert plan.sample_drop_rate == 0.2
+        plan = parse_fault_spec("abort=0.2, kill=0.5, seed=3")
+        assert plan.run_abort_rate == 0.2
         assert plan.worker_kill_rate == 0.5
         assert plan.seed == 3
 
@@ -129,18 +131,23 @@ class TestSpecParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown fault spec key"):
             parse_fault_spec("nosuchthing=1")
+        # Sweeps apply no telemetry faults, so they have no spec keys.
+        for key in ("drop", "blank"):
+            with pytest.raises(ValueError,
+                               match=f"unknown fault spec key '{key}'"):
+                parse_fault_spec(f"{key}=0.5")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="not a number"):
-            parse_fault_spec("drop=lots")
+            parse_fault_spec("kill=lots")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
-            parse_fault_spec("drop")
+            parse_fault_spec("kill")
 
     def test_out_of_range_value_rejected(self):
-        with pytest.raises(ValueError, match="sample_drop_rate"):
-            parse_fault_spec("drop=2.0")
+        with pytest.raises(ValueError, match="worker_kill_rate"):
+            parse_fault_spec("kill=2.0")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", sorted(FAULT_SPEC_FIELDS))

@@ -85,18 +85,6 @@ def test_feature_keys_match_schema():
     assert set(out[(0, OST0)]) == set(CLIENT_FEATURES)
 
 
-def test_window_ops_grouping():
-    agg = ClientWindowAggregator(window_size=1.0)
-    records = [
-        rec(OpType.READ, 0.1, 0.2, op_id=1),
-        rec(OpType.READ, 0.2, 1.4, op_id=2),
-        rec(OpType.READ, 0.1, 0.3, job="other", op_id=3),
-    ]
-    grouped = agg.window_ops(records, "app")
-    assert sorted(grouped) == [0, 1]
-    assert len(grouped[0]) == 1 and grouped[0][0].op_id == 1
-
-
 def test_invalid_window_size():
     with pytest.raises(ValueError):
         ClientWindowAggregator(window_size=0.0)

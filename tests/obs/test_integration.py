@@ -13,11 +13,9 @@ from repro.experiments.runner import (
     ExperimentConfig,
     InterferenceSpec,
     run_pair,
-    save_run_with_manifest,
 )
 from repro.obs import trace
 from repro.obs.export import load_trace, save_trace
-from repro.obs.manifest import load_manifest
 from repro.workloads.io500 import make_io500_task
 
 
@@ -102,18 +100,3 @@ def test_run_metadata_carries_seed_and_window_config(traced_pair):
         assert run.metadata["seed"] == 3
         assert run.metadata["window_size"] == 0.25
         assert run.metadata["sample_interval"] == 0.125
-
-
-def test_save_run_with_manifest(tmp_path, traced_pair):
-    pair, _ = traced_pair
-    config = small_config()
-    out = save_run_with_manifest(pair.interfered, config, tmp_path / "run",
-                                 timings={"run": 1.0})
-    assert (out / "records.dxt").exists()
-    assert (out / "samples.npz").exists()
-    manifest = load_manifest(out / "manifest.json")
-    assert manifest.seed == config.seed
-    assert manifest.config["window_size"] == config.window_size
-    assert manifest.extra["job"] == pair.interfered.job
-    assert manifest.metrics  # snapshot travels with the run
-    assert manifest.timings == {"run": 1.0}

@@ -24,7 +24,7 @@ def test_counter_monotonic():
 def test_gauge_moves_both_ways():
     g = Gauge("x")
     g.set(10)
-    g.dec(4)
+    g.inc(-4)
     g.inc(1)
     assert g.value == pytest.approx(7.0)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.obs.metrics import REGISTRY
+from repro.parallel import supervise
 from repro.parallel.supervise import run_supervised
 
 DIED = "worker died silently (exitcode 3)"
@@ -65,7 +66,7 @@ def _expire(signum, frame):
     raise TimeoutError("supervised batch still running after 120 s")
 
 
-def run(actions, workers=2, ctx=None, **kwargs):
+def run(actions, workers=2, **kwargs):
     """Run one item per action; returns ({key: (pid, slot)}, stats).
 
     A SIGALRM bounds the batch, so a hang fails the test instead of
@@ -78,7 +79,6 @@ def run(actions, workers=2, ctx=None, **kwargs):
     try:
         stats = run_supervised(
             items, worker,
-            ctx=ctx,
             workers=workers,
             on_success=lambda key, pid, slot: done.__setitem__(key,
                                                                (pid, slot)),
@@ -196,9 +196,10 @@ def test_empty_batch_starts_nothing():
 
 @pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
                     reason="spawn start method unavailable")
-def test_spawn_start_method_runs_a_small_batch():
-    done, stats = run(["ok", "raise", "ok"], workers=2,
-                      ctx=multiprocessing.get_context("spawn"))
+def test_spawn_start_method_runs_a_small_batch(monkeypatch):
+    monkeypatch.setattr(supervise, "_start_context",
+                        lambda: multiprocessing.get_context("spawn"))
+    done, stats = run(["ok", "raise", "ok"], workers=2)
     assert sorted(done) == ["k0", "k2"]
     assert stats.quarantined["k1"]["errors"] == ["RuntimeError: boom k1"]
 

@@ -12,6 +12,7 @@ from repro.core.dataset import Dataset
 from repro.core.labeling import BINARY_THRESHOLDS
 from repro.core.nn.train import TrainConfig
 from repro.core.predictor import InterferencePredictor
+from repro.serve import service
 
 
 def _synthetic_dataset(n=120, servers=4, feats=6, n_classes=2, seed=0):
@@ -22,6 +23,16 @@ def _synthetic_dataset(n=120, servers=4, feats=6, n_classes=2, seed=0):
     X[np.arange(n), hot, 0] += intensity
     y = np.minimum((intensity // 3).astype(int), n_classes - 1)
     return Dataset(X, y, feature_names=tuple(f"f{i}" for i in range(feats)))
+
+
+@pytest.fixture
+def envelope(monkeypatch):
+    """Set :mod:`repro.serve.service`'s envelope constants (``MAX_BATCH``,
+    ``DEADLINE``, ...) for one test: ``envelope(MAX_BATCH=1)``."""
+    def set_constants(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(service, name, value)
+    return set_constants
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from repro.serve import (
     Rejected,
     ServeConfig,
 )
+from repro.serve import service as service_module
 from repro.serve.service import STATUSES
 
 
@@ -53,8 +54,22 @@ async def until_in_flight(service):
     dict(breaker_cooldown=float("inf")), dict(drain_timeout=float("nan")),
 ])
 def test_config_validation(kw):
-    with pytest.raises(ValueError):
+    """A queue depth below 1 is refused; the rest of the envelope is
+    constants, so no other field can be set at all."""
+    with pytest.raises(ValueError if "queue_depth" in kw else TypeError):
         ServeConfig(**kw)
+
+
+def test_envelope_is_constants_but_the_queue_depth():
+    """The envelope the benchmark's ``ServeConfig()`` runs with."""
+    assert list(ServeConfig.__dataclass_fields__) == ["queue_depth"]
+    assert ServeConfig().queue_depth == 8
+    assert {name: getattr(service_module, name) for name in (
+        "MAX_TENANTS", "MAX_BATCH", "SHED_BACKLOG", "DEADLINE",
+        "BREAKER_THRESHOLD", "BREAKER_COOLDOWN", "DRAIN_TIMEOUT")} == {
+        "MAX_TENANTS": 1024, "MAX_BATCH": 256, "SHED_BACKLOG": 4096,
+        "DEADLINE": 1.0, "BREAKER_THRESHOLD": 3, "BREAKER_COOLDOWN": 0.25,
+        "DRAIN_TIMEOUT": 5.0}
 
 
 def test_lifecycle_guards(scorer):
@@ -73,9 +88,11 @@ def test_lifecycle_guards(scorer):
     asyncio.run(run())
 
 
-def test_admission_control(scorer):
+def test_admission_control(scorer, envelope):
+    envelope(MAX_TENANTS=1)
+
     async def run():
-        service = PredictionService(scorer, ServeConfig(max_tenants=1))
+        service = PredictionService(scorer)
         rejected = REGISTRY.counter("serve.tenants_rejected").value
         await service.start()
         service.connect("a")
@@ -137,14 +154,14 @@ def test_cross_tenant_batch_bit_identity(scorer):
         assert res.probabilities == expected_bits(scorer, W[i])
 
 
-def test_backpressure_when_queue_full(scorer):
+def test_backpressure_when_queue_full(scorer, envelope):
     vec = np.zeros((scorer.n_servers, scorer.n_features))
+    envelope(DRAIN_TIMEOUT=0.1)
 
     async def run():
         # The accepted windows' batch stalls past the drain budget.
-        service = PredictionService(
-            scorer, ServeConfig(queue_depth=2, drain_timeout=0.1),
-            fault_plan=StallFirst(1, 5.0))
+        service = PredictionService(scorer, ServeConfig(queue_depth=2),
+                                    fault_plan=StallFirst(1, 5.0))
         await service.start()
         session = service.connect("t0")
         tasks = [asyncio.ensure_future(session.submit(w, vec))
@@ -163,12 +180,12 @@ def test_backpressure_when_queue_full(scorer):
     assert drain == {"drained": 0, "shed": 2}
 
 
-def test_global_overload_sheds(scorer):
+def test_global_overload_sheds(scorer, envelope):
     vec = np.zeros((scorer.n_servers, scorer.n_features))
+    envelope(SHED_BACKLOG=1, DRAIN_TIMEOUT=0.1)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(
-            shed_backlog=1, drain_timeout=0.1))
+        service = PredictionService(scorer)
         await service.start()
         a = service.connect("a")
         b = service.connect("b")
@@ -187,12 +204,12 @@ def test_global_overload_sheds(scorer):
     assert shed_delta == 1
 
 
-def test_deadline_miss_degrades_to_masked(scorer):
+def test_deadline_miss_degrades_to_masked(scorer, envelope):
     vec = np.zeros((scorer.n_servers, scorer.n_features))
+    envelope(DEADLINE=0.01)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(deadline=0.01),
-                                    fault_plan=StallFirst(1, 0.05))
+        service = PredictionService(scorer, fault_plan=StallFirst(1, 0.05))
         await service.start()
         hold = service.connect("hold")
         session = service.connect("t0")
@@ -214,14 +231,14 @@ def test_deadline_miss_degrades_to_masked(scorer):
     assert misses == 1
 
 
-def test_breaker_trips_then_probe_recovers(scorer):
+def test_breaker_trips_then_probe_recovers(scorer, envelope):
     W = vectors(scorer, 7, seed=3)
+    cooldown = 0.25
+    envelope(DEADLINE=0.08, MAX_BATCH=1, BREAKER_THRESHOLD=2,
+             BREAKER_COOLDOWN=cooldown)
 
     async def run():
-        config = ServeConfig(deadline=0.08, max_batch=1,
-                             breaker_threshold=2, breaker_cooldown=0.25)
-        service = PredictionService(scorer, config,
-                                    fault_plan=StallFirst(1, 0.3))
+        service = PredictionService(scorer, fault_plan=StallFirst(1, 0.3))
         await service.start()
         session = service.connect("t0")
         trips = REGISTRY.counter("serve.breaker_trips").value
@@ -230,7 +247,7 @@ def test_breaker_trips_then_probe_recovers(scorer):
                  for w in range(4)]
         results = list(await asyncio.gather(*burst))
         while_open = await session.submit(4, W[4])
-        await asyncio.sleep(config.breaker_cooldown + 0.05)
+        await asyncio.sleep(cooldown + 0.05)
         probe = await session.submit(5, W[5])
         after = await session.submit(6, W[6])
         await service.stop()
@@ -256,13 +273,13 @@ def test_breaker_trips_then_probe_recovers(scorer):
     assert stales == 4  # the stales are on its record
 
 
-def test_failed_probe_reopens_breaker(scorer):
+def test_failed_probe_reopens_breaker(scorer, envelope):
     vec = np.zeros((scorer.n_servers, scorer.n_features))
+    envelope(DEADLINE=0.01, MAX_BATCH=1, BREAKER_THRESHOLD=1,
+             BREAKER_COOLDOWN=0.1)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(
-            deadline=0.01, max_batch=1, breaker_threshold=1,
-            breaker_cooldown=0.1), fault_plan=StallFirst(2, 0.05))
+        service = PredictionService(scorer, fault_plan=StallFirst(2, 0.05))
         await service.start()
         hold = service.connect("hold")
         session = service.connect("t0")
@@ -365,7 +382,7 @@ def test_graceful_drain_scores_queued_work(scorer):
     W = vectors(scorer, 5, seed=8)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(drain_timeout=5.0))
+        service = PredictionService(scorer)
         await service.start()
         session = service.connect("t0")
         tasks = [asyncio.ensure_future(session.submit(w, W[w]))
@@ -388,16 +405,16 @@ def resolutions():
                for status in STATUSES)
 
 
-def test_drain_sheds_the_batch_in_flight(scorer):
+def test_drain_sheds_the_batch_in_flight(scorer, envelope):
     """A batch taken off the queues but still stalled when the drain
     budget expires is counted in the drain report and resolved ``shed``,
     before the tenant's windows still queued behind it: every submission
     resolves, in window order, and none is left awaiting forever."""
     vec = np.zeros((scorer.n_servers, scorer.n_features))
+    envelope(DRAIN_TIMEOUT=0.1)
 
     async def run():
-        service = PredictionService(scorer, ServeConfig(drain_timeout=0.1),
-                                    fault_plan=StallFirst(1, 5.0))
+        service = PredictionService(scorer, fault_plan=StallFirst(1, 5.0))
         await service.start()
         session = service.connect("t0")
         submitted = REGISTRY.counter("serve.submitted").value
@@ -547,16 +564,17 @@ class RecordingScorer:
         return self.scorer.predict_proba_rows(X)
 
 
-def test_assembly_is_round_robin_over_busy_tenants(scorer):
+def test_assembly_is_round_robin_over_busy_tenants(scorer, envelope):
     """Each batch takes one window per tenant with queued work before it
     takes anyone's second, and idle tenants never hold a batch back."""
     busy = (1, 2, 4)
     rows = vectors(scorer, 2 * len(busy), seed=10)
     W = {(t, w): rows[2 * i + w] for i, t in enumerate(busy) for w in (0, 1)}
+    envelope(MAX_BATCH=2)
 
     async def run():
         recorder = RecordingScorer(scorer)
-        service = PredictionService(recorder, ServeConfig(max_batch=2))
+        service = PredictionService(recorder)
         await service.start()
         sessions = [service.connect(f"t{i}") for i in range(5)]
         resolved = []

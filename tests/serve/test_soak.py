@@ -13,7 +13,7 @@ import pytest
 from repro.faults import ServiceFaultPlan, TenantProfile
 from repro.obs.metrics import REGISTRY
 from repro.obs.report import service_health
-from repro.serve import ServeConfig, WindowResult, run_soak, tenant_windows
+from repro.serve import WindowResult, run_soak, tenant_windows
 from repro.serve.tenants import TERMINAL_STATES, SoakReport, TenantOutcome
 
 CHAOS = ServiceFaultPlan(seed=3, flood_rate=0.2, stall_rate=0.1,
@@ -118,10 +118,10 @@ def test_chaos_soak_replays_bit_identically(scorer):
         [outcome_key(o) for o in second.outcomes]
 
 
-def test_soak_respects_admission_cap(scorer):
+def test_soak_respects_admission_cap(scorer, envelope):
     REGISTRY.reset()
-    report = run_soak(scorer, n_tenants=8, n_windows=3,
-                      config=ServeConfig(max_tenants=5), seed=1)
+    envelope(MAX_TENANTS=5)
+    report = run_soak(scorer, n_tenants=8, n_windows=3, seed=1)
     assert report.errors == []
     counts = report.terminal_counts
     assert counts["shed"] == 3  # the three tenants past the cap

@@ -25,7 +25,6 @@ from repro.experiments.runner import (
 )
 from repro.faults.plan import FaultPlan
 from repro.monitor.server_monitor import ServerMonitor
-from repro.sim.burstbuffer import BurstBufferedSession, BurstBufferParams
 from repro.sim.cluster import Cluster
 from repro.workloads.apps import (
     AmrexConfig,
@@ -108,7 +107,6 @@ GOLDEN = {
     "openpmd": "142b5985a3fc3aa4767eed8f",
     "abort": "d1122f35bd1e9f701ab4bf36",
     "grid-meta:mdt-easy-write/mdt-hard-write-x1": "e08b606c0ca5e29cd120fb65",
-    "burst-buffer": "280b2127300bbbd675e446a3",
     "qos-limited": "7201d656890391fbaeac3b7f",
 }
 
@@ -142,34 +140,6 @@ def test_grid_meta_tie_order_pair_digest():
     run = execute_run(target, noise, config, seed_salt="mdt-hard-write-x1")
     assert (run_digest(run.records, run.server_samples)
             == GOLDEN["grid-meta:mdt-easy-write/mdt-hard-write-x1"])
-
-
-def test_burst_buffer_digest():
-    """Burst-buffered writes with backpressure, local read-back and a
-    drainer contending with live write noise."""
-    cluster = Cluster()
-    env = cluster.env
-    monitor = ServerMonitor(cluster, sample_interval=0.125)
-    monitor.start()
-    noise = make_io500_task("ior-easy-write", name="noise", ranks=2,
-                            scale=0.1)
-    launch_interference(cluster, noise, [4, 5], seed=1, record=False)
-    sess = BurstBufferedSession.attach(
-        cluster.session("app", 0, 0), BurstBufferParams(capacity_bytes=8 * MIB))
-
-    def body():
-        yield from sess.create("/f")
-        for i in range(16):  # 16 MiB through an 8 MiB buffer
-            yield from sess.write("/f", i * MIB, MIB)
-        for i in range(4):
-            yield from sess.read("/f", i * MIB, MIB)
-        yield from sess.stat("/f")
-
-    env.run(until=env.process(body()))
-    env.run(until=env.now + 0.5)
-    assert sess.buffer.level == 0
-    assert (run_digest(cluster.collector.records, monitor.samples)
-            == GOLDEN["burst-buffer"])
 
 
 def test_qos_limited_digest():

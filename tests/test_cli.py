@@ -42,7 +42,7 @@ def test_bad_run_timeout_and_retries_rejected(capsys):
 
 
 def test_bad_fault_spec_rejected(capsys):
-    assert main(["table2", "--faults", "drop=oops"]) == 2
+    assert main(["table2", "--faults", "kill=oops"]) == 2
     assert main(["table2", "--faults", "nosuchkey=1"]) == 2
     err = capsys.readouterr().err
     assert "error: bad --faults spec" in err
@@ -52,20 +52,18 @@ def test_bad_fault_spec_rejected(capsys):
                                   "dup=0.1", "skew=0.5", "blank=0.9",
                                   "kill=0.1,drop=0.9,blank=0.9,seed=1"])
 def test_telemetry_fault_spec_refused(capsys, spec):
-    """Sweeps apply only abort/kill/flaky/stall, so a drop or blank
-    fault would be silently ignored (the tables come out clean); it is
-    refused with one error line, before any run.  Delayed, duplicated
-    and skewed samples are not faults the program injects, so their
-    keys are refused as unknown, also with one error line."""
+    """Sweeps apply only abort/kill/flaky/stall faults, so the spec has
+    no telemetry keys: a drop or blank fault, and the delayed,
+    duplicated and skewed samples the program never injects, are
+    refused as unknown keys with one error line, before any run."""
     assert main(["table2", "--fast", "--no-cache", "--faults", spec]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: bad --faults spec: ")
     assert captured.err.count("\n") == 1
-    key = spec.partition("=")[0]
-    if key in ("delay", "delay_max", "dup", "skew"):
-        assert f"unknown fault spec key {key!r}" in captured.err
-    else:
-        assert "telemetry faults" in captured.err
+    key = next(key for key, _, _ in (part.partition("=")
+                                     for part in spec.split(","))
+               if key not in ("kill", "seed"))
+    assert f"unknown fault spec key {key!r}" in captured.err
     assert captured.out == ""
 
 
@@ -509,6 +507,18 @@ def test_serve_bad_chaos_spec_rejected(capsys):
         assert err.count("\n") == 1
 
 
+def test_serve_envelope_flags_are_unknown(capsys):
+    """The tenant cap, batch size and deadline are the service's
+    constants; only the queue depth is a flag."""
+    for flag, value in (("--max-tenants", "2"), ("--max-batch", "4"),
+                        ("--deadline", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, value])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {flag} {value}"
+                in capsys.readouterr().err)
+
+
 def test_serve_rejects_bad_model(tmp_path, capsys):
     missing = tmp_path / "missing.npz"
     assert main(["serve", "--model", str(missing), "--tenants", "2"]) == 2
@@ -587,9 +597,7 @@ def test_non_finite_fault_value_rejected(capsys):
     # inf overflowed the watchdog's wait; nan made the sweep busy-poll.
     ["table2", "--run-timeout", "inf"],
     ["table2", "--run-timeout", "nan"],
-    # A nan deadline never expires; an infinite think time hangs.
-    ["serve", "--deadline", "nan"],
-    ["serve", "--deadline", "inf"],
+    # An infinite think time hangs.
     ["serve", "--think", "inf"],
     ["serve", "--think", "nan"],
     # nan raised a traceback; inf scored one window labelled [nans, nans).
